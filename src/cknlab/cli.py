@@ -39,6 +39,7 @@ from .errors import (
     LedgerCorrupt,
     OptimizerStall,
     RootFindFailure,
+    ScalingGuardFailure,
 )
 from .fields import (
     RadialProfile,
@@ -81,7 +82,7 @@ DEFAULT_LEDGER = "ckn_ledger.jsonl"
 DEFAULT_GRID = (-30.0, 30.0, 1024)
 
 # failures of the numerics themselves, as opposed to bad inputs
-NUMERICAL_ERRORS = (RootFindFailure, OptimizerStall, DegenerateFit)
+NUMERICAL_ERRORS = (RootFindFailure, OptimizerStall, DegenerateFit, ScalingGuardFailure)
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ class RootFindFailure(CknError):
 
 
 class OptimizerStall(CknError):
-    """Multistart search failed to reproduce its best value often enough to trust it."""
+    """Optimizer not trusted: multistart starts disagree, or Newton hit its step cap."""
 
 
 class OnManifold(CknError):
@@ -84,6 +84,10 @@ class DegenerateRho(CknError):
 
 class CaseRangeViolation(CknError):
     """Elementary inequality case used outside its exponent range."""
+
+
+class ScalingGuardFailure(CknError):
+    """Elementary inequality ratio changed under joint scaling of its arguments."""
 
 
 class ConfigError(CknError):

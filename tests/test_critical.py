@@ -6,20 +6,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
-from cknlab import derive_params
+from cknlab import critical, derive_params
 from cknlab.errors import (
     BasisTooSmall,
     CaseRangeViolation,
     FarFromManifold,
     GridMismatch,
     NotOrthogonal,
+    OptimizerStall,
     RegionViolation,
+    ScalingGuardFailure,
     TranslationForbidden,
     UnsupportedField,
     ZeroField,
 )
 from cknlab.critical import (
+    _test_basis,
     alternative_check,
     dual_norm_estimate,
     el_residual_pairing,
@@ -196,6 +200,77 @@ def test_dual_estimate_monotone_in_basis():
 def test_dual_estimate_needs_four_elements():
     with pytest.raises(BasisTooSmall):
         dual_norm_estimate(_bubble_profile(PS53), PS53, 3)
+
+
+def _pairings_and_norm(u, ps, size):
+    # derivatives and pairings of the estimate's own test basis, and
+    # ||sum c_i phi_i|| through an explicitly combined field
+    elements = _test_basis(u, ps, size)
+    ell = np.array([el_residual_pairing(u, e, ps) for e in elements])
+    ders = np.stack([e.derivative for e in elements], axis=1)
+
+    def norm(c):
+        combo = RadialProfile(grid=u.grid, values=u.values, derivative=ders @ c)
+        return weighted_grad_pnorm(combo, ps) ** (1.0 / ps.p)
+
+    return ders, ell, norm
+
+
+def _assert_sup_certificate(u, ps, size):
+    value = dual_norm_estimate(u, ps, size).value
+    ders, ell, norm = _pairings_and_norm(u, ps, size)
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        c = rng.standard_normal(len(ell))
+        assert abs(ell @ c) / norm(c) <= value * (1.0 + 1e-12)
+    # a derivative-free ascent from the p = 2 optimum must not beat it either
+    g = u.grid
+    w = g.weights * g.nodes ** (ps.n - 1.0 - ps.p * ps.a)
+    start = np.linalg.solve(ders.T @ (w[:, None] * ders), ell)
+    res = minimize(
+        lambda c: -abs(ell @ c) / norm(c),
+        start,
+        method="Nelder-Mead",
+        options={"xatol": 1e-10, "fatol": 0.0, "maxfev": 4000},
+    )
+    assert -res.fun <= value * (1.0 + 1e-9)
+    return value
+
+
+def test_dual_estimate_p2_closed_form():
+    # at p = 2 the sup over the span is sqrt(l^T G^-1 l) with Gram matrix G
+    u = _perturbed(PS32, 1e-2)
+    ders, ell, _ = _pairings_and_norm(u, PS32, 8)
+    g = u.grid
+    w = PS32.sphere_area * g.weights * g.nodes ** (PS32.n - 1.0)
+    gram = ders.T @ (w[:, None] * ders)
+    expected = math.sqrt(float(ell @ np.linalg.solve(gram, ell)))
+    assert dual_norm_estimate(u, PS32, 8).value == pytest.approx(expected, rel=1e-10)
+
+
+def test_dual_estimate_is_a_sup_over_the_span():
+    assert _assert_sup_certificate(_perturbed(PS53, 1e-2), PS53, 8) > 0.0
+
+
+def test_dual_estimate_p_below_two():
+    ps = derive_params(3, 1.5, 0.1, 0.5)
+    value = _assert_sup_certificate(_perturbed(ps, 1e-2), ps, 8)
+    assert 0.0 < value < math.inf
+
+
+def test_dual_estimate_newton_cap_raises(monkeypatch):
+    monkeypatch.setattr(critical, "NEWTON_MAX_STEPS", 1)
+    with pytest.raises(OptimizerStall):
+        dual_norm_estimate(_perturbed(PS53, 1e-2), PS53, 4)
+
+
+def test_dual_estimate_axisym_embedding_matches_radial():
+    # a != 0: no translation element, so both spans hold the same functions
+    u = _perturbed(PS53, 1e-2)
+    radial = dual_norm_estimate(u, PS53, 8)
+    axi = dual_norm_estimate(embed_axisym(u, PS53.n, 48), PS53, 8)
+    assert axi.value == pytest.approx(radial.value, rel=1e-8)
+    assert axi.half_value == pytest.approx(radial.half_value, rel=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +504,19 @@ def test_elementary_case_ranges():
         elementary_C_estimate(6, 3.0)
     with pytest.raises(ValueError):
         elementary_C_estimate(7, 3.0)
+
+
+def test_elementary_scaling_guard_raises(monkeypatch):
+    # a term evaluation that sees the overall magnitude must not pass as a constant
+    raw = critical._raw_terms
+
+    def drifting(case, e, x_mag, y_mag, cos_angle):
+        lhs, rhs, scale = raw(case, e, x_mag, y_mag, cos_angle)
+        return lhs * (1.0 + 1e-6 * float(np.max(x_mag))), rhs, scale
+
+    monkeypatch.setattr(critical, "_raw_terms", drifting)
+    with pytest.raises(ScalingGuardFailure, match="joint scaling"):
+        elementary_C_estimate(3, 2.5)
 
 
 def test_elementary_doubling_stable():
