@@ -16,7 +16,7 @@ import argparse
 import numpy as np
 
 from cknlab.critical import dual_norm_estimate
-from cknlab.fields import RadialProfile, gaussian_bump_profile, make_radial_grid
+from cknlab.fields import gaussian_bump_profile, make_radial_grid
 from cknlab.functionals import weighted_grad_pnorm
 from cknlab.manifold import canonical_profile
 from cknlab.params import derive_params
@@ -24,17 +24,12 @@ from cknlab.params import derive_params
 
 def sweep(ps, grid, center, width, eps_list, label):
     v = canonical_profile(ps, grid)
-    bump = gaussian_bump_profile(grid, center, width)
-    bn = weighted_grad_pnorm(bump, ps) ** (1.0 / ps.p)
-    z = RadialProfile(grid=grid, values=bump.values / bn, derivative=bump.derivative / bn)
+    bump = gaussian_bump_profile(grid, ps.n, center, width)
+    z = (1.0 / weighted_grad_pnorm(bump, ps) ** (1.0 / ps.p)) * bump
     ests = []
     print(f"\n{label} family, bump at t={center}:")
     for eps in eps_list:
-        u = RadialProfile(
-            grid=grid,
-            values=v.values + eps * z.values,
-            derivative=v.derivative + eps * z.derivative,
-        )
+        u = v + eps * z
         est = dual_norm_estimate(u, ps, 8, extra_elements=[z]).value
         ests.append(est)
         print(f"  eps={eps:.3e}  residual={est:.6e}")

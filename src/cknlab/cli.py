@@ -41,12 +41,7 @@ from .errors import (
     RootFindFailure,
     ScalingGuardFailure,
 )
-from .fields import (
-    RadialProfile,
-    gaussian_bump_profile,
-    make_radial_grid,
-    modulated_axisym,
-)
+from .fields import gaussian_bump_profile, make_radial_grid, modulated_axisym
 from .functionals import deficit, grad_norm, q_norm, weighted_grad_pnorm
 from .manifold import (
     canonical_bubble,
@@ -54,7 +49,6 @@ from .manifold import (
     manifold_distance,
     mu_rho_decompose,
     orthogonalize,
-    select_Pu,
 )
 from .params import derive_hat_params, derive_params, sharp_constant
 from .stability import (
@@ -65,6 +59,7 @@ from .stability import (
     k_upper_scan,
     mollified_bubble,
     monotonicity_chain_check,
+    perturbed_bubble,
 )
 from .transforms import flat_params, transform_identity_check
 
@@ -240,17 +235,6 @@ def _build_grid(cfg: ExperimentConfig, ctx: _RunContext):
     return make_radial_grid(t_min, t_max, count * ctx.grid_factor)
 
 
-def _perturbed_bubble(ps, grid, eps: float, center: float, width: float):
-    v = canonical_profile(ps, grid)
-    z = orthogonalize(gaussian_bump_profile(grid, center, width), canonical_bubble(ps), ps)
-    zn = weighted_grad_pnorm(z, ps) ** (1.0 / ps.p)
-    return RadialProfile(
-        grid=grid,
-        values=v.values + eps * z.values / zn,
-        derivative=v.derivative + eps * z.derivative / zn,
-    )
-
-
 def _field_from_spec(spec: dict, ps, grid, idx: int):
     allowed = {"kind", "center", "width", "cos_coeff"}
     for key in spec:
@@ -259,11 +243,11 @@ def _field_from_spec(spec: dict, ps, grid, idx: int):
     kind = spec.get("kind", "radial")
     center = float(spec.get("center", 0.5))
     width = float(spec.get("width", 1.0))
-    prof = gaussian_bump_profile(grid, center, width)
+    prof = gaussian_bump_profile(grid, ps.n, center, width)
     if kind == "radial":
         return prof
     if kind == "axisym":
-        return modulated_axisym(prof, ps.n, cos_coeff=float(spec.get("cos_coeff", 0.3)))
+        return modulated_axisym(prof, cos_coeff=float(spec.get("cos_coeff", 0.3)))
     raise ConfigError(f"config.options.fields[{idx}].kind: unknown kind {kind!r}")
 
 
@@ -354,7 +338,7 @@ def _op_project(cfg: ExperimentConfig, ctx: _RunContext):
     dists, mus, rho_rel, tang = [], [], [], []
     for tup in cfg.params:
         ps = derive_params(*tup)
-        u = _perturbed_bubble(ps, grid, eps, center, width)
+        u = perturbed_bubble(ps, grid, eps, center, width)
         dist, bub = manifold_distance(u, ps)
         dec = mu_rho_decompose(u, bub, ps)
         unorm = weighted_grad_pnorm(u, ps) ** (1.0 / ps.p)
@@ -376,6 +360,11 @@ def _op_project(cfg: ExperimentConfig, ctx: _RunContext):
 def _project_exact_bubbles(cfg: ExperimentConfig, grid):
     """Deficit and dual residual on exact manifold points (scaled bubbles)."""
     bubbles = [(float(lam), float(amp)) for lam, amp in cfg.options["bubbles"]]
+    for i, (lam, _) in enumerate(bubbles):
+        if not lam > 0.0:
+            raise ConfigError(
+                f"config.options.bubbles[{i}]: lam must be positive, got {lam}"
+            )
     basis_size = int(cfg.options.get("dual_basis", 8))
     deficit_tol = float(cfg.tolerances.get("deficit_tol", 1e-6))
     dual_tol = float(cfg.tolerances.get("dual_tol", 1e-5))
@@ -385,10 +374,7 @@ def _project_exact_bubbles(cfg: ExperimentConfig, grid):
         ps = derive_params(*tup)
         row_d, row_r = [], []
         for lam, amp in bubbles:
-            v = canonical_profile(ps, grid, lam)
-            u = RadialProfile(
-                grid=grid, values=amp * v.values, derivative=amp * v.derivative
-            )
+            u = amp * canonical_profile(ps, grid, lam)
             d = float(deficit(u, ps))
             row_d.append(d)
             if abs(d) > deficit_tol:
@@ -422,6 +408,8 @@ def _op_stability_scan(cfg: ExperimentConfig, ctx: _RunContext):
     if cfg.family is None:
         raise ConfigError("missing key config.family for stability-scan")
     samples = int(cfg.options.get("samples", 30))
+    if samples < 1:
+        raise ConfigError(f"config.options.samples must be >= 1, got {samples}")
 
     def one(tup):
         ps = derive_params(*tup)
@@ -465,6 +453,7 @@ def _op_slope_fit(cfg: ExperimentConfig, ctx: _RunContext):
     )
     bump = gaussian_bump_profile(
         grid,
+        ps.n,
         float(cfg.options.get("center", 10.0)),
         float(cfg.options.get("width", 1.0)),
     )
@@ -532,6 +521,8 @@ def _op_chain_check(cfg: ExperimentConfig, ctx: _RunContext):
 def _op_embedding_check(cfg: ExperimentConfig, ctx: _RunContext):
     _check_options(cfg.options, {"radius", "lam"}, "embedding-check")
     radius = float(cfg.options.get("radius", 1.0))
+    if not radius > 0.0:
+        raise ConfigError(f"config.options.radius must be positive, got {radius}")
     lam = float(cfg.options.get("lam", 1.0))
 
     kbar_grad, kbar_value = [], []
@@ -569,6 +560,8 @@ def _op_spectral_gap(cfg: ExperimentConfig, ctx: _RunContext):
     grid = _build_grid(cfg, ctx)
     bub = canonical_bubble(ps)
     count = int(cfg.options.get("count", 20))
+    if count < 1:
+        raise ConfigError(f"config.options.count must be >= 1, got {count}")
     rng = np.random.default_rng(ctx.seed)
     centers = rng.uniform(
         float(cfg.options.get("center_lo", -3.0)),
@@ -582,7 +575,7 @@ def _op_spectral_gap(cfg: ExperimentConfig, ctx: _RunContext):
     )
 
     def one(cw):
-        rho = orthogonalize(gaussian_bump_profile(grid, cw[0], cw[1]), bub, ps)
+        rho = orthogonalize(gaussian_bump_profile(grid, ps.n, cw[0], cw[1]), bub, ps)
         return float(spectral_gap_ratio(bub, rho, ps).ratio)
 
     ratios = _map_ordered(one, list(zip(centers, widths)), ctx.threads)
@@ -624,7 +617,7 @@ def _op_expansion_slopes(cfg: ExperimentConfig, ctx: _RunContext):
 
     qs, ns, resids = [], [], []
     for e in eps:
-        u = _perturbed_bubble(ps, grid, float(e), center, width)
+        u = perturbed_bubble(ps, grid, float(e), center, width)
         rep = expansion_quantities(u, ps, distance_gate=gate, basis_size=basis)
         qs.append(float(rep.Q))
         ns.append(float(rep.N))
@@ -662,7 +655,7 @@ def _op_alt_check(cfg: ExperimentConfig, ctx: _RunContext):
     _check_options(cfg.options, allowed, "alt-check")
     ps = derive_params(*cfg.params[0])
     grid = _build_grid(cfg, ctx)
-    u = _perturbed_bubble(
+    u = perturbed_bubble(
         ps,
         grid,
         float(cfg.options.get("eps", 5e-2)),
@@ -704,6 +697,10 @@ def _op_ineq_const(cfg: ExperimentConfig, ctx: _RunContext):
     for i, item in enumerate(cases_raw):
         if not isinstance(item, list) or len(item) != 2:
             raise ConfigError(f"config.options.cases[{i}] must be [case, exponent]")
+        if item[0] not in range(1, 7):
+            raise ConfigError(
+                f"config.options.cases[{i}]: case must be 1..6, got {item[0]}"
+            )
         cases.append((int(item[0]), float(item[1])))
 
     def one(ce):

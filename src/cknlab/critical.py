@@ -26,26 +26,17 @@ from .errors import (
     OptimizerStall,
     RegionViolation,
     ScalingGuardFailure,
-    TranslationForbidden,
     UnsupportedField,
     ZeroField,
 )
-from .fields import (
-    AxisymField,
-    Bubble,
-    Field,
-    RadialProfile,
-    embed_axisym,
-    gaussian_bump_profile,
-    sample_bubble,
-)
+from .fields import Bubble, Field, gaussian_bump_profile, sample_bubble
 from .functionals import weighted_grad_pnorm
 from .manifold import (
-    _bubble_field_like,
+    _bubble_on,
+    _tangents_like,
     mu_rho_decompose,
     orthogonality_check,
     select_Pu,
-    tangent_basis,
     v_inner,
 )
 from .params import CknParams
@@ -129,50 +120,19 @@ def el_residual_pairing(u: Field, phi: Field, params: CknParams) -> float:
 
     -integral |x|^-pa |grad u|^(p-2) grad u . grad phi
     +integral |x|^-qb |u|^(q-2) u phi; no second derivatives of u.
+    A radial phi pairs with any u; an angular phi needs u on its grid.
     """
     n, p, q, a, b = params.n, params.p, params.q, params.a, params.b
-    if isinstance(u, AxisymField) and isinstance(phi, RadialProfile):
-        phi = embed_axisym(phi, u.dim, len(u.psi_nodes))
-    if isinstance(u, RadialProfile) and isinstance(phi, AxisymField):
+    if u.wider(phi) is not u:
         raise GridMismatch("radial u cannot be paired against an angular phi")
-    if not u.grid.same_as(phi.grid):
-        raise GridMismatch("u and phi live on different radial grids")
-    g = u.grid
-    if isinstance(u, RadialProfile):
-        mag = np.abs(u.derivative)
-        flux = _flux_factor(mag, p - 2.0) * u.derivative
-        grad_term = float(
-            np.sum(g.weights * flux * phi.derivative * g.nodes ** (n - 1.0 - p * a))
-        )
-        zero_term = float(
-            np.sum(
-                g.weights
-                * np.abs(u.values) ** (q - 2.0)
-                * u.values
-                * phi.values
-                * g.nodes ** (n - 1.0 - q * b)
-            )
-        )
-        return params.sphere_area * (zero_term - grad_term)
-    if len(u.psi_nodes) != len(phi.psi_nodes):
-        raise GridMismatch("angular grids differ")
-    r = g.nodes[:, None]
-    w2 = g.weights[:, None] * u.psi_weights[None, :]
-    mag = np.sqrt(u.grad_r**2 + (u.grad_psi / r) ** 2)
-    dot = u.grad_r * phi.grad_r + u.grad_psi * phi.grad_psi / r**2
-    grad_term = float(
-        np.sum(w2 * _flux_factor(mag, p - 2.0) * dot * r ** (n - 1.0 - p * a))
+    dot = u.grad_r * phi.grad_r
+    if u.grad_psi is not None and phi.grad_psi is not None:
+        dot = dot + u.grad_psi * phi.grad_psi / u.grid.nodes[:, None] ** 2
+    flux = _flux_factor(np.sqrt(u.grad_sq()), p - 2.0)
+    zero_term = u.integrate(
+        n - 1.0 - q * b, np.abs(u.values) ** (q - 2.0) * u.values * phi.values
     )
-    zero_term = float(
-        np.sum(
-            w2
-            * np.abs(u.values) ** (q - 2.0)
-            * u.values
-            * phi.values
-            * r ** (n - 1.0 - q * b)
-        )
-    )
-    return zero_term - grad_term
+    return zero_term - u.integrate(n - 1.0 - p * a, flux * dot)
 
 
 # ---------------------------------------------------------------------------
@@ -192,13 +152,9 @@ def _ladder_centers(count: int) -> list:
 
 
 def _test_basis(u: Field, params: CknParams, size: int) -> list:
-    axisym = isinstance(u, AxisymField)
-    psi_count = len(u.psi_nodes) if axisym else 128
-    bub = Bubble(amplitude=1.0, scale=1.0)
-    core = tangent_basis(bub, params, u.grid, axisym=axisym, psi_count=psi_count)
+    core = _tangents_like(u, Bubble(amplitude=1.0, scale=1.0), params)
     for c in _ladder_centers(size - len(core)):
-        bump = gaussian_bump_profile(u.grid, c, LADDER_WIDTH)
-        core.append(embed_axisym(bump, u.dim, psi_count) if axisym else bump)
+        core.append(gaussian_bump_profile(u.grid, u.dim, c, LADDER_WIDTH))
     return core
 
 
@@ -206,24 +162,25 @@ def _gradient_stack(elements: list, params: CknParams) -> tuple:
     """Gradient components (ncomp, nodes, m) and the energy weights w.
 
     sum(w * |sum_c comps[c] @ coeff|^p) is weighted_grad_pnorm of the
-    combined field: one component for radial elements, (grad_r,
-    grad_psi / r) on the flattened tensor grid for axisymmetric ones.
+    combined field, on the widest element's tensor grid flattened: one
+    component (grad_r) when no element has an angular derivative, else
+    (grad_r, grad_psi / r).
     """
-    first = elements[0]
-    g = first.grid
-    power = params.n - 1.0 - params.p * params.a
-    if isinstance(first, RadialProfile):
-        comps = np.stack([e.derivative for e in elements], axis=-1)[None]
-        return comps, params.sphere_area * g.weights * g.nodes**power
-    r = g.nodes[:, None]
+    wide = elements[0]
+    for e in elements[1:]:
+        wide = wide.wider(e)
+    shape = wide.values.shape
+    parts = [[e.grad_r for e in elements]]
+    if any(e.grad_psi is not None for e in elements):
+        r = wide.grid.nodes[:, None]
+        parts.append(
+            [0.0 * r if e.grad_psi is None else e.grad_psi / r for e in elements]
+        )
     comps = np.stack(
-        [
-            np.stack([e.grad_r for e in elements], axis=-1),
-            np.stack([e.grad_psi / r for e in elements], axis=-1),
-        ]
-    ).reshape(2, -1, len(elements))
-    w = g.weights[:, None] * first.psi_weights[None, :] * r**power
-    return comps, w.ravel()
+        [np.stack([np.broadcast_to(c, shape) for c in part], axis=-1) for part in parts]
+    ).reshape(len(parts), -1, len(elements))
+    power = params.n - 1.0 - params.p * params.a
+    return comps, wide.measure(power).ravel()
 
 
 def _energy(w: np.ndarray, grads: np.ndarray, p: float) -> float:
@@ -336,13 +293,6 @@ def dual_norm_estimate(
 # Hessian quadratic form and the spectral gap
 
 
-def _centred_bubble_samples(v_bub: Bubble, params: CknParams, grid):
-    if v_bub.axial_shift != 0.0:
-        raise TranslationForbidden("Hessian form needs a centred bubble")
-    prof = sample_bubble(params, v_bub, grid)
-    return prof.values, prof.derivative
-
-
 def hessian_form(
     v_bub: Bubble, rho: Field, params: CknParams, reduced: bool = False
 ) -> float:
@@ -356,33 +306,18 @@ def hessian_form(
     n, p, a = params.n, params.p, params.a
     if p <= 2.0:
         raise RegionViolation(f"quadratic form defined for p > 2, got p={p}")
-    g = rho.grid
-    _, dv = _centred_bubble_samples(v_bub, params, g)
-    mag = np.abs(dv)
-    if isinstance(rho, RadialProfile):
-        if reduced:
-            integrand = (
-                (p - 1.0) * _flux_factor(mag, p - 2.0) * rho.derivative**2
-            )
-        else:
-            integrand = (
-                _flux_factor(mag, p - 2.0) * rho.derivative**2
-                + (p - 2.0) * _flux_factor(mag, p - 4.0) * (dv * rho.derivative) ** 2
-            )
-        return params.sphere_area * float(
-            np.sum(g.weights * integrand * g.nodes ** (n - 1.0 - p * a))
-        )
-    if reduced:
+    if reduced and not rho.is_radial:
         raise UnsupportedField("reduced path is radial-only")
-    r = g.nodes[:, None]
-    w2 = g.weights[:, None] * rho.psi_weights[None, :]
-    grad_sq = rho.grad_r**2 + (rho.grad_psi / r) ** 2
-    dv2 = dv[:, None]
-    integrand = (
-        _flux_factor(np.abs(dv2), p - 2.0) * grad_sq
-        + (p - 2.0) * _flux_factor(np.abs(dv2), p - 4.0) * (dv2 * rho.grad_r) ** 2
-    )
-    return float(np.sum(w2 * integrand * r ** (n - 1.0 - p * a)))
+    dv = sample_bubble(params, v_bub, rho.grid).grad_r  # centred bubbles only
+    mag = np.abs(dv)
+    if reduced:
+        integrand = (p - 1.0) * _flux_factor(mag, p - 2.0) * rho.grad_r**2
+    else:
+        integrand = (
+            _flux_factor(mag, p - 2.0) * rho.grad_sq()
+            + (p - 2.0) * _flux_factor(mag, p - 4.0) * (dv * rho.grad_r) ** 2
+        )
+    return rho.integrate(n - 1.0 - p * a, integrand)
 
 
 def spectral_gap_ratio(v_bub: Bubble, rho: Field, params: CknParams) -> SpectralReport:
@@ -394,8 +329,8 @@ def spectral_gap_ratio(v_bub: Bubble, rho: Field, params: CknParams) -> Spectral
     residuals = orthogonality_check(rho, v_bub, params)
     if any(abs(r) > 1e-6 for r in residuals):
         raise NotOrthogonal(f"tangent residuals {residuals}")
-    v_field = _bubble_field_like(rho, params, v_bub)
-    rhs = (params.q - 1.0) * v_inner(rho.values, rho.values, v_field, params)
+    v_field = _bubble_on(rho, params, v_bub)
+    rhs = (params.q - 1.0) * v_inner(rho, rho, v_field, params)
     if rhs <= 0.0:
         raise ZeroField("vanishing rho in the spectral quotient")
     lhs = hessian_form(v_bub, rho, params)
@@ -410,29 +345,10 @@ def spectral_gap_ratio(v_bub: Bubble, rho: Field, params: CknParams) -> Spectral
 
 def _v_quadratic(v_bub: Bubble, rho: Field, params: CknParams) -> float:
     """integral |x|^-pa |grad V|^(p-2) |grad rho|^2, no (p-2) piece."""
-    n, p, a = params.n, params.p, params.a
-    g = rho.grid
-    _, dv = _centred_bubble_samples(v_bub, params, g)
-    mag = np.abs(dv)
-    if isinstance(rho, RadialProfile):
-        return params.sphere_area * float(
-            np.sum(
-                g.weights
-                * _flux_factor(mag, p - 2.0)
-                * rho.derivative**2
-                * g.nodes ** (n - 1.0 - p * a)
-            )
-        )
-    r = g.nodes[:, None]
-    w2 = g.weights[:, None] * rho.psi_weights[None, :]
-    grad_sq = rho.grad_r**2 + (rho.grad_psi / r) ** 2
-    return float(
-        np.sum(
-            w2
-            * _flux_factor(mag[:, None], p - 2.0)
-            * grad_sq
-            * r ** (n - 1.0 - p * a)
-        )
+    p = params.p
+    mag = np.abs(sample_bubble(params, v_bub, rho.grid).grad_r)
+    return rho.integrate(
+        params.n - 1.0 - p * params.a, _flux_factor(mag, p - 2.0) * rho.grad_sq()
     )
 
 
@@ -441,23 +357,8 @@ def _project_near(u: Field, params: CknParams, distance_gate: Optional[float]):
     if unorm <= 0.0:
         raise ZeroField("near-manifold analysis of the zero field")
     v_bub = select_Pu(u, params)
-    v_field = _bubble_field_like(u, params, v_bub)
-    if isinstance(u, RadialProfile):
-        diff: Field = RadialProfile(
-            grid=u.grid,
-            values=u.values - v_field.values,
-            derivative=u.derivative - v_field.derivative,
-        )
-    else:
-        diff = AxisymField(
-            grid=u.grid,
-            dim=u.dim,
-            psi_nodes=u.psi_nodes,
-            psi_weights=u.psi_weights,
-            values=u.values - v_field.values,
-            grad_r=u.grad_r - v_field.grad_r,
-            grad_psi=u.grad_psi - v_field.grad_psi,
-        )
+    v_field = _bubble_on(u, params, v_bub)
+    diff = u - v_field
     dist = weighted_grad_pnorm(diff, params) ** (1.0 / params.p)
     gate = 0.1 * unorm if distance_gate is None else distance_gate
     if dist > gate:
@@ -513,7 +414,8 @@ def alternative_check(
         raise ValueError("fit constants must be positive")
     eta = (c1 / (2.0 * C1)) ** (2.0 / (params.p - 2.0))
     interval = (c1 / (2.0 * C1), 2.0 * C1 / c1)
-    v_bub, v_field, _, _, _ = _project_near(u, params, distance_gate)
+    # kappa is measured against the projection gap ||u - V||, not ||u||
+    v_bub, v_field, gap, gap_norm, _ = _project_near(u, params, distance_gate)
     dec = mu_rho_decompose(u, v_bub, params)
     rho = dec.rho
     unorm = weighted_grad_pnorm(u, params) ** (1.0 / params.p)
@@ -533,43 +435,6 @@ def alternative_check(
     big_n = weighted_grad_pnorm(rho, params)
     a_u = big_n / big_q
 
-    def diff_field(scale: float) -> Field:
-        if isinstance(u, RadialProfile):
-            return RadialProfile(
-                grid=u.grid,
-                values=v_field.values + scale * (u.values - v_field.values),
-                derivative=v_field.derivative
-                + scale * (u.derivative - v_field.derivative),
-            )
-        return AxisymField(
-            grid=u.grid,
-            dim=u.dim,
-            psi_nodes=u.psi_nodes,
-            psi_weights=u.psi_weights,
-            values=v_field.values + scale * (u.values - v_field.values),
-            grad_r=v_field.grad_r + scale * (u.grad_r - v_field.grad_r),
-            grad_psi=v_field.grad_psi + scale * (u.grad_psi - v_field.grad_psi),
-        )
-
-    # ||u - V||, not ||u||: the estimate is against the projection gap
-    if isinstance(u, RadialProfile):
-        gap = RadialProfile(
-            grid=u.grid,
-            values=u.values - v_field.values,
-            derivative=u.derivative - v_field.derivative,
-        )
-    else:
-        gap = AxisymField(
-            grid=u.grid,
-            dim=u.dim,
-            psi_nodes=u.psi_nodes,
-            psi_weights=u.psi_weights,
-            values=u.values - v_field.values,
-            grad_r=u.grad_r - v_field.grad_r,
-            grad_psi=u.grad_psi - v_field.grad_psi,
-        )
-    gap_norm = weighted_grad_pnorm(gap, params) ** (1.0 / params.p)
-
     if a_u < interval[0] or a_u > interval[1]:
         est = dual_norm_estimate(u, params, basis_size, extra_elements)
         kappa = est.value / gap_norm ** (params.p - 1.0)
@@ -584,7 +449,7 @@ def alternative_check(
     ts = tuple(float(eta) * (j + 1) / t_count for j in range(t_count))
     kappa = math.inf
     for t in ts:
-        u_t = diff_field(t)
+        u_t = v_field + t * gap
         est = dual_norm_estimate(u_t, params, basis_size, extra_elements)
         kappa = min(kappa, est.value / (t * gap_norm) ** (params.p - 1.0))
     return AlternativeReport(

@@ -3,28 +3,35 @@
 All radial quadrature lives on a log-radius grid: panels of Gauss-
 Legendre nodes in t = log r, with the Jacobian e^t folded into the
 weights so that plain weighted sums approximate integrals in dr.
-Angular quadrature for axisymmetric fields uses Gauss-Jacobi nodes in
-cos(psi) with the (n-2)-sphere measure folded in, so the angular
-weights alone sum to the full sphere area.
+Angular quadrature uses Gauss-Jacobi nodes in cos(psi) with the
+(n-2)-sphere measure folded in, so the angular weights alone sum to the
+full sphere area.
+
+One type, :class:`Field`, carries every sampled function: arrays shaped
+(radial nodes, angular nodes) on the tensor grid.  A radial field is the
+case with a single angular node whose weight is the whole sphere area
+and whose angular derivative is absent, so radial integrals cost one
+column.  Fields add, subtract and scale node for node; a one-node field
+broadcasts against a multi-node one.  Every weighted integral of the
+package is :meth:`Field.integrate`, and every gradient magnitude is
+:meth:`Field.grad_sq`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.special import roots_jacobi, roots_legendre
 
-from .errors import BadGridSpec, TranslationForbidden
+from .errors import BadGridSpec, GridMismatch, MissingGradient, TranslationForbidden
 from .params import CknParams
 
 __all__ = [
     "RadialGrid",
-    "RadialProfile",
-    "AxisymField",
+    "Field",
     "Bubble",
     "make_radial_grid",
     "make_psi_grid",
@@ -36,9 +43,6 @@ __all__ = [
     "translate_axisym",
     "gaussian_bump_profile",
     "fd_derivative",
-    "resample_profile",
-    "save_field",
-    "load_field",
 ]
 
 PANEL_POINTS = 8
@@ -63,13 +67,26 @@ class RadialGrid:
     log_nodes: np.ndarray  # t = log r
     weights: np.ndarray    # quadrature for integral f(r) dr
     t_weights: np.ndarray  # quadrature for integral f(t) dt
+    _powers: dict = field(default_factory=dict, init=False, repr=False)
+
+    def radial_weights(self, power: float) -> np.ndarray:
+        """weights * nodes^power, kept per exponent.
+
+        Every integral needs one, and a parameter tuple uses only a few
+        exponents, so each is computed once per grid.
+        """
+        w = self._powers.get(power)
+        if w is None:
+            w = self._powers[power] = self.weights * self.nodes**power
+        return w
 
     def meta(self) -> tuple:
         return (self.t_min, self.t_max, self.count)
 
     def same_as(self, other: "RadialGrid") -> bool:
-        return self.meta() == other.meta() and np.array_equal(
-            self.log_nodes, other.log_nodes
+        return other is self or (
+            self.meta() == other.meta()
+            and np.array_equal(self.log_nodes, other.log_nodes)
         )
 
 
@@ -77,15 +94,10 @@ def make_radial_grid(
     t_min: float = DEFAULT_T_MIN,
     t_max: float = DEFAULT_T_MAX,
     count: int = DEFAULT_COUNT,
-    panel_points: int = PANEL_POINTS,
-    k_compat: float | None = None,
 ) -> RadialGrid:
     """Build the composite panel grid on [t_min, t_max].
 
-    count rounds up to a whole number of panels.  With k_compat = k the
-    window is stretched to [k t_min, k t_max] so that the image of the
-    grid under the weight-removing map t -> t/k lands exactly on the
-    requested window.
+    count rounds up to a whole number of PANEL_POINTS-node panels.
 
     Raises
     ------
@@ -96,14 +108,9 @@ def make_radial_grid(
         raise BadGridSpec(f"need t_min < t_max, got [{t_min}, {t_max}]")
     if count < 16:
         raise BadGridSpec(f"need at least 16 nodes, got {count}")
-    if k_compat is not None:
-        if k_compat < 1.0:
-            raise BadGridSpec(f"k_compat must be >= 1, got {k_compat}")
-        t_min, t_max = k_compat * t_min, k_compat * t_max
-    npan = int(math.ceil(count / panel_points))
-    actual = npan * panel_points
+    npan = int(math.ceil(count / PANEL_POINTS))
     edges = np.linspace(t_min, t_max, npan + 1)
-    x, w = roots_legendre(panel_points)
+    x, w = roots_legendre(PANEL_POINTS)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     t = (mid[:, None] + half[:, None] * x[None, :]).ravel()
@@ -112,7 +119,7 @@ def make_radial_grid(
     return RadialGrid(
         t_min=float(t_min),
         t_max=float(t_max),
-        count=actual,
+        count=npan * PANEL_POINTS,
         nodes=r,
         log_nodes=t,
         weights=wt * r,
@@ -141,6 +148,10 @@ def scaled_grid(grid: RadialGrid, factor: float) -> RadialGrid:
     )
 
 
+def _sphere_area(dim: int) -> float:
+    return 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
+
+
 def make_psi_grid(dim: int, count: int = DEFAULT_PSI_COUNT) -> tuple[np.ndarray, np.ndarray]:
     """Polar-angle nodes and weights on [0, pi] for dimension dim.
 
@@ -156,34 +167,29 @@ def make_psi_grid(dim: int, count: int = DEFAULT_PSI_COUNT) -> tuple[np.ndarray,
     x, w = roots_jacobi(count, alpha, alpha)
     psi = np.arccos(x[::-1])
     w = w[::-1].copy()
-    equator_area = 2.0 * math.pi ** ((dim - 1) / 2.0) / math.gamma((dim - 1) / 2.0)
-    return psi, w * equator_area
+    return psi, w * _sphere_area(dim - 1)
+
+
+def _or_zero(a):
+    return 0.0 if a is None else a
 
 
 @dataclass(frozen=True, eq=False)
-class RadialProfile:
-    """Radial field sampled on a grid.
+class Field:
+    """Field u(r, psi) in R^dim sampled on a tensor grid.
 
-    derivative is d(value)/dr at the nodes, or None when unknown.
-    analytic_tag names a closed form the samples came from; evaluator,
-    when present, computes (value, derivative) at arbitrary radius and
-    is never serialized.
-    """
+    values, grad_r and grad_psi are (radial count, angular count)
+    arrays; grad_psi is the partial in psi, so the angular part of
+    |grad u|^2 is grad_psi^2 / r^2.  grad_r None means the gradient is
+    unknown; grad_psi None means the angular derivative vanishes, as it
+    does for every radial field (one angular node carrying the full
+    sphere area).  evaluator, when present, gives (value, d/dr) of a
+    radial field at any radius; translation needs it.
 
-    grid: RadialGrid
-    values: np.ndarray
-    derivative: Optional[np.ndarray] = None
-    analytic_tag: Optional[str] = None
-    evaluator: Optional[Callable] = field(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True, eq=False)
-class AxisymField:
-    """Axisymmetric field u(r, psi) sampled on a tensor grid.
-
-    values, grad_r, grad_psi are (radial count, angular count) arrays;
-    grad_psi is the partial in psi (so the angular gradient part of
-    |grad u|^2 is grad_psi^2 / r^2).
+    u + v, u - v and s * u act node for node on values and gradients.
+    Both operands must share the radial grid and dim; a one-node field
+    broadcasts against a multi-node one, any other angular mismatch
+    raises GridMismatch.  A missing gradient stays missing.
     """
 
     grid: RadialGrid
@@ -193,10 +199,123 @@ class AxisymField:
     values: np.ndarray
     grad_r: Optional[np.ndarray] = None
     grad_psi: Optional[np.ndarray] = None
-    analytic_tag: Optional[str] = None
+    evaluator: Optional[Callable] = field(default=None, repr=False)
 
+    # numpy scalars defer to __rmul__ instead of broadcasting over a Field
+    __array_ufunc__ = None
 
-Field = RadialProfile | AxisymField
+    @classmethod
+    def radial(
+        cls,
+        grid: RadialGrid,
+        dim: int,
+        values: np.ndarray,
+        grad_r: Optional[np.ndarray] = None,
+        evaluator: Optional[Callable] = None,
+    ) -> "Field":
+        """One-node field from radial samples (1-D arrays over the nodes)."""
+        return cls(
+            grid=grid,
+            dim=dim,
+            psi_nodes=np.array([0.5 * math.pi]),
+            psi_weights=np.array([_sphere_area(dim)]),
+            values=values[:, None],
+            grad_r=None if grad_r is None else grad_r[:, None],
+            evaluator=evaluator,
+        )
+
+    @property
+    def is_radial(self) -> bool:
+        return len(self.psi_nodes) == 1
+
+    # -- quadrature ---------------------------------------------------------
+
+    def measure(self, power: float) -> np.ndarray:
+        """Node weights w_i omega_j r_i^power on the tensor grid."""
+        return self.grid.radial_weights(power)[:, None] * self.psi_weights
+
+    def integrate(self, power: float, density, log: bool = False) -> float:
+        """sum_ij w_i omega_j r_i^power density_ij, in a fixed summation order.
+
+        density broadcasts against the field's (radial, angular) shape
+        but may not carry more angular nodes than the field.  With
+        log=True, density holds the logarithm of the density and r^power
+        is folded into the exponent (w_i = t-weight_i r_i), which stays
+        finite on windows where r^power alone overflows.
+        """
+        if np.shape(density)[-1] > len(self.psi_nodes):
+            raise GridMismatch("density has more angular nodes than the field")
+        if not log:
+            return float(np.sum(self.measure(power) * density))
+        g = self.grid
+        terms = np.exp(density + (power + 1.0) * g.log_nodes[:, None])
+        return float(np.sum(g.t_weights[:, None] * self.psi_weights * terms))
+
+    def grad_sq(self, k_factor: float = 1.0) -> np.ndarray:
+        """|grad u|^2 with the angular part scaled by k_factor^2."""
+        if self.grad_r is None:
+            raise MissingGradient("field has no gradient data")
+        sq = self.grad_r**2
+        if self.grad_psi is not None:
+            sq = sq + k_factor**2 * (self.grad_psi / self.grid.nodes[:, None]) ** 2
+        return sq
+
+    # -- linear arithmetic --------------------------------------------------
+
+    def wider(self, other: "Field") -> "Field":
+        """The operand whose angular grid a combination with other lives on.
+
+        Raises GridMismatch unless both share the radial grid and dim,
+        and their angular grids agree or one of them has a single node.
+        """
+        if not self.grid.same_as(other.grid):
+            raise GridMismatch("fields live on different radial grids")
+        if self.dim != other.dim:
+            raise GridMismatch(f"field dims differ: {self.dim} vs {other.dim}")
+        if other.is_radial:
+            return self
+        if self.is_radial:
+            return other
+        if not np.array_equal(self.psi_nodes, other.psi_nodes):
+            raise GridMismatch("angular grids differ")
+        return self
+
+    def _combine(self, other: "Field", op) -> "Field":
+        base = self.wider(other)
+        grad_r = grad_psi = None
+        if self.grad_r is not None and other.grad_r is not None:
+            grad_r = op(self.grad_r, other.grad_r)
+            if self.grad_psi is not None or other.grad_psi is not None:
+                grad_psi = op(_or_zero(self.grad_psi), _or_zero(other.grad_psi))
+        return Field(
+            grid=base.grid,
+            dim=base.dim,
+            psi_nodes=base.psi_nodes,
+            psi_weights=base.psi_weights,
+            values=op(self.values, other.values),
+            grad_r=grad_r,
+            grad_psi=grad_psi,
+        )
+
+    def __add__(self, other: "Field") -> "Field":
+        return self._combine(other, np.add)
+
+    def __sub__(self, other: "Field") -> "Field":
+        return self._combine(other, np.subtract)
+
+    def __mul__(self, scale: float) -> "Field":
+        s = float(scale)
+        return Field(
+            grid=self.grid,
+            dim=self.dim,
+            psi_nodes=self.psi_nodes,
+            psi_weights=self.psi_weights,
+            values=s * self.values,
+            grad_r=None if self.grad_r is None else s * self.grad_r,
+            grad_psi=None if self.grad_psi is None else s * self.grad_psi,
+        )
+
+    __rmul__ = __mul__
 
 
 # ---------------------------------------------------------------------------
@@ -220,16 +339,6 @@ class Bubble:
     def __post_init__(self):
         if not self.scale > 0:
             raise ValueError(f"bubble scale must be positive, got {self.scale}")
-
-
-def _format_float(x: float) -> str:
-    return repr(float(x))
-
-
-def bubble_tag(amplitude: float, b_coeff: float, sigma: float, m: float) -> str:
-    return "bubble A=%s B=%s sig=%s m=%s" % tuple(
-        _format_float(v) for v in (amplitude, b_coeff, sigma, m)
-    )
 
 
 def bubble_evaluator(amplitude: float, b_coeff: float, sigma: float, m: float):
@@ -264,10 +373,6 @@ def bubble_second_derivative(amplitude: float, b_coeff: float, sigma: float, m: 
     return ev2
 
 
-def _bump_tag(center: float, width: float) -> str:
-    return "gbump c=%s w=%s" % (_format_float(center), _format_float(width))
-
-
 def _bump_evaluator(center: float, width: float):
     # Gaussian in log radius; smooth and rapidly vanishing at both ends
     def ev(r):
@@ -280,25 +385,12 @@ def _bump_evaluator(center: float, width: float):
     return ev
 
 
-def evaluator_from_tag(tag: str):
-    """Rebuild the closed-form evaluator named by a serialized tag."""
-    parts = tag.split()
-    kind = parts[0]
-    kv = dict(item.split("=", 1) for item in parts[1:])
-    if kind == "bubble":
-        return bubble_evaluator(
-            float(kv["A"]), float(kv["B"]), float(kv["sig"]), float(kv["m"])
-        )
-    if kind == "gbump":
-        return _bump_evaluator(float(kv["c"]), float(kv["w"]))
-    return None
-
-
-def sample_bubble(params: CknParams, bubble: Bubble, grid: RadialGrid) -> RadialProfile:
+def sample_bubble(params: CknParams, bubble: Bubble, grid: RadialGrid) -> Field:
     """Sample an extremal profile (with analytic derivative) on a grid.
 
-    The profile is amplitude * (1 + (scale * r)^sigma)^-m.  Shifted
-    bubbles have no radial profile; translate the centred one instead.
+    The profile is amplitude * (1 + (scale * r)^sigma)^-m, a radial
+    field in R^n.  Shifted bubbles have no radial profile; translate the
+    centred one instead.
     """
     if bubble.axial_shift != 0.0:
         raise TranslationForbidden(
@@ -307,155 +399,102 @@ def sample_bubble(params: CknParams, bubble: Bubble, grid: RadialGrid) -> Radial
     b_coeff = bubble.scale**params.sigma
     ev = bubble_evaluator(bubble.amplitude, b_coeff, params.sigma, params.bubble_m)
     v, dv = ev(grid.nodes)
-    return RadialProfile(
-        grid=grid,
-        values=v,
-        derivative=dv,
-        analytic_tag=bubble_tag(bubble.amplitude, b_coeff, params.sigma, params.bubble_m),
-        evaluator=ev,
-    )
+    return Field.radial(grid, params.n, v, dv, evaluator=ev)
 
 
 def gaussian_bump_profile(
-    grid: RadialGrid, center: float, width: float
-) -> RadialProfile:
-    """Unit-height Gaussian bump in log radius, with analytic derivative."""
+    grid: RadialGrid, dim: int, center: float, width: float
+) -> Field:
+    """Unit-height Gaussian bump in log radius, a radial field in R^dim."""
     if width <= 0:
         raise BadGridSpec(f"bump width must be positive, got {width}")
     ev = _bump_evaluator(center, width)
     v, dv = ev(grid.nodes)
-    return RadialProfile(
-        grid=grid,
-        values=v,
-        derivative=dv,
-        analytic_tag=_bump_tag(center, width),
-        evaluator=ev,
-    )
+    return Field.radial(grid, dim, v, dv, evaluator=ev)
 
 
 # ---------------------------------------------------------------------------
 # axisymmetric construction
 
 
-def embed_axisym(
-    profile: RadialProfile, dim: int, psi_count: int = DEFAULT_PSI_COUNT
-) -> AxisymField:
-    """View a radial profile as an axisymmetric field (grad_psi = 0)."""
-    psi, wpsi = make_psi_grid(dim, psi_count)
-    npsi = len(psi)
-    vals = np.repeat(profile.values[:, None], npsi, axis=1)
-    gr = None
-    gp = None
-    if profile.derivative is not None:
-        gr = np.repeat(profile.derivative[:, None], npsi, axis=1)
-        gp = np.zeros_like(vals)
-    return AxisymField(
-        grid=profile.grid,
-        dim=dim,
+def embed_axisym(u: Field, psi_count: int = DEFAULT_PSI_COUNT) -> Field:
+    """Spread a one-node field over a full angular grid (grad_psi = 0)."""
+    psi, wpsi = make_psi_grid(u.dim, psi_count)
+    shape = (u.grid.count, len(psi))
+    grad_r = grad_psi = None
+    if u.grad_r is not None:
+        grad_r = np.broadcast_to(u.grad_r, shape)
+        grad_psi = np.zeros(shape)
+    return Field(
+        grid=u.grid,
+        dim=u.dim,
         psi_nodes=psi,
         psi_weights=wpsi,
-        values=vals,
-        grad_r=gr,
-        grad_psi=gp,
-        analytic_tag=profile.analytic_tag,
+        values=np.broadcast_to(u.values, shape),
+        grad_r=grad_r,
+        grad_psi=grad_psi,
     )
 
 
 def modulated_axisym(
-    profile: RadialProfile,
-    dim: int,
-    psi_count: int = DEFAULT_PSI_COUNT,
-    cos_coeff: float = 0.3,
-) -> AxisymField:
-    """Radial profile times (1 + c cos psi): cheap nontrivial angular test field."""
-    if profile.derivative is None:
+    u: Field, psi_count: int = DEFAULT_PSI_COUNT, cos_coeff: float = 0.3
+) -> Field:
+    """Radial field times (1 + c cos psi): cheap nontrivial angular test field."""
+    if u.grad_r is None:
         raise BadGridSpec("modulated field needs the radial derivative")
-    psi, wpsi = make_psi_grid(dim, psi_count)
+    psi, wpsi = make_psi_grid(u.dim, psi_count)
     ang = 1.0 + cos_coeff * np.cos(psi)
-    dang = -cos_coeff * np.sin(psi)
-    vals = profile.values[:, None] * ang[None, :]
-    gr = profile.derivative[:, None] * ang[None, :]
-    gp = profile.values[:, None] * dang[None, :]
-    return AxisymField(
-        grid=profile.grid,
-        dim=dim,
+    return Field(
+        grid=u.grid,
+        dim=u.dim,
         psi_nodes=psi,
         psi_weights=wpsi,
-        values=vals,
-        grad_r=gr,
-        grad_psi=gp,
+        values=u.values * ang,
+        grad_r=u.grad_r * ang,
+        grad_psi=u.values * (-cos_coeff * np.sin(psi)),
     )
 
 
-def _profile_eval(profile: RadialProfile):
-    """Evaluator at arbitrary radius: closed form if known, else monotone
-    cubic interpolation in log radius (clamped to the grid window)."""
-    if profile.evaluator is not None:
-        return profile.evaluator
-    if profile.analytic_tag is not None:
-        ev = evaluator_from_tag(profile.analytic_tag)
-        if ev is not None:
-            return ev
-    t = profile.grid.log_nodes
-    val_ip = PchipInterpolator(t, profile.values, extrapolate=False)
-    if profile.derivative is not None:
-        der_ip = PchipInterpolator(t, profile.derivative, extrapolate=False)
-    else:
-        der_ip = None
-
-    def ev(r):
-        r = np.asarray(r, dtype=float)
-        tt = np.clip(np.log(np.maximum(r, 1e-300)), t[0], t[-1])
-        v = val_ip(tt)
-        if der_ip is not None:
-            dv = der_ip(tt)
-        else:
-            dv = val_ip.derivative()(tt) / np.maximum(r, 1e-300)
-        return v, dv
-
-    return ev
-
-
 def translate_axisym(
-    profile: RadialProfile,
+    u: Field,
     shift: float,
     params: CknParams,
     psi_count: int = DEFAULT_PSI_COUNT,
-) -> AxisymField:
-    """Sample u(x + shift e1) for a radial u, as an axisymmetric field.
+) -> Field:
+    """Sample u(x + shift e1) for a radial u with a closed form.
 
     Only the unweighted gradient class a = 0 transports under
-    translation; other tuples raise TranslationForbidden.  With
-    shift = 0 this reduces to the embedding.
+    translation; other tuples raise TranslationForbidden, as does a
+    nonzero shift of a field without an evaluator.  With shift = 0 this
+    reduces to the embedding.
     """
     if params.a != 0.0:
         raise TranslationForbidden(f"translation needs a = 0, got a={params.a}")
     if shift == 0.0:
-        return embed_axisym(profile, params.n, psi_count)
-    ev = _profile_eval(profile)
-    psi, wpsi = make_psi_grid(params.n, psi_count)
-    r = profile.grid.nodes[:, None]
+        return embed_axisym(u, psi_count)
+    if u.evaluator is None:
+        raise TranslationForbidden("translation needs a closed-form radial profile")
+    psi, wpsi = make_psi_grid(u.dim, psi_count)
+    r = u.grid.nodes[:, None]
     c = np.cos(psi)[None, :]
     s = np.sin(psi)[None, :]
     big_r = np.sqrt(r**2 + 2.0 * r * shift * c + shift**2)
-    v, dv = ev(big_r)
+    v, dv = u.evaluator(big_r)
     # chain rule through R(r, psi); R > 0 away from r = |shift|, psi = pi
     safe = np.maximum(big_r, 1e-300)
-    gr = dv * (r + shift * c) / safe
-    gp = dv * (-r * shift * s) / safe
-    return AxisymField(
-        grid=profile.grid,
-        dim=params.n,
+    return Field(
+        grid=u.grid,
+        dim=u.dim,
         psi_nodes=psi,
         psi_weights=wpsi,
         values=v,
-        grad_r=gr,
-        grad_psi=gp,
+        grad_r=dv * (r + shift * c) / safe,
+        grad_psi=dv * (-r * shift * s) / safe,
     )
 
 
 # ---------------------------------------------------------------------------
-# derivatives and resampling
+# derivatives
 
 
 def fd_derivative(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
@@ -478,130 +517,3 @@ def fd_derivative(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
         c = np.polyfit(ts - t[idx], vs, 2)
         out[idx] = c[1]
     return out / grid.nodes
-
-
-def resample_profile(
-    profile: RadialProfile, grid: RadialGrid
-) -> tuple[RadialProfile, float]:
-    """Move a profile to another grid; returns (profile, error estimate).
-
-    Exact (estimate 0) when a closed form is attached; otherwise
-    monotone cubic in log radius, with the spread between cubic and
-    linear interpolation reported as the error estimate.
-    """
-    if profile.evaluator is not None or (
-        profile.analytic_tag is not None
-        and evaluator_from_tag(profile.analytic_tag) is not None
-    ):
-        ev = _profile_eval(profile)
-        v, dv = ev(grid.nodes)
-        return (
-            RadialProfile(
-                grid=grid,
-                values=v,
-                derivative=dv,
-                analytic_tag=profile.analytic_tag,
-                evaluator=profile.evaluator or ev,
-            ),
-            0.0,
-        )
-    t_old = profile.grid.log_nodes
-    tt = np.clip(grid.log_nodes, t_old[0], t_old[-1])
-    val_ip = PchipInterpolator(t_old, profile.values)
-    v = val_ip(tt)
-    est = float(np.max(np.abs(v - np.interp(tt, t_old, profile.values))))
-    dv = None
-    if profile.derivative is not None:
-        dv = PchipInterpolator(t_old, profile.derivative)(tt)
-    return RadialProfile(grid=grid, values=v, derivative=dv), est
-
-
-# ---------------------------------------------------------------------------
-# serialization: columnar text, bit-exact through repr round-trips
-
-
-def save_field(path, u: Field) -> None:
-    """Write a field as columnar text (r, psi, value, grad_r, grad_psi)."""
-    lines = []
-    if isinstance(u, RadialProfile):
-        kind = "radial"
-        dim, psi_count = 0, 0
-        has_grad = u.derivative is not None
-    else:
-        kind = "axisym"
-        dim, psi_count = u.dim, len(u.psi_nodes)
-        has_grad = u.grad_r is not None
-    g = u.grid
-    lines.append(f"# cknfield v1 kind={kind}")
-    lines.append(f"# grid {g.t_min!r} {g.t_max!r} {g.count}")
-    lines.append(f"# angular {dim} {psi_count}")
-    lines.append(f"# derivative {int(has_grad)}")
-    lines.append(f"# tag {u.analytic_tag if u.analytic_tag is not None else '-'}")
-    lines.append("# columns: r psi value grad_r grad_psi")
-    if isinstance(u, RadialProfile):
-        dv = u.derivative if has_grad else np.zeros_like(u.values)
-        for r, v, d in zip(g.nodes, u.values, dv):
-            lines.append(f"{float(r)!r} 0.0 {float(v)!r} {float(d)!r} 0.0")
-    else:
-        gr = u.grad_r if has_grad else np.zeros_like(u.values)
-        gp = u.grad_psi if has_grad else np.zeros_like(u.values)
-        for i, r in enumerate(g.nodes):
-            for j, psi in enumerate(u.psi_nodes):
-                lines.append(
-                    f"{float(r)!r} {float(psi)!r} {float(u.values[i, j])!r} "
-                    f"{float(gr[i, j])!r} {float(gp[i, j])!r}"
-                )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_field(path) -> Field:
-    """Read a field written by save_field; grids are rebuilt, not stored."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    header = {}
-    body_start = 0
-    for i, ln in enumerate(lines):
-        if not ln.startswith("#"):
-            body_start = i
-            break
-        parts = ln[1:].strip().split(None, 1)
-        if parts:
-            header[parts[0]] = parts[1] if len(parts) > 1 else ""
-    if "cknfield" not in header:
-        raise BadGridSpec(f"{path}: not a field file")
-    t_min_s, t_max_s, count_s = header["grid"].split()
-    grid = make_radial_grid(float(t_min_s), float(t_max_s), int(count_s))
-    dim_s, psi_count_s = header["angular"].split()
-    dim, psi_count = int(dim_s), int(psi_count_s)
-    has_grad = header["derivative"].strip() == "1"
-    tag = header["tag"]
-    tag = None if tag == "-" else tag
-    rows = np.array(
-        [[float(x) for x in ln.split()] for ln in lines[body_start:] if ln.strip()]
-    )
-    if abs(rows[0, 0] - grid.nodes[0]) > 0:
-        raise BadGridSpec(f"{path}: stored radii do not match the rebuilt grid")
-    kind = header["cknfield"].split("kind=")[-1]
-    if kind == "radial":
-        values = rows[:, 2]
-        deriv = rows[:, 3] if has_grad else None
-        ev = evaluator_from_tag(tag) if tag else None
-        return RadialProfile(
-            grid=grid, values=values, derivative=deriv, analytic_tag=tag, evaluator=ev
-        )
-    psi, wpsi = make_psi_grid(dim, psi_count)
-    nr = grid.count
-    values = rows[:, 2].reshape(nr, psi_count)
-    gr = rows[:, 3].reshape(nr, psi_count) if has_grad else None
-    gp = rows[:, 4].reshape(nr, psi_count) if has_grad else None
-    return AxisymField(
-        grid=grid,
-        dim=dim,
-        psi_nodes=psi,
-        psi_weights=wpsi,
-        values=values,
-        grad_r=gr,
-        grad_psi=gp,
-        analytic_tag=tag,
-    )

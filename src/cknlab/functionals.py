@@ -2,30 +2,26 @@
 
 Conventions: weighted_grad_pnorm and weighted_lq_norm return the p-th
 and q-th power integrals (not the norms); deficit takes the roots.  All
-integrals fix the summation order, so repeated evaluation is bitwise
-reproducible.
+integrals go through Field.integrate, which fixes the summation order,
+so repeated evaluation is bitwise reproducible.
 """
 
 from __future__ import annotations
 
 import logging
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadExponent, BadGridSpec, GridMismatch, MissingGradient, ZeroField
-from .fields import AxisymField, Field, RadialProfile
+from .errors import BadExponent, BadGridSpec, GridMismatch, ZeroField
+from .fields import Field
 from .params import CknParams, sharp_constant
 
 log = logging.getLogger(__name__)
 
 __all__ = [
-    "FunctionalReport",
     "weighted_grad_pnorm",
     "weighted_lq_norm",
     "deficit",
-    "functional_report",
     "weak_lebesgue_norm",
     "grad_norm",
     "q_norm",
@@ -34,17 +30,7 @@ __all__ = [
 NEGATIVE_DEFICIT_FLOOR = -1e-8
 
 
-@dataclass(frozen=True)
-class FunctionalReport:
-    """Gradient energy, q-energy, and deficit of one field."""
-
-    grad_term: float
-    q_term: float
-    deficit: float
-    grid_meta: tuple
-
-
-def _check_dim(u: AxisymField, params: CknParams) -> None:
+def _check_dim(u: Field, params: CknParams) -> None:
     if u.dim != params.n:
         raise GridMismatch(f"field dim {u.dim} vs params n {params.n}")
 
@@ -58,33 +44,16 @@ def weighted_grad_pnorm(u: Field, params: CknParams, k_factor: float = 1.0) -> f
     """
     if k_factor < 1.0:
         raise ValueError(f"k_factor must be >= 1, got {k_factor}")
-    p, n, a = params.p, params.n, params.a
-    g = u.grid
-    power = n - 1.0 - p * a
-    if isinstance(u, RadialProfile):
-        if u.derivative is None:
-            raise MissingGradient("profile has no derivative data")
-        integrand = np.abs(u.derivative) ** p * g.nodes**power
-        return params.sphere_area * float(np.sum(g.weights * integrand))
     _check_dim(u, params)
-    if u.grad_r is None or u.grad_psi is None:
-        raise MissingGradient("axisymmetric field has no gradient data")
-    gsq = u.grad_r**2 + (k_factor**2) * (u.grad_psi / g.nodes[:, None]) ** 2
-    integrand = gsq ** (p / 2.0) * g.nodes[:, None] ** power
-    return float(np.sum(g.weights[:, None] * u.psi_weights[None, :] * integrand))
+    p = params.p
+    return u.integrate(params.n - 1.0 - p * params.a, u.grad_sq(k_factor) ** (p / 2.0))
 
 
 def weighted_lq_norm(u: Field, params: CknParams) -> float:
     """Integral of |x|^-qb |u|^q."""
-    q, n, b = params.q, params.n, params.b
-    g = u.grid
-    power = n - 1.0 - q * b
-    if isinstance(u, RadialProfile):
-        integrand = np.abs(u.values) ** q * g.nodes**power
-        return params.sphere_area * float(np.sum(g.weights * integrand))
     _check_dim(u, params)
-    integrand = np.abs(u.values) ** q * g.nodes[:, None] ** power
-    return float(np.sum(g.weights[:, None] * u.psi_weights[None, :] * integrand))
+    q = params.q
+    return u.integrate(params.n - 1.0 - q * params.b, np.abs(u.values) ** q)
 
 
 def grad_norm(u: Field, params: CknParams) -> float:
@@ -118,49 +87,22 @@ def deficit(u: Field, params: CknParams) -> float:
     return d
 
 
-def functional_report(u: Field, params: CknParams) -> FunctionalReport:
-    return FunctionalReport(
-        grad_term=weighted_grad_pnorm(u, params),
-        q_term=weighted_lq_norm(u, params),
-        deficit=deficit(u, params),
-        grid_meta=u.grid.meta(),
-    )
-
-
-def _node_samples(u: Field, dim: int | None):
-    """Per-node |f| samples and their volume weights (unweighted measure)."""
-    g = u.grid
-    if isinstance(u, RadialProfile):
-        if dim is None:
-            raise ValueError("dim is required for radial fields")
-        surf = 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
-        vols = surf * g.weights * g.nodes ** (dim - 1.0)
-        return np.abs(u.values), vols, g.nodes
-    vols = (g.weights[:, None] * u.psi_weights[None, :]) * g.nodes[:, None] ** (
-        u.dim - 1.0
-    )
-    radii = np.broadcast_to(g.nodes[:, None], u.values.shape)
-    return np.abs(u.values).ravel(), vols.ravel(), radii.ravel()
-
-
-def weak_lebesgue_norm(
-    u: Field, exponent: float, domain_radius: float, dim: int | None = None
-) -> float:
+def weak_lebesgue_norm(u: Field, exponent: float, domain_radius: float) -> float:
     """sup over t of t * measure(|f| >= t on the ball)^(1/exponent).
 
     The sup runs over the multiset of sampled |f| values and the
     level-set measure is the indicator summed with the quadrature
-    weights, so the result is exact on the discretization.
+    weights (Lebesgue measure in R^u.dim), so the result is exact on
+    the discretization.
     """
     if exponent <= 0:
         raise BadExponent(f"weak norm exponent must be positive, got {exponent}")
     if domain_radius <= 0:
         raise BadGridSpec(f"domain radius must be positive, got {domain_radius}")
-    if isinstance(u, AxisymField):
-        dim = u.dim
-    vals, vols, radii = _node_samples(u, dim)
-    inside = radii <= domain_radius
-    vals, vols = vals[inside], vols[inside]
+    shape = u.values.shape
+    inside = np.broadcast_to(u.grid.nodes[:, None] <= domain_radius, shape).ravel()
+    vals = np.abs(u.values).ravel()[inside]
+    vols = u.measure(u.dim - 1.0).ravel()[inside]
     pos = vals > 0
     if not np.any(pos):
         return 0.0

@@ -14,11 +14,12 @@ linearised problem.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
+from scipy.special import digamma
 
 from .errors import (
     OptimizerStall,
@@ -27,14 +28,12 @@ from .errors import (
     ZeroField,
 )
 from .fields import (
-    AxisymField,
     Bubble,
     Field,
     RadialGrid,
-    RadialProfile,
     bubble_evaluator,
     bubble_second_derivative,
-    embed_axisym,
+    make_psi_grid,
     make_radial_grid,
     sample_bubble,
     translate_axisym,
@@ -51,7 +50,6 @@ __all__ = [
     "select_Pu",
     "mu_rho_decompose",
     "tangent_basis",
-    "tangent_labels",
     "orthogonality_check",
     "orthogonalize",
     "v_inner",
@@ -68,8 +66,10 @@ def _norm_grid(params: CknParams) -> RadialGrid:
 
     The four relevant log-radius rates: gradient tail beta, q tail
     q beta + q b - n, gradient origin beta (p-1) + p sigma, q origin
-    n - q b.  Half-width 26/min keeps truncation below ~5e-12; node
-    density matches the baseline window.
+    n - q b.  The unit profile's integrands peak near 2^(-m q) rather
+    than 1, so the half-width (26 + m q ln 2)/min keeps the truncation
+    below ~5e-12 relative to the integrals themselves; node density
+    matches the baseline window.
     """
     n, p, q, b = params.n, params.p, params.q, params.b
     beta = params.tail_rate
@@ -79,7 +79,8 @@ def _norm_grid(params: CknParams) -> RadialGrid:
         beta * (p - 1.0) + p * params.sigma,
         n - q * b,
     )
-    half = max(NORMALIZATION_GRID[1], 26.0 / min_rate)
+    budget = 26.0 + params.bubble_m * q * math.log(2.0)
+    half = max(NORMALIZATION_GRID[1], budget / min_rate)
     density = NORMALIZATION_GRID[2] / (2.0 * NORMALIZATION_GRID[1])
     return make_radial_grid(-half, half, int(math.ceil(2.0 * half * density)))
 
@@ -99,17 +100,22 @@ class DecompositionRecord:
 
 @lru_cache(maxsize=128)
 def _unit_integrals(params: CknParams) -> tuple[float, float]:
-    """Gradient and q energies of the unit-amplitude, unit-scale profile."""
+    """Gradient and q energies of the unit-amplitude, unit-scale profile.
+
+    Evaluated in log radius: on wide windows r^sigma and r^power
+    overflow on their own while the integrands stay finite.
+    """
     g = _norm_grid(params)
-    ev = bubble_evaluator(1.0, 1.0, params.sigma, params.bubble_m)
-    v, dv = ev(g.nodes)
     n, p, q, a, b = params.n, params.p, params.q, params.a, params.b
-    grad = params.sphere_area * float(
-        np.sum(g.weights * np.abs(dv) ** p * g.nodes ** (n - 1.0 - p * a))
+    sig, m = params.sigma, params.bubble_m
+    t = g.log_nodes
+    soft = np.logaddexp(0.0, sig * t)  # log(1 + r^sigma)
+    # the carrier field holds log V and log|V'| instead of the samples
+    unit = Field.radial(
+        g, n, -m * soft, math.log(m * sig) + (sig - 1.0) * t - (m + 1.0) * soft
     )
-    qint = params.sphere_area * float(
-        np.sum(g.weights * v**q * g.nodes ** (n - 1.0 - q * b))
-    )
+    grad = unit.integrate(n - 1.0 - p * a, p * unit.grad_r, log=True)
+    qint = unit.integrate(n - 1.0 - q * b, q * unit.values, log=True)
     return grad, qint
 
 
@@ -156,10 +162,22 @@ def canonical_bubble(
     )
 
 
-def canonical_profile(
-    params: CknParams, grid: RadialGrid, lam: float = 1.0
-) -> RadialProfile:
+def canonical_profile(params: CknParams, grid: RadialGrid, lam: float = 1.0) -> Field:
     return sample_bubble(params, canonical_bubble(params, lam), grid)
+
+
+def _bubble_on(u: Field, params: CknParams, bub: Bubble) -> Field:
+    """The bubble on u's grid: a radial sample, translated when shifted.
+
+    Radial samples broadcast against any angular grid; a shifted bubble
+    is laid on u's angular grid and cannot pair with a radial u.
+    """
+    v = sample_bubble(params, replace(bub, axial_shift=0.0), u.grid)
+    if bub.axial_shift == 0.0:
+        return v
+    if u.is_radial:
+        raise TranslationForbidden("shifted bubble cannot pair with a radial field")
+    return translate_axisym(v, bub.axial_shift, params, len(u.psi_nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -168,50 +186,30 @@ def canonical_profile(
 
 def _qdensity_mean(u: Field, params: CknParams) -> float:
     """Mean log radius of the q-mass; dilation shifts it by -log(lam)."""
-    g = u.grid
     power = params.n - 1.0 - params.q * params.b
-    if isinstance(u, RadialProfile):
-        dens = g.weights * np.abs(u.values) ** params.q * g.nodes**power
-        total = float(np.sum(dens))
-        if total <= 0.0:
-            raise ZeroField("q-mass vanishes; no dilation seed")
-        return float(np.sum(dens * g.log_nodes)) / total
-    dens = (
-        g.weights[:, None]
-        * u.psi_weights[None, :]
-        * np.abs(u.values) ** params.q
-        * g.nodes[:, None] ** power
-    )
-    total = float(np.sum(dens))
+    dens = np.abs(u.values) ** params.q
+    total = u.integrate(power, dens)
     if total <= 0.0:
         raise ZeroField("q-mass vanishes; no dilation seed")
-    return float(np.sum(dens * g.log_nodes[:, None])) / total
+    return u.integrate(power, dens * u.grid.log_nodes[:, None]) / total
 
 
 @lru_cache(maxsize=128)
 def _reference_mean(params: CknParams) -> float:
-    g = _norm_grid(params)
-    return _qdensity_mean(canonical_profile(params, g), params)
+    """Mean log radius of the q-mass of the unit-scale bubble, in closed form.
+
+    In s = sigma t the q-density is e^(alpha s) (1 + e^s)^(-m q) with
+    alpha = (n - q b)/sigma, a generalised logistic law with mean
+    digamma(alpha) - digamma(m q - alpha); no window truncates it.
+    """
+    alpha = (params.n - params.q * params.b) / params.sigma
+    mq = params.bubble_m * params.q
+    return float(digamma(alpha) - digamma(mq - alpha)) / params.sigma
 
 
 def moment_seed(u: Field, params: CknParams) -> float:
     """log(lam) for the dilation whose q-mass centre matches u's."""
     return _reference_mean(params) - _qdensity_mean(u, params)
-
-
-def _grad_metric(u: Field, params: CknParams, vals, dvals) -> float:
-    """D_a^p distance between u and the sampled comparison field."""
-    g = u.grid
-    p, power = params.p, params.n - 1.0 - params.p * params.a
-    if isinstance(u, RadialProfile):
-        diff = np.abs(u.derivative - dvals) ** p * g.nodes**power
-        return (params.sphere_area * float(np.sum(g.weights * diff))) ** (1.0 / p)
-    gr, gp = dvals
-    gsq = (u.grad_r - gr) ** 2 + ((u.grad_psi - gp) / g.nodes[:, None]) ** 2
-    integrand = gsq ** (p / 2.0) * g.nodes[:, None] ** power
-    return float(
-        np.sum(g.weights[:, None] * u.psi_weights[None, :] * integrand)
-    ) ** (1.0 / p)
 
 
 def _check_reproduced(best: float, finals: list[float], floor: float) -> int:
@@ -238,13 +236,10 @@ def manifold_distance(
         If fewer than 3 restarts reproduce the best value within 1e-4
         relative.
     """
-    if isinstance(u, RadialProfile):
-        if u.derivative is None or not np.any(u.values):
-            raise ZeroField("projection needs a nonzero field with gradient data")
-    else:
-        if u.grad_r is None or not np.any(u.values):
-            raise ZeroField("projection needs a nonzero field with gradient data")
-    unorm = weighted_grad_pnorm(u, params) ** (1.0 / params.p)
+    if u.grad_r is None or not np.any(u.values):
+        raise ZeroField("projection needs a nonzero field with gradient data")
+    p = params.p
+    unorm = weighted_grad_pnorm(u, params) ** (1.0 / p)
     if unorm == 0.0:
         raise ZeroField("zero gradient norm")
 
@@ -252,37 +247,21 @@ def manifold_distance(
     seed_log_b = params.sigma * log_lam
     seed_amp = canonical_bubble(params, math.exp(log_lam)).amplitude
     sig, m = params.sigma, params.bubble_m
-    with_shift = isinstance(u, AxisymField) and params.a == 0.0 and params.b == 0.0
+    with_shift = not u.is_radial and params.a == 0.0 and params.b == 0.0
     nodes = u.grid.nodes
-
-    if isinstance(u, RadialProfile):
-
-        def comparison(theta):
-            amp, log_b = theta[0], theta[1]
-            _, dv = bubble_evaluator(amp, math.exp(log_b), sig, m)(nodes)
-            return None, dv
-
-    else:
-        psi_count = len(u.psi_nodes)
-
-        def comparison(theta):
-            amp, log_b = theta[0], theta[1]
-            shift = theta[2] if with_shift else 0.0
-            scale = math.exp(log_b) ** (1.0 / sig)
-            prof = sample_bubble(
-                params, Bubble(amplitude=amp, scale=scale), u.grid
-            )
-            if shift == 0.0:
-                f = embed_axisym(prof, params.n, psi_count)
-            else:
-                f = translate_axisym(prof, shift, params, psi_count)
-            return f.grad_r, f.grad_psi
+    power = params.n - 1.0 - p * params.a
 
     def objective(theta):
-        vals = comparison(theta)
-        if isinstance(u, RadialProfile):
-            return _grad_metric(u, params, None, vals[1])
-        return _grad_metric(u, params, None, vals)
+        amp, b_coeff = theta[0], math.exp(theta[1])
+        if with_shift and theta[2] != 0.0:
+            scale = b_coeff ** (1.0 / sig)
+            bub = sample_bubble(params, Bubble(amplitude=amp, scale=scale), u.grid)
+            diff = u - translate_axisym(bub, theta[2], params, len(u.psi_nodes))
+        else:
+            # gradients only: the bubble's values never enter the metric
+            _, dv = bubble_evaluator(amp, b_coeff, sig, m)(nodes)
+            diff = replace(u, grad_r=u.grad_r - dv[:, None])
+        return u.integrate(power, diff.grad_sq() ** (p / 2.0)) ** (1.0 / p)
 
     x0 = [seed_amp, seed_log_b] + ([0.0] if with_shift else [])
     finals = []
@@ -321,33 +300,10 @@ def manifold_distance(
 # dilation-picked representative
 
 
-def _q_pairing(u: Field, v_field: Field, params: CknParams) -> float:
+def _q_pairing(u: Field, v: Field, params: CknParams) -> float:
     """integral |x|^-qb V^(q-1) u (V positive)."""
-    g = u.grid
     power = params.n - 1.0 - params.q * params.b
-    if isinstance(u, RadialProfile):
-        integrand = v_field.values ** (params.q - 1.0) * u.values * g.nodes**power
-        return params.sphere_area * float(np.sum(g.weights * integrand))
-    integrand = (
-        v_field.values ** (params.q - 1.0) * u.values * g.nodes[:, None] ** power
-    )
-    return float(np.sum(g.weights[:, None] * u.psi_weights[None, :] * integrand))
-
-
-def _bubble_field_like(u: Field, params: CknParams, bub: Bubble) -> Field:
-    """Sample a bubble in the same representation as u."""
-    if isinstance(u, RadialProfile):
-        if bub.axial_shift != 0.0:
-            raise TranslationForbidden(
-                "shifted bubble cannot pair with a radial field"
-            )
-        return sample_bubble(params, bub, u.grid)
-    prof = sample_bubble(
-        params, Bubble(bub.amplitude, bub.scale), u.grid
-    )
-    if bub.axial_shift == 0.0:
-        return embed_axisym(prof, params.n, len(u.psi_nodes))
-    return translate_axisym(prof, bub.axial_shift, params, len(u.psi_nodes))
+    return u.wider(v).integrate(power, v.values ** (params.q - 1.0) * u.values)
 
 
 def select_Pu(u: Field, params: CknParams) -> Bubble:
@@ -362,9 +318,9 @@ def select_Pu(u: Field, params: CknParams) -> Bubble:
         raise ZeroField("representative undefined for the zero field")
     seed = moment_seed(u, params)
 
-    def neg_pairing(log_lam):
-        bub = canonical_bubble(params, math.exp(log_lam))
-        return -_q_pairing(u, _bubble_field_like(u, params, bub), params)
+    def neg_pairing(log_lam, shift=0.0):
+        bub = canonical_bubble(params, math.exp(log_lam), axial_shift=shift)
+        return -_q_pairing(u, _bubble_on(u, params, bub), params)
 
     scan = np.linspace(seed - 8.0, seed + 8.0, 33)
     vals = np.array([neg_pairing(s) for s in scan])
@@ -392,24 +348,17 @@ def select_Pu(u: Field, params: CknParams) -> Bubble:
     log_lam = min(close, key=abs)
     lam = math.exp(log_lam)
 
-    if isinstance(u, AxisymField) and params.a == 0.0 and params.b == 0.0:
+    if not u.is_radial and params.a == 0.0 and params.b == 0.0:
         # alternate one axial-shift pass and one more dilation pass
-        def neg_shift(s):
-            bub = canonical_bubble(params, lam, axial_shift=s)
-            return -_q_pairing(u, _bubble_field_like(u, params, bub), params)
-
         res_s = minimize_scalar(
-            neg_shift, bracket=(-1.0, 0.0, 1.0), method="golden",
+            lambda s: neg_pairing(log_lam, s),
+            bracket=(-1.0, 0.0, 1.0),
+            method="golden",
             options=dict(xtol=1e-10),
         )
         shift = float(res_s.x)
-
-        def neg_lam2(ll):
-            bub = canonical_bubble(params, math.exp(ll), axial_shift=shift)
-            return -_q_pairing(u, _bubble_field_like(u, params, bub), params)
-
         res2 = minimize_scalar(
-            neg_lam2,
+            lambda ll: neg_pairing(ll, shift),
             bracket=(log_lam - step, log_lam, log_lam + step),
             method="golden",
             options=dict(xtol=1e-12),
@@ -422,59 +371,26 @@ def select_Pu(u: Field, params: CknParams) -> Bubble:
 # decomposition and tangent space
 
 
-def v_inner(f_vals, g_vals, v_field: Field, params: CknParams) -> float:
-    """<f, g>_V = integral |x|^-qb V^(q-2) f g over matching samples."""
-    g = v_field.grid
+def v_inner(f: Field, g: Field, v: Field, params: CknParams) -> float:
+    """<f, g>_V = integral |x|^-qb V^(q-2) f g on the common grid."""
     power = params.n - 1.0 - params.q * params.b
-    w_v = v_field.values ** (params.q - 2.0)
-    if isinstance(v_field, RadialProfile):
-        return params.sphere_area * float(
-            np.sum(g.weights * w_v * f_vals * g_vals * g.nodes**power)
-        )
-    return float(
-        np.sum(
-            g.weights[:, None]
-            * v_field.psi_weights[None, :]
-            * w_v
-            * f_vals
-            * g_vals
-            * g.nodes[:, None] ** power
-        )
+    return f.wider(g).wider(v).integrate(
+        power, v.values ** (params.q - 2.0) * f.values * g.values
     )
 
 
 def mu_rho_decompose(u: Field, v_bub: Bubble, params: CknParams) -> DecompositionRecord:
     """Split u = mu V + rho with mu the q-pairing coefficient."""
-    v_field = _bubble_field_like(u, params, v_bub)
+    v_field = _bubble_on(u, params, v_bub)
     denom = _q_pairing(v_field, v_field, params)
     if denom == 0.0:
         raise ZeroField("bubble q-mass vanished")
     mu = _q_pairing(u, v_field, params) / denom
-    if isinstance(u, RadialProfile):
-        rho = RadialProfile(
-            grid=u.grid,
-            values=u.values - mu * v_field.values,
-            derivative=None
-            if u.derivative is None
-            else u.derivative - mu * v_field.derivative,
-        )
-    else:
-        rho = AxisymField(
-            grid=u.grid,
-            dim=u.dim,
-            psi_nodes=u.psi_nodes,
-            psi_weights=u.psi_weights,
-            values=u.values - mu * v_field.values,
-            grad_r=None if u.grad_r is None else u.grad_r - mu * v_field.grad_r,
-            grad_psi=None
-            if u.grad_psi is None
-            else u.grad_psi - mu * v_field.grad_psi,
-        )
+    rho = u - mu * v_field
     residuals = orthogonality_check(rho, v_bub, params)
     dist = (
         weighted_grad_pnorm(rho, params) ** (1.0 / params.p)
-        if (isinstance(rho, RadialProfile) and rho.derivative is not None)
-        or (isinstance(rho, AxisymField) and rho.grad_r is not None)
+        if rho.grad_r is not None
         else float("nan")
     )
     return DecompositionRecord(
@@ -486,13 +402,6 @@ def mu_rho_decompose(u: Field, v_bub: Bubble, params: CknParams) -> Decompositio
     )
 
 
-def tangent_labels(params: CknParams, axisym: bool = False) -> list[str]:
-    labels = ["amplitude", "dilation"]
-    if axisym and params.a == 0.0 and params.b == 0.0:
-        labels.append("axial-translation")
-    return labels
-
-
 def tangent_basis(
     v_bub: Bubble,
     params: CknParams,
@@ -502,10 +411,11 @@ def tangent_basis(
 ) -> list[Field]:
     """Tangent directions of the family at a (centred) bubble.
 
-    Radial kind: the amplitude direction V and the dilation direction
-    (n-p-pa)/p V + r V'.  Axisymmetric kind adds the axial translation
-    V'(r) cos(psi) in the unweighted case; the remaining translation
-    directions have no axisymmetric representative and are omitted.
+    The amplitude direction V and the dilation direction
+    (n-p-pa)/p V + r V', both radial.  The axisymmetric kind adds the
+    axial translation V'(r) cos(psi) in the unweighted case; the
+    remaining translation directions have no axisymmetric
+    representative and are omitted.
     """
     if v_bub.axial_shift != 0.0:
         raise ZeroField("tangent basis is built at a centred bubble")
@@ -517,32 +427,32 @@ def tangent_basis(
     v, dv = ev(r)
     d2v = ev2(r)
     w = params.dilation_weight
-    dil_vals = w * v + r * dv
-    dil_der = (w + 1.0) * dv + r * d2v
-    amp_prof = RadialProfile(grid=grid, values=v, derivative=dv)
-    dil_prof = RadialProfile(grid=grid, values=dil_vals, derivative=dil_der)
-    if not axisym:
-        return [amp_prof, dil_prof]
-    fields = [
-        embed_axisym(amp_prof, params.n, psi_count),
-        embed_axisym(dil_prof, params.n, psi_count),
+    n = params.n
+    basis = [
+        Field.radial(grid, n, v, dv),
+        Field.radial(grid, n, w * v + r * dv, (w + 1.0) * dv + r * d2v),
     ]
-    if params.a == 0.0 and params.b == 0.0:
-        psi, wpsi = fields[0].psi_nodes, fields[0].psi_weights
-        c = np.cos(psi)[None, :]
-        s = np.sin(psi)[None, :]
-        fields.append(
-            AxisymField(
+    if axisym and params.a == 0.0 and params.b == 0.0:
+        psi, wpsi = make_psi_grid(n, psi_count)
+        c = np.cos(psi)
+        basis.append(
+            Field(
                 grid=grid,
-                dim=params.n,
+                dim=n,
                 psi_nodes=psi,
                 psi_weights=wpsi,
                 values=dv[:, None] * c,
                 grad_r=d2v[:, None] * c,
-                grad_psi=-dv[:, None] * s,
+                grad_psi=-dv[:, None] * np.sin(psi),
             )
         )
-    return fields
+    return basis
+
+
+def _tangents_like(f: Field, v_bub: Bubble, params: CknParams) -> list[Field]:
+    return tangent_basis(
+        v_bub, params, f.grid, axisym=not f.is_radial, psi_count=len(f.psi_nodes)
+    )
 
 
 def orthogonality_check(rho: Field, v_bub: Bubble, params: CknParams) -> list[float]:
@@ -551,58 +461,29 @@ def orthogonality_check(rho: Field, v_bub: Bubble, params: CknParams) -> list[fl
     Each entry is <W_i, rho>_V / (|W_i|_V |rho|_V); identically zero
     rho returns a zero vector.
     """
-    axisym = isinstance(rho, AxisymField)
-    psi_count = len(rho.psi_nodes) if axisym else 128
-    basis = tangent_basis(v_bub, params, rho.grid, axisym=axisym, psi_count=psi_count)
-    v_field = _bubble_field_like(rho, params, Bubble(v_bub.amplitude, v_bub.scale))
-    rho_norm = math.sqrt(max(v_inner(rho.values, rho.values, v_field, params), 0.0))
+    basis = _tangents_like(rho, v_bub, params)
+    v_field = sample_bubble(params, v_bub, rho.grid)
+    rho_norm = math.sqrt(max(v_inner(rho, rho, v_field, params), 0.0))
     out = []
     for w_field in basis:
         if rho_norm == 0.0:
             out.append(0.0)
             continue
-        w_norm = math.sqrt(max(v_inner(w_field.values, w_field.values, v_field, params), 0.0))
-        pairing = v_inner(w_field.values, rho.values, v_field, params)
+        w_norm = math.sqrt(max(v_inner(w_field, w_field, v_field, params), 0.0))
+        pairing = v_inner(w_field, rho, v_field, params)
         out.append(pairing / (w_norm * rho_norm))
     return out
 
 
 def orthogonalize(f: Field, v_bub: Bubble, params: CknParams) -> Field:
     """Project the tangent directions out of f in the V-weighted metric."""
-    axisym = isinstance(f, AxisymField)
-    psi_count = len(f.psi_nodes) if axisym else 128
-    basis = tangent_basis(v_bub, params, f.grid, axisym=axisym, psi_count=psi_count)
-    v_field = _bubble_field_like(f, params, Bubble(v_bub.amplitude, v_bub.scale))
-    vals = f.values.copy()
-    if axisym:
-        gr = f.grad_r.copy() if f.grad_r is not None else None
-        gp = f.grad_psi.copy() if f.grad_psi is not None else None
-    else:
-        der = f.derivative.copy() if f.derivative is not None else None
+    basis = _tangents_like(f, v_bub, params)
+    v_field = sample_bubble(params, v_bub, f.grid)
     # Gram-Schmidt against the (non-orthogonal) tangent set, two sweeps
     for _ in range(2):
         for w_field in basis:
-            w_sq = v_inner(w_field.values, w_field.values, v_field, params)
+            w_sq = v_inner(w_field, w_field, v_field, params)
             if w_sq <= 0.0:
                 continue
-            coef = v_inner(w_field.values, vals, v_field, params) / w_sq
-            vals = vals - coef * w_field.values
-            if axisym:
-                if gr is not None and w_field.grad_r is not None:
-                    gr = gr - coef * w_field.grad_r
-                if gp is not None and w_field.grad_psi is not None:
-                    gp = gp - coef * w_field.grad_psi
-            else:
-                if der is not None and w_field.derivative is not None:
-                    der = der - coef * w_field.derivative
-    if axisym:
-        return AxisymField(
-            grid=f.grid,
-            dim=f.dim,
-            psi_nodes=f.psi_nodes,
-            psi_weights=f.psi_weights,
-            values=vals,
-            grad_r=gr,
-            grad_psi=gp,
-        )
-    return RadialProfile(grid=f.grid, values=vals, derivative=der)
+            f = f - (v_inner(w_field, f, v_field, params) / w_sq) * w_field
+    return f

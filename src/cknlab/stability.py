@@ -11,7 +11,7 @@ embedding checks through the weak norm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,11 +26,8 @@ from .errors import (
     ZeroField,
 )
 from .fields import (
-    AxisymField,
     Field,
     RadialGrid,
-    RadialProfile,
-    embed_axisym,
     gaussian_bump_profile,
     make_radial_grid,
     sample_bubble,
@@ -58,6 +55,7 @@ __all__ = [
     "GeneratorSpec",
     "alpha_exponent",
     "stability_ratio",
+    "perturbed_bubble",
     "family_samples",
     "k_upper_scan",
     "exponent_slope_fit",
@@ -177,6 +175,24 @@ def stability_ratio(
 # declarative sample families
 
 
+def perturbed_bubble(
+    params: CknParams, grid: RadialGrid, eps: float, center: float, width: float
+) -> Field:
+    """V + eps z: the canonical bubble plus a tangent-free log-radius bump.
+
+    z is the Gaussian bump at (center, width) with the tangent
+    directions projected out, scaled to unit gradient norm, so eps is
+    the size of the perturbation relative to a unit-norm direction.
+    """
+    z = orthogonalize(
+        gaussian_bump_profile(grid, params.n, center, width),
+        canonical_bubble(params),
+        params,
+    )
+    zn = weighted_grad_pnorm(z, params) ** (1.0 / params.p)
+    return canonical_profile(params, grid) + (eps / zn) * z
+
+
 def family_samples(spec: GeneratorSpec, params: CknParams, count: int):
     """Yield `count` fields from the named family, prefix-stable in count."""
     opts = dict(spec.options)
@@ -190,20 +206,12 @@ def family_samples(spec: GeneratorSpec, params: CknParams, count: int):
         w_lo, w_hi = opts.pop("width", (0.6, 1.8))
         if opts:
             raise ConfigError(f"unknown bubble_bump options {sorted(opts)}")
-        v = canonical_profile(params, grid)
-        vb = canonical_bubble(params)
         for _ in range(count):
             # three draws per sample keeps prefixes aligned across counts
             eps = 10.0 ** rng.uniform(eps_lo, eps_hi)
             center = rng.uniform(c_lo, c_hi)
             width = rng.uniform(w_lo, w_hi)
-            z = orthogonalize(gaussian_bump_profile(grid, center, width), vb, params)
-            zn = weighted_grad_pnorm(z, params) ** (1.0 / params.p)
-            yield RadialProfile(
-                grid=grid,
-                values=v.values + eps * z.values / zn,
-                derivative=v.derivative + eps * z.derivative / zn,
-            )
+            yield perturbed_bubble(params, grid, eps, center, width)
     elif spec.family == "pure_bubble":
         lam_lo, lam_hi = opts.pop("log_lambda", (-1.0, 1.0))
         if opts:
@@ -256,13 +264,6 @@ def k_upper_scan(
 # exponent optimality
 
 
-def _bubble_like(pert: Field, params: CknParams) -> Field:
-    if isinstance(pert, RadialProfile):
-        return canonical_profile(params, pert.grid)
-    prof = canonical_profile(params, pert.grid)
-    return embed_axisym(prof, pert.dim, len(pert.psi_nodes))
-
-
 def exponent_slope_fit(
     params: CknParams, eps_schedule: Sequence[float], perturbation: Field
 ) -> SlopeFitResult:
@@ -282,7 +283,7 @@ def exponent_slope_fit(
     if math.log10(eps[-1] / eps[0]) < 1.5:
         raise DegenerateFit("schedule spans under 1.5 decades")
 
-    v = _bubble_like(perturbation, params)
+    v = canonical_profile(params, perturbation.grid)
     unorm = weighted_grad_pnorm(v, params) ** (1.0 / params.p)
     zn = weighted_grad_pnorm(perturbation, params) ** (1.0 / params.p)
     if zn <= 0.0:
@@ -291,22 +292,7 @@ def exponent_slope_fit(
 
     dists, defs = [], []
     for e in eps:
-        if isinstance(perturbation, RadialProfile):
-            u: Field = RadialProfile(
-                grid=v.grid,
-                values=v.values + e * scale * perturbation.values,
-                derivative=v.derivative + e * scale * perturbation.derivative,
-            )
-        else:
-            u = AxisymField(
-                grid=v.grid,
-                dim=v.dim,
-                psi_nodes=v.psi_nodes,
-                psi_weights=v.psi_weights,
-                values=v.values + e * scale * perturbation.values,
-                grad_r=v.grad_r + e * scale * perturbation.grad_r,
-                grad_psi=v.grad_psi + e * scale * perturbation.grad_psi,
-            )
+        u = v + (e * scale) * perturbation
         d, _ = manifold_distance(u, params)
         dists.append(d / unorm)
         defs.append(deficit(u, params))
@@ -404,9 +390,8 @@ def translated_bubble_gap_probe(
     fp = flat_params(params)
     grid = make_radial_grid(*window)
     u0 = canonical_profile(fp, grid)
-    base = embed_axisym(u0, fp.n, psi_count)
     sharp = sharp_constant(fp)
-    gnorm0 = grad_norm(base, fp)
+    gnorm0 = grad_norm(u0, fp)
 
     ratios = []
     for shift in shift_schedule:
@@ -415,15 +400,7 @@ def translated_bubble_gap_probe(
         moved = translate_axisym(u0, float(shift), fp, psi_count)
         pk = weighted_grad_pnorm(moved, fp, k_factor=params.k)
         lhs = pk ** (1.0 / fp.p) / q_norm(moved, fp) - sharp
-        diff = AxisymField(
-            grid=grid,
-            dim=fp.n,
-            psi_nodes=base.psi_nodes,
-            psi_weights=base.psi_weights,
-            values=base.values - moved.values,
-            grad_r=base.grad_r - moved.grad_r,
-            grad_psi=base.grad_psi - moved.grad_psi,
-        )
+        diff = u0 - moved
         rhs = (grad_norm(diff, fp) / gnorm0) ** 2
         ratios.append(lhs / rhs)
     return ratios
@@ -439,7 +416,7 @@ def mollified_bubble(
     grid: Optional[RadialGrid] = None,
     lam: float = 1.0,
     count: int = 1024,
-) -> RadialProfile:
+) -> Field:
     """Canonical bubble cut to a ball: cos^2 taper over the outer 10%.
 
     The taper puts the profile in the zero-trace class on the ball, so
@@ -450,7 +427,7 @@ def mollified_bubble(
     if grid is None:
         grid = make_radial_grid(-30.0, math.log(domain_radius), count)
     prof = sample_bubble(params, canonical_bubble(params, lam), grid)
-    r = grid.nodes
+    r = grid.nodes[:, None]
     r0 = 0.9 * domain_radius
     theta = 0.5 * math.pi * np.clip((r - r0) / (0.1 * domain_radius), 0.0, 1.0)
     chi = np.where(r >= domain_radius, 0.0, np.cos(theta) ** 2)
@@ -459,37 +436,19 @@ def mollified_bubble(
         -(math.pi / (0.2 * domain_radius)) * np.sin(2.0 * theta),
         0.0,
     )
-    return RadialProfile(
-        grid=grid,
+    return replace(
+        prof,
         values=prof.values * chi,
-        derivative=prof.derivative * chi + prof.values * dchi,
+        grad_r=prof.grad_r * chi + prof.values * dchi,
+        evaluator=None,
     )
 
 
 def _weight_samples(u: Field, params: CknParams, variant: str) -> Field:
-    r = u.grid.nodes
-    if isinstance(u, RadialProfile):
-        if variant == "value":
-            vals = r ** (-params.a) * np.abs(u.values)
-        else:
-            vals = r ** (-params.a) * np.abs(u.derivative)
-        return RadialProfile(grid=u.grid, values=vals, derivative=np.zeros_like(vals))
-    mag = (
-        np.abs(u.values)
-        if variant == "value"
-        else np.sqrt(u.grad_r**2 + (u.grad_psi / r[:, None]) ** 2)
-    )
-    vals = r[:, None] ** (-params.a) * mag
-    zero = np.zeros_like(vals)
-    return AxisymField(
-        grid=u.grid,
-        dim=u.dim,
-        psi_nodes=u.psi_nodes,
-        psi_weights=u.psi_weights,
-        values=vals,
-        grad_r=zero,
-        grad_psi=zero,
-    )
+    """|x|^-a |u| or |x|^-a |grad u| on u's grid, for the weak norm."""
+    mag = np.abs(u.values) if variant == "value" else np.sqrt(u.grad_sq())
+    vals = u.grid.nodes[:, None] ** (-params.a) * mag
+    return replace(u, values=vals, grad_r=None, grad_psi=None, evaluator=None)
 
 
 def embedding_check(
@@ -507,12 +466,12 @@ def embedding_check(
         raise ValueError(f"domain radius must be positive, got {domain_radius}")
     n, p, a = params.n, params.p, params.a
     r = u.grid.nodes
-    vals = u.values if isinstance(u, RadialProfile) else np.max(np.abs(u.values), axis=1)
+    vals = np.max(np.abs(u.values), axis=1)
     outside = r >= domain_radius
-    vmax = float(np.max(np.abs(u.values)))
+    vmax = float(np.max(vals))
     if vmax == 0.0:
         raise ZeroField("embedding check of the zero field")
-    if np.any(np.abs(np.atleast_1d(vals)[outside]) > 1e-14 * vmax):
+    if np.any(vals[outside] > 1e-14 * vmax):
         raise UnsupportedField(
             f"support leaks past r = {domain_radius:g}; zero-trace class required"
         )
@@ -524,9 +483,7 @@ def embedding_check(
     p2 = n * (p - 1.0) / (n - a - 1.0)
     p3 = (n - p - p * a) / (n * p * (p - 1.0))
     exponent = p1 if variant == "value" else p2
-    w = weak_lebesgue_norm(
-        _weight_samples(u, params, variant), exponent, domain_radius, dim=n
-    )
+    w = weak_lebesgue_norm(_weight_samples(u, params, variant), exponent, domain_radius)
     if w <= 0.0:
         raise ZeroField("weak norm vanished on the domain")
     volume = params.sphere_area * domain_radius**n / n

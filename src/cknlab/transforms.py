@@ -16,15 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import RegionViolation
-from .fields import (
-    AxisymField,
-    Field,
-    RadialProfile,
-    bubble_tag,
-    evaluator_from_tag,
-    bubble_evaluator,
-    scaled_grid,
-)
+from .fields import Field, scaled_grid
 from .functionals import weighted_grad_pnorm, weighted_lq_norm
 from .params import CknParams, HatParams, derive_params
 
@@ -47,41 +39,17 @@ class TransformReport:
     k_drop_gap: float = 0.0  # angular majorisation gap, >= 0, 0 for radial
 
 
-def _stretch_tag(tag: str | None, expo: float, value_scale: float):
-    """Transform a closed-form tag through the stretch, when possible."""
-    if tag is None or not tag.startswith("bubble "):
-        return None, None
-    kv = dict(item.split("=", 1) for item in tag.split()[1:])
-    amp = value_scale * float(kv["A"])
-    b_coeff = float(kv["B"])
-    sig = expo * float(kv["sig"])
-    m = float(kv["m"])
-    return bubble_tag(amp, b_coeff, sig, m), bubble_evaluator(amp, b_coeff, sig, m)
-
-
 def _stretch_field(u: Field, expo: float, value_scale: float) -> Field:
     """v(s) = value_scale * u(s^expo), node for node."""
-    grid = scaled_grid(u.grid, 1.0 / expo)
     t = u.grid.log_nodes
     dfac = value_scale * expo * np.exp(t * (expo - 1.0) / expo)
-    if isinstance(u, RadialProfile):
-        tag, ev = _stretch_tag(u.analytic_tag, expo, value_scale)
-        return RadialProfile(
-            grid=grid,
-            values=value_scale * u.values,
-            derivative=None if u.derivative is None else dfac * u.derivative,
-            analytic_tag=tag,
-            evaluator=ev,
-        )
-    return AxisymField(
-        grid=grid,
-        dim=u.dim,
-        psi_nodes=u.psi_nodes,
-        psi_weights=u.psi_weights,
+    return replace(
+        u,
+        grid=scaled_grid(u.grid, 1.0 / expo),
         values=value_scale * u.values,
         grad_r=None if u.grad_r is None else dfac[:, None] * u.grad_r,
         grad_psi=None if u.grad_psi is None else value_scale * u.grad_psi,
-        analytic_tag=None,
+        evaluator=None,
     )
 
 
@@ -148,10 +116,8 @@ def transform_identity_check(u: Field, params: CknParams) -> TransformReport:
     g_rhs_scaled = pref * weighted_grad_pnorm(moved, flat, k_factor=k)
     g_res = abs(g_lhs - g_rhs_scaled) / max(abs(g_lhs), 1e-300)
 
-    if isinstance(moved, AxisymField):
-        drop = g_rhs_scaled - pref * weighted_grad_pnorm(moved, flat, k_factor=1.0)
-    else:
-        drop = 0.0
+    # exactly 0 for radial fields: without grad_psi the k scaling is void
+    drop = g_rhs_scaled - pref * weighted_grad_pnorm(moved, flat, k_factor=1.0)
     return TransformReport(
         q_norm_residual=q_res,
         grad_identity_residual=g_res,

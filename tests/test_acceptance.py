@@ -16,7 +16,7 @@ import pytest
 
 from cknlab.cli import run_experiment
 from cknlab.critical import dual_norm_estimate, elementary_terms
-from cknlab.fields import RadialProfile, gaussian_bump_profile, make_radial_grid
+from cknlab.fields import gaussian_bump_profile, make_radial_grid
 from cknlab.functionals import weighted_grad_pnorm
 from cknlab.manifold import canonical_profile
 from cknlab.params import derive_params
@@ -177,19 +177,12 @@ def test_far_perturbation_residual_slope():
     ps = derive_params(5, 3.0, 0.0, 0.3)
     grid = make_radial_grid(-30.0, 40.0, 1536)
     v = canonical_profile(ps, grid)
-    bump = gaussian_bump_profile(grid, 33.0, 0.8)
-    bn = weighted_grad_pnorm(bump, ps) ** (1.0 / ps.p)
-    far = RadialProfile(
-        grid=grid, values=bump.values / bn, derivative=bump.derivative / bn
-    )
+    bump = gaussian_bump_profile(grid, ps.n, 33.0, 0.8)
+    far = (1.0 / weighted_grad_pnorm(bump, ps) ** (1.0 / ps.p)) * bump
     eps_list = np.logspace(-3.25, -1.75, 5)
     ests = []
     for eps in eps_list:
-        u = RadialProfile(
-            grid=grid,
-            values=v.values + eps * far.values,
-            derivative=v.derivative + eps * far.derivative,
-        )
+        u = v + eps * far
         ests.append(dual_norm_estimate(u, ps, 8, extra_elements=[far]).value)
     slope = float(np.polyfit(np.log(eps_list), np.log(ests), 1)[0])
     target = ps.p - 1.0
@@ -240,10 +233,9 @@ def test_embedding_constant_zero_homogeneous():
     ps = derive_params(4, 2.5, 0.2, 0.5)
     grid = make_radial_grid(-40.0, 0.0, 1024)
     u = mollified_bubble(ps, 1.0, grid=grid)
-    u3 = RadialProfile(grid=grid, values=3.0 * u.values, derivative=3.0 * u.derivative)
     for variant in ("grad", "value"):
         k1 = embedding_check(u, ps, 1.0, variant)
-        k3 = embedding_check(u3, ps, 1.0, variant)
+        k3 = embedding_check(3.0 * u, ps, 1.0, variant)
         assert abs(k3 - k1) / k1 <= 1e-8
 
 

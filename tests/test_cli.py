@@ -276,3 +276,31 @@ def test_main_report_exit(tmp_path, capsys):
     ledger = _two_record_ledger(tmp_path)
     assert main(["report", "--ledger", ledger]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "operation,params,options,key",
+    [
+        ("stability-scan", [[3, 2.0, 0.0, 0.0]], {"samples": 0}, "options.samples"),
+        ("embedding-check", [[3, 2.0, 0.0, 0.0]], {"radius": 0.0}, "options.radius"),
+        ("project", [[3, 2.0, 0.0, 0.0]], {"bubbles": [[-1.0, 1.0]]}, "bubbles[0]"),
+        ("ineq-const", [], {"cases": [[7, 3.0]]}, "options.cases[0]"),
+        ("spectral-gap", [[4, 3.0, 0.2, 0.4]], {"count": 0}, "options.count"),
+    ],
+)
+def test_main_out_of_range_option_exit(
+    tmp_path, capsys, operation, params, options, key
+):
+    payload = {
+        "experiment": "t-out-of-range",
+        "operation": operation,
+        "params": params,
+        "grid": [-25.0, 25.0, 256],
+        "family": {"name": "bubble_bump"},
+        "options": options,
+    }
+    path = _write(tmp_path, "r.json", payload)
+    ledger = str(tmp_path / "ledger.jsonl")
+    assert main([operation, "--config", path, "--ledger", ledger]) == 2
+    assert key in capsys.readouterr().err
+    assert not os.path.exists(ledger)

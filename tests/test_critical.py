@@ -35,15 +35,15 @@ from cknlab.critical import (
 )
 from cknlab.fields import (
     Bubble,
-    RadialProfile,
+    Field,
     embed_axisym,
     gaussian_bump_profile,
     make_radial_grid,
     sample_bubble,
 )
 from cknlab.functionals import weighted_grad_pnorm, weighted_lq_norm
+from cknlab.stability import perturbed_bubble
 from cknlab.manifold import (
-    _bubble_field_like,
     canonical_bubble,
     canonical_profile,
     orthogonalize,
@@ -79,23 +79,16 @@ def _unit_ortho_bump(ps, center=0.5, width=0.7, spec=GRID_SPEC):
     key = ("zeta", id(ps), center, width, spec)
     if key not in _cache:
         z = orthogonalize(
-            gaussian_bump_profile(_grid(spec), center, width), canonical_bubble(ps), ps
+            gaussian_bump_profile(_grid(spec), ps.n, center, width),
+            canonical_bubble(ps),
+            ps,
         )
-        zn = weighted_grad_pnorm(z, ps) ** (1.0 / ps.p)
-        _cache[key] = RadialProfile(
-            grid=z.grid, values=z.values / zn, derivative=z.derivative / zn
-        )
+        _cache[key] = (1.0 / weighted_grad_pnorm(z, ps) ** (1.0 / ps.p)) * z
     return _cache[key]
 
 
 def _perturbed(ps, eps, spec=GRID_SPEC):
-    v = _bubble_profile(ps, spec)
-    z = _unit_ortho_bump(ps, spec=spec)
-    return RadialProfile(
-        grid=v.grid,
-        values=v.values + eps * z.values,
-        derivative=v.derivative + eps * z.derivative,
-    )
+    return _bubble_profile(ps, spec) + eps * _unit_ortho_bump(ps, spec=spec)
 
 
 # ---------------------------------------------------------------------------
@@ -104,20 +97,16 @@ def _perturbed(ps, eps, spec=GRID_SPEC):
 
 def test_pairing_vanishes_at_bubble():
     v = _bubble_profile(PS32)
-    phi = gaussian_bump_profile(_grid(), 0.0, 1.0)
+    phi = gaussian_bump_profile(_grid(), PS32.n, 0.0, 1.0)
     assert abs(el_residual_pairing(v, phi, PS32)) <= 1e-8
 
 
 def test_pairing_linear_in_test_function():
     u = _perturbed(PS53, 0.3)
     g = _grid()
-    p1 = gaussian_bump_profile(g, -1.0, 0.6)
-    p2 = gaussian_bump_profile(g, 1.5, 1.2)
-    combo = RadialProfile(
-        grid=g,
-        values=2.0 * p1.values - 0.7 * p2.values,
-        derivative=2.0 * p1.derivative - 0.7 * p2.derivative,
-    )
+    p1 = gaussian_bump_profile(g, PS53.n, -1.0, 0.6)
+    p2 = gaussian_bump_profile(g, PS53.n, 1.5, 1.2)
+    combo = 2.0 * p1 - 0.7 * p2
     lhs = el_residual_pairing(u, combo, PS53)
     rhs = 2.0 * el_residual_pairing(u, p1, PS53) - 0.7 * el_residual_pairing(
         u, p2, PS53
@@ -129,35 +118,32 @@ def test_pairing_scaled_bubble_closed_form():
     # residual of mu V pairs against V as (mu^(q-1) - mu^(p-1)) int |x|^-qb V^q
     v = _bubble_profile(PS53)
     mu = 1.3
-    vmu = RadialProfile(
-        grid=v.grid, values=mu * v.values, derivative=mu * v.derivative
-    )
-    pair = el_residual_pairing(vmu, v, PS53)
+    pair = el_residual_pairing(mu * v, v, PS53)
     pred = (mu ** (PS53.q - 1.0) - mu ** (PS53.p - 1.0)) * weighted_lq_norm(v, PS53)
     assert abs(pair - pred) <= 1e-5 * abs(pred)
 
 
 def test_pairing_zero_field():
     g = _grid()
-    zero = RadialProfile(grid=g, values=np.zeros(g.count), derivative=np.zeros(g.count))
-    phi = gaussian_bump_profile(g, 0.0, 1.0)
+    zero = Field.radial(g, PS53.n, np.zeros(g.count), np.zeros(g.count))
+    phi = gaussian_bump_profile(g, PS53.n, 0.0, 1.0)
     assert el_residual_pairing(zero, phi, PS53) == 0.0
 
 
 def test_pairing_grid_guards():
     v = _bubble_profile(PS53)
-    other = gaussian_bump_profile(make_radial_grid(-20.0, 20.0, 512), 0.0, 1.0)
+    other = gaussian_bump_profile(make_radial_grid(-20.0, 20.0, 512), PS53.n, 0.0, 1.0)
     with pytest.raises(GridMismatch):
         el_residual_pairing(v, other, PS53)
-    axi = embed_axisym(gaussian_bump_profile(_grid(), 0.0, 1.0), PS53.n, 48)
+    axi = embed_axisym(gaussian_bump_profile(_grid(), PS53.n, 0.0, 1.0), 48)
     with pytest.raises(GridMismatch):
         el_residual_pairing(v, axi, PS53)
 
 
 def test_pairing_embeds_radial_phi_for_axisym_u():
     u_rad = _perturbed(PS53, 0.3)
-    u_axi = embed_axisym(u_rad, PS53.n, 48)
-    phi = gaussian_bump_profile(_grid(), 0.8, 0.9)
+    u_axi = embed_axisym(u_rad, 48)
+    phi = gaussian_bump_profile(_grid(), PS53.n, 0.8, 0.9)
     p_axi = el_residual_pairing(u_axi, phi, PS53)
     p_rad = el_residual_pairing(u_rad, phi, PS53)
     assert abs(p_axi - p_rad) <= 1e-10 * max(abs(p_rad), 1.0)
@@ -177,10 +163,7 @@ def test_dual_estimate_scaled_bubble_bound():
     # the amplitude direction alone already gives pairing / ||V||
     v = _bubble_profile(PS53)
     mu = 1.3
-    vmu = RadialProfile(
-        grid=v.grid, values=mu * v.values, derivative=mu * v.derivative
-    )
-    est = dual_norm_estimate(vmu, PS53, 8)
+    est = dual_norm_estimate(mu * v, PS53, 8)
     drop = abs(mu ** (PS53.q - 1.0) - mu ** (PS53.p - 1.0)) * weighted_lq_norm(v, PS53)
     bound = drop / weighted_grad_pnorm(v, PS53) ** (1.0 / PS53.p)
     assert est.value >= 0.999 * bound
@@ -207,10 +190,10 @@ def _pairings_and_norm(u, ps, size):
     # ||sum c_i phi_i|| through an explicitly combined field
     elements = _test_basis(u, ps, size)
     ell = np.array([el_residual_pairing(u, e, ps) for e in elements])
-    ders = np.stack([e.derivative for e in elements], axis=1)
+    ders = np.concatenate([e.grad_r for e in elements], axis=1)
 
     def norm(c):
-        combo = RadialProfile(grid=u.grid, values=u.values, derivative=ders @ c)
+        combo = Field.radial(u.grid, ps.n, u.values[:, 0], ders @ c)
         return weighted_grad_pnorm(combo, ps) ** (1.0 / ps.p)
 
     return ders, ell, norm
@@ -268,7 +251,7 @@ def test_dual_estimate_axisym_embedding_matches_radial():
     # a != 0: no translation element, so both spans hold the same functions
     u = _perturbed(PS53, 1e-2)
     radial = dual_norm_estimate(u, PS53, 8)
-    axi = dual_norm_estimate(embed_axisym(u, PS53.n, 48), PS53, 8)
+    axi = dual_norm_estimate(embed_axisym(u, 48), PS53, 8)
     assert axi.value == pytest.approx(radial.value, rel=1e-8)
     assert axi.half_value == pytest.approx(radial.half_value, rel=1e-8)
 
@@ -279,7 +262,7 @@ def test_dual_estimate_axisym_embedding_matches_radial():
 
 def test_hessian_zero_rho():
     g = _grid()
-    zero = RadialProfile(grid=g, values=np.zeros(g.count), derivative=np.zeros(g.count))
+    zero = Field.radial(g, PS53.n, np.zeros(g.count), np.zeros(g.count))
     assert hessian_form(canonical_bubble(PS53), zero, PS53) == 0.0
 
 
@@ -287,12 +270,9 @@ def test_hessian_zero_rho():
 @settings(max_examples=20, deadline=None)
 def test_hessian_quadratic_homogeneity(c):
     rho = _unit_ortho_bump(PS53)
-    scaled = RadialProfile(
-        grid=rho.grid, values=c * rho.values, derivative=c * rho.derivative
-    )
     bub = canonical_bubble(PS53)
     base = hessian_form(bub, rho, PS53)
-    assert hessian_form(bub, scaled, PS53) == pytest.approx(c * c * base, rel=1e-12)
+    assert hessian_form(bub, c * rho, PS53) == pytest.approx(c * c * base, rel=1e-12)
 
 
 def test_hessian_radial_reduced_route_agrees():
@@ -304,19 +284,19 @@ def test_hessian_radial_reduced_route_agrees():
 
 
 def test_hessian_needs_p_above_two():
-    rho = gaussian_bump_profile(_grid(), 0.0, 1.0)
+    rho = gaussian_bump_profile(_grid(), PS32.n, 0.0, 1.0)
     with pytest.raises(RegionViolation):
         hessian_form(canonical_bubble(PS32), rho, PS32)
 
 
 def test_hessian_reduced_is_radial_only():
-    axi = embed_axisym(gaussian_bump_profile(_grid(), 0.0, 1.0), PS53.n, 48)
+    axi = embed_axisym(gaussian_bump_profile(_grid(), PS53.n, 0.0, 1.0), 48)
     with pytest.raises(UnsupportedField):
         hessian_form(canonical_bubble(PS53), axi, PS53, reduced=True)
 
 
 def test_hessian_rejects_shifted_bubble():
-    rho = gaussian_bump_profile(_grid(), 0.0, 1.0)
+    rho = gaussian_bump_profile(_grid(), PS53.n, 0.0, 1.0)
     with pytest.raises(TranslationForbidden):
         hessian_form(Bubble(amplitude=1.0, scale=1.0, axial_shift=0.5), rho, PS53)
 
@@ -327,8 +307,8 @@ def test_dilation_mode_saturates_the_form():
     bub = canonical_bubble(PS43)
     dil = tangent_basis(bub, PS43, wide)[1]
     lhs = hessian_form(bub, dil, PS43)
-    vf = _bubble_field_like(dil, PS43, bub)
-    rhs = (PS43.q - 1.0) * v_inner(dil.values, dil.values, vf, PS43)
+    vf = canonical_profile(PS43, wide)
+    rhs = (PS43.q - 1.0) * v_inner(dil, dil, vf, PS43)
     assert lhs == pytest.approx(rhs, rel=1e-4)
 
 
@@ -339,7 +319,7 @@ def test_dilation_mode_saturates_the_form():
 def test_spectral_gap_exceeds_one():
     wide = _grid(WIDE_SPEC)
     bub = canonical_bubble(PS43)
-    rho = orthogonalize(gaussian_bump_profile(wide, 1.0, 0.8), bub, PS43)
+    rho = orthogonalize(gaussian_bump_profile(wide, PS43.n, 1.0, 0.8), bub, PS43)
     rep = spectral_gap_ratio(bub, rho, PS43)
     assert rep.ratio > 1.5
     assert rep.tau_estimate == pytest.approx(rep.ratio - 1.0, rel=1e-12)
@@ -349,27 +329,22 @@ def test_spectral_gap_exceeds_one():
 def test_spectral_ratio_scale_invariant():
     wide = _grid(WIDE_SPEC)
     bub = canonical_bubble(PS43)
-    rho = orthogonalize(gaussian_bump_profile(wide, 1.0, 0.8), bub, PS43)
-    doubled = RadialProfile(
-        grid=wide, values=2.0 * rho.values, derivative=2.0 * rho.derivative
-    )
+    rho = orthogonalize(gaussian_bump_profile(wide, PS43.n, 1.0, 0.8), bub, PS43)
     r1 = spectral_gap_ratio(bub, rho, PS43).ratio
-    r2 = spectral_gap_ratio(bub, doubled, PS43).ratio
+    r2 = spectral_gap_ratio(bub, 2.0 * rho, PS43).ratio
     assert r2 == pytest.approx(r1, rel=1e-12)
 
 
 def test_spectral_rejects_tangent_component():
     wide = _grid(WIDE_SPEC)
-    raw = gaussian_bump_profile(wide, 1.0, 0.8)
+    raw = gaussian_bump_profile(wide, PS43.n, 1.0, 0.8)
     with pytest.raises(NotOrthogonal):
         spectral_gap_ratio(canonical_bubble(PS43), raw, PS43)
 
 
 def test_spectral_rejects_zero_rho():
     wide = _grid(WIDE_SPEC)
-    zero = RadialProfile(
-        grid=wide, values=np.zeros(wide.count), derivative=np.zeros(wide.count)
-    )
+    zero = Field.radial(wide, PS43.n, np.zeros(wide.count), np.zeros(wide.count))
     with pytest.raises(ZeroField):
         spectral_gap_ratio(canonical_bubble(PS43), zero, PS43)
 
@@ -415,14 +390,7 @@ def test_alternative_eta_matches_exponent():
     # p = 4 turns the threshold into c1/(2 C1) itself
     ps = derive_params(6, 4.0, 0.1, 0.3)
     grid = _grid()
-    v = canonical_profile(ps, grid)
-    z = orthogonalize(gaussian_bump_profile(grid, 0.5, 0.7), canonical_bubble(ps), ps)
-    zn = weighted_grad_pnorm(z, ps) ** (1.0 / ps.p)
-    u = RadialProfile(
-        grid=grid,
-        values=v.values + 1e-3 * z.values / zn,
-        derivative=v.derivative + 1e-3 * z.derivative / zn,
-    )
+    u = perturbed_bubble(ps, grid, 1e-3, 0.5, 0.7)
     rep = alternative_check(u, ps, 1.0, 2.0, t_count=2, basis_size=4)
     assert rep.eta == pytest.approx(0.25, rel=1e-12)
     assert rep.interval == pytest.approx((0.25, 4.0), rel=1e-12)

@@ -1,4 +1,4 @@
-"""Grids, bubbles, axisymmetric sampling, and serialization."""
+"""Grids, bubbles, axisymmetric sampling, and Field arithmetic."""
 
 import math
 
@@ -7,22 +7,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cknlab import BadGridSpec, TranslationForbidden, derive_params
+from cknlab import (
+    BadGridSpec,
+    GridMismatch,
+    MissingGradient,
+    TranslationForbidden,
+    derive_params,
+)
 from cknlab.fields import (
     Bubble,
+    Field,
     bubble_second_derivative,
     embed_axisym,
     fd_derivative,
     gaussian_bump_profile,
-    load_field,
     make_psi_grid,
     make_radial_grid,
     modulated_axisym,
-    resample_profile,
     sample_bubble,
     scaled_grid,
     translate_axisym,
 )
+from cknlab.functionals import weighted_lq_norm
+from cknlab.transforms import transform_identity_check
 
 
 def sphere_area(n):
@@ -69,11 +76,6 @@ def test_grid_invariants(tmin, tmax, count):
     assert g.count % 8 == 0
     # t-weights integrate the window length
     assert float(np.sum(g.t_weights)) == pytest.approx(tmax - tmin, rel=1e-12)
-
-
-def test_k_compat_window():
-    g = make_radial_grid(-10, 10, 64, k_compat=2.0)
-    assert g.t_min == -20.0 and g.t_max == 20.0
 
 
 def test_scaled_grid_node_for_node():
@@ -130,12 +132,13 @@ def test_fd_derivative_matches_analytic():
     def interior_err(count):
         g = make_radial_grid(-10, 10, count)
         prof = sample_bubble(ps, bub, g)
-        fd = fd_derivative(g, prof.values)
+        fd = fd_derivative(g, prof.values[:, 0])
+        exact = prof.grad_r[:, 0]
         sl = slice(8, -8)
         # derivative grows like r^(sigma-1) toward the origin, so
         # normalise by the local derivative scale
-        scale = np.maximum(np.abs(prof.derivative[sl]), 1.0)
-        return float(np.max(np.abs(fd[sl] - prof.derivative[sl]) / scale))
+        scale = np.maximum(np.abs(exact[sl]), 1.0)
+        return float(np.max(np.abs(fd[sl] - exact[sl]) / scale))
 
     e1, e2 = interior_err(512), interior_err(1024)
     assert e1 < 5e-3
@@ -164,7 +167,7 @@ def test_bubble_second_derivative_consistent():
 def test_embed_axisym_invariants():
     ps = derive_params(4, 2, 0.5, 0.5)
     prof = sample_bubble(ps, Bubble(1.0, 1.0), make_radial_grid(count=128))
-    u = embed_axisym(prof, ps.n, 48)
+    u = embed_axisym(prof, 48)
     assert np.all(u.grad_psi == 0.0)
     assert float(np.sum(u.psi_weights)) == pytest.approx(sphere_area(4), rel=1e-10)
     assert u.values.shape == (128, 48)
@@ -189,7 +192,9 @@ def test_translate_preserves_unweighted_qnorm():
     grid = make_radial_grid(-25, 25, 1024)
     prof = sample_bubble(ps, Bubble(1.0, 1.0), grid)
     radial_q = sphere_area(3) * float(
-        np.sum(grid.weights * np.abs(prof.values) ** ps.q * grid.nodes ** (ps.n - 1))
+        np.sum(
+            grid.weights * np.abs(prof.values[:, 0]) ** ps.q * grid.nodes ** (ps.n - 1)
+        )
     )
     u = translate_axisym(prof, 0.7, ps, psi_count=96)
     moved_q = float(
@@ -226,56 +231,105 @@ def test_translate_gradient_consistency():
 def test_modulated_axisym_shape():
     ps = derive_params(4, 2, 0.5, 0.5)
     prof = sample_bubble(ps, Bubble(1.0, 1.0), make_radial_grid(count=64))
-    u = modulated_axisym(prof, ps.n, 24, cos_coeff=0.4)
+    u = modulated_axisym(prof, 24, cos_coeff=0.4)
     assert u.grad_psi is not None and np.max(np.abs(u.grad_psi)) > 0
 
 
-def test_resample_exact_for_analytic():
+def test_translate_needs_closed_form():
     ps = derive_params(3, 2, 0, 0)
-    prof = sample_bubble(ps, Bubble(1.0, 1.3), make_radial_grid(count=128))
-    out, est = resample_profile(prof, make_radial_grid(-10, 10, 256))
-    assert est == 0.0
-    v, _ = prof.evaluator(out.grid.nodes)
-    assert np.array_equal(out.values, v)
+    prof = sample_bubble(ps, Bubble(1.0, 1.0), make_radial_grid(count=64))
+    with pytest.raises(TranslationForbidden):
+        translate_axisym(2.0 * prof, 0.5, ps)  # arithmetic drops the closed form
 
 
-def test_resample_generic_close():
-    g1 = make_radial_grid(-10, 10, 512)
-    g2 = make_radial_grid(-8, 8, 128)
-    vals = np.exp(-g1.log_nodes**2 / 4.0)
-    from cknlab.fields import RadialProfile
-
-    prof = RadialProfile(grid=g1, values=vals)
-    out, est = resample_profile(prof, g2)
-    exact = np.exp(-g2.log_nodes**2 / 4.0)
-    assert np.max(np.abs(out.values - exact)) < 1e-4
-    assert est < 1e-2
+# ---------------------------------------------------------------------------
+# the Field type
 
 
-def test_radial_roundtrip_bit_exact(tmp_path):
+def _bubble_and_bump(count=128, psi_count=16):
     ps = derive_params(4, 2.5, 0.2, 0.5)
-    prof = sample_bubble(ps, Bubble(1.1, 0.9), make_radial_grid(-15, 15, 128))
-    path = tmp_path / "prof.txt"
-    save_load = __import__("cknlab.fields", fromlist=["save_field", "load_field"])
-    save_load.save_field(path, prof)
-    back = load_field(path)
-    assert np.array_equal(back.values, prof.values)
-    assert np.array_equal(back.derivative, prof.derivative)
-    assert back.analytic_tag == prof.analytic_tag
-    assert back.grid.same_as(prof.grid)
-    assert back.evaluator is not None  # rebuilt from the tag
+    grid = make_radial_grid(count=count)
+    prof = sample_bubble(ps, Bubble(1.0, 1.0), grid)
+    angular = modulated_axisym(gaussian_bump_profile(grid, 4, 0.3, 0.9), psi_count)
+    return ps, prof, angular
 
 
-def test_axisym_roundtrip_bit_exact(tmp_path):
-    ps = derive_params(3, 2, 0, 0)
-    prof = sample_bubble(ps, Bubble(1.0, 1.0), make_radial_grid(-10, 10, 64))
-    u = translate_axisym(prof, 0.3, ps, psi_count=16)
-    path = tmp_path / "axi.txt"
-    from cknlab.fields import save_field
+def test_radial_field_layout():
+    ps, prof, angular = _bubble_and_bump()
+    assert prof.is_radial and not angular.is_radial
+    assert prof.values.shape == (128, 1)
+    assert prof.grad_psi is None
+    assert float(prof.psi_weights[0]) == pytest.approx(sphere_area(4), rel=1e-14)
+    assert angular.values.shape == (128, 16)
 
-    save_field(path, u)
-    back = load_field(path)
-    assert np.array_equal(back.values, u.values)
-    assert np.array_equal(back.grad_r, u.grad_r)
-    assert np.array_equal(back.grad_psi, u.grad_psi)
-    assert back.dim == 3 and len(back.psi_nodes) == 16
+
+def test_one_node_broadcast_equals_embedding():
+    ps, prof, angular = _bubble_and_bump()
+    broadcast = prof + 0.0 * angular
+    embedded = embed_axisym(prof, 16)
+    assert np.array_equal(broadcast.psi_nodes, embedded.psi_nodes)
+    assert np.array_equal(broadcast.psi_weights, embedded.psi_weights)
+    for name in ("values", "grad_r", "grad_psi"):
+        assert np.array_equal(getattr(broadcast, name), getattr(embedded, name)), name
+
+
+def test_linear_arithmetic_node_for_node():
+    ps, prof, angular = _bubble_and_bump()
+    combo = 2.0 * prof - angular + prof * 0.5
+    for name in ("values", "grad_r"):
+        a, b = getattr(prof, name), getattr(angular, name)
+        assert np.array_equal(getattr(combo, name), 2.0 * a - b + 0.5 * a), name
+    assert np.array_equal(combo.grad_psi, -angular.grad_psi)
+    assert combo.evaluator is None
+    # numpy scalars scale too, instead of broadcasting over the field
+    assert np.array_equal((np.float64(3.0) * prof).values, 3.0 * prof.values)
+
+
+def test_arithmetic_rejects_other_radial_grid():
+    ps, prof, _ = _bubble_and_bump()
+    other = sample_bubble(ps, Bubble(1.0, 1.0), make_radial_grid(-20, 20, 128))
+    with pytest.raises(GridMismatch):
+        prof + other
+
+
+def test_arithmetic_rejects_other_angular_grid():
+    _, _, angular = _bubble_and_bump(psi_count=16)
+    _, _, finer = _bubble_and_bump(psi_count=24)
+    with pytest.raises(GridMismatch):
+        angular - finer
+
+
+def test_arithmetic_rejects_other_dim():
+    ps, prof, _ = _bubble_and_bump()
+    bump3 = gaussian_bump_profile(prof.grid, 3, 0.0, 1.0)
+    with pytest.raises(GridMismatch):
+        prof + bump3
+
+
+def test_missing_gradient_propagates():
+    ps, prof, angular = _bubble_and_bump()
+    bare = Field.radial(prof.grid, 4, np.ones(prof.grid.count))
+    for combo in (prof + bare, bare - angular, 3.0 * bare):
+        assert combo.grad_r is None and combo.grad_psi is None
+        with pytest.raises(MissingGradient):
+            combo.grad_sq()
+
+
+def test_radial_field_checked_against_params_dim():
+    ps3 = derive_params(3, 2, 0, 0)
+    ps4 = derive_params(4, 2, 0, 0)
+    prof = sample_bubble(ps3, Bubble(1.0, 1.0), make_radial_grid(count=64))
+    with pytest.raises(GridMismatch):
+        weighted_lq_norm(prof, ps4)
+
+
+def test_integrate_rejects_wider_density():
+    ps, prof, angular = _bubble_and_bump()
+    with pytest.raises(GridMismatch):
+        prof.integrate(1.0, angular.values)
+
+
+def test_k_drop_gap_exactly_zero_for_radial():
+    ps, prof, _ = _bubble_and_bump()
+    for u in (prof, gaussian_bump_profile(prof.grid, 4, 0.5, 1.1)):
+        assert transform_identity_check(u, ps).k_drop_gap == 0.0

@@ -7,6 +7,7 @@ import pytest
 
 from cknlab import (
     BadExponent,
+    BadGridSpec,
     GridMismatch,
     MissingGradient,
     ZeroField,
@@ -15,7 +16,7 @@ from cknlab import (
 )
 from cknlab.fields import (
     Bubble,
-    RadialProfile,
+    Field,
     embed_axisym,
     gaussian_bump_profile,
     make_radial_grid,
@@ -24,24 +25,23 @@ from cknlab.fields import (
 )
 from cknlab.functionals import (
     deficit,
-    functional_report,
     weak_lebesgue_norm,
     weighted_grad_pnorm,
     weighted_lq_norm,
 )
 
 
-def exp_profile(grid):
+def exp_profile(grid, dim):
     """u = exp(-r): both weighted integrals have Gamma-function closed forms."""
     v = np.exp(-grid.nodes)
-    return RadialProfile(grid=grid, values=v, derivative=-v)
+    return Field.radial(grid, dim, v, -v)
 
 
 def test_grad_integral_gamma_oracle():
     # integral of e^{-pr} r^{n-1-pa} dr = Gamma(n-pa) / p^{n-pa}
     ps = derive_params(4, 2.5, 0.2, 0.5)
     g = make_radial_grid(-30, 10, 1024)
-    u = exp_profile(g)
+    u = exp_profile(g, ps.n)
     expo = ps.n - ps.p * ps.a
     oracle = ps.sphere_area * math.gamma(expo) / ps.p**expo
     assert weighted_grad_pnorm(u, ps) == pytest.approx(oracle, rel=1e-11)
@@ -52,7 +52,7 @@ def test_q_integral_gamma_oracle():
     # the window must reach far enough down for the Gamma oracle
     ps = derive_params(3, 2, 0.3, 0.8)
     g = make_radial_grid(-60, 10, 1024)
-    u = exp_profile(g)
+    u = exp_profile(g, ps.n)
     expo = ps.n - ps.q * ps.b
     oracle = ps.sphere_area * math.gamma(expo) / ps.q**expo
     assert weighted_lq_norm(u, ps) == pytest.approx(oracle, rel=1e-11)
@@ -61,7 +61,7 @@ def test_q_integral_gamma_oracle():
 def test_embedded_equals_radial_times_sphere():
     ps = derive_params(4, 2, 0.5, 0.5)
     prof = sample_bubble(ps, Bubble(1.0, 1.0), make_radial_grid(count=512))
-    u = embed_axisym(prof, ps.n, 64)
+    u = embed_axisym(prof, 64)
     for fn in (weighted_grad_pnorm, weighted_lq_norm):
         assert fn(u, ps) == pytest.approx(fn(prof, ps), rel=1e-10)
 
@@ -70,14 +70,14 @@ def test_missing_gradient():
     ps = derive_params(3, 2, 0, 0)
     g = make_radial_grid(count=64)
     with pytest.raises(MissingGradient):
-        weighted_grad_pnorm(RadialProfile(grid=g, values=np.ones(g.count)), ps)
+        weighted_grad_pnorm(Field.radial(g, 3, np.ones(g.count)), ps)
 
 
 def test_dim_mismatch():
     ps3 = derive_params(3, 2, 0, 0)
     ps4 = derive_params(4, 2, 0, 0)
     prof = sample_bubble(ps3, Bubble(1.0, 1.0), make_radial_grid(count=64))
-    u = embed_axisym(prof, 3, 16)
+    u = embed_axisym(prof, 16)
     with pytest.raises(GridMismatch):
         weighted_lq_norm(u, ps4)
 
@@ -103,10 +103,9 @@ def test_bubble_deficit_vanishes():
 def test_deficit_zero_homogeneous():
     ps = derive_params(4, 2.5, 0.2, 0.5)
     g = make_radial_grid(count=512)
-    u = gaussian_bump_profile(g, 0.5, 1.0)
+    u = gaussian_bump_profile(g, ps.n, 0.5, 1.0)
     d1 = deficit(u, ps)
-    scaled = RadialProfile(grid=g, values=37.0 * u.values, derivative=37.0 * u.derivative)
-    assert deficit(scaled, ps) == pytest.approx(d1, rel=1e-10)
+    assert deficit(37.0 * u, ps) == pytest.approx(d1, rel=1e-10)
 
 
 def test_deficit_dilation_invariant():
@@ -114,15 +113,12 @@ def test_deficit_dilation_invariant():
     # the Rayleigh quotient
     ps = derive_params(4, 2.5, 0.2, 0.5)
     g = make_radial_grid(count=1024)
-    u = gaussian_bump_profile(g, 0.0, 1.0)
+    u = gaussian_bump_profile(g, ps.n, 0.0, 1.0)
     w = ps.dilation_weight
 
     def dilated(shift):
         lam = math.e**shift
-        moved = gaussian_bump_profile(g, -shift, 1.0)
-        return RadialProfile(
-            grid=g, values=lam**w * moved.values, derivative=lam**w * moved.derivative
-        )
+        return lam**w * gaussian_bump_profile(g, ps.n, -shift, 1.0)
 
     d0 = deficit(u, ps)
     # generic shift: limited by quadrature of the |u'|^p kink at the peak
@@ -134,25 +130,16 @@ def test_deficit_dilation_invariant():
 
 def test_deficit_positive_for_bump():
     ps = derive_params(3, 2, 0, 0)
-    u = gaussian_bump_profile(make_radial_grid(count=512), 0.0, 1.2)
+    u = gaussian_bump_profile(make_radial_grid(count=512), ps.n, 0.0, 1.2)
     assert deficit(u, ps) > 0.0
 
 
 def test_deficit_zero_field():
     ps = derive_params(3, 2, 0, 0)
     g = make_radial_grid(count=64)
-    z = RadialProfile(grid=g, values=np.zeros(g.count), derivative=np.zeros(g.count))
+    z = Field.radial(g, 3, np.zeros(g.count), np.zeros(g.count))
     with pytest.raises(ZeroField):
         deficit(z, ps)
-
-
-def test_functional_report_fields():
-    ps = derive_params(3, 2, 0, 0)
-    u = gaussian_bump_profile(make_radial_grid(count=256), 0.0, 1.0)
-    rep = functional_report(u, ps)
-    assert rep.grad_term > 0 and rep.q_term > 0
-    assert rep.deficit >= -1e-8
-    assert rep.grid_meta == u.grid.meta()
 
 
 # ---------------------------------------------------------------------------
@@ -165,9 +152,9 @@ def ball_volume(n, R=1.0):
 
 def test_weak_norm_constant_field():
     g = make_radial_grid(-30, 30, 2048)
-    u = RadialProfile(grid=g, values=np.full(g.count, 2.5))
     for n, e in [(3, 2.0), (4, 2.5)]:
-        val = weak_lebesgue_norm(u, e, 1.0, dim=n)
+        u = Field.radial(g, n, np.full(g.count, 2.5))
+        val = weak_lebesgue_norm(u, e, 1.0)
         assert val == pytest.approx(2.5 * ball_volume(n) ** (1.0 / e), rel=1e-6)
 
 
@@ -176,8 +163,8 @@ def test_weak_norm_power_law_oracle():
     # with value |B_1|^(1/e)
     n, s, e = 4, 1.0, 2.5
     g = make_radial_grid(-30, 30, 2048)
-    u = RadialProfile(grid=g, values=g.nodes ** (-s))
-    val = weak_lebesgue_norm(u, e, 1.0, dim=n)
+    u = Field.radial(g, n, g.nodes ** (-s))
+    val = weak_lebesgue_norm(u, e, 1.0)
     assert val == pytest.approx(ball_volume(n) ** (1.0 / e), rel=0.02)
 
 
@@ -187,9 +174,9 @@ def test_weak_norm_below_strong_norm():
     g = make_radial_grid(count=1024)
     for u in (
         sample_bubble(ps, Bubble(1.0, 1.0), g),
-        gaussian_bump_profile(g, 0.3, 0.8),
+        gaussian_bump_profile(g, n, 0.3, 0.8),
     ):
-        weak = weak_lebesgue_norm(u, e, 1.0, dim=n)
+        weak = weak_lebesgue_norm(u, e, 1.0)
         surf = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
         inside = g.nodes <= 1.0
         strong = (
@@ -197,7 +184,7 @@ def test_weak_norm_below_strong_norm():
             * float(
                 np.sum(
                     g.weights[inside]
-                    * np.abs(u.values[inside]) ** e
+                    * np.abs(u.values[inside, 0]) ** e
                     * g.nodes[inside] ** (n - 1)
                 )
             )
@@ -207,19 +194,19 @@ def test_weak_norm_below_strong_norm():
 
 def test_weak_norm_guards():
     g = make_radial_grid(count=64)
-    u = RadialProfile(grid=g, values=np.ones(g.count))
+    u = Field.radial(g, 3, np.ones(g.count))
     with pytest.raises(BadExponent):
-        weak_lebesgue_norm(u, 0.0, 1.0, dim=3)
-    with pytest.raises(ValueError):
-        weak_lebesgue_norm(u, 2.0, 1.0)  # dim missing for radial
-    z = RadialProfile(grid=g, values=np.zeros(g.count))
-    assert weak_lebesgue_norm(z, 2.0, 1.0, dim=3) == 0.0
+        weak_lebesgue_norm(u, 0.0, 1.0)
+    with pytest.raises(BadGridSpec):
+        weak_lebesgue_norm(u, 2.0, 0.0)
+    z = Field.radial(g, 3, np.zeros(g.count))
+    assert weak_lebesgue_norm(z, 2.0, 1.0) == 0.0
 
 
 def test_weak_norm_axisym_matches_radial():
     ps = derive_params(4, 2, 0, 0)
     prof = sample_bubble(ps, Bubble(1.0, 1.0), make_radial_grid(count=512))
-    u = embed_axisym(prof, 4, 32)
+    u = embed_axisym(prof, 32)
     wa = weak_lebesgue_norm(u, 2.5, 1.0)
-    wr = weak_lebesgue_norm(prof, 2.5, 1.0, dim=4)
+    wr = weak_lebesgue_norm(prof, 2.5, 1.0)
     assert wa == pytest.approx(wr, rel=1e-10)

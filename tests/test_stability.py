@@ -16,8 +16,7 @@ from cknlab.errors import (
     ZeroField,
 )
 from cknlab.fields import (
-    AxisymField,
-    RadialProfile,
+    Field,
     gaussian_bump_profile,
     make_radial_grid,
     modulated_axisym,
@@ -36,6 +35,7 @@ from cknlab.stability import (
     k_upper_scan,
     mollified_bubble,
     monotonicity_chain_check,
+    perturbed_bubble,
     stability_ratio,
     translated_bubble_gap_probe,
 )
@@ -64,15 +64,7 @@ def test_alpha_rule_dichotomy():
 
 
 def _perturbed_bubble(ps, eps, center=1.0, width=1.0, window=(-30.0, 30.0, 1024)):
-    grid = make_radial_grid(*window)
-    v = canonical_profile(ps, grid)
-    z = orthogonalize(gaussian_bump_profile(grid, center, width), canonical_bubble(ps), ps)
-    zn = weighted_grad_pnorm(z, ps) ** (1.0 / ps.p)
-    return RadialProfile(
-        grid=grid,
-        values=v.values + eps * z.values / zn,
-        derivative=v.derivative + eps * z.derivative / zn,
-    )
+    return perturbed_bubble(ps, make_radial_grid(*window), eps, center, width)
 
 
 def test_ratio_positive_for_perturbed_bubble():
@@ -87,19 +79,14 @@ def test_ratio_positive_for_perturbed_bubble():
 def test_ratio_zero_homogeneous():
     ps = derive_params(4, 2.5, 0.1, 0.3)
     u = _perturbed_bubble(ps, 5e-3)
-    u3 = RadialProfile(grid=u.grid, values=3.0 * u.values, derivative=3.0 * u.derivative)
     r1 = stability_ratio(u, ps).ratio
-    r3 = stability_ratio(u3, ps).ratio
+    r3 = stability_ratio(3.0 * u, ps).ratio
     assert abs(r3 - r1) / r1 <= 1e-8
 
 def test_ratio_rejects_zero_and_on_manifold():
     ps = derive_params(3, 2, 0, 0)
     grid = make_radial_grid(-30, 30, 1024)
-    zero = RadialProfile(
-        grid=grid,
-        values=np.zeros(grid.count),
-        derivative=np.zeros(grid.count),
-    )
+    zero = Field.radial(grid, ps.n, np.zeros(grid.count), np.zeros(grid.count))
     with pytest.raises(ZeroField):
         stability_ratio(zero, ps)
     with pytest.raises(OnManifold):
@@ -163,7 +150,8 @@ def test_scan_caveat_and_errors():
 def test_slope_fit_p2_radial():
     ps = derive_params(3, 2, 0, 0)
     grid = make_radial_grid(-30, 30, 1024)
-    z = orthogonalize(gaussian_bump_profile(grid, 10.0, 1.0), canonical_bubble(ps), ps)
+    bump = gaussian_bump_profile(grid, ps.n, 10.0, 1.0)
+    z = orthogonalize(bump, canonical_bubble(ps), ps)
     fit = exponent_slope_fit(ps, np.logspace(-2.6, -1.0, 6), z)
     assert abs(fit.slope - 2.0) / 2.0 <= 0.1
     assert len(fit.distances) == 6
@@ -173,18 +161,14 @@ def test_slope_fit_p2_radial():
 def test_slope_fit_guards():
     ps = derive_params(3, 2, 0, 0)
     grid = make_radial_grid(-20, 20, 256)
-    z = gaussian_bump_profile(grid, 3.0, 1.0)
+    z = gaussian_bump_profile(grid, ps.n, 3.0, 1.0)
     with pytest.raises(DegenerateFit):
         exponent_slope_fit(ps, [1e-2], z)
     with pytest.raises(DegenerateFit):
         exponent_slope_fit(ps, [1e-2, 2e-2], z)  # under 1.5 decades
     with pytest.raises(DegenerateFit):
         exponent_slope_fit(ps, [1e-3, 0.5], z)  # above the smallness cap
-    zero = RadialProfile(
-        grid=grid,
-        values=np.zeros(grid.count),
-        derivative=np.zeros(grid.count),
-    )
+    zero = Field.radial(grid, ps.n, np.zeros(grid.count), np.zeros(grid.count))
     with pytest.raises(ZeroField):
         exponent_slope_fit(ps, np.logspace(-3, -1, 4), zero)
 
@@ -197,7 +181,7 @@ def test_chain_radial_equality():
     base = derive_params(4, 2.5, 0.1, 0.4)
     target = derive_params(4, 2.5, 0.3, 0.6)
     hp = derive_hat_params(base, target)
-    u = gaussian_bump_profile(make_radial_grid(-30, 30, 1024), 0.5, 1.2)
+    u = gaussian_bump_profile(make_radial_grid(-30, 30, 1024), target.n, 0.5, 1.2)
     rec = monotonicity_chain_check(u, hp)
     assert abs(rec.grad_chain_gap) <= 1e-8 * weighted_grad_pnorm(u, target)
     assert rec.qnorm_residual <= 1e-8
@@ -208,8 +192,8 @@ def test_chain_axisym_strict_gap():
     base = derive_params(4, 2.5, 0.1, 0.4)
     target = derive_params(4, 2.5, 0.3, 0.6)
     hp = derive_hat_params(base, target)
-    g = gaussian_bump_profile(make_radial_grid(-30, 30, 1024), 0.5, 1.2)
-    u = modulated_axisym(g, target.n, cos_coeff=0.35)
+    g = gaussian_bump_profile(make_radial_grid(-30, 30, 1024), target.n, 0.5, 1.2)
+    u = modulated_axisym(g, cos_coeff=0.35)
     rec = monotonicity_chain_check(u, hp)
     assert rec.grad_chain_gap > 0.0
     assert rec.qnorm_residual <= 1e-8
@@ -218,7 +202,7 @@ def test_chain_axisym_strict_gap():
 def test_chain_identity_and_orientation():
     ps = derive_params(3, 2, 0.1, 0.3)
     hp = derive_hat_params(ps, ps)  # h = 1
-    u = gaussian_bump_profile(make_radial_grid(-25, 25, 512), 0.0, 1.0)
+    u = gaussian_bump_profile(make_radial_grid(-25, 25, 512), ps.n, 0.0, 1.0)
     rec = monotonicity_chain_check(u, hp)
     assert abs(rec.grad_chain_gap) <= 1e-10
     assert rec.qnorm_residual <= 1e-10
@@ -279,26 +263,14 @@ def test_gap_probe_quadratic_scaling():
     grid = make_radial_grid(-30, 30, 1536)
     u0 = canonical_profile(fp, grid)
     sharp = sharp_constant(fp)
-    gn0 = grad_norm(
-        translate_axisym(u0, 0.0, fp, 160), fp
-    )
+    gn0 = grad_norm(u0, fp)
     shifts = np.array([0.05, 0.1, 0.2, 0.4])
     lhs, rhs = [], []
     for s in shifts:
         moved = translate_axisym(u0, float(s), fp, 160)
         pk = weighted_grad_pnorm(moved, fp, k_factor=ps.k)
         lhs.append(pk ** (1.0 / fp.p) / q_norm(moved, fp) - sharp)
-        base = translate_axisym(u0, 0.0, fp, 160)
-        diff = AxisymField(
-            grid=grid,
-            dim=fp.n,
-            psi_nodes=base.psi_nodes,
-            psi_weights=base.psi_weights,
-            values=base.values - moved.values,
-            grad_r=base.grad_r - moved.grad_r,
-            grad_psi=base.grad_psi - moved.grad_psi,
-        )
-        rhs.append((grad_norm(diff, fp) / gn0) ** 2)
+        rhs.append((grad_norm(u0 - moved, fp) / gn0) ** 2)
     s_lhs = np.polyfit(np.log(shifts), np.log(lhs), 1)[0]
     s_rhs = np.polyfit(np.log(shifts), np.log(rhs), 1)[0]
     assert abs(s_lhs - 2.0) / 2.0 <= 0.1
@@ -328,23 +300,18 @@ def test_embedding_positive_both_variants():
 def test_embedding_zero_homogeneous():
     ps = derive_params(4, 2.5, 0.2, 0.5)
     u = mollified_bubble(ps, 2.0, count=768)
-    u3 = RadialProfile(grid=u.grid, values=3.0 * u.values, derivative=3.0 * u.derivative)
     k1 = embedding_check(u, ps, 2.0, "value")
-    k3 = embedding_check(u3, ps, 2.0, "value")
+    k3 = embedding_check(3.0 * u, ps, 2.0, "value")
     assert abs(k3 - k1) / abs(k1) <= 1e-8
 
 
 def test_embedding_support_guard():
     ps = derive_params(3, 2, 0, 0)
     grid = make_radial_grid(-5, 3, 256)
-    leak = gaussian_bump_profile(grid, 2.0, 0.5)  # mass near r = e^2 > 1
+    leak = gaussian_bump_profile(grid, ps.n, 2.0, 0.5)  # mass near r = e^2 > 1
     with pytest.raises(UnsupportedField):
         embedding_check(leak, ps, 1.0, "value")
-    zero = RadialProfile(
-        grid=grid,
-        values=np.zeros(grid.count),
-        derivative=np.zeros(grid.count),
-    )
+    zero = Field.radial(grid, ps.n, np.zeros(grid.count), np.zeros(grid.count))
     with pytest.raises(ZeroField):
         embedding_check(zero, ps, 1.0, "value")
     u = mollified_bubble(ps, 1.0, count=256)
@@ -364,3 +331,17 @@ def test_mollified_bubble_taper():
     assert np.all(np.abs(u.values[r > 0.99]) < np.abs(ref.values[r > 0.99]))
     with pytest.raises(ValueError):
         mollified_bubble(ps, -1.0)
+
+
+def test_family_sample_is_perturbed_bubble():
+    # the family draws (eps, center, width) and delegates to perturbed_bubble
+    ps = derive_params(4, 2.5, 0.1, 0.4)
+    spec = GeneratorSpec("bubble_bump", seed=4, options={"window": (-25.0, 25.0, 512)})
+    (sample,) = family_samples(spec, ps, 1)
+    rng = np.random.default_rng(4)
+    eps = 10.0 ** rng.uniform(-3.0, -1.0)
+    center, width = rng.uniform(-5.0, 5.0), rng.uniform(0.6, 1.8)
+    grid = make_radial_grid(-25.0, 25.0, 512)
+    direct = perturbed_bubble(ps, grid, eps, center, width)
+    assert np.array_equal(sample.values, direct.values)
+    assert np.array_equal(sample.grad_r, direct.grad_r)
