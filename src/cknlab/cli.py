@@ -524,6 +524,8 @@ def _op_embedding_check(cfg: ExperimentConfig, ctx: _RunContext):
     if not radius > 0.0:
         raise ConfigError(f"config.options.radius must be positive, got {radius}")
     lam = float(cfg.options.get("lam", 1.0))
+    if not lam > 0.0:
+        raise ConfigError(f"config.options.lam must be positive, got {lam}")
 
     kbar_grad, kbar_value = [], []
     violations = []
@@ -885,16 +887,10 @@ def run_experiment(
 # ---------------------------------------------------------------------------
 # report
 
-_RECORD_KEYS = {
-    "experiment",
-    "operation",
-    "module",
-    "timestamp",
-    "version",
-    "inputs_digest",
-    "outputs_digest",
-    "outputs",
-}
+_SUMMARY_COLS = (
+    "experiment", "operation", "module", "timestamp", "inputs_digest", "outputs_digest"
+)
+_RECORD_KEYS = {*_SUMMARY_COLS, "version", "outputs"}
 _FILTER_FIELDS = {"experiment", "operation", "module", "version"}
 
 
@@ -940,29 +936,10 @@ def report(ledger_path: str, filter_expr: str = "") -> list:
     csv_path = f"{stem}_summary.csv"
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "experiment",
-                "operation",
-                "module",
-                "timestamp",
-                "inputs_digest",
-                "outputs_digest",
-                "violations",
-            ]
-        )
+        writer.writerow([*_SUMMARY_COLS, "violations"])
         for rec in records:
-            writer.writerow(
-                [
-                    rec["experiment"],
-                    rec["operation"],
-                    rec["module"],
-                    rec["timestamp"],
-                    rec["inputs_digest"],
-                    rec["outputs_digest"],
-                    len(rec["outputs"].get("violations", [])),
-                ]
-            )
+            violations = len(rec["outputs"].get("violations", []))
+            writer.writerow([*(rec[c] for c in _SUMMARY_COLS), violations])
     paths.append(csv_path)
 
     txt_path = f"{stem}_summary.txt"

@@ -30,7 +30,7 @@ from .errors import (
     ZeroField,
 )
 from .fields import Bubble, Field, gaussian_bump_profile, sample_bubble
-from .functionals import weighted_grad_pnorm
+from .functionals import _energy, _flux_factor, _gradient_stack, weighted_grad_pnorm
 from .manifold import (
     _bubble_on,
     _tangents_like,
@@ -110,11 +110,6 @@ class AlternativeReport:
 # Euler-Lagrange pairing
 
 
-def _flux_factor(mag: np.ndarray, expo: float) -> np.ndarray:
-    # 0^(p-2) with p < 2 would blow up; the flux itself still vanishes there
-    return np.where(mag > 0.0, mag**expo, 0.0)
-
-
 def el_residual_pairing(u: Field, phi: Field, params: CknParams) -> float:
     """Weak pairing of the equation residual of u against phi.
 
@@ -156,35 +151,6 @@ def _test_basis(u: Field, params: CknParams, size: int) -> list:
     for c in _ladder_centers(size - len(core)):
         core.append(gaussian_bump_profile(u.grid, u.dim, c, LADDER_WIDTH))
     return core
-
-
-def _gradient_stack(elements: list, params: CknParams) -> tuple:
-    """Gradient components (ncomp, nodes, m) and the energy weights w.
-
-    sum(w * |sum_c comps[c] @ coeff|^p) is weighted_grad_pnorm of the
-    combined field, on the widest element's tensor grid flattened: one
-    component (grad_r) when no element has an angular derivative, else
-    (grad_r, grad_psi / r).
-    """
-    wide = elements[0]
-    for e in elements[1:]:
-        wide = wide.wider(e)
-    shape = wide.values.shape
-    parts = [[e.grad_r for e in elements]]
-    if any(e.grad_psi is not None for e in elements):
-        r = wide.grid.nodes[:, None]
-        parts.append(
-            [0.0 * r if e.grad_psi is None else e.grad_psi / r for e in elements]
-        )
-    comps = np.stack(
-        [np.stack([np.broadcast_to(c, shape) for c in part], axis=-1) for part in parts]
-    ).reshape(len(parts), -1, len(elements))
-    power = params.n - 1.0 - params.p * params.a
-    return comps, wide.measure(power).ravel()
-
-
-def _energy(w: np.ndarray, grads: np.ndarray, p: float) -> float:
-    return float(np.sum(w * np.sqrt(np.sum(grads**2, axis=0)) ** p))
 
 
 def _least_norm_energy(

@@ -43,7 +43,7 @@ class RootFindFailure(CknError):
 
 
 class OptimizerStall(CknError):
-    """Optimizer not trusted: multistart starts disagree, or Newton hit its step cap."""
+    """Optimizer not trusted: a projection certificate failed, or Newton hit its cap."""
 
 
 class OnManifold(CknError):

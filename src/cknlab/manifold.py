@@ -38,7 +38,7 @@ from .fields import (
     sample_bubble,
     translate_axisym,
 )
-from .functionals import weighted_grad_pnorm
+from .functionals import _energy, _flux_factor, _gradient_stack, weighted_grad_pnorm
 from .params import CknParams, sharp_constant
 
 __all__ = [
@@ -83,8 +83,6 @@ def _norm_grid(params: CknParams) -> RadialGrid:
     half = max(NORMALIZATION_GRID[1], budget / min_rate)
     density = NORMALIZATION_GRID[2] / (2.0 * NORMALIZATION_GRID[1])
     return make_radial_grid(-half, half, int(math.ceil(2.0 * half * density)))
-
-NM_OFFSETS = [(0.0, 0.0), (0.1, 0.5), (-0.1, -0.5), (0.2, -0.3), (-0.15, 0.4)]
 
 
 @dataclass(frozen=True)
@@ -212,29 +210,114 @@ def moment_seed(u: Field, params: CknParams) -> float:
     return _reference_mean(params) - _qdensity_mean(u, params)
 
 
-def _check_reproduced(best: float, finals: list[float], floor: float) -> int:
-    """Count restarts that landed within 1e-4 relative of the best value."""
-    tol = 1e-4 * max(abs(best), floor)
-    return sum(1 for f in finals if f - best <= tol)
+# the amplitude's relative first-order residual must stay below
+# AMPLITUDE_RTOL unless the distance is below ROUNDING_FLOOR of the
+# gradient norm: there the residual is rounding noise, and the distance
+# exceeds its minimum by no more than itself
+AMPLITUDE_RTOL = 1e-6
+ROUNDING_FLOOR = 1e-12
 
 
-def manifold_distance(
-    u: Field, params: CknParams, restarts: int = 5
-) -> tuple[float, Bubble]:
-    """Metric projection distance to the extremal family.
+def _bracketed_min(f, seed: float) -> tuple[float, float]:
+    """(f, log lam) at the minimum of f over log lam, or OptimizerStall.
 
-    Simplex search over (amplitude, log B), seeded by amplitude and
-    q-mass moment matching; for axisymmetric fields in the unweighted
-    class the axial shift joins the search.  Returns the distance in
-    the D_a^p metric and the best bubble.
+    A 33-point scan over seed +- 8, then Brent inside the bracket of every
+    strict interior scan minimum; ties (1e-12 relative) go to min |log lam|.
+    """
+    f = lru_cache(maxsize=None)(f)  # Brent re-evaluates the scan's bracket points
+    x = np.linspace(seed - 8.0, seed + 8.0, 33)
+    v = [f(t) for t in x]
+    found = [
+        _brent(f, x[i - 1], x[i], x[i + 1])
+        for i in range(1, len(x) - 1)
+        if v[i] < v[i - 1] and v[i] < v[i + 1]
+    ]
+    if not found:
+        raise OptimizerStall(f"no interior minimum in the scan window {seed:.6g} +- 8")
+    best = min(r[0] for r in found)
+    ties = [r for r in found if r[0] - best <= 1e-12 * abs(best)]
+    return min(ties, key=lambda r: abs(r[1]))
 
-    Raises
-    ------
-    ZeroField
-        For an identically zero input.
-    OptimizerStall
-        If fewer than 3 restarts reproduce the best value within 1e-4
-        relative.
+
+def _brent(f, lo: float, mid: float, hi: float) -> tuple[float, float]:
+    res = minimize_scalar(f, bracket=(lo, mid, hi), method="brent")
+    if not lo < res.x < hi:
+        raise OptimizerStall(f"Brent left its bracket ({lo:.6g}, {hi:.6g})")
+    return float(res.fun), float(res.x)
+
+
+def _family_min(f, seed: float, u: Field, params: CknParams) -> tuple[float, float]:
+    """(log lam, shift) minimising f(log lam, shift) over the family.
+
+    The shift moves only for axisymmetric u with a = b = 0: Brent over
+    the dilation-profiled minimum, from the checked bracket (-1, 0, 1).
+    """
+    if u.is_radial or params.a != 0.0 or params.b != 0.0:
+        return _bracketed_min(lambda t: f(t, 0.0), seed)[1], 0.0
+    profile = lru_cache(maxsize=None)(lambda s: _bracketed_min(lambda t: f(t, s), seed))
+    ends = [profile(s)[0] for s in (-1.0, 0.0, 1.0)]
+    if not (ends[1] < ends[0] and ends[1] < ends[2]):
+        raise OptimizerStall("axial shift minimum not bracketed by (-1, 0, 1)")
+    shift = _brent(lambda s: profile(s)[0], -1.0, 0.0, 1.0)[1]
+    return profile(shift)[1], shift
+
+
+def _slope_curv(g, h, w, p, amp) -> tuple[float, float]:
+    """First and second derivative of the energy in amp."""
+    r = g - amp * h
+    mag = np.sqrt(np.sum(r * r, axis=0))
+    rh = np.sum(r * h, axis=0)
+    flux = _flux_factor(mag, p - 2.0)
+    # where the residual vanishes its curvature weights are zero
+    cos = np.divide(rh, mag, out=np.zeros_like(rh), where=mag > 0.0)
+    curv = flux * (np.sum(h * h, axis=0) + (p - 2.0) * cos**2)
+    return -p * float(np.sum(w * flux * rh)), p * float(np.sum(w * curv))
+
+
+def _profiled_amplitude(g, h, w, p) -> float:
+    """argmin over A of the energy sum w |g - A h|^p, convex in A.
+
+    The p = 2 projection, which starts trust-region Newton otherwise.
+    Newton minimises half the squared slope with the Gauss-Newton
+    Hessian: its steps are Newton steps for the energy, but it compares
+    slopes, which a residual the amplitude cannot reach (a far bump)
+    does not drown in rounding as it drowns the energy.  The caller
+    certifies the result.
+    """
+    hh = float(np.sum(w * np.sum(h * h, axis=0)))
+    amp0 = float(np.sum(w * np.sum(g * h, axis=0))) / hh if hh > 0.0 else 0.0
+    derivs = lru_cache(maxsize=1)(lambda amp: _slope_curv(g, h, w, p, amp))
+    curv0 = derivs(amp0)[1] if p != 2.0 else 0.0
+    if not curv0 > 0.0:
+        return amp0  # p = 2, or the residual vanishes wherever h does not
+    unit = abs(amp0) or 1.0
+
+    def fun(x):  # x = A / unit; step: relative Newton step at curv0
+        slope, curv = derivs(unit * x[0])
+        step = slope / (unit * curv0)
+        return 0.5 * step**2, np.array([step * curv / curv0])
+
+    def hess(x):
+        return np.array([[(derivs(unit * x[0])[1] / curv0) ** 2]])
+
+    x0 = [amp0 / unit]
+    opts = {"gtol": 1e-15}
+    res = minimize(fun, x0, method="trust-exact", jac=True, hess=hess, options=opts)
+    return unit * float(res.x[0])
+
+
+def manifold_distance(u: Field, params: CknParams) -> tuple[float, Bubble]:
+    """Metric projection distance (D_a^p metric) to the family, and the bubble.
+
+    The amplitude is profiled out and the dilation (and the axial shift
+    of an axisymmetric field with a = b = 0) searched by _family_min
+    from the q-mass moment seed.  ZeroField for a zero input.
+    OptimizerStall when the certificate fails: a minimum is not
+    bracketed, or, at a distance above ROUNDING_FLOOR of the gradient
+    norm, the amplitude's relative first-order residual
+    |sum w |r|^(p-2) r.h| / (||r||^(p-1) ||h||) exceeds AMPLITUDE_RTOL.
+    By convexity in A, the distance exceeds its minimum over A by at
+    most twice that residual, relatively.
     """
     if u.grad_r is None or not np.any(u.values):
         raise ZeroField("projection needs a nonzero field with gradient data")
@@ -243,57 +326,29 @@ def manifold_distance(
     if unorm == 0.0:
         raise ZeroField("zero gradient norm")
 
-    log_lam = moment_seed(u, params)
-    seed_log_b = params.sigma * log_lam
-    seed_amp = canonical_bubble(params, math.exp(log_lam)).amplitude
-    sig, m = params.sigma, params.bubble_m
-    with_shift = not u.is_radial and params.a == 0.0 and params.b == 0.0
-    nodes = u.grid.nodes
-    power = params.n - 1.0 - p * params.a
+    def stack(log_lam, shift):
+        # gradients of u and of the unit-amplitude bubble, and the weights
+        bub = Bubble(amplitude=1.0, scale=math.exp(log_lam), axial_shift=shift)
+        comps, w = _gradient_stack([u, _bubble_on(u, params, bub)], params)
+        return comps[..., 0], comps[..., 1], w
 
-    def objective(theta):
-        amp, b_coeff = theta[0], math.exp(theta[1])
-        if with_shift and theta[2] != 0.0:
-            scale = b_coeff ** (1.0 / sig)
-            bub = sample_bubble(params, Bubble(amplitude=amp, scale=scale), u.grid)
-            diff = u - translate_axisym(bub, theta[2], params, len(u.psi_nodes))
-        else:
-            # gradients only: the bubble's values never enter the metric
-            _, dv = bubble_evaluator(amp, b_coeff, sig, m)(nodes)
-            diff = replace(u, grad_r=u.grad_r - dv[:, None])
-        return u.integrate(power, diff.grad_sq() ** (p / 2.0)) ** (1.0 / p)
+    def distance_sq(log_lam, shift):
+        # squared, the distance is smooth at a zero and Brent's parabolas are exact
+        g, h, w = stack(log_lam, shift)
+        return _energy(w, g - _profiled_amplitude(g, h, w, p) * h, p) ** (2.0 / p)
 
-    x0 = [seed_amp, seed_log_b] + ([0.0] if with_shift else [])
-    finals = []
-    best = None
-    for i in range(restarts):
-        da, db = NM_OFFSETS[i % len(NM_OFFSETS)]
-        start = list(x0)
-        start[0] *= 1.0 + da
-        start[1] += db
-        res = minimize(
-            objective,
-            start,
-            method="Nelder-Mead",
-            options=dict(xatol=1e-12, fatol=1e-14, maxiter=4000, maxfev=8000),
-        )
-        finals.append(res.fun)
-        if best is None or res.fun < best.fun:
-            best = res
-    reproduced = _check_reproduced(best.fun, finals, 1e-6 * unorm)
-    if reproduced < 3:
+    log_lam, shift = _family_min(distance_sq, moment_seed(u, params), u, params)
+    g, h, w = stack(log_lam, shift)
+    amp = _profiled_amplitude(g, h, w, p)
+    dist = _energy(w, g - amp * h, p) ** (1.0 / p)
+    # slope / p over the Hoelder bound ||r||^(p-1) ||h||; h = 0 has slope 0
+    den = p * dist ** (p - 1.0) * _energy(w, h, p) ** (1.0 / p)
+    slope = abs(_slope_curv(g, h, w, p, amp)[0])
+    if slope > AMPLITUDE_RTOL * den and dist > ROUNDING_FLOOR * unorm:
         raise OptimizerStall(
-            f"best distance {best.fun:.6e} reproduced by only {reproduced} of "
-            f"{restarts} restarts"
+            f"amplitude first-order residual {slope / den:.3e} > {AMPLITUDE_RTOL:g}"
         )
-    amp, log_b = best.x[0], best.x[1]
-    shift = float(best.x[2]) if with_shift else 0.0
-    bub = Bubble(
-        amplitude=float(amp),
-        scale=float(math.exp(log_b) ** (1.0 / sig)),
-        axial_shift=shift,
-    )
-    return float(best.fun), bub
+    return dist, Bubble(amplitude=amp, scale=math.exp(log_lam), axial_shift=shift)
 
 
 # ---------------------------------------------------------------------------
@@ -309,62 +364,19 @@ def _q_pairing(u: Field, v: Field, params: CknParams) -> float:
 def select_Pu(u: Field, params: CknParams) -> Bubble:
     """Dilation-picked representative: maximise the q-pairing over lam.
 
-    Golden-section on log(lam) in a window of width 16 around the
-    moment seed, with a coarse pre-scan to pick the basin; ties resolve
-    to the smallest |log lam|.  The caller is responsible for the
-    closeness gate; this routine only needs a nonzero field.
+    Minus the pairing goes through _family_min from the moment seed
+    (OptimizerStall when the maximum is not bracketed).  The caller is
+    responsible for the closeness gate; this only needs a nonzero field.
     """
     if not np.any(u.values):
         raise ZeroField("representative undefined for the zero field")
-    seed = moment_seed(u, params)
 
-    def neg_pairing(log_lam, shift=0.0):
+    def neg_pairing(log_lam, shift):
         bub = canonical_bubble(params, math.exp(log_lam), axial_shift=shift)
         return -_q_pairing(u, _bubble_on(u, params, bub), params)
 
-    scan = np.linspace(seed - 8.0, seed + 8.0, 33)
-    vals = np.array([neg_pairing(s) for s in scan])
-    # local minima of the scan, then golden refinement of each basin
-    cand_idx = [
-        i
-        for i in range(1, len(scan) - 1)
-        if vals[i] <= vals[i - 1] and vals[i] <= vals[i + 1]
-    ]
-    if not cand_idx:
-        cand_idx = [int(np.argmin(vals))]
-    results = []
-    step = scan[1] - scan[0]
-    for i in cand_idx:
-        res = minimize_scalar(
-            neg_pairing,
-            bracket=(scan[i] - step, scan[i], scan[i] + step),
-            method="golden",
-            options=dict(xtol=1e-12),
-        )
-        results.append((res.fun, float(res.x)))
-    best_fun = min(r[0] for r in results)
-    # ties at 1e-12 relative resolve toward the identity dilation
-    close = [x for f, x in results if f - best_fun <= 1e-12 * abs(best_fun)]
-    log_lam = min(close, key=abs)
-    lam = math.exp(log_lam)
-
-    if not u.is_radial and params.a == 0.0 and params.b == 0.0:
-        # alternate one axial-shift pass and one more dilation pass
-        res_s = minimize_scalar(
-            lambda s: neg_pairing(log_lam, s),
-            bracket=(-1.0, 0.0, 1.0),
-            method="golden",
-            options=dict(xtol=1e-10),
-        )
-        shift = float(res_s.x)
-        res2 = minimize_scalar(
-            lambda ll: neg_pairing(ll, shift),
-            bracket=(log_lam - step, log_lam, log_lam + step),
-            method="golden",
-            options=dict(xtol=1e-12),
-        )
-        return canonical_bubble(params, math.exp(float(res2.x)), axial_shift=shift)
-    return canonical_bubble(params, lam)
+    log_lam, shift = _family_min(neg_pairing, moment_seed(u, params), u, params)
+    return canonical_bubble(params, math.exp(log_lam), axial_shift=shift)
 
 
 # ---------------------------------------------------------------------------

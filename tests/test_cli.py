@@ -286,6 +286,8 @@ def test_main_report_exit(tmp_path, capsys):
         ("project", [[3, 2.0, 0.0, 0.0]], {"bubbles": [[-1.0, 1.0]]}, "bubbles[0]"),
         ("ineq-const", [], {"cases": [[7, 3.0]]}, "options.cases[0]"),
         ("spectral-gap", [[4, 3.0, 0.2, 0.4]], {"count": 0}, "options.count"),
+        ("embedding-check", [[3, 2.0, 0.0, 0.0]], {"lam": 0.0}, "options.lam"),
+        ("embedding-check", [[3, 2.0, 0.0, 0.0]], {"lam": -1.0}, "options.lam"),
     ],
 )
 def test_main_out_of_range_option_exit(

@@ -5,17 +5,21 @@ import math
 import numpy as np
 import pytest
 
-from cknlab import ZeroField, derive_params, sharp_constant
+from scipy.optimize import OptimizeResult, minimize
+
+from cknlab import OptimizerStall, ZeroField, derive_params, sharp_constant
+from cknlab import manifold
 from cknlab.fields import (
     Bubble,
     Field,
+    bubble_evaluator,
     gaussian_bump_profile,
     make_radial_grid,
     sample_bubble,
+    translate_axisym,
 )
 from cknlab.functionals import weighted_grad_pnorm, weighted_lq_norm
 from cknlab.manifold import (
-    _check_reproduced,
     bubble_normalization,
     canonical_bubble,
     canonical_profile,
@@ -119,9 +123,101 @@ def test_distance_zero_field():
         manifold_distance(z, ps)
 
 
-def test_reproduction_counter():
-    assert _check_reproduced(1.0, [1.0, 1.00005, 1.2, 1.00009, 5.0], 1e-6) == 3
-    assert _check_reproduced(0.0, [0.0, 1e-12, 0.5], 1e-6) == 2
+def _rel_distance(u, ps):
+    dist, bub = manifold_distance(u, ps)
+    return dist / weighted_grad_pnorm(u, ps) ** (1.0 / ps.p), bub
+
+
+def _shifted_bubble():
+    ps = derive_params(3, 2, 0, 0)
+    grid = make_radial_grid(-20, 20, 256)
+    u = 1.2 * translate_axisym(canonical_profile(ps, grid, 1.4), 0.3, ps, 32)
+    return ps, u
+
+
+def test_distance_recovers_axial_shift():
+    ps, u = _shifted_bubble()
+    rel, bub = _rel_distance(u, ps)
+    assert rel <= 1e-8
+    assert bub.axial_shift == pytest.approx(0.3, abs=1e-6)
+    assert bub.scale == pytest.approx(1.4, rel=1e-6)
+
+
+def test_select_pu_recovers_axial_shift():
+    ps, u = _shifted_bubble()
+    got = select_Pu(u, ps)
+    assert got.axial_shift == pytest.approx(0.3, abs=1e-6)
+    assert got.scale == pytest.approx(1.4, rel=1e-6)
+
+
+P_BELOW_TWO = (3, 1.5, 0.1, 0.3)
+
+
+def test_distance_zero_on_manifold_p_below_two():
+    ps = derive_params(*P_BELOW_TWO)
+    grid = make_radial_grid(-30, 30, 2048)
+    rel, bub = _rel_distance(1.1 * canonical_profile(ps, grid, 1.3), ps)
+    assert rel <= 1e-10
+    assert bub.scale == pytest.approx(1.3, rel=1e-6)
+
+
+def test_distance_p_below_two_matches_nelder_mead():
+    # reference: the (amplitude, log B) simplex search with five starts
+    ps = derive_params(*P_BELOW_TWO)
+    grid = make_radial_grid(-30, 30, 2048)
+    u = canonical_profile(ps, grid, 1.3) + 0.02 * gaussian_bump_profile(
+        grid, ps.n, 0.5, 1.0
+    )
+    w = grid.radial_weights(ps.n - 1.0 - ps.p * ps.a) * u.psi_weights[0]
+
+    def dist(theta):
+        _, dv = bubble_evaluator(theta[0], math.exp(theta[1]), ps.sigma, ps.bubble_m)(
+            grid.nodes
+        )
+        return np.sum(w * np.abs(u.grad_r[:, 0] - dv) ** ps.p) ** (1.0 / ps.p)
+
+    amp0 = canonical_bubble(ps, 1.3).amplitude
+    starts = [(0.0, 0.0), (0.1, 0.5), (-0.1, -0.5), (0.2, -0.3), (-0.15, 0.4)]
+    ref = min(
+        minimize(
+            dist,
+            [amp0 * (1.0 + da), ps.sigma * math.log(1.3) + db],
+            method="Nelder-Mead",
+            options=dict(xatol=1e-12, fatol=1e-14, maxiter=4000, maxfev=8000),
+        ).fun
+        for da, db in starts
+    )
+    dist_new, _ = manifold_distance(u, ps)
+    assert dist_new == pytest.approx(ref, rel=1e-9)
+
+
+def _perturbed_p25():
+    ps = derive_params(4, 2.5, 0.2, 0.5)
+    grid = make_radial_grid(count=1024)
+    u = canonical_profile(ps, grid) + 0.05 * gaussian_bump_profile(grid, ps.n, 1.0, 1.0)
+    return ps, u
+
+
+def test_certificate_unbracketed_scan_raises(monkeypatch):
+    # seeded 20 away, the scan window ends before the minimum
+    ps, u = _perturbed_p25()
+    seed = manifold.moment_seed
+    monkeypatch.setattr(manifold, "moment_seed", lambda f, ps: seed(f, ps) + 20.0)
+    with pytest.raises(OptimizerStall, match="no interior minimum"):
+        manifold_distance(u, ps)
+
+
+def test_certificate_first_order_residual_raises(monkeypatch):
+    # an amplitude solver that never moves leaves the p = 2 projection,
+    # which misses the p = 2.5 first-order condition
+    def stuck(fun, x0, **kwargs):
+        x = np.asarray(x0, dtype=float)
+        return OptimizeResult(x=x, fun=fun(x)[0], nfev=1, nit=0, success=False)
+
+    ps, u = _perturbed_p25()
+    monkeypatch.setattr(manifold, "minimize", stuck)
+    with pytest.raises(OptimizerStall, match="first-order residual"):
+        manifold_distance(u, ps)
 
 
 def test_select_pu_recovers_scale():
