@@ -18,9 +18,10 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
-from typing import Optional
+from types import SimpleNamespace
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -105,94 +106,183 @@ class ResultRecord:
 
 
 # ---------------------------------------------------------------------------
+# readers: (value, path) -> value, raising a ConfigError that names path
+
+_REQUIRED = object()  # default of a key that must be present
+
+
+def _number(value, path: str):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{path} must be a number, got {value!r}")
+    return value
+
+
+def _real(value, path: str) -> float:
+    return float(_number(value, path))
+
+
+def _positive(value, path: str) -> float:
+    value = _real(value, path)
+    if not value > 0.0:
+        raise ConfigError(f"{path} must be positive, got {value}")
+    return value
+
+
+def _count(lo: int, hi: float = math.inf):
+    """Reader of an integer in lo..hi."""
+
+    def read(value, path: str) -> int:
+        if isinstance(value, bool) or not isinstance(value, int) or not lo <= value <= hi:
+            raise ConfigError(f"{path} must be an integer in {lo}..{hi}, got {value!r}")
+        return value
+
+    return read
+
+
+def _of_type(kind: type, name: str):
+    def read(value, path: str):
+        if not isinstance(value, kind):
+            raise ConfigError(f"{path} must be {name}, got {value!r}")
+        return value
+
+    return read
+
+
+_flag = _of_type(bool, "true or false")
+_string = _of_type(str, "a string")
+_object = _of_type(dict, "an object")
+
+
+def _list_of(read, length: Optional[int] = None):
+    """Reader of a list (of exactly `length` items when given), item by item."""
+
+    def read_list(value, path: str) -> list:
+        if not isinstance(value, list) or (length is not None and len(value) != length):
+            shape = "a list" if length is None else f"a list of {length} items"
+            raise ConfigError(f"{path} must be {shape}, got {value!r}")
+        return [read(item, f"{path}[{i}]") for i, item in enumerate(value)]
+
+    return read_list
+
+
+def _read_keys(mapping: dict, table: dict, path: str) -> dict:
+    """Read `mapping` against name -> (reader, default).
+
+    Unknown keys are rejected with the allowed ones listed; a missing key
+    takes its default, which goes through the reader too (None stays None).
+    """
+    unknown = sorted(set(mapping) - set(table))
+    if unknown:
+        allowed = ", ".join(sorted(table)) or "none"
+        raise ConfigError(f"unknown key {path}.{unknown[0]} (allowed: {allowed})")
+    out = {}
+    for name, (read, default) in table.items():
+        if name in mapping:
+            out[name] = read(mapping[name], f"{path}.{name}")
+        elif default is _REQUIRED:
+            raise ConfigError(f"missing key {path}.{name}")
+        else:
+            out[name] = None if default is None else read(default, f"{path}.{name}")
+    return out
+
+
+_TUPLE_KEYS = {key: (_number, _REQUIRED) for key in ("n", "p", "a", "b")}
+
+
+def _tuple(value, path: str) -> tuple:
+    """[n, p, a, b], or the same as an object, -> (int, float, float, float)."""
+    if isinstance(value, dict):
+        value = list(_read_keys(value, _TUPLE_KEYS, path).values())
+    n, p, a, b = _list_of(_number, 4)(value, path)
+    return (_count(1)(n, f"{path}[0]"), float(p), float(a), float(b))
+
+
+def _grid(value, path: str) -> tuple:
+    t_min, t_max, count = _list_of(_number, 3)(value, path)
+    return (float(t_min), float(t_max), _count(1)(count, f"{path}[2]"))
+
+
+def _kind(value, path: str) -> str:
+    if value not in ("radial", "axisym"):
+        raise ConfigError(f"{path}: unknown kind {value!r}")
+    return value
+
+
+_FIELD_KEYS = {
+    "kind": (_kind, "radial"),
+    "center": (_real, 0.5),
+    "width": (_real, 1.0),
+    "cos_coeff": (_real, 0.3),
+}
+
+
+def _field_spec(value, path: str) -> SimpleNamespace:
+    return SimpleNamespace(**_read_keys(_object(value, path), _FIELD_KEYS, path))
+
+
+def _bubble(value, path: str) -> tuple:
+    """[lam, amp] with lam > 0."""
+    lam, amp = _list_of(_real, 2)(value, path)
+    return _positive(lam, f"{path}[0]"), amp
+
+
+def _case(value, path: str) -> tuple:
+    """[case, exponent] with case 1..6."""
+    case, exponent = _list_of(_number, 2)(value, path)
+    return _count(1, 6)(case, f"{path}[0]"), float(exponent)
+
+
+# ---------------------------------------------------------------------------
 # config parsing
 
-_TOP_KEYS = {
-    "experiment": str,
-    "operation": str,
-    "params": list,
-    "grid": list,
-    "family": dict,
-    "tolerances": dict,
-    "seed": int,
-    "options": dict,
+
+def _operation(value, path: str) -> str:
+    if _string(value, path) not in OPERATIONS:
+        raise ConfigError(f"{path}: unknown operation {value!r}")
+    return value
+
+
+def _tolerances(value, path: str) -> dict:
+    return {k: _number(v, f"{path}.{k}") for k, v in _object(value, path).items()}
+
+
+_FAMILY_KEYS = {
+    "name": (_string, _REQUIRED),
+    "seed": (_count(0), 0),
+    "options": (_object, {}),
 }
-_FAMILY_KEYS = {"name": str, "seed": int, "options": dict}
 
 
-def _reject_unknown(mapping: dict, allowed: dict, path: str) -> None:
-    for key in mapping:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {path}.{key}")
-        want = allowed[key]
-        if want is int:
-            if not isinstance(mapping[key], int) or isinstance(mapping[key], bool):
-                raise ConfigError(f"{path}.{key} must be an integer")
-        elif not isinstance(mapping[key], want):
-            raise ConfigError(f"{path}.{key} must be {want.__name__}")
+def _family(value, path: str) -> GeneratorSpec:
+    spec = _read_keys(_object(value, path), _FAMILY_KEYS, path)
+    return GeneratorSpec(family=spec["name"], seed=spec["seed"], options=spec["options"])
+
+
+_CONFIG_KEYS = {
+    "experiment": (_string, _REQUIRED),
+    "operation": (_operation, _REQUIRED),
+    "params": (_list_of(_tuple), []),
+    "grid": (_grid, list(DEFAULT_GRID)),
+    "family": (_family, None),
+    "tolerances": (_tolerances, {}),
+    "seed": (_count(0), 0),
+    "options": (_object, {}),
+}
 
 
 def _parse_config(raw: dict) -> ExperimentConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    _reject_unknown(raw, _TOP_KEYS, "config")
-    for key in ("experiment", "operation"):
-        if key not in raw:
-            raise ConfigError(f"missing key config.{key}")
-    operation = raw["operation"]
-    if operation not in OPERATIONS:
-        raise ConfigError(f"config.operation: unknown operation {operation!r}")
-
-    tuples = []
-    for i, item in enumerate(raw.get("params", [])):
-        if isinstance(item, dict):
-            for key in item:
-                if key not in ("n", "p", "a", "b"):
-                    raise ConfigError(f"unknown key config.params[{i}].{key}")
-            for key in ("n", "p", "a", "b"):
-                if key not in item:
-                    raise ConfigError(f"missing key config.params[{i}].{key}")
-            item = [item["n"], item["p"], item["a"], item["b"]]
-        if not isinstance(item, list) or len(item) != 4:
-            raise ConfigError(f"config.params[{i}] must be [n, p, a, b]")
-        for j, entry in enumerate(item):
-            if not isinstance(entry, (int, float)) or isinstance(entry, bool):
-                raise ConfigError(f"config.params[{i}][{j}] must be a number")
-        tuples.append((int(item[0]), float(item[1]), float(item[2]), float(item[3])))
-    if not tuples and operation in _NEEDS_PARAMS:
+    fields = _read_keys(_object(raw, "config"), _CONFIG_KEYS, "config")
+    operation, params = fields["operation"], tuple(fields["params"])
+    arity = OPERATIONS[operation].tuples
+    if arity == "none" and params:
+        raise ConfigError(f"config.params: {operation} takes no parameter tuples")
+    if arity != "none" and not params:
         raise ConfigError("missing key config.params")
-
-    grid_raw = raw.get("grid", list(DEFAULT_GRID))
-    if len(grid_raw) != 3:
-        raise ConfigError("config.grid must be [t_min, t_max, count]")
-    grid = (float(grid_raw[0]), float(grid_raw[1]), int(grid_raw[2]))
-
-    family = None
-    if "family" in raw:
-        _reject_unknown(raw["family"], _FAMILY_KEYS, "config.family")
-        if "name" not in raw["family"]:
-            raise ConfigError("missing key config.family.name")
-        family = GeneratorSpec(
-            family=raw["family"]["name"],
-            seed=raw["family"].get("seed", 0),
-            options=raw["family"].get("options", {}),
+    if arity == "one" and len(params) > 1:
+        raise ConfigError(
+            f"config.params: {operation} takes exactly one tuple, got {len(params)}"
         )
-
-    tolerances = raw.get("tolerances", {})
-    for key, val in tolerances.items():
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
-            raise ConfigError(f"config.tolerances.{key} must be a number")
-
-    return ExperimentConfig(
-        experiment=raw["experiment"],
-        operation=operation,
-        params=tuple(tuples),
-        grid=grid,
-        family=family,
-        tolerances=dict(tolerances),
-        seed=raw.get("seed", 0),
-        options=dict(raw.get("options", {})),
-    )
+    return ExperimentConfig(**{**fields, "params": params})
 
 
 def load_config(config_path: str) -> ExperimentConfig:
@@ -206,10 +296,14 @@ def load_config(config_path: str) -> ExperimentConfig:
     return _parse_config(raw)
 
 
-def _check_options(options: dict, allowed: set, operation: str) -> None:
-    for key in options:
-        if key not in allowed:
-            raise ConfigError(f"unknown key config.options.{key} for {operation}")
+def _settings(cfg: ExperimentConfig) -> SimpleNamespace:
+    """The operation's options and tolerances, checked, with defaults filled in."""
+    op = OPERATIONS[cfg.operation]
+    tolerances = {name: (_number, default) for name, default in op.tolerances.items()}
+    return SimpleNamespace(
+        **_read_keys(cfg.options, op.options, "config.options"),
+        **_read_keys(cfg.tolerances, tolerances, "config.tolerances"),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -235,79 +329,71 @@ def _build_grid(cfg: ExperimentConfig, ctx: _RunContext):
     return make_radial_grid(t_min, t_max, count * ctx.grid_factor)
 
 
-def _field_from_spec(spec: dict, ps, grid, idx: int):
-    allowed = {"kind", "center", "width", "cos_coeff"}
-    for key in spec:
-        if key not in allowed:
-            raise ConfigError(f"unknown key config.options.fields[{idx}].{key}")
-    kind = spec.get("kind", "radial")
-    center = float(spec.get("center", 0.5))
-    width = float(spec.get("width", 1.0))
-    prof = gaussian_bump_profile(grid, ps.n, center, width)
-    if kind == "radial":
+def _build_field(spec: SimpleNamespace, ps, grid):
+    prof = gaussian_bump_profile(grid, ps.n, spec.center, spec.width)
+    if spec.kind == "radial":
         return prof
-    if kind == "axisym":
-        return modulated_axisym(prof, cos_coeff=float(spec.get("cos_coeff", 0.3)))
-    raise ConfigError(f"config.options.fields[{idx}].kind: unknown kind {kind!r}")
+    return modulated_axisym(prof, cos_coeff=spec.cos_coeff)
+
+
+def _columns(rows: list) -> dict:
+    """Per-item row dicts -> one output list per key."""
+    return {key: [row[key] for row in rows] for key in (rows[0] if rows else ())}
 
 
 # ---------------------------------------------------------------------------
-# operation handlers: cfg, ctx -> (outputs, violations)
+# operation handlers: cfg, settings, ctx -> (outputs, violations)
 
 
-def _op_constants(cfg: ExperimentConfig, ctx: _RunContext):
-    _check_options(cfg.options, set(), "constants")
-    rtol = cfg.tolerances.get("pair_rtol", 1e-6)
+def _op_constants(cfg: ExperimentConfig, opt, ctx: _RunContext):
     grid = _build_grid(cfg, ctx)
 
     def one(tup):
         ps = derive_params(*tup)
-        s_closed = sharp_constant(ps)
         flat = flat_params(ps)
-        s_ratio_law = ps.k ** (1.0 / ps.p - 1.0 - 1.0 / ps.q) * sharp_constant(flat)
         v = canonical_profile(ps, grid)
-        s_rayleigh = grad_norm(v, ps) / q_norm(v, ps)
-        return ps, s_closed, s_ratio_law, s_rayleigh
+        return {
+            "q": float(ps.q),
+            "gamma": float(ps.gamma),
+            "k": float(ps.k),
+            "S_closed": float(sharp_constant(ps)),
+            "S_ratio_law": float(
+                ps.k ** (1.0 / ps.p - 1.0 - 1.0 / ps.q) * sharp_constant(flat)
+            ),
+            "S_rayleigh": float(grad_norm(v, ps) / q_norm(v, ps)),
+            "alpha": float(alpha_exponent(ps)),
+        }
 
     rows = _map_ordered(one, list(cfg.params), ctx.threads)
-    outputs = {
-        "tuples": [list(t) for t in cfg.params],
-        "q": [float(r[0].q) for r in rows],
-        "gamma": [float(r[0].gamma) for r in rows],
-        "k": [float(r[0].k) for r in rows],
-        "S_closed": [float(r[1]) for r in rows],
-        "S_ratio_law": [float(r[2]) for r in rows],
-        "S_rayleigh": [float(r[3]) for r in rows],
-        "alpha": [float(alpha_exponent(r[0])) for r in rows],
-    }
     violations = []
-    for i, (_, sc, sr, sq) in enumerate(rows):
+    for i, row in enumerate(rows):
+        sc, sr, sq = row["S_closed"], row["S_ratio_law"], row["S_rayleigh"]
         worst = max(abs(sc - sr), abs(sc - sq), abs(sr - sq)) / sc
-        if worst > rtol:
+        if worst > opt.pair_rtol:
             violations.append(
-                f"params[{i}]: sharp-constant routes disagree ({worst:.3e} > {rtol:.1e})"
+                f"params[{i}]: sharp-constant routes disagree "
+                f"({worst:.3e} > {opt.pair_rtol:.1e})"
             )
-    return outputs, violations
+    return {"tuples": [list(t) for t in cfg.params], **_columns(rows)}, violations
 
 
-def _op_transform_check(cfg: ExperimentConfig, ctx: _RunContext):
-    _check_options(cfg.options, {"fields"}, "transform-check")
-    tol = cfg.tolerances.get("identity_tol", 1e-8)
+def _op_transform_check(cfg: ExperimentConfig, opt, ctx: _RunContext):
+    tol = opt.identity_tol
     grid = _build_grid(cfg, ctx)
-    specs = cfg.options.get("fields", [{"kind": "radial"}])
-
-    q_res, g_res, drops, labels = [], [], [], []
-    violations = []
+    rows, violations = [], []
     for i, tup in enumerate(cfg.params):
         ps = derive_params(*tup)
-        for j, spec in enumerate(specs):
-            u = _field_from_spec(spec, ps, grid, j)
-            rep = transform_identity_check(u, ps)
+        for j, spec in enumerate(opt.fields):
+            rep = transform_identity_check(_build_field(spec, ps, grid), ps)
             label = f"params[{i}]/fields[{j}]"
-            labels.append(label)
-            q_res.append(float(rep.q_norm_residual))
-            g_res.append(float(rep.grad_identity_residual))
-            drops.append(float(rep.k_drop_gap))
+            rows.append(
+                {
+                    "labels": label,
+                    "q_norm_residual": float(rep.q_norm_residual),
+                    "grad_identity_residual": float(rep.grad_identity_residual),
+                    "k_drop_gap": float(rep.k_drop_gap),
+                }
+            )
             if rep.q_norm_residual > tol:
                 violations.append(f"{label}: q-norm residual {rep.q_norm_residual:.3e}")
             if rep.grad_identity_residual > tol:
@@ -316,149 +402,100 @@ def _op_transform_check(cfg: ExperimentConfig, ctx: _RunContext):
                 )
             if rep.k_drop_gap < -1e-12:
                 violations.append(f"{label}: negative angular drop {rep.k_drop_gap:.3e}")
-    outputs = {
-        "labels": labels,
-        "q_norm_residual": q_res,
-        "grad_identity_residual": g_res,
-        "k_drop_gap": drops,
-    }
-    return outputs, violations
+    return _columns(rows), violations
 
 
-def _op_project(cfg: ExperimentConfig, ctx: _RunContext):
-    allowed = {"eps", "center", "width", "bubbles", "dual_basis"}
-    _check_options(cfg.options, allowed, "project")
+def _op_project(cfg: ExperimentConfig, opt, ctx: _RunContext):
     grid = _build_grid(cfg, ctx)
-    if "bubbles" in cfg.options:
-        return _project_exact_bubbles(cfg, grid)
-    eps = float(cfg.options.get("eps", 1e-2))
-    center = float(cfg.options.get("center", 0.5))
-    width = float(cfg.options.get("width", 1.0))
-
-    dists, mus, rho_rel, tang = [], [], [], []
+    if opt.bubbles is not None:
+        return _project_exact_bubbles(cfg, opt, grid)
+    rows = []
     for tup in cfg.params:
         ps = derive_params(*tup)
-        u = perturbed_bubble(ps, grid, eps, center, width)
+        u = perturbed_bubble(ps, grid, opt.eps, opt.center, opt.width)
         dist, bub = manifold_distance(u, ps)
         dec = mu_rho_decompose(u, bub, ps)
         unorm = weighted_grad_pnorm(u, ps) ** (1.0 / ps.p)
         rn = weighted_grad_pnorm(dec.rho, ps) ** (1.0 / ps.p)
-        dists.append(float(dist))
-        mus.append(float(dec.mu))
-        rho_rel.append(float(rn / unorm))
-        tang.append(float(max(abs(t) for t in dec.tangent_residuals)))
-    outputs = {
-        "tuples": [list(t) for t in cfg.params],
-        "distance": dists,
-        "mu": mus,
-        "rho_rel_norm": rho_rel,
-        "max_tangent_residual": tang,
-    }
-    return outputs, []
+        rows.append(
+            {
+                "distance": float(dist),
+                "mu": float(dec.mu),
+                "rho_rel_norm": float(rn / unorm),
+                "max_tangent_residual": float(max(abs(t) for t in dec.tangent_residuals)),
+            }
+        )
+    return {"tuples": [list(t) for t in cfg.params], **_columns(rows)}, []
 
 
-def _project_exact_bubbles(cfg: ExperimentConfig, grid):
+def _project_exact_bubbles(cfg: ExperimentConfig, opt, grid):
     """Deficit and dual residual on exact manifold points (scaled bubbles)."""
-    bubbles = [(float(lam), float(amp)) for lam, amp in cfg.options["bubbles"]]
-    for i, (lam, _) in enumerate(bubbles):
-        if not lam > 0.0:
-            raise ConfigError(
-                f"config.options.bubbles[{i}]: lam must be positive, got {lam}"
-            )
-    basis_size = int(cfg.options.get("dual_basis", 8))
-    deficit_tol = float(cfg.tolerances.get("deficit_tol", 1e-6))
-    dual_tol = float(cfg.tolerances.get("dual_tol", 1e-5))
-
-    defs, duals, violations = [], [], []
+    rows, violations = [], []
     for i, tup in enumerate(cfg.params):
         ps = derive_params(*tup)
-        row_d, row_r = [], []
-        for lam, amp in bubbles:
+        row = {"deficit": [], "dual_residual": []}
+        for lam, amp in opt.bubbles:
             u = amp * canonical_profile(ps, grid, lam)
             d = float(deficit(u, ps))
-            row_d.append(d)
-            if abs(d) > deficit_tol:
+            row["deficit"].append(d)
+            if abs(d) > opt.deficit_tol:
                 violations.append(
                     f"params[{i}] lam={lam:g} amp={amp:g}: deficit {d:.3e}"
                 )
             # the residual functional is stationarity-based, so only the
             # normalized representative amp == 1 is expected to annihilate it
             if amp == 1.0:
-                r = float(dual_norm_estimate(u, ps, basis_size).value)
-                row_r.append(r)
-                if r > dual_tol:
+                r = float(dual_norm_estimate(u, ps, opt.dual_basis).value)
+                row["dual_residual"].append(r)
+                if r > opt.dual_tol:
                     violations.append(
                         f"params[{i}] lam={lam:g}: dual residual {r:.3e}"
                     )
             else:
-                row_r.append(None)
-        defs.append(row_d)
-        duals.append(row_r)
+                row["dual_residual"].append(None)
+        rows.append(row)
     outputs = {
         "tuples": [list(t) for t in cfg.params],
-        "bubbles": [list(b) for b in bubbles],
-        "deficit": defs,
-        "dual_residual": duals,
+        "bubbles": [list(b) for b in opt.bubbles],
+        **_columns(rows),
     }
     return outputs, violations
 
 
-def _op_stability_scan(cfg: ExperimentConfig, ctx: _RunContext):
-    _check_options(cfg.options, {"samples"}, "stability-scan")
+def _op_stability_scan(cfg: ExperimentConfig, opt, ctx: _RunContext):
     if cfg.family is None:
         raise ConfigError("missing key config.family for stability-scan")
-    samples = int(cfg.options.get("samples", 30))
-    if samples < 1:
-        raise ConfigError(f"config.options.samples must be >= 1, got {samples}")
 
     def one(tup):
-        ps = derive_params(*tup)
-        return k_upper_scan(cfg.family, ps, sample_count=samples)
+        scan = k_upper_scan(cfg.family, derive_params(*tup), sample_count=opt.samples)
+        return {
+            "bound": float(scan.bound),
+            "alpha": float(scan.alpha),
+            "used": int(scan.used_count),
+            "skipped": int(scan.skipped_count),
+            "minimizer_tag": scan.minimizer.family_tag,
+            "caveat": bool(scan.caveat),
+        }
 
-    scans = _map_ordered(one, list(cfg.params), ctx.threads)
-    outputs = {
-        "tuples": [list(t) for t in cfg.params],
-        "bound": [float(s.bound) for s in scans],
-        "alpha": [float(s.alpha) for s in scans],
-        "used": [int(s.used_count) for s in scans],
-        "skipped": [int(s.skipped_count) for s in scans],
-        "minimizer_tag": [s.minimizer.family_tag for s in scans],
-        "caveat": [bool(s.caveat) for s in scans],
-    }
-    violations = []
-    for i, s in enumerate(scans):
-        if s.bound <= 0.0:
-            violations.append(f"params[{i}]: nonpositive stability ratio {s.bound:.3e}")
-    return outputs, violations
+    rows = _map_ordered(one, list(cfg.params), ctx.threads)
+    violations = [
+        f"params[{i}]: nonpositive stability ratio {row['bound']:.3e}"
+        for i, row in enumerate(rows)
+        if row["bound"] <= 0.0
+    ]
+    return {"tuples": [list(t) for t in cfg.params], **_columns(rows)}, violations
 
 
-def _op_slope_fit(cfg: ExperimentConfig, ctx: _RunContext):
-    allowed = {
-        "eps_start",
-        "eps_stop",
-        "eps_count",
-        "center",
-        "width",
-        "assert_slope",
-        "expected",
-    }
-    _check_options(cfg.options, allowed, "slope-fit")
-    rtol = cfg.tolerances.get("slope_rtol", 0.1)
+def _sweep(opt) -> np.ndarray:
+    return np.logspace(math.log10(opt.eps_start), math.log10(opt.eps_stop), opt.eps_count)
+
+
+def _op_slope_fit(cfg: ExperimentConfig, opt, ctx: _RunContext):
     ps = derive_params(*cfg.params[0])
     grid = _build_grid(cfg, ctx)
-    eps = np.logspace(
-        math.log10(float(cfg.options.get("eps_start", 2.5e-3))),
-        math.log10(float(cfg.options.get("eps_stop", 1e-1))),
-        int(cfg.options.get("eps_count", 6)),
-    )
-    bump = gaussian_bump_profile(
-        grid,
-        ps.n,
-        float(cfg.options.get("center", 10.0)),
-        float(cfg.options.get("width", 1.0)),
-    )
-    fit = exponent_slope_fit(ps, eps, bump)
-    expected = float(cfg.options.get("expected", alpha_exponent(ps)))
+    bump = gaussian_bump_profile(grid, ps.n, opt.center, opt.width)
+    fit = exponent_slope_fit(ps, _sweep(opt), bump)
+    expected = float(alpha_exponent(ps)) if opt.expected is None else opt.expected
     outputs = {
         "tuple": list(cfg.params[0]),
         "slope": float(fit.slope),
@@ -468,113 +505,65 @@ def _op_slope_fit(cfg: ExperimentConfig, ctx: _RunContext):
         "plot_y": [float(math.log10(d)) for d in fit.deficits],
     }
     violations = []
-    if bool(cfg.options.get("assert_slope", True)):
-        if abs(fit.slope - expected) > rtol * expected:
-            violations.append(
-                f"slope {fit.slope:.4f} not within {rtol:.0%} of {expected:.4f}"
-            )
+    if opt.assert_slope and abs(fit.slope - expected) > opt.slope_rtol * expected:
+        violations.append(
+            f"slope {fit.slope:.4f} not within {opt.slope_rtol:.0%} of {expected:.4f}"
+        )
     return outputs, violations
 
 
-def _op_chain_check(cfg: ExperimentConfig, ctx: _RunContext):
-    _check_options(cfg.options, {"base", "fields"}, "chain-check")
-    if "base" not in cfg.options:
-        raise ConfigError("missing key config.options.base for chain-check")
-    base_raw = cfg.options["base"]
-    if not isinstance(base_raw, list) or len(base_raw) != 4:
-        raise ConfigError("config.options.base must be [n, p, a, b]")
-    base = derive_params(int(base_raw[0]), *map(float, base_raw[1:]))
-    qtol = cfg.tolerances.get("qnorm_tol", 1e-8)
-    gap_floor = cfg.tolerances.get("gap_floor", 1e-8)
+def _op_chain_check(cfg: ExperimentConfig, opt, ctx: _RunContext):
+    base = derive_params(*opt.base)
     grid = _build_grid(cfg, ctx)
-    specs = cfg.options.get("fields", [{"kind": "radial"}])
-
-    labels, gaps, q_res, nus, hs = [], [], [], [], []
-    violations = []
+    rows, violations = [], []
     for i, tup in enumerate(cfg.params):
         target = derive_params(*tup)
         hp = derive_hat_params(base, target)
-        for j, spec in enumerate(specs):
-            u = _field_from_spec(spec, target, grid, j)
+        for j, spec in enumerate(opt.fields):
+            u = _build_field(spec, target, grid)
             rec = monotonicity_chain_check(u, hp)
             scale = weighted_grad_pnorm(u, target)
             label = f"params[{i}]/fields[{j}]"
-            labels.append(label)
-            gaps.append(float(rec.grad_chain_gap))
-            q_res.append(float(rec.qnorm_residual))
-            nus.append(float(rec.nu))
-            hs.append(float(hp.h))
-            if rec.qnorm_residual > qtol:
+            rows.append(
+                {
+                    "labels": label,
+                    "grad_chain_gap": float(rec.grad_chain_gap),
+                    "qnorm_residual": float(rec.qnorm_residual),
+                    "nu": float(rec.nu),
+                    "h": float(hp.h),
+                }
+            )
+            if rec.qnorm_residual > opt.qnorm_tol:
                 violations.append(f"{label}: q-norm residual {rec.qnorm_residual:.3e}")
-            if rec.grad_chain_gap < -gap_floor * scale:
+            if rec.grad_chain_gap < -opt.gap_floor * scale:
                 violations.append(f"{label}: chain gap {rec.grad_chain_gap:.3e} below floor")
-    outputs = {
-        "labels": labels,
-        "grad_chain_gap": gaps,
-        "qnorm_residual": q_res,
-        "nu": nus,
-        "h": hs,
-    }
-    return outputs, violations
+    return _columns(rows), violations
 
 
-def _op_embedding_check(cfg: ExperimentConfig, ctx: _RunContext):
-    _check_options(cfg.options, {"radius", "lam"}, "embedding-check")
-    radius = float(cfg.options.get("radius", 1.0))
-    if not radius > 0.0:
-        raise ConfigError(f"config.options.radius must be positive, got {radius}")
-    lam = float(cfg.options.get("lam", 1.0))
-    if not lam > 0.0:
-        raise ConfigError(f"config.options.lam must be positive, got {lam}")
-
-    kbar_grad, kbar_value = [], []
-    violations = []
+def _op_embedding_check(cfg: ExperimentConfig, opt, ctx: _RunContext):
+    t_min, _, count = cfg.grid
+    grid = make_radial_grid(t_min, math.log(opt.radius), count * ctx.grid_factor)
+    rows, violations = [], []
     for i, tup in enumerate(cfg.params):
         ps = derive_params(*tup)
-        t_min, _, count = cfg.grid
-        u = mollified_bubble(
-            ps,
-            radius,
-            grid=make_radial_grid(t_min, math.log(radius), count * ctx.grid_factor),
-            lam=lam,
-        )
-        kg = embedding_check(u, ps, radius, "grad")
-        kv = embedding_check(u, ps, radius, "value")
-        kbar_grad.append(float(kg))
-        kbar_value.append(float(kv))
+        u = mollified_bubble(ps, opt.radius, grid=grid, lam=opt.lam)
+        kg = embedding_check(u, ps, opt.radius, "grad")
+        kv = embedding_check(u, ps, opt.radius, "value")
+        rows.append({"kbar_grad": float(kg), "kbar_value": float(kv)})
         if kg <= 0.0:
             violations.append(f"params[{i}]: grad-variant constant {kg:.3e} <= 0")
         if kv <= 0.0:
             violations.append(f"params[{i}]: value-variant constant {kv:.3e} <= 0")
-    outputs = {
-        "tuples": [list(t) for t in cfg.params],
-        "kbar_grad": kbar_grad,
-        "kbar_value": kbar_value,
-    }
-    return outputs, violations
+    return {"tuples": [list(t) for t in cfg.params], **_columns(rows)}, violations
 
 
-def _op_spectral_gap(cfg: ExperimentConfig, ctx: _RunContext):
-    allowed = {"count", "center_lo", "center_hi", "width_lo", "width_hi"}
-    _check_options(cfg.options, allowed, "spectral-gap")
-    floor = cfg.tolerances.get("ratio_floor", 1.0)
+def _op_spectral_gap(cfg: ExperimentConfig, opt, ctx: _RunContext):
     ps = derive_params(*cfg.params[0])
     grid = _build_grid(cfg, ctx)
     bub = canonical_bubble(ps)
-    count = int(cfg.options.get("count", 20))
-    if count < 1:
-        raise ConfigError(f"config.options.count must be >= 1, got {count}")
     rng = np.random.default_rng(ctx.seed)
-    centers = rng.uniform(
-        float(cfg.options.get("center_lo", -3.0)),
-        float(cfg.options.get("center_hi", 3.0)),
-        count,
-    )
-    widths = rng.uniform(
-        float(cfg.options.get("width_lo", 0.5)),
-        float(cfg.options.get("width_hi", 1.5)),
-        count,
-    )
+    centers = rng.uniform(opt.center_lo, opt.center_hi, opt.count)
+    widths = rng.uniform(opt.width_lo, opt.width_hi, opt.count)
 
     def one(cw):
         rho = orthogonalize(gaussian_bump_profile(grid, ps.n, cw[0], cw[1]), bub, ps)
@@ -587,90 +576,62 @@ def _op_spectral_gap(cfg: ExperimentConfig, ctx: _RunContext):
         "min_ratio": float(min(ratios)),
     }
     violations = []
-    if min(ratios) <= floor:
-        violations.append(f"min spectral ratio {min(ratios):.4f} <= {floor}")
+    if min(ratios) <= opt.ratio_floor:
+        violations.append(f"min spectral ratio {min(ratios):.4f} <= {opt.ratio_floor}")
     return outputs, violations
 
 
-def _op_expansion_slopes(cfg: ExperimentConfig, ctx: _RunContext):
-    allowed = {
-        "eps_start",
-        "eps_stop",
-        "eps_count",
-        "center",
-        "width",
-        "basis_size",
-        "distance_gate",
-    }
-    _check_options(cfg.options, allowed, "expansion-slopes")
+def _op_expansion_slopes(cfg: ExperimentConfig, opt, ctx: _RunContext):
     ps = derive_params(*cfg.params[0])
     grid = _build_grid(cfg, ctx)
-    eps_stop = float(cfg.options.get("eps_stop", 1e-1))
-    eps = np.logspace(
-        math.log10(float(cfg.options.get("eps_start", 1e-3))),
-        math.log10(eps_stop),
-        int(cfg.options.get("eps_count", 7)),
-    )
-    center = float(cfg.options.get("center", 0.5))
-    width = float(cfg.options.get("width", 0.7))
-    basis = int(cfg.options.get("basis_size", 8))
+    eps = _sweep(opt)
     # sweep fields sit at distance ~ eps, so the gate follows the sweep top
-    gate = float(cfg.options.get("distance_gate", 2.0 * eps_stop))
+    gate = 2.0 * opt.eps_stop if opt.distance_gate is None else opt.distance_gate
 
-    qs, ns, resids = [], [], []
+    rows = []
     for e in eps:
-        u = perturbed_bubble(ps, grid, float(e), center, width)
-        rep = expansion_quantities(u, ps, distance_gate=gate, basis_size=basis)
-        qs.append(float(rep.Q))
-        ns.append(float(rep.N))
-        resids.append(float(rep.residual_pairing_norm))
+        u = perturbed_bubble(ps, grid, float(e), opt.center, opt.width)
+        rep = expansion_quantities(u, ps, distance_gate=gate, basis_size=opt.basis_size)
+        rows.append(
+            {
+                "Q": float(rep.Q),
+                "N": float(rep.N),
+                "residual": float(rep.residual_pairing_norm),
+            }
+        )
+    cols = _columns(rows)
     loge = np.log(eps)
-    slope_q = float(np.polyfit(loge, np.log(qs), 1)[0])
-    slope_n = float(np.polyfit(loge, np.log(ns), 1)[0])
-    prod = [r * n ** (1.0 / ps.p) for r, n in zip(resids, ns)]
+    slope_q = float(np.polyfit(loge, np.log(cols["Q"]), 1)[0])
+    slope_n = float(np.polyfit(loge, np.log(cols["N"]), 1)[0])
+    prod = [r * n ** (1.0 / ps.p) for r, n in zip(cols["residual"], cols["N"])]
     slope_prod = float(np.polyfit(loge, np.log(prod), 1)[0])
     outputs = {
         "tuple": list(cfg.params[0]),
         "eps": [float(e) for e in eps],
-        "Q": qs,
-        "N": ns,
-        "residual": resids,
+        **cols,
         "slope_Q": slope_q,
         "slope_N": slope_n,
         "slope_residual_rho": slope_prod,
     }
     violations = []
-    if "q_slope_rtol" in cfg.tolerances:
-        if abs(slope_q - 2.0) > cfg.tolerances["q_slope_rtol"] * 2.0:
-            violations.append(f"Q slope {slope_q:.4f} away from 2")
-    if "n_slope_rtol" in cfg.tolerances:
-        if abs(slope_n - ps.p) > cfg.tolerances["n_slope_rtol"] * ps.p:
-            violations.append(f"N slope {slope_n:.4f} away from p={ps.p}")
-    if "prod_slope_rtol" in cfg.tolerances:
-        if abs(slope_prod - 2.0) > cfg.tolerances["prod_slope_rtol"] * 2.0:
-            violations.append(f"residual*rho slope {slope_prod:.4f} away from 2")
+    if opt.q_slope_rtol is not None and abs(slope_q - 2.0) > opt.q_slope_rtol * 2.0:
+        violations.append(f"Q slope {slope_q:.4f} away from 2")
+    if opt.n_slope_rtol is not None and abs(slope_n - ps.p) > opt.n_slope_rtol * ps.p:
+        violations.append(f"N slope {slope_n:.4f} away from p={ps.p}")
+    if (
+        opt.prod_slope_rtol is not None
+        and abs(slope_prod - 2.0) > opt.prod_slope_rtol * 2.0
+    ):
+        violations.append(f"residual*rho slope {slope_prod:.4f} away from 2")
     return outputs, violations
 
 
-def _op_alt_check(cfg: ExperimentConfig, ctx: _RunContext):
-    allowed = {"c1", "C1", "eps", "center", "width", "basis_size", "t_count"}
-    _check_options(cfg.options, allowed, "alt-check")
+def _op_alt_check(cfg: ExperimentConfig, opt, ctx: _RunContext):
     ps = derive_params(*cfg.params[0])
     grid = _build_grid(cfg, ctx)
-    u = perturbed_bubble(
-        ps,
-        grid,
-        float(cfg.options.get("eps", 5e-2)),
-        float(cfg.options.get("center", 0.5)),
-        float(cfg.options.get("width", 0.7)),
-    )
+    u = perturbed_bubble(ps, grid, opt.eps, opt.center, opt.width)
     rep = alternative_check(
-        u,
-        ps,
-        float(cfg.options.get("c1", 1.0)),
-        float(cfg.options.get("C1", 2.0)),
-        t_count=int(cfg.options.get("t_count", 2)),
-        basis_size=int(cfg.options.get("basis_size", 4)),
+        u, ps, opt.c1, opt.C1, t_count=opt.t_count, basis_size=opt.basis_size
     )
     outputs = {
         "tuple": list(cfg.params[0]),
@@ -687,72 +648,98 @@ def _op_alt_check(cfg: ExperimentConfig, ctx: _RunContext):
     return outputs, violations
 
 
-def _op_ineq_const(cfg: ExperimentConfig, ctx: _RunContext):
-    _check_options(cfg.options, {"cases", "samples"}, "ineq-const")
-    rtol = cfg.tolerances.get("doubling_rtol", 1e-2)
-    samples = int(cfg.options.get("samples", 200))
-    cases_raw = cfg.options.get(
-        "cases",
-        [[1, 2.5], [2, 4.0], [3, 2.5], [4, 4.0], [5, 2.5], [6, 4.0]],
-    )
-    cases = []
-    for i, item in enumerate(cases_raw):
-        if not isinstance(item, list) or len(item) != 2:
-            raise ConfigError(f"config.options.cases[{i}] must be [case, exponent]")
-        if item[0] not in range(1, 7):
-            raise ConfigError(
-                f"config.options.cases[{i}]: case must be 1..6, got {item[0]}"
-            )
-        cases.append((int(item[0]), float(item[1])))
+def _op_ineq_const(cfg: ExperimentConfig, opt, ctx: _RunContext):
+    def one(case):
+        c_base = elementary_C_estimate(*case, opt.samples)
+        c_double = elementary_C_estimate(*case, 2 * opt.samples)
+        return {
+            "C": float(c_base),
+            "C_doubled": float(c_double),
+            "doubling_rel": float(abs(c_double - c_base) / max(c_base, 1e-300)),
+        }
 
-    def one(ce):
-        c_base = elementary_C_estimate(ce[0], ce[1], samples)
-        c_double = elementary_C_estimate(ce[0], ce[1], 2 * samples)
-        return c_base, c_double
-
-    rows = _map_ordered(one, cases, ctx.threads)
-    outputs = {
-        "cases": [[c, e] for c, e in cases],
-        "C": [float(r[0]) for r in rows],
-        "C_doubled": [float(r[1]) for r in rows],
-        "doubling_rel": [
-            float(abs(r[1] - r[0]) / max(r[0], 1e-300)) for r in rows
-        ],
-    }
-    violations = []
-    for (c, e), (cb, cd) in zip(cases, rows):
-        rel = abs(cd - cb) / max(cb, 1e-300)
-        if rel > rtol:
-            violations.append(f"case {c} e={e}: doubling drift {rel:.3e} > {rtol:.1e}")
-    return outputs, violations
+    rows = _map_ordered(one, opt.cases, ctx.threads)
+    violations = [
+        f"case {c} e={e}: doubling drift {row['doubling_rel']:.3e} "
+        f"> {opt.doubling_rtol:.1e}"
+        for (c, e), row in zip(opt.cases, rows)
+        if row["doubling_rel"] > opt.doubling_rtol
+    ]
+    return {"cases": [[c, e] for c, e in opt.cases], **_columns(rows)}, violations
 
 
-_NEEDS_PARAMS = {
-    "constants",
-    "transform-check",
-    "project",
-    "stability-scan",
-    "slope-fit",
-    "chain-check",
-    "embedding-check",
-    "spectral-gap",
-    "expansion-slopes",
-    "alt-check",
-}
+class Operation(NamedTuple):
+    module: str  # home module of the work
+    handler: Callable
+    tuples: str  # parameter tuples taken: "many", "one" or "none"
+    options: dict  # name -> (reader, default); a None default is resolved by the handler
+    tolerances: dict  # name -> default; a None default leaves the gate off
 
-# operation name -> (home module of the work, handler)
+
+_FIELDS = (_list_of(_field_spec), [{"kind": "radial"}])
+_DEFAULT_CASES = [[1, 2.5], [2, 4.0], [3, 2.5], [4, 4.0], [5, 2.5], [6, 4.0]]
+
 OPERATIONS = {
-    "constants": ("params", _op_constants),
-    "transform-check": ("transforms", _op_transform_check),
-    "project": ("manifold", _op_project),
-    "stability-scan": ("stability", _op_stability_scan),
-    "slope-fit": ("stability", _op_slope_fit),
-    "chain-check": ("stability", _op_chain_check),
-    "embedding-check": ("stability", _op_embedding_check),
-    "spectral-gap": ("critical", _op_spectral_gap),
-    "expansion-slopes": ("critical", _op_expansion_slopes),
-    "alt-check": ("critical", _op_alt_check),
-    "ineq-const": ("critical", _op_ineq_const),
+    "constants": Operation("params", _op_constants, "many", {}, {"pair_rtol": 1e-6}),
+    "transform-check": Operation("transforms", _op_transform_check, "many", {
+        "fields": _FIELDS,
+    }, {"identity_tol": 1e-8}),
+    "project": Operation("manifold", _op_project, "many", {
+        "eps": (_real, 1e-2),
+        "center": (_real, 0.5),
+        "width": (_real, 1.0),
+        "bubbles": (_list_of(_bubble), None),
+        "dual_basis": (_count(1), 8),
+    }, {"deficit_tol": 1e-6, "dual_tol": 1e-5}),
+    "stability-scan": Operation("stability", _op_stability_scan, "many", {
+        "samples": (_count(1), 30),
+    }, {}),
+    "slope-fit": Operation("stability", _op_slope_fit, "one", {
+        "eps_start": (_real, 2.5e-3),
+        "eps_stop": (_real, 1e-1),
+        "eps_count": (_count(2), 6),
+        "center": (_real, 10.0),
+        "width": (_real, 1.0),
+        "assert_slope": (_flag, True),
+        "expected": (_real, None),
+    }, {"slope_rtol": 0.1}),
+    "chain-check": Operation("stability", _op_chain_check, "many", {
+        "base": (_tuple, _REQUIRED),
+        "fields": _FIELDS,
+    }, {"qnorm_tol": 1e-8, "gap_floor": 1e-8}),
+    "embedding-check": Operation("stability", _op_embedding_check, "many", {
+        "radius": (_positive, 1.0),
+        "lam": (_positive, 1.0),
+    }, {}),
+    "spectral-gap": Operation("critical", _op_spectral_gap, "one", {
+        "count": (_count(1), 20),
+        "center_lo": (_real, -3.0),
+        "center_hi": (_real, 3.0),
+        "width_lo": (_real, 0.5),
+        "width_hi": (_real, 1.5),
+    }, {"ratio_floor": 1.0}),
+    "expansion-slopes": Operation("critical", _op_expansion_slopes, "one", {
+        "eps_start": (_real, 1e-3),
+        "eps_stop": (_real, 1e-1),
+        "eps_count": (_count(2), 7),
+        "center": (_real, 0.5),
+        "width": (_real, 0.7),
+        "basis_size": (_count(1), 8),
+        "distance_gate": (_real, None),
+    }, {"q_slope_rtol": None, "n_slope_rtol": None, "prod_slope_rtol": None}),
+    "alt-check": Operation("critical", _op_alt_check, "one", {
+        "c1": (_positive, 1.0),
+        "C1": (_positive, 2.0),
+        "eps": (_real, 5e-2),
+        "center": (_real, 0.5),
+        "width": (_real, 0.7),
+        "basis_size": (_count(1), 4),
+        "t_count": (_count(1), 2),
+    }, {}),
+    "ineq-const": Operation("critical", _op_ineq_const, "none", {
+        "cases": (_list_of(_case), _DEFAULT_CASES),
+        "samples": (_count(1), 200),
+    }, {"doubling_rtol": 1e-2}),
 }
 
 
@@ -769,24 +756,12 @@ def _digest(payload) -> str:
 
 
 def _config_payload(cfg: ExperimentConfig, tol_profile: str) -> dict:
-    family = None
+    # options and tolerances as written in the config, not the filled-in settings
+    payload = asdict(cfg)
     if cfg.family is not None:
-        family = {
-            "name": cfg.family.family,
-            "seed": cfg.family.seed,
-            "options": cfg.family.options,
-        }
-    return {
-        "experiment": cfg.experiment,
-        "operation": cfg.operation,
-        "params": [list(t) for t in cfg.params],
-        "grid": list(cfg.grid),
-        "family": family,
-        "tolerances": cfg.tolerances,
-        "seed": cfg.seed,
-        "options": cfg.options,
-        "tol_profile": tol_profile,
-    }
+        payload["family"]["name"] = payload["family"].pop("family")
+    payload["tol_profile"] = tol_profile
+    return payload
 
 
 def resolve_ledger(ledger_path: Optional[str]) -> str:
@@ -823,24 +798,15 @@ def run_experiment(
         raise ConfigError(f"unknown tol profile {tol_profile!r}")
     cfg = load_config(config_path)
     if seed is not None:
-        cfg = ExperimentConfig(
-            experiment=cfg.experiment,
-            operation=cfg.operation,
-            params=cfg.params,
-            grid=cfg.grid,
-            family=cfg.family,
-            tolerances=cfg.tolerances,
-            seed=seed,
-            options=cfg.options,
-        )
-    module, handler = OPERATIONS[cfg.operation]
+        cfg = replace(cfg, seed=seed)
+    op = OPERATIONS[cfg.operation]
     ctx = _RunContext(
         seed=cfg.seed,
         threads=max(1, threads),
         grid_factor=2 if tol_profile == "strict" else 1,
     )
     try:
-        outputs, violations = handler(cfg, ctx)
+        outputs, violations = op.handler(cfg, _settings(cfg), ctx)
     except CknError as exc:
         raise type(exc)(f"{cfg.experiment}: {exc}") from exc
     outputs = dict(outputs)
@@ -853,7 +819,7 @@ def run_experiment(
     record = ResultRecord(
         experiment=cfg.experiment,
         operation=cfg.operation,
-        module=module,
+        module=op.module,
         timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
         version=__version__,
         inputs_digest=_digest(inputs_payload),
@@ -864,22 +830,7 @@ def run_experiment(
     ledger_dir = os.path.dirname(os.path.abspath(ledger))
     os.makedirs(ledger_dir, exist_ok=True)
     with open(ledger, "a", encoding="utf-8") as fh:
-        fh.write(
-            json.dumps(
-                {
-                    "experiment": record.experiment,
-                    "operation": record.operation,
-                    "module": record.module,
-                    "timestamp": record.timestamp,
-                    "version": record.version,
-                    "inputs_digest": record.inputs_digest,
-                    "outputs_digest": record.outputs_digest,
-                    "outputs": record.outputs,
-                },
-                sort_keys=True,
-            )
-            + "\n"
-        )
+        fh.write(json.dumps(asdict(record), sort_keys=True) + "\n")
     _write_csv(record, ledger)
     return record
 
@@ -1017,9 +968,6 @@ def main(argv: Optional[list] = None) -> int:
         for line in record.outputs["violations"]:
             print(f"violation: {line}", file=sys.stderr)
         return 4 if record.outputs["violations"] else 0
-    except (ConfigError, LedgerCorrupt) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -78,10 +78,6 @@ class FarFromManifold(CknError):
     """Field violates the closeness gate of a near-manifold expansion."""
 
 
-class DegenerateRho(CknError):
-    """Perturbation part vanishes; alternative branches are trivial."""
-
-
 class CaseRangeViolation(CknError):
     """Elementary inequality case used outside its exponent range."""
 

@@ -161,12 +161,13 @@ def stability_ratio(
     if rel <= ON_MANIFOLD_REL:
         raise OnManifold(f"relative distance {rel:.3e} below {ON_MANIFOLD_REL:.0e}")
     alpha = alpha_exponent(params, n_symmetric)
+    d = deficit(u, params)
     return StabilityRecord(
         params=params,
         alpha=alpha,
-        ratio=deficit(u, params) / rel**alpha,
+        ratio=d / rel**alpha,
         distance=rel,
-        deficit=deficit(u, params),
+        deficit=d,
         family_tag=family_tag,
     )
 
@@ -193,17 +194,31 @@ def perturbed_bubble(
     return canonical_profile(params, grid) + (eps / zn) * z
 
 
+def _numbers(opts: dict, key: str, default: tuple) -> tuple:
+    """Pop family option `key`: a list of as many numbers as `default` has."""
+    value = opts.pop(key, default)
+    if (
+        not isinstance(value, (list, tuple))
+        or len(value) != len(default)
+        or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)
+    ):
+        raise ConfigError(
+            f"family.options.{key} must be a list of {len(default)} numbers, got {value!r}"
+        )
+    return tuple(value)
+
+
 def family_samples(spec: GeneratorSpec, params: CknParams, count: int):
     """Yield `count` fields from the named family, prefix-stable in count."""
     opts = dict(spec.options)
-    window = opts.pop("window", (-30.0, 30.0, 2048))
+    window = _numbers(opts, "window", (-30.0, 30.0, 2048))
     rng = np.random.default_rng(spec.seed)
     grid = make_radial_grid(*window)
 
     if spec.family == "bubble_bump":
-        eps_lo, eps_hi = opts.pop("eps_log10", (-3.0, -1.0))
-        c_lo, c_hi = opts.pop("center", (-5.0, 5.0))
-        w_lo, w_hi = opts.pop("width", (0.6, 1.8))
+        eps_lo, eps_hi = _numbers(opts, "eps_log10", (-3.0, -1.0))
+        c_lo, c_hi = _numbers(opts, "center", (-5.0, 5.0))
+        w_lo, w_hi = _numbers(opts, "width", (0.6, 1.8))
         if opts:
             raise ConfigError(f"unknown bubble_bump options {sorted(opts)}")
         for _ in range(count):
@@ -213,7 +228,7 @@ def family_samples(spec: GeneratorSpec, params: CknParams, count: int):
             width = rng.uniform(w_lo, w_hi)
             yield perturbed_bubble(params, grid, eps, center, width)
     elif spec.family == "pure_bubble":
-        lam_lo, lam_hi = opts.pop("log_lambda", (-1.0, 1.0))
+        lam_lo, lam_hi = _numbers(opts, "log_lambda", (-1.0, 1.0))
         if opts:
             raise ConfigError(f"unknown pure_bubble options {sorted(opts)}")
         for _ in range(count):

@@ -288,6 +288,19 @@ def test_main_report_exit(tmp_path, capsys):
         ("spectral-gap", [[4, 3.0, 0.2, 0.4]], {"count": 0}, "options.count"),
         ("embedding-check", [[3, 2.0, 0.0, 0.0]], {"lam": 0.0}, "options.lam"),
         ("embedding-check", [[3, 2.0, 0.0, 0.0]], {"lam": -1.0}, "options.lam"),
+        # malformed values and tuple counts
+        ("project", [[3, 2.0, 0.0, 0.0]], {"eps": "big"}, "options.eps"),
+        ("transform-check", [[3, 2.0, 0.0, 0.0]], {"fields": [1]}, "options.fields[0]"),
+        ("project", [[3, 2.0, 0.0, 0.0]], {"bubbles": [[1.0]]}, "options.bubbles[0]"),
+        ("stability-scan", [[3, 2.0, 0.0, 0.0]], {"samples": "10"}, "options.samples"),
+        ("expansion-slopes", [[5, 3.0, 0.3, 0.5]], {"eps_count": 1}, "options.eps_count"),
+        ("slope-fit", [[3, 2.0, 0.0, 0.0]], {"eps_count": 1}, "options.eps_count"),
+        ("slope-fit", [[3, 2.0, 0.0, 0.0]], {"assert_slope": "no"}, "options.assert_slope"),
+        ("alt-check", [[4, 3.0, 0.2, 0.4]], {"c1": 0.0}, "options.c1"),
+        ("chain-check", [[4, 2.5, 0.3, 0.6]], {"base": [4, 2.5]}, "options.base"),
+        ("chain-check", [[4, 2.5, 0.3, 0.6]], {}, "options.base"),
+        ("spectral-gap", [[4, 3.0, 0.2, 0.4], [3, 2.0, 0.0, 0.0]], {}, "config.params"),
+        ("ineq-const", [[3, 2.0, 0.0, 0.0]], {}, "config.params"),
     ],
 )
 def test_main_out_of_range_option_exit(
@@ -306,3 +319,48 @@ def test_main_out_of_range_option_exit(
     assert main([operation, "--config", path, "--ledger", ledger]) == 2
     assert key in capsys.readouterr().err
     assert not os.path.exists(ledger)
+
+
+@pytest.mark.parametrize(
+    "operation,overrides,key",
+    [
+        ("constants", {"grid": [-25, 25, "many"]}, "config.grid[2]"),
+        ("project", {"tolerances": {"dual_tl": 1e-5}}, "config.tolerances.dual_tl"),
+        ("constants", {"seed": -1}, "config.seed"),
+        (
+            "stability-scan",
+            {"family": {"name": "bubble_bump", "options": {"eps_log10": 5}}},
+            "family.options.eps_log10",
+        ),
+    ],
+)
+def test_main_malformed_config_exit(tmp_path, capsys, operation, overrides, key):
+    payload = {
+        "experiment": "t-malformed",
+        "operation": operation,
+        "params": [[3, 2.0, 0.0, 0.0]],
+        "grid": [-25.0, 25.0, 256],
+        "family": {"name": "bubble_bump"},
+        **overrides,
+    }
+    path = _write(tmp_path, "m.json", payload)
+    ledger = str(tmp_path / "ledger.jsonl")
+    assert main([operation, "--config", path, "--ledger", ledger]) == 2
+    assert key in capsys.readouterr().err
+    assert not os.path.exists(ledger)
+
+
+@pytest.mark.parametrize(
+    "section,value,allowed",
+    [
+        ("options", {"epss": 0.1}, "bubbles, center, dual_basis, eps, width"),
+        ("tolerances", {"dual_tl": 1e-5}, "deficit_tol, dual_tol"),
+    ],
+)
+def test_unknown_key_lists_allowed_keys(tmp_path, capsys, section, value, allowed):
+    payload = dict(CONSTANTS_CFG, operation="project", **{section: value})
+    path = _write(tmp_path, "u.json", payload)
+    assert main(["project", "--config", path, "--ledger", str(tmp_path / "l.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert f"unknown key config.{section}.{next(iter(value))}" in err
+    assert f"allowed: {allowed}" in err

@@ -115,6 +115,23 @@ def test_family_rejects_unknown():
         list(family_samples(bad, ps, 2))
 
 
+@pytest.mark.parametrize(
+    "family,options",
+    [
+        ("bubble_bump", {"eps_log10": 5}),
+        ("bubble_bump", {"center": [1.0, 2.0, 3.0]}),
+        ("bubble_bump", {"width": ["a", "b"]}),
+        ("pure_bubble", {"log_lambda": None}),
+        ("pure_bubble", {"window": "wide"}),
+    ],
+)
+def test_family_rejects_malformed_range(family, options):
+    ps = derive_params(3, 2, 0, 0)
+    key = next(iter(options))
+    with pytest.raises(ConfigError, match=f"family.options.{key}"):
+        list(family_samples(GeneratorSpec(family, options=options), ps, 1))
+
+
 def test_scan_bound_positive_and_monotone():
     # tail rate (n-p-pa)/(p-1) = 0.83, clean on the +-25 window
     ps = derive_params(4, 2.5, 0.1, 0.4)
