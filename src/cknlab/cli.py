@@ -770,6 +770,15 @@ def resolve_ledger(ledger_path: Optional[str]) -> str:
     return os.environ.get(LEDGER_ENV, DEFAULT_LEDGER)
 
 
+def _flat_items(value, index: str = ""):
+    """(index, scalar) pairs of a nested list; indices of inner lists join as i.j."""
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _flat_items(item, f"{index}.{i}" if index else str(i))
+    else:
+        yield index, value
+
+
 def _write_csv(record: ResultRecord, ledger_path: str) -> str:
     out_path = os.path.join(
         os.path.dirname(os.path.abspath(ledger_path)), f"{record.experiment}.csv"
@@ -778,11 +787,8 @@ def _write_csv(record: ResultRecord, ledger_path: str) -> str:
         writer = csv.writer(fh)
         writer.writerow(["experiment", "name", "index", "value"])
         for name, value in sorted(record.outputs.items()):
-            if isinstance(value, list):
-                for i, item in enumerate(value):
-                    writer.writerow([record.experiment, name, i, item])
-            else:
-                writer.writerow([record.experiment, name, "", value])
+            for index, item in _flat_items(value):
+                writer.writerow([record.experiment, name, index, item])
     return out_path
 
 

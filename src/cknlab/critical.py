@@ -22,6 +22,7 @@ from .errors import (
     CaseRangeViolation,
     FarFromManifold,
     GridMismatch,
+    InvalidArgument,
     NotOrthogonal,
     OptimizerStall,
     RegionViolation,
@@ -66,6 +67,8 @@ RANK_GUARD_RTOL = 1e-6
 # falls below NEWTON_RTOL of the objective
 NEWTON_RTOL = 1e-13
 NEWTON_MAX_STEPS = 100
+# sufficient-decrease constant for accepting a full Newton step
+ARMIJO_C = 1e-4
 
 
 @dataclass(frozen=True)
@@ -158,20 +161,24 @@ def _least_norm_energy(
 ) -> float:
     """min sum(w |comps @ y|^p) subject to ell . y = 1, for a unit ell.
 
-    Closed-form least squares at p = 2, which is also the start for
-    other p: Newton on the null space of ell with the analytic gradient
-    and Hessian, each step length found by a bounded scalar search on
-    the exact objective.  The search is what globalises the step for
-    p < 2, where the Hessian weights |g|^(p-2) blow up as g -> 0.
+    Newton on the null space of ell with the analytic gradient and
+    Hessian.  The start is the least-squares solution in the rank
+    guard's metric, min sum |w^(1/p) comps @ y|^2, which is the exact
+    answer at p = 2.  A full Newton step is taken when it passes the
+    sufficient-decrease test f(z + s) <= f + ARMIJO_C * grad . s;
+    otherwise a bounded scalar search on the exact objective picks the
+    step length.  The fallback is what globalises the step for p < 2,
+    where the Hessian weights |g|^(p-2) blow up as g -> 0.
     """
     null = np.linalg.svd(ell[None, :])[2][1:].T
     g0 = comps @ ell
     if null.shape[1] == 0:
         return _energy(w, g0, p)
     cols = comps @ null  # (ncomp, nodes, m - 1)
-    sw = np.sqrt(w)[:, None]
+    flat = cols.reshape(-1, null.shape[1])
+    sw = (w ** (1.0 / p))[:, None]
     z = np.linalg.lstsq(
-        (sw * cols).reshape(-1, null.shape[1]), -(sw[:, 0] * g0).ravel(), rcond=None
+        (sw * cols).reshape(flat.shape), -(sw[:, 0] * g0).ravel(), rcond=None
     )[0]
     grads = g0 + cols @ z
     f = _energy(w, grads, p)
@@ -181,24 +188,30 @@ def _least_norm_energy(
         mag = np.sqrt(np.sum(grads**2, axis=0))
         wa = w * _flux_factor(mag, p - 2.0)
         unit = grads / np.where(mag > 0.0, mag, 1.0)
-        jac = np.einsum("cn,cnk->nk", unit, cols)  # d|g| / dz per node
+        jac = np.sum(unit[:, :, None] * cols, axis=0)  # d|g| / dz per node
         grad = p * (wa * mag) @ jac
         hess = p * (
-            np.einsum("n,cnj,cnk->jk", wa, cols, cols) + (p - 2.0) * (jac.T * wa) @ jac
+            flat.T @ (wa[:, None] * cols).reshape(flat.shape)
+            + (p - 2.0) * (jac.T * wa) @ jac
         )
         step = -np.linalg.lstsq(hess, grad, rcond=None)[0]
-        if -float(grad @ step) <= NEWTON_RTOL * f:
+        slope = float(grad @ step)
+        if -slope <= NEWTON_RTOL * f:
             return f
         dgrads = cols @ step
-        res = minimize_scalar(
-            lambda t: _energy(w, grads + t * dgrads, p),
-            bounds=(0.0, 2.0),
-            method="bounded",
-            options={"xatol": 1e-10},
-        )
-        if not res.fun < f:
-            return f  # the objective sits at its rounding floor
-        z = z + res.x * step
+        f_full = _energy(w, grads + dgrads, p)
+        length = 1.0
+        if f_full > f + ARMIJO_C * slope:
+            res = minimize_scalar(
+                lambda t: _energy(w, grads + t * dgrads, p),
+                bounds=(0.0, 2.0),
+                method="bounded",
+                options={"xatol": 1e-10},
+            )
+            if not res.fun < f:
+                return f  # the objective sits at its rounding floor
+            length = res.x
+        z = z + length * step
         grads = g0 + cols @ z
         f = _energy(w, grads, p)
     raise OptimizerStall(
@@ -377,7 +390,7 @@ def alternative_check(
     if params.p <= 2.0:
         raise RegionViolation(f"alternative needs p > 2, got p={params.p}")
     if c1 <= 0.0 or C1 <= 0.0:
-        raise ValueError("fit constants must be positive")
+        raise InvalidArgument("fit constants must be positive")
     eta = (c1 / (2.0 * C1)) ** (2.0 / (params.p - 2.0))
     interval = (c1 / (2.0 * C1), 2.0 * C1 / c1)
     # kappa is measured against the projection gap ||u - V||, not ||u||
@@ -443,7 +456,7 @@ _CASE_RANGES = {
 
 def _check_case(case: int, expo: float) -> None:
     if case not in _CASE_RANGES:
-        raise ValueError(f"case must be 1..6, got {case}")
+        raise InvalidArgument(f"case must be 1..6, got {case}")
     name, lo, hi = _CASE_RANGES[case]
     if not (lo < expo <= hi) or expo == math.inf:
         bound = f"{lo} < {name} <= {hi}" if hi < math.inf else f"{name} > {lo}"

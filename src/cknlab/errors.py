@@ -10,6 +10,13 @@ class CknError(Exception):
     """Base class for all laboratory errors."""
 
 
+class InvalidArgument(CknError, ValueError):
+    """Argument outside its documented domain (a sign, a count, a keyword choice).
+
+    Also a ValueError, the type Python callers expect for a bad argument.
+    """
+
+
 class RegionViolation(CknError):
     """Parameter tuple leaves the admissible region; message names the failed constraint."""
 

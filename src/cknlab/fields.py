@@ -26,7 +26,13 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
-from .errors import BadGridSpec, GridMismatch, MissingGradient, TranslationForbidden
+from .errors import (
+    BadGridSpec,
+    GridMismatch,
+    InvalidArgument,
+    MissingGradient,
+    TranslationForbidden,
+)
 from .params import CknParams
 
 __all__ = [
@@ -338,7 +344,7 @@ class Bubble:
 
     def __post_init__(self):
         if not self.scale > 0:
-            raise ValueError(f"bubble scale must be positive, got {self.scale}")
+            raise InvalidArgument(f"bubble scale must be positive, got {self.scale}")
 
 
 def bubble_evaluator(amplitude: float, b_coeff: float, sigma: float, m: float):

@@ -12,7 +12,7 @@ import logging
 
 import numpy as np
 
-from .errors import BadExponent, BadGridSpec, GridMismatch, ZeroField
+from .errors import BadExponent, BadGridSpec, GridMismatch, InvalidArgument, ZeroField
 from .fields import Field
 from .params import CknParams, sharp_constant
 
@@ -78,7 +78,7 @@ def weighted_grad_pnorm(u: Field, params: CknParams, k_factor: float = 1.0) -> f
     nondecreasing in k_factor.
     """
     if k_factor < 1.0:
-        raise ValueError(f"k_factor must be >= 1, got {k_factor}")
+        raise InvalidArgument(f"k_factor must be >= 1, got {k_factor}")
     _check_dim(u, params)
     p = params.p
     return u.integrate(params.n - 1.0 - p * params.a, u.grad_sq(k_factor) ** (p / 2.0))

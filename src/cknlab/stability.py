@@ -20,6 +20,7 @@ from .errors import (
     ConfigError,
     DegenerateFit,
     EmptyFamily,
+    InvalidArgument,
     OnManifold,
     RegionViolation,
     UnsupportedField,
@@ -250,7 +251,7 @@ def k_upper_scan(
     scan can be audited afterwards.
     """
     if sample_count < 1:
-        raise ValueError(f"sample_count must be >= 1, got {sample_count}")
+        raise InvalidArgument(f"sample_count must be >= 1, got {sample_count}")
     best: Optional[StabilityRecord] = None
     used = skipped = 0
     for i, u in enumerate(family_samples(family, params, sample_count)):
@@ -361,7 +362,7 @@ def continuity_probe(
     half-sample rescan at the limit.  A consistency probe only.
     """
     if len(param_sequence) < 2:
-        raise ValueError("need at least one sequence entry plus the limit")
+        raise InvalidArgument("need at least one sequence entry plus the limit")
     for ps in param_sequence:
         # re-derive so hand-built out-of-region tuples fail loudly
         derive_params(ps.n, ps.p, ps.a, ps.b)
@@ -438,7 +439,7 @@ def mollified_bubble(
     embedding_check accepts it.
     """
     if domain_radius <= 0.0:
-        raise ValueError(f"domain radius must be positive, got {domain_radius}")
+        raise InvalidArgument(f"domain radius must be positive, got {domain_radius}")
     if grid is None:
         grid = make_radial_grid(-30.0, math.log(domain_radius), count)
     prof = sample_bubble(params, canonical_bubble(params, lam), grid)
@@ -476,9 +477,9 @@ def embedding_check(
     (grad variant, exponent p2).  Degree zero in u by construction.
     """
     if variant not in ("value", "grad"):
-        raise ValueError(f"unknown variant {variant!r}")
+        raise InvalidArgument(f"unknown variant {variant!r}")
     if domain_radius <= 0.0:
-        raise ValueError(f"domain radius must be positive, got {domain_radius}")
+        raise InvalidArgument(f"domain radius must be positive, got {domain_radius}")
     n, p, a = params.n, params.p, params.a
     r = u.grid.nodes
     vals = np.max(np.abs(u.values), axis=1)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import RegionViolation
+from .errors import InvalidArgument, RegionViolation
 from .fields import Field, scaled_grid
 from .functionals import weighted_grad_pnorm, weighted_lq_norm
 from .params import CknParams, HatParams, derive_params
@@ -66,7 +66,7 @@ def horiuchi_map(u: Field, params: CknParams, direction: str = "forward") -> Fie
     returned unchanged.
     """
     if direction not in ("forward", "inverse"):
-        raise ValueError(f"unknown direction {direction!r}")
+        raise InvalidArgument(f"unknown direction {direction!r}")
     k, q = params.k, params.q
     if k == 1.0:
         return u
@@ -83,7 +83,7 @@ def hat_map(u: Field, hp: HatParams, direction: str = "forward") -> Field:
     u unchanged.
     """
     if direction not in ("forward", "inverse"):
-        raise ValueError(f"unknown direction {direction!r}")
+        raise InvalidArgument(f"unknown direction {direction!r}")
     h = hp.h
     q = hp.base.q
     if h == 1.0:

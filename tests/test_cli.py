@@ -7,6 +7,8 @@ import os
 import pytest
 
 from cknlab.cli import (
+    ResultRecord,
+    _write_csv,
     load_config,
     main,
     report,
@@ -110,6 +112,25 @@ def test_constants_record_and_ledger(tmp_path):
     rows = list(csv.reader(open(side)))
     assert rows[0] == ["experiment", "name", "index", "value"]
     assert any(r[1] == "S_closed" for r in rows[1:])
+
+
+def test_csv_flattens_nested_outputs(tmp_path):
+    # c03-shaped outputs: one row per tuple, one column per bubble
+    outputs = {
+        "tuples": [[3, 2.0, 0.0, 0.0], [5, 3.0, 0.3, 0.5]],
+        "bubbles": [[1.0, 1.0], [0.5, 1.0], [2.0, 0.7]],
+        "deficit": [[0.0, 0.0, 0.0], [1e-9, 0.0, 2e-9]],
+        "dual_residual": [[1e-12, 2e-12, 3e-12], [1e-9, 1e-6, 8e-7]],
+        "violations": [],
+    }
+    record = ResultRecord("t-extremals", "project", "critical", "", "", "", "", outputs)
+    rows = list(csv.reader(open(_write_csv(record, str(tmp_path / "ledger.jsonl")))))
+    assert not any("[" in value for row in rows[1:] for value in row)
+    residual = {r[2]: float(r[3]) for r in rows[1:] if r[1] == "dual_residual"}
+    assert len(residual) == 6
+    assert residual["1.1"] == 1e-6
+    tuple_index = [r[2] for r in rows[1:] if r[1] == "tuples"]
+    assert tuple_index[:5] == ["0.0", "0.1", "0.2", "0.3", "1.0"]
 
 
 def test_rerun_reproduces_digests(tmp_path):

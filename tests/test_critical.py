@@ -12,6 +12,7 @@ from cknlab import critical, derive_params
 from cknlab.errors import (
     BasisTooSmall,
     CaseRangeViolation,
+    CknError,
     FarFromManifold,
     GridMismatch,
     NotOrthogonal,
@@ -241,6 +242,37 @@ def test_dual_estimate_p_below_two():
     assert 0.0 < value < math.inf
 
 
+def test_dual_estimate_fallback_search_at_p_below_two(monkeypatch):
+    # the p < 2 Newton step overshoots where |g| is small (for |x|^p alone
+    # it is -x / (p - 1)): at p = 1.2 some full steps fail the
+    # sufficient-decrease test and go through the bounded search, which
+    # must still reach the sup (at p = 1.5 every full step passes)
+    calls = []
+    search = critical.minimize_scalar
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(critical, "minimize_scalar", counted)
+    ps = derive_params(3, 1.2, 0.1, 0.5)
+    value = _assert_sup_certificate(_perturbed(ps, 1e-2), ps, 8)
+    assert len(calls) >= 1
+    assert value > 0.0
+
+
+@pytest.mark.parametrize("tup", [(6, 4.0, 0.1, 0.3), (5, 3.0, 0.3, 0.5)])
+def test_dual_estimate_newton_step_count(monkeypatch, tup):
+    # from the least-squares start in the w^(1/p) metric, full Newton steps
+    # converge on an exact c03 bubble in 6-7 iterations at p = 4
+    ps = derive_params(*tup)
+    v = _bubble_profile(ps, (-30.0, 30.0, 1024))
+    reference = dual_norm_estimate(v, ps, 8).value
+    monkeypatch.setattr(critical, "NEWTON_MAX_STEPS", 15)
+    capped = dual_norm_estimate(v, ps, 8).value
+    assert capped == pytest.approx(reference, rel=1e-12)
+
+
 def test_dual_estimate_newton_cap_raises(monkeypatch):
     monkeypatch.setattr(critical, "NEWTON_MAX_STEPS", 1)
     with pytest.raises(OptimizerStall):
@@ -432,6 +464,11 @@ def test_alternative_rejects_bad_constants():
         alternative_check(u, PS53, 0.0, 2.0)
     with pytest.raises(ValueError):
         alternative_check(u, PS53, 1.0, -2.0)
+
+
+def test_alternative_bad_constants_are_typed():
+    with pytest.raises(CknError):
+        alternative_check(_perturbed(PS53, 5e-2), PS53, c1=0.0, C1=2.0)
 
 
 def test_alternative_needs_p_above_two():
