@@ -112,8 +112,13 @@ _REQUIRED = object()  # default of a key that must be present
 
 
 def _number(value, path: str):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path} must be a number, got {value!r}")
+    """A finite int or float: json reads NaN and Infinity, which no gate can use."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or (isinstance(value, float) and not math.isfinite(value))
+    ):
+        raise ConfigError(f"{path} must be a finite number, got {value!r}")
     return value
 
 
@@ -236,6 +241,13 @@ def _case(value, path: str) -> tuple:
 # config parsing
 
 
+def _experiment(value, path: str) -> str:
+    """A name that is also the stem of the CSV written beside the ledger."""
+    if _string(value, path) in ("", ".", "..") or "/" in value or os.sep in value:
+        raise ConfigError(f"{path} must be a plain file stem, got {value!r}")
+    return value
+
+
 def _operation(value, path: str) -> str:
     if _string(value, path) not in OPERATIONS:
         raise ConfigError(f"{path}: unknown operation {value!r}")
@@ -259,7 +271,7 @@ def _family(value, path: str) -> GeneratorSpec:
 
 
 _CONFIG_KEYS = {
-    "experiment": (_string, _REQUIRED),
+    "experiment": (_experiment, _REQUIRED),
     "operation": (_operation, _REQUIRED),
     "params": (_list_of(_tuple), []),
     "grid": (_grid, list(DEFAULT_GRID)),
@@ -804,7 +816,7 @@ def run_experiment(
         raise ConfigError(f"unknown tol profile {tol_profile!r}")
     cfg = load_config(config_path)
     if seed is not None:
-        cfg = replace(cfg, seed=seed)
+        cfg = replace(cfg, seed=_count(0)(seed, "seed"))
     op = OPERATIONS[cfg.operation]
     ctx = _RunContext(
         seed=cfg.seed,
@@ -867,6 +879,8 @@ def _read_ledger(ledger_path: str) -> list:
             raise LedgerCorrupt(f"line {i}: not valid JSON ({exc.msg})")
         if not isinstance(rec, dict) or not _RECORD_KEYS.issubset(rec):
             raise LedgerCorrupt(f"line {i}: missing record keys")
+        if not isinstance(rec["outputs"], dict):
+            raise LedgerCorrupt(f"line {i}: outputs is not an object")
         records.append(rec)
     return records
 

@@ -48,7 +48,6 @@ __all__ = [
     "modulated_axisym",
     "translate_axisym",
     "gaussian_bump_profile",
-    "fd_derivative",
 ]
 
 PANEL_POINTS = 8
@@ -497,29 +496,3 @@ def translate_axisym(
         grad_r=dv * (r + shift * c) / safe,
         grad_psi=dv * (-r * shift * s) / safe,
     )
-
-
-# ---------------------------------------------------------------------------
-# derivatives
-
-
-def fd_derivative(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
-    """Second-order finite-difference d(values)/dr on the non-uniform grid.
-
-    Centred three-point stencil in t = log r inside, one-sided at the
-    two ends, then divided by r.
-    """
-    t = grid.log_nodes
-    v = np.asarray(values, dtype=float)
-    out = np.empty_like(v)
-    h1 = t[1:-1] - t[:-2]
-    h2 = t[2:] - t[1:-1]
-    out[1:-1] = (
-        h1**2 * v[2:] - h2**2 * v[:-2] - (h1**2 - h2**2) * v[1:-1]
-    ) / (h1 * h2 * (h1 + h2))
-    # one-sided quadratic at the ends
-    for idx, sl in ((0, slice(0, 3)), (-1, slice(-3, None))):
-        ts, vs = t[sl], v[sl]
-        c = np.polyfit(ts - t[idx], vs, 2)
-        out[idx] = c[1]
-    return out / grid.nodes

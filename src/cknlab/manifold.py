@@ -89,11 +89,9 @@ def _norm_grid(params: CknParams) -> RadialGrid:
 class DecompositionRecord:
     """u split as mu V + rho with the tangent pairings of rho."""
 
-    V: Bubble
     mu: float
     rho: Field
     tangent_residuals: tuple
-    distance_estimate: float
 
 
 @lru_cache(maxsize=128)
@@ -400,18 +398,7 @@ def mu_rho_decompose(u: Field, v_bub: Bubble, params: CknParams) -> Decompositio
     mu = _q_pairing(u, v_field, params) / denom
     rho = u - mu * v_field
     residuals = orthogonality_check(rho, v_bub, params)
-    dist = (
-        weighted_grad_pnorm(rho, params) ** (1.0 / params.p)
-        if rho.grad_r is not None
-        else float("nan")
-    )
-    return DecompositionRecord(
-        V=v_bub,
-        mu=mu,
-        rho=rho,
-        tangent_residuals=tuple(residuals),
-        distance_estimate=dist,
-    )
+    return DecompositionRecord(mu=mu, rho=rho, tangent_residuals=tuple(residuals))
 
 
 def tangent_basis(

@@ -3,9 +3,8 @@
 Everything here turns an inequality statement into a number we can
 watch: deficit-to-distance ratios, empirical upper bounds for the
 stability constant, slope fits for the distance exponent, the
-parameter-monotonicity chain, a continuity probe along parameter
-sequences, the translated-bubble gap probe, and finite-domain
-embedding checks through the weak norm.
+parameter-monotonicity chain, and finite-domain embedding checks
+through the weak norm.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from .fields import (
     gaussian_bump_profile,
     make_radial_grid,
     sample_bubble,
-    translate_axisym,
 )
 from .functionals import (
     deficit,
@@ -43,8 +41,8 @@ from .functionals import (
     weighted_lq_norm,
 )
 from .manifold import canonical_bubble, canonical_profile, manifold_distance, orthogonalize
-from .params import CknParams, HatParams, derive_params, sharp_constant
-from .transforms import flat_params, hat_map
+from .params import CknParams, HatParams, sharp_constant
+from .transforms import radial_stretch
 
 __all__ = [
     "ON_MANIFOLD_REL",
@@ -52,7 +50,6 @@ __all__ = [
     "KUpperBound",
     "SlopeFitResult",
     "MonotonicityRecord",
-    "ContinuityReport",
     "GeneratorSpec",
     "alpha_exponent",
     "stability_ratio",
@@ -61,8 +58,6 @@ __all__ = [
     "k_upper_scan",
     "exponent_slope_fit",
     "monotonicity_chain_check",
-    "continuity_probe",
-    "translated_bubble_gap_probe",
     "mollified_bubble",
     "embedding_check",
 ]
@@ -106,21 +101,9 @@ class SlopeFitResult:
 
 @dataclass(frozen=True)
 class MonotonicityRecord:
-    hp: HatParams
     nu: float
     grad_chain_gap: float
     qnorm_residual: float
-
-
-@dataclass(frozen=True)
-class ContinuityReport:
-    """k_upper_scan along a parameter sequence, last entry at the limit."""
-
-    bounds: tuple
-    limit_bound: float
-    limsup: float
-    noise: float
-    flagged: bool
 
 
 @dataclass(frozen=True)
@@ -149,7 +132,6 @@ def alpha_exponent(params: CknParams, n_symmetric: bool = False) -> float:
 def stability_ratio(
     u: Field,
     params: CknParams,
-    n_symmetric: bool = False,
     family_tag: str = "adhoc",
 ) -> StabilityRecord:
     """deficit(u) / (relative manifold distance)^alpha for one field."""
@@ -161,7 +143,7 @@ def stability_ratio(
     rel = dist / unorm
     if rel <= ON_MANIFOLD_REL:
         raise OnManifold(f"relative distance {rel:.3e} below {ON_MANIFOLD_REL:.0e}")
-    alpha = alpha_exponent(params, n_symmetric)
+    alpha = alpha_exponent(params)
     d = deficit(u, params)
     return StabilityRecord(
         params=params,
@@ -243,7 +225,6 @@ def k_upper_scan(
     family: GeneratorSpec,
     params: CknParams,
     sample_count: int,
-    n_symmetric: bool = False,
 ) -> KUpperBound:
     """Empirical upper bound: min stability ratio over the sampled family.
 
@@ -256,7 +237,7 @@ def k_upper_scan(
     used = skipped = 0
     for i, u in enumerate(family_samples(family, params, sample_count)):
         try:
-            rec = stability_ratio(u, params, n_symmetric, family.tag(i))
+            rec = stability_ratio(u, params, family.tag(i))
         except OnManifold:
             skipped += 1
             continue
@@ -332,14 +313,14 @@ def exponent_slope_fit(
 def monotonicity_chain_check(u: Field, hp: HatParams) -> MonotonicityRecord:
     """Verify the two computable steps tying the two weight classes.
 
-    (i) the q-norms match exactly under the hat map; (ii) the target
+    (i) the q-norms match exactly under the h-stretch; (ii) the target
     gradient energy dominates h^(1-p-p/q) times the plain base energy
     of the mapped field.  Radial fields make (ii) an equality.
     """
     if hp.h < 1.0:
         raise RegionViolation(f"chain runs toward smaller a only, h={hp.h:.4f} < 1")
     tp = hp.target
-    uh = hat_map(u, hp, "forward")
+    uh = radial_stretch(u, hp.h, hp.base.q)
     lhs = weighted_grad_pnorm(u, tp)
     if lhs <= 0.0:
         raise ZeroField("chain check of the zero field")
@@ -348,78 +329,7 @@ def monotonicity_chain_check(u: Field, hp: HatParams) -> MonotonicityRecord:
     qn = weighted_lq_norm(u, tp)
     qres = abs(weighted_lq_norm(uh, hp.base) - qn) / qn
     nu = 1.0 + max(1.0, tp.p - 1.0) * tp.gamma / tp.n
-    return MonotonicityRecord(hp=hp, nu=nu, grad_chain_gap=gap, qnorm_residual=qres)
-
-
-def continuity_probe(
-    param_sequence: Sequence[CknParams],
-    family: GeneratorSpec,
-    sample_count: int = 12,
-) -> ContinuityReport:
-    """Scan a parameter sequence whose last entry is the limit tuple.
-
-    Flags limsup(sequence) > limit + 2 * noise, with noise taken from a
-    half-sample rescan at the limit.  A consistency probe only.
-    """
-    if len(param_sequence) < 2:
-        raise InvalidArgument("need at least one sequence entry plus the limit")
-    for ps in param_sequence:
-        # re-derive so hand-built out-of-region tuples fail loudly
-        derive_params(ps.n, ps.p, ps.a, ps.b)
-    bounds = [
-        k_upper_scan(family, ps, sample_count).bound for ps in param_sequence
-    ]
-    limit_bound = bounds[-1]
-    limsup = max(bounds[:-1])
-    half = k_upper_scan(family, param_sequence[-1], max(1, sample_count // 2)).bound
-    noise = max(half - limit_bound, 1e-12 * abs(limit_bound))
-    return ContinuityReport(
-        bounds=tuple(bounds),
-        limit_bound=limit_bound,
-        limsup=limsup,
-        noise=noise,
-        flagged=bool(limsup > limit_bound + 2.0 * noise),
-    )
-
-
-# ---------------------------------------------------------------------------
-# translated-bubble gap probe
-
-
-def translated_bubble_gap_probe(
-    params: CknParams,
-    shift_schedule: Sequence[float],
-    window: tuple = (-30.0, 30.0, 1536),
-    psi_count: int = 160,
-) -> list:
-    """Ratios LHS/RHS along a shift schedule, for a = b > 0 tuples.
-
-    LHS is the k-modified polar deficit of the translated flat bubble;
-    RHS is the squared relative gradient distance to the unshifted one.
-    Zero shifts contribute nothing and are skipped.  The running
-    infimum of the returned list estimates the comparison constant.
-    """
-    if params.a != params.b or params.a == 0.0:
-        raise RegionViolation(
-            f"gap probe needs a = b > 0, got a={params.a}, b={params.b}"
-        )
-    fp = flat_params(params)
-    grid = make_radial_grid(*window)
-    u0 = canonical_profile(fp, grid)
-    sharp = sharp_constant(fp)
-    gnorm0 = grad_norm(u0, fp)
-
-    ratios = []
-    for shift in shift_schedule:
-        if shift == 0.0:
-            continue
-        moved = translate_axisym(u0, float(shift), fp, psi_count)
-        pk = weighted_grad_pnorm(moved, fp, k_factor=params.k)
-        lhs = pk ** (1.0 / fp.p) / q_norm(moved, fp) - sharp
-        diff = u0 - moved
-        rhs = (grad_norm(diff, fp) / gnorm0) ** 2
-        ratios.append(lhs / rhs)
-    return ratios
+    return MonotonicityRecord(nu=nu, grad_chain_gap=gap, qnorm_residual=qres)
 
 
 # ---------------------------------------------------------------------------

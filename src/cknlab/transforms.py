@@ -1,12 +1,12 @@
-"""Radial stretch maps that trade the gradient weight for dimension.
+"""Horiuchi's radial stretch, which trades the gradient weight for dimension.
 
-Both maps send u to c^(1/q) u(r^c theta) for a stretch c: the k-map
-(c = k) removes the |x|^-pa weight entirely, the h-map (c = h) moves a
-field between two weight classes sharing gamma.  On a log-radius grid
-the substitution is a pure node re-map: new log nodes t/c, values
-scaled by c^(1/q), radial derivatives picking up c e^(t(c-1)/c).  No
-interpolation is involved, so the q-norm identity holds node for node
-at rounding level.
+One map, v(r theta) = c^(1/q) u(r^c theta), serves both weight changes:
+the stretch c = k removes the |x|^-pa weight entirely, and c = h moves
+a field between two weight classes sharing gamma.  The inverse of the
+c-stretch is the 1/c-stretch.  On a log-radius grid the substitution is
+a pure node re-map: new log nodes t/c, values scaled by c^(1/q), radial
+derivatives picking up c e^(t(c-1)/c).  No interpolation is involved,
+so the q-norm identity holds node for node at rounding level.
 """
 
 from __future__ import annotations
@@ -15,15 +15,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidArgument, RegionViolation
+from .errors import RegionViolation
 from .fields import Field, scaled_grid
 from .functionals import weighted_grad_pnorm, weighted_lq_norm
-from .params import CknParams, HatParams, derive_params
+from .params import CknParams, derive_params
 
 __all__ = [
     "TransformReport",
-    "horiuchi_map",
-    "hat_map",
+    "radial_stretch",
     "transform_identity_check",
     "flat_params",
 ]
@@ -35,7 +34,6 @@ class TransformReport:
 
     q_norm_residual: float
     grad_identity_residual: float
-    direction: str
     k_drop_gap: float = 0.0  # angular majorisation gap, >= 0, 0 for radial
 
 
@@ -58,39 +56,16 @@ def flat_params(params: CknParams) -> CknParams:
     return derive_params(params.n, params.p, 0.0, params.b - params.a)
 
 
-def horiuchi_map(u: Field, params: CknParams, direction: str = "forward") -> Field:
-    """Move a field between the weighted class and the a = 0 class.
+def radial_stretch(u: Field, c: float, q: float) -> Field:
+    """v = c^(1/q) u(r^c): the stretch by c, which preserves the q-norm.
 
-    forward sends u with weight exponent a to the weightless class;
-    inverse undoes it.  With a = 0 the map is the identity and u is
-    returned unchanged.
+    Pass params.k to reach the weightless class and hp.h to move from
+    the target class to the base class; the stretch by 1/c undoes
+    either.  c = 1 returns u unchanged.
     """
-    if direction not in ("forward", "inverse"):
-        raise InvalidArgument(f"unknown direction {direction!r}")
-    k, q = params.k, params.q
-    if k == 1.0:
+    if c == 1.0:
         return u
-    if direction == "forward":
-        return _stretch_field(u, k, k ** (1.0 / q))
-    return _stretch_field(u, 1.0 / k, k ** (-1.0 / q))
-
-
-def hat_map(u: Field, hp: HatParams, direction: str = "forward") -> Field:
-    """Move a field from the target weight class to the base class.
-
-    forward: u in the target class (larger a when h > 1) becomes
-    h^(1/q) u(r^h) in the base class; inverse undoes it.  h = 1 returns
-    u unchanged.
-    """
-    if direction not in ("forward", "inverse"):
-        raise InvalidArgument(f"unknown direction {direction!r}")
-    h = hp.h
-    q = hp.base.q
-    if h == 1.0:
-        return u
-    if direction == "forward":
-        return _stretch_field(u, h, h ** (1.0 / q))
-    return _stretch_field(u, 1.0 / h, h ** (-1.0 / q))
+    return _stretch_field(u, c, c ** (1.0 / q))
 
 
 def transform_identity_check(u: Field, params: CknParams) -> TransformReport:
@@ -105,7 +80,7 @@ def transform_identity_check(u: Field, params: CknParams) -> TransformReport:
         raise RegionViolation("identity check needs a > 0; the map is trivial at a = 0")
     flat = flat_params(params)
     k = params.k
-    moved = horiuchi_map(u, params, "forward")
+    moved = radial_stretch(u, k, params.q)
     pref = k ** (1.0 - params.p - params.p / params.q)
 
     q_lhs = weighted_lq_norm(u, params)
@@ -121,6 +96,5 @@ def transform_identity_check(u: Field, params: CknParams) -> TransformReport:
     return TransformReport(
         q_norm_residual=q_res,
         grad_identity_residual=g_res,
-        direction="forward",
         k_drop_gap=drop,
     )

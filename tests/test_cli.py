@@ -182,6 +182,14 @@ def test_seed_override_changes_inputs_digest(tmp_path):
     assert r0.inputs_digest != r9.inputs_digest
 
 
+def test_negative_seed_override_exit(tmp_path, capsys):
+    path = _write(tmp_path, "c.json", CONSTANTS_CFG)
+    ledger = str(tmp_path / "ledger.jsonl")
+    assert main(["constants", "--config", path, "--ledger", ledger, "--seed", "-1"]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not os.path.exists(ledger)
+
+
 def test_ledger_env_override(monkeypatch, tmp_path):
     target = str(tmp_path / "elsewhere.jsonl")
     monkeypatch.setenv("CKNLAB_LEDGER", target)
@@ -237,6 +245,16 @@ def test_report_corrupt_line_numbered(tmp_path):
     with open(ledger, "a") as fh:
         fh.write("{broken\n")
     with pytest.raises(LedgerCorrupt, match="line 3"):
+        report(ledger)
+
+
+def test_report_non_object_outputs_numbered(tmp_path):
+    ledger = _two_record_ledger(tmp_path)
+    with open(ledger) as fh:
+        rec = json.loads(fh.readline())
+    with open(ledger, "a") as fh:
+        fh.write(json.dumps({**rec, "outputs": [1, 2]}) + "\n")
+    with pytest.raises(LedgerCorrupt, match="line 3: outputs"):
         report(ledger)
 
 
@@ -353,6 +371,12 @@ def test_main_out_of_range_option_exit(
             {"family": {"name": "bubble_bump", "options": {"eps_log10": 5}}},
             "family.options.eps_log10",
         ),
+        (
+            "constants",
+            {"tolerances": {"pair_rtol": float("nan")}},
+            "config.tolerances.pair_rtol",
+        ),
+        ("constants", {"experiment": "../escaped"}, "config.experiment"),
     ],
 )
 def test_main_malformed_config_exit(tmp_path, capsys, operation, overrides, key):

@@ -1,6 +1,4 @@
-"""Stability-lab tests: ratios, scans, slope fits, chain, probes, embedding."""
-
-import math
+"""Stability-lab tests: ratios, scans, slope fits, chain, gap scaling, embedding."""
 
 import numpy as np
 import pytest
@@ -24,11 +22,9 @@ from cknlab.fields import (
 )
 from cknlab.functionals import grad_norm, q_norm, weighted_grad_pnorm
 from cknlab.manifold import canonical_bubble, canonical_profile, orthogonalize
-from cknlab.params import CknParams
 from cknlab.stability import (
     GeneratorSpec,
     alpha_exponent,
-    continuity_probe,
     embedding_check,
     exponent_slope_fit,
     family_samples,
@@ -37,7 +33,6 @@ from cknlab.stability import (
     monotonicity_chain_check,
     perturbed_bubble,
     stability_ratio,
-    translated_bubble_gap_probe,
 )
 from cknlab.transforms import flat_params
 
@@ -230,47 +225,7 @@ def test_chain_identity_and_orientation():
 
 
 # ---------------------------------------------------------------------------
-# continuity probe
-
-
-def test_continuity_constant_sequence():
-    ps = derive_params(3, 2, 0.1, 0.4)
-    spec = GeneratorSpec("bubble_bump", seed=5, options={"window": (-25.0, 25.0, 512)})
-    rep = continuity_probe([ps, ps, ps], spec, sample_count=3)
-    assert rep.bounds[0] == rep.bounds[1] == rep.bounds[2]
-    assert rep.limsup == rep.limit_bound
-    assert not rep.flagged
-
-
-def test_continuity_linear_approach():
-    seq = [derive_params(3, 2, 0.1 + d, 0.4 + d) for d in (0.03, 0.02, 0.01, 0.0)]
-    spec = GeneratorSpec("bubble_bump", seed=5, options={"window": (-25.0, 25.0, 512)})
-    rep = continuity_probe(seq, spec, sample_count=3)
-    assert len(rep.bounds) == 4
-    assert all(b > 0 for b in rep.bounds)
-    assert rep.noise >= 0.0
-    assert isinstance(rep.flagged, bool)
-
-
-def test_continuity_rejects_bad_tuple():
-    ok = derive_params(3, 2, 0.1, 0.3)
-    bad = CknParams(n=3, p=2.0, a=0.9, b=0.9, q=ok.q, gamma=ok.gamma, k=ok.k)
-    spec = GeneratorSpec("bubble_bump", seed=0)
-    with pytest.raises(RegionViolation):
-        continuity_probe([ok, bad], spec, sample_count=2)
-
-
-# ---------------------------------------------------------------------------
-# translated-bubble gap probe
-
-
-def test_gap_probe_ratios_positive_and_zero_skipped():
-    ps = derive_params(4, 2, 0.3, 0.3)
-    out = translated_bubble_gap_probe(ps, [0.0, 0.05, 0.1, 0.2, 0.4])
-    assert len(out) == 4  # zero shift contributes nothing
-    assert all(r > 0 for r in out)
-    # both sides quadratic in the shift, so the ratios stay within a band
-    assert max(out) / min(out) < 1.5
+# translated flat bubble: both sides of the a = b > 0 gap comparison
 
 
 def test_gap_probe_quadratic_scaling():
@@ -293,12 +248,6 @@ def test_gap_probe_quadratic_scaling():
     assert abs(s_lhs - 2.0) / 2.0 <= 0.1
     assert abs(s_rhs - 2.0) / 2.0 <= 0.1
 
-
-def test_gap_probe_region_guard():
-    with pytest.raises(RegionViolation):
-        translated_bubble_gap_probe(derive_params(4, 2, 0.1, 0.3), [0.1])
-    with pytest.raises(RegionViolation):
-        translated_bubble_gap_probe(derive_params(4, 2, 0.0, 0.0), [0.1])
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Stretch maps: norm identities, bubble transport, round trips."""
+"""The radial stretch: norm identities, bubble transport, round trips."""
 
 import numpy as np
 import pytest
@@ -12,18 +12,13 @@ from cknlab.fields import (
     sample_bubble,
 )
 from cknlab.functionals import weighted_grad_pnorm, weighted_lq_norm
-from cknlab.transforms import (
-    flat_params,
-    hat_map,
-    horiuchi_map,
-    transform_identity_check,
-)
+from cknlab.transforms import flat_params, radial_stretch, transform_identity_check
 
 
 def test_identity_at_a_zero():
     ps = derive_params(3, 2, 0, 0)
     u = gaussian_bump_profile(make_radial_grid(count=64), ps.n, 0.0, 1.0)
-    assert horiuchi_map(u, ps) is u
+    assert radial_stretch(u, ps.k, ps.q) is u
 
 
 def test_bubble_maps_to_flat_bubble():
@@ -31,7 +26,7 @@ def test_bubble_maps_to_flat_bubble():
     ps = derive_params(4, 2, 0.5, 0.5)  # k = 2
     grid = make_radial_grid(-15, 15, 256)
     bub = Bubble(amplitude=1.3, scale=1.7)
-    moved = horiuchi_map(sample_bubble(ps, bub, grid), ps)
+    moved = radial_stretch(sample_bubble(ps, bub, grid), ps.k, ps.q)
     flat = flat_params(ps)
     expected = sample_bubble(
         flat,
@@ -51,7 +46,7 @@ def test_round_trip():
     ps = derive_params(4, 2.5, 0.2, 0.5)
     grid = make_radial_grid(-12, 12, 256)
     u = sample_bubble(ps, Bubble(1.0, 1.0), grid)
-    back = horiuchi_map(horiuchi_map(u, ps), ps, "inverse")
+    back = radial_stretch(radial_stretch(u, ps.k, ps.q), 1.0 / ps.k, ps.q)
     assert np.allclose(back.grid.log_nodes, grid.log_nodes, rtol=0, atol=1e-12)
     assert np.max(np.abs(back.values - u.values)) <= 1e-12 * np.max(np.abs(u.values))
     assert np.max(np.abs(back.grad_r - u.grad_r)) <= 1e-10 * np.max(
@@ -103,7 +98,7 @@ def test_hat_map_identity_at_h_one():
     ps = derive_params(4, 2, 0.5, 1.0)
     hp = derive_hat_params(ps, ps)
     u = gaussian_bump_profile(make_radial_grid(count=64), ps.n, 0.0, 1.0)
-    assert hat_map(u, hp) is u
+    assert radial_stretch(u, hp.h, ps.q) is u
 
 
 def test_hat_map_qnorm_identity():
@@ -115,7 +110,7 @@ def test_hat_map_qnorm_identity():
         sample_bubble(target, Bubble(1.0, 1.0), grid),
         gaussian_bump_profile(grid, target.n, -0.5, 0.9),
     ):
-        moved = hat_map(u, hp)
+        moved = radial_stretch(u, hp.h, base.q)
         lhs = weighted_lq_norm(u, target)
         rhs = weighted_lq_norm(moved, base)
         assert abs(lhs - rhs) / lhs <= 1e-8
@@ -128,7 +123,7 @@ def test_hat_map_gradient_identity_radial():
     hp = derive_hat_params(base, target)
     grid = make_radial_grid(count=1024)
     u = sample_bubble(target, Bubble(1.0, 1.0), grid)
-    moved = hat_map(u, hp)
+    moved = radial_stretch(u, hp.h, base.q)
     lhs = weighted_grad_pnorm(u, target)
     rhs = hp.h ** (1.0 - base.p - base.p / base.q) * weighted_grad_pnorm(moved, base)
     assert abs(lhs - rhs) / lhs <= 1e-8
@@ -140,13 +135,7 @@ def test_hat_round_trip():
     hp = derive_hat_params(base, target)
     grid = make_radial_grid(-10, 10, 128)
     u = gaussian_bump_profile(grid, target.n, 0.3, 0.8)
-    back = hat_map(hat_map(u, hp), hp, "inverse")
+    back = radial_stretch(radial_stretch(u, hp.h, base.q), 1.0 / hp.h, base.q)
     assert np.max(np.abs(back.values - u.values)) <= 1e-12
     assert np.allclose(back.grid.log_nodes, grid.log_nodes, rtol=0, atol=1e-12)
 
-
-def test_unknown_direction():
-    ps = derive_params(4, 2, 0.5, 0.5)
-    u = gaussian_bump_profile(make_radial_grid(count=64), ps.n, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        horiuchi_map(u, ps, "sideways")
