@@ -112,12 +112,18 @@ _REQUIRED = object()  # default of a key that must be present
 
 
 def _number(value, path: str):
-    """A finite int or float: json reads NaN and Infinity, which no gate can use."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or (isinstance(value, float) and not math.isfinite(value))
-    ):
+    """A finite int or float.
+
+    json reads NaN, Infinity and ints past the float range, which no
+    gate can use.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{path} must be a finite number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        raise ConfigError(f"{path} is an integer too large for a float") from None
+    if not finite:
         raise ConfigError(f"{path} must be a finite number, got {value!r}")
     return value
 

@@ -67,7 +67,7 @@ def _gradient_stack(elements: list, params: CknParams) -> tuple:
 
 def _flux_factor(mag: np.ndarray, expo: float) -> np.ndarray:
     """mag^expo where mag > 0, else 0: the flux |g|^(p-2) g vanishes with g."""
-    return np.power(mag, expo, out=np.zeros_like(mag), where=mag > 0.0)
+    return np.power(mag, expo, out=np.zeros(np.shape(mag)), where=mag > 0.0)
 
 
 def weighted_grad_pnorm(u: Field, params: CknParams, k_factor: float = 1.0) -> float:

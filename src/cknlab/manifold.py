@@ -219,14 +219,22 @@ ROUNDING_FLOOR = 1e-12
 def _bracketed_min(f, seed: float) -> tuple[float, float]:
     """(f, log lam) at the minimum of f over log lam, or OptimizerStall.
 
-    A 33-point scan over seed +- 8, then Brent inside the bracket of every
-    strict interior scan minimum; ties (1e-12 relative) go to min |log lam|.
+    f maps an array of log lam to the array of its values.  A 33-point
+    scan over seed +- 8 in one call, then Brent, one point per call,
+    inside the bracket of every strict interior scan minimum; ties
+    (1e-12 relative) go to min |log lam|.
     """
-    f = lru_cache(maxsize=None)(f)  # Brent re-evaluates the scan's bracket points
     x = np.linspace(seed - 8.0, seed + 8.0, 33)
-    v = [f(t) for t in x]
+    v = f(x)
+    cache = dict(zip(x.tolist(), v.tolist()))  # Brent re-evaluates the bracket points
+
+    def point(t):
+        if t not in cache:
+            cache[t] = float(f(np.array([t]))[0])
+        return cache[t]
+
     found = [
-        _brent(f, x[i - 1], x[i], x[i + 1])
+        _brent(point, x[i - 1], x[i], x[i + 1])
         for i in range(1, len(x) - 1)
         if v[i] < v[i - 1] and v[i] < v[i + 1]
     ]
@@ -245,8 +253,9 @@ def _brent(f, lo: float, mid: float, hi: float) -> tuple[float, float]:
 
 
 def _family_min(f, seed: float, u: Field, params: CknParams) -> tuple[float, float]:
-    """(log lam, shift) minimising f(log lam, shift) over the family.
+    """(log lam, shift) minimising f(log lams, shift) over the family.
 
+    f maps an array of log lam at one shift to the array of its values.
     The shift moves only for axisymmetric u with a = b = 0: Brent over
     the dilation-profiled minimum, from the checked bracket (-1, 0, 1).
     """
@@ -260,16 +269,33 @@ def _family_min(f, seed: float, u: Field, params: CknParams) -> tuple[float, flo
     return profile(shift)[1], shift
 
 
-def _slope_curv(g, h, w, p, amp) -> tuple[float, float]:
-    """First and second derivative of the energy in amp."""
-    r = g - amp * h
-    mag = np.sqrt(np.sum(r * r, axis=0))
-    rh = np.sum(r * h, axis=0)
+def _slopes_curvs(g, H, hsq, w, p, amps) -> tuple[np.ndarray, np.ndarray]:
+    """First and second derivative in A of sum w |g - A h|^p, per column h of H.
+
+    Each column at its own amplitude in amps; hsq = sum H^2 per node.
+    """
+    r = H * -amps
+    r += g[..., None]
+    rh = np.einsum("cnk,cnk->nk", r, H)
+    mag = np.sqrt(np.einsum("cnk,cnk->nk", r, r))
+    del r
     flux = _flux_factor(mag, p - 2.0)
-    # where the residual vanishes its curvature weights are zero
-    cos = np.divide(rh, mag, out=np.zeros_like(rh), where=mag > 0.0)
-    curv = flux * (np.sum(h * h, axis=0) + (p - 2.0) * cos**2)
-    return -p * float(np.sum(w * flux * rh)), p * float(np.sum(w * curv))
+    # mag becomes the cosine rh / mag, zero where the residual vanishes
+    cos = np.divide(rh, mag, out=mag, where=mag > 0.0)
+    cos *= cos
+    cos *= p - 2.0
+    cos += hsq
+    cos *= flux
+    rh *= flux
+    return -p * (w @ rh), p * (w @ cos)
+
+
+def _slope_curv(g, h, w, p, amp) -> tuple[float, float]:
+    """_slopes_curvs of the single column h at amp."""
+    H = h[..., None]
+    hsq = np.einsum("cnk,cnk->nk", H, H)
+    slope, curv = _slopes_curvs(g, H, hsq, w, p, np.array([amp]))
+    return float(slope[0]), float(curv[0])
 
 
 def _profiled_amplitude(g, h, w, p) -> float:
@@ -304,6 +330,69 @@ def _profiled_amplitude(g, h, w, p) -> float:
     return unit * float(res.x[0])
 
 
+# columns per kernel call: bounds the (components, nodes, columns) temporaries
+AMPLITUDE_BLOCK = 8
+# Newton or bisection steps per kernel call; bisection alone needs about 60
+AMPLITUDE_MAX_STEPS = 100
+
+
+def _profiled_amplitudes(g, H, w, p) -> np.ndarray:
+    """_profiled_amplitude of every column of H, in one array solve.
+
+    g (components, nodes) is u's gradient stack and H (components,
+    nodes, K) the bubble columns, in the _gradient_stack layout.  p = 2
+    is the closed-form projection, where the others start.  Otherwise
+    Newton on the monotone slope, every column at once: each column
+    keeps the bracket its slope signs give and bisects when a Newton
+    step leaves it.  A column stops at the scalar solve's test
+    |slope curv| <= 1e-15 |A0| curv0^2, or when its step or its bracket
+    is below 4 ulp of |A| (a slope on its rounding floor never passes
+    the test), and then leaves the active set.  OptimizerStall after
+    AMPLITUDE_MAX_STEPS steps, or on a non-finite slope.
+    """
+    hsq = np.einsum("cnk,cnk->nk", H, H)
+    hh = w @ hsq
+    gh = w @ np.einsum("cn,cnk->nk", g, H)
+    amps = np.divide(gh, hh, out=np.zeros(hh.shape), where=hh > 0.0)
+    if p == 2.0:
+        return amps
+    slope, curv = _slopes_curvs(g, H, hsq, w, p, amps)
+    # curv0 = 0: the residual vanishes wherever h does not
+    act = np.flatnonzero(curv > 0.0)
+    if act.size < amps.size:
+        H, hsq, slope, curv = H[..., act], hsq[:, act], slope[act], curv[act]
+    unit = np.abs(amps[act])
+    unit[unit == 0.0] = 1.0
+    tol = 1e-15 * unit * curv**2
+    lo = np.full(act.size, -np.inf)
+    hi = np.full(act.size, np.inf)
+    for _ in range(AMPLITUDE_MAX_STEPS):
+        if not np.all(np.isfinite(slope) & np.isfinite(curv)):
+            raise OptimizerStall("non-finite amplitude slope")
+        a = amps[act]
+        live = np.abs(slope * curv) > tol  # so curv > 0 where live
+        lo = np.where(slope < 0.0, a, lo)
+        hi = np.where(slope > 0.0, a, hi)
+        new = a - np.divide(slope, curv, out=np.zeros(a.shape), where=live)
+        # a Newton step can leave the bracket only through a finite end,
+        # and the other end is the current point
+        leaves = live & ~((new > lo) & (new < hi))
+        np.add(0.5 * lo, 0.5 * hi, out=new, where=leaves)
+        ulp4 = 4.0 * np.spacing(np.abs(a))
+        live &= (np.abs(new - a) > ulp4) & (hi - lo > ulp4)
+        amps[act[live]] = new[live]
+        if not np.all(live):
+            act, H, hsq, tol, lo, hi = (
+                act[live], H[..., live], hsq[:, live], tol[live], lo[live], hi[live]
+            )
+        if not act.size:
+            return amps
+        slope, curv = _slopes_curvs(g, H, hsq, w, p, amps[act])
+    raise OptimizerStall(
+        f"amplitude Newton: {act.size} columns open after {AMPLITUDE_MAX_STEPS} steps"
+    )
+
+
 def manifold_distance(u: Field, params: CknParams) -> tuple[float, Bubble]:
     """Metric projection distance (D_a^p metric) to the family, and the bubble.
 
@@ -324,19 +413,42 @@ def manifold_distance(u: Field, params: CknParams) -> tuple[float, Bubble]:
     if unorm == 0.0:
         raise ZeroField("zero gradient norm")
 
-    def stack(log_lam, shift):
-        # gradients of u and of the unit-amplitude bubble, and the weights
-        bub = Bubble(amplitude=1.0, scale=math.exp(log_lam), axial_shift=shift)
-        comps, w = _gradient_stack([u, _bubble_on(u, params, bub)], params)
-        return comps[..., 0], comps[..., 1], w
+    comps, w = _gradient_stack([u], params)
+    g_centred = comps[..., 0]
+    sig, m = params.sigma, params.bubble_m
 
-    def distance_sq(log_lam, shift):
+    def columns(log_lams, shift):
+        # u's gradient stack and the unit-amplitude bubble gradients in its layout
+        if shift != 0.0:
+            bubs = [Bubble(1.0, math.exp(t), shift) for t in log_lams]
+            fields = [_bubble_on(u, params, b) for b in bubs]
+            # a translated bubble has an angular gradient even where u has none
+            comps = _gradient_stack([u, *fields], params)[0]
+            return comps[..., 0], comps[..., 1:]
+        b_coeff = np.array([math.exp(t) ** sig for t in log_lams])
+        dv = bubble_evaluator(1.0, b_coeff, sig, m)(u.grid.nodes[:, None])[1]
+        g = g_centred
+        if len(g) == 1 and u.is_radial:
+            return g, dv[None]
+        H = np.zeros((len(g), u.grid.count, len(u.psi_nodes), len(log_lams)))
+        H[0] = dv[:, None, :]
+        return g, H.reshape(len(g), -1, len(log_lams))
+
+    def distance_sq(log_lams, shift):
         # squared, the distance is smooth at a zero and Brent's parabolas are exact
-        g, h, w = stack(log_lam, shift)
-        return _energy(w, g - _profiled_amplitude(g, h, w, p) * h, p) ** (2.0 / p)
+        out = np.empty(len(log_lams))
+        for k in range(0, len(log_lams), AMPLITUDE_BLOCK):
+            g, H = columns(log_lams[k : k + AMPLITUDE_BLOCK], shift)
+            H *= -_profiled_amplitudes(g, H, w, p)
+            H += g[..., None]
+            mag_sq = np.einsum("cnk,cnk->nk", H, H)
+            out[k : k + AMPLITUDE_BLOCK] = w @ mag_sq ** (p / 2.0)
+        return out ** (2.0 / p)
 
     log_lam, shift = _family_min(distance_sq, moment_seed(u, params), u, params)
-    g, h, w = stack(log_lam, shift)
+    # the certified amplitude: one scalar solve at the chosen dilation
+    g, H = columns([log_lam], shift)
+    h = H[..., 0]
     amp = _profiled_amplitude(g, h, w, p)
     dist = _energy(w, g - amp * h, p) ** (1.0 / p)
     # slope / p over the Hoelder bound ||r||^(p-1) ||h||; h = 0 has slope 0
@@ -373,7 +485,10 @@ def select_Pu(u: Field, params: CknParams) -> Bubble:
         bub = canonical_bubble(params, math.exp(log_lam), axial_shift=shift)
         return -_q_pairing(u, _bubble_on(u, params, bub), params)
 
-    log_lam, shift = _family_min(neg_pairing, moment_seed(u, params), u, params)
+    def neg_pairings(log_lams, shift):
+        return np.array([neg_pairing(t, shift) for t in log_lams])
+
+    log_lam, shift = _family_min(neg_pairings, moment_seed(u, params), u, params)
     return canonical_bubble(params, math.exp(log_lam), axial_shift=shift)
 
 

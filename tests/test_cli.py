@@ -377,6 +377,7 @@ def test_main_out_of_range_option_exit(
             "config.tolerances.pair_rtol",
         ),
         ("constants", {"experiment": "../escaped"}, "config.experiment"),
+        ("constants", {"grid": [-25, 10**400, 256]}, "config.grid[1]"),
     ],
 )
 def test_main_malformed_config_exit(tmp_path, capsys, operation, overrides, key):

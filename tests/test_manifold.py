@@ -1,6 +1,7 @@
 """Normalization, projection, representative selection, decomposition."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,11 +15,13 @@ from cknlab.fields import (
     Field,
     bubble_evaluator,
     gaussian_bump_profile,
+    make_psi_grid,
     make_radial_grid,
+    modulated_axisym,
     sample_bubble,
     translate_axisym,
 )
-from cknlab.functionals import weighted_grad_pnorm, weighted_lq_norm
+from cknlab.functionals import _gradient_stack, weighted_grad_pnorm, weighted_lq_norm
 from cknlab.manifold import (
     bubble_normalization,
     canonical_bubble,
@@ -143,6 +146,24 @@ def test_distance_recovers_axial_shift():
     assert bub.scale == pytest.approx(1.4, rel=1e-6)
 
 
+def test_distance_axisym_without_angular_gradient_at_zero_weights():
+    # grad_psi None means a vanishing angular derivative; the shift search
+    # still lays translated bubbles, which have one, against it
+    ps = derive_params(3, 2.5, 0, 0)
+    grid = make_radial_grid(-20, 20, 256)
+    rad = canonical_profile(ps, grid, 1.4) + 0.05 * gaussian_bump_profile(
+        grid, ps.n, 0.5, 1.0
+    )
+    psi, wpsi = make_psi_grid(ps.n, 16)
+    ones = np.ones((1, len(psi)))
+    u = Field(grid, ps.n, psi, wpsi, rad.values * ones, rad.grad_r * ones)
+    got, bub = manifold_distance(u, ps)
+    want, want_bub = manifold_distance(replace(u, grad_psi=np.zeros_like(u.values)), ps)
+    assert got == pytest.approx(want, rel=1e-12)
+    assert bub.axial_shift == pytest.approx(want_bub.axial_shift, abs=1e-12)
+    assert abs(bub.axial_shift) < 1e-3
+
+
 def test_select_pu_recovers_axial_shift():
     ps, u = _shifted_bubble()
     got = select_Pu(u, ps)
@@ -189,6 +210,91 @@ def test_distance_p_below_two_matches_nelder_mead():
     )
     dist_new, _ = manifold_distance(u, ps)
     assert dist_new == pytest.approx(ref, rel=1e-9)
+
+
+# one admissible tuple with a > 0 per exponent
+KERNEL_TUPLES = [
+    (3, 1.5, 0.1, 0.3),
+    (4, 2.0, 0.5, 0.5),
+    (4, 2.5, 0.2, 0.5),
+    (4, 3.0, 0.1, 0.1),
+    (5, 4.0, 0.1, 0.2),
+]
+KERNEL_LOG_LAMS = (-1.0, 0.0, math.log(1.3), 1.0)
+
+
+def _kernel_problem(tup, axisym):
+    """u's stack and the columns: bubbles at KERNEL_LOG_LAMS and a bump at t = 45.
+
+    u carries a near bump and a far one at t = 45, which the bubbles
+    cannot reach (the c04c setting).
+    """
+    ps = derive_params(*tup)
+    grid = make_radial_grid(-30, 60, 1024)
+    u = (
+        canonical_profile(ps, grid, 1.3)
+        + 0.05 * gaussian_bump_profile(grid, ps.n, 1.0, 1.0)
+        + 1e-3 * gaussian_bump_profile(grid, ps.n, 45.0, 1.0)
+    )
+    if axisym:
+        u = modulated_axisym(u, psi_count=8)
+    cols = [sample_bubble(ps, Bubble(1.0, math.exp(t)), grid) for t in KERNEL_LOG_LAMS]
+    cols.append(gaussian_bump_profile(grid, ps.n, 45.0, 1.0))
+    comps, w = _gradient_stack([u, *cols], ps)
+    return ps, comps[..., 0], comps[..., 1:], w
+
+
+@pytest.mark.parametrize("axisym", [False, True])
+@pytest.mark.parametrize("tup", KERNEL_TUPLES)
+def test_batched_amplitudes_match_scalar_solve(tup, axisym):
+    ps, g, H, w = _kernel_problem(tup, axisym)
+    assert H.shape[0] == (2 if axisym else 1)
+    got = manifold._profiled_amplitudes(g, H, w, ps.p)
+    for k in range(H.shape[-1]):
+        want = manifold._profiled_amplitude(g, H[..., k], w, ps.p)
+        assert got[k] == pytest.approx(want, rel=1e-12), k
+
+
+def test_batched_amplitude_step_cap_raises(monkeypatch):
+    ps, g, H, w = _kernel_problem((4, 3.0, 0.1, 0.1), False)
+    monkeypatch.setattr(manifold, "AMPLITUDE_MAX_STEPS", 1)
+    with pytest.raises(OptimizerStall, match="columns open"):
+        manifold._profiled_amplitudes(g, H, w, ps.p)
+
+
+def test_distance_axisym_weighted_matches_nelder_mead():
+    # a > 0: no shift, but the angular gradient enters the distance
+    ps = derive_params(4, 2.5, 0.2, 0.5)
+    grid = make_radial_grid(-25, 25, 512)
+    u = modulated_axisym(
+        canonical_profile(ps, grid, 1.3)
+        + 0.02 * gaussian_bump_profile(grid, ps.n, 0.5, 1.0),
+        psi_count=8,
+    )
+    w = grid.radial_weights(ps.n - 1.0 - ps.p * ps.a)[:, None] * u.psi_weights
+    ang_sq = (u.grad_psi / grid.nodes[:, None]) ** 2
+
+    def dist(theta):
+        _, dv = bubble_evaluator(theta[0], math.exp(theta[1]), ps.sigma, ps.bubble_m)(
+            grid.nodes
+        )
+        grad_sq = (u.grad_r - dv[:, None]) ** 2 + ang_sq
+        return np.sum(w * grad_sq ** (ps.p / 2.0)) ** (1.0 / ps.p)
+
+    amp0 = canonical_bubble(ps, 1.3).amplitude
+    starts = [(0.0, 0.0), (0.1, 0.5), (-0.1, -0.5)]
+    ref = min(
+        minimize(
+            dist,
+            [amp0 * (1.0 + da), ps.sigma * math.log(1.3) + db],
+            method="Nelder-Mead",
+            options=dict(xatol=1e-12, fatol=1e-14, maxiter=4000, maxfev=8000),
+        ).fun
+        for da, db in starts
+    )
+    got, bub = manifold_distance(u, ps)
+    assert bub.axial_shift == 0.0
+    assert got == pytest.approx(ref, rel=1e-9)
 
 
 def _perturbed_p25():
