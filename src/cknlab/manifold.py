@@ -273,9 +273,18 @@ def _slopes_curvs(g, H, hsq, w, p, amps) -> tuple[np.ndarray, np.ndarray]:
     """First and second derivative in A of sum w |g - A h|^p, per column h of H.
 
     Each column at its own amplitude in amps; hsq = sum H^2 per node.
+    With one gradient component the cosine of r and h is +-1, so the
+    curvature weight hsq + (p-2) cos^2 is (p-1) hsq.
     """
     r = H * -amps
     r += g[..., None]
+    if len(H) == 1:
+        r, h = r[0], H[0]
+        flux = _flux_factor(np.abs(r), p - 2.0)
+        r *= h
+        r *= flux
+        flux *= hsq
+        return -p * (w @ r), p * (p - 1.0) * (w @ flux)
     rh = np.einsum("cnk,cnk->nk", r, H)
     mag = np.sqrt(np.einsum("cnk,cnk->nk", r, r))
     del r
@@ -336,26 +345,31 @@ AMPLITUDE_BLOCK = 8
 AMPLITUDE_MAX_STEPS = 100
 
 
-def _profiled_amplitudes(g, H, w, p) -> np.ndarray:
+def _profiled_amplitudes(g, H, w, p, start=None) -> np.ndarray:
     """_profiled_amplitude of every column of H, in one array solve.
 
     g (components, nodes) is u's gradient stack and H (components,
     nodes, K) the bubble columns, in the _gradient_stack layout.  p = 2
-    is the closed-form projection, where the others start.  Otherwise
-    Newton on the monotone slope, every column at once: each column
-    keeps the bracket its slope signs give and bisects when a Newton
-    step leaves it.  A column stops at the scalar solve's test
-    |slope curv| <= 1e-15 |A0| curv0^2, or when its step or its bracket
-    is below 4 ulp of |A| (a slope on its rounding floor never passes
-    the test), and then leaves the active set.  OptimizerStall after
+    is the closed-form projection.  Otherwise Newton on the monotone
+    slope, every column at once, from start (one amplitude per column)
+    or from the closed form: each column keeps the bracket its slope
+    signs give and bisects when a Newton step would pass its midpoint,
+    so a bad start still converges.  A column stops at the scalar
+    solve's test |slope curv| <= 1e-15 |A0| curv0^2, with A0 and curv0
+    taken at its start, or when its step or its bracket is below 4 ulp
+    of |A| (a slope on its rounding floor never passes the test), and
+    then leaves the active set.  OptimizerStall after
     AMPLITUDE_MAX_STEPS steps, or on a non-finite slope.
     """
     hsq = np.einsum("cnk,cnk->nk", H, H)
-    hh = w @ hsq
-    gh = w @ np.einsum("cn,cnk->nk", g, H)
-    amps = np.divide(gh, hh, out=np.zeros(hh.shape), where=hh > 0.0)
-    if p == 2.0:
-        return amps
+    if start is None or p == 2.0:
+        hh = w @ hsq
+        gh = w @ np.einsum("cn,cnk->nk", g, H)
+        amps = np.divide(gh, hh, out=np.zeros(hh.shape), where=hh > 0.0)
+        if p == 2.0:
+            return amps
+    else:
+        amps = np.array(start, dtype=float)
     slope, curv = _slopes_curvs(g, H, hsq, w, p, amps)
     # curv0 = 0: the residual vanishes wherever h does not
     act = np.flatnonzero(curv > 0.0)
@@ -367,21 +381,23 @@ def _profiled_amplitudes(g, H, w, p) -> np.ndarray:
     lo = np.full(act.size, -np.inf)
     hi = np.full(act.size, np.inf)
     for _ in range(AMPLITUDE_MAX_STEPS):
-        if not np.all(np.isfinite(slope) & np.isfinite(curv)):
+        if not (np.isfinite(slope).all() and np.isfinite(curv).all()):
             raise OptimizerStall("non-finite amplitude slope")
         a = amps[act]
         live = np.abs(slope * curv) > tol  # so curv > 0 where live
         lo = np.where(slope < 0.0, a, lo)
         hi = np.where(slope > 0.0, a, hi)
         new = a - np.divide(slope, curv, out=np.zeros(a.shape), where=live)
-        # a Newton step can leave the bracket only through a finite end,
-        # and the other end is the current point
-        leaves = live & ~((new > lo) & (new < hi))
-        np.add(0.5 * lo, 0.5 * hi, out=new, where=leaves)
+        # the current point is one end of the bracket and the step heads
+        # for the other, an earlier point: a step past the midpoint says
+        # that point was the better guess (the overshoot that makes p < 2
+        # oscillate), so bisect; an infinite end is never passed
+        mid = 0.5 * lo + 0.5 * hi
+        np.copyto(new, mid, where=live & (np.abs(new - a) > np.abs(mid - a)))
         ulp4 = 4.0 * np.spacing(np.abs(a))
         live &= (np.abs(new - a) > ulp4) & (hi - lo > ulp4)
         amps[act[live]] = new[live]
-        if not np.all(live):
+        if not live.all():
             act, H, hsq, tol, lo, hi = (
                 act[live], H[..., live], hsq[:, live], tol[live], lo[live], hi[live]
             )
@@ -416,6 +432,10 @@ def manifold_distance(u: Field, params: CknParams) -> tuple[float, Bubble]:
     comps, w = _gradient_stack([u], params)
     g_centred = comps[..., 0]
     sig, m = params.sigma, params.bubble_m
+    # the unit bubble's radial derivative is d_fac B (1 + B r^sigma)^(-m-1)
+    r = u.grid.nodes[:, None]
+    r_sig = r**sig
+    d_fac = -m * sig * r ** (sig - 1.0)
 
     def columns(log_lams, shift):
         # u's gradient stack and the unit-amplitude bubble gradients in its layout
@@ -426,7 +446,8 @@ def manifold_distance(u: Field, params: CknParams) -> tuple[float, Bubble]:
             comps = _gradient_stack([u, *fields], params)[0]
             return comps[..., 0], comps[..., 1:]
         b_coeff = np.array([math.exp(t) ** sig for t in log_lams])
-        dv = bubble_evaluator(1.0, b_coeff, sig, m)(u.grid.nodes[:, None])[1]
+        dv = (1.0 + b_coeff * r_sig) ** (-m - 1.0)
+        dv *= d_fac * b_coeff
         g = g_centred
         if len(g) == 1 and u.is_radial:
             return g, dv[None]
@@ -434,12 +455,24 @@ def manifold_distance(u: Field, params: CknParams) -> tuple[float, Bubble]:
         H[0] = dv[:, None, :]
         return g, H.reshape(len(g), -1, len(log_lams))
 
+    # shift -> {log lam: solved amplitude}, the warm starts of one-column calls
+    solved: dict = {}
+
     def distance_sq(log_lams, shift):
         # squared, the distance is smooth at a zero and Brent's parabolas are exact
+        known = solved.setdefault(shift, {})
+        start = None
+        if len(log_lams) == 1 and known:
+            t0 = float(log_lams[0])
+            near = min(known, key=lambda t: abs(t - t0))
+            start = [known[near]]
         out = np.empty(len(log_lams))
         for k in range(0, len(log_lams), AMPLITUDE_BLOCK):
-            g, H = columns(log_lams[k : k + AMPLITUDE_BLOCK], shift)
-            H *= -_profiled_amplitudes(g, H, w, p)
+            block = log_lams[k : k + AMPLITUDE_BLOCK]
+            g, H = columns(block, shift)
+            amps = _profiled_amplitudes(g, H, w, p, start)
+            known.update(zip(block.tolist(), amps.tolist()))
+            H *= -amps
             H += g[..., None]
             mag_sq = np.einsum("cnk,cnk->nk", H, H)
             out[k : k + AMPLITUDE_BLOCK] = w @ mag_sq ** (p / 2.0)

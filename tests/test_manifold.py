@@ -223,8 +223,8 @@ KERNEL_TUPLES = [
 KERNEL_LOG_LAMS = (-1.0, 0.0, math.log(1.3), 1.0)
 
 
-def _kernel_problem(tup, axisym):
-    """u's stack and the columns: bubbles at KERNEL_LOG_LAMS and a bump at t = 45.
+def _kernel_problem(tup, axisym, log_lams=KERNEL_LOG_LAMS):
+    """u's stack and the columns: bubbles at log_lams and a bump at t = 45.
 
     u carries a near bump and a far one at t = 45, which the bubbles
     cannot reach (the c04c setting).
@@ -238,7 +238,7 @@ def _kernel_problem(tup, axisym):
     )
     if axisym:
         u = modulated_axisym(u, psi_count=8)
-    cols = [sample_bubble(ps, Bubble(1.0, math.exp(t)), grid) for t in KERNEL_LOG_LAMS]
+    cols = [sample_bubble(ps, Bubble(1.0, math.exp(t)), grid) for t in log_lams]
     cols.append(gaussian_bump_profile(grid, ps.n, 45.0, 1.0))
     comps, w = _gradient_stack([u, *cols], ps)
     return ps, comps[..., 0], comps[..., 1:], w
@@ -260,6 +260,66 @@ def test_batched_amplitude_step_cap_raises(monkeypatch):
     monkeypatch.setattr(manifold, "AMPLITUDE_MAX_STEPS", 1)
     with pytest.raises(OptimizerStall, match="columns open"):
         manifold._profiled_amplitudes(g, H, w, ps.p)
+
+
+@pytest.mark.parametrize("axisym", [False, True])
+@pytest.mark.parametrize("tup", KERNEL_TUPLES)
+def test_warm_started_amplitudes_match_cold_solve(tup, axisym):
+    # restarted at the cold result, the stopping test refers to the
+    # answer's own scale: at p = 2.5 the p = 2 start is about 1e7 times
+    # the answer and the cold call stops a few percent short of it
+    ps, g, H, w = _kernel_problem(tup, axisym)
+    answer = manifold._profiled_amplitudes(
+        g, H, w, ps.p, start=manifold._profiled_amplitudes(g, H, w, ps.p)
+    )
+    # the start costs no reference slope, so a far start at p > 2, where
+    # the curvature grows like |r|^(p-2), stops up to (curv0/curv)^2 early
+    for factor, rel in ((1.001, 1e-12), (10.0, 1e-10), (-1.0, 1e-12), (0.0, 1e-12)):
+        warm = manifold._profiled_amplitudes(g, H, w, ps.p, start=factor * answer)
+        # the bump column: u holds it exactly, so at p > 2 the curvature
+        # vanishes at the answer and only converges linearly
+        assert warm[:-1] == pytest.approx(answer[:-1], rel=rel), factor
+        assert warm[-1] == pytest.approx(answer[-1], rel=1e-3), factor
+
+
+@pytest.mark.parametrize("p", [1.5, 2.5, 4.0])
+def test_one_component_slopes_match_generic_path(p):
+    tup = next(t for t in KERNEL_TUPLES if t[1] == p)
+    ps, g, H, w = _kernel_problem(tup, False)
+    amps = 0.9 * manifold._profiled_amplitudes(g, H, w, p)
+    # a column equal to g on the inner half: at amplitude 1 the residual,
+    # and with it the flux, vanishes there
+    inner = np.arange(g.shape[1]) < g.shape[1] // 2
+    H = np.concatenate([H, np.where(inner, g, 0.5 * g)[..., None]], axis=-1)
+    amps = np.append(amps, 1.0)
+    hsq = np.einsum("cnk,cnk->nk", H, H)
+    one = manifold._slopes_curvs(g, H, hsq, w, p, amps)
+    # the same stack with an all-zero angular row takes the generic path
+    g2 = np.concatenate([g, np.zeros_like(g)])
+    H2 = np.concatenate([H, np.zeros_like(H)])
+    generic = manifold._slopes_curvs(g2, H2, hsq, w, p, amps)
+    for got, want in zip(one, generic):
+        assert got == pytest.approx(want, rel=1e-13)
+
+
+def test_warm_start_saves_far_bump_slope_evaluations(monkeypatch):
+    # c04c's tuple; the neighbour sits one Brent-sized step away
+    t = math.log(1.3)
+    ps, g, H, w = _kernel_problem((4, 2.5, 0.2, 0.5), False, (t, t + 0.01))
+    near = manifold._profiled_amplitudes(g, H[..., :1], w, ps.p)
+    calls = []
+    slopes_curvs = manifold._slopes_curvs
+
+    def counted(*args):
+        calls.append(1)
+        return slopes_curvs(*args)
+
+    monkeypatch.setattr(manifold, "_slopes_curvs", counted)
+    manifold._profiled_amplitudes(g, H[..., 1:2], w, ps.p)
+    cold = len(calls)
+    calls.clear()
+    manifold._profiled_amplitudes(g, H[..., 1:2], w, ps.p, start=near)
+    assert len(calls) < cold
 
 
 def test_distance_axisym_weighted_matches_nelder_mead():
