@@ -433,8 +433,8 @@ def _op_project(cfg: ExperimentConfig, opt, ctx: _RunContext):
         u = perturbed_bubble(ps, grid, opt.eps, opt.center, opt.width)
         dist, bub = manifold_distance(u, ps)
         dec = mu_rho_decompose(u, bub, ps)
-        unorm = weighted_grad_pnorm(u, ps) ** (1.0 / ps.p)
-        rn = weighted_grad_pnorm(dec.rho, ps) ** (1.0 / ps.p)
+        unorm = grad_norm(u, ps)
+        rn = grad_norm(dec.rho, ps)
         rows.append(
             {
                 "distance": float(dist),
@@ -713,8 +713,8 @@ OPERATIONS = {
         "samples": (_count(1), 30),
     }, {}),
     "slope-fit": Operation("stability", _op_slope_fit, "one", {
-        "eps_start": (_real, 2.5e-3),
-        "eps_stop": (_real, 1e-1),
+        "eps_start": (_positive, 2.5e-3),
+        "eps_stop": (_positive, 1e-1),
         "eps_count": (_count(2), 6),
         "center": (_real, 10.0),
         "width": (_real, 1.0),
@@ -737,8 +737,8 @@ OPERATIONS = {
         "width_hi": (_real, 1.5),
     }, {"ratio_floor": 1.0}),
     "expansion-slopes": Operation("critical", _op_expansion_slopes, "one", {
-        "eps_start": (_real, 1e-3),
-        "eps_stop": (_real, 1e-1),
+        "eps_start": (_positive, 1e-3),
+        "eps_stop": (_positive, 1e-1),
         "eps_count": (_count(2), 7),
         "center": (_real, 0.5),
         "width": (_real, 0.7),

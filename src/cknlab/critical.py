@@ -31,7 +31,8 @@ from .errors import (
     ZeroField,
 )
 from .fields import Bubble, Field, gaussian_bump_profile, sample_bubble
-from .functionals import _energy, _flux_factor, _gradient_stack, weighted_grad_pnorm
+from .functionals import _energy, _flux_factor, _gradient_stack
+from .functionals import grad_norm, weighted_grad_pnorm
 from .manifold import (
     _bubble_on,
     _tangents_like,
@@ -332,13 +333,13 @@ def _v_quadratic(v_bub: Bubble, rho: Field, params: CknParams) -> float:
 
 
 def _project_near(u: Field, params: CknParams, distance_gate: Optional[float]):
-    unorm = weighted_grad_pnorm(u, params) ** (1.0 / params.p)
+    unorm = grad_norm(u, params)
     if unorm <= 0.0:
         raise ZeroField("near-manifold analysis of the zero field")
     v_bub = select_Pu(u, params)
     v_field = _bubble_on(u, params, v_bub)
     diff = u - v_field
-    dist = weighted_grad_pnorm(diff, params) ** (1.0 / params.p)
+    dist = grad_norm(diff, params)
     gate = 0.1 * unorm if distance_gate is None else distance_gate
     if dist > gate:
         raise FarFromManifold(f"distance {dist:.3e} exceeds the gate {gate:.3e}")
@@ -397,8 +398,8 @@ def alternative_check(
     v_bub, v_field, gap, gap_norm, _ = _project_near(u, params, distance_gate)
     dec = mu_rho_decompose(u, v_bub, params)
     rho = dec.rho
-    unorm = weighted_grad_pnorm(u, params) ** (1.0 / params.p)
-    rho_norm = weighted_grad_pnorm(rho, params) ** (1.0 / params.p)
+    unorm = grad_norm(u, params)
+    rho_norm = grad_norm(rho, params)
     if rho_norm <= 1e-7 * unorm:
         # both branches hold trivially when u is a multiple of its bubble;
         # the gate sits just above the bubble-selector resolution

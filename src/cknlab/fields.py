@@ -239,22 +239,15 @@ class Field:
         """Node weights w_i omega_j r_i^power on the tensor grid."""
         return self.grid.radial_weights(power)[:, None] * self.psi_weights
 
-    def integrate(self, power: float, density, log: bool = False) -> float:
+    def integrate(self, power: float, density) -> float:
         """sum_ij w_i omega_j r_i^power density_ij, in a fixed summation order.
 
         density broadcasts against the field's (radial, angular) shape
-        but may not carry more angular nodes than the field.  With
-        log=True, density holds the logarithm of the density and r^power
-        is folded into the exponent (w_i = t-weight_i r_i), which stays
-        finite on windows where r^power alone overflows.
+        but may not carry more angular nodes than the field.
         """
         if np.shape(density)[-1] > len(self.psi_nodes):
             raise GridMismatch("density has more angular nodes than the field")
-        if not log:
-            return float(np.sum(self.measure(power) * density))
-        g = self.grid
-        terms = np.exp(density + (power + 1.0) * g.log_nodes[:, None])
-        return float(np.sum(g.t_weights[:, None] * self.psi_weights * terms))
+        return float(np.sum(self.measure(power) * density))
 
     def grad_sq(self, k_factor: float = 1.0) -> np.ndarray:
         """|grad u|^2 with the angular part scaled by k_factor^2."""

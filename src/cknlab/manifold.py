@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
-from scipy.special import digamma
+from scipy.special import betaln, digamma
 
 from .errors import (
     OptimizerStall,
@@ -34,7 +34,6 @@ from .fields import (
     bubble_evaluator,
     bubble_second_derivative,
     make_psi_grid,
-    make_radial_grid,
     sample_bubble,
     translate_axisym,
 )
@@ -55,35 +54,6 @@ __all__ = [
     "v_inner",
 ]
 
-# wide window: the unit-amplitude energy integrals must be tail-clean
-# even when the decay rate (n-p-pa)/(p-1) is small
-NORMALIZATION_GRID = (-60.0, 60.0, 3072)
-
-
-@lru_cache(maxsize=128)
-def _norm_grid(params: CknParams) -> RadialGrid:
-    """Reference grid, widened when some integrand tail decays slowly.
-
-    The four relevant log-radius rates: gradient tail beta, q tail
-    q beta + q b - n, gradient origin beta (p-1) + p sigma, q origin
-    n - q b.  The unit profile's integrands peak near 2^(-m q) rather
-    than 1, so the half-width (26 + m q ln 2)/min keeps the truncation
-    below ~5e-12 relative to the integrals themselves; node density
-    matches the baseline window.
-    """
-    n, p, q, b = params.n, params.p, params.q, params.b
-    beta = params.tail_rate
-    min_rate = min(
-        beta,
-        q * beta + q * b - n,
-        beta * (p - 1.0) + p * params.sigma,
-        n - q * b,
-    )
-    budget = 26.0 + params.bubble_m * q * math.log(2.0)
-    half = max(NORMALIZATION_GRID[1], budget / min_rate)
-    density = NORMALIZATION_GRID[2] / (2.0 * NORMALIZATION_GRID[1])
-    return make_radial_grid(-half, half, int(math.ceil(2.0 * half * density)))
-
 
 @dataclass(frozen=True)
 class DecompositionRecord:
@@ -94,24 +64,20 @@ class DecompositionRecord:
     tangent_residuals: tuple
 
 
-@lru_cache(maxsize=128)
 def _unit_integrals(params: CknParams) -> tuple[float, float]:
     """Gradient and q energies of the unit-amplitude, unit-scale profile.
 
-    Evaluated in log radius: on wide windows r^sigma and r^power
-    overflow on their own while the integrands stay finite.
+    Beta integrals in s = r^sigma: G = omega (m sigma)^p B(alpha_g,
+    (m+1) p - alpha_g)/sigma, alpha_g = (n - p a + p (sigma - 1))/sigma,
+    and Q = omega B(alpha_q, m q - alpha_q)/sigma, alpha_q = (n - q b)/sigma.
     """
-    g = _norm_grid(params)
     n, p, q, a, b = params.n, params.p, params.q, params.a, params.b
     sig, m = params.sigma, params.bubble_m
-    t = g.log_nodes
-    soft = np.logaddexp(0.0, sig * t)  # log(1 + r^sigma)
-    # the carrier field holds log V and log|V'| instead of the samples
-    unit = Field.radial(
-        g, n, -m * soft, math.log(m * sig) + (sig - 1.0) * t - (m + 1.0) * soft
-    )
-    grad = unit.integrate(n - 1.0 - p * a, p * unit.grad_r, log=True)
-    qint = unit.integrate(n - 1.0 - q * b, q * unit.values, log=True)
+    alpha_g = (n - p * a + p * (sig - 1.0)) / sig
+    alpha_q = (n - q * b) / sig
+    scale = params.sphere_area / sig
+    grad = scale * (m * sig) ** p * math.exp(betaln(alpha_g, (m + 1.0) * p - alpha_g))
+    qint = scale * math.exp(betaln(alpha_q, m * q - alpha_q))
     return grad, qint
 
 
@@ -121,7 +87,7 @@ def bubble_normalization(params: CknParams) -> Bubble:
 
     The Euler-Lagrange balance fixes A^(q-p) as the ratio of the two
     unit-amplitude energies; afterwards both A^p G and A^q Q must equal
-    S^(pq/(q-p)) (S from the closed form), which is verified here.
+    S^(pq/(q-p)), S from its own gamma-function form; verified here.
 
     Raises
     ------

@@ -173,7 +173,7 @@ def perturbed_bubble(
         canonical_bubble(params),
         params,
     )
-    zn = weighted_grad_pnorm(z, params) ** (1.0 / params.p)
+    zn = grad_norm(z, params)
     return canonical_profile(params, grid) + (eps / zn) * z
 
 
@@ -281,8 +281,8 @@ def exponent_slope_fit(
         raise DegenerateFit("schedule spans under 1.5 decades")
 
     v = canonical_profile(params, perturbation.grid)
-    unorm = weighted_grad_pnorm(v, params) ** (1.0 / params.p)
-    zn = weighted_grad_pnorm(perturbation, params) ** (1.0 / params.p)
+    unorm = grad_norm(v, params)
+    zn = grad_norm(perturbation, params)
     if zn <= 0.0:
         raise ZeroField("zero perturbation")
     scale = unorm / zn

@@ -340,6 +340,9 @@ def test_main_report_exit(tmp_path, capsys):
         ("chain-check", [[4, 2.5, 0.3, 0.6]], {}, "options.base"),
         ("spectral-gap", [[4, 3.0, 0.2, 0.4], [3, 2.0, 0.0, 0.0]], {}, "config.params"),
         ("ineq-const", [[3, 2.0, 0.0, 0.0]], {}, "config.params"),
+        # a sweep end at or below zero has no log10
+        ("slope-fit", [[3, 2.0, 0.0, 0.0]], {"eps_start": 0}, "options.eps_start"),
+        ("expansion-slopes", [[5, 3.0, 0.3, 0.5]], {"eps_stop": -0.1}, "options.eps_stop"),
     ],
 )
 def test_main_out_of_range_option_exit(

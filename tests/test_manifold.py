@@ -1,7 +1,9 @@
 """Normalization, projection, representative selection, decomposition."""
 
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -525,15 +527,14 @@ def test_orthogonalize_output_is_orthogonal():
     assert max(abs(x) for x in res) <= 1e-10
 
 
-# small-sigma tuples: the unit integrands peak near 2^(-m q), far below 1,
-# so the normalisation window must widen with m q to stay tail-clean
-@pytest.mark.parametrize(
-    "tup",
-    [
-        (3, 1.945309798835695, 0.32439487481430185, 1.256188),
-        (4, 2.523087181780399, 0.3124020431050102, 1.199743),
-    ],
-)
+# small-sigma survey tuples: sigma below 0.1, amplitudes of order 1e-8 and 4e-4
+SMALL_SIGMA_TUPLES = [
+    (3, 1.945309798835695, 0.32439487481430185, 1.256188),
+    (4, 2.523087181780399, 0.3124020431050102, 1.199743),
+]
+
+
+@pytest.mark.parametrize("tup", SMALL_SIGMA_TUPLES)
 def test_normalization_small_sigma(tup):
     ps = derive_params(*tup)
     assert ps.sigma < 0.1
@@ -541,3 +542,39 @@ def test_normalization_small_sigma(tup):
     assert math.isfinite(bub.amplitude) and bub.amplitude > 0.0
     prof = canonical_profile(ps, make_radial_grid(-60, 60, 1024))
     assert math.isfinite(moment_seed(prof, ps))
+
+
+ACCEPTANCE_DIR = Path(__file__).resolve().parent.parent / "configs" / "acceptance"
+
+
+def _acceptance_tuples():
+    tups = set()
+    for path in ACCEPTANCE_DIR.glob("*.json"):
+        cfg = json.loads(path.read_text())
+        tups.update(tuple(t) for t in cfg.get("params", []))
+        if "base" in cfg.get("options", {}):
+            tups.add(tuple(cfg["options"]["base"]))
+    return sorted(tups)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_aubin_talenti_amplitude(n):
+    # p = 2, a = b = 0: the extremal (n(n-2))^((n-2)/4) (1 + r^2)^(-(n-2)/2)
+    amp = bubble_normalization(derive_params(n, 2.0, 0.0, 0.0)).amplitude
+    assert amp == pytest.approx((n * (n - 2.0)) ** ((n - 2.0) / 4.0), rel=1e-14)
+
+
+@pytest.mark.parametrize("tup", _acceptance_tuples() + SMALL_SIGMA_TUPLES)
+def test_unit_integrals_meet_sharp_constant(tup):
+    # the Beta-function energies against the gamma-function S: two closed
+    # forms; both sides amplify last-ulp errors in S and in the Beta values
+    # by up to pq/(q-p), which is at most 10 on the acceptance tuples and
+    # 36-44 on the small-sigma ones (1.1e-13 measured at the second)
+    ps = derive_params(*tup)
+    grad_unit, q_unit = manifold._unit_integrals(ps)
+    amp = bubble_normalization(ps).amplitude
+    expo = ps.p * ps.q / (ps.q - ps.p)
+    target = sharp_constant(ps) ** expo
+    rel = max(1e-13, 4e-15 * expo)
+    assert amp**ps.p * grad_unit == pytest.approx(target, rel=rel)
+    assert amp**ps.q * q_unit == pytest.approx(target, rel=rel)
