@@ -27,7 +27,6 @@ import numpy as np
 
 from . import __version__
 from .critical import (
-    alternative_check,
     dual_norm_estimate,
     elementary_C_estimate,
     spectral_gap_ratio,
@@ -44,13 +43,7 @@ from .errors import (
 )
 from .fields import gaussian_bump_profile, make_radial_grid, modulated_axisym
 from .functionals import deficit, grad_norm, q_norm, weighted_grad_pnorm
-from .manifold import (
-    canonical_bubble,
-    canonical_profile,
-    manifold_distance,
-    mu_rho_decompose,
-    orthogonalize,
-)
+from .manifold import canonical_bubble, canonical_profile, orthogonalize
 from .params import derive_hat_params, derive_params, sharp_constant
 from .stability import (
     GeneratorSpec,
@@ -424,30 +417,8 @@ def _op_transform_check(cfg: ExperimentConfig, opt, ctx: _RunContext):
 
 
 def _op_project(cfg: ExperimentConfig, opt, ctx: _RunContext):
-    grid = _build_grid(cfg, ctx)
-    if opt.bubbles is not None:
-        return _project_exact_bubbles(cfg, opt, grid)
-    rows = []
-    for tup in cfg.params:
-        ps = derive_params(*tup)
-        u = perturbed_bubble(ps, grid, opt.eps, opt.center, opt.width)
-        dist, bub = manifold_distance(u, ps)
-        dec = mu_rho_decompose(u, bub, ps)
-        unorm = grad_norm(u, ps)
-        rn = grad_norm(dec.rho, ps)
-        rows.append(
-            {
-                "distance": float(dist),
-                "mu": float(dec.mu),
-                "rho_rel_norm": float(rn / unorm),
-                "max_tangent_residual": float(max(abs(t) for t in dec.tangent_residuals)),
-            }
-        )
-    return {"tuples": [list(t) for t in cfg.params], **_columns(rows)}, []
-
-
-def _project_exact_bubbles(cfg: ExperimentConfig, opt, grid):
     """Deficit and dual residual on exact manifold points (scaled bubbles)."""
+    grid = _build_grid(cfg, ctx)
     rows, violations = [], []
     for i, tup in enumerate(cfg.params):
         ps = derive_params(*tup)
@@ -604,12 +575,12 @@ def _op_expansion_slopes(cfg: ExperimentConfig, opt, ctx: _RunContext):
     grid = _build_grid(cfg, ctx)
     eps = _sweep(opt)
     # sweep fields sit at distance ~ eps, so the gate follows the sweep top
-    gate = 2.0 * opt.eps_stop if opt.distance_gate is None else opt.distance_gate
+    gate = 2.0 * opt.eps_stop
 
     rows = []
     for e in eps:
-        u = perturbed_bubble(ps, grid, float(e), opt.center, opt.width)
-        rep = expansion_quantities(u, ps, distance_gate=gate, basis_size=opt.basis_size)
+        u = perturbed_bubble(ps, grid, float(e), 0.5, 0.7)
+        rep = expansion_quantities(u, ps, distance_gate=gate, basis_size=8)
         rows.append(
             {
                 "Q": float(rep.Q),
@@ -641,28 +612,6 @@ def _op_expansion_slopes(cfg: ExperimentConfig, opt, ctx: _RunContext):
         and abs(slope_prod - 2.0) > opt.prod_slope_rtol * 2.0
     ):
         violations.append(f"residual*rho slope {slope_prod:.4f} away from 2")
-    return outputs, violations
-
-
-def _op_alt_check(cfg: ExperimentConfig, opt, ctx: _RunContext):
-    ps = derive_params(*cfg.params[0])
-    grid = _build_grid(cfg, ctx)
-    u = perturbed_bubble(ps, grid, opt.eps, opt.center, opt.width)
-    rep = alternative_check(
-        u, ps, opt.c1, opt.C1, t_count=opt.t_count, basis_size=opt.basis_size
-    )
-    outputs = {
-        "tuple": list(cfg.params[0]),
-        "branch": rep.branch,
-        "A_u": None if rep.A_u is None else float(rep.A_u),
-        "eta": float(rep.eta),
-        "kappa": "inf" if math.isinf(rep.kappa) else float(rep.kappa),
-        "interval": [float(rep.interval[0]), float(rep.interval[1])],
-        "t_grid": [float(t) for t in rep.t_grid],
-    }
-    violations = []
-    if rep.branch != "degenerate" and not math.isinf(rep.kappa) and rep.kappa <= 0.0:
-        violations.append(f"nonpositive kappa {rep.kappa:.3e}")
     return outputs, violations
 
 
@@ -703,10 +652,7 @@ OPERATIONS = {
         "fields": _FIELDS,
     }, {"identity_tol": 1e-8}),
     "project": Operation("manifold", _op_project, "many", {
-        "eps": (_real, 1e-2),
-        "center": (_real, 0.5),
-        "width": (_real, 1.0),
-        "bubbles": (_list_of(_bubble), None),
+        "bubbles": (_list_of(_bubble), _REQUIRED),
         "dual_basis": (_count(1), 8),
     }, {"deficit_tol": 1e-6, "dual_tol": 1e-5}),
     "stability-scan": Operation("stability", _op_stability_scan, "many", {
@@ -740,20 +686,7 @@ OPERATIONS = {
         "eps_start": (_positive, 1e-3),
         "eps_stop": (_positive, 1e-1),
         "eps_count": (_count(2), 7),
-        "center": (_real, 0.5),
-        "width": (_real, 0.7),
-        "basis_size": (_count(1), 8),
-        "distance_gate": (_real, None),
     }, {"q_slope_rtol": None, "n_slope_rtol": None, "prod_slope_rtol": None}),
-    "alt-check": Operation("critical", _op_alt_check, "one", {
-        "c1": (_positive, 1.0),
-        "C1": (_positive, 2.0),
-        "eps": (_real, 5e-2),
-        "center": (_real, 0.5),
-        "width": (_real, 0.7),
-        "basis_size": (_count(1), 4),
-        "t_count": (_count(1), 2),
-    }, {}),
     "ineq-const": Operation("critical", _op_ineq_const, "none", {
         "cases": (_list_of(_case), _DEFAULT_CASES),
         "samples": (_count(1), 200),

@@ -3,9 +3,8 @@
 Euler-Lagrange residuals in weak form, dual-norm lower-bound
 estimates over explicit test bases, the degenerate Hessian quadratic
 form with its radial shortcut, the spectral-gap ratio, the two-sided
-near-manifold quantities, the alternative dichotomy with its eta
-threshold, and empirical constants for six elementary pointwise
-inequalities.
+near-manifold quantities, and empirical constants for six elementary
+pointwise inequalities.
 """
 
 from __future__ import annotations
@@ -47,13 +46,11 @@ __all__ = [
     "ExpansionQuantities",
     "SpectralReport",
     "DualNormEstimate",
-    "AlternativeReport",
     "el_residual_pairing",
     "dual_norm_estimate",
     "hessian_form",
     "spectral_gap_ratio",
     "expansion_quantities",
-    "alternative_check",
     "elementary_terms",
     "elementary_C_estimate",
 ]
@@ -98,16 +95,6 @@ class DualNormEstimate:
     value: float
     half_value: Optional[float]
     basis_size: int
-
-
-@dataclass(frozen=True)
-class AlternativeReport:
-    branch: str  # "stable" | "interval" | "degenerate"
-    A_u: Optional[float]
-    eta: float
-    kappa: float
-    interval: tuple
-    t_grid: tuple
 
 
 # ---------------------------------------------------------------------------
@@ -332,20 +319,6 @@ def _v_quadratic(v_bub: Bubble, rho: Field, params: CknParams) -> float:
     )
 
 
-def _project_near(u: Field, params: CknParams, distance_gate: Optional[float]):
-    unorm = grad_norm(u, params)
-    if unorm <= 0.0:
-        raise ZeroField("near-manifold analysis of the zero field")
-    v_bub = select_Pu(u, params)
-    v_field = _bubble_on(u, params, v_bub)
-    diff = u - v_field
-    dist = grad_norm(diff, params)
-    gate = 0.1 * unorm if distance_gate is None else distance_gate
-    if dist > gate:
-        raise FarFromManifold(f"distance {dist:.3e} exceeds the gate {gate:.3e}")
-    return v_bub, v_field, diff, dist, gate
-
-
 def expansion_quantities(
     u: Field,
     params: CknParams,
@@ -356,7 +329,14 @@ def expansion_quantities(
     """Residual dual norm, Q, N and mu for a near-manifold field, p > 2."""
     if params.p <= 2.0:
         raise RegionViolation(f"two-sided estimates need p > 2, got p={params.p}")
-    v_bub, _, _, _, gate = _project_near(u, params, distance_gate)
+    unorm = grad_norm(u, params)
+    if unorm <= 0.0:
+        raise ZeroField("near-manifold analysis of the zero field")
+    v_bub = select_Pu(u, params)
+    dist = grad_norm(u - _bubble_on(u, params, v_bub), params)
+    gate = 0.1 * unorm if distance_gate is None else distance_gate
+    if dist > gate:
+        raise FarFromManifold(f"distance {dist:.3e} exceeds the gate {gate:.3e}")
     dec = mu_rho_decompose(u, v_bub, params)
     rho = dec.rho
     big_q = _v_quadratic(v_bub, rho, params)
@@ -368,77 +348,6 @@ def expansion_quantities(
         N=big_n,
         mu=dec.mu,
         distance_gate=gate,
-    )
-
-
-def alternative_check(
-    u: Field,
-    params: CknParams,
-    c1: float,
-    C1: float,
-    distance_gate: Optional[float] = None,
-    t_count: int = 5,
-    basis_size: int = 12,
-    extra_elements: Sequence[Field] = (),
-) -> AlternativeReport:
-    """Dichotomy on A_u = N/Q with the given two-sided fit constants.
-
-    Outside [c1/(2 C1), 2 C1/c1] the uniform estimate is checked on u
-    itself; inside, the scaled fields u_t = t u + (1-t) V are checked
-    for t up to eta = (c1/(2 C1))^(2/(p-2)).  kappa is the largest
-    admissible constant observed.
-    """
-    if params.p <= 2.0:
-        raise RegionViolation(f"alternative needs p > 2, got p={params.p}")
-    if c1 <= 0.0 or C1 <= 0.0:
-        raise InvalidArgument("fit constants must be positive")
-    eta = (c1 / (2.0 * C1)) ** (2.0 / (params.p - 2.0))
-    interval = (c1 / (2.0 * C1), 2.0 * C1 / c1)
-    # kappa is measured against the projection gap ||u - V||, not ||u||
-    v_bub, v_field, gap, gap_norm, _ = _project_near(u, params, distance_gate)
-    dec = mu_rho_decompose(u, v_bub, params)
-    rho = dec.rho
-    unorm = grad_norm(u, params)
-    rho_norm = grad_norm(rho, params)
-    if rho_norm <= 1e-7 * unorm:
-        # both branches hold trivially when u is a multiple of its bubble;
-        # the gate sits just above the bubble-selector resolution
-        return AlternativeReport(
-            branch="degenerate",
-            A_u=None,
-            eta=eta,
-            kappa=math.inf,
-            interval=interval,
-            t_grid=(),
-        )
-    big_q = _v_quadratic(v_bub, rho, params)
-    big_n = weighted_grad_pnorm(rho, params)
-    a_u = big_n / big_q
-
-    if a_u < interval[0] or a_u > interval[1]:
-        est = dual_norm_estimate(u, params, basis_size, extra_elements)
-        kappa = est.value / gap_norm ** (params.p - 1.0)
-        return AlternativeReport(
-            branch="stable",
-            A_u=a_u,
-            eta=eta,
-            kappa=kappa,
-            interval=interval,
-            t_grid=(),
-        )
-    ts = tuple(float(eta) * (j + 1) / t_count for j in range(t_count))
-    kappa = math.inf
-    for t in ts:
-        u_t = v_field + t * gap
-        est = dual_norm_estimate(u_t, params, basis_size, extra_elements)
-        kappa = min(kappa, est.value / (t * gap_norm) ** (params.p - 1.0))
-    return AlternativeReport(
-        branch="interval",
-        A_u=a_u,
-        eta=eta,
-        kappa=kappa,
-        interval=interval,
-        t_grid=ts,
     )
 
 

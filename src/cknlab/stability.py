@@ -10,6 +10,7 @@ through the weak norm.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -178,15 +179,25 @@ def perturbed_bubble(
 
 
 def _numbers(opts: dict, key: str, default: tuple) -> tuple:
-    """Pop family option `key`: a list of as many numbers as `default` has."""
+    """Pop family option `key`: a list of as many finite numbers as `default` has.
+
+    NaN, the infinities and ints past the float range all fail the
+    comparison with the largest float.
+    """
     value = opts.pop(key, default)
     if (
         not isinstance(value, (list, tuple))
         or len(value) != len(default)
-        or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)
+        or any(
+            isinstance(v, bool)
+            or not isinstance(v, (int, float))
+            or not abs(v) <= sys.float_info.max
+            for v in value
+        )
     ):
         raise ConfigError(
-            f"family.options.{key} must be a list of {len(default)} numbers, got {value!r}"
+            f"family.options.{key} must be a list of {len(default)} finite numbers, "
+            f"got {value!r}"
         )
     return tuple(value)
 

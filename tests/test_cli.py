@@ -335,7 +335,7 @@ def test_main_report_exit(tmp_path, capsys):
         ("expansion-slopes", [[5, 3.0, 0.3, 0.5]], {"eps_count": 1}, "options.eps_count"),
         ("slope-fit", [[3, 2.0, 0.0, 0.0]], {"eps_count": 1}, "options.eps_count"),
         ("slope-fit", [[3, 2.0, 0.0, 0.0]], {"assert_slope": "no"}, "options.assert_slope"),
-        ("alt-check", [[4, 3.0, 0.2, 0.4]], {"c1": 0.0}, "options.c1"),
+        ("project", [[3, 2.0, 0.0, 0.0]], {}, "options.bubbles"),
         ("chain-check", [[4, 2.5, 0.3, 0.6]], {"base": [4, 2.5]}, "options.base"),
         ("chain-check", [[4, 2.5, 0.3, 0.6]], {}, "options.base"),
         ("spectral-gap", [[4, 3.0, 0.2, 0.4], [3, 2.0, 0.0, 0.0]], {}, "config.params"),
@@ -343,6 +343,7 @@ def test_main_report_exit(tmp_path, capsys):
         # a sweep end at or below zero has no log10
         ("slope-fit", [[3, 2.0, 0.0, 0.0]], {"eps_start": 0}, "options.eps_start"),
         ("expansion-slopes", [[5, 3.0, 0.3, 0.5]], {"eps_stop": -0.1}, "options.eps_stop"),
+        ("slope-fit", [[3, 2.0, 0.0, 0.0]], {"center": "big"}, "options.center"),
     ],
 )
 def test_main_out_of_range_option_exit(
@@ -367,7 +368,11 @@ def test_main_out_of_range_option_exit(
     "operation,overrides,key",
     [
         ("constants", {"grid": [-25, 25, "many"]}, "config.grid[2]"),
-        ("project", {"tolerances": {"dual_tl": 1e-5}}, "config.tolerances.dual_tl"),
+        (
+            "project",
+            {"options": {"bubbles": [[1.0, 1.0]]}, "tolerances": {"dual_tl": 1e-5}},
+            "config.tolerances.dual_tl",
+        ),
         ("constants", {"seed": -1}, "config.seed"),
         (
             "stability-scan",
@@ -381,6 +386,22 @@ def test_main_out_of_range_option_exit(
         ),
         ("constants", {"experiment": "../escaped"}, "config.experiment"),
         ("constants", {"grid": [-25, 10**400, 256]}, "config.grid[1]"),
+        # family ranges feed rng.uniform, which has no use for non-finite ends
+        (
+            "stability-scan",
+            {"family": {"name": "bubble_bump", "options": {"center": [float("nan"), 5]}}},
+            "family.options.center",
+        ),
+        (
+            "stability-scan",
+            {"family": {"name": "bubble_bump", "options": {"eps_log10": [-3, float("inf")]}}},
+            "family.options.eps_log10",
+        ),
+        (
+            "stability-scan",
+            {"family": {"name": "bubble_bump", "options": {"center": [-5, 10**400]}}},
+            "family.options.center",
+        ),
     ],
 )
 def test_main_malformed_config_exit(tmp_path, capsys, operation, overrides, key):
@@ -402,12 +423,17 @@ def test_main_malformed_config_exit(tmp_path, capsys, operation, overrides, key)
 @pytest.mark.parametrize(
     "section,value,allowed",
     [
-        ("options", {"epss": 0.1}, "bubbles, center, dual_basis, eps, width"),
+        ("options", {"epss": 0.1}, "bubbles, dual_basis"),
         ("tolerances", {"dual_tl": 1e-5}, "deficit_tol, dual_tol"),
     ],
 )
 def test_unknown_key_lists_allowed_keys(tmp_path, capsys, section, value, allowed):
-    payload = dict(CONSTANTS_CFG, operation="project", **{section: value})
+    payload = {
+        **CONSTANTS_CFG,
+        "operation": "project",
+        "options": {"bubbles": [[1.0, 1.0]]},
+        section: value,
+    }
     path = _write(tmp_path, "u.json", payload)
     assert main(["project", "--config", path, "--ledger", str(tmp_path / "l.jsonl")]) == 2
     err = capsys.readouterr().err

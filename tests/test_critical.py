@@ -1,4 +1,4 @@
-"""Critical-point tests: residual pairing, dual norm, Hessian, dichotomy."""
+"""Critical-point tests: residual pairing, dual norm, Hessian, expansion."""
 
 import math
 
@@ -12,9 +12,9 @@ from cknlab import critical, derive_params
 from cknlab.errors import (
     BasisTooSmall,
     CaseRangeViolation,
-    CknError,
     FarFromManifold,
     GridMismatch,
+    InvalidArgument,
     NotOrthogonal,
     OptimizerStall,
     RegionViolation,
@@ -25,7 +25,6 @@ from cknlab.errors import (
 )
 from cknlab.critical import (
     _test_basis,
-    alternative_check,
     dual_norm_estimate,
     el_residual_pairing,
     elementary_C_estimate,
@@ -43,7 +42,6 @@ from cknlab.fields import (
     sample_bubble,
 )
 from cknlab.functionals import weighted_grad_pnorm, weighted_lq_norm
-from cknlab.stability import perturbed_bubble
 from cknlab.manifold import (
     canonical_bubble,
     canonical_profile,
@@ -415,68 +413,6 @@ def test_expansion_far_from_manifold():
 
 
 # ---------------------------------------------------------------------------
-# the dichotomy
-
-
-def test_alternative_eta_matches_exponent():
-    # p = 4 turns the threshold into c1/(2 C1) itself
-    ps = derive_params(6, 4.0, 0.1, 0.3)
-    grid = _grid()
-    u = perturbed_bubble(ps, grid, 1e-3, 0.5, 0.7)
-    rep = alternative_check(u, ps, 1.0, 2.0, t_count=2, basis_size=4)
-    assert rep.eta == pytest.approx(0.25, rel=1e-12)
-    assert rep.interval == pytest.approx((0.25, 4.0), rel=1e-12)
-
-
-def test_alternative_degenerate_on_bubble():
-    rep = alternative_check(_bubble_profile(PS53), PS53, 1.0, 2.0, basis_size=4)
-    assert rep.branch == "degenerate"
-    assert rep.A_u is None
-    assert math.isinf(rep.kappa)
-    assert rep.t_grid == ()
-
-
-def test_alternative_uniform_branch():
-    # small A_u falls outside [c1/2C1, 2C1/c1]: the estimate runs on u itself
-    u = _perturbed(PS53, 5e-2)
-    rep = alternative_check(u, PS53, 1.0, 2.0, t_count=2, basis_size=4)
-    assert rep.branch == "stable"
-    assert rep.A_u < rep.interval[0]
-    assert rep.kappa > 0.0
-    assert rep.t_grid == ()
-
-
-def test_alternative_scaled_branch():
-    # widening the interval moves the same field to the scaled-family branch
-    u = _perturbed(PS53, 5e-2)
-    rep = alternative_check(u, PS53, 0.2, 2.0, t_count=2, basis_size=4)
-    assert rep.branch == "interval"
-    assert rep.interval[0] <= rep.A_u <= rep.interval[1]
-    assert rep.eta == pytest.approx(0.05**2, rel=1e-12)
-    assert len(rep.t_grid) == 2
-    assert rep.t_grid[-1] == pytest.approx(rep.eta, rel=1e-12)
-    assert 0.0 < rep.kappa < math.inf
-
-
-def test_alternative_rejects_bad_constants():
-    u = _perturbed(PS53, 5e-2)
-    with pytest.raises(ValueError):
-        alternative_check(u, PS53, 0.0, 2.0)
-    with pytest.raises(ValueError):
-        alternative_check(u, PS53, 1.0, -2.0)
-
-
-def test_alternative_bad_constants_are_typed():
-    with pytest.raises(CknError):
-        alternative_check(_perturbed(PS53, 5e-2), PS53, c1=0.0, C1=2.0)
-
-
-def test_alternative_needs_p_above_two():
-    with pytest.raises(RegionViolation):
-        alternative_check(_bubble_profile(PS32), PS32, 1.0, 2.0)
-
-
-# ---------------------------------------------------------------------------
 # elementary inequalities
 
 
@@ -507,7 +443,7 @@ def test_elementary_case_ranges():
         elementary_C_estimate(5, 3.5)
     with pytest.raises(CaseRangeViolation):
         elementary_C_estimate(6, 3.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         elementary_C_estimate(7, 3.0)
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cknlab import (
     BadGridSpec,
     GridMismatch,
+    InvalidArgument,
     MissingGradient,
     TranslationForbidden,
     derive_params,
@@ -136,7 +137,7 @@ def test_bubble_half_height_radius():
 
 
 def test_bubble_scale_positive():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         Bubble(amplitude=1.0, scale=0.0)
 
 

@@ -9,6 +9,7 @@ from cknlab import (
     BadExponent,
     BadGridSpec,
     GridMismatch,
+    InvalidArgument,
     MissingGradient,
     ZeroField,
     derive_params,
@@ -88,7 +89,7 @@ def test_k_factor_monotone():
     u = translate_axisym(prof, 0.5, ps, psi_count=48)
     vals = [weighted_grad_pnorm(u, ps, k) for k in (1.0, 1.5, 2.0)]
     assert vals[0] < vals[1] < vals[2]
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         weighted_grad_pnorm(u, ps, 0.5)
 
 

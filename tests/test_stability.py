@@ -8,6 +8,7 @@ from cknlab.errors import (
     ConfigError,
     DegenerateFit,
     EmptyFamily,
+    InvalidArgument,
     OnManifold,
     RegionViolation,
     UnsupportedField,
@@ -145,7 +146,7 @@ def test_scan_caveat_and_errors():
     spec = GeneratorSpec("bubble_bump", seed=1, options={"window": (-25.0, 25.0, 512)})
     assert k_upper_scan(spec, ps_ab, 3).caveat
     ps = derive_params(3, 2, 0, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         k_upper_scan(spec, ps, 0)
     pure = GeneratorSpec("pure_bubble", seed=2, options={"window": (-25.0, 25.0, 512)})
     with pytest.raises(EmptyFamily):
@@ -281,9 +282,9 @@ def test_embedding_support_guard():
     with pytest.raises(ZeroField):
         embedding_check(zero, ps, 1.0, "value")
     u = mollified_bubble(ps, 1.0, count=256)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         embedding_check(u, ps, 1.0, "weird")
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         embedding_check(u, ps, -1.0, "value")
 
 
@@ -295,7 +296,7 @@ def test_mollified_bubble_taper():
     ref = canonical_profile(ps, u.grid)
     assert np.allclose(u.values[inner], ref.values[inner], rtol=0, atol=0)
     assert np.all(np.abs(u.values[r > 0.99]) < np.abs(ref.values[r > 0.99]))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         mollified_bubble(ps, -1.0)
 
 
