@@ -302,7 +302,7 @@ def load_config(config_path: str) -> ExperimentConfig:
             raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {config_path}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or an int past the digit limit
         raise ConfigError(f"config is not valid JSON: {exc}")
     return _parse_config(raw)
 

@@ -182,25 +182,18 @@ AMPLITUDE_RTOL = 1e-6
 ROUNDING_FLOOR = 1e-12
 
 
-def _bracketed_min(f, seed: float) -> tuple[float, float]:
+def _bracketed_min(scan, point, seed: float) -> tuple[float, float]:
     """(f, log lam) at the minimum of f over log lam, or OptimizerStall.
 
-    f maps an array of log lam to the array of its values.  A 33-point
-    scan over seed +- 8 in one call, then Brent, one point per call,
-    inside the bracket of every strict interior scan minimum; ties
-    (1e-12 relative) go to min |log lam|.
+    scan maps an array of log lam to the array of f's values, point one
+    log lam to (f, f', f'', tol).  A 33-point scan over seed +- 8 in one
+    call, then _newton inside the bracket of every strict interior scan
+    minimum; ties (1e-12 relative) go to min |log lam|.
     """
     x = np.linspace(seed - 8.0, seed + 8.0, 33)
-    v = f(x)
-    cache = dict(zip(x.tolist(), v.tolist()))  # Brent re-evaluates the bracket points
-
-    def point(t):
-        if t not in cache:
-            cache[t] = float(f(np.array([t]))[0])
-        return cache[t]
-
+    v = scan(x)
     found = [
-        _brent(point, x[i - 1], x[i], x[i + 1])
+        _newton(point, float(x[i - 1]), float(x[i]), float(x[i + 1]))
         for i in range(1, len(x) - 1)
         if v[i] < v[i - 1] and v[i] < v[i + 1]
     ]
@@ -211,6 +204,54 @@ def _bracketed_min(f, seed: float) -> tuple[float, float]:
     return min(ties, key=lambda r: abs(r[1]))
 
 
+# Newton or bisection steps per dilation search; bisection alone needs about 55
+DILATION_MAX_STEPS = 100
+# a slope within this many rounding units of its own terms is zero
+SLOPE_ROUNDING = 64.0 * np.finfo(float).eps
+
+
+def _newton(point, lo: float, t: float, hi: float) -> tuple[float, float]:
+    """(f, t) at a zero of f' in (lo, hi), from t: safeguarded Newton.
+
+    point(t) is (f, f', f'', tol), with f' taken negative at lo and
+    positive at hi (a scan bracket).  The bracket shrinks to t by the
+    sign of f'; a step that leaves it, or f'' <= 0, bisects.  Stops when
+    |f'| <= tol, the rounding bound of f' (a certificate), or when the
+    step or the bracket is at most 4 ulp of max(|t|, 1).  OptimizerStall
+    when the search closes on an end of the bracket, or after
+    DILATION_MAX_STEPS steps.
+    """
+    ends = lo, hi
+    for _ in range(DILATION_MAX_STEPS):
+        val, d1, d2, tol = point(t)
+        if not math.isfinite(d1):
+            raise OptimizerStall(f"non-finite dilation slope at log lam {t:.6g}")
+        if abs(d1) <= tol:
+            return val, t
+        if d1 > 0.0:
+            hi = t
+        else:
+            lo = t
+        new = t - d1 / d2 if d2 > 0.0 else math.nan
+        if not lo < new < hi:  # nan included
+            new = 0.5 * lo + 0.5 * hi
+        if abs(new - t) <= _ulp4(t) or hi - lo <= _ulp4(t):
+            break
+        t = new
+    else:
+        raise OptimizerStall(f"dilation Newton open after {DILATION_MAX_STEPS} steps")
+    # uncertified within a final bisection bracket of an end: f' had the
+    # other sign there, and the scan minimum lies elsewhere
+    if min(t - ends[0], ends[1] - t) <= 2.0 * _ulp4(t):
+        lo, hi = ends
+        raise OptimizerStall(f"dilation Newton closed on an end of ({lo:.6g}, {hi:.6g})")
+    return val, t
+
+
+def _ulp4(t: float) -> float:
+    return 4.0 * math.ulp(max(abs(t), 1.0))
+
+
 def _brent(f, lo: float, mid: float, hi: float) -> tuple[float, float]:
     res = minimize_scalar(f, bracket=(lo, mid, hi), method="brent")
     if not lo < res.x < hi:
@@ -218,21 +259,88 @@ def _brent(f, lo: float, mid: float, hi: float) -> tuple[float, float]:
     return float(res.fun), float(res.x)
 
 
-def _family_min(f, seed: float, u: Field, params: CknParams) -> tuple[float, float]:
-    """(log lam, shift) minimising f(log lams, shift) over the family.
+def _family_min(scan, point, seed: float, u: Field, params: CknParams) -> tuple:
+    """(log lam, shift) minimising f(log lam, shift) over the family.
 
-    f maps an array of log lam at one shift to the array of its values.
-    The shift moves only for axisymmetric u with a = b = 0: Brent over
-    the dilation-profiled minimum, from the checked bracket (-1, 0, 1).
+    scan(log lams, shift) and point(log lam, shift) are _bracketed_min's
+    at one shift.  The shift moves only for axisymmetric u with
+    a = b = 0: Brent over the dilation-profiled minimum, from the
+    checked bracket (-1, 0, 1).
     """
+    @lru_cache(maxsize=None)
+    def profile(s):
+        return _bracketed_min(lambda t: scan(t, s), lambda t: point(t, s), seed)
+
     if u.is_radial or params.a != 0.0 or params.b != 0.0:
-        return _bracketed_min(lambda t: f(t, 0.0), seed)[1], 0.0
-    profile = lru_cache(maxsize=None)(lambda s: _bracketed_min(lambda t: f(t, s), seed))
+        return profile(0.0)[1], 0.0
     ends = [profile(s)[0] for s in (-1.0, 0.0, 1.0)]
     if not (ends[1] < ends[0] and ends[1] < ends[2]):
         raise OptimizerStall("axial shift minimum not bracketed by (-1, 0, 1)")
     shift = _brent(lambda s: profile(s)[0], -1.0, 0.0, 1.0)[1]
     return profile(shift)[1], shift
+
+
+def _radius_pow(u: Field, shift: float, sig: float) -> np.ndarray:
+    """R^sigma on u's grid, R = |x + shift e1|; one angular column unshifted."""
+    r = u.grid.nodes[:, None]
+    if shift == 0.0:
+        return r**sig
+    return np.sqrt(r**2 + 2.0 * r * shift * np.cos(u.psi_nodes) + shift**2) ** sig
+
+
+def _dilation_derivs(g, h, y, w, p, amp, sig, m) -> tuple:
+    """(D, D', D'', tol) for the squared distance D = phi^(2/p) in t = log lam.
+
+    phi(t) = min over A of E = sum w |g - A h_t|^p; g (components, nodes)
+    and the column h at t, y = B r^sigma per node, amp the profiled
+    amplitude A*.  With h' = f1 h and h'' = f2 h, f1 = sigma (1 - m y)/(1 + y)
+    and f2 = f1^2 - sigma^2 (m+1) y/(1 + y)^2, the envelope theorem gives
+    phi' = E_t and phi'' = E_tt - E_tA^2/E_AA at A*.  A translated bubble
+    evaluates the same profile at R(r, psi) and multiplies by direction
+    factors free of t, so the same holds with y = B R^sigma.  tol is
+    D'/phi' times SLOPE_ROUNDING p |A| sum w |r|^(p-2) (|r| + |g|) |h'|,
+    the rounding bound of phi'.  D is the scan's objective: at a zero
+    distance E grows like |t - t*|^p, so Newton on E only converges
+    linearly, while one step on D lands on t*.
+    """
+    inv = 1.0 / (1.0 + y)
+    f1 = sig * (1.0 - m * y) * inv
+    f2 = f1 * f1 - sig * sig * (m + 1.0) * y * inv * inv
+    r = g - amp * h
+    if len(g) == 1:
+        # one component: the cosine of r and h is +-1
+        r, h, gmag = r[0], h[0], np.abs(g[0])
+        mag = np.abs(r)
+        rh, hh = r * h, h * h
+        c = (p - 1.0) * hh
+    else:
+        rh = np.einsum("cn,cn->n", r, h)
+        hh = np.einsum("cn,cn->n", h, h)
+        gmag = np.sqrt(np.einsum("cn,cn->n", g, g))
+        mag = np.sqrt(np.einsum("cn,cn->n", r, r))
+        cos = np.divide(rh, mag, out=np.zeros(mag.shape), where=mag > 0.0)
+        c = hh + (p - 2.0) * cos * cos
+    energy = float(w @ mag**p)
+    if energy == 0.0:
+        return 0.0, 0.0, 0.0, 0.0
+    wf = w * _flux_factor(mag, p - 2.0)
+    # E_A = -p sum a and E_AA = p sum c; h' = f1 h turns the t-derivatives
+    # into f1- and f2-weighted sums of the same two arrays
+    a, c = wf * rh, wf * c
+    sum_f1a = f1 @ a
+    e_t = -p * amp * sum_f1a
+    e_tt = p * amp * (amp * ((f1 * f1) @ c) - f2 @ a)
+    e_ta = p * (amp * (f1 @ c) - sum_f1a)
+    d2 = e_tt - e_ta * e_ta / (p * np.sum(c))
+    tol = SLOPE_ROUNDING * p * abs(amp) * (wf * (mag + gmag) @ np.abs(f1 * np.sqrt(hh)))
+    e = 2.0 / p
+    k = e * energy ** (e - 1.0)
+    return (
+        energy**e,
+        float(k * e_t),
+        float(k * (d2 + (e - 1.0) * e_t * e_t / energy)),
+        float(k * tol),
+    )
 
 
 def _slopes_curvs(g, H, hsq, w, p, amps) -> tuple[np.ndarray, np.ndarray]:
@@ -320,12 +428,12 @@ def _profiled_amplitudes(g, H, w, p, start=None) -> np.ndarray:
     slope, every column at once, from start (one amplitude per column)
     or from the closed form: each column keeps the bracket its slope
     signs give and bisects when a Newton step would pass its midpoint,
-    so a bad start still converges.  A column stops at the scalar
-    solve's test |slope curv| <= 1e-15 |A0| curv0^2, with A0 and curv0
-    taken at its start, or when its step or its bracket is below 4 ulp
-    of |A| (a slope on its rounding floor never passes the test), and
-    then leaves the active set.  OptimizerStall after
-    AMPLITUDE_MAX_STEPS steps, or on a non-finite slope.
+    so a bad start still converges.  A column stops when
+    |slope| <= 1e-15 |A| curv at its current iterate, or when its step
+    or its bracket is below 4 ulp of |A| (a slope on its rounding floor
+    never passes the test), and then leaves the active set.
+    OptimizerStall after AMPLITUDE_MAX_STEPS steps, or on a non-finite
+    slope.
     """
     hsq = np.einsum("cnk,cnk->nk", H, H)
     if start is None or p == 2.0:
@@ -341,16 +449,15 @@ def _profiled_amplitudes(g, H, w, p, start=None) -> np.ndarray:
     act = np.flatnonzero(curv > 0.0)
     if act.size < amps.size:
         H, hsq, slope, curv = H[..., act], hsq[:, act], slope[act], curv[act]
-    unit = np.abs(amps[act])
-    unit[unit == 0.0] = 1.0
-    tol = 1e-15 * unit * curv**2
     lo = np.full(act.size, -np.inf)
     hi = np.full(act.size, np.inf)
     for _ in range(AMPLITUDE_MAX_STEPS):
         if not (np.isfinite(slope).all() and np.isfinite(curv).all()):
             raise OptimizerStall("non-finite amplitude slope")
         a = amps[act]
-        live = np.abs(slope * curv) > tol  # so curv > 0 where live
+        # the Newton step is below 1e-15 |A|: tested at the iterate, so the
+        # envelope slope of the dilation search sees the true amplitude
+        live = (np.abs(slope) > 1e-15 * np.abs(a) * curv) & (curv > 0.0)
         lo = np.where(slope < 0.0, a, lo)
         hi = np.where(slope > 0.0, a, hi)
         new = a - np.divide(slope, curv, out=np.zeros(a.shape), where=live)
@@ -364,9 +471,7 @@ def _profiled_amplitudes(g, H, w, p, start=None) -> np.ndarray:
         live &= (np.abs(new - a) > ulp4) & (hi - lo > ulp4)
         amps[act[live]] = new[live]
         if not live.all():
-            act, H, hsq, tol, lo, hi = (
-                act[live], H[..., live], hsq[:, live], tol[live], lo[live], hi[live]
-            )
+            act, H, hsq, lo, hi = act[live], H[..., live], hsq[:, live], lo[live], hi[live]
         if not act.size:
             return amps
         slope, curv = _slopes_curvs(g, H, hsq, w, p, amps[act])
@@ -375,26 +480,17 @@ def _profiled_amplitudes(g, H, w, p, start=None) -> np.ndarray:
     )
 
 
-def manifold_distance(u: Field, params: CknParams) -> tuple[float, Bubble]:
-    """Metric projection distance (D_a^p metric) to the family, and the bubble.
+def _distance_search(u: Field, params: CknParams) -> tuple:
+    """(scan, point, columns, w): the projection's objective over the family.
 
-    The amplitude is profiled out and the dilation (and the axial shift
-    of an axisymmetric field with a = b = 0) searched by _family_min
-    from the q-mass moment seed.  ZeroField for a zero input.
-    OptimizerStall when the certificate fails: a minimum is not
-    bracketed, or, at a distance above ROUNDING_FLOOR of the gradient
-    norm, the amplitude's relative first-order residual
-    |sum w |r|^(p-2) r.h| / (||r||^(p-1) ||h||) exceeds AMPLITUDE_RTOL.
-    By convexity in A, the distance exceeds its minimum over A by at
-    most twice that residual, relatively.
+    scan(log lams, shift) is the squared distance E^(2/p) at each
+    dilation, E = sum w |g - A h|^p at the profiled amplitude A;
+    point(log lam, shift) adds its first two derivatives in log lam and
+    the rounding bound of the first (_dilation_derivs).  columns(log lams, shift)
+    is u's gradient stack g and the unit-amplitude bubble columns H, in
+    the _gradient_stack layout with energy weights w.
     """
-    if u.grad_r is None or not np.any(u.values):
-        raise ZeroField("projection needs a nonzero field with gradient data")
     p = params.p
-    unorm = weighted_grad_pnorm(u, params) ** (1.0 / p)
-    if unorm == 0.0:
-        raise ZeroField("zero gradient norm")
-
     comps, w = _gradient_stack([u], params)
     g_centred = comps[..., 0]
     sig, m = params.sigma, params.bubble_m
@@ -421,30 +517,67 @@ def manifold_distance(u: Field, params: CknParams) -> tuple[float, Bubble]:
         H[0] = dv[:, None, :]
         return g, H.reshape(len(g), -1, len(log_lams))
 
+    def radius_sig(shift):
+        # R^sigma per node in the columns' layout
+        rs = r_sig if shift == 0.0 else _radius_pow(u, shift, sig)
+        return np.broadcast_to(rs, u.values.shape).ravel()
+
     # shift -> {log lam: solved amplitude}, the warm starts of one-column calls
     solved: dict = {}
 
-    def distance_sq(log_lams, shift):
-        # squared, the distance is smooth at a zero and Brent's parabolas are exact
+    def amplitudes(log_lams, shift):
+        # the profiled amplitudes of one block, warm-started when it is one column
         known = solved.setdefault(shift, {})
         start = None
         if len(log_lams) == 1 and known:
             t0 = float(log_lams[0])
-            near = min(known, key=lambda t: abs(t - t0))
-            start = [known[near]]
+            start = [known[min(known, key=lambda t: abs(t - t0))]]
+        g, H = columns(log_lams, shift)
+        amps = _profiled_amplitudes(g, H, w, p, start)
+        known.update(zip(np.asarray(log_lams).tolist(), amps.tolist()))
+        return g, H, amps
+
+    def scan(log_lams, shift):
+        # squared, the distance is smooth at a zero; it ranks the scan points
         out = np.empty(len(log_lams))
         for k in range(0, len(log_lams), AMPLITUDE_BLOCK):
-            block = log_lams[k : k + AMPLITUDE_BLOCK]
-            g, H = columns(block, shift)
-            amps = _profiled_amplitudes(g, H, w, p, start)
-            known.update(zip(block.tolist(), amps.tolist()))
+            g, H, amps = amplitudes(log_lams[k : k + AMPLITUDE_BLOCK], shift)
             H *= -amps
             H += g[..., None]
             mag_sq = np.einsum("cnk,cnk->nk", H, H)
             out[k : k + AMPLITUDE_BLOCK] = w @ mag_sq ** (p / 2.0)
         return out ** (2.0 / p)
 
-    log_lam, shift = _family_min(distance_sq, moment_seed(u, params), u, params)
+    def point(log_lam, shift):
+        g, H, amps = amplitudes([log_lam], shift)
+        y = math.exp(log_lam) ** sig * radius_sig(shift)
+        return _dilation_derivs(g, H[..., 0], y, w, p, amps[0], sig, m)
+
+    return scan, point, columns, w
+
+
+def manifold_distance(u: Field, params: CknParams) -> tuple[float, Bubble]:
+    """Metric projection distance (D_a^p metric) to the family, and the bubble.
+
+    The amplitude is profiled out and the dilation (and the axial shift
+    of an axisymmetric field with a = b = 0) searched by _family_min
+    from the q-mass moment seed.  ZeroField for a zero input.
+    OptimizerStall when the certificate fails: a minimum is not
+    bracketed, or, at a distance above ROUNDING_FLOOR of the gradient
+    norm, the amplitude's relative first-order residual
+    |sum w |r|^(p-2) r.h| / (||r||^(p-1) ||h||) exceeds AMPLITUDE_RTOL.
+    By convexity in A, the distance exceeds its minimum over A by at
+    most twice that residual, relatively.
+    """
+    if u.grad_r is None or not np.any(u.values):
+        raise ZeroField("projection needs a nonzero field with gradient data")
+    p = params.p
+    unorm = weighted_grad_pnorm(u, params) ** (1.0 / p)
+    if unorm == 0.0:
+        raise ZeroField("zero gradient norm")
+
+    scan, point, columns, w = _distance_search(u, params)
+    log_lam, shift = _family_min(scan, point, moment_seed(u, params), u, params)
     # the certified amplitude: one scalar solve at the chosen dilation
     g, H = columns([log_lam], shift)
     h = H[..., 0]
@@ -470,24 +603,62 @@ def _q_pairing(u: Field, v: Field, params: CknParams) -> float:
     return u.wider(v).integrate(power, v.values ** (params.q - 1.0) * u.values)
 
 
+def _pairing_search(u: Field, params: CknParams) -> tuple:
+    """(scan, point): minus the q-pairing P(t) = sum W V_t^(q-1) u, t = log lam.
+
+    V_t is the canonical bubble at lam = e^t and W the q-pairing's
+    quadrature weights.  scan(log lams, shift) is -P at each dilation;
+    point(log lam, shift) is (-P, -P', -P'', tol) with the closed forms
+    V_t' = k1 V_t, k1 = (n-p-pa)/p - m sigma y/(1 + y), y = B R^sigma,
+    and tol the rounding bound SLOPE_ROUNDING (q-1) sum |W V^(q-1) k1 u|.
+    """
+    q, sig, m, dw = params.q, params.sigma, params.bubble_m, params.dilation_weight
+    amp = bubble_normalization(params).amplitude
+    wu = u.measure(params.n - 1.0 - q * params.b) * u.values
+    # radial bubbles pair with u's weighted sum over the angular nodes
+    wu_radial = np.sum(wu, axis=1, keepdims=True)
+
+    def terms(log_lams, shift):
+        # y and the pairing density W u V^(q-1), per node and log lam
+        wgt = wu_radial if shift == 0.0 else wu
+        lam = np.exp(np.asarray(log_lams))
+        y = _radius_pow(u, shift, sig)[..., None] * lam**sig
+        dens = (amp * lam**dw * (1.0 + y) ** (-m)) ** (q - 1.0)
+        dens *= wgt[..., None]
+        return y, dens
+
+    def scan(log_lams, shift):
+        out = np.empty(len(log_lams))
+        for k in range(0, len(log_lams), AMPLITUDE_BLOCK):
+            dens = terms(log_lams[k : k + AMPLITUDE_BLOCK], shift)[1]
+            out[k : k + AMPLITUDE_BLOCK] = -np.sum(dens, axis=(0, 1))
+        return out
+
+    def point(log_lam, shift):
+        y, dens = terms([log_lam], shift)
+        inv = 1.0 / (1.0 + y)
+        k1 = dw - m * sig * y * inv
+        k1_dt = -m * sig * sig * y * inv * inv
+        d1 = -(q - 1.0) * np.sum(dens * k1)
+        d2 = -(q - 1.0) * np.sum(dens * ((q - 1.0) * k1 * k1 + k1_dt))
+        tol = SLOPE_ROUNDING * (q - 1.0) * np.sum(np.abs(dens * k1))
+        return -float(np.sum(dens)), float(d1), float(d2), float(tol)
+
+    return scan, point
+
+
 def select_Pu(u: Field, params: CknParams) -> Bubble:
     """Dilation-picked representative: maximise the q-pairing over lam.
 
-    Minus the pairing goes through _family_min from the moment seed
-    (OptimizerStall when the maximum is not bracketed).  The caller is
-    responsible for the closeness gate; this only needs a nonzero field.
+    Minus the pairing (_pairing_search) goes through _family_min from
+    the moment seed (OptimizerStall when the maximum is not bracketed).
+    The caller is responsible for the closeness gate; this only needs a
+    nonzero field.
     """
     if not np.any(u.values):
         raise ZeroField("representative undefined for the zero field")
-
-    def neg_pairing(log_lam, shift):
-        bub = canonical_bubble(params, math.exp(log_lam), axial_shift=shift)
-        return -_q_pairing(u, _bubble_on(u, params, bub), params)
-
-    def neg_pairings(log_lams, shift):
-        return np.array([neg_pairing(t, shift) for t in log_lams])
-
-    log_lam, shift = _family_min(neg_pairings, moment_seed(u, params), u, params)
+    scan, point = _pairing_search(u, params)
+    log_lam, shift = _family_min(scan, point, moment_seed(u, params), u, params)
     return canonical_bubble(params, math.exp(log_lam), axial_shift=shift)
 
 

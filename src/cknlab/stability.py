@@ -206,6 +206,10 @@ def family_samples(spec: GeneratorSpec, params: CknParams, count: int):
     """Yield `count` fields from the named family, prefix-stable in count."""
     opts = dict(spec.options)
     window = _numbers(opts, "window", (-30.0, 30.0, 2048))
+    if not isinstance(window[2], int) or window[2] < 16:
+        raise ConfigError(
+            f"family.options.window[2] must be an integer of at least 16, got {window[2]!r}"
+        )
     rng = np.random.default_rng(spec.seed)
     grid = make_radial_grid(*window)
 

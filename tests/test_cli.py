@@ -402,18 +402,40 @@ def test_main_out_of_range_option_exit(
             {"family": {"name": "bubble_bump", "options": {"center": [-5, 10**400]}}},
             "family.options.center",
         ),
+        # a node count, like config.grid[2]
+        (
+            "stability-scan",
+            {"family": {"name": "bubble_bump", "options": {"window": [-30, 30, 256.5]}}},
+            "family.options.window[2]",
+        ),
+        # files json cannot read: an int past Python's 4,300-digit limit, and
+        # bytes that are not UTF-8
+        pytest.param(
+            "constants",
+            b'{"experiment": "t-digits", "seed": 1' + b"0" * 5000 + b"}",
+            "digits",
+            id="constants-long-seed",
+        ),
+        pytest.param(
+            "constants", b'{"experiment": "t-caf\xe9"}', "utf-8", id="constants-not-utf8"
+        ),
     ],
 )
 def test_main_malformed_config_exit(tmp_path, capsys, operation, overrides, key):
-    payload = {
-        "experiment": "t-malformed",
-        "operation": operation,
-        "params": [[3, 2.0, 0.0, 0.0]],
-        "grid": [-25.0, 25.0, 256],
-        "family": {"name": "bubble_bump"},
-        **overrides,
-    }
-    path = _write(tmp_path, "m.json", payload)
+    if isinstance(overrides, bytes):
+        path = tmp_path / "m.json"
+        path.write_bytes(overrides)
+        path = str(path)
+    else:
+        payload = {
+            "experiment": "t-malformed",
+            "operation": operation,
+            "params": [[3, 2.0, 0.0, 0.0]],
+            "grid": [-25.0, 25.0, 256],
+            "family": {"name": "bubble_bump"},
+            **overrides,
+        }
+        path = _write(tmp_path, "m.json", payload)
     ledger = str(tmp_path / "ledger.jsonl")
     assert main([operation, "--config", path, "--ledger", ledger]) == 2
     assert key in capsys.readouterr().err

@@ -246,15 +246,43 @@ def _kernel_problem(tup, axisym, log_lams=KERNEL_LOG_LAMS):
     return ps, comps[..., 0], comps[..., 1:], w
 
 
+def _slope_root(g, h, w, p, lo, hi):
+    """Zero of -p sum w |r|^(p-2) r.h, r = g - A h, by bisection to 4 ulp."""
+
+    def slope(amp):
+        r = g - amp * h
+        mag = np.sqrt(np.sum(r * r, axis=0))
+        flux = np.power(mag, p - 2.0, out=np.zeros_like(mag), where=mag > 0.0)
+        return -p * np.sum(w * flux * np.sum(r * h, axis=0))
+
+    assert slope(lo) < 0.0 < slope(hi)
+    while hi - lo > 4.0 * np.spacing(hi):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        lo, hi = (mid, hi) if slope(mid) < 0.0 else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
 @pytest.mark.parametrize("axisym", [False, True])
 @pytest.mark.parametrize("tup", KERNEL_TUPLES)
 def test_batched_amplitudes_match_scalar_solve(tup, axisym):
+    # against the slope root itself: the kernel's stopping test is referred
+    # to its current iterate, so it may not stop short on the far bump
     ps, g, H, w = _kernel_problem(tup, axisym)
     assert H.shape[0] == (2 if axisym else 1)
     got = manifold._profiled_amplitudes(g, H, w, ps.p)
     for k in range(H.shape[-1]):
-        want = manifold._profiled_amplitude(g, H[..., k], w, ps.p)
+        want = _slope_root(g, H[..., k], w, ps.p, 0.5 * got[k], 2.0 * got[k])
         assert got[k] == pytest.approx(want, rel=1e-12), k
+
+
+def test_kernel_restart_moves_no_amplitude():
+    # the far-bump problem whose p = 2 start is 3.3e8 against answers of 45-76
+    ps, g, H, w = _kernel_problem((4, 2.5, 0.2, 0.5), False)
+    cold = manifold._profiled_amplitudes(g, H, w, ps.p)
+    warm = manifold._profiled_amplitudes(g, H, w, ps.p, start=cold)
+    assert np.max(np.abs(warm / cold - 1.0)) <= 1e-10
 
 
 def test_batched_amplitude_step_cap_raises(monkeypatch):
@@ -267,21 +295,14 @@ def test_batched_amplitude_step_cap_raises(monkeypatch):
 @pytest.mark.parametrize("axisym", [False, True])
 @pytest.mark.parametrize("tup", KERNEL_TUPLES)
 def test_warm_started_amplitudes_match_cold_solve(tup, axisym):
-    # restarted at the cold result, the stopping test refers to the
-    # answer's own scale: at p = 2.5 the p = 2 start is about 1e7 times
-    # the answer and the cold call stops a few percent short of it
+    # the stopping test is taken at the iterate, so no start, however far,
+    # stops short; the bump column, which u holds exactly, converges only
+    # linearly at p > 2 but still reaches the same test
     ps, g, H, w = _kernel_problem(tup, axisym)
-    answer = manifold._profiled_amplitudes(
-        g, H, w, ps.p, start=manifold._profiled_amplitudes(g, H, w, ps.p)
-    )
-    # the start costs no reference slope, so a far start at p > 2, where
-    # the curvature grows like |r|^(p-2), stops up to (curv0/curv)^2 early
-    for factor, rel in ((1.001, 1e-12), (10.0, 1e-10), (-1.0, 1e-12), (0.0, 1e-12)):
+    answer = manifold._profiled_amplitudes(g, H, w, ps.p)
+    for factor in (1.001, 10.0, -1.0, 0.0):
         warm = manifold._profiled_amplitudes(g, H, w, ps.p, start=factor * answer)
-        # the bump column: u holds it exactly, so at p > 2 the curvature
-        # vanishes at the answer and only converges linearly
-        assert warm[:-1] == pytest.approx(answer[:-1], rel=rel), factor
-        assert warm[-1] == pytest.approx(answer[-1], rel=1e-3), factor
+        assert warm == pytest.approx(answer, rel=1e-12), factor
 
 
 @pytest.mark.parametrize("p", [1.5, 2.5, 4.0])
@@ -322,6 +343,114 @@ def test_warm_start_saves_far_bump_slope_evaluations(monkeypatch):
     calls.clear()
     manifold._profiled_amplitudes(g, H[..., 1:2], w, ps.p, start=near)
     assert len(calls) < cold
+
+
+# one admissible tuple per exponent with a > 0, and one with a = b = 0
+SLOPE_TUPLES = {
+    1.5: ((3, 1.5, 0.1, 0.3), (3, 1.5, 0, 0)),
+    2.0: ((4, 2.0, 0.5, 0.5), (3, 2.0, 0, 0)),
+    2.5: ((4, 2.5, 0.2, 0.5), (3, 2.5, 0, 0)),
+    3.0: ((4, 3.0, 0.1, 0.1), (4, 3.0, 0, 0)),
+    4.0: ((5, 4.0, 0.1, 0.2), (5, 4.0, 0, 0)),
+}
+
+
+def _slope_field(p, kind):
+    """(params, u, shift): a perturbed bubble, radial, axisymmetric or shifted."""
+    weighted, flat = SLOPE_TUPLES[p]
+    ps = derive_params(*(flat if kind == "shifted" else weighted))
+    grid = make_radial_grid(-25, 25, 512)
+    u = canonical_profile(ps, grid, 1.3) + 0.05 * gaussian_bump_profile(
+        grid, ps.n, 0.5, 1.0
+    )
+    if kind != "radial":
+        u = modulated_axisym(u, psi_count=8)
+    return ps, u, 0.3 if kind == "shifted" else 0.0
+
+
+def _check_slopes(point, t, shift, step=1e-4):
+    # f' against the central difference of f, f'' against that of f'
+    f, d1, d2, tol = point(t, shift)
+    up, dn = point(t + step, shift), point(t - step, shift)
+    assert d1 == pytest.approx((up[0] - dn[0]) / (2.0 * step), rel=1e-6)
+    assert d2 == pytest.approx((up[1] - dn[1]) / (2.0 * step), rel=1e-6)
+    assert 0.0 < tol < 1e-10 * abs(d1)
+    return f
+
+
+@pytest.mark.parametrize("kind", ["radial", "axisym", "shifted"])
+@pytest.mark.parametrize("p", sorted(SLOPE_TUPLES))
+def test_dilation_slopes_match_central_differences(p, kind):
+    # off the minimum, where the slope is far from its rounding bound
+    ps, u, shift = _slope_field(p, kind)
+    scan, point, _, _ = manifold._distance_search(u, ps)
+    t = math.log(1.3) + 0.2
+    f = _check_slopes(point, t, shift)
+    if shift == 0.0:
+        assert f == pytest.approx(scan(np.array([t]), shift)[0], rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["radial", "axisym", "shifted"])
+@pytest.mark.parametrize("p", sorted(SLOPE_TUPLES))
+def test_pairing_slopes_match_central_differences(p, kind):
+    ps, u, shift = _slope_field(p, kind)
+    scan, point = manifold._pairing_search(u, ps)
+    t = math.log(1.3) + 0.2
+    f = _check_slopes(point, t, shift)
+    bub = canonical_bubble(ps, math.exp(t), axial_shift=shift)
+    want = manifold._q_pairing(u, manifold._bubble_on(u, ps, bub), ps)
+    assert f == pytest.approx(-want, rel=1e-12)
+    assert scan(np.array([t]), shift)[0] == pytest.approx(-want, rel=1e-12)
+
+
+EXACT_BUBBLE_CASES = [
+    ((4, 3, 0.2, 0.4), (-30, 30, 2048)),
+    ((4, 3, 0.2, 0.4), (-60, 60, 4096)),
+    ((5, 3, 0.3, 0.5), (-30, 30, 2048)),
+]
+
+
+@pytest.mark.parametrize("tup,window", EXACT_BUBBLE_CASES)
+def test_distance_zero_on_exact_bubbles(tup, window):
+    # the p = 3 tuples whose Brent search stopped 1e-11 off in log lam and
+    # stalled; the slope search lands on the dilation to rounding
+    ps = derive_params(*tup)
+    grid = make_radial_grid(*window)
+    for lam in (0.3, 0.5, 0.7, 0.9, 1.4, 2.0, 3.0):
+        rel, bub = _rel_distance(1.1 * canonical_profile(ps, grid, lam), ps)
+        assert rel <= 1e-12, lam
+        assert bub.scale == pytest.approx(lam, rel=1e-10), lam
+
+
+def test_distance_dilation_certificate_slow_tail():
+    # a perturbed slow-tail bubble: the returned dilation's slope is on its
+    # rounding bound
+    ps = derive_params(5, 3.0, 0.3, 0.5)
+    grid = make_radial_grid(-30, 30, 2048)
+    u = canonical_profile(ps, grid, 0.7) + 0.02 * gaussian_bump_profile(
+        grid, ps.n, 0.5, 1.0
+    )
+    _, bub = manifold_distance(u, ps)
+    _, d1, _, tol = manifold._distance_search(u, ps)[1](math.log(bub.scale), 0.0)
+    assert abs(d1) <= tol
+
+
+@pytest.mark.parametrize("count", [1024, 2048])
+def test_select_pu_certificate_on_residual_scaling_fields(count):
+    # c07's seven fields on its fast and strict grids
+    from cknlab.stability import perturbed_bubble
+
+    ps = derive_params(5, 3.0, 0.3, 0.5)
+    grid = make_radial_grid(-30, 30, count)
+    for eps in np.logspace(-3, -1, 7):
+        u = perturbed_bubble(ps, grid, float(eps), 0.5, 0.7)
+        bub = select_Pu(u, ps)
+        _, d1, _, tol = manifold._pairing_search(u, ps)[1](math.log(bub.scale), 0.0)
+        assert abs(d1) <= tol, eps
+        # a rounding-level change of u no longer moves the dilation off its
+        # plateau (Brent's moved c07's N by up to 7e-6 relative)
+        again = select_Pu((1.0 + 3e-15) * u, ps)
+        assert again.scale == pytest.approx(bub.scale, rel=1e-12), eps
 
 
 def test_distance_axisym_weighted_matches_nelder_mead():
@@ -375,6 +504,18 @@ def test_certificate_unbracketed_scan_raises(monkeypatch):
         manifold_distance(u, ps)
 
 
+def test_dilation_newton_certifies_and_guards_its_bracket():
+    # f = (t - c)^4 / 4: f'' vanishes at c, where f' meets its bound
+    def point(c):
+        return lambda t: ((t - c) ** 4 / 4, (t - c) ** 3, 3 * (t - c) ** 2, 1e-30)
+
+    val, t = manifold._newton(point(0.3), -1.0, 0.0, 1.0)
+    assert abs(t - 0.3) ** 3 <= 1e-30 or t == pytest.approx(0.3, abs=1e-15)
+    # f' < 0 all through the bracket: the search closes on its right end
+    with pytest.raises(OptimizerStall, match="closed on an end"):
+        manifold._newton(point(5.0), -1.0, 0.0, 1.0)
+
+
 def test_certificate_first_order_residual_raises(monkeypatch):
     # an amplitude solver that never moves leaves the p = 2 projection,
     # which misses the p = 2.5 first-order condition
@@ -401,9 +542,9 @@ def test_select_pu_scale_invariant_in_u():
     grid = make_radial_grid(count=1024)
     u = canonical_profile(ps, grid, 0.8)
     u3 = 3.0 * u
-    # the pairing scales linearly, so the maximiser agrees down to the
-    # sqrt(machine eps) plateau of any smooth 1-D maximisation
-    assert select_Pu(u3, ps).scale == pytest.approx(select_Pu(u, ps).scale, rel=1e-6)
+    # the pairing scales linearly, and the search stops on its slope, not
+    # on values, so the maximiser agrees to rounding
+    assert select_Pu(u3, ps).scale == pytest.approx(select_Pu(u, ps).scale, rel=1e-12)
 
 
 def test_select_pu_perturbation_stability():
