@@ -80,7 +80,7 @@ class ExperimentConfig:
     operation: str
     params: tuple  # tuples (n, p, a, b)
     grid: tuple  # (t_min, t_max, count)
-    family: Optional[GeneratorSpec]
+    family: Optional[dict]  # name, seed and options as written
     tolerances: dict
     seed: int
     options: dict
@@ -136,7 +136,7 @@ def _count(lo: int, hi: float = math.inf):
     """Reader of an integer in lo..hi."""
 
     def read(value, path: str) -> int:
-        if isinstance(value, bool) or not isinstance(value, int) or not lo <= value <= hi:
+        if not isinstance(_number(value, path), int) or not lo <= value <= hi:
             raise ConfigError(f"{path} must be an integer in {lo}..{hi}, got {value!r}")
         return value
 
@@ -157,14 +157,24 @@ _string = _of_type(str, "a string")
 _object = _of_type(dict, "an object")
 
 
-def _list_of(read, length: Optional[int] = None):
-    """Reader of a list (of exactly `length` items when given), item by item."""
+def _list_of(read):
+    """Reader of a list, item by item."""
 
     def read_list(value, path: str) -> list:
-        if not isinstance(value, list) or (length is not None and len(value) != length):
-            shape = "a list" if length is None else f"a list of {length} items"
-            raise ConfigError(f"{path} must be {shape}, got {value!r}")
+        if not isinstance(value, list):
+            raise ConfigError(f"{path} must be a list, got {value!r}")
         return [read(item, f"{path}[{i}]") for i, item in enumerate(value)]
+
+    return read_list
+
+
+def _items(*reads):
+    """Reader of a list of exactly len(reads) items, item i read by reads[i]."""
+
+    def read_list(value, path: str) -> tuple:
+        if not isinstance(value, list) or len(value) != len(reads):
+            raise ConfigError(f"{path} must be a list of {len(reads)} items, got {value!r}")
+        return tuple(read(value[i], f"{path}[{i}]") for i, read in enumerate(reads))
 
     return read_list
 
@@ -197,13 +207,13 @@ def _tuple(value, path: str) -> tuple:
     """[n, p, a, b], or the same as an object, -> (int, float, float, float)."""
     if isinstance(value, dict):
         value = list(_read_keys(value, _TUPLE_KEYS, path).values())
-    n, p, a, b = _list_of(_number, 4)(value, path)
-    return (_count(1)(n, f"{path}[0]"), float(p), float(a), float(b))
+    return _items(_count(1), _real, _real, _real)(value, path)
 
 
-def _grid(value, path: str) -> tuple:
-    t_min, t_max, count = _list_of(_number, 3)(value, path)
-    return (float(t_min), float(t_max), _count(1)(count, f"{path}[2]"))
+# [t_min, t_max, count] in log radius; make_radial_grid takes 16 nodes or more
+_grid = _items(_real, _real, _count(16))
+_bubble = _items(_positive, _real)  # [lam, amp]
+_case = _items(_count(1, 6), _real)  # [case, exponent]
 
 
 def _kind(value, path: str) -> str:
@@ -222,18 +232,6 @@ _FIELD_KEYS = {
 
 def _field_spec(value, path: str) -> SimpleNamespace:
     return SimpleNamespace(**_read_keys(_object(value, path), _FIELD_KEYS, path))
-
-
-def _bubble(value, path: str) -> tuple:
-    """[lam, amp] with lam > 0."""
-    lam, amp = _list_of(_real, 2)(value, path)
-    return _positive(lam, f"{path}[0]"), amp
-
-
-def _case(value, path: str) -> tuple:
-    """[case, exponent] with case 1..6."""
-    case, exponent = _list_of(_number, 2)(value, path)
-    return _count(1, 6)(case, f"{path}[0]"), float(exponent)
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +255,16 @@ def _tolerances(value, path: str) -> dict:
     return {k: _number(v, f"{path}.{k}") for k, v in _object(value, path).items()}
 
 
+# family name -> its option readers; GeneratorSpec holds the defaults
+_RANGE = (_items(_real, _real), None)
+_FAMILIES = {
+    "bubble_bump": {
+        "window": (_grid, None),
+        "eps_log10": _RANGE,
+        "center": _RANGE,
+        "width": _RANGE,
+    },
+}
 _FAMILY_KEYS = {
     "name": (_string, _REQUIRED),
     "seed": (_count(0), 0),
@@ -264,9 +272,11 @@ _FAMILY_KEYS = {
 }
 
 
-def _family(value, path: str) -> GeneratorSpec:
-    spec = _read_keys(_object(value, path), _FAMILY_KEYS, path)
-    return GeneratorSpec(family=spec["name"], seed=spec["seed"], options=spec["options"])
+def _family(value, path: str) -> dict:
+    family = _read_keys(_object(value, path), _FAMILY_KEYS, path)
+    if family["name"] not in _FAMILIES:
+        raise ConfigError(f"{path}.name: unknown family {family['name']!r}")
+    return family
 
 
 _CONFIG_KEYS = {
@@ -308,12 +318,19 @@ def load_config(config_path: str) -> ExperimentConfig:
 
 
 def _settings(cfg: ExperimentConfig) -> SimpleNamespace:
-    """The operation's options and tolerances, checked, with defaults filled in."""
+    """The operation's options and tolerances and the family, checked, defaults filled in."""
     op = OPERATIONS[cfg.operation]
     tolerances = {name: (_number, default) for name, default in op.tolerances.items()}
+    family = cfg.family
+    if family is not None:
+        keys = _FAMILIES[family["name"]]
+        ranges = _read_keys(family["options"], keys, "config.family.options")
+        set_ranges = {key: value for key, value in ranges.items() if value is not None}
+        family = GeneratorSpec(family["name"], family["seed"], **set_ranges)
     return SimpleNamespace(
         **_read_keys(cfg.options, op.options, "config.options"),
         **_read_keys(cfg.tolerances, tolerances, "config.tolerances"),
+        family=family,
     )
 
 
@@ -452,11 +469,11 @@ def _op_project(cfg: ExperimentConfig, opt, ctx: _RunContext):
 
 
 def _op_stability_scan(cfg: ExperimentConfig, opt, ctx: _RunContext):
-    if cfg.family is None:
+    if opt.family is None:
         raise ConfigError("missing key config.family for stability-scan")
 
     def one(tup):
-        scan = k_upper_scan(cfg.family, derive_params(*tup), sample_count=opt.samples)
+        scan = k_upper_scan(opt.family, derive_params(*tup), sample_count=opt.samples)
         return {
             "bound": float(scan.bound),
             "alpha": float(scan.alpha),
@@ -551,8 +568,8 @@ def _op_spectral_gap(cfg: ExperimentConfig, opt, ctx: _RunContext):
     grid = _build_grid(cfg, ctx)
     bub = canonical_bubble(ps)
     rng = np.random.default_rng(ctx.seed)
-    centers = rng.uniform(opt.center_lo, opt.center_hi, opt.count)
-    widths = rng.uniform(opt.width_lo, opt.width_hi, opt.count)
+    centers = rng.uniform(-3.0, 3.0, opt.count)
+    widths = rng.uniform(0.5, 1.5, opt.count)
 
     def one(cw):
         rho = orthogonalize(gaussian_bump_profile(grid, ps.n, cw[0], cw[1]), bub, ps)
@@ -677,10 +694,6 @@ OPERATIONS = {
     }, {}),
     "spectral-gap": Operation("critical", _op_spectral_gap, "one", {
         "count": (_count(1), 20),
-        "center_lo": (_real, -3.0),
-        "center_hi": (_real, 3.0),
-        "width_lo": (_real, 0.5),
-        "width_hi": (_real, 1.5),
     }, {"ratio_floor": 1.0}),
     "expansion-slopes": Operation("critical", _op_expansion_slopes, "one", {
         "eps_start": (_positive, 1e-3),
@@ -709,8 +722,6 @@ def _digest(payload) -> str:
 def _config_payload(cfg: ExperimentConfig, tol_profile: str) -> dict:
     # options and tolerances as written in the config, not the filled-in settings
     payload = asdict(cfg)
-    if cfg.family is not None:
-        payload["family"]["name"] = payload["family"].pop("family")
     payload["tol_profile"] = tol_profile
     return payload
 

@@ -106,8 +106,9 @@ def q_norm(u: Field, params: CknParams) -> float:
 def deficit(u: Field, params: CknParams) -> float:
     """Rayleigh gap: grad norm over q norm, minus the sharp constant.
 
-    Nonnegative for every admissible field up to quadrature noise;
-    values in [-1e-8, 0) are clamped to 0 with a log diagnostic.
+    Nonnegative for every admissible field up to quadrature noise and
+    window truncation, and returned as computed; values below -1e-8 log
+    a warning.
     """
     q_int = weighted_lq_norm(u, params)
     if q_int == 0.0:
@@ -116,9 +117,6 @@ def deficit(u: Field, params: CknParams) -> float:
     d = grad_int ** (1.0 / params.p) / q_int ** (1.0 / params.q) - sharp_constant(
         params
     )
-    if NEGATIVE_DEFICIT_FLOOR <= d < 0.0:
-        log.debug("clamping quadrature-level negative deficit %.3e to 0", d)
-        return 0.0
     if d < NEGATIVE_DEFICIT_FLOOR:
         log.warning("deficit %.3e below the quadrature floor; inequality violated?", d)
     return d

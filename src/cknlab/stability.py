@@ -10,14 +10,12 @@ through the weak norm.
 from __future__ import annotations
 
 import math
-import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import (
-    ConfigError,
     DegenerateFit,
     EmptyFamily,
     InvalidArgument,
@@ -109,15 +107,21 @@ class MonotonicityRecord:
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """Declarative perturbation family: name, options, seed.
+    """Perturbation family: name, seed and the ranges its samples draw from.
 
-    Samples are drawn sequentially from one seeded stream, so the first
-    N samples of a longer scan coincide with a shorter one.
+    ``bubble_bump`` samples live on the grid ``window`` = (t_min, t_max,
+    count); log10 eps, the bump centre and its width are drawn uniformly
+    from their (lo, hi) ranges.  Samples are drawn sequentially from one
+    seeded stream, so the first N samples of a longer scan coincide with
+    a shorter one.
     """
 
     family: str
     seed: int = 0
-    options: dict = field(default_factory=dict)
+    window: tuple = (-30.0, 30.0, 2048)
+    eps_log10: tuple = (-3.0, -1.0)
+    center: tuple = (-5.0, 5.0)
+    width: tuple = (0.6, 1.8)
 
     def tag(self, index: int) -> str:
         return f"{self.family}[{index}]@seed{self.seed}"
@@ -178,62 +182,18 @@ def perturbed_bubble(
     return canonical_profile(params, grid) + (eps / zn) * z
 
 
-def _numbers(opts: dict, key: str, default: tuple) -> tuple:
-    """Pop family option `key`: a list of as many finite numbers as `default` has.
-
-    NaN, the infinities and ints past the float range all fail the
-    comparison with the largest float.
-    """
-    value = opts.pop(key, default)
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != len(default)
-        or any(
-            isinstance(v, bool)
-            or not isinstance(v, (int, float))
-            or not abs(v) <= sys.float_info.max
-            for v in value
-        )
-    ):
-        raise ConfigError(
-            f"family.options.{key} must be a list of {len(default)} finite numbers, "
-            f"got {value!r}"
-        )
-    return tuple(value)
-
-
 def family_samples(spec: GeneratorSpec, params: CknParams, count: int):
     """Yield `count` fields from the named family, prefix-stable in count."""
-    opts = dict(spec.options)
-    window = _numbers(opts, "window", (-30.0, 30.0, 2048))
-    if not isinstance(window[2], int) or window[2] < 16:
-        raise ConfigError(
-            f"family.options.window[2] must be an integer of at least 16, got {window[2]!r}"
-        )
+    if spec.family != "bubble_bump":
+        raise InvalidArgument(f"unknown sample family {spec.family!r}")
     rng = np.random.default_rng(spec.seed)
-    grid = make_radial_grid(*window)
-
-    if spec.family == "bubble_bump":
-        eps_lo, eps_hi = _numbers(opts, "eps_log10", (-3.0, -1.0))
-        c_lo, c_hi = _numbers(opts, "center", (-5.0, 5.0))
-        w_lo, w_hi = _numbers(opts, "width", (0.6, 1.8))
-        if opts:
-            raise ConfigError(f"unknown bubble_bump options {sorted(opts)}")
-        for _ in range(count):
-            # three draws per sample keeps prefixes aligned across counts
-            eps = 10.0 ** rng.uniform(eps_lo, eps_hi)
-            center = rng.uniform(c_lo, c_hi)
-            width = rng.uniform(w_lo, w_hi)
-            yield perturbed_bubble(params, grid, eps, center, width)
-    elif spec.family == "pure_bubble":
-        lam_lo, lam_hi = _numbers(opts, "log_lambda", (-1.0, 1.0))
-        if opts:
-            raise ConfigError(f"unknown pure_bubble options {sorted(opts)}")
-        for _ in range(count):
-            lam = math.exp(rng.uniform(lam_lo, lam_hi))
-            yield canonical_profile(params, grid, lam)
-    else:
-        raise ConfigError(f"unknown sample family {spec.family!r}")
+    grid = make_radial_grid(*spec.window)
+    for _ in range(count):
+        # three draws per sample keeps prefixes aligned across counts
+        eps = 10.0 ** rng.uniform(*spec.eps_log10)
+        center = rng.uniform(*spec.center)
+        width = rng.uniform(*spec.width)
+        yield perturbed_bubble(params, grid, eps, center, width)
 
 
 def k_upper_scan(

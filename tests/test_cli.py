@@ -408,6 +408,40 @@ def test_main_out_of_range_option_exit(
             {"family": {"name": "bubble_bump", "options": {"window": [-30, 30, 256.5]}}},
             "family.options.window[2]",
         ),
+        # the family is read for every operation, not only the one that samples it
+        (
+            "constants",
+            {"family": {"name": "bubble_bump", "options": {"center": [float("nan"), 5]}}},
+            "config.family.options.center",
+        ),
+        (
+            "constants",
+            {"family": {"name": "bubble_bump", "options": {"wdith": [0.5, 1.0]}}},
+            "config.family.options.wdith",
+        ),
+        ("stability-scan", {"family": {"name": "mystery"}}, "config.family.name"),
+        (
+            "stability-scan",
+            {"family": {"name": "bubble_bump", "options": {"window": [-30, 30, 8]}}},
+            "config.family.options.window[2]",
+        ),
+        (
+            "constants",
+            {"family": {"name": "bubble_bump", "options": {"eps_log10": 5}}},
+            "config.family.options.eps_log10",
+        ),
+        (
+            "stability-scan",
+            {"family": {"name": "bubble_bump", "options": {"center": [1.0, 2.0, 3.0]}}},
+            "config.family.options.center",
+        ),
+        (
+            "spectral-gap",
+            {"family": {"name": "bubble_bump", "options": {"width": ["a", "b"]}}},
+            "config.family.options.width[0]",
+        ),
+        # a node count past the float range, like any other number there
+        ("constants", {"grid": [-25, 25, 10**400]}, "config.grid[2]"),
         # files json cannot read: an int past Python's 4,300-digit limit, and
         # bytes that are not UTF-8
         pytest.param(

@@ -26,10 +26,13 @@ from cknlab.fields import (
 )
 from cknlab.functionals import (
     deficit,
+    grad_norm,
+    q_norm,
     weak_lebesgue_norm,
     weighted_grad_pnorm,
     weighted_lq_norm,
 )
+from cknlab.manifold import canonical_profile
 
 
 def exp_profile(grid, dim):
@@ -133,6 +136,16 @@ def test_deficit_positive_for_bump():
     ps = derive_params(3, 2, 0, 0)
     u = gaussian_bump_profile(make_radial_grid(count=512), ps.n, 0.0, 1.2)
     assert deficit(u, ps) > 0.0
+
+
+def test_deficit_is_not_clamped():
+    # the exact bubble's window-truncation bias is small and negative, and
+    # deficit reports it as computed rather than as 0
+    ps = derive_params(3, 2, 0, 0)
+    v = canonical_profile(ps, make_radial_grid(-30.0, 30.0, 1024))
+    d = deficit(v, ps)
+    assert d == grad_norm(v, ps) / q_norm(v, ps) - sharp_constant(ps)
+    assert d < 0.0
 
 
 def test_deficit_zero_field():
