@@ -18,7 +18,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional
@@ -38,13 +38,14 @@ from .errors import (
     DegenerateFit,
     LedgerCorrupt,
     OptimizerStall,
+    RegionViolation,
     RootFindFailure,
     ScalingGuardFailure,
 )
 from .fields import gaussian_bump_profile, make_radial_grid, modulated_axisym
 from .functionals import deficit, grad_norm, q_norm, weighted_grad_pnorm
 from .manifold import canonical_bubble, canonical_profile, orthogonalize
-from .params import derive_hat_params, derive_params, sharp_constant
+from .params import CknParams, derive_hat_params, derive_params, sharp_constant
 from .stability import (
     GeneratorSpec,
     alpha_exponent,
@@ -84,6 +85,10 @@ class ExperimentConfig:
     tolerances: dict
     seed: int
     options: dict
+    # the fields above, as written, alone feed the inputs digest; checked holds
+    # what was read from them: options and tolerances with defaults filled in,
+    # the family as a GeneratorSpec and each tuple as CknParams
+    checked: SimpleNamespace = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -203,11 +208,14 @@ def _read_keys(mapping: dict, table: dict, path: str) -> dict:
 _TUPLE_KEYS = {key: (_number, _REQUIRED) for key in ("n", "p", "a", "b")}
 
 
-def _tuple(value, path: str) -> tuple:
-    """[n, p, a, b], or the same as an object, -> (int, float, float, float)."""
+def _params(value, path: str) -> CknParams:
+    """[n, p, a, b], or the same as an object, inside the admissible region."""
     if isinstance(value, dict):
         value = list(_read_keys(value, _TUPLE_KEYS, path).values())
-    return _items(_count(1), _real, _real, _real)(value, path)
+    try:
+        return derive_params(*_items(_count(1), _real, _real, _real)(value, path))
+    except RegionViolation as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 # [t_min, t_max, count] in log radius; make_radial_grid takes 16 nodes or more
@@ -251,10 +259,6 @@ def _operation(value, path: str) -> str:
     return value
 
 
-def _tolerances(value, path: str) -> dict:
-    return {k: _number(v, f"{path}.{k}") for k, v in _object(value, path).items()}
-
-
 # family name -> its option readers; GeneratorSpec holds the defaults
 _RANGE = (_items(_real, _real), None)
 _FAMILIES = {
@@ -282,28 +286,43 @@ def _family(value, path: str) -> dict:
 _CONFIG_KEYS = {
     "experiment": (_experiment, _REQUIRED),
     "operation": (_operation, _REQUIRED),
-    "params": (_list_of(_tuple), []),
+    "params": (_list_of(_params), []),
     "grid": (_grid, list(DEFAULT_GRID)),
     "family": (_family, None),
-    "tolerances": (_tolerances, {}),
+    "tolerances": (_object, {}),
     "seed": (_count(0), 0),
     "options": (_object, {}),
 }
 
 
 def _parse_config(raw: dict) -> ExperimentConfig:
-    fields = _read_keys(_object(raw, "config"), _CONFIG_KEYS, "config")
-    operation, params = fields["operation"], tuple(fields["params"])
-    arity = OPERATIONS[operation].tuples
-    if arity == "none" and params:
+    """Read every section once, against the operation's tables."""
+    written = _read_keys(_object(raw, "config"), _CONFIG_KEYS, "config")
+    operation, params = written["operation"], tuple(written["params"])
+    op = OPERATIONS[operation]
+    if op.tuples == "none" and params:
         raise ConfigError(f"config.params: {operation} takes no parameter tuples")
-    if arity != "none" and not params:
+    if op.tuples != "none" and not params:
         raise ConfigError("missing key config.params")
-    if arity == "one" and len(params) > 1:
+    if op.tuples == "one" and len(params) > 1:
         raise ConfigError(
             f"config.params: {operation} takes exactly one tuple, got {len(params)}"
         )
-    return ExperimentConfig(**{**fields, "params": params})
+    tolerances = {name: (_number, default) for name, default in op.tolerances.items()}
+    family = written["family"]
+    if family is not None:
+        keys = _FAMILIES[family["name"]]
+        ranges = _read_keys(family["options"], keys, "config.family.options")
+        set_ranges = {key: value for key, value in ranges.items() if value is not None}
+        family = GeneratorSpec(family["name"], family["seed"], **set_ranges)
+    checked = SimpleNamespace(
+        **_read_keys(written["options"], op.options, "config.options"),
+        **_read_keys(written["tolerances"], tolerances, "config.tolerances"),
+        family=family,
+        params=params,
+    )
+    tuples = tuple((ps.n, ps.p, ps.a, ps.b) for ps in params)  # the numbers as read
+    return ExperimentConfig(**{**written, "params": tuples}, checked=checked)
 
 
 def load_config(config_path: str) -> ExperimentConfig:
@@ -317,32 +336,8 @@ def load_config(config_path: str) -> ExperimentConfig:
     return _parse_config(raw)
 
 
-def _settings(cfg: ExperimentConfig) -> SimpleNamespace:
-    """The operation's options and tolerances and the family, checked, defaults filled in."""
-    op = OPERATIONS[cfg.operation]
-    tolerances = {name: (_number, default) for name, default in op.tolerances.items()}
-    family = cfg.family
-    if family is not None:
-        keys = _FAMILIES[family["name"]]
-        ranges = _read_keys(family["options"], keys, "config.family.options")
-        set_ranges = {key: value for key, value in ranges.items() if value is not None}
-        family = GeneratorSpec(family["name"], family["seed"], **set_ranges)
-    return SimpleNamespace(
-        **_read_keys(cfg.options, op.options, "config.options"),
-        **_read_keys(cfg.tolerances, tolerances, "config.tolerances"),
-        family=family,
-    )
-
-
 # ---------------------------------------------------------------------------
 # shared builders
-
-
-@dataclass(frozen=True)
-class _RunContext:
-    seed: int
-    threads: int
-    grid_factor: int  # strict profile doubles the radial resolution
 
 
 def _map_ordered(fn, items, threads: int):
@@ -350,11 +345,6 @@ def _map_ordered(fn, items, threads: int):
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
-
-
-def _build_grid(cfg: ExperimentConfig, ctx: _RunContext):
-    t_min, t_max, count = cfg.grid
-    return make_radial_grid(t_min, t_max, count * ctx.grid_factor)
 
 
 def _build_field(spec: SimpleNamespace, ps, grid):
@@ -370,14 +360,15 @@ def _columns(rows: list) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# operation handlers: cfg, settings, ctx -> (outputs, violations)
+# operation handlers: job -> (outputs, violations).  job holds the checked
+# values of the config, its tuples as written, the grid [t_min, t_max, count]
+# (count doubled on the strict profile), the seed and the thread count
 
 
-def _op_constants(cfg: ExperimentConfig, opt, ctx: _RunContext):
-    grid = _build_grid(cfg, ctx)
+def _op_constants(job):
+    grid = make_radial_grid(*job.grid)
 
-    def one(tup):
-        ps = derive_params(*tup)
+    def one(ps):
         flat = flat_params(ps)
         v = canonical_profile(ps, grid)
         return {
@@ -392,26 +383,24 @@ def _op_constants(cfg: ExperimentConfig, opt, ctx: _RunContext):
             "alpha": float(alpha_exponent(ps)),
         }
 
-    rows = _map_ordered(one, list(cfg.params), ctx.threads)
+    rows = _map_ordered(one, job.params, job.threads)
     violations = []
     for i, row in enumerate(rows):
         sc, sr, sq = row["S_closed"], row["S_ratio_law"], row["S_rayleigh"]
         worst = max(abs(sc - sr), abs(sc - sq), abs(sr - sq)) / sc
-        if worst > opt.pair_rtol:
+        if worst > job.pair_rtol:
             violations.append(
                 f"params[{i}]: sharp-constant routes disagree "
-                f"({worst:.3e} > {opt.pair_rtol:.1e})"
+                f"({worst:.3e} > {job.pair_rtol:.1e})"
             )
-    return {"tuples": [list(t) for t in cfg.params], **_columns(rows)}, violations
+    return {"tuples": [list(t) for t in job.tuples], **_columns(rows)}, violations
 
 
-def _op_transform_check(cfg: ExperimentConfig, opt, ctx: _RunContext):
-    tol = opt.identity_tol
-    grid = _build_grid(cfg, ctx)
+def _op_transform_check(job):
+    grid = make_radial_grid(*job.grid)
     rows, violations = [], []
-    for i, tup in enumerate(cfg.params):
-        ps = derive_params(*tup)
-        for j, spec in enumerate(opt.fields):
+    for i, ps in enumerate(job.params):
+        for j, spec in enumerate(job.fields):
             rep = transform_identity_check(_build_field(spec, ps, grid), ps)
             label = f"params[{i}]/fields[{j}]"
             rows.append(
@@ -422,9 +411,9 @@ def _op_transform_check(cfg: ExperimentConfig, opt, ctx: _RunContext):
                     "k_drop_gap": float(rep.k_drop_gap),
                 }
             )
-            if rep.q_norm_residual > tol:
+            if rep.q_norm_residual > job.identity_tol:
                 violations.append(f"{label}: q-norm residual {rep.q_norm_residual:.3e}")
-            if rep.grad_identity_residual > tol:
+            if rep.grad_identity_residual > job.identity_tol:
                 violations.append(
                     f"{label}: gradient identity residual {rep.grad_identity_residual:.3e}"
                 )
@@ -433,27 +422,26 @@ def _op_transform_check(cfg: ExperimentConfig, opt, ctx: _RunContext):
     return _columns(rows), violations
 
 
-def _op_project(cfg: ExperimentConfig, opt, ctx: _RunContext):
+def _op_project(job):
     """Deficit and dual residual on exact manifold points (scaled bubbles)."""
-    grid = _build_grid(cfg, ctx)
+    grid = make_radial_grid(*job.grid)
     rows, violations = [], []
-    for i, tup in enumerate(cfg.params):
-        ps = derive_params(*tup)
+    for i, ps in enumerate(job.params):
         row = {"deficit": [], "dual_residual": []}
-        for lam, amp in opt.bubbles:
+        for lam, amp in job.bubbles:
             u = amp * canonical_profile(ps, grid, lam)
             d = float(deficit(u, ps))
             row["deficit"].append(d)
-            if abs(d) > opt.deficit_tol:
+            if abs(d) > job.deficit_tol:
                 violations.append(
                     f"params[{i}] lam={lam:g} amp={amp:g}: deficit {d:.3e}"
                 )
             # the residual functional is stationarity-based, so only the
             # normalized representative amp == 1 is expected to annihilate it
             if amp == 1.0:
-                r = float(dual_norm_estimate(u, ps, opt.dual_basis).value)
+                r = float(dual_norm_estimate(u, ps, job.dual_basis).value)
                 row["dual_residual"].append(r)
-                if r > opt.dual_tol:
+                if r > job.dual_tol:
                     violations.append(
                         f"params[{i}] lam={lam:g}: dual residual {r:.3e}"
                     )
@@ -461,19 +449,19 @@ def _op_project(cfg: ExperimentConfig, opt, ctx: _RunContext):
                 row["dual_residual"].append(None)
         rows.append(row)
     outputs = {
-        "tuples": [list(t) for t in cfg.params],
-        "bubbles": [list(b) for b in opt.bubbles],
+        "tuples": [list(t) for t in job.tuples],
+        "bubbles": [list(b) for b in job.bubbles],
         **_columns(rows),
     }
     return outputs, violations
 
 
-def _op_stability_scan(cfg: ExperimentConfig, opt, ctx: _RunContext):
-    if opt.family is None:
+def _op_stability_scan(job):
+    if job.family is None:
         raise ConfigError("missing key config.family for stability-scan")
 
-    def one(tup):
-        scan = k_upper_scan(opt.family, derive_params(*tup), sample_count=opt.samples)
+    def one(ps):
+        scan = k_upper_scan(job.family, ps, sample_count=job.samples)
         return {
             "bound": float(scan.bound),
             "alpha": float(scan.alpha),
@@ -483,27 +471,27 @@ def _op_stability_scan(cfg: ExperimentConfig, opt, ctx: _RunContext):
             "caveat": bool(scan.caveat),
         }
 
-    rows = _map_ordered(one, list(cfg.params), ctx.threads)
+    rows = _map_ordered(one, job.params, job.threads)
     violations = [
         f"params[{i}]: nonpositive stability ratio {row['bound']:.3e}"
         for i, row in enumerate(rows)
         if row["bound"] <= 0.0
     ]
-    return {"tuples": [list(t) for t in cfg.params], **_columns(rows)}, violations
+    return {"tuples": [list(t) for t in job.tuples], **_columns(rows)}, violations
 
 
-def _sweep(opt) -> np.ndarray:
-    return np.logspace(math.log10(opt.eps_start), math.log10(opt.eps_stop), opt.eps_count)
+def _sweep(job) -> np.ndarray:
+    return np.logspace(math.log10(job.eps_start), math.log10(job.eps_stop), job.eps_count)
 
 
-def _op_slope_fit(cfg: ExperimentConfig, opt, ctx: _RunContext):
-    ps = derive_params(*cfg.params[0])
-    grid = _build_grid(cfg, ctx)
-    bump = gaussian_bump_profile(grid, ps.n, opt.center, opt.width)
-    fit = exponent_slope_fit(ps, _sweep(opt), bump)
-    expected = float(alpha_exponent(ps)) if opt.expected is None else opt.expected
+def _op_slope_fit(job):
+    ps = job.params[0]
+    grid = make_radial_grid(*job.grid)
+    bump = gaussian_bump_profile(grid, ps.n, job.center, job.width)
+    fit = exponent_slope_fit(ps, _sweep(job), bump)
+    expected = float(alpha_exponent(ps)) if job.expected is None else job.expected
     outputs = {
-        "tuple": list(cfg.params[0]),
+        "tuple": list(job.tuples[0]),
         "slope": float(fit.slope),
         "intercept": float(fit.intercept),
         "expected": expected,
@@ -511,21 +499,19 @@ def _op_slope_fit(cfg: ExperimentConfig, opt, ctx: _RunContext):
         "plot_y": [float(math.log10(d)) for d in fit.deficits],
     }
     violations = []
-    if opt.assert_slope and abs(fit.slope - expected) > opt.slope_rtol * expected:
+    if job.assert_slope and abs(fit.slope - expected) > job.slope_rtol * expected:
         violations.append(
-            f"slope {fit.slope:.4f} not within {opt.slope_rtol:.0%} of {expected:.4f}"
+            f"slope {fit.slope:.4f} not within {job.slope_rtol:.0%} of {expected:.4f}"
         )
     return outputs, violations
 
 
-def _op_chain_check(cfg: ExperimentConfig, opt, ctx: _RunContext):
-    base = derive_params(*opt.base)
-    grid = _build_grid(cfg, ctx)
+def _op_chain_check(job):
+    grid = make_radial_grid(*job.grid)
     rows, violations = [], []
-    for i, tup in enumerate(cfg.params):
-        target = derive_params(*tup)
-        hp = derive_hat_params(base, target)
-        for j, spec in enumerate(opt.fields):
+    for i, target in enumerate(job.params):
+        hp = derive_hat_params(job.base, target)
+        for j, spec in enumerate(job.fields):
             u = _build_field(spec, target, grid)
             rec = monotonicity_chain_check(u, hp)
             scale = weighted_grad_pnorm(u, target)
@@ -539,60 +525,59 @@ def _op_chain_check(cfg: ExperimentConfig, opt, ctx: _RunContext):
                     "h": float(hp.h),
                 }
             )
-            if rec.qnorm_residual > opt.qnorm_tol:
+            if rec.qnorm_residual > job.qnorm_tol:
                 violations.append(f"{label}: q-norm residual {rec.qnorm_residual:.3e}")
-            if rec.grad_chain_gap < -opt.gap_floor * scale:
+            if rec.grad_chain_gap < -job.gap_floor * scale:
                 violations.append(f"{label}: chain gap {rec.grad_chain_gap:.3e} below floor")
     return _columns(rows), violations
 
 
-def _op_embedding_check(cfg: ExperimentConfig, opt, ctx: _RunContext):
-    t_min, _, count = cfg.grid
-    grid = make_radial_grid(t_min, math.log(opt.radius), count * ctx.grid_factor)
+def _op_embedding_check(job):
+    t_min, _, count = job.grid
+    grid = make_radial_grid(t_min, math.log(job.radius), count)
     rows, violations = [], []
-    for i, tup in enumerate(cfg.params):
-        ps = derive_params(*tup)
-        u = mollified_bubble(ps, opt.radius, grid=grid, lam=opt.lam)
-        kg = embedding_check(u, ps, opt.radius, "grad")
-        kv = embedding_check(u, ps, opt.radius, "value")
+    for i, ps in enumerate(job.params):
+        u = mollified_bubble(ps, job.radius, grid=grid, lam=job.lam)
+        kg = embedding_check(u, ps, job.radius, "grad")
+        kv = embedding_check(u, ps, job.radius, "value")
         rows.append({"kbar_grad": float(kg), "kbar_value": float(kv)})
         if kg <= 0.0:
             violations.append(f"params[{i}]: grad-variant constant {kg:.3e} <= 0")
         if kv <= 0.0:
             violations.append(f"params[{i}]: value-variant constant {kv:.3e} <= 0")
-    return {"tuples": [list(t) for t in cfg.params], **_columns(rows)}, violations
+    return {"tuples": [list(t) for t in job.tuples], **_columns(rows)}, violations
 
 
-def _op_spectral_gap(cfg: ExperimentConfig, opt, ctx: _RunContext):
-    ps = derive_params(*cfg.params[0])
-    grid = _build_grid(cfg, ctx)
+def _op_spectral_gap(job):
+    ps = job.params[0]
+    grid = make_radial_grid(*job.grid)
     bub = canonical_bubble(ps)
-    rng = np.random.default_rng(ctx.seed)
-    centers = rng.uniform(-3.0, 3.0, opt.count)
-    widths = rng.uniform(0.5, 1.5, opt.count)
+    rng = np.random.default_rng(job.seed)
+    centers = rng.uniform(-3.0, 3.0, job.count)
+    widths = rng.uniform(0.5, 1.5, job.count)
 
     def one(cw):
         rho = orthogonalize(gaussian_bump_profile(grid, ps.n, cw[0], cw[1]), bub, ps)
         return float(spectral_gap_ratio(bub, rho, ps).ratio)
 
-    ratios = _map_ordered(one, list(zip(centers, widths)), ctx.threads)
+    ratios = _map_ordered(one, list(zip(centers, widths)), job.threads)
     outputs = {
-        "tuple": list(cfg.params[0]),
+        "tuple": list(job.tuples[0]),
         "ratios": ratios,
         "min_ratio": float(min(ratios)),
     }
     violations = []
-    if min(ratios) <= opt.ratio_floor:
-        violations.append(f"min spectral ratio {min(ratios):.4f} <= {opt.ratio_floor}")
+    if min(ratios) <= job.ratio_floor:
+        violations.append(f"min spectral ratio {min(ratios):.4f} <= {job.ratio_floor}")
     return outputs, violations
 
 
-def _op_expansion_slopes(cfg: ExperimentConfig, opt, ctx: _RunContext):
-    ps = derive_params(*cfg.params[0])
-    grid = _build_grid(cfg, ctx)
-    eps = _sweep(opt)
-    # sweep fields sit at distance ~ eps, so the gate follows the sweep top
-    gate = 2.0 * opt.eps_stop
+def _op_expansion_slopes(job):
+    ps = job.params[0]
+    grid = make_radial_grid(*job.grid)
+    eps = _sweep(job)
+    # sweep fields sit at distance ~ eps, so the gate follows the largest eps
+    gate = 2.0 * max(job.eps_start, job.eps_stop)
 
     rows = []
     for e in eps:
@@ -612,7 +597,7 @@ def _op_expansion_slopes(cfg: ExperimentConfig, opt, ctx: _RunContext):
     prod = [r * n ** (1.0 / ps.p) for r, n in zip(cols["residual"], cols["N"])]
     slope_prod = float(np.polyfit(loge, np.log(prod), 1)[0])
     outputs = {
-        "tuple": list(cfg.params[0]),
+        "tuple": list(job.tuples[0]),
         "eps": [float(e) for e in eps],
         **cols,
         "slope_Q": slope_q,
@@ -620,36 +605,36 @@ def _op_expansion_slopes(cfg: ExperimentConfig, opt, ctx: _RunContext):
         "slope_residual_rho": slope_prod,
     }
     violations = []
-    if opt.q_slope_rtol is not None and abs(slope_q - 2.0) > opt.q_slope_rtol * 2.0:
+    if job.q_slope_rtol is not None and abs(slope_q - 2.0) > job.q_slope_rtol * 2.0:
         violations.append(f"Q slope {slope_q:.4f} away from 2")
-    if opt.n_slope_rtol is not None and abs(slope_n - ps.p) > opt.n_slope_rtol * ps.p:
+    if job.n_slope_rtol is not None and abs(slope_n - ps.p) > job.n_slope_rtol * ps.p:
         violations.append(f"N slope {slope_n:.4f} away from p={ps.p}")
     if (
-        opt.prod_slope_rtol is not None
-        and abs(slope_prod - 2.0) > opt.prod_slope_rtol * 2.0
+        job.prod_slope_rtol is not None
+        and abs(slope_prod - 2.0) > job.prod_slope_rtol * 2.0
     ):
         violations.append(f"residual*rho slope {slope_prod:.4f} away from 2")
     return outputs, violations
 
 
-def _op_ineq_const(cfg: ExperimentConfig, opt, ctx: _RunContext):
+def _op_ineq_const(job):
     def one(case):
-        c_base = elementary_C_estimate(*case, opt.samples)
-        c_double = elementary_C_estimate(*case, 2 * opt.samples)
+        c_base = elementary_C_estimate(*case, job.samples)
+        c_double = elementary_C_estimate(*case, 2 * job.samples)
         return {
             "C": float(c_base),
             "C_doubled": float(c_double),
             "doubling_rel": float(abs(c_double - c_base) / max(c_base, 1e-300)),
         }
 
-    rows = _map_ordered(one, opt.cases, ctx.threads)
+    rows = _map_ordered(one, job.cases, job.threads)
     violations = [
         f"case {c} e={e}: doubling drift {row['doubling_rel']:.3e} "
-        f"> {opt.doubling_rtol:.1e}"
-        for (c, e), row in zip(opt.cases, rows)
-        if row["doubling_rel"] > opt.doubling_rtol
+        f"> {job.doubling_rtol:.1e}"
+        for (c, e), row in zip(job.cases, rows)
+        if row["doubling_rel"] > job.doubling_rtol
     ]
-    return {"cases": [[c, e] for c, e in opt.cases], **_columns(rows)}, violations
+    return {"cases": [[c, e] for c, e in job.cases], **_columns(rows)}, violations
 
 
 class Operation(NamedTuple):
@@ -685,7 +670,7 @@ OPERATIONS = {
         "expected": (_real, None),
     }, {"slope_rtol": 0.1}),
     "chain-check": Operation("stability", _op_chain_check, "many", {
-        "base": (_tuple, _REQUIRED),
+        "base": (_params, _REQUIRED),
         "fields": _FIELDS,
     }, {"qnorm_tol": 1e-8, "gap_floor": 1e-8}),
     "embedding-check": Operation("stability", _op_embedding_check, "many", {
@@ -719,13 +704,6 @@ def _digest(payload) -> str:
     return hashlib.sha256(_canonical(payload)).hexdigest()
 
 
-def _config_payload(cfg: ExperimentConfig, tol_profile: str) -> dict:
-    # options and tolerances as written in the config, not the filled-in settings
-    payload = asdict(cfg)
-    payload["tol_profile"] = tol_profile
-    return payload
-
-
 def resolve_ledger(ledger_path: Optional[str]) -> str:
     if ledger_path:
         return ledger_path
@@ -754,36 +732,31 @@ def _write_csv(record: ResultRecord, ledger_path: str) -> str:
     return out_path
 
 
-def run_experiment(
-    config_path: str,
-    ledger_path: Optional[str] = None,
-    seed: Optional[int] = None,
-    threads: int = 1,
-    tol_profile: str = "fast",
-) -> ResultRecord:
-    """Execute one config: dispatch, append to the ledger, write CSV."""
+def _run(cfg: ExperimentConfig, ledger_path, seed, threads, tol_profile) -> ResultRecord:
+    """Execute one loaded config: dispatch, append to the ledger, write CSV."""
     if tol_profile not in ("fast", "strict"):
         raise ConfigError(f"unknown tol profile {tol_profile!r}")
-    cfg = load_config(config_path)
     if seed is not None:
         cfg = replace(cfg, seed=_count(0)(seed, "seed"))
     op = OPERATIONS[cfg.operation]
-    ctx = _RunContext(
+    t_min, t_max, count = cfg.grid
+    job = SimpleNamespace(
+        **vars(cfg.checked),
+        tuples=cfg.params,
+        grid=(t_min, t_max, count * (2 if tol_profile == "strict" else 1)),
         seed=cfg.seed,
         threads=max(1, threads),
-        grid_factor=2 if tol_profile == "strict" else 1,
     )
     try:
-        outputs, violations = op.handler(cfg, _settings(cfg), ctx)
+        outputs, violations = op.handler(job)
     except CknError as exc:
         raise type(exc)(f"{cfg.experiment}: {exc}") from exc
-    outputs = dict(outputs)
-    outputs["violations"] = violations
+    outputs = {**outputs, "violations": violations}
 
-    inputs_payload = {
-        "config": _config_payload(cfg, tol_profile),
-        "version": __version__,
-    }
+    # the config as written, not the checked values
+    written = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.compare}
+    written["tol_profile"] = tol_profile
+    inputs_payload = {"config": written, "version": __version__}
     record = ResultRecord(
         experiment=cfg.experiment,
         operation=cfg.operation,
@@ -801,6 +774,17 @@ def run_experiment(
         fh.write(json.dumps(asdict(record), sort_keys=True) + "\n")
     _write_csv(record, ledger)
     return record
+
+
+def run_experiment(
+    config_path: str,
+    ledger_path: Optional[str] = None,
+    seed: Optional[int] = None,
+    threads: int = 1,
+    tol_profile: str = "fast",
+) -> ResultRecord:
+    """Load one config file and execute it."""
+    return _run(load_config(config_path), ledger_path, seed, threads, tol_profile)
 
 
 # ---------------------------------------------------------------------------
@@ -927,13 +911,7 @@ def main(argv: Optional[list] = None) -> int:
                 f"config.operation is {cfg.operation!r} but the "
                 f"{args.command} command was invoked"
             )
-        record = run_experiment(
-            args.config,
-            ledger_path=args.ledger,
-            seed=args.seed,
-            threads=args.threads,
-            tol_profile=args.tol_profile,
-        )
+        record = _run(cfg, args.ledger, args.seed, args.threads, args.tol_profile)
         print(f"{record.experiment}: outputs digest {record.outputs_digest[:12]}")
         for line in record.outputs["violations"]:
             print(f"violation: {line}", file=sys.stderr)

@@ -62,7 +62,7 @@ class EmptyFamily(CknError):
 
 
 class DegenerateFit(CknError):
-    """Slope fit input is unusable (too narrow, too large, or non-monotone)."""
+    """Slope fit input is unusable (too narrow, too large, non-monotone, or a deficit <= 0)."""
 
 
 class UnsupportedField(CknError):

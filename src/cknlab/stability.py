@@ -268,6 +268,8 @@ def exponent_slope_fit(
         d, _ = manifold_distance(u, params)
         dists.append(d / unorm)
         defs.append(deficit(u, params))
+        if defs[-1] <= 0.0:  # window truncation can push a small deficit below 0
+            raise DegenerateFit(f"deficit {defs[-1]:.3e} at eps {e:.3g} is not positive")
 
     dists_a = np.asarray(dists)
     if np.any(np.diff(dists_a) <= 0.0):

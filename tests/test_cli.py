@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from cknlab import cli
 from cknlab.cli import (
     ResultRecord,
     _write_csv,
@@ -85,6 +86,23 @@ def test_config_rejects_non_numeric_tolerance(tmp_path):
     payload = dict(CONSTANTS_CFG, tolerances={"pair_rtol": "tight"})
     with pytest.raises(ConfigError, match="tolerances.pair_rtol"):
         load_config(_write(tmp_path, "c.json", payload))
+
+
+def test_config_checks_options_at_load(tmp_path):
+    payload = dict(CONSTANTS_CFG, operation="project", options={"bubbles": [[-1.0, 1.0]]})
+    with pytest.raises(ConfigError, match=r"config\.options\.bubbles\[0\]\[0\]"):
+        load_config(_write(tmp_path, "c.json", payload))
+
+
+def test_config_holds_checked_values(tmp_path):
+    payload = dict(CONSTANTS_CFG, operation="project", options={"bubbles": [[1.0, 1.0]]})
+    cfg = load_config(_write(tmp_path, "c.json", payload))
+    assert cfg.options == {"bubbles": [[1.0, 1.0]]}
+    assert cfg.tolerances == {}
+    checked = cfg.checked
+    assert (checked.bubbles, checked.dual_basis) == ([(1.0, 1.0)], 8)
+    assert (checked.deficit_tol, checked.dual_tol) == (1e-6, 1e-5)
+    assert checked.params[0].q == 6.0
 
 
 def test_config_missing_file():
@@ -282,6 +300,21 @@ def test_main_config_error_exit(tmp_path, capsys):
     assert "params[0].p" in capsys.readouterr().err
 
 
+def test_main_loads_config_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    load = cli.load_config
+
+    def counted(path):
+        calls.append(path)
+        return load(path)
+
+    monkeypatch.setattr(cli, "load_config", counted)
+    path = _write(tmp_path, "c.json", CONSTANTS_CFG)
+    assert main(["constants", "--config", path, "--ledger", str(tmp_path / "l.jsonl")]) == 0
+    assert calls == [path]
+    capsys.readouterr()
+
+
 def test_main_numerical_failure_exit(tmp_path, capsys):
     payload = {
         "experiment": "t-degenerate",
@@ -297,6 +330,22 @@ def test_main_numerical_failure_exit(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_main_nonpositive_deficit_exit(tmp_path, capsys):
+    # window truncation leaves the smallest-eps deficit near -1.3e-5
+    payload = {
+        "experiment": "t-negative-deficit",
+        "operation": "slope-fit",
+        "params": [[4, 3.0, 0.1, 0.1]],
+        "grid": [-30, 30, 1024],
+        "options": {"center": 10.0, "width": 1.0},
+    }
+    path = _write(tmp_path, "n.json", payload)
+    ledger = str(tmp_path / "ledger.jsonl")
+    assert main(["slope-fit", "--config", path, "--ledger", ledger]) == 3
+    assert "at eps 0.0025 is not positive" in capsys.readouterr().err
+    assert not os.path.exists(ledger)
+
+
 def test_main_violation_exit(tmp_path, capsys):
     payload = {
         "experiment": "t-wrong-slope",
@@ -309,6 +358,77 @@ def test_main_violation_exit(tmp_path, capsys):
     ledger = str(tmp_path / "ledger.jsonl")
     assert main(["slope-fit", "--config", path, "--ledger", ledger]) == 4
     assert "violation" in capsys.readouterr().err
+
+
+# a tolerance no value can meet, per gate; each gate fires once per item
+@pytest.mark.parametrize(
+    "operation,params,options,tolerances,count",
+    [
+        ("constants", [[3, 2.0, 0.0, 0.0]], {}, {"pair_rtol": -1.0}, 1),
+        ("transform-check", [[4, 2.5, 0.1, 0.4]], {}, {"identity_tol": -1.0}, 2),
+        (
+            "project",
+            [[3, 2.0, 0.0, 0.0]],
+            {"bubbles": [[1.0, 1.0]], "dual_basis": 4},
+            {"deficit_tol": -1.0, "dual_tol": -1.0},
+            2,
+        ),
+        (
+            "chain-check",
+            [[4, 2.5, 0.3, 0.6]],
+            {"base": [4, 2.5, 0.1, 0.4]},
+            {"qnorm_tol": -1.0, "gap_floor": -1.0},
+            2,
+        ),
+        ("spectral-gap", [[4, 3.0, 0.2, 0.4]], {"count": 2}, {"ratio_floor": 1e300}, 1),
+        (
+            "expansion-slopes",
+            [[5, 3.0, 0.3, 0.5]],
+            {"eps_count": 2},
+            {"q_slope_rtol": -1.0, "n_slope_rtol": -1.0, "prod_slope_rtol": -1.0},
+            3,
+        ),
+        ("ineq-const", [], {"cases": [[1, 2.5]], "samples": 10}, {"doubling_rtol": -1.0}, 1),
+    ],
+)
+def test_main_every_tolerance_gate_fires(
+    tmp_path, capsys, operation, params, options, tolerances, count
+):
+    payload = {
+        "experiment": "t-gates",
+        "operation": operation,
+        "params": params,
+        "grid": [-25.0, 25.0, 256],
+        "options": options,
+        "tolerances": tolerances,
+    }
+    path = _write(tmp_path, "g.json", payload)
+    ledger = str(tmp_path / "ledger.jsonl")
+    assert main([operation, "--config", path, "--ledger", ledger]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len([line for line in err if line.startswith("violation: ")]) == count
+    assert len(json.loads(open(ledger).read())["outputs"]["violations"]) == count
+
+
+def test_expansion_slopes_reversed_sweep(tmp_path):
+    # the distance gate follows the largest eps, at either end of the sweep
+    payload = {
+        "experiment": "t-reversed",
+        "operation": "expansion-slopes",
+        "params": [[5, 3.0, 0.3, 0.5]],
+        "grid": [-25.0, 25.0, 256],
+        "tolerances": {"q_slope_rtol": 0.1, "n_slope_rtol": 0.1, "prod_slope_rtol": 0.15},
+    }
+    ledger = str(tmp_path / "ledger.jsonl")
+    records = []
+    for start, stop in ((1e-3, 1e-1), (1e-1, 1e-3)):
+        payload["options"] = {"eps_start": start, "eps_stop": stop, "eps_count": 7}
+        records.append(run_experiment(_write(tmp_path, "e.json", payload), ledger))
+    forward, reverse = (rec.outputs for rec in records)
+    assert reverse["violations"] == []
+    assert reverse["eps"] == pytest.approx(forward["eps"][::-1], rel=1e-15)
+    for key in ("slope_Q", "slope_N", "slope_residual_rho"):
+        assert reverse[key] == pytest.approx(forward[key], rel=1e-12)
 
 
 def test_main_report_exit(tmp_path, capsys):
@@ -442,6 +562,17 @@ def test_main_out_of_range_option_exit(
         ),
         # a node count past the float range, like any other number there
         ("constants", {"grid": [-25, 25, 10**400]}, "config.grid[2]"),
+        # tuples, and chain-check's base, are checked against the region at load
+        (
+            "constants",
+            {"params": [[3, 2, 0, 0], [3, 4.0, 0, 0]]},
+            "config.params[1]: need 1 < p",
+        ),
+        (
+            "chain-check",
+            {"options": {"base": [4, 2.5, 0.9, 1.0]}},
+            "config.options.base: need 0 <= a",
+        ),
         # files json cannot read: an int past Python's 4,300-digit limit, and
         # bytes that are not UTF-8
         pytest.param(

@@ -169,6 +169,17 @@ def test_slope_fit_guards():
         exponent_slope_fit(ps, np.logspace(-3, -1, 4), zero)
 
 
+def test_slope_fit_refuses_nonpositive_deficit():
+    # on [-30, 30] window truncation leaves this tuple's smallest-eps deficit
+    # near -1.3e-5, which has no logarithm to fit
+    ps = derive_params(4, 3.0, 0.1, 0.1)
+    grid = make_radial_grid(-30, 30, 1024)
+    bump = gaussian_bump_profile(grid, ps.n, 10.0, 1.0)
+    message = r"deficit -1\.\d+e-05 at eps 0\.0025 is not positive"
+    with pytest.raises(DegenerateFit, match=message):
+        exponent_slope_fit(ps, [2.5e-3, 0.1], bump)
+
+
 # ---------------------------------------------------------------------------
 # monotonicity chain
 
