@@ -36,6 +36,7 @@ from .errors import (
     CknError,
     ConfigError,
     DegenerateFit,
+    GammaMismatch,
     LedgerCorrupt,
     OptimizerStall,
     RegionViolation,
@@ -220,6 +221,19 @@ def _params(value, path: str) -> CknParams:
 
 # [t_min, t_max, count] in log radius; make_radial_grid takes 16 nodes or more
 _grid = _items(_real, _real, _count(16))
+
+
+def _ordered(window: tuple, path: str) -> tuple:
+    if not window[0] < window[1]:
+        raise ConfigError(f"{path}: need t_min < t_max, got {list(window[:2])}")
+    return window
+
+
+def _window(value, path: str) -> tuple:
+    """A grid whose ends are both used: t_min < t_max."""
+    return _ordered(_grid(value, path), path)
+
+
 _bubble = _items(_positive, _real)  # [lam, amp]
 _case = _items(_count(1, 6), _real)  # [case, exponent]
 
@@ -263,7 +277,7 @@ def _operation(value, path: str) -> str:
 _RANGE = (_items(_real, _real), None)
 _FAMILIES = {
     "bubble_bump": {
-        "window": (_grid, None),
+        "window": (_window, None),
         "eps_log10": _RANGE,
         "center": _RANGE,
         "width": _RANGE,
@@ -321,6 +335,7 @@ def _parse_config(raw: dict) -> ExperimentConfig:
         family=family,
         params=params,
     )
+    op.check(checked, written["grid"])
     tuples = tuple((ps.n, ps.p, ps.a, ps.b) for ps in params)  # the numbers as read
     return ExperimentConfig(**{**written, "params": tuples}, checked=checked)
 
@@ -457,9 +472,6 @@ def _op_project(job):
 
 
 def _op_stability_scan(job):
-    if job.family is None:
-        raise ConfigError("missing key config.family for stability-scan")
-
     def one(ps):
         scan = k_upper_scan(job.family, ps, sample_count=job.samples)
         return {
@@ -637,12 +649,47 @@ def _op_ineq_const(job):
     return {"cases": [[c, e] for c, e in job.cases], **_columns(rows)}, violations
 
 
+# load-time checks across sections: (checked, grid) -> None, raising a
+# ConfigError that names the config path
+
+
+def _ordered_grid(checked, grid) -> None:
+    _ordered(grid, "config.grid")
+
+
+def _grid_below_radius(checked, grid) -> None:
+    """embedding-check's grid ends at log(radius); grid[1] is not used."""
+    top = math.log(checked.radius)
+    if not grid[0] < top:
+        raise ConfigError(
+            f"config.grid[0]: need t_min < log(config.options.radius) = {top:g}, "
+            f"got {grid[0]}"
+        )
+
+
+def _chainable_base(checked, grid) -> None:
+    _ordered_grid(checked, grid)
+    for i, target in enumerate(checked.params):
+        try:
+            derive_hat_params(checked.base, target)
+        except GammaMismatch as exc:
+            path = f"config.options.base vs config.params[{i}]"
+            raise ConfigError(f"{path}: {exc}") from None
+
+
+def _family_given(checked, grid) -> None:
+    _ordered_grid(checked, grid)
+    if checked.family is None:
+        raise ConfigError("missing key config.family")
+
+
 class Operation(NamedTuple):
     module: str  # home module of the work
     handler: Callable
     tuples: str  # parameter tuples taken: "many", "one" or "none"
     options: dict  # name -> (reader, default); a None default is resolved by the handler
     tolerances: dict  # name -> default; a None default leaves the gate off
+    check: Callable = _ordered_grid  # of the read sections against each other
 
 
 _FIELDS = (_list_of(_field_spec), [{"kind": "radial"}])
@@ -659,7 +706,7 @@ OPERATIONS = {
     }, {"deficit_tol": 1e-6, "dual_tol": 1e-5}),
     "stability-scan": Operation("stability", _op_stability_scan, "many", {
         "samples": (_count(1), 30),
-    }, {}),
+    }, {}, _family_given),
     "slope-fit": Operation("stability", _op_slope_fit, "one", {
         "eps_start": (_positive, 2.5e-3),
         "eps_stop": (_positive, 1e-1),
@@ -672,11 +719,11 @@ OPERATIONS = {
     "chain-check": Operation("stability", _op_chain_check, "many", {
         "base": (_params, _REQUIRED),
         "fields": _FIELDS,
-    }, {"qnorm_tol": 1e-8, "gap_floor": 1e-8}),
+    }, {"qnorm_tol": 1e-8, "gap_floor": 1e-8}, _chainable_base),
     "embedding-check": Operation("stability", _op_embedding_check, "many", {
         "radius": (_positive, 1.0),
         "lam": (_positive, 1.0),
-    }, {}),
+    }, {}, _grid_below_radius),
     "spectral-gap": Operation("critical", _op_spectral_gap, "one", {
         "count": (_count(1), 20),
     }, {"ratio_floor": 1.0}),

@@ -573,6 +573,23 @@ def test_main_out_of_range_option_exit(
             {"options": {"base": [4, 2.5, 0.9, 1.0]}},
             "config.options.base: need 0 <= a",
         ),
+        # sections checked against each other at load, not when the run starts
+        ("constants", {"grid": [25.0, -25.0, 256]}, "config.grid: need t_min < t_max"),
+        (
+            "constants",
+            {"family": {"name": "bubble_bump", "options": {"window": [30, -30, 256]}}},
+            "config.family.options.window: need t_min < t_max",
+        ),
+        (
+            "embedding-check",
+            {"grid": [0.5, 25.0, 256]},
+            "config.grid[0]: need t_min < log(config.options.radius)",
+        ),
+        (
+            "chain-check",
+            {"options": {"base": [3, 2.0, 0.0, 0.1]}},
+            "config.options.base vs config.params[0]: b - a offsets differ",
+        ),
         # files json cannot read: an int past Python's 4,300-digit limit, and
         # bytes that are not UTF-8
         pytest.param(
@@ -605,6 +622,26 @@ def test_main_malformed_config_exit(tmp_path, capsys, operation, overrides, key)
     assert main([operation, "--config", path, "--ledger", ledger]) == 2
     assert key in capsys.readouterr().err
     assert not os.path.exists(ledger)
+
+
+def test_main_stability_scan_needs_family(tmp_path, capsys):
+    payload = {**CONSTANTS_CFG, "operation": "stability-scan"}
+    ledger = str(tmp_path / "ledger.jsonl")
+    path = _write(tmp_path, "f.json", payload)
+    assert main(["stability-scan", "--config", path, "--ledger", ledger]) == 2
+    assert "missing key config.family" in capsys.readouterr().err
+    assert not os.path.exists(ledger)
+
+
+def test_config_embedding_grid_ends_at_radius(tmp_path):
+    # embedding-check builds its grid up to log(radius), so grid[1] is unused
+    payload = {
+        **CONSTANTS_CFG,
+        "operation": "embedding-check",
+        "grid": [-40.0, -50.0, 256],
+        "options": {"radius": 2.0},
+    }
+    assert load_config(_write(tmp_path, "e.json", payload)).grid == (-40.0, -50.0, 256)
 
 
 @pytest.mark.parametrize(

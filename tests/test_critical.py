@@ -68,14 +68,14 @@ def _grid(spec=GRID_SPEC):
 
 
 def _bubble_profile(ps, spec=GRID_SPEC):
-    key = ("bub", id(ps), spec)
+    key = ("bub", ps, spec)
     if key not in _cache:
         _cache[key] = canonical_profile(ps, _grid(spec))
     return _cache[key]
 
 
 def _unit_ortho_bump(ps, center=0.5, width=0.7, spec=GRID_SPEC):
-    key = ("zeta", id(ps), center, width, spec)
+    key = ("zeta", ps, center, width, spec)
     if key not in _cache:
         z = orthogonalize(
             gaussian_bump_profile(_grid(spec), ps.n, center, width),

@@ -21,10 +21,12 @@ from cknlab.fields import (
     embed_axisym,
     gaussian_bump_profile,
     make_radial_grid,
+    modulated_axisym,
     sample_bubble,
     translate_axisym,
 )
 from cknlab.functionals import (
+    _power,
     deficit,
     grad_norm,
     q_norm,
@@ -154,6 +156,76 @@ def test_deficit_zero_field():
     z = Field.radial(g, 3, np.zeros(g.count), np.zeros(g.count))
     with pytest.raises(ZeroField):
         deficit(z, ps)
+
+
+# ---------------------------------------------------------------------------
+# the power inside the two norms: pow's subnormal results are dropped
+
+TINY = np.finfo(float).tiny
+
+
+def _around(x, ulps=4096):
+    """Every nonnegative double within `ulps` steps of x >= 0."""
+    bits = np.array([x], dtype=float).view(np.int64)[0] + np.arange(-ulps, ulps + 1)
+    return np.maximum(bits, 0).view(float)
+
+
+def _probe(expo):
+    """The doubles around tiny^(1/expo), where underflow starts, and a wide sweep."""
+    sweep = np.exp(np.linspace(-760.0, 25.0, 20001))
+    return np.concatenate([_around(TINY ** (1.0 / expo)), sweep, [0.0, 5e-324, 1e-310]])
+
+
+POW_EXPONENTS = [0.75, 0.97, 1.25, 1.5, 2.5, 3.0, 10.0 / 3.0, 4.5, 12.0]
+
+
+@pytest.mark.parametrize("expo", POW_EXPONENTS)
+def test_power_is_plain_power_or_zero_below_tiny(expo):
+    # tiny^(1/expo) misses the true edge by up to hundreds of ulps, so the
+    # band around it is where a threshold taken from it alone would fail
+    x = _probe(expo)
+    got, plain = _power(x, expo), x**expo
+    normal = plain >= TINY
+    assert np.count_nonzero(normal) and np.count_nonzero(~normal)
+    np.testing.assert_array_equal(got[normal], plain[normal])
+    assert np.all(got[~normal] == 0.0)
+
+
+@pytest.mark.parametrize("expo", [0.5, 1.0, 2.0])
+def test_power_keeps_numpys_exact_exponents(expo):
+    # sqrt, copy and square call no pow, so nothing is dropped
+    x = np.concatenate([_probe(expo), [np.nan, np.inf]])
+    np.testing.assert_array_equal(_power(x, expo), x**expo)
+
+
+@pytest.mark.parametrize("expo", [1.25, 1.5, 2.5, 3.0, 4.5])
+def test_power_special_values(expo):
+    got = _power(np.array([np.nan, np.inf, 0.0, 5e-324, 1e-310, 2e-308]), expo)
+    assert np.isnan(got[0])
+    assert got[1] == np.inf
+    assert np.all(got[2:] == 0.0)
+
+
+# c02's axisymmetric fields on its strict grid: 40% of |u|^q underflows there
+C02_TUPLES = [(4, 2.5, 0.2, 0.5), (5, 3.0, 0.3, 0.5)]
+C02_AXISYM = [(0.5, 1.0, 0.3), (-1.0, 1.2, 0.5), (2.0, 0.8, 0.15)]
+
+
+@pytest.mark.parametrize("tup", C02_TUPLES)
+def test_norms_bit_identical_to_plain_power(tup):
+    ps = derive_params(*tup)
+    grid = make_radial_grid(-30.0, 30.0, 2048)
+    for center, width, cos_coeff in C02_AXISYM:
+        prof = gaussian_bump_profile(grid, ps.n, center, width)
+        u = modulated_axisym(prof, cos_coeff=cos_coeff)
+        vals_q = np.abs(u.values) ** ps.q
+        assert np.mean(vals_q < TINY) > 0.2
+        plain = u.integrate(ps.n - 1.0 - ps.q * ps.b, vals_q)
+        assert weighted_lq_norm(u, ps) == plain
+        for k_factor in (1.0, ps.k):
+            grads_p = u.grad_sq(k_factor) ** (ps.p / 2.0)
+            plain = u.integrate(ps.n - 1.0 - ps.p * ps.a, grads_p)
+            assert weighted_grad_pnorm(u, ps, k_factor) == plain
 
 
 # ---------------------------------------------------------------------------
