@@ -44,7 +44,7 @@ from .errors import (
     ScalingGuardFailure,
 )
 from .fields import gaussian_bump_profile, make_radial_grid, modulated_axisym
-from .functionals import deficit, grad_norm, q_norm, weighted_grad_pnorm
+from .functionals import deficit, grad_norm, q_norm
 from .manifold import canonical_bubble, canonical_profile, orthogonalize
 from .params import CknParams, derive_hat_params, derive_params, sharp_constant
 from .stability import (
@@ -377,7 +377,8 @@ def _columns(rows: list) -> dict:
 # ---------------------------------------------------------------------------
 # operation handlers: job -> (outputs, violations).  job holds the checked
 # values of the config, its tuples as written, the grid [t_min, t_max, count]
-# (count doubled on the strict profile), the seed and the thread count
+# (count doubled on the strict profile, as is the family window's), the seed
+# and the thread count
 
 
 def _op_constants(job):
@@ -526,20 +527,19 @@ def _op_chain_check(job):
         for j, spec in enumerate(job.fields):
             u = _build_field(spec, target, grid)
             rec = monotonicity_chain_check(u, hp)
-            scale = weighted_grad_pnorm(u, target)
             label = f"params[{i}]/fields[{j}]"
             rows.append(
                 {
                     "labels": label,
                     "grad_chain_gap": float(rec.grad_chain_gap),
-                    "qnorm_residual": float(rec.qnorm_residual),
-                    "nu": float(rec.nu),
+                    "qnorm_residual": float(rec.q_norm_residual),
+                    "nu": 1.0 + max(1.0, target.p - 1.0) * target.gamma / target.n,
                     "h": float(hp.h),
                 }
             )
-            if rec.qnorm_residual > job.qnorm_tol:
-                violations.append(f"{label}: q-norm residual {rec.qnorm_residual:.3e}")
-            if rec.grad_chain_gap < -job.gap_floor * scale:
+            if rec.q_norm_residual > job.qnorm_tol:
+                violations.append(f"{label}: q-norm residual {rec.q_norm_residual:.3e}")
+            if rec.grad_chain_gap < -job.gap_floor * rec.grad_energy:
                 violations.append(f"{label}: chain gap {rec.grad_chain_gap:.3e} below floor")
     return _columns(rows), violations
 
@@ -667,14 +667,25 @@ def _grid_below_radius(checked, grid) -> None:
         )
 
 
+def _weighted_tuples(checked, grid) -> None:
+    """transform-check's map is the identity at a = 0."""
+    _ordered_grid(checked, grid)
+    for i, ps in enumerate(checked.params):
+        if ps.a <= 0.0:
+            raise ConfigError(f"config.params[{i}]: identity check needs a > 0, got a={ps.a}")
+
+
 def _chainable_base(checked, grid) -> None:
+    """Every target shares gamma with the base and has the larger a (h >= 1)."""
     _ordered_grid(checked, grid)
     for i, target in enumerate(checked.params):
+        path = f"config.options.base vs config.params[{i}]"
         try:
-            derive_hat_params(checked.base, target)
+            h = derive_hat_params(checked.base, target).h
         except GammaMismatch as exc:
-            path = f"config.options.base vs config.params[{i}]"
             raise ConfigError(f"{path}: {exc}") from None
+        if h < 1.0:
+            raise ConfigError(f"{path}: chain runs toward smaller a only, h={h:.4f} < 1")
 
 
 def _family_given(checked, grid) -> None:
@@ -699,7 +710,7 @@ OPERATIONS = {
     "constants": Operation("params", _op_constants, "many", {}, {"pair_rtol": 1e-6}),
     "transform-check": Operation("transforms", _op_transform_check, "many", {
         "fields": _FIELDS,
-    }, {"identity_tol": 1e-8}),
+    }, {"identity_tol": 1e-8}, _weighted_tuples),
     "project": Operation("manifold", _op_project, "many", {
         "bubbles": (_list_of(_bubble), _REQUIRED),
         "dual_basis": (_count(1), 8),
@@ -786,11 +797,14 @@ def _run(cfg: ExperimentConfig, ledger_path, seed, threads, tol_profile) -> Resu
     if seed is not None:
         cfg = replace(cfg, seed=_count(0)(seed, "seed"))
     op = OPERATIONS[cfg.operation]
-    t_min, t_max, count = cfg.grid
+    refine = 2 if tol_profile == "strict" else 1  # node count factor of every grid
+    family = cfg.checked.family
+    if family is not None:
+        family = replace(family, window=(*family.window[:2], family.window[2] * refine))
     job = SimpleNamespace(
-        **vars(cfg.checked),
+        **{**vars(cfg.checked), "family": family},
         tuples=cfg.params,
-        grid=(t_min, t_max, count * (2 if tol_profile == "strict" else 1)),
+        grid=(*cfg.grid[:2], cfg.grid[2] * refine),
         seed=cfg.seed,
         threads=max(1, threads),
     )

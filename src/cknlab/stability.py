@@ -37,18 +37,16 @@ from .functionals import (
     q_norm,
     weak_lebesgue_norm,
     weighted_grad_pnorm,
-    weighted_lq_norm,
 )
 from .manifold import canonical_bubble, canonical_profile, manifold_distance, orthogonalize
 from .params import CknParams, HatParams, sharp_constant
-from .transforms import radial_stretch
+from .transforms import StretchReport, _stretch_report
 
 __all__ = [
     "ON_MANIFOLD_REL",
     "StabilityRecord",
     "KUpperBound",
     "SlopeFitResult",
-    "MonotonicityRecord",
     "GeneratorSpec",
     "alpha_exponent",
     "stability_ratio",
@@ -96,13 +94,6 @@ class SlopeFitResult:
     intercept: float
     distances: tuple
     deficits: tuple
-
-
-@dataclass(frozen=True)
-class MonotonicityRecord:
-    nu: float
-    grad_chain_gap: float
-    qnorm_residual: float
 
 
 @dataclass(frozen=True)
@@ -287,7 +278,7 @@ def exponent_slope_fit(
 # parameter monotonicity
 
 
-def monotonicity_chain_check(u: Field, hp: HatParams) -> MonotonicityRecord:
+def monotonicity_chain_check(u: Field, hp: HatParams) -> StretchReport:
     """Verify the two computable steps tying the two weight classes.
 
     (i) the q-norms match exactly under the h-stretch; (ii) the target
@@ -296,17 +287,10 @@ def monotonicity_chain_check(u: Field, hp: HatParams) -> MonotonicityRecord:
     """
     if hp.h < 1.0:
         raise RegionViolation(f"chain runs toward smaller a only, h={hp.h:.4f} < 1")
-    tp = hp.target
-    uh = radial_stretch(u, hp.h, hp.base.q)
-    lhs = weighted_grad_pnorm(u, tp)
-    if lhs <= 0.0:
+    rep = _stretch_report(u, hp)
+    if rep.grad_energy <= 0.0:
         raise ZeroField("chain check of the zero field")
-    pref = hp.h ** (1.0 - tp.p - tp.p / tp.q)
-    gap = lhs - pref * weighted_grad_pnorm(uh, hp.base)
-    qn = weighted_lq_norm(u, tp)
-    qres = abs(weighted_lq_norm(uh, hp.base) - qn) / qn
-    nu = 1.0 + max(1.0, tp.p - 1.0) * tp.gamma / tp.n
-    return MonotonicityRecord(nu=nu, grad_chain_gap=gap, qnorm_residual=qres)
+    return rep
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,10 @@ import numpy as np
 from .errors import RegionViolation
 from .fields import Field, scaled_grid
 from .functionals import weighted_grad_pnorm, weighted_lq_norm
-from .params import CknParams, derive_params
+from .params import CknParams, HatParams, derive_hat_params, derive_params
 
 __all__ = [
-    "TransformReport",
+    "StretchReport",
     "radial_stretch",
     "transform_identity_check",
     "flat_params",
@@ -29,26 +29,14 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class TransformReport:
-    """Residuals of the two norm identities for one mapped field."""
+class StretchReport:
+    """The norm identities and the chain step of one h-stretch of one field."""
 
     q_norm_residual: float
-    grad_identity_residual: float
-    k_drop_gap: float = 0.0  # angular majorisation gap, >= 0, 0 for radial
-
-
-def _stretch_field(u: Field, expo: float, value_scale: float) -> Field:
-    """v(s) = value_scale * u(s^expo), node for node."""
-    t = u.grid.log_nodes
-    dfac = value_scale * expo * np.exp(t * (expo - 1.0) / expo)
-    return replace(
-        u,
-        grid=scaled_grid(u.grid, 1.0 / expo),
-        values=value_scale * u.values,
-        grad_r=None if u.grad_r is None else dfac[:, None] * u.grad_r,
-        grad_psi=None if u.grad_psi is None else value_scale * u.grad_psi,
-        evaluator=None,
-    )
+    grad_identity_residual: float  # angular term scaled by h^2
+    k_drop_gap: float  # angular majorisation gap, >= 0, 0 for radial
+    grad_chain_gap: float  # target energy minus the scaled plain image energy
+    grad_energy: float  # the target energy
 
 
 def flat_params(params: CknParams) -> CknParams:
@@ -65,36 +53,48 @@ def radial_stretch(u: Field, c: float, q: float) -> Field:
     """
     if c == 1.0:
         return u
-    return _stretch_field(u, c, c ** (1.0 / q))
+    scale = c ** (1.0 / q)
+    dfac = scale * c * np.exp(u.grid.log_nodes * (c - 1.0) / c)
+    return replace(
+        u,
+        grid=scaled_grid(u.grid, 1.0 / c),
+        values=scale * u.values,
+        grad_r=None if u.grad_r is None else dfac[:, None] * u.grad_r,
+        grad_psi=None if u.grad_psi is None else scale * u.grad_psi,
+        evaluator=None,
+    )
 
 
-def transform_identity_check(u: Field, params: CknParams) -> TransformReport:
+def _stretch_report(u: Field, hp: HatParams) -> StretchReport:
+    """Both norm identities and the chain step of the h-stretch of u.
+
+    u lives in the target class and its image in the base class.
+    """
+    tp, h = hp.target, hp.h
+    moved = radial_stretch(u, h, hp.base.q)
+    q_lhs = weighted_lq_norm(u, tp)
+    q_res = abs(q_lhs - weighted_lq_norm(moved, hp.base)) / max(abs(q_lhs), 1e-300)
+
+    pref = h ** (1.0 - tp.p - tp.p / tp.q)
+    g_lhs = weighted_grad_pnorm(u, tp)
+    g_rhs_scaled = pref * weighted_grad_pnorm(moved, hp.base, k_factor=h)
+    g_res = abs(g_lhs - g_rhs_scaled) / max(abs(g_lhs), 1e-300)
+    # exactly 0 for radial fields: without grad_psi the h scaling is void
+    g_rhs_plain = pref * weighted_grad_pnorm(moved, hp.base, k_factor=1.0)
+    return StretchReport(
+        q_norm_residual=q_res,
+        grad_identity_residual=g_res,
+        k_drop_gap=g_rhs_scaled - g_rhs_plain,
+        grad_chain_gap=g_lhs - g_rhs_plain,
+        grad_energy=g_lhs,
+    )
+
+
+def transform_identity_check(u: Field, params: CknParams) -> StretchReport:
     """Verify both norm identities of the weight-removing map on one field.
 
-    Requires a > 0 (with a = 0 there is nothing to check).  Returns the
-    relative q-norm residual, the relative residual of the gradient
-    identity (with the k^2-scaled angular term), and the nonnegative
-    gap dropped when the angular scaling is released to 1.
+    The map is the k-stretch to the weightless tuple; a = 0 makes it trivial.
     """
     if params.a <= 0.0:
         raise RegionViolation("identity check needs a > 0; the map is trivial at a = 0")
-    flat = flat_params(params)
-    k = params.k
-    moved = radial_stretch(u, k, params.q)
-    pref = k ** (1.0 - params.p - params.p / params.q)
-
-    q_lhs = weighted_lq_norm(u, params)
-    q_rhs = weighted_lq_norm(moved, flat)
-    q_res = abs(q_lhs - q_rhs) / max(abs(q_lhs), 1e-300)
-
-    g_lhs = weighted_grad_pnorm(u, params, 1.0)
-    g_rhs_scaled = pref * weighted_grad_pnorm(moved, flat, k_factor=k)
-    g_res = abs(g_lhs - g_rhs_scaled) / max(abs(g_lhs), 1e-300)
-
-    # exactly 0 for radial fields: without grad_psi the k scaling is void
-    drop = g_rhs_scaled - pref * weighted_grad_pnorm(moved, flat, k_factor=1.0)
-    return TransformReport(
-        q_norm_residual=q_res,
-        grad_identity_residual=g_res,
-        k_drop_gap=drop,
-    )
+    return _stretch_report(u, derive_hat_params(flat_params(params), params))

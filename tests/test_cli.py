@@ -590,6 +590,17 @@ def test_main_out_of_range_option_exit(
             {"options": {"base": [3, 2.0, 0.0, 0.1]}},
             "config.options.base vs config.params[0]: b - a offsets differ",
         ),
+        # each stretch's direction: transform-check needs a > 0, chain-check h >= 1
+        (
+            "transform-check",
+            {"params": [[4, 2.5, 0.2, 0.5], [3, 2.0, 0.0, 0.0]]},
+            "config.params[1]: identity check needs a > 0",
+        ),
+        (
+            "chain-check",
+            {"params": [[3, 2.0, 0.1, 0.2]], "options": {"base": [3, 2.0, 0.3, 0.4]}},
+            "config.options.base vs config.params[0]: chain runs toward smaller a only",
+        ),
         # files json cannot read: an int past Python's 4,300-digit limit, and
         # bytes that are not UTF-8
         pytest.param(
@@ -631,6 +642,21 @@ def test_main_stability_scan_needs_family(tmp_path, capsys):
     assert main(["stability-scan", "--config", path, "--ledger", ledger]) == 2
     assert "missing key config.family" in capsys.readouterr().err
     assert not os.path.exists(ledger)
+
+
+def test_strict_profile_refines_the_family_window(tmp_path):
+    # stability-scan samples on family.options.window, not on config.grid
+    payload = {
+        **CONSTANTS_CFG,
+        "operation": "stability-scan",
+        "family": {"name": "bubble_bump", "options": {"window": [-20.0, 20.0, 256]}},
+        "options": {"samples": 2},
+    }
+    path = _write(tmp_path, "s.json", payload)
+    ledger = str(tmp_path / "ledger.jsonl")
+    fast, strict = (run_experiment(path, ledger, tol_profile=p) for p in ("fast", "strict"))
+    assert fast.outputs["used"] == strict.outputs["used"] == [2]
+    assert fast.outputs["bound"] != strict.outputs["bound"]
 
 
 def test_config_embedding_grid_ends_at_radius(tmp_path):

@@ -1,9 +1,12 @@
 """Stability-lab tests: ratios, scans, slope fits, chain, gap scaling, embedding."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from cknlab import derive_hat_params, derive_params, sharp_constant
+from cknlab.cli import _op_chain_check
 from cknlab.errors import (
     DegenerateFit,
     EmptyFamily,
@@ -191,8 +194,18 @@ def test_chain_radial_equality():
     u = gaussian_bump_profile(make_radial_grid(-30, 30, 1024), target.n, 0.5, 1.2)
     rec = monotonicity_chain_check(u, hp)
     assert abs(rec.grad_chain_gap) <= 1e-8 * weighted_grad_pnorm(u, target)
-    assert rec.qnorm_residual <= 1e-8
-    assert rec.nu == pytest.approx(1.0 + 1.5 * target.gamma / 4.0, rel=1e-12)
+    assert rec.q_norm_residual <= 1e-8
+    # nu is a column of the chain-check record, computed from the target tuple
+    job = SimpleNamespace(
+        grid=(-30, 30, 1024),
+        params=[target],
+        base=base,
+        fields=[SimpleNamespace(kind="radial", center=0.5, width=1.2)],
+        qnorm_tol=1e-8,
+        gap_floor=1e-8,
+    )
+    nu = _op_chain_check(job)[0]["nu"][0]
+    assert nu == pytest.approx(1.0 + 1.5 * target.gamma / 4.0, rel=1e-12)
 
 
 def test_chain_axisym_strict_gap():
@@ -203,7 +216,7 @@ def test_chain_axisym_strict_gap():
     u = modulated_axisym(g, cos_coeff=0.35)
     rec = monotonicity_chain_check(u, hp)
     assert rec.grad_chain_gap > 0.0
-    assert rec.qnorm_residual <= 1e-8
+    assert rec.q_norm_residual <= 1e-8
 
 
 def test_chain_identity_and_orientation():
@@ -212,7 +225,7 @@ def test_chain_identity_and_orientation():
     u = gaussian_bump_profile(make_radial_grid(-25, 25, 512), ps.n, 0.0, 1.0)
     rec = monotonicity_chain_check(u, hp)
     assert abs(rec.grad_chain_gap) <= 1e-10
-    assert rec.qnorm_residual <= 1e-10
+    assert rec.q_norm_residual <= 1e-10
     base = derive_params(3, 2, 0.3, 0.4)
     target = derive_params(3, 2, 0.1, 0.2)
     with pytest.raises(RegionViolation):

@@ -12,6 +12,7 @@ from cknlab.fields import (
     sample_bubble,
 )
 from cknlab.functionals import weighted_grad_pnorm, weighted_lq_norm
+from cknlab.stability import monotonicity_chain_check
 from cknlab.transforms import flat_params, radial_stretch, transform_identity_check
 
 
@@ -85,6 +86,23 @@ def test_identity_check_axisym_batch():
         assert rep.q_norm_residual <= 1e-8, tup
         assert rep.grad_identity_residual <= 1e-8, tup
         assert rep.k_drop_gap >= 0.0
+
+
+def test_identity_check_is_the_chain_check_to_the_flat_tuple():
+    # c02's tuples and fields: the weight-removing map is the chain's stretch
+    # from the tuple to its weightless tuple, and h is k bit for bit
+    grid = make_radial_grid(-30, 30, 1024)
+    fields = [(0.0, 1.0, None), (-2.0, 0.7, None), (1.5, 1.4, None), (3.0, 0.9, None)]
+    fields += [(-0.5, 2.0, None), (0.5, 1.0, 0.3), (-1.0, 1.2, 0.5), (2.0, 0.8, 0.15)]
+    for tup in [(4, 2.5, 0.2, 0.5), (5, 3.0, 0.3, 0.5)]:
+        ps = derive_params(*tup)
+        hp = derive_hat_params(flat_params(ps), ps)
+        assert hp.h == ps.k
+        for center, width, cos_coeff in fields:
+            u = gaussian_bump_profile(grid, ps.n, center, width)
+            if cos_coeff is not None:
+                u = modulated_axisym(u, cos_coeff=cos_coeff)
+            assert monotonicity_chain_check(u, hp) == transform_identity_check(u, ps)
 
 
 def test_identity_check_rejects_flat():
