@@ -38,6 +38,7 @@ from .errors import (
     DegenerateFit,
     GammaMismatch,
     LedgerCorrupt,
+    NonFiniteOutput,
     OptimizerStall,
     RegionViolation,
     RootFindFailure,
@@ -73,7 +74,9 @@ DEFAULT_LEDGER = "ckn_ledger.jsonl"
 DEFAULT_GRID = (-30.0, 30.0, 1024)
 
 # failures of the numerics themselves, as opposed to bad inputs
-NUMERICAL_ERRORS = (RootFindFailure, OptimizerStall, DegenerateFit, ScalingGuardFailure)
+NUMERICAL_ERRORS = (
+    RootFindFailure, OptimizerStall, DegenerateFit, ScalingGuardFailure, NonFiniteOutput
+)
 
 
 @dataclass(frozen=True)
@@ -427,15 +430,20 @@ def _op_transform_check(job):
                     "k_drop_gap": float(rep.k_drop_gap),
                 }
             )
-            if rep.q_norm_residual > job.identity_tol:
-                violations.append(f"{label}: q-norm residual {rep.q_norm_residual:.3e}")
-            if rep.grad_identity_residual > job.identity_tol:
-                violations.append(
-                    f"{label}: gradient identity residual {rep.grad_identity_residual:.3e}"
-                )
-            if rep.k_drop_gap < -1e-12:
-                violations.append(f"{label}: negative angular drop {rep.k_drop_gap:.3e}")
+            violations += _stretch_violations(label, rep, job.identity_tol)
     return _columns(rows), violations
+
+
+def _stretch_violations(label: str, rep, tol: float) -> list:
+    """Gates on a StretchReport: both norm identities within tol, angular drop >= 0."""
+    out = []
+    if rep.q_norm_residual > tol:
+        out.append(f"{label}: q-norm residual {rep.q_norm_residual:.3e}")
+    if rep.grad_identity_residual > tol:
+        out.append(f"{label}: gradient identity residual {rep.grad_identity_residual:.3e}")
+    if rep.k_drop_gap < -1e-12:
+        out.append(f"{label}: negative angular drop {rep.k_drop_gap:.3e}")
+    return out
 
 
 def _op_project(job):
@@ -533,12 +541,13 @@ def _op_chain_check(job):
                     "labels": label,
                     "grad_chain_gap": float(rec.grad_chain_gap),
                     "qnorm_residual": float(rec.q_norm_residual),
+                    "grad_identity_residual": float(rec.grad_identity_residual),
+                    "k_drop_gap": float(rec.k_drop_gap),
                     "nu": 1.0 + max(1.0, target.p - 1.0) * target.gamma / target.n,
                     "h": float(hp.h),
                 }
             )
-            if rec.q_norm_residual > job.qnorm_tol:
-                violations.append(f"{label}: q-norm residual {rec.q_norm_residual:.3e}")
+            violations += _stretch_violations(label, rec, job.qnorm_tol)
             if rec.grad_chain_gap < -job.gap_floor * rec.grad_energy:
                 violations.append(f"{label}: chain gap {rec.grad_chain_gap:.3e} below floor")
     return _columns(rows), violations
@@ -812,6 +821,15 @@ def _run(cfg: ExperimentConfig, ledger_path, seed, threads, tol_profile) -> Resu
         outputs, violations = op.handler(job)
     except CknError as exc:
         raise type(exc)(f"{cfg.experiment}: {exc}") from exc
+    # a NaN passes every gate written as value > tol, so no such record is kept
+    bad = [
+        f"{name}[{index}]" if index else name
+        for name, value in sorted(outputs.items())
+        for index, item in _flat_items(value)
+        if isinstance(item, float) and not math.isfinite(item)
+    ]
+    if bad:
+        raise NonFiniteOutput(f"{cfg.experiment}: non-finite outputs {', '.join(bad)}")
     outputs = {**outputs, "violations": violations}
 
     # the config as written, not the checked values

@@ -93,6 +93,10 @@ class ScalingGuardFailure(CknError):
     """Elementary inequality ratio changed under joint scaling of its arguments."""
 
 
+class NonFiniteOutput(CknError):
+    """An operation produced a NaN or infinite output; message names each one."""
+
+
 class ConfigError(CknError):
     """Experiment configuration file is malformed; message carries the field path."""
 

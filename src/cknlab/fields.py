@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
@@ -46,7 +46,6 @@ __all__ = [
     "bubble_second_derivative",
     "embed_axisym",
     "modulated_axisym",
-    "translate_axisym",
     "gaussian_bump_profile",
 ]
 
@@ -188,8 +187,7 @@ class Field:
     |grad u|^2 is grad_psi^2 / r^2.  grad_r None means the gradient is
     unknown; grad_psi None means the angular derivative vanishes, as it
     does for every radial field (one angular node carrying the full
-    sphere area).  evaluator, when present, gives (value, d/dr) of a
-    radial field at any radius; translation needs it.
+    sphere area).
 
     u + v, u - v and s * u act node for node on values and gradients.
     Both operands must share the radial grid and dim; a one-node field
@@ -204,7 +202,6 @@ class Field:
     values: np.ndarray
     grad_r: Optional[np.ndarray] = None
     grad_psi: Optional[np.ndarray] = None
-    evaluator: Optional[Callable] = field(default=None, repr=False)
 
     # numpy scalars defer to __rmul__ instead of broadcasting over a Field
     __array_ufunc__ = None
@@ -216,7 +213,6 @@ class Field:
         dim: int,
         values: np.ndarray,
         grad_r: Optional[np.ndarray] = None,
-        evaluator: Optional[Callable] = None,
     ) -> "Field":
         """One-node field from radial samples (1-D arrays over the nodes)."""
         return cls(
@@ -226,7 +222,6 @@ class Field:
             psi_weights=np.array([_sphere_area(dim)]),
             values=values[:, None],
             grad_r=None if grad_r is None else grad_r[:, None],
-            evaluator=evaluator,
         )
 
     @property
@@ -371,33 +366,47 @@ def bubble_second_derivative(amplitude: float, b_coeff: float, sigma: float, m: 
     return ev2
 
 
-def _bump_evaluator(center: float, width: float):
-    # Gaussian in log radius; smooth and rapidly vanishing at both ends
-    def ev(r):
-        r = np.asarray(r, dtype=float)
-        t = np.log(r)
-        v = np.exp(-((t - center) ** 2) / (2.0 * width**2))
-        dv = v * (-(t - center) / width**2) / r
-        return v, dv
-
-    return ev
+def _shifted_radius(r: np.ndarray, shift: float, psi: np.ndarray) -> np.ndarray:
+    """R = |x + shift e1| at radius r and polar angle psi (r a column)."""
+    return np.sqrt(r**2 + 2.0 * r * shift * np.cos(psi) + shift**2)
 
 
-def sample_bubble(params: CknParams, bubble: Bubble, grid: RadialGrid) -> Field:
+def sample_bubble(
+    params: CknParams,
+    bubble: Bubble,
+    grid: RadialGrid,
+    psi_count: int = DEFAULT_PSI_COUNT,
+) -> Field:
     """Sample an extremal profile (with analytic derivative) on a grid.
 
     The profile is amplitude * (1 + (scale * r)^sigma)^-m, a radial
-    field in R^n.  Shifted bubbles have no radial profile; translate the
-    centred one instead.
+    field in R^n.  A shifted bubble u(x + shift e1) lies on the tensor
+    grid with psi_count angular nodes; only the unweighted class a = 0
+    transports under translation, other tuples raise TranslationForbidden.
     """
-    if bubble.axial_shift != 0.0:
-        raise TranslationForbidden(
-            "shifted bubble has no radial profile; sample centred and translate"
-        )
     b_coeff = bubble.scale**params.sigma
     ev = bubble_evaluator(bubble.amplitude, b_coeff, params.sigma, params.bubble_m)
-    v, dv = ev(grid.nodes)
-    return Field.radial(grid, params.n, v, dv, evaluator=ev)
+    shift = bubble.axial_shift
+    if shift == 0.0:
+        v, dv = ev(grid.nodes)
+        return Field.radial(grid, params.n, v, dv)
+    if params.a != 0.0:
+        raise TranslationForbidden(f"translation needs a = 0, got a={params.a}")
+    psi, wpsi = make_psi_grid(params.n, psi_count)
+    r = grid.nodes[:, None]
+    big_r = _shifted_radius(r, shift, psi)
+    v, dv = ev(big_r)
+    # chain rule through R(r, psi); R > 0 away from r = |shift|, psi = pi
+    safe = np.maximum(big_r, 1e-300)
+    return Field(
+        grid=grid,
+        dim=params.n,
+        psi_nodes=psi,
+        psi_weights=wpsi,
+        values=v,
+        grad_r=dv * (r + shift * np.cos(psi)) / safe,
+        grad_psi=dv * (-r * shift * np.sin(psi)) / safe,
+    )
 
 
 def gaussian_bump_profile(
@@ -406,9 +415,11 @@ def gaussian_bump_profile(
     """Unit-height Gaussian bump in log radius, a radial field in R^dim."""
     if width <= 0:
         raise BadGridSpec(f"bump width must be positive, got {width}")
-    ev = _bump_evaluator(center, width)
-    v, dv = ev(grid.nodes)
-    return Field.radial(grid, dim, v, dv, evaluator=ev)
+    # Gaussian in log radius; smooth and rapidly vanishing at both ends
+    t = np.log(grid.nodes)
+    v = np.exp(-((t - center) ** 2) / (2.0 * width**2))
+    dv = v * (-(t - center) / width**2) / grid.nodes
+    return Field.radial(grid, dim, v, dv)
 
 
 # ---------------------------------------------------------------------------
@@ -450,42 +461,4 @@ def modulated_axisym(
         values=u.values * ang,
         grad_r=u.grad_r * ang,
         grad_psi=u.values * (-cos_coeff * np.sin(psi)),
-    )
-
-
-def translate_axisym(
-    u: Field,
-    shift: float,
-    params: CknParams,
-    psi_count: int = DEFAULT_PSI_COUNT,
-) -> Field:
-    """Sample u(x + shift e1) for a radial u with a closed form.
-
-    Only the unweighted gradient class a = 0 transports under
-    translation; other tuples raise TranslationForbidden, as does a
-    nonzero shift of a field without an evaluator.  With shift = 0 this
-    reduces to the embedding.
-    """
-    if params.a != 0.0:
-        raise TranslationForbidden(f"translation needs a = 0, got a={params.a}")
-    if shift == 0.0:
-        return embed_axisym(u, psi_count)
-    if u.evaluator is None:
-        raise TranslationForbidden("translation needs a closed-form radial profile")
-    psi, wpsi = make_psi_grid(u.dim, psi_count)
-    r = u.grid.nodes[:, None]
-    c = np.cos(psi)[None, :]
-    s = np.sin(psi)[None, :]
-    big_r = np.sqrt(r**2 + 2.0 * r * shift * c + shift**2)
-    v, dv = u.evaluator(big_r)
-    # chain rule through R(r, psi); R > 0 away from r = |shift|, psi = pi
-    safe = np.maximum(big_r, 1e-300)
-    return Field(
-        grid=u.grid,
-        dim=u.dim,
-        psi_nodes=psi,
-        psi_weights=wpsi,
-        values=v,
-        grad_r=dv * (r + shift * c) / safe,
-        grad_psi=dv * (-r * shift * s) / safe,
     )

@@ -14,7 +14,7 @@ linearised problem.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -33,9 +33,9 @@ from .fields import (
     RadialGrid,
     bubble_evaluator,
     bubble_second_derivative,
+    _shifted_radius,
     make_psi_grid,
     sample_bubble,
-    translate_axisym,
 )
 from .functionals import _energy, _flux_factor, _gradient_stack, weighted_grad_pnorm
 from .params import CknParams, sharp_constant
@@ -129,17 +129,14 @@ def canonical_profile(params: CknParams, grid: RadialGrid, lam: float = 1.0) -> 
 
 
 def _bubble_on(u: Field, params: CknParams, bub: Bubble) -> Field:
-    """The bubble on u's grid: a radial sample, translated when shifted.
+    """The bubble on u's grid.
 
     Radial samples broadcast against any angular grid; a shifted bubble
     is laid on u's angular grid and cannot pair with a radial u.
     """
-    v = sample_bubble(params, replace(bub, axial_shift=0.0), u.grid)
-    if bub.axial_shift == 0.0:
-        return v
-    if u.is_radial:
+    if bub.axial_shift != 0.0 and u.is_radial:
         raise TranslationForbidden("shifted bubble cannot pair with a radial field")
-    return translate_axisym(v, bub.axial_shift, params, len(u.psi_nodes))
+    return sample_bubble(params, bub, u.grid, len(u.psi_nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +282,7 @@ def _radius_pow(u: Field, shift: float, sig: float) -> np.ndarray:
     r = u.grid.nodes[:, None]
     if shift == 0.0:
         return r**sig
-    return np.sqrt(r**2 + 2.0 * r * shift * np.cos(u.psi_nodes) + shift**2) ** sig
+    return _shifted_radius(r, shift, u.psi_nodes) ** sig
 
 
 def _dilation_derivs(g, h, y, w, p, amp, sig, m) -> tuple:

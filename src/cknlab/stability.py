@@ -327,7 +327,6 @@ def mollified_bubble(
         prof,
         values=prof.values * chi,
         grad_r=prof.grad_r * chi + prof.values * dchi,
-        evaluator=None,
     )
 
 
@@ -335,7 +334,7 @@ def _weight_samples(u: Field, params: CknParams, variant: str) -> Field:
     """|x|^-a |u| or |x|^-a |grad u| on u's grid, for the weak norm."""
     mag = np.abs(u.values) if variant == "value" else np.sqrt(u.grad_sq())
     vals = u.grid.nodes[:, None] ** (-params.a) * mag
-    return replace(u, values=vals, grad_r=None, grad_psi=None, evaluator=None)
+    return replace(u, values=vals, grad_r=None, grad_psi=None)
 
 
 def embedding_check(

@@ -61,7 +61,6 @@ def radial_stretch(u: Field, c: float, q: float) -> Field:
         values=scale * u.values,
         grad_r=None if u.grad_r is None else dfac[:, None] * u.grad_r,
         grad_psi=None if u.grad_psi is None else scale * u.grad_psi,
-        evaluator=None,
     )
 
 

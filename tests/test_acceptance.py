@@ -135,6 +135,8 @@ def test_monotonicity_chain(suite):
     gaps = rec.outputs["grad_chain_gap"]
     assert len(labels) == 10
     assert max(rec.outputs["qnorm_residual"]) <= 1e-8
+    assert max(rec.outputs["grad_identity_residual"]) <= 1e-8
+    assert min(rec.outputs["k_drop_gap"]) >= -1e-12
     for label, gap in zip(labels, gaps):
         idx = int(label.split("fields[")[1][:-1])
         if idx <= 5:  # radial entries: chain collapses to equality

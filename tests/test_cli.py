@@ -346,6 +346,19 @@ def test_main_nonpositive_deficit_exit(tmp_path, capsys):
     assert not os.path.exists(ledger)
 
 
+def test_main_non_finite_output_exit(tmp_path, capsys, monkeypatch):
+    # a NaN passes every value > tol gate, so the run must fail before the ledger
+    monkeypatch.setattr(cli, "q_norm", lambda u, ps: float("nan"))
+    config = os.path.join(
+        os.path.dirname(__file__), "..", "configs", "acceptance", "c01_constants.json"
+    )
+    ledger = str(tmp_path / "ledger.jsonl")
+    assert main(["constants", "--config", config, "--ledger", ledger]) == 3
+    err = capsys.readouterr().err
+    assert "non-finite outputs S_rayleigh[0], S_rayleigh[1]" in err
+    assert not os.path.exists(ledger)
+
+
 def test_main_violation_exit(tmp_path, capsys):
     payload = {
         "experiment": "t-wrong-slope",
@@ -378,7 +391,7 @@ def test_main_violation_exit(tmp_path, capsys):
             [[4, 2.5, 0.3, 0.6]],
             {"base": [4, 2.5, 0.1, 0.4]},
             {"qnorm_tol": -1.0, "gap_floor": -1.0},
-            2,
+            3,
         ),
         ("spectral-gap", [[4, 3.0, 0.2, 0.4]], {"count": 2}, {"ratio_floor": 1e300}, 1),
         (

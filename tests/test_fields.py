@@ -18,6 +18,7 @@ from cknlab import (
 from cknlab.fields import (
     Bubble,
     Field,
+    bubble_evaluator,
     bubble_second_derivative,
     embed_axisym,
     gaussian_bump_profile,
@@ -26,7 +27,6 @@ from cknlab.fields import (
     modulated_axisym,
     sample_bubble,
     scaled_grid,
-    translate_axisym,
 )
 from cknlab.functionals import weighted_lq_norm
 from cknlab.transforms import transform_identity_check
@@ -132,19 +132,13 @@ def test_bubble_half_height_radius():
     grid = make_radial_grid(count=64)
     prof = sample_bubble(ps, bub, grid)
     r_star = (1.0 / bub.scale**ps.sigma) ** (1.0 / ps.sigma)
-    v, _ = prof.evaluator(r_star)
+    v, _ = bubble_evaluator(bub.amplitude, bub.scale**ps.sigma, ps.sigma, ps.bubble_m)(r_star)
     assert float(v) == pytest.approx(1.7 * 2.0 ** (1.0 - ps.n / (ps.p * ps.gamma)), rel=1e-12)
 
 
 def test_bubble_scale_positive():
     with pytest.raises(InvalidArgument):
         Bubble(amplitude=1.0, scale=0.0)
-
-
-def test_bubble_shift_needs_translation():
-    ps = derive_params(3, 2, 0, 0)
-    with pytest.raises(TranslationForbidden):
-        sample_bubble(ps, Bubble(1.0, 1.0, axial_shift=0.5), make_radial_grid(count=64))
 
 
 def test_fd_derivative_matches_analytic():
@@ -170,8 +164,6 @@ def test_fd_derivative_matches_analytic():
 def test_bubble_second_derivative_consistent():
     # differentiate the analytic first derivative numerically; the gap
     # must be FD truncation (second order), not a formula error
-    from cknlab.fields import bubble_evaluator
-
     ev2 = bubble_second_derivative(1.2, 0.7, 1.4, 2.5)
 
     def err(count):
@@ -197,16 +189,8 @@ def test_embed_axisym_invariants():
 
 def test_translate_requires_unweighted():
     ps = derive_params(4, 2, 0.5, 0.5)
-    prof = sample_bubble(ps, Bubble(1.0, 1.0), make_radial_grid(count=64))
     with pytest.raises(TranslationForbidden):
-        translate_axisym(prof, 0.5, ps)
-
-
-def test_translate_zero_shift_is_embedding():
-    ps = derive_params(3, 2, 0, 0)
-    prof = sample_bubble(ps, Bubble(1.0, 1.0), make_radial_grid(count=64))
-    u = translate_axisym(prof, 0.0, ps, psi_count=32)
-    assert np.all(u.grad_psi == 0.0)
+        sample_bubble(ps, Bubble(1.0, 1.0, axial_shift=0.5), make_radial_grid(count=64))
 
 
 def test_translate_preserves_unweighted_qnorm():
@@ -218,7 +202,7 @@ def test_translate_preserves_unweighted_qnorm():
             grid.weights * np.abs(prof.values[:, 0]) ** ps.q * grid.nodes ** (ps.n - 1)
         )
     )
-    u = translate_axisym(prof, 0.7, ps, psi_count=96)
+    u = sample_bubble(ps, Bubble(1.0, 1.0, axial_shift=0.7), grid, psi_count=96)
     moved_q = float(
         np.sum(
             grid.weights[:, None]
@@ -237,8 +221,7 @@ def test_translate_gradient_consistency():
 
     def err(count):
         grid = make_radial_grid(-12, 12, count)
-        prof = sample_bubble(ps, Bubble(1.0, 1.0), grid)
-        u = translate_axisym(prof, 0.4, ps, psi_count=16)
+        u = sample_bubble(ps, Bubble(1.0, 1.0, axial_shift=0.4), grid, psi_count=16)
         j = 5
         fd = _fd_derivative(grid, u.values[:, j])
         sl = slice(16, -16)
@@ -250,18 +233,32 @@ def test_translate_gradient_consistency():
     assert e1 / max(e2, 1e-300) >= 3.0
 
 
+@pytest.mark.parametrize("shift", [0.6, -0.6])
+def test_shifted_bubble_is_the_profile_at_the_moved_point(shift):
+    # the sample at (r, psi) is the centred profile at the Cartesian point
+    # x + shift e1, and grad_psi its central difference in psi
+    ps = derive_params(4, 2.5, 0.0, 0.3)
+    bub = Bubble(1.3, 0.8, axial_shift=shift)
+    grid = make_radial_grid(-6, 6, 64)
+    u = sample_bubble(ps, bub, grid, psi_count=12)
+    ev = bubble_evaluator(bub.amplitude, bub.scale**ps.sigma, ps.sigma, ps.bubble_m)
+    r = grid.nodes[:, None]
+
+    def at(psi):
+        return ev(np.hypot(r * np.cos(psi) + shift, r * np.sin(psi)))[0]
+
+    assert np.allclose(u.values, at(u.psi_nodes), rtol=1e-13, atol=0.0)
+    h = 1e-5
+    fd = (at(u.psi_nodes + h) - at(u.psi_nodes - h)) / (2.0 * h)
+    scale = np.max(np.abs(u.grad_psi))
+    assert np.max(np.abs(fd - u.grad_psi)) <= 1e-7 * scale
+
+
 def test_modulated_axisym_shape():
     ps = derive_params(4, 2, 0.5, 0.5)
     prof = sample_bubble(ps, Bubble(1.0, 1.0), make_radial_grid(count=64))
     u = modulated_axisym(prof, 24, cos_coeff=0.4)
     assert u.grad_psi is not None and np.max(np.abs(u.grad_psi)) > 0
-
-
-def test_translate_needs_closed_form():
-    ps = derive_params(3, 2, 0, 0)
-    prof = sample_bubble(ps, Bubble(1.0, 1.0), make_radial_grid(count=64))
-    with pytest.raises(TranslationForbidden):
-        translate_axisym(2.0 * prof, 0.5, ps)  # arithmetic drops the closed form
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +299,6 @@ def test_linear_arithmetic_node_for_node():
         a, b = getattr(prof, name), getattr(angular, name)
         assert np.array_equal(getattr(combo, name), 2.0 * a - b + 0.5 * a), name
     assert np.array_equal(combo.grad_psi, -angular.grad_psi)
-    assert combo.evaluator is None
     # numpy scalars scale too, instead of broadcasting over the field
     assert np.array_equal((np.float64(3.0) * prof).values, 3.0 * prof.values)
 

@@ -23,7 +23,6 @@ from cknlab.fields import (
     make_radial_grid,
     modulated_axisym,
     sample_bubble,
-    translate_axisym,
 )
 from cknlab.functionals import (
     _power,
@@ -90,8 +89,8 @@ def test_dim_mismatch():
 
 def test_k_factor_monotone():
     ps = derive_params(3, 2, 0, 0)
-    prof = sample_bubble(ps, Bubble(1.0, 1.0), make_radial_grid(count=256))
-    u = translate_axisym(prof, 0.5, ps, psi_count=48)
+    grid = make_radial_grid(count=256)
+    u = sample_bubble(ps, Bubble(1.0, 1.0, axial_shift=0.5), grid, psi_count=48)
     vals = [weighted_grad_pnorm(u, ps, k) for k in (1.0, 1.5, 2.0)]
     assert vals[0] < vals[1] < vals[2]
     with pytest.raises(InvalidArgument):

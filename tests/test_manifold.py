@@ -21,7 +21,6 @@ from cknlab.fields import (
     make_radial_grid,
     modulated_axisym,
     sample_bubble,
-    translate_axisym,
 )
 from cknlab.functionals import _gradient_stack, weighted_grad_pnorm, weighted_lq_norm
 from cknlab.manifold import (
@@ -136,7 +135,7 @@ def _rel_distance(u, ps):
 def _shifted_bubble():
     ps = derive_params(3, 2, 0, 0)
     grid = make_radial_grid(-20, 20, 256)
-    u = 1.2 * translate_axisym(canonical_profile(ps, grid, 1.4), 0.3, ps, 32)
+    u = 1.2 * sample_bubble(ps, canonical_bubble(ps, 1.4, axial_shift=0.3), grid, 32)
     return ps, u
 
 

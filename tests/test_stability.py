@@ -21,7 +21,7 @@ from cknlab.fields import (
     gaussian_bump_profile,
     make_radial_grid,
     modulated_axisym,
-    translate_axisym,
+    sample_bubble,
 )
 from cknlab.functionals import grad_norm, q_norm, weighted_grad_pnorm
 from cknlab.manifold import canonical_bubble, canonical_profile, orthogonalize
@@ -247,7 +247,7 @@ def test_gap_probe_quadratic_scaling():
     shifts = np.array([0.05, 0.1, 0.2, 0.4])
     lhs, rhs = [], []
     for s in shifts:
-        moved = translate_axisym(u0, float(s), fp, 160)
+        moved = sample_bubble(fp, canonical_bubble(fp, axial_shift=float(s)), grid, 160)
         pk = weighted_grad_pnorm(moved, fp, k_factor=ps.k)
         lhs.append(pk ** (1.0 / fp.p) / q_norm(moved, fp) - sharp)
         rhs.append((grad_norm(u0 - moved, fp) / gn0) ** 2)
