@@ -276,14 +276,28 @@ def _operation(value, path: str) -> str:
     return value
 
 
+def _range(value, path: str) -> tuple:
+    """[lo, hi] with lo <= hi, the ends a family sample is drawn between."""
+    lo, hi = _items(_real, _real)(value, path)
+    if not lo <= hi:
+        raise ConfigError(f"{path}: need lo <= hi, got {[lo, hi]}")
+    return lo, hi
+
+
+def _widths(value, path: str) -> tuple:
+    lo, hi = _range(value, path)
+    if not lo > 0.0:
+        raise ConfigError(f"{path}: bump widths must be positive, got lo={lo}")
+    return lo, hi
+
+
 # family name -> its option readers; GeneratorSpec holds the defaults
-_RANGE = (_items(_real, _real), None)
 _FAMILIES = {
     "bubble_bump": {
         "window": (_window, None),
-        "eps_log10": _RANGE,
-        "center": _RANGE,
-        "width": _RANGE,
+        "eps_log10": (_range, None),
+        "center": (_range, None),
+        "width": (_widths, None),
     },
 }
 _FAMILY_KEYS = {
@@ -377,6 +391,15 @@ def _columns(rows: list) -> dict:
     return {key: [row[key] for row in rows] for key in (rows[0] if rows else ())}
 
 
+# gates: [] when the claim holds, else its one violation line
+def _at_most(label: str, value: float, bound: float) -> list:
+    return [] if value <= bound else [f"{label} {value:.4g} above {bound:.4g}"]
+
+
+def _above(label: str, value: float, bound: float) -> list:
+    return [] if value > bound else [f"{label} {value:.4g} not above {bound:.4g}"]
+
+
 # ---------------------------------------------------------------------------
 # operation handlers: job -> (outputs, violations).  job holds the checked
 # values of the config, its tuples as written, the grid [t_min, t_max, count]
@@ -405,13 +428,9 @@ def _op_constants(job):
     rows = _map_ordered(one, job.params, job.threads)
     violations = []
     for i, row in enumerate(rows):
-        sc, sr, sq = row["S_closed"], row["S_ratio_law"], row["S_rayleigh"]
-        worst = max(abs(sc - sr), abs(sc - sq), abs(sr - sq)) / sc
-        if worst > job.pair_rtol:
-            violations.append(
-                f"params[{i}]: sharp-constant routes disagree "
-                f"({worst:.3e} > {job.pair_rtol:.1e})"
-            )
+        routes = (row["S_closed"], row["S_ratio_law"], row["S_rayleigh"])
+        spread = (max(routes) - min(routes)) / row["S_closed"]
+        violations += _at_most(f"params[{i}]: S route spread", spread, job.pair_rtol)
     return {"tuples": [list(t) for t in job.tuples], **_columns(rows)}, violations
 
 
@@ -436,14 +455,11 @@ def _op_transform_check(job):
 
 def _stretch_violations(label: str, rep, tol: float) -> list:
     """Gates on a StretchReport: both norm identities within tol, angular drop >= 0."""
-    out = []
-    if rep.q_norm_residual > tol:
-        out.append(f"{label}: q-norm residual {rep.q_norm_residual:.3e}")
-    if rep.grad_identity_residual > tol:
-        out.append(f"{label}: gradient identity residual {rep.grad_identity_residual:.3e}")
-    if rep.k_drop_gap < -1e-12:
-        out.append(f"{label}: negative angular drop {rep.k_drop_gap:.3e}")
-    return out
+    return [
+        *_at_most(f"{label}: q_norm_residual", rep.q_norm_residual, tol),
+        *_at_most(f"{label}: grad_identity_residual", rep.grad_identity_residual, tol),
+        *_at_most(f"{label}: -k_drop_gap", -rep.k_drop_gap, 1e-12),
+    ]
 
 
 def _op_project(job):
@@ -456,19 +472,14 @@ def _op_project(job):
             u = amp * canonical_profile(ps, grid, lam)
             d = float(deficit(u, ps))
             row["deficit"].append(d)
-            if abs(d) > job.deficit_tol:
-                violations.append(
-                    f"params[{i}] lam={lam:g} amp={amp:g}: deficit {d:.3e}"
-                )
+            label = f"params[{i}] lam={lam:g} amp={amp:g}"
+            violations += _at_most(f"{label}: |deficit|", abs(d), job.deficit_tol)
             # the residual functional is stationarity-based, so only the
             # normalized representative amp == 1 is expected to annihilate it
             if amp == 1.0:
                 r = float(dual_norm_estimate(u, ps, job.dual_basis).value)
                 row["dual_residual"].append(r)
-                if r > job.dual_tol:
-                    violations.append(
-                        f"params[{i}] lam={lam:g}: dual residual {r:.3e}"
-                    )
+                violations += _at_most(f"{label}: dual_residual", r, job.dual_tol)
             else:
                 row["dual_residual"].append(None)
         rows.append(row)
@@ -493,11 +504,9 @@ def _op_stability_scan(job):
         }
 
     rows = _map_ordered(one, job.params, job.threads)
-    violations = [
-        f"params[{i}]: nonpositive stability ratio {row['bound']:.3e}"
-        for i, row in enumerate(rows)
-        if row["bound"] <= 0.0
-    ]
+    violations = []
+    for i, row in enumerate(rows):
+        violations += _above(f"params[{i}]: bound", row["bound"], 0.0)
     return {"tuples": [list(t) for t in job.tuples], **_columns(rows)}, violations
 
 
@@ -519,12 +528,10 @@ def _op_slope_fit(job):
         "plot_x": [float(math.log10(d)) for d in fit.distances],
         "plot_y": [float(math.log10(d)) for d in fit.deficits],
     }
-    violations = []
-    if job.assert_slope and abs(fit.slope - expected) > job.slope_rtol * expected:
-        violations.append(
-            f"slope {fit.slope:.4f} not within {job.slope_rtol:.0%} of {expected:.4f}"
-        )
-    return outputs, violations
+    if not job.assert_slope:
+        return outputs, []
+    gap = abs(fit.slope - expected)
+    return outputs, _at_most("|slope - expected|", gap, job.slope_rtol * expected)
 
 
 def _op_chain_check(job):
@@ -548,8 +555,8 @@ def _op_chain_check(job):
                 }
             )
             violations += _stretch_violations(label, rec, job.qnorm_tol)
-            if rec.grad_chain_gap < -job.gap_floor * rec.grad_energy:
-                violations.append(f"{label}: chain gap {rec.grad_chain_gap:.3e} below floor")
+            floor = job.gap_floor * rec.grad_energy
+            violations += _at_most(f"{label}: -grad_chain_gap", -rec.grad_chain_gap, floor)
     return _columns(rows), violations
 
 
@@ -562,10 +569,8 @@ def _op_embedding_check(job):
         kg = embedding_check(u, ps, job.radius, "grad")
         kv = embedding_check(u, ps, job.radius, "value")
         rows.append({"kbar_grad": float(kg), "kbar_value": float(kv)})
-        if kg <= 0.0:
-            violations.append(f"params[{i}]: grad-variant constant {kg:.3e} <= 0")
-        if kv <= 0.0:
-            violations.append(f"params[{i}]: value-variant constant {kv:.3e} <= 0")
+        violations += _above(f"params[{i}]: kbar_grad", kg, 0.0)
+        violations += _above(f"params[{i}]: kbar_value", kv, 0.0)
     return {"tuples": [list(t) for t in job.tuples], **_columns(rows)}, violations
 
 
@@ -587,10 +592,7 @@ def _op_spectral_gap(job):
         "ratios": ratios,
         "min_ratio": float(min(ratios)),
     }
-    violations = []
-    if min(ratios) <= job.ratio_floor:
-        violations.append(f"min spectral ratio {min(ratios):.4f} <= {job.ratio_floor}")
-    return outputs, violations
+    return outputs, _above("min_ratio", outputs["min_ratio"], job.ratio_floor)
 
 
 def _op_expansion_slopes(job):
@@ -612,29 +614,16 @@ def _op_expansion_slopes(job):
             }
         )
     cols = _columns(rows)
-    loge = np.log(eps)
-    slope_q = float(np.polyfit(loge, np.log(cols["Q"]), 1)[0])
-    slope_n = float(np.polyfit(loge, np.log(cols["N"]), 1)[0])
     prod = [r * n ** (1.0 / ps.p) for r, n in zip(cols["residual"], cols["N"])]
-    slope_prod = float(np.polyfit(loge, np.log(prod), 1)[0])
-    outputs = {
-        "tuple": list(job.tuples[0]),
-        "eps": [float(e) for e in eps],
-        **cols,
-        "slope_Q": slope_q,
-        "slope_N": slope_n,
-        "slope_residual_rho": slope_prod,
-    }
+    outputs = {"tuple": list(job.tuples[0]), "eps": [float(e) for e in eps], **cols}
     violations = []
-    if job.q_slope_rtol is not None and abs(slope_q - 2.0) > job.q_slope_rtol * 2.0:
-        violations.append(f"Q slope {slope_q:.4f} away from 2")
-    if job.n_slope_rtol is not None and abs(slope_n - ps.p) > job.n_slope_rtol * ps.p:
-        violations.append(f"N slope {slope_n:.4f} away from p={ps.p}")
-    if (
-        job.prod_slope_rtol is not None
-        and abs(slope_prod - 2.0) > job.prod_slope_rtol * 2.0
+    for name, values, target, rtol in (
+        ("slope_Q", cols["Q"], 2.0, job.q_slope_rtol),
+        ("slope_N", cols["N"], ps.p, job.n_slope_rtol),
+        ("slope_residual_rho", prod, 2.0, job.prod_slope_rtol),
     ):
-        violations.append(f"residual*rho slope {slope_prod:.4f} away from 2")
+        slope = outputs[name] = float(np.polyfit(np.log(eps), np.log(values), 1)[0])
+        violations += _at_most(f"|{name} - {target:g}|", abs(slope - target), rtol * target)
     return outputs, violations
 
 
@@ -649,12 +638,10 @@ def _op_ineq_const(job):
         }
 
     rows = _map_ordered(one, job.cases, job.threads)
-    violations = [
-        f"case {c} e={e}: doubling drift {row['doubling_rel']:.3e} "
-        f"> {job.doubling_rtol:.1e}"
-        for (c, e), row in zip(job.cases, rows)
-        if row["doubling_rel"] > job.doubling_rtol
-    ]
+    violations = []
+    for (c, e), row in zip(job.cases, rows):
+        drift = row["doubling_rel"]
+        violations += _at_most(f"case {c} e={e}: doubling_rel", drift, job.doubling_rtol)
     return {"cases": [[c, e] for c, e in job.cases], **_columns(rows)}, violations
 
 
@@ -708,7 +695,7 @@ class Operation(NamedTuple):
     handler: Callable
     tuples: str  # parameter tuples taken: "many", "one" or "none"
     options: dict  # name -> (reader, default); a None default is resolved by the handler
-    tolerances: dict  # name -> default; a None default leaves the gate off
+    tolerances: dict  # name -> default
     check: Callable = _ordered_grid  # of the read sections against each other
 
 
@@ -722,7 +709,7 @@ OPERATIONS = {
     }, {"identity_tol": 1e-8}, _weighted_tuples),
     "project": Operation("manifold", _op_project, "many", {
         "bubbles": (_list_of(_bubble), _REQUIRED),
-        "dual_basis": (_count(1), 8),
+        "dual_basis": (_count(4), 8),
     }, {"deficit_tol": 1e-6, "dual_tol": 1e-5}),
     "stability-scan": Operation("stability", _op_stability_scan, "many", {
         "samples": (_count(1), 30),
@@ -751,7 +738,7 @@ OPERATIONS = {
         "eps_start": (_positive, 1e-3),
         "eps_stop": (_positive, 1e-1),
         "eps_count": (_count(2), 7),
-    }, {"q_slope_rtol": None, "n_slope_rtol": None, "prod_slope_rtol": None}),
+    }, {"q_slope_rtol": 0.1, "n_slope_rtol": 0.1, "prod_slope_rtol": 0.15}),
     "ineq-const": Operation("critical", _op_ineq_const, "none", {
         "cases": (_list_of(_case), _DEFAULT_CASES),
         "samples": (_count(1), 200),

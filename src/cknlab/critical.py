@@ -324,7 +324,6 @@ def expansion_quantities(
     params: CknParams,
     distance_gate: Optional[float] = None,
     basis_size: int = 12,
-    extra_elements: Sequence[Field] = (),
 ) -> ExpansionQuantities:
     """Residual dual norm, Q, N and mu for a near-manifold field, p > 2."""
     if params.p <= 2.0:
@@ -341,7 +340,7 @@ def expansion_quantities(
     rho = dec.rho
     big_q = _v_quadratic(v_bub, rho, params)
     big_n = weighted_grad_pnorm(rho, params)
-    est = dual_norm_estimate(u, params, basis_size, extra_elements)
+    est = dual_norm_estimate(u, params, basis_size)
     return ExpansionQuantities(
         residual_pairing_norm=est.value,
         Q=big_q,
@@ -434,7 +433,8 @@ def elementary_C_estimate(case: int, exponent: float, samples: int = 200) -> flo
 
     Joint homogeneity pins |x| = 1; a spot re-evaluation at |x| = 7
     guards the reduction, restricted to points where the left side is
-    not cancellation noise.
+    not cancellation noise.  A grid with no such point cannot be
+    guarded and raises ScalingGuardFailure.
     """
     _check_case(case, exponent)
     y = np.logspace(-6.0, 6.0, samples)
@@ -450,6 +450,10 @@ def elementary_C_estimate(case: int, exponent: float, samples: int = 200) -> flo
     # well-conditioned points can verify this to 1e-10
     solid = lhs > 1e-4 * scale
     idx = np.flatnonzero(solid.ravel())[::17]
+    if idx.size == 0:
+        raise ScalingGuardFailure(
+            f"case {case}: scaling guard has no well-conditioned point at {samples} samples"
+        )
     ref = (lhs / rhs).ravel()[idx]
     lhs7, rhs7, _ = _raw_terms(
         case, exponent, 7.0, 7.0 * ym.ravel()[idx], cm.ravel()[idx]

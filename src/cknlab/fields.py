@@ -44,7 +44,6 @@ __all__ = [
     "sample_bubble",
     "bubble_evaluator",
     "bubble_second_derivative",
-    "embed_axisym",
     "modulated_axisym",
     "gaussian_bump_profile",
 ]
@@ -424,25 +423,6 @@ def gaussian_bump_profile(
 
 # ---------------------------------------------------------------------------
 # axisymmetric construction
-
-
-def embed_axisym(u: Field, psi_count: int = DEFAULT_PSI_COUNT) -> Field:
-    """Spread a one-node field over a full angular grid (grad_psi = 0)."""
-    psi, wpsi = make_psi_grid(u.dim, psi_count)
-    shape = (u.grid.count, len(psi))
-    grad_r = grad_psi = None
-    if u.grad_r is not None:
-        grad_r = np.broadcast_to(u.grad_r, shape)
-        grad_psi = np.zeros(shape)
-    return Field(
-        grid=u.grid,
-        dim=u.dim,
-        psi_nodes=psi,
-        psi_weights=wpsi,
-        values=np.broadcast_to(u.values, shape),
-        grad_r=grad_r,
-        grad_psi=grad_psi,
-    )
 
 
 def modulated_axisym(

@@ -57,11 +57,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DecompositionRecord:
-    """u split as mu V + rho with the tangent pairings of rho."""
+    """u split as mu V + rho."""
 
     mu: float
     rho: Field
-    tangent_residuals: tuple
 
 
 def _unit_integrals(params: CknParams) -> tuple[float, float]:
@@ -678,9 +677,7 @@ def mu_rho_decompose(u: Field, v_bub: Bubble, params: CknParams) -> Decompositio
     if denom == 0.0:
         raise ZeroField("bubble q-mass vanished")
     mu = _q_pairing(u, v_field, params) / denom
-    rho = u - mu * v_field
-    residuals = orthogonality_check(rho, v_bub, params)
-    return DecompositionRecord(mu=mu, rho=rho, tangent_residuals=tuple(residuals))
+    return DecompositionRecord(mu=mu, rho=u - mu * v_field)
 
 
 def tangent_basis(

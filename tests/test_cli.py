@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 
 import pytest
 
@@ -402,6 +403,7 @@ def test_main_violation_exit(tmp_path, capsys):
             3,
         ),
         ("ineq-const", [], {"cases": [[1, 2.5]], "samples": 10}, {"doubling_rtol": -1.0}, 1),
+        ("slope-fit", [[3, 2.0, 0.0, 0.0]], {"center": 10.0}, {"slope_rtol": -1.0}, 1),
     ],
 )
 def test_main_every_tolerance_gate_fires(
@@ -411,7 +413,8 @@ def test_main_every_tolerance_gate_fires(
         "experiment": "t-gates",
         "operation": operation,
         "params": params,
-        "grid": [-25.0, 25.0, 256],
+        # slope-fit runs on c04d's grid
+        "grid": [-30.0, 30.0, 2048] if operation == "slope-fit" else [-25.0, 25.0, 256],
         "options": options,
         "tolerances": tolerances,
     }
@@ -419,8 +422,20 @@ def test_main_every_tolerance_gate_fires(
     ledger = str(tmp_path / "ledger.jsonl")
     assert main([operation, "--config", path, "--ledger", ledger]) == 4
     err = capsys.readouterr().err.splitlines()
-    assert len([line for line in err if line.startswith("violation: ")]) == count
+    lines = [line for line in err if line.startswith("violation: ")]
+    assert len(lines) == count
+    number = r"-?(?:inf|nan|\d+(?:\.\d+)?(?:e[+-]\d+)?)"
+    for line in lines:
+        assert re.fullmatch(rf"violation: .+ {number} (?:not )?above {number}", line), line
     assert len(json.loads(open(ledger).read())["outputs"]["violations"]) == count
+
+
+def test_expansion_slopes_tolerance_defaults(tmp_path):
+    # c07's tolerances are the defaults: every gate has a number
+    payload = {**CONSTANTS_CFG, "operation": "expansion-slopes", "params": [[5, 3.0, 0.3, 0.5]]}
+    checked = load_config(_write(tmp_path, "d.json", payload)).checked
+    rtols = (checked.q_slope_rtol, checked.n_slope_rtol, checked.prod_slope_rtol)
+    assert rtols == (0.1, 0.1, 0.15)
 
 
 def test_expansion_slopes_reversed_sweep(tmp_path):
@@ -614,6 +629,33 @@ def test_main_out_of_range_option_exit(
             {"params": [[3, 2.0, 0.1, 0.2]], "options": {"base": [3, 2.0, 0.3, 0.4]}},
             "config.options.base vs config.params[0]: chain runs toward smaller a only",
         ),
+        # family ranges are ordered, and bump widths positive, before any sample
+        (
+            "stability-scan",
+            {"family": {"name": "bubble_bump", "options": {"center": [5, -5]}}},
+            "config.family.options.center: need lo <= hi",
+        ),
+        (
+            "constants",
+            {"family": {"name": "bubble_bump", "options": {"eps_log10": [-1, -3]}}},
+            "config.family.options.eps_log10: need lo <= hi",
+        ),
+        (
+            "stability-scan",
+            {"family": {"name": "bubble_bump", "options": {"width": [-1, 0]}}},
+            "config.family.options.width: bump widths must be positive",
+        ),
+        (
+            "stability-scan",
+            {"family": {"name": "bubble_bump", "options": {"width": [0, 1]}}},
+            "config.family.options.width: bump widths must be positive",
+        ),
+        # the dual-norm estimate needs 4 test elements
+        (
+            "project",
+            {"options": {"bubbles": [[1.0, 1.0]], "dual_basis": 3}},
+            "config.options.dual_basis",
+        ),
         # files json cannot read: an int past Python's 4,300-digit limit, and
         # bytes that are not UTF-8
         pytest.param(
@@ -645,6 +687,16 @@ def test_main_malformed_config_exit(tmp_path, capsys, operation, overrides, key)
     ledger = str(tmp_path / "ledger.jsonl")
     assert main([operation, "--config", path, "--ledger", ledger]) == 2
     assert key in capsys.readouterr().err
+    assert not os.path.exists(ledger)
+
+
+def test_main_unguarded_ineq_const_exit(tmp_path, capsys):
+    # one sample leaves cases 1, 2, 5 and 6 no point for the scaling guard
+    payload = {"experiment": "t-one-sample", "operation": "ineq-const", "options": {"samples": 1}}
+    path = _write(tmp_path, "i.json", payload)
+    ledger = str(tmp_path / "ledger.jsonl")
+    assert main(["ineq-const", "--config", path, "--ledger", ledger]) == 3
+    assert "case 1: scaling guard has no well-conditioned point" in capsys.readouterr().err
     assert not os.path.exists(ledger)
 
 

@@ -36,9 +36,9 @@ from cknlab.critical import (
 from cknlab.fields import (
     Bubble,
     Field,
-    embed_axisym,
     gaussian_bump_profile,
     make_radial_grid,
+    modulated_axisym,
     sample_bubble,
 )
 from cknlab.functionals import weighted_grad_pnorm, weighted_lq_norm
@@ -134,14 +134,15 @@ def test_pairing_grid_guards():
     other = gaussian_bump_profile(make_radial_grid(-20.0, 20.0, 512), PS53.n, 0.0, 1.0)
     with pytest.raises(GridMismatch):
         el_residual_pairing(v, other, PS53)
-    axi = embed_axisym(gaussian_bump_profile(_grid(), PS53.n, 0.0, 1.0), 48)
+    bump = gaussian_bump_profile(_grid(), PS53.n, 0.0, 1.0)
+    axi = modulated_axisym(bump, 48, cos_coeff=0.0)
     with pytest.raises(GridMismatch):
         el_residual_pairing(v, axi, PS53)
 
 
 def test_pairing_embeds_radial_phi_for_axisym_u():
     u_rad = _perturbed(PS53, 0.3)
-    u_axi = embed_axisym(u_rad, 48)
+    u_axi = modulated_axisym(u_rad, 48, cos_coeff=0.0)
     phi = gaussian_bump_profile(_grid(), PS53.n, 0.8, 0.9)
     p_axi = el_residual_pairing(u_axi, phi, PS53)
     p_rad = el_residual_pairing(u_rad, phi, PS53)
@@ -281,7 +282,7 @@ def test_dual_estimate_axisym_embedding_matches_radial():
     # a != 0: no translation element, so both spans hold the same functions
     u = _perturbed(PS53, 1e-2)
     radial = dual_norm_estimate(u, PS53, 8)
-    axi = dual_norm_estimate(embed_axisym(u, 48), PS53, 8)
+    axi = dual_norm_estimate(modulated_axisym(u, 48, cos_coeff=0.0), PS53, 8)
     assert axi.value == pytest.approx(radial.value, rel=1e-8)
     assert axi.half_value == pytest.approx(radial.half_value, rel=1e-8)
 
@@ -320,7 +321,8 @@ def test_hessian_needs_p_above_two():
 
 
 def test_hessian_reduced_is_radial_only():
-    axi = embed_axisym(gaussian_bump_profile(_grid(), PS53.n, 0.0, 1.0), 48)
+    bump = gaussian_bump_profile(_grid(), PS53.n, 0.0, 1.0)
+    axi = modulated_axisym(bump, 48, cos_coeff=0.0)
     with pytest.raises(UnsupportedField):
         hessian_form(canonical_bubble(PS53), axi, PS53, reduced=True)
 
@@ -458,6 +460,13 @@ def test_elementary_scaling_guard_raises(monkeypatch):
     monkeypatch.setattr(critical, "_raw_terms", drifting)
     with pytest.raises(ScalingGuardFailure, match="joint scaling"):
         elementary_C_estimate(3, 2.5)
+
+
+@pytest.mark.parametrize("case,expo", [(1, 2.5), (2, 4.0), (5, 2.5), (6, 4.0)])
+def test_elementary_scaling_guard_needs_a_point(case, expo):
+    # at one sample every point of these cases is cancellation noise
+    with pytest.raises(ScalingGuardFailure, match=f"case {case}: scaling guard has no"):
+        elementary_C_estimate(case, expo, 1)
 
 
 def test_elementary_doubling_stable():

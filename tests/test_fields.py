@@ -20,7 +20,6 @@ from cknlab.fields import (
     Field,
     bubble_evaluator,
     bubble_second_derivative,
-    embed_axisym,
     gaussian_bump_profile,
     make_psi_grid,
     make_radial_grid,
@@ -181,7 +180,7 @@ def test_bubble_second_derivative_consistent():
 def test_embed_axisym_invariants():
     ps = derive_params(4, 2, 0.5, 0.5)
     prof = sample_bubble(ps, Bubble(1.0, 1.0), make_radial_grid(count=128))
-    u = embed_axisym(prof, 48)
+    u = modulated_axisym(prof, 48, cos_coeff=0.0)
     assert np.all(u.grad_psi == 0.0)
     assert float(np.sum(u.psi_weights)) == pytest.approx(sphere_area(4), rel=1e-10)
     assert u.values.shape == (128, 48)
@@ -285,7 +284,7 @@ def test_radial_field_layout():
 def test_one_node_broadcast_equals_embedding():
     ps, prof, angular = _bubble_and_bump()
     broadcast = prof + 0.0 * angular
-    embedded = embed_axisym(prof, 16)
+    embedded = modulated_axisym(prof, 16, cos_coeff=0.0)
     assert np.array_equal(broadcast.psi_nodes, embedded.psi_nodes)
     assert np.array_equal(broadcast.psi_weights, embedded.psi_weights)
     for name in ("values", "grad_r", "grad_psi"):

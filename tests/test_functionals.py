@@ -18,7 +18,6 @@ from cknlab import (
 from cknlab.fields import (
     Bubble,
     Field,
-    embed_axisym,
     gaussian_bump_profile,
     make_radial_grid,
     modulated_axisym,
@@ -66,7 +65,7 @@ def test_q_integral_gamma_oracle():
 def test_embedded_equals_radial_times_sphere():
     ps = derive_params(4, 2, 0.5, 0.5)
     prof = sample_bubble(ps, Bubble(1.0, 1.0), make_radial_grid(count=512))
-    u = embed_axisym(prof, 64)
+    u = modulated_axisym(prof, 64, cos_coeff=0.0)
     for fn in (weighted_grad_pnorm, weighted_lq_norm):
         assert fn(u, ps) == pytest.approx(fn(prof, ps), rel=1e-10)
 
@@ -82,7 +81,7 @@ def test_dim_mismatch():
     ps3 = derive_params(3, 2, 0, 0)
     ps4 = derive_params(4, 2, 0, 0)
     prof = sample_bubble(ps3, Bubble(1.0, 1.0), make_radial_grid(count=64))
-    u = embed_axisym(prof, 16)
+    u = modulated_axisym(prof, 16, cos_coeff=0.0)
     with pytest.raises(GridMismatch):
         weighted_lq_norm(u, ps4)
 
@@ -291,7 +290,7 @@ def test_weak_norm_guards():
 def test_weak_norm_axisym_matches_radial():
     ps = derive_params(4, 2, 0, 0)
     prof = sample_bubble(ps, Bubble(1.0, 1.0), make_radial_grid(count=512))
-    u = embed_axisym(prof, 32)
+    u = modulated_axisym(prof, 32, cos_coeff=0.0)
     wa = weak_lebesgue_norm(u, 2.5, 1.0)
     wr = weak_lebesgue_norm(prof, 2.5, 1.0)
     assert wa == pytest.approx(wr, rel=1e-10)
