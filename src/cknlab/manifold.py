@@ -342,21 +342,22 @@ def _dilation_derivs(g, h, y, w, p, amp, sig, m) -> tuple:
 def _slopes_curvs(g, H, hsq, w, p, amps) -> tuple[np.ndarray, np.ndarray]:
     """First and second derivative in A of sum w |g - A h|^p, per column h of H.
 
-    Each column at its own amplitude in amps; hsq = sum H^2 per node.
+    H is (components, columns, nodes), each column at its own amplitude
+    in amps; hsq = sum H^2 per column and node.
     With one gradient component the cosine of r and h is +-1, so the
     curvature weight hsq + (p-2) cos^2 is (p-1) hsq.
     """
-    r = H * -amps
-    r += g[..., None]
+    r = H * -amps[:, None]
+    r += g[:, None, :]
     if len(H) == 1:
         r, h = r[0], H[0]
         flux = _flux_factor(np.abs(r), p - 2.0)
         r *= h
         r *= flux
         flux *= hsq
-        return -p * (w @ r), p * (p - 1.0) * (w @ flux)
-    rh = np.einsum("cnk,cnk->nk", r, H)
-    mag = np.sqrt(np.einsum("cnk,cnk->nk", r, r))
+        return -p * (r @ w), p * (p - 1.0) * (flux @ w)
+    rh = np.einsum("ckn,ckn->kn", r, H)
+    mag = np.sqrt(np.einsum("ckn,ckn->kn", r, r))
     del r
     flux = _flux_factor(mag, p - 2.0)
     # mag becomes the cosine rh / mag, zero where the residual vanishes
@@ -366,29 +367,32 @@ def _slopes_curvs(g, H, hsq, w, p, amps) -> tuple[np.ndarray, np.ndarray]:
     cos += hsq
     cos *= flux
     rh *= flux
-    return -p * (w @ rh), p * (w @ cos)
+    return -p * (rh @ w), p * (cos @ w)
 
 
 def _slope_curv(g, h, w, p, amp) -> tuple[float, float]:
     """_slopes_curvs of the single column h at amp."""
-    H = h[..., None]
-    hsq = np.einsum("cnk,cnk->nk", H, H)
+    H = h[:, None, :]
+    hsq = np.einsum("ckn,ckn->kn", H, H)
     slope, curv = _slopes_curvs(g, H, hsq, w, p, np.array([amp]))
     return float(slope[0]), float(curv[0])
 
 
-def _profiled_amplitude(g, h, w, p) -> float:
+def _profiled_amplitude(g, h, w, p, start=None) -> float:
     """argmin over A of the energy sum w |g - A h|^p, convex in A.
 
-    The p = 2 projection, which starts trust-region Newton otherwise.
-    Newton minimises half the squared slope with the Gauss-Newton
-    Hessian: its steps are Newton steps for the energy, but it compares
-    slopes, which a residual the amplitude cannot reach (a far bump)
-    does not drown in rounding as it drowns the energy.  The caller
-    certifies the result.
+    The p = 2 projection; otherwise trust-region Newton from start (the
+    kernel's amplitude) or from that projection.  Newton minimises half
+    the squared slope with the Gauss-Newton Hessian: its steps are Newton
+    steps for the energy, but it compares slopes, which a residual the
+    amplitude cannot reach (a far bump) does not drown in rounding as it
+    drowns the energy.  The caller certifies the result.
     """
-    hh = float(np.sum(w * np.sum(h * h, axis=0)))
-    amp0 = float(np.sum(w * np.sum(g * h, axis=0))) / hh if hh > 0.0 else 0.0
+    if start is None or p == 2.0:
+        hh = float(np.sum(w * np.sum(h * h, axis=0)))
+        amp0 = float(np.sum(w * np.sum(g * h, axis=0))) / hh if hh > 0.0 else 0.0
+    else:
+        amp0 = float(start)
     derivs = lru_cache(maxsize=1)(lambda amp: _slope_curv(g, h, w, p, amp))
     curv0 = derivs(amp0)[1] if p != 2.0 else 0.0
     if not curv0 > 0.0:
@@ -409,7 +413,7 @@ def _profiled_amplitude(g, h, w, p) -> float:
     return unit * float(res.x[0])
 
 
-# columns per kernel call: bounds the (components, nodes, columns) temporaries
+# columns per kernel call: bounds the (components, columns, nodes) temporaries
 AMPLITUDE_BLOCK = 8
 # Newton or bisection steps per kernel call; bisection alone needs about 60
 AMPLITUDE_MAX_STEPS = 100
@@ -418,8 +422,8 @@ AMPLITUDE_MAX_STEPS = 100
 def _profiled_amplitudes(g, H, w, p, start=None) -> np.ndarray:
     """_profiled_amplitude of every column of H, in one array solve.
 
-    g (components, nodes) is u's gradient stack and H (components,
-    nodes, K) the bubble columns, in the _gradient_stack layout.  p = 2
+    g (components, nodes) is u's gradient stack and H (components, K,
+    nodes) the bubble columns, each column's nodes contiguous.  p = 2
     is the closed-form projection.  Otherwise Newton on the monotone
     slope, every column at once, from start (one amplitude per column)
     or from the closed form: each column keeps the bracket its slope
@@ -431,10 +435,10 @@ def _profiled_amplitudes(g, H, w, p, start=None) -> np.ndarray:
     OptimizerStall after AMPLITUDE_MAX_STEPS steps, or on a non-finite
     slope.
     """
-    hsq = np.einsum("cnk,cnk->nk", H, H)
+    hsq = np.einsum("ckn,ckn->kn", H, H)
     if start is None or p == 2.0:
-        hh = w @ hsq
-        gh = w @ np.einsum("cn,cnk->nk", g, H)
+        hh = hsq @ w
+        gh = np.einsum("cn,ckn->kn", g, H) @ w
         amps = np.divide(gh, hh, out=np.zeros(hh.shape), where=hh > 0.0)
         if p == 2.0:
             return amps
@@ -444,78 +448,92 @@ def _profiled_amplitudes(g, H, w, p, start=None) -> np.ndarray:
     # curv0 = 0: the residual vanishes wherever h does not
     act = np.flatnonzero(curv > 0.0)
     if act.size < amps.size:
-        H, hsq, slope, curv = H[..., act], hsq[:, act], slope[act], curv[act]
-    lo = np.full(act.size, -np.inf)
-    hi = np.full(act.size, np.inf)
+        H, hsq, slope, curv = H[:, act], hsq[act], slope[act], curv[act]
+    # the bookkeeping of at most AMPLITUDE_BLOCK columns, in Python floats:
+    # numpy's call overhead would cost more than the slope evaluation
+    amps, act = amps.tolist(), act.tolist()
+    lo, hi = [-math.inf] * len(act), [math.inf] * len(act)
     for _ in range(AMPLITUDE_MAX_STEPS):
-        if not (np.isfinite(slope).all() and np.isfinite(curv).all()):
+        slope, curv = slope.tolist(), curv.tolist()
+        if not all(map(math.isfinite, slope + curv)):
             raise OptimizerStall("non-finite amplitude slope")
-        a = amps[act]
-        # the Newton step is below 1e-15 |A|: tested at the iterate, so the
-        # envelope slope of the dilation search sees the true amplitude
-        live = (np.abs(slope) > 1e-15 * np.abs(a) * curv) & (curv > 0.0)
-        lo = np.where(slope < 0.0, a, lo)
-        hi = np.where(slope > 0.0, a, hi)
-        new = a - np.divide(slope, curv, out=np.zeros(a.shape), where=live)
-        # the current point is one end of the bracket and the step heads
-        # for the other, an earlier point: a step past the midpoint says
-        # that point was the better guess (the overshoot that makes p < 2
-        # oscillate), so bisect; an infinite end is never passed
-        mid = 0.5 * lo + 0.5 * hi
-        np.copyto(new, mid, where=live & (np.abs(new - a) > np.abs(mid - a)))
-        ulp4 = 4.0 * np.spacing(np.abs(a))
-        live &= (np.abs(new - a) > ulp4) & (hi - lo > ulp4)
-        amps[act[live]] = new[live]
-        if not live.all():
-            act, H, hsq, lo, hi = act[live], H[..., live], hsq[:, live], lo[live], hi[live]
-        if not act.size:
-            return amps
-        slope, curv = _slopes_curvs(g, H, hsq, w, p, amps[act])
+        live = []
+        for j, (s, c) in enumerate(zip(slope, curv)):
+            a = amps[act[j]]
+            # the Newton step is below 1e-15 |A|: tested at the iterate, so the
+            # envelope slope of the dilation search sees the true amplitude
+            if not (abs(s) > 1e-15 * abs(a) * c and c > 0.0):
+                continue
+            if s < 0.0:
+                lo[j] = a
+            else:
+                hi[j] = a
+            new = a - s / c
+            # the current point is one end of the bracket and the step heads
+            # for the other, an earlier point: a step past the midpoint says
+            # that point was the better guess (the overshoot that makes p < 2
+            # oscillate), so bisect; an infinite end is never passed
+            mid = 0.5 * lo[j] + 0.5 * hi[j]
+            if abs(new - a) > abs(mid - a):
+                new = mid
+            ulp4 = 4.0 * math.ulp(abs(a))
+            if abs(new - a) > ulp4 and hi[j] - lo[j] > ulp4:
+                amps[act[j]] = new
+                live.append(j)
+        if len(live) < len(act):
+            act, lo, hi = ([x[j] for j in live] for x in (act, lo, hi))
+            H, hsq = H[:, live], hsq[live]
+        if not act:
+            return np.array(amps)
+        slope, curv = _slopes_curvs(g, H, hsq, w, p, np.array([amps[i] for i in act]))
     raise OptimizerStall(
-        f"amplitude Newton: {act.size} columns open after {AMPLITUDE_MAX_STEPS} steps"
+        f"amplitude Newton: {len(act)} columns open after {AMPLITUDE_MAX_STEPS} steps"
     )
 
 
 def _distance_search(u: Field, params: CknParams) -> tuple:
-    """(scan, point, columns, w): the projection's objective over the family.
+    """(scan, point, amplitudes, w): the projection's objective over the family.
 
     scan(log lams, shift) is the squared distance E^(2/p) at each
     dilation, E = sum w |g - A h|^p at the profiled amplitude A;
     point(log lam, shift) adds its first two derivatives in log lam and
-    the rounding bound of the first (_dilation_derivs).  columns(log lams, shift)
-    is u's gradient stack g and the unit-amplitude bubble columns H, in
-    the _gradient_stack layout with energy weights w.
+    the rounding bound of the first (_dilation_derivs).
+    amplitudes(log lams, shift) is u's gradient stack g (components,
+    nodes), the unit-amplitude bubble columns H (components, K, nodes)
+    and their profiled amplitudes; w holds the energy weights.  A log lam
+    solved before returns its amplitude after one slope evaluation.
     """
     p = params.p
     comps, w = _gradient_stack([u], params)
     g_centred = comps[..., 0]
     sig, m = params.sigma, params.bubble_m
     # the unit bubble's radial derivative is d_fac B (1 + B r^sigma)^(-m-1)
-    r = u.grid.nodes[:, None]
+    r = u.grid.nodes
     r_sig = r**sig
     d_fac = -m * sig * r ** (sig - 1.0)
 
     def columns(log_lams, shift):
-        # u's gradient stack and the unit-amplitude bubble gradients in its layout
+        # u's gradient stack and the unit-amplitude bubble gradients, one row each
         if shift != 0.0:
             bubs = [Bubble(1.0, math.exp(t), shift) for t in log_lams]
             fields = [_bubble_on(u, params, b) for b in bubs]
             # a translated bubble has an angular gradient even where u has none
             comps = _gradient_stack([u, *fields], params)[0]
-            return comps[..., 0], comps[..., 1:]
-        b_coeff = np.array([math.exp(t) ** sig for t in log_lams])
+            H = np.ascontiguousarray(comps[..., 1:].transpose(0, 2, 1))
+            return comps[..., 0], H
+        b_coeff = np.array([math.exp(t) ** sig for t in log_lams])[:, None]
         dv = (1.0 + b_coeff * r_sig) ** (-m - 1.0)
         dv *= d_fac * b_coeff
         g = g_centred
         if len(g) == 1 and u.is_radial:
             return g, dv[None]
-        H = np.zeros((len(g), u.grid.count, len(u.psi_nodes), len(log_lams)))
-        H[0] = dv[:, None, :]
-        return g, H.reshape(len(g), -1, len(log_lams))
+        H = np.zeros((len(g), len(log_lams), u.grid.count, len(u.psi_nodes)))
+        H[0] = dv[..., None]
+        return g, H.reshape(len(g), len(log_lams), -1)
 
     def radius_sig(shift):
         # R^sigma per node in the columns' layout
-        rs = r_sig if shift == 0.0 else _radius_pow(u, shift, sig)
+        rs = r_sig[:, None] if shift == 0.0 else _radius_pow(u, shift, sig)
         return np.broadcast_to(rs, u.values.shape).ravel()
 
     # shift -> {log lam: solved amplitude}, the warm starts of one-column calls
@@ -538,18 +556,18 @@ def _distance_search(u: Field, params: CknParams) -> tuple:
         out = np.empty(len(log_lams))
         for k in range(0, len(log_lams), AMPLITUDE_BLOCK):
             g, H, amps = amplitudes(log_lams[k : k + AMPLITUDE_BLOCK], shift)
-            H *= -amps
-            H += g[..., None]
-            mag_sq = np.einsum("cnk,cnk->nk", H, H)
-            out[k : k + AMPLITUDE_BLOCK] = w @ mag_sq ** (p / 2.0)
+            H *= -amps[:, None]
+            H += g[:, None, :]
+            mag_sq = np.einsum("ckn,ckn->kn", H, H)
+            out[k : k + AMPLITUDE_BLOCK] = mag_sq ** (p / 2.0) @ w
         return out ** (2.0 / p)
 
     def point(log_lam, shift):
         g, H, amps = amplitudes([log_lam], shift)
         y = math.exp(log_lam) ** sig * radius_sig(shift)
-        return _dilation_derivs(g, H[..., 0], y, w, p, amps[0], sig, m)
+        return _dilation_derivs(g, H[:, 0], y, w, p, amps[0], sig, m)
 
-    return scan, point, columns, w
+    return scan, point, amplitudes, w
 
 
 def manifold_distance(u: Field, params: CknParams) -> tuple[float, Bubble]:
@@ -572,12 +590,13 @@ def manifold_distance(u: Field, params: CknParams) -> tuple[float, Bubble]:
     if unorm == 0.0:
         raise ZeroField("zero gradient norm")
 
-    scan, point, columns, w = _distance_search(u, params)
+    scan, point, amplitudes, w = _distance_search(u, params)
     log_lam, shift = _family_min(scan, point, moment_seed(u, params), u, params)
-    # the certified amplitude: one scalar solve at the chosen dilation
-    g, H = columns([log_lam], shift)
-    h = H[..., 0]
-    amp = _profiled_amplitude(g, h, w, p)
+    # the certified amplitude: one scalar solve at the chosen dilation, from
+    # the kernel's amplitude there (the search's last point, so one slope)
+    g, H, amps = amplitudes([log_lam], shift)
+    h = H[:, 0]
+    amp = _profiled_amplitude(g, h, w, p, start=amps[0])
     dist = _energy(w, g - amp * h, p) ** (1.0 / p)
     # slope / p over the Hoelder bound ||r||^(p-1) ||h||; h = 0 has slope 0
     den = p * dist ** (p - 1.0) * _energy(w, h, p) ** (1.0 / p)

@@ -102,9 +102,10 @@ class GeneratorSpec:
 
     ``bubble_bump`` samples live on the grid ``window`` = (t_min, t_max,
     count); log10 eps, the bump centre and its width are drawn uniformly
-    from their (lo, hi) ranges.  Samples are drawn sequentially from one
-    seeded stream, so the first N samples of a longer scan coincide with
-    a shorter one.
+    from their (lo, hi) ranges.  InvalidArgument at construction for
+    lo > hi, or a width range that reaches 0.  Samples are drawn
+    sequentially from one seeded stream, so the first N samples of a
+    longer scan coincide with a shorter one.
     """
 
     family: str
@@ -113,6 +114,16 @@ class GeneratorSpec:
     eps_log10: tuple = (-3.0, -1.0)
     center: tuple = (-5.0, 5.0)
     width: tuple = (0.6, 1.8)
+
+    def __post_init__(self):
+        # the rules cli._range and cli._widths apply to a config at load
+        for name in ("eps_log10", "center", "width"):
+            lo, hi = getattr(self, name)
+            if not lo <= hi:
+                raise InvalidArgument(f"{name}: need lo <= hi, got {[lo, hi]}")
+        lo = self.width[0]
+        if not lo > 0.0:
+            raise InvalidArgument(f"width: bump widths must be positive, got lo={lo}")
 
     def tag(self, index: int) -> str:
         return f"{self.family}[{index}]@seed{self.seed}"

@@ -228,7 +228,8 @@ def _kernel_problem(tup, axisym, log_lams=KERNEL_LOG_LAMS):
     """u's stack and the columns: bubbles at log_lams and a bump at t = 45.
 
     u carries a near bump and a far one at t = 45, which the bubbles
-    cannot reach (the c04c setting).
+    cannot reach (the c04c setting).  The columns are the kernel's rows,
+    (components, columns, nodes).
     """
     ps = derive_params(*tup)
     grid = make_radial_grid(-30, 60, 1024)
@@ -242,7 +243,8 @@ def _kernel_problem(tup, axisym, log_lams=KERNEL_LOG_LAMS):
     cols = [sample_bubble(ps, Bubble(1.0, math.exp(t)), grid) for t in log_lams]
     cols.append(gaussian_bump_profile(grid, ps.n, 45.0, 1.0))
     comps, w = _gradient_stack([u, *cols], ps)
-    return ps, comps[..., 0], comps[..., 1:], w
+    H = np.ascontiguousarray(comps[..., 1:].transpose(0, 2, 1))
+    return ps, comps[..., 0], H, w
 
 
 def _slope_root(g, h, w, p, lo, hi):
@@ -271,8 +273,8 @@ def test_batched_amplitudes_match_scalar_solve(tup, axisym):
     ps, g, H, w = _kernel_problem(tup, axisym)
     assert H.shape[0] == (2 if axisym else 1)
     got = manifold._profiled_amplitudes(g, H, w, ps.p)
-    for k in range(H.shape[-1]):
-        want = _slope_root(g, H[..., k], w, ps.p, 0.5 * got[k], 2.0 * got[k])
+    for k in range(H.shape[1]):
+        want = _slope_root(g, H[:, k], w, ps.p, 0.5 * got[k], 2.0 * got[k])
         assert got[k] == pytest.approx(want, rel=1e-12), k
 
 
@@ -289,6 +291,14 @@ def test_batched_amplitude_step_cap_raises(monkeypatch):
     monkeypatch.setattr(manifold, "AMPLITUDE_MAX_STEPS", 1)
     with pytest.raises(OptimizerStall, match="columns open"):
         manifold._profiled_amplitudes(g, H, w, ps.p)
+
+
+def test_batched_amplitude_non_finite_slope_raises():
+    ps, g, H, w = _kernel_problem((4, 2.5, 0.2, 0.5), False)
+    start = [1.0, np.inf, 1.0, 1.0, 1.0]
+    with np.errstate(all="ignore"):
+        with pytest.raises(OptimizerStall, match="non-finite amplitude slope"):
+            manifold._profiled_amplitudes(g, H, w, ps.p, start=start)
 
 
 @pytest.mark.parametrize("axisym", [False, True])
@@ -312,9 +322,9 @@ def test_one_component_slopes_match_generic_path(p):
     # a column equal to g on the inner half: at amplitude 1 the residual,
     # and with it the flux, vanishes there
     inner = np.arange(g.shape[1]) < g.shape[1] // 2
-    H = np.concatenate([H, np.where(inner, g, 0.5 * g)[..., None]], axis=-1)
+    H = np.concatenate([H, np.where(inner, g, 0.5 * g)[:, None, :]], axis=1)
     amps = np.append(amps, 1.0)
-    hsq = np.einsum("cnk,cnk->nk", H, H)
+    hsq = np.einsum("ckn,ckn->kn", H, H)
     one = manifold._slopes_curvs(g, H, hsq, w, p, amps)
     # the same stack with an all-zero angular row takes the generic path
     g2 = np.concatenate([g, np.zeros_like(g)])
@@ -328,7 +338,7 @@ def test_warm_start_saves_far_bump_slope_evaluations(monkeypatch):
     # c04c's tuple; the neighbour sits one Brent-sized step away
     t = math.log(1.3)
     ps, g, H, w = _kernel_problem((4, 2.5, 0.2, 0.5), False, (t, t + 0.01))
-    near = manifold._profiled_amplitudes(g, H[..., :1], w, ps.p)
+    near = manifold._profiled_amplitudes(g, H[:, :1], w, ps.p)
     calls = []
     slopes_curvs = manifold._slopes_curvs
 
@@ -337,11 +347,32 @@ def test_warm_start_saves_far_bump_slope_evaluations(monkeypatch):
         return slopes_curvs(*args)
 
     monkeypatch.setattr(manifold, "_slopes_curvs", counted)
-    manifold._profiled_amplitudes(g, H[..., 1:2], w, ps.p)
+    manifold._profiled_amplitudes(g, H[:, 1:2], w, ps.p)
     cold = len(calls)
     calls.clear()
-    manifold._profiled_amplitudes(g, H[..., 1:2], w, ps.p, start=near)
+    manifold._profiled_amplitudes(g, H[:, 1:2], w, ps.p, start=near)
     assert len(calls) < cold
+
+
+@pytest.mark.parametrize(
+    "tup,window",
+    [((4, 2.5, 0.2, 0.5), (-30, 30, 2048)), ((4, 3.0, 0.1, 0.1), (-60, 60, 3072))],
+)
+def test_scan_blocks_match_one_column_solves(tup, window):
+    # a 33-point scan of a c04a/c04b sample, solved as the scan solves it
+    from cknlab.stability import perturbed_bubble
+
+    ps = derive_params(*tup)
+    u = perturbed_bubble(ps, make_radial_grid(*window), 0.05, 1.0, 1.0)
+    _, _, amplitudes, w = manifold._distance_search(u, ps)
+    seed = moment_seed(u, ps)
+    x = np.linspace(seed - 8.0, seed + 8.0, 33)
+    block = manifold.AMPLITUDE_BLOCK
+    for k in range(0, len(x), block):
+        g, H, amps = amplitudes(x[k : k + block], 0.0)
+        for j in range(H.shape[1]):
+            one = manifold._profiled_amplitudes(g, H[:, j : j + 1], w, ps.p)
+            assert amps[j] == pytest.approx(one[0], rel=1e-12), k + j
 
 
 # one admissible tuple per exponent with a > 0, and one with a = b = 0
@@ -516,16 +547,65 @@ def test_dilation_newton_certifies_and_guards_its_bracket():
 
 
 def test_certificate_first_order_residual_raises(monkeypatch):
-    # an amplitude solver that never moves leaves the p = 2 projection,
-    # which misses the p = 2.5 first-order condition
+    # an amplitude solver that never moves, started without the kernel's
+    # amplitude, leaves the p = 2 projection, which misses the p = 2.5
+    # first-order condition
     def stuck(fun, x0, **kwargs):
         x = np.asarray(x0, dtype=float)
         return OptimizeResult(x=x, fun=fun(x)[0], nfev=1, nit=0, success=False)
 
+    def cold(g, h, w, p, start=None):
+        return solve(g, h, w, p)
+
     ps, u = _perturbed_p25()
+    solve = manifold._profiled_amplitude
     monkeypatch.setattr(manifold, "minimize", stuck)
+    monkeypatch.setattr(manifold, "_profiled_amplitude", cold)
     with pytest.raises(OptimizerStall, match="first-order residual"):
         manifold_distance(u, ps)
+
+
+def test_certified_amplitude_starts_from_kernel(monkeypatch):
+    # a c04a sample at p = 2.5: the trust-region solve starts at the
+    # kernel's amplitude at the chosen dilation and has nothing to polish,
+    # where a start at the p = 2 projection needs several iterations
+    from cknlab.stability import perturbed_bubble
+
+    ps = derive_params(4, 2.5, 0.2, 0.5)
+    u = perturbed_bubble(ps, make_radial_grid(-30, 30, 2048), 0.05, 1.0, 1.0)
+    kernel, starts, solves = [], [], []
+    batched, scalar = manifold._profiled_amplitudes, manifold._profiled_amplitude
+
+    def spied_batched(*args):
+        kernel.append(batched(*args))
+        return kernel[-1]
+
+    def spied_scalar(g, h, w, p, start=None):
+        starts.append(start)
+        return scalar(g, h, w, p, start)
+
+    def spied_minimize(fun, x0, **kwargs):
+        solves.append((np.array(x0, dtype=float), minimize(fun, x0, **kwargs)))
+        return solves[-1][1]
+
+    monkeypatch.setattr(manifold, "_profiled_amplitudes", spied_batched)
+    monkeypatch.setattr(manifold, "_profiled_amplitude", spied_scalar)
+    monkeypatch.setattr(manifold, "minimize", spied_minimize)
+    _, bub = manifold_distance(u, ps)
+    (x0, res), = solves
+    # x0 is the start over its own magnitude
+    assert starts == [kernel[-1][0]]
+    assert x0[0] * abs(starts[0]) == starts[0]
+    assert res.nit <= 1
+    assert bub.amplitude == pytest.approx(starts[0], rel=1e-12)
+
+    # the same solve from the p = 2 projection
+    _, _, amplitudes, w = manifold._distance_search(u, ps)
+    g, H, _ = amplitudes([math.log(bub.scale)], 0.0)
+    solves.clear()
+    cold = scalar(g, H[:, 0], w, ps.p)
+    assert solves[0][1].nit > 1
+    assert cold == pytest.approx(bub.amplitude, rel=1e-12)
 
 
 def test_select_pu_recovers_scale():

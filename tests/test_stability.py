@@ -111,6 +111,24 @@ def test_family_rejects_unknown():
         list(family_samples(GeneratorSpec("mystery"), ps, 2))
 
 
+def test_generator_spec_checks_its_ranges():
+    # a library caller gets the CLI's load-time rules, not numpy's
+    # "high - low < 0" from the first draw
+    ps = derive_params(3, 2, 0, 0)
+    with pytest.raises(InvalidArgument, match="center: need lo <= hi"):
+        k_upper_scan(
+            GeneratorSpec("bubble_bump", window=(-20, 20, 128), center=(5.0, -5.0)),
+            ps,
+            sample_count=1,
+        )
+    for bad in ({"eps_log10": (-1.0, -3.0)}, {"width": (1.8, 0.6)}):
+        with pytest.raises(InvalidArgument, match="need lo <= hi"):
+            GeneratorSpec("bubble_bump", **bad)
+    for bad in ((0.0, 1.0), (-0.5, 1.0)):
+        with pytest.raises(InvalidArgument, match="widths must be positive"):
+            GeneratorSpec("bubble_bump", width=bad)
+
+
 def test_scan_bound_positive_and_monotone():
     # tail rate (n-p-pa)/(p-1) = 0.83, clean on the +-25 window
     ps = derive_params(4, 2.5, 0.1, 0.4)
