@@ -29,14 +29,15 @@ from . import __version__
 from .critical import (
     dual_norm_estimate,
     elementary_C_estimate,
-    spectral_gap_ratio,
     expansion_quantities,
+    spectral_gap,
 )
 from .errors import (
     CknError,
     ConfigError,
     DegenerateFit,
     GammaMismatch,
+    InvalidArgument,
     LedgerCorrupt,
     NonFiniteOutput,
     OptimizerStall,
@@ -46,7 +47,7 @@ from .errors import (
 )
 from .fields import gaussian_bump_profile, make_radial_grid, modulated_axisym
 from .functionals import deficit, grad_norm, q_norm
-from .manifold import canonical_bubble, canonical_profile, orthogonalize
+from .manifold import canonical_profile
 from .params import CknParams, derive_hat_params, derive_params, sharp_constant
 from .stability import (
     GeneratorSpec,
@@ -276,28 +277,16 @@ def _operation(value, path: str) -> str:
     return value
 
 
-def _range(value, path: str) -> tuple:
-    """[lo, hi] with lo <= hi, the ends a family sample is drawn between."""
-    lo, hi = _items(_real, _real)(value, path)
-    if not lo <= hi:
-        raise ConfigError(f"{path}: need lo <= hi, got {[lo, hi]}")
-    return lo, hi
+_pair = _items(_real, _real)
 
-
-def _widths(value, path: str) -> tuple:
-    lo, hi = _range(value, path)
-    if not lo > 0.0:
-        raise ConfigError(f"{path}: bump widths must be positive, got lo={lo}")
-    return lo, hi
-
-
-# family name -> its option readers; GeneratorSpec holds the defaults
+# family name -> its option readers; GeneratorSpec holds the defaults and
+# checks the ranges
 _FAMILIES = {
     "bubble_bump": {
         "window": (_window, None),
-        "eps_log10": (_range, None),
-        "center": (_range, None),
-        "width": (_widths, None),
+        "eps_log10": (_pair, None),
+        "center": (_pair, None),
+        "width": (_pair, None),
     },
 }
 _FAMILY_KEYS = {
@@ -345,7 +334,10 @@ def _parse_config(raw: dict) -> ExperimentConfig:
         keys = _FAMILIES[family["name"]]
         ranges = _read_keys(family["options"], keys, "config.family.options")
         set_ranges = {key: value for key, value in ranges.items() if value is not None}
-        family = GeneratorSpec(family["name"], family["seed"], **set_ranges)
+        try:
+            family = GeneratorSpec(family["name"], family["seed"], **set_ranges)
+        except InvalidArgument as exc:
+            raise ConfigError(f"config.family.options.{exc}") from None
     checked = SimpleNamespace(
         **_read_keys(written["options"], op.options, "config.options"),
         **_read_keys(written["tolerances"], tolerances, "config.tolerances"),
@@ -403,8 +395,8 @@ def _above(label: str, value: float, bound: float) -> list:
 # ---------------------------------------------------------------------------
 # operation handlers: job -> (outputs, violations).  job holds the checked
 # values of the config, its tuples as written, the grid [t_min, t_max, count]
-# (count doubled on the strict profile, as is the family window's), the seed
-# and the thread count
+# (count doubled on the strict profile, as is the family window's) and the
+# thread count
 
 
 def _op_constants(job):
@@ -575,24 +567,14 @@ def _op_embedding_check(job):
 
 
 def _op_spectral_gap(job):
-    ps = job.params[0]
-    grid = make_radial_grid(*job.grid)
-    bub = canonical_bubble(ps)
-    rng = np.random.default_rng(job.seed)
-    centers = rng.uniform(-3.0, 3.0, job.count)
-    widths = rng.uniform(0.5, 1.5, job.count)
-
-    def one(cw):
-        rho = orthogonalize(gaussian_bump_profile(grid, ps.n, cw[0], cw[1]), bub, ps)
-        return float(spectral_gap_ratio(bub, rho, ps).ratio)
-
-    ratios = _map_ordered(one, list(zip(centers, widths)), job.threads)
+    value, half, kept = spectral_gap(job.params[0], make_radial_grid(*job.grid), job.count)
     outputs = {
         "tuple": list(job.tuples[0]),
-        "ratios": ratios,
-        "min_ratio": float(min(ratios)),
+        "min_ratio": value,
+        "half_ratio": half,
+        "kept": kept,
     }
-    return outputs, _above("min_ratio", outputs["min_ratio"], job.ratio_floor)
+    return outputs, _above("min_ratio", value, job.ratio_floor)
 
 
 def _op_expansion_slopes(job):
@@ -786,12 +768,10 @@ def _write_csv(record: ResultRecord, ledger_path: str) -> str:
     return out_path
 
 
-def _run(cfg: ExperimentConfig, ledger_path, seed, threads, tol_profile) -> ResultRecord:
+def _run(cfg: ExperimentConfig, ledger_path, threads, tol_profile) -> ResultRecord:
     """Execute one loaded config: dispatch, append to the ledger, write CSV."""
     if tol_profile not in ("fast", "strict"):
         raise ConfigError(f"unknown tol profile {tol_profile!r}")
-    if seed is not None:
-        cfg = replace(cfg, seed=_count(0)(seed, "seed"))
     op = OPERATIONS[cfg.operation]
     refine = 2 if tol_profile == "strict" else 1  # node count factor of every grid
     family = cfg.checked.family
@@ -801,7 +781,6 @@ def _run(cfg: ExperimentConfig, ledger_path, seed, threads, tol_profile) -> Resu
         **{**vars(cfg.checked), "family": family},
         tuples=cfg.params,
         grid=(*cfg.grid[:2], cfg.grid[2] * refine),
-        seed=cfg.seed,
         threads=max(1, threads),
     )
     try:
@@ -845,12 +824,11 @@ def _run(cfg: ExperimentConfig, ledger_path, seed, threads, tol_profile) -> Resu
 def run_experiment(
     config_path: str,
     ledger_path: Optional[str] = None,
-    seed: Optional[int] = None,
     threads: int = 1,
     tol_profile: str = "fast",
 ) -> ResultRecord:
     """Load one config file and execute it."""
-    return _run(load_config(config_path), ledger_path, seed, threads, tol_profile)
+    return _run(load_config(config_path), ledger_path, threads, tol_profile)
 
 
 # ---------------------------------------------------------------------------
@@ -953,7 +931,6 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="experiment config path")
         cmd.add_argument("--ledger", default=None, help="ledger path override")
         cmd.add_argument("--threads", type=int, default=1)
-        cmd.add_argument("--seed", type=int, default=None, help="override config seed")
         cmd.add_argument(
             "--tol-profile", choices=("fast", "strict"), default="fast"
         )
@@ -977,7 +954,7 @@ def main(argv: Optional[list] = None) -> int:
                 f"config.operation is {cfg.operation!r} but the "
                 f"{args.command} command was invoked"
             )
-        record = _run(cfg, args.ledger, args.seed, args.threads, args.tol_profile)
+        record = _run(cfg, args.ledger, args.threads, args.tol_profile)
         print(f"{record.experiment}: outputs digest {record.outputs_digest[:12]}")
         for line in record.outputs["violations"]:
             print(f"violation: {line}", file=sys.stderr)

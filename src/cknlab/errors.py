@@ -74,11 +74,7 @@ class GridMismatch(CknError):
 
 
 class BasisTooSmall(CknError):
-    """Dual-norm basis too small to mean anything."""
-
-
-class NotOrthogonal(CknError):
-    """Direction fails the tangent-space orthogonality required by a spectral quotient."""
+    """Dual-norm or Ritz basis too small to mean anything."""
 
 
 class FarFromManifold(CknError):

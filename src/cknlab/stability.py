@@ -116,7 +116,6 @@ class GeneratorSpec:
     width: tuple = (0.6, 1.8)
 
     def __post_init__(self):
-        # the rules cli._range and cli._widths apply to a config at load
         for name in ("eps_log10", "center", "width"):
             lo, hi = getattr(self, name)
             if not lo <= hi:

@@ -193,22 +193,6 @@ def test_project_exact_bubble_mode(tmp_path):
     assert duals[2] is None
 
 
-def test_seed_override_changes_inputs_digest(tmp_path):
-    path = _write(tmp_path, "c.json", CONSTANTS_CFG)
-    ledger = str(tmp_path / "ledger.jsonl")
-    r0 = run_experiment(path, ledger_path=ledger)
-    r9 = run_experiment(path, ledger_path=ledger, seed=9)
-    assert r0.inputs_digest != r9.inputs_digest
-
-
-def test_negative_seed_override_exit(tmp_path, capsys):
-    path = _write(tmp_path, "c.json", CONSTANTS_CFG)
-    ledger = str(tmp_path / "ledger.jsonl")
-    assert main(["constants", "--config", path, "--ledger", ledger, "--seed", "-1"]) == 2
-    assert "seed" in capsys.readouterr().err
-    assert not os.path.exists(ledger)
-
-
 def test_ledger_env_override(monkeypatch, tmp_path):
     target = str(tmp_path / "elsewhere.jsonl")
     monkeypatch.setenv("CKNLAB_LEDGER", target)

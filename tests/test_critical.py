@@ -15,12 +15,10 @@ from cknlab.errors import (
     FarFromManifold,
     GridMismatch,
     InvalidArgument,
-    NotOrthogonal,
     OptimizerStall,
     RegionViolation,
     ScalingGuardFailure,
     TranslationForbidden,
-    UnsupportedField,
     ZeroField,
 )
 from cknlab.critical import (
@@ -30,8 +28,8 @@ from cknlab.critical import (
     elementary_C_estimate,
     elementary_terms,
     hessian_form,
-    spectral_gap_ratio,
     expansion_quantities,
+    spectral_gap,
 )
 from cknlab.fields import (
     Bubble,
@@ -306,25 +304,10 @@ def test_hessian_quadratic_homogeneity(c):
     assert hessian_form(bub, c * rho, PS53) == pytest.approx(c * c * base, rel=1e-12)
 
 
-def test_hessian_radial_reduced_route_agrees():
-    rho = _unit_ortho_bump(PS53)
-    bub = canonical_bubble(PS53)
-    full = hessian_form(bub, rho, PS53)
-    red = hessian_form(bub, rho, PS53, reduced=True)
-    assert abs(full - red) <= 1e-10 * abs(full)
-
-
 def test_hessian_needs_p_above_two():
     rho = gaussian_bump_profile(_grid(), PS32.n, 0.0, 1.0)
     with pytest.raises(RegionViolation):
         hessian_form(canonical_bubble(PS32), rho, PS32)
-
-
-def test_hessian_reduced_is_radial_only():
-    bump = gaussian_bump_profile(_grid(), PS53.n, 0.0, 1.0)
-    axi = modulated_axisym(bump, 48, cos_coeff=0.0)
-    with pytest.raises(UnsupportedField):
-        hessian_form(canonical_bubble(PS53), axi, PS53, reduced=True)
 
 
 def test_hessian_rejects_shifted_bubble():
@@ -348,37 +331,60 @@ def test_dilation_mode_saturates_the_form():
 # spectral gap
 
 
-def test_spectral_gap_exceeds_one():
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_spectral_gap_p2_closed_form(n):
+    # p = 2, a = b = 0: the first ratio off the tangent space is (n + 4) / n
+    # (Bianchi-Egnell); a leaked tangent would read about 1
+    ps = derive_params(n, 2.0, 0.0, 0.0)
     wide = _grid(WIDE_SPEC)
+    values = [spectral_gap(ps, wide, k)[0] for k in (5, 10, 20, 40)]
+    assert values[2] == pytest.approx((n + 4.0) / n, abs=1e-3)
+    assert all(later <= earlier for earlier, later in zip(values, values[1:]))
+
+
+def test_spectral_gap_half_basis_is_its_prefix():
+    wide = _grid(WIDE_SPEC)
+    value, half, kept = spectral_gap(PS43, wide, 20)
+    assert 1.0 < value < 2.0 and value <= half
+    assert kept == 20
+    assert spectral_gap(PS43, wide, 10)[0] == pytest.approx(half, rel=1e-12)
+
+
+def test_spectral_gap_equal_weights_stretch_to_flat():
+    # at a = b the stretch sends the radial sector to the weightless tuple
+    wide = _grid(WIDE_SPEC)
+    stretched = spectral_gap(derive_params(5, 2.0, 0.3, 0.3), wide, 20)[0]
+    flat = spectral_gap(derive_params(5, 2.0, 0.0, 0.0), wide, 20)[0]
+    assert stretched == pytest.approx(flat, abs=1e-5)
+
+
+def test_ritz_matrices_match_the_forms():
+    # x^T H x is the Hessian form and x^T M x the (q - 1) V-pairing of sum x_i rho_i
+    wide = _grid(WIDE_SPEC)
+    h, m = critical._ritz_matrices(PS43, wide, 6)
+    x = np.array([0.3, -1.2, 0.7, 2.0, -0.4, 1.1])
     bub = canonical_bubble(PS43)
-    rho = orthogonalize(gaussian_bump_profile(wide, PS43.n, 1.0, 0.8), bub, PS43)
-    rep = spectral_gap_ratio(bub, rho, PS43)
-    assert rep.ratio > 1.5
-    assert rep.tau_estimate == pytest.approx(rep.ratio - 1.0, rel=1e-12)
-    assert rep.lhs == pytest.approx(rep.ratio * rep.rhs, rel=1e-12)
+    unit = 1.0 / PS43.sigma
+    centers = critical._ladder_centers(6, critical.RITZ_STEP)
+    width = critical.RITZ_WIDTH * unit
+    bumps = [
+        orthogonalize(gaussian_bump_profile(wide, PS43.n, c * unit, width), bub, PS43)
+        for c in centers
+    ]
+    rho = x[0] * bumps[0]
+    for xi, bump in zip(x[1:], bumps[1:]):
+        rho = rho + xi * bump
+    vf = canonical_profile(PS43, wide)
+    assert x @ h @ x == pytest.approx(hessian_form(bub, rho, PS43), rel=1e-12)
+    assert x @ m @ x == pytest.approx((PS43.q - 1.0) * v_inner(rho, rho, vf, PS43), rel=1e-12)
 
 
-def test_spectral_ratio_scale_invariant():
+def test_spectral_gap_range_and_basis():
     wide = _grid(WIDE_SPEC)
-    bub = canonical_bubble(PS43)
-    rho = orthogonalize(gaussian_bump_profile(wide, PS43.n, 1.0, 0.8), bub, PS43)
-    r1 = spectral_gap_ratio(bub, rho, PS43).ratio
-    r2 = spectral_gap_ratio(bub, 2.0 * rho, PS43).ratio
-    assert r2 == pytest.approx(r1, rel=1e-12)
-
-
-def test_spectral_rejects_tangent_component():
-    wide = _grid(WIDE_SPEC)
-    raw = gaussian_bump_profile(wide, PS43.n, 1.0, 0.8)
-    with pytest.raises(NotOrthogonal):
-        spectral_gap_ratio(canonical_bubble(PS43), raw, PS43)
-
-
-def test_spectral_rejects_zero_rho():
-    wide = _grid(WIDE_SPEC)
-    zero = Field.radial(wide, PS43.n, np.zeros(wide.count), np.zeros(wide.count))
-    with pytest.raises(ZeroField):
-        spectral_gap_ratio(canonical_bubble(PS43), zero, PS43)
+    with pytest.raises(RegionViolation):
+        spectral_gap(derive_params(3, 1.5, 0.0, 0.0), wide, 4)
+    with pytest.raises(BasisTooSmall):
+        spectral_gap(PS43, wide, 0)
 
 
 # ---------------------------------------------------------------------------
