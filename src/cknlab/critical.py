@@ -32,11 +32,11 @@ from .functionals import _energy, _flux_factor, _gradient_stack
 from .functionals import grad_norm, weighted_grad_pnorm
 from .manifold import (
     _bubble_on,
-    _tangents_like,
+    _tangent_free,
     canonical_bubble,
     mu_rho_decompose,
-    orthogonalize,
     select_Pu,
+    tangent_basis,
 )
 from .params import CknParams
 
@@ -132,7 +132,7 @@ def _ladder_centers(count: int, step: float) -> list:
 
 
 def _test_basis(u: Field, params: CknParams, size: int) -> list:
-    core = _tangents_like(u, Bubble(amplitude=1.0, scale=1.0), params)
+    core = tangent_basis(Bubble(amplitude=1.0, scale=1.0), params, u.grid)
     for c in _ladder_centers(size - len(core), LADDER_STEP):
         core.append(gaussian_bump_profile(u.grid, u.dim, c, LADDER_WIDTH))
     return core
@@ -255,20 +255,18 @@ def dual_norm_estimate(
 
 
 def hessian_form(v_bub: Bubble, rho: Field, params: CknParams) -> float:
-    """Degenerate second-variation form at the bubble, p > 2 only.
+    """Degenerate second-variation form at the bubble, p >= 2.
 
     integral |x|^-pa (|grad V|^(p-2) |grad rho|^2
-    + (p-2) |grad V|^(p-4) (grad V . grad rho)^2).
+    + (p-2) |grad V|^(p-4) (grad V . grad rho)^2); V is radial, so the
+    second term is (p-2) |V'|^(p-2) rho_r^2, zero at p = 2.
     """
     n, p, a = params.n, params.p, params.a
-    if p <= 2.0:
-        raise RegionViolation(f"quadratic form defined for p > 2, got p={p}")
+    if p < 2.0:
+        raise RegionViolation(f"quadratic form defined for p >= 2, got p={p}")
     dv = sample_bubble(params, v_bub, rho.grid).grad_r  # centred bubbles only
-    mag = np.abs(dv)
-    integrand = (
-        _flux_factor(mag, p - 2.0) * rho.grad_sq()
-        + (p - 2.0) * _flux_factor(mag, p - 4.0) * (dv * rho.grad_r) ** 2
-    )
+    integrand = rho.grad_sq() + (p - 2.0) * rho.grad_r**2
+    integrand *= _flux_factor(np.abs(dv), p - 2.0)
     return rho.integrate(n - 1.0 - p * a, integrand)
 
 
@@ -276,23 +274,25 @@ def _ritz_matrices(params: CknParams, grid: RadialGrid, basis_size: int) -> tupl
     """(H, M) of the radial Ritz basis at the canonical bubble.
 
     The basis is basis_size Gaussian bumps on the nested ladder in
-    s = sigma log r, each with the amplitude and dilation tangents
-    projected out.  H_ij = integral (p-1) |V'|^(p-2) rho_i' rho_j' |x|^-pa
-    (the Hessian form on radial rho) and M_ij = integral (q-1) V^(q-2)
-    rho_i rho_j |x|^-qb (the pairing the gap is measured against).
+    s = sigma log r, stacked as rows, with the amplitude and dilation
+    tangents projected out of all of them in one _tangent_free call.
+    H_ij = integral (p-1) |V'|^(p-2) rho_i' rho_j' |x|^-pa (the Hessian
+    form on radial rho) and M_ij = integral (q-1) V^(q-2) rho_i rho_j
+    |x|^-qb (the pairing the gap is measured against).
     """
     n, p, q = params.n, params.p, params.q
     bub = canonical_bubble(params)
     unit = 1.0 / params.sigma  # log radius per unit of s
     width = RITZ_WIDTH * unit
-    vals, grads = np.empty((2, grid.count, basis_size))
-    for k, c in enumerate(_ladder_centers(basis_size, RITZ_STEP)):
-        rho = orthogonalize(gaussian_bump_profile(grid, n, c * unit, width), bub, params)
-        vals[:, k], grads[:, k] = rho.values[:, 0], rho.grad_r[:, 0]
+    centers = _ladder_centers(basis_size, RITZ_STEP)
+    bumps = [gaussian_bump_profile(grid, n, c * unit, width) for c in centers]
+    vals = np.array([b.values[:, 0] for b in bumps])
+    grads = np.array([b.grad_r[:, 0] for b in bumps])
+    vals, grads = _tangent_free(vals, grads, bub, params, grid)
     v = sample_bubble(params, bub, grid)
     wh = v.measure(n - 1.0 - p * params.a) * _flux_factor(np.abs(v.grad_r), p - 2.0)
     wm = v.measure(n - 1.0 - q * params.b) * v.values ** (q - 2.0)
-    return (p - 1.0) * grads.T @ (wh * grads), (q - 1.0) * vals.T @ (wm * vals)
+    return (p - 1.0) * grads @ (wh.T * grads).T, (q - 1.0) * vals @ (wm.T * vals).T
 
 
 def _smallest_ritz(h: np.ndarray, m: np.ndarray) -> tuple[float, int]:

@@ -66,7 +66,7 @@ class DegenerateFit(CknError):
 
 
 class UnsupportedField(CknError):
-    """Field does not satisfy the support restriction of a bounded-domain check."""
+    """Field the operation does not take: support past its domain, or not radial."""
 
 
 class GridMismatch(CknError):

@@ -22,9 +22,11 @@ from scipy.optimize import minimize, minimize_scalar
 from scipy.special import betaln, digamma
 
 from .errors import (
+    MissingGradient,
     OptimizerStall,
     RootFindFailure,
     TranslationForbidden,
+    UnsupportedField,
     ZeroField,
 )
 from .fields import (
@@ -34,7 +36,6 @@ from .fields import (
     bubble_evaluator,
     bubble_second_derivative,
     _shifted_radius,
-    make_psi_grid,
     sample_bubble,
 )
 from .functionals import _energy, _flux_factor, _gradient_stack, weighted_grad_pnorm
@@ -259,7 +260,7 @@ def _family_min(scan, point, seed: float, u: Field, params: CknParams) -> tuple:
     """(log lam, shift) minimising f(log lam, shift) over the family.
 
     scan(log lams, shift) and point(log lam, shift) are _bracketed_min's
-    at one shift.  The shift moves only for axisymmetric u with
+    at one shift.  The shift moves only for a non-radial u with
     a = b = 0: Brent over the dilation-profiled minimum, from the
     checked bracket (-1, 0, 1).
     """
@@ -574,7 +575,7 @@ def manifold_distance(u: Field, params: CknParams) -> tuple[float, Bubble]:
     """Metric projection distance (D_a^p metric) to the family, and the bubble.
 
     The amplitude is profiled out and the dilation (and the axial shift
-    of an axisymmetric field with a = b = 0) searched by _family_min
+    of a non-radial field with a = b = 0) searched by _family_min
     from the q-mass moment seed.  ZeroField for a zero input.
     OptimizerStall when the certificate fails: a minimum is not
     bracketed, or, at a distance above ROUNDING_FLOOR of the gradient
@@ -699,20 +700,12 @@ def mu_rho_decompose(u: Field, v_bub: Bubble, params: CknParams) -> Decompositio
     return DecompositionRecord(mu=mu, rho=u - mu * v_field)
 
 
-def tangent_basis(
-    v_bub: Bubble,
-    params: CknParams,
-    grid: RadialGrid,
-    axisym: bool = False,
-    psi_count: int = 128,
-) -> list[Field]:
+def tangent_basis(v_bub: Bubble, params: CknParams, grid: RadialGrid) -> list[Field]:
     """Tangent directions of the family at a (centred) bubble.
 
     The amplitude direction V and the dilation direction
-    (n-p-pa)/p V + r V', both radial.  The axisymmetric kind adds the
-    axial translation V'(r) cos(psi) in the unweighted case; the
-    remaining translation directions have no axisymmetric
-    representative and are omitted.
+    (n-p-pa)/p V + r V', both radial.  Translation is not among them:
+    the axial-shift search of the projection covers it.
     """
     if v_bub.axial_shift != 0.0:
         raise ZeroField("tangent basis is built at a centred bubble")
@@ -725,31 +718,10 @@ def tangent_basis(
     d2v = ev2(r)
     w = params.dilation_weight
     n = params.n
-    basis = [
+    return [
         Field.radial(grid, n, v, dv),
         Field.radial(grid, n, w * v + r * dv, (w + 1.0) * dv + r * d2v),
     ]
-    if axisym and params.a == 0.0 and params.b == 0.0:
-        psi, wpsi = make_psi_grid(n, psi_count)
-        c = np.cos(psi)
-        basis.append(
-            Field(
-                grid=grid,
-                dim=n,
-                psi_nodes=psi,
-                psi_weights=wpsi,
-                values=dv[:, None] * c,
-                grad_r=d2v[:, None] * c,
-                grad_psi=-dv[:, None] * np.sin(psi),
-            )
-        )
-    return basis
-
-
-def _tangents_like(f: Field, v_bub: Bubble, params: CknParams) -> list[Field]:
-    return tangent_basis(
-        v_bub, params, f.grid, axisym=not f.is_radial, psi_count=len(f.psi_nodes)
-    )
 
 
 def orthogonality_check(rho: Field, v_bub: Bubble, params: CknParams) -> list[float]:
@@ -758,7 +730,7 @@ def orthogonality_check(rho: Field, v_bub: Bubble, params: CknParams) -> list[fl
     Each entry is <W_i, rho>_V / (|W_i|_V |rho|_V); identically zero
     rho returns a zero vector.
     """
-    basis = _tangents_like(rho, v_bub, params)
+    basis = tangent_basis(v_bub, params, rho.grid)
     v_field = sample_bubble(params, v_bub, rho.grid)
     rho_norm = math.sqrt(max(v_inner(rho, rho, v_field, params), 0.0))
     out = []
@@ -772,15 +744,38 @@ def orthogonality_check(rho: Field, v_bub: Bubble, params: CknParams) -> list[fl
     return out
 
 
+def _tangent_free(vals, grads, v_bub: Bubble, params: CknParams, grid: RadialGrid) -> tuple:
+    """Radial rows (K, nodes) with the amplitude and dilation tangents removed.
+
+    vals and grads hold K radial functions and their r-derivatives, one
+    row each.  With T the two tangent rows and W the V-weighted measure
+    w r^(n-1-qb) V^(q-2), the coefficients C solve the 2 x 2 Gram system
+    (T W T^T) C = T W vals^T, and the rows leave as vals - C^T T (grads
+    likewise): the orthogonal projection in <., .>_V, up to the sphere
+    area, which cancels.  ZeroField for a zero-amplitude bubble, whose
+    tangents vanish.
+    """
+    if v_bub.amplitude == 0.0:
+        raise ZeroField("tangents of a zero-amplitude bubble vanish; no projection")
+    tangents = tangent_basis(v_bub, params, grid)
+    t_vals = np.array([t.values[:, 0] for t in tangents])
+    t_grads = np.array([t.grad_r[:, 0] for t in tangents])
+    v = sample_bubble(params, v_bub, grid).values[:, 0]
+    power = params.n - 1.0 - params.q * params.b
+    weighted = t_vals * (grid.radial_weights(power) * v ** (params.q - 2.0))
+    coef = np.linalg.solve(weighted @ t_vals.T, weighted @ vals.T)
+    return vals - coef.T @ t_vals, grads - coef.T @ t_grads
+
+
 def orthogonalize(f: Field, v_bub: Bubble, params: CknParams) -> Field:
-    """Project the tangent directions out of f in the V-weighted metric."""
-    basis = _tangents_like(f, v_bub, params)
-    v_field = sample_bubble(params, v_bub, f.grid)
-    # Gram-Schmidt against the (non-orthogonal) tangent set, two sweeps
-    for _ in range(2):
-        for w_field in basis:
-            w_sq = v_inner(w_field, w_field, v_field, params)
-            if w_sq <= 0.0:
-                continue
-            f = f - (v_inner(w_field, f, v_field, params) / w_sq) * w_field
-    return f
+    """f with the tangent directions projected out: _tangent_free of one row.
+
+    UnsupportedField for a non-radial f, MissingGradient without
+    gradient data.
+    """
+    if not f.is_radial:
+        raise UnsupportedField("tangent projection takes a radial field")
+    if f.grad_r is None:
+        raise MissingGradient("tangent projection needs gradient data")
+    vals, grads = _tangent_free(f.values.T, f.grad_r.T, v_bub, params, f.grid)
+    return Field.radial(f.grid, f.dim, vals[0], grads[0])

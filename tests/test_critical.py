@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from cknlab import critical, derive_params
+from cknlab import critical, derive_params, manifold
 from cknlab.errors import (
     BasisTooSmall,
     CaseRangeViolation,
@@ -43,6 +43,7 @@ from cknlab.functionals import weighted_grad_pnorm, weighted_lq_norm
 from cknlab.manifold import (
     canonical_bubble,
     canonical_profile,
+    orthogonality_check,
     orthogonalize,
     tangent_basis,
     v_inner,
@@ -304,10 +305,11 @@ def test_hessian_quadratic_homogeneity(c):
     assert hessian_form(bub, c * rho, PS53) == pytest.approx(c * c * base, rel=1e-12)
 
 
-def test_hessian_needs_p_above_two():
-    rho = gaussian_bump_profile(_grid(), PS32.n, 0.0, 1.0)
+def test_hessian_needs_p_at_least_two():
+    ps = derive_params(3, 1.5, 0.0, 0.0)
+    rho = gaussian_bump_profile(_grid(), ps.n, 0.0, 1.0)
     with pytest.raises(RegionViolation):
-        hessian_form(canonical_bubble(PS32), rho, PS32)
+        hessian_form(canonical_bubble(ps), rho, ps)
 
 
 def test_hessian_rejects_shifted_bubble():
@@ -359,24 +361,58 @@ def test_spectral_gap_equal_weights_stretch_to_flat():
 
 
 def test_ritz_matrices_match_the_forms():
-    # x^T H x is the Hessian form and x^T M x the (q - 1) V-pairing of sum x_i rho_i
+    # x^T H x is the Hessian form and x^T M x the (q - 1) V-pairing of sum x_i rho_i,
+    # each rho_i projected on its own; at p = 2 the form has no (p - 2) term
     wide = _grid(WIDE_SPEC)
-    h, m = critical._ritz_matrices(PS43, wide, 6)
     x = np.array([0.3, -1.2, 0.7, 2.0, -0.4, 1.1])
-    bub = canonical_bubble(PS43)
-    unit = 1.0 / PS43.sigma
     centers = critical._ladder_centers(6, critical.RITZ_STEP)
-    width = critical.RITZ_WIDTH * unit
-    bumps = [
-        orthogonalize(gaussian_bump_profile(wide, PS43.n, c * unit, width), bub, PS43)
-        for c in centers
-    ]
-    rho = x[0] * bumps[0]
-    for xi, bump in zip(x[1:], bumps[1:]):
-        rho = rho + xi * bump
-    vf = canonical_profile(PS43, wide)
-    assert x @ h @ x == pytest.approx(hessian_form(bub, rho, PS43), rel=1e-12)
-    assert x @ m @ x == pytest.approx((PS43.q - 1.0) * v_inner(rho, rho, vf, PS43), rel=1e-12)
+    for ps in (PS43, derive_params(4, 2.0, 0.2, 0.5)):
+        h, m = critical._ritz_matrices(ps, wide, 6)
+        bub = canonical_bubble(ps)
+        unit = 1.0 / ps.sigma
+        width = critical.RITZ_WIDTH * unit
+        bumps = [
+            orthogonalize(gaussian_bump_profile(wide, ps.n, c * unit, width), bub, ps)
+            for c in centers
+        ]
+        rho = x[0] * bumps[0]
+        for xi, bump in zip(x[1:], bumps[1:]):
+            rho = rho + xi * bump
+        vf = canonical_profile(ps, wide)
+        assert x @ h @ x == pytest.approx(hessian_form(bub, rho, ps), rel=1e-12)
+        assert x @ m @ x == pytest.approx((ps.q - 1.0) * v_inner(rho, rho, vf, ps), rel=1e-12)
+
+
+def test_ritz_rows_are_tangent_free(monkeypatch):
+    # every projected row at c06's tuple and grid is V-orthogonal to both tangents
+    rows = []
+
+    def recorded(*args):
+        rows.append(manifold._tangent_free(*args))
+        return rows[-1]
+
+    monkeypatch.setattr(critical, "_tangent_free", recorded)
+    grid = _grid((-70.0, 70.0, 2048))
+    critical._ritz_matrices(PS43, grid, 20)
+    (vals, grads), = rows
+    assert vals.shape == grads.shape == (20, grid.count)
+    bub = canonical_bubble(PS43)
+    for v, g in zip(vals, grads):
+        res = orthogonality_check(Field.radial(grid, PS43.n, v, g), bub, PS43)
+        assert max(abs(r) for r in res) <= 1e-12
+
+
+def test_ritz_matrices_build_the_tangents_once(monkeypatch):
+    calls = []
+    real = manifold.tangent_basis
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(manifold, "tangent_basis", counted)
+    critical._ritz_matrices(PS43, _grid(WIDE_SPEC), 20)
+    assert len(calls) == 1
 
 
 def test_spectral_gap_range_and_basis():

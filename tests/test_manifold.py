@@ -10,7 +10,14 @@ import pytest
 
 from scipy.optimize import OptimizeResult, minimize
 
-from cknlab import OptimizerStall, ZeroField, derive_params, sharp_constant
+from cknlab import (
+    MissingGradient,
+    OptimizerStall,
+    UnsupportedField,
+    ZeroField,
+    derive_params,
+    sharp_constant,
+)
 from cknlab import manifold
 from cknlab.fields import (
     Bubble,
@@ -677,12 +684,6 @@ def test_tangent_count_and_labels():
     basis = tangent_basis(canonical_bubble(ps), ps, grid)
     assert len(basis) == 2
     assert all(w.is_radial for w in basis)
-    flat = derive_params(3, 2, 0, 0)
-    basis_ax = tangent_basis(canonical_bubble(flat), flat, grid, axisym=True, psi_count=32)
-    assert len(basis_ax) == 3
-    # amplitude and dilation stay radial; the axial translation is angular
-    assert [w.is_radial for w in basis_ax] == [True, True, False]
-    assert basis_ax[-1].values.shape == (256, 32)
 
 
 def test_dilation_tangent_fd_oracle():
@@ -745,6 +746,41 @@ def test_orthogonalize_output_is_orthogonal():
     w = orthogonalize(gaussian_bump_profile(grid, ps.n, 0.3, 1.1), bub, ps)
     res = orthogonality_check(w, bub, ps)
     assert max(abs(x) for x in res) <= 1e-10
+
+
+def test_orthogonalize_is_a_projection_onto_the_tangent_complement():
+    # idempotent, and what it removes is one combination of the two
+    # tangents, in values and gradients alike
+    ps = derive_params(4, 2.5, 0.2, 0.5)
+    grid = make_radial_grid(count=1024)
+    bub = canonical_bubble(ps)
+    f = gaussian_bump_profile(grid, ps.n, 0.3, 1.1)
+    once = orthogonalize(f, bub, ps)
+    twice = orthogonalize(once, bub, ps)
+    for a, b in ((once.values, twice.values), (once.grad_r, twice.grad_r)):
+        assert np.max(np.abs(b - a)) <= 1e-12 * np.max(np.abs(a))
+    removed = f - once
+    amp, dil = tangent_basis(bub, ps, grid)
+    span = np.column_stack([amp.values[:, 0], dil.values[:, 0]])
+    coef = np.linalg.lstsq(span, removed.values[:, 0], rcond=None)[0]
+    span_grad = np.column_stack([amp.grad_r[:, 0], dil.grad_r[:, 0]])
+    for got, want in ((span @ coef, removed.values), (span_grad @ coef, removed.grad_r)):
+        want = want[:, 0]
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_orthogonalize_guards():
+    ps = derive_params(4, 2, 0.5, 0.5)
+    grid = make_radial_grid(count=256)
+    bub = canonical_bubble(ps)
+    bump = gaussian_bump_profile(grid, ps.n, 0.3, 1.1)
+    with pytest.raises(UnsupportedField):
+        orthogonalize(modulated_axisym(bump, 8), bub, ps)
+    with pytest.raises(MissingGradient):
+        orthogonalize(Field.radial(grid, ps.n, bump.values[:, 0]), bub, ps)
+    # the tangents of a zero-amplitude bubble vanish: the Gram matrix is singular
+    with pytest.raises(ZeroField):
+        orthogonalize(bump, Bubble(amplitude=0.0, scale=1.0), ps)
 
 
 # small-sigma survey tuples: sigma below 0.1, amplitudes of order 1e-8 and 4e-4
