@@ -1,10 +1,10 @@
 """The extremal manifold: normalization, projection, decomposition.
 
-The two-parameter family A (1 + B r^sigma)^-m (amplitude, dilation; plus
-an axial shift in the unweighted case) carries everything here: the
-canonical amplitude that turns a profile into an exact optimiser, metric
-projection onto the family, the dilation-picked representative used by
-the near-manifold expansion, and the tangent-space bookkeeping.
+The two-parameter family A (1 + B r^sigma)^-m (amplitude, dilation)
+carries everything here: the canonical amplitude that turns a profile
+into an exact optimiser, metric projection onto the family, the
+dilation-picked representative used by the near-manifold expansion, and
+the tangent-space bookkeeping.
 
 All inner products against a bubble use the q-weighted pairing
 <f, g>_V = integral |x|^-qb V^(q-2) f g, the natural metric of the
@@ -18,10 +18,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+# the second name is unused here: perfbench's tracer wraps it by name
 from scipy.optimize import minimize, minimize_scalar
 from scipy.special import betaln, digamma
 
 from .errors import (
+    InvalidArgument,
     MissingGradient,
     OptimizerStall,
     RootFindFailure,
@@ -35,7 +37,6 @@ from .fields import (
     RadialGrid,
     bubble_evaluator,
     bubble_second_derivative,
-    _shifted_radius,
     sample_bubble,
 )
 from .functionals import _energy, _flux_factor, _gradient_stack, weighted_grad_pnorm
@@ -112,16 +113,10 @@ def bubble_normalization(params: CknParams) -> Bubble:
     return Bubble(amplitude=amp, scale=1.0)
 
 
-def canonical_bubble(
-    params: CknParams, lam: float = 1.0, axial_shift: float = 0.0
-) -> Bubble:
+def canonical_bubble(params: CknParams, lam: float = 1.0) -> Bubble:
     """Manifold element at dilation lam: amplitude scales as lam^((n-p-pa)/p)."""
     base = bubble_normalization(params)
-    return Bubble(
-        amplitude=base.amplitude * lam**params.dilation_weight,
-        scale=lam,
-        axial_shift=axial_shift,
-    )
+    return Bubble(amplitude=base.amplitude * lam**params.dilation_weight, scale=lam)
 
 
 def canonical_profile(params: CknParams, grid: RadialGrid, lam: float = 1.0) -> Field:
@@ -249,42 +244,6 @@ def _ulp4(t: float) -> float:
     return 4.0 * math.ulp(max(abs(t), 1.0))
 
 
-def _brent(f, lo: float, mid: float, hi: float) -> tuple[float, float]:
-    res = minimize_scalar(f, bracket=(lo, mid, hi), method="brent")
-    if not lo < res.x < hi:
-        raise OptimizerStall(f"Brent left its bracket ({lo:.6g}, {hi:.6g})")
-    return float(res.fun), float(res.x)
-
-
-def _family_min(scan, point, seed: float, u: Field, params: CknParams) -> tuple:
-    """(log lam, shift) minimising f(log lam, shift) over the family.
-
-    scan(log lams, shift) and point(log lam, shift) are _bracketed_min's
-    at one shift.  The shift moves only for a non-radial u with
-    a = b = 0: Brent over the dilation-profiled minimum, from the
-    checked bracket (-1, 0, 1).
-    """
-    @lru_cache(maxsize=None)
-    def profile(s):
-        return _bracketed_min(lambda t: scan(t, s), lambda t: point(t, s), seed)
-
-    if u.is_radial or params.a != 0.0 or params.b != 0.0:
-        return profile(0.0)[1], 0.0
-    ends = [profile(s)[0] for s in (-1.0, 0.0, 1.0)]
-    if not (ends[1] < ends[0] and ends[1] < ends[2]):
-        raise OptimizerStall("axial shift minimum not bracketed by (-1, 0, 1)")
-    shift = _brent(lambda s: profile(s)[0], -1.0, 0.0, 1.0)[1]
-    return profile(shift)[1], shift
-
-
-def _radius_pow(u: Field, shift: float, sig: float) -> np.ndarray:
-    """R^sigma on u's grid, R = |x + shift e1|; one angular column unshifted."""
-    r = u.grid.nodes[:, None]
-    if shift == 0.0:
-        return r**sig
-    return _shifted_radius(r, shift, u.psi_nodes) ** sig
-
-
 def _dilation_derivs(g, h, y, w, p, amp, sig, m) -> tuple:
     """(D, D', D'', tol) for the squared distance D = phi^(2/p) in t = log lam.
 
@@ -292,9 +251,7 @@ def _dilation_derivs(g, h, y, w, p, amp, sig, m) -> tuple:
     and the column h at t, y = B r^sigma per node, amp the profiled
     amplitude A*.  With h' = f1 h and h'' = f2 h, f1 = sigma (1 - m y)/(1 + y)
     and f2 = f1^2 - sigma^2 (m+1) y/(1 + y)^2, the envelope theorem gives
-    phi' = E_t and phi'' = E_tt - E_tA^2/E_AA at A*.  A translated bubble
-    evaluates the same profile at R(r, psi) and multiplies by direction
-    factors free of t, so the same holds with y = B R^sigma.  tol is
+    phi' = E_t and phi'' = E_tt - E_tA^2/E_AA at A*.  tol is
     D'/phi' times SLOPE_ROUNDING p |A| sum w |r|^(p-2) (|r| + |g|) |h'|,
     the rounding bound of phi'.  D is the scan's objective: at a zero
     distance E grows like |t - t*|^p, so Newton on E only converges
@@ -495,88 +452,89 @@ def _profiled_amplitudes(g, H, w, p, start=None) -> np.ndarray:
 def _distance_search(u: Field, params: CknParams) -> tuple:
     """(scan, point, amplitudes, w): the projection's objective over the family.
 
-    scan(log lams, shift) is the squared distance E^(2/p) at each
-    dilation, E = sum w |g - A h|^p at the profiled amplitude A;
-    point(log lam, shift) adds its first two derivatives in log lam and
-    the rounding bound of the first (_dilation_derivs).
-    amplitudes(log lams, shift) is u's gradient stack g (components,
-    nodes), the unit-amplitude bubble columns H (components, K, nodes)
-    and their profiled amplitudes; w holds the energy weights.  A log lam
-    solved before returns its amplitude after one slope evaluation.
+    scan(log lams) is the squared distance E^(2/p) at each dilation,
+    E = sum w |g - A h|^p at the profiled amplitude A; point(log lam)
+    adds its first two derivatives in log lam and the rounding bound of
+    the first (_dilation_derivs).
+    amplitudes(log lams) is u's gradient stack g (components, nodes), the
+    unit-amplitude bubble columns H (components, K, nodes) and their
+    profiled amplitudes; w holds the energy weights.  A log lam solved
+    before returns its amplitude after one slope evaluation.
     """
     p = params.p
     comps, w = _gradient_stack([u], params)
-    g_centred = comps[..., 0]
+    g = comps[..., 0]
     sig, m = params.sigma, params.bubble_m
     # the unit bubble's radial derivative is d_fac B (1 + B r^sigma)^(-m-1)
     r = u.grid.nodes
     r_sig = r**sig
     d_fac = -m * sig * r ** (sig - 1.0)
+    # r^sigma per node in the columns' layout
+    r_sig_cols = np.broadcast_to(r_sig[:, None], u.values.shape).ravel()
 
-    def columns(log_lams, shift):
-        # u's gradient stack and the unit-amplitude bubble gradients, one row each
-        if shift != 0.0:
-            bubs = [Bubble(1.0, math.exp(t), shift) for t in log_lams]
-            fields = [_bubble_on(u, params, b) for b in bubs]
-            # a translated bubble has an angular gradient even where u has none
-            comps = _gradient_stack([u, *fields], params)[0]
-            H = np.ascontiguousarray(comps[..., 1:].transpose(0, 2, 1))
-            return comps[..., 0], H
+    def columns(log_lams):
+        # the unit-amplitude bubble gradients, one row each
         b_coeff = np.array([math.exp(t) ** sig for t in log_lams])[:, None]
         dv = (1.0 + b_coeff * r_sig) ** (-m - 1.0)
         dv *= d_fac * b_coeff
-        g = g_centred
         if len(g) == 1 and u.is_radial:
-            return g, dv[None]
+            return dv[None]
         H = np.zeros((len(g), len(log_lams), u.grid.count, len(u.psi_nodes)))
         H[0] = dv[..., None]
-        return g, H.reshape(len(g), len(log_lams), -1)
+        return H.reshape(len(g), len(log_lams), -1)
 
-    def radius_sig(shift):
-        # R^sigma per node in the columns' layout
-        rs = r_sig[:, None] if shift == 0.0 else _radius_pow(u, shift, sig)
-        return np.broadcast_to(rs, u.values.shape).ravel()
-
-    # shift -> {log lam: solved amplitude}, the warm starts of one-column calls
+    # {log lam: solved amplitude}, the warm starts of one-column calls
     solved: dict = {}
 
-    def amplitudes(log_lams, shift):
+    def amplitudes(log_lams):
         # the profiled amplitudes of one block, warm-started when it is one column
-        known = solved.setdefault(shift, {})
         start = None
-        if len(log_lams) == 1 and known:
+        if len(log_lams) == 1 and solved:
             t0 = float(log_lams[0])
-            start = [known[min(known, key=lambda t: abs(t - t0))]]
-        g, H = columns(log_lams, shift)
+            start = [solved[min(solved, key=lambda t: abs(t - t0))]]
+        H = columns(log_lams)
         amps = _profiled_amplitudes(g, H, w, p, start)
-        known.update(zip(np.asarray(log_lams).tolist(), amps.tolist()))
+        solved.update(zip(np.asarray(log_lams).tolist(), amps.tolist()))
         return g, H, amps
 
-    def scan(log_lams, shift):
+    def scan(log_lams):
         # squared, the distance is smooth at a zero; it ranks the scan points
         out = np.empty(len(log_lams))
         for k in range(0, len(log_lams), AMPLITUDE_BLOCK):
-            g, H, amps = amplitudes(log_lams[k : k + AMPLITUDE_BLOCK], shift)
+            _, H, amps = amplitudes(log_lams[k : k + AMPLITUDE_BLOCK])
             H *= -amps[:, None]
             H += g[:, None, :]
             mag_sq = np.einsum("ckn,ckn->kn", H, H)
             out[k : k + AMPLITUDE_BLOCK] = mag_sq ** (p / 2.0) @ w
         return out ** (2.0 / p)
 
-    def point(log_lam, shift):
-        g, H, amps = amplitudes([log_lam], shift)
-        y = math.exp(log_lam) ** sig * radius_sig(shift)
+    def point(log_lam):
+        _, H, amps = amplitudes([log_lam])
+        y = math.exp(log_lam) ** sig * r_sig_cols
         return _dilation_derivs(g, H[:, 0], y, w, p, amps[0], sig, m)
 
     return scan, point, amplitudes, w
 
 
+def _refuse_translation(u: Field, params: CknParams) -> None:
+    """UnsupportedField where the family would need translations.
+
+    At a = b = 0 a non-radial u is closest to a translated bubble, and
+    the searches here move only the amplitude and the dilation.
+    """
+    if not u.is_radial and params.a == 0.0 and params.b == 0.0:
+        raise UnsupportedField(
+            "a non-radial field at a = b = 0 needs translated bubbles; "
+            "the projection searches amplitude and dilation only"
+        )
+
+
 def manifold_distance(u: Field, params: CknParams) -> tuple[float, Bubble]:
     """Metric projection distance (D_a^p metric) to the family, and the bubble.
 
-    The amplitude is profiled out and the dilation (and the axial shift
-    of a non-radial field with a = b = 0) searched by _family_min
-    from the q-mass moment seed.  ZeroField for a zero input.
+    The amplitude is profiled out and the dilation searched by
+    _bracketed_min from the q-mass moment seed.  ZeroField for a zero
+    input, UnsupportedField for a non-radial one at a = b = 0.
     OptimizerStall when the certificate fails: a minimum is not
     bracketed, or, at a distance above ROUNDING_FLOOR of the gradient
     norm, the amplitude's relative first-order residual
@@ -586,16 +544,17 @@ def manifold_distance(u: Field, params: CknParams) -> tuple[float, Bubble]:
     """
     if u.grad_r is None or not np.any(u.values):
         raise ZeroField("projection needs a nonzero field with gradient data")
+    _refuse_translation(u, params)
     p = params.p
     unorm = weighted_grad_pnorm(u, params) ** (1.0 / p)
     if unorm == 0.0:
         raise ZeroField("zero gradient norm")
 
     scan, point, amplitudes, w = _distance_search(u, params)
-    log_lam, shift = _family_min(scan, point, moment_seed(u, params), u, params)
+    log_lam = _bracketed_min(scan, point, moment_seed(u, params))[1]
     # the certified amplitude: one scalar solve at the chosen dilation, from
     # the kernel's amplitude there (the search's last point, so one slope)
-    g, H, amps = amplitudes([log_lam], shift)
+    g, H, amps = amplitudes([log_lam])
     h = H[:, 0]
     amp = _profiled_amplitude(g, h, w, p, start=amps[0])
     dist = _energy(w, g - amp * h, p) ** (1.0 / p)
@@ -606,7 +565,7 @@ def manifold_distance(u: Field, params: CknParams) -> tuple[float, Bubble]:
         raise OptimizerStall(
             f"amplitude first-order residual {slope / den:.3e} > {AMPLITUDE_RTOL:g}"
         )
-    return dist, Bubble(amplitude=amp, scale=math.exp(log_lam), axial_shift=shift)
+    return dist, Bubble(amplitude=amp, scale=math.exp(log_lam))
 
 
 # ---------------------------------------------------------------------------
@@ -623,35 +582,35 @@ def _pairing_search(u: Field, params: CknParams) -> tuple:
     """(scan, point): minus the q-pairing P(t) = sum W V_t^(q-1) u, t = log lam.
 
     V_t is the canonical bubble at lam = e^t and W the q-pairing's
-    quadrature weights.  scan(log lams, shift) is -P at each dilation;
-    point(log lam, shift) is (-P, -P', -P'', tol) with the closed forms
-    V_t' = k1 V_t, k1 = (n-p-pa)/p - m sigma y/(1 + y), y = B R^sigma,
+    quadrature weights.  scan(log lams) is -P at each dilation;
+    point(log lam) is (-P, -P', -P'', tol) with the closed forms
+    V_t' = k1 V_t, k1 = (n-p-pa)/p - m sigma y/(1 + y), y = B r^sigma,
     and tol the rounding bound SLOPE_ROUNDING (q-1) sum |W V^(q-1) k1 u|.
     """
     q, sig, m, dw = params.q, params.sigma, params.bubble_m, params.dilation_weight
     amp = bubble_normalization(params).amplitude
     wu = u.measure(params.n - 1.0 - q * params.b) * u.values
     # radial bubbles pair with u's weighted sum over the angular nodes
-    wu_radial = np.sum(wu, axis=1, keepdims=True)
+    wu_radial = np.sum(wu, axis=1, keepdims=True)[..., None]
+    r_sig = (u.grid.nodes**sig)[:, None, None]
 
-    def terms(log_lams, shift):
+    def terms(log_lams):
         # y and the pairing density W u V^(q-1), per node and log lam
-        wgt = wu_radial if shift == 0.0 else wu
         lam = np.exp(np.asarray(log_lams))
-        y = _radius_pow(u, shift, sig)[..., None] * lam**sig
+        y = r_sig * lam**sig
         dens = (amp * lam**dw * (1.0 + y) ** (-m)) ** (q - 1.0)
-        dens *= wgt[..., None]
+        dens *= wu_radial
         return y, dens
 
-    def scan(log_lams, shift):
+    def scan(log_lams):
         out = np.empty(len(log_lams))
         for k in range(0, len(log_lams), AMPLITUDE_BLOCK):
-            dens = terms(log_lams[k : k + AMPLITUDE_BLOCK], shift)[1]
+            dens = terms(log_lams[k : k + AMPLITUDE_BLOCK])[1]
             out[k : k + AMPLITUDE_BLOCK] = -np.sum(dens, axis=(0, 1))
         return out
 
-    def point(log_lam, shift):
-        y, dens = terms([log_lam], shift)
+    def point(log_lam):
+        y, dens = terms([log_lam])
         inv = 1.0 / (1.0 + y)
         k1 = dw - m * sig * y * inv
         k1_dt = -m * sig * sig * y * inv * inv
@@ -666,16 +625,17 @@ def _pairing_search(u: Field, params: CknParams) -> tuple:
 def select_Pu(u: Field, params: CknParams) -> Bubble:
     """Dilation-picked representative: maximise the q-pairing over lam.
 
-    Minus the pairing (_pairing_search) goes through _family_min from
+    Minus the pairing (_pairing_search) goes through _bracketed_min from
     the moment seed (OptimizerStall when the maximum is not bracketed).
     The caller is responsible for the closeness gate; this only needs a
-    nonzero field.
+    nonzero field, radial unless a or b is nonzero (UnsupportedField).
     """
     if not np.any(u.values):
         raise ZeroField("representative undefined for the zero field")
+    _refuse_translation(u, params)
     scan, point = _pairing_search(u, params)
-    log_lam, shift = _family_min(scan, point, moment_seed(u, params), u, params)
-    return canonical_bubble(params, math.exp(log_lam), axial_shift=shift)
+    log_lam = _bracketed_min(scan, point, moment_seed(u, params))[1]
+    return canonical_bubble(params, math.exp(log_lam))
 
 
 # ---------------------------------------------------------------------------
@@ -704,11 +664,12 @@ def tangent_basis(v_bub: Bubble, params: CknParams, grid: RadialGrid) -> list[Fi
     """Tangent directions of the family at a (centred) bubble.
 
     The amplitude direction V and the dilation direction
-    (n-p-pa)/p V + r V', both radial.  Translation is not among them:
-    the axial-shift search of the projection covers it.
+    (n-p-pa)/p V + r V', both radial.  Translation is not among them: at
+    a = b = 0 it belongs to the degree-1 sector of the spectral solve,
+    not to this radial basis.  InvalidArgument for a shifted bubble.
     """
     if v_bub.axial_shift != 0.0:
-        raise ZeroField("tangent basis is built at a centred bubble")
+        raise InvalidArgument("tangent basis is built at a centred bubble")
     b_coeff = v_bub.scale**params.sigma
     amp = v_bub.amplitude
     ev = bubble_evaluator(amp, b_coeff, params.sigma, params.bubble_m)

@@ -11,6 +11,7 @@ import pytest
 from scipy.optimize import OptimizeResult, minimize
 
 from cknlab import (
+    InvalidArgument,
     MissingGradient,
     OptimizerStall,
     UnsupportedField,
@@ -139,25 +140,23 @@ def _rel_distance(u, ps):
     return dist / weighted_grad_pnorm(u, ps) ** (1.0 / ps.p), bub
 
 
-def _shifted_bubble():
+def test_projection_refuses_non_radial_field_at_zero_weights():
+    # at a = b = 0 the nearest bubble of an axisymmetric u may be translated,
+    # and the searches move only the amplitude and the dilation
     ps = derive_params(3, 2, 0, 0)
     grid = make_radial_grid(-20, 20, 256)
-    u = 1.2 * sample_bubble(ps, canonical_bubble(ps, 1.4, axial_shift=0.3), grid, 32)
-    return ps, u
+    bub = replace(canonical_bubble(ps, 1.4), axial_shift=0.3)
+    u = 1.2 * sample_bubble(ps, bub, grid, 32)
+    with pytest.raises(UnsupportedField):
+        manifold_distance(u, ps)
+    with pytest.raises(UnsupportedField):
+        select_Pu(u, ps)
 
 
-def test_distance_recovers_axial_shift():
-    ps, u = _shifted_bubble()
-    rel, bub = _rel_distance(u, ps)
-    assert rel <= 1e-8
-    assert bub.axial_shift == pytest.approx(0.3, abs=1e-6)
-    assert bub.scale == pytest.approx(1.4, rel=1e-6)
-
-
-def test_distance_axisym_without_angular_gradient_at_zero_weights():
-    # grad_psi None means a vanishing angular derivative; the shift search
-    # still lays translated bubbles, which have one, against it
-    ps = derive_params(3, 2.5, 0, 0)
+def test_distance_axisym_without_angular_gradient():
+    # grad_psi None means a vanishing angular derivative: the one-component
+    # stack and the two-component one with a zero angular row agree
+    ps = derive_params(4, 2.5, 0.2, 0.5)
     grid = make_radial_grid(-20, 20, 256)
     rad = canonical_profile(ps, grid, 1.4) + 0.05 * gaussian_bump_profile(
         grid, ps.n, 0.5, 1.0
@@ -165,18 +164,9 @@ def test_distance_axisym_without_angular_gradient_at_zero_weights():
     psi, wpsi = make_psi_grid(ps.n, 16)
     ones = np.ones((1, len(psi)))
     u = Field(grid, ps.n, psi, wpsi, rad.values * ones, rad.grad_r * ones)
-    got, bub = manifold_distance(u, ps)
-    want, want_bub = manifold_distance(replace(u, grad_psi=np.zeros_like(u.values)), ps)
+    got = manifold_distance(u, ps)[0]
+    want = manifold_distance(replace(u, grad_psi=np.zeros_like(u.values)), ps)[0]
     assert got == pytest.approx(want, rel=1e-12)
-    assert bub.axial_shift == pytest.approx(want_bub.axial_shift, abs=1e-12)
-    assert abs(bub.axial_shift) < 1e-3
-
-
-def test_select_pu_recovers_axial_shift():
-    ps, u = _shifted_bubble()
-    got = select_Pu(u, ps)
-    assert got.axial_shift == pytest.approx(0.3, abs=1e-6)
-    assert got.scale == pytest.approx(1.4, rel=1e-6)
 
 
 P_BELOW_TWO = (3, 1.5, 0.1, 0.3)
@@ -376,7 +366,7 @@ def test_scan_blocks_match_one_column_solves(tup, window):
     x = np.linspace(seed - 8.0, seed + 8.0, 33)
     block = manifold.AMPLITUDE_BLOCK
     for k in range(0, len(x), block):
-        g, H, amps = amplitudes(x[k : k + block], 0.0)
+        g, H, amps = amplitudes(x[k : k + block])
         for j in range(H.shape[1]):
             one = manifold._profiled_amplitudes(g, H[:, j : j + 1], w, ps.p)
             assert amps[j] == pytest.approx(one[0], rel=1e-12), k + j
@@ -393,22 +383,29 @@ SLOPE_TUPLES = {
 
 
 def _slope_field(p, kind):
-    """(params, u, shift): a perturbed bubble, radial, axisymmetric or shifted."""
+    """(params, u): a perturbed bubble, radial, axisymmetric or shifted.
+
+    The shifted one is translated along the axis at a = b = 0: the public
+    searches refuse it, but their objectives over centred bubbles are
+    defined for any field.
+    """
     weighted, flat = SLOPE_TUPLES[p]
     ps = derive_params(*(flat if kind == "shifted" else weighted))
     grid = make_radial_grid(-25, 25, 512)
-    u = canonical_profile(ps, grid, 1.3) + 0.05 * gaussian_bump_profile(
-        grid, ps.n, 0.5, 1.0
-    )
-    if kind != "radial":
+    bump = 0.05 * gaussian_bump_profile(grid, ps.n, 0.5, 1.0)
+    if kind == "shifted":
+        bub = replace(canonical_bubble(ps, 1.3), axial_shift=0.3)
+        return ps, sample_bubble(ps, bub, grid, 8) + bump
+    u = canonical_profile(ps, grid, 1.3) + bump
+    if kind == "axisym":
         u = modulated_axisym(u, psi_count=8)
-    return ps, u, 0.3 if kind == "shifted" else 0.0
+    return ps, u
 
 
-def _check_slopes(point, t, shift, step=1e-4):
+def _check_slopes(point, t, step=1e-4):
     # f' against the central difference of f, f'' against that of f'
-    f, d1, d2, tol = point(t, shift)
-    up, dn = point(t + step, shift), point(t - step, shift)
+    f, d1, d2, tol = point(t)
+    up, dn = point(t + step), point(t - step)
     assert d1 == pytest.approx((up[0] - dn[0]) / (2.0 * step), rel=1e-6)
     assert d2 == pytest.approx((up[1] - dn[1]) / (2.0 * step), rel=1e-6)
     assert 0.0 < tol < 1e-10 * abs(d1)
@@ -419,25 +416,24 @@ def _check_slopes(point, t, shift, step=1e-4):
 @pytest.mark.parametrize("p", sorted(SLOPE_TUPLES))
 def test_dilation_slopes_match_central_differences(p, kind):
     # off the minimum, where the slope is far from its rounding bound
-    ps, u, shift = _slope_field(p, kind)
+    ps, u = _slope_field(p, kind)
     scan, point, _, _ = manifold._distance_search(u, ps)
     t = math.log(1.3) + 0.2
-    f = _check_slopes(point, t, shift)
-    if shift == 0.0:
-        assert f == pytest.approx(scan(np.array([t]), shift)[0], rel=1e-12)
+    f = _check_slopes(point, t)
+    assert f == pytest.approx(scan(np.array([t]))[0], rel=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["radial", "axisym", "shifted"])
 @pytest.mark.parametrize("p", sorted(SLOPE_TUPLES))
 def test_pairing_slopes_match_central_differences(p, kind):
-    ps, u, shift = _slope_field(p, kind)
+    ps, u = _slope_field(p, kind)
     scan, point = manifold._pairing_search(u, ps)
     t = math.log(1.3) + 0.2
-    f = _check_slopes(point, t, shift)
-    bub = canonical_bubble(ps, math.exp(t), axial_shift=shift)
+    f = _check_slopes(point, t)
+    bub = canonical_bubble(ps, math.exp(t))
     want = manifold._q_pairing(u, manifold._bubble_on(u, ps, bub), ps)
     assert f == pytest.approx(-want, rel=1e-12)
-    assert scan(np.array([t]), shift)[0] == pytest.approx(-want, rel=1e-12)
+    assert scan(np.array([t]))[0] == pytest.approx(-want, rel=1e-12)
 
 
 EXACT_BUBBLE_CASES = [
@@ -468,7 +464,7 @@ def test_distance_dilation_certificate_slow_tail():
         grid, ps.n, 0.5, 1.0
     )
     _, bub = manifold_distance(u, ps)
-    _, d1, _, tol = manifold._distance_search(u, ps)[1](math.log(bub.scale), 0.0)
+    _, d1, _, tol = manifold._distance_search(u, ps)[1](math.log(bub.scale))
     assert abs(d1) <= tol
 
 
@@ -482,7 +478,7 @@ def test_select_pu_certificate_on_residual_scaling_fields(count):
     for eps in np.logspace(-3, -1, 7):
         u = perturbed_bubble(ps, grid, float(eps), 0.5, 0.7)
         bub = select_Pu(u, ps)
-        _, d1, _, tol = manifold._pairing_search(u, ps)[1](math.log(bub.scale), 0.0)
+        _, d1, _, tol = manifold._pairing_search(u, ps)[1](math.log(bub.scale))
         assert abs(d1) <= tol, eps
         # a rounding-level change of u no longer moves the dilation off its
         # plateau (Brent's moved c07's N by up to 7e-6 relative)
@@ -608,7 +604,7 @@ def test_certified_amplitude_starts_from_kernel(monkeypatch):
 
     # the same solve from the p = 2 projection
     _, _, amplitudes, w = manifold._distance_search(u, ps)
-    g, H, _ = amplitudes([math.log(bub.scale)], 0.0)
+    g, H, _ = amplitudes([math.log(bub.scale)])
     solves.clear()
     cold = scalar(g, H[:, 0], w, ps.p)
     assert solves[0][1].nit > 1
@@ -684,6 +680,14 @@ def test_tangent_count_and_labels():
     basis = tangent_basis(canonical_bubble(ps), ps, grid)
     assert len(basis) == 2
     assert all(w.is_radial for w in basis)
+
+
+def test_tangent_basis_rejects_shifted_bubble():
+    # the bubble is not zero; it lies outside the radial tangent space's domain
+    ps = derive_params(3, 2, 0, 0)
+    shifted = replace(canonical_bubble(ps), axial_shift=0.3)
+    with pytest.raises(InvalidArgument):
+        tangent_basis(shifted, ps, make_radial_grid(count=256))
 
 
 def test_dilation_tangent_fd_oracle():

@@ -1,5 +1,6 @@
 """Stability-lab tests: ratios, scans, slope fits, chain, gap scaling, embedding."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -265,7 +266,8 @@ def test_gap_probe_quadratic_scaling():
     shifts = np.array([0.05, 0.1, 0.2, 0.4])
     lhs, rhs = [], []
     for s in shifts:
-        moved = sample_bubble(fp, canonical_bubble(fp, axial_shift=float(s)), grid, 160)
+        bub = replace(canonical_bubble(fp), axial_shift=float(s))
+        moved = sample_bubble(fp, bub, grid, 160)
         pk = weighted_grad_pnorm(moved, fp, k_factor=ps.k)
         lhs.append(pk ** (1.0 / fp.p) / q_norm(moved, fp) - sharp)
         rhs.append((grad_norm(u0 - moved, fp) / gn0) ** 2)
