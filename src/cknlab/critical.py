@@ -31,7 +31,6 @@ from .fields import Bubble, Field, RadialGrid, gaussian_bump_profile, sample_bub
 from .functionals import _energy, _flux_factor, _gradient_stack
 from .functionals import grad_norm, weighted_grad_pnorm
 from .manifold import (
-    _bubble_on,
     _tangent_free,
     canonical_bubble,
     mu_rho_decompose,
@@ -264,7 +263,7 @@ def hessian_form(v_bub: Bubble, rho: Field, params: CknParams) -> float:
     n, p, a = params.n, params.p, params.a
     if p < 2.0:
         raise RegionViolation(f"quadratic form defined for p >= 2, got p={p}")
-    dv = sample_bubble(params, v_bub, rho.grid).grad_r  # centred bubbles only
+    dv = sample_bubble(params, v_bub, rho.grid).grad_r
     integrand = rho.grad_sq() + (p - 2.0) * rho.grad_r**2
     integrand *= _flux_factor(np.abs(dv), p - 2.0)
     return rho.integrate(n - 1.0 - p * a, integrand)
@@ -354,7 +353,7 @@ def expansion_quantities(
     if unorm <= 0.0:
         raise ZeroField("near-manifold analysis of the zero field")
     v_bub = select_Pu(u, params)
-    dist = grad_norm(u - _bubble_on(u, params, v_bub), params)
+    dist = grad_norm(u - sample_bubble(params, v_bub, u.grid), params)
     gate = 0.1 * unorm if distance_gate is None else distance_gate
     if dist > gate:
         raise FarFromManifold(f"distance {dist:.3e} exceeds the gate {gate:.3e}")

@@ -29,10 +29,6 @@ class BadGridSpec(CknError):
     """Radial grid request is malformed (empty window, too few nodes)."""
 
 
-class TranslationForbidden(CknError):
-    """Translation off the origin is only meaningful in the unweighted case a = 0."""
-
-
 class MissingGradient(CknError):
     """Field carries no gradient data but a gradient functional was requested."""
 

@@ -26,13 +26,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
-from .errors import (
-    BadGridSpec,
-    GridMismatch,
-    InvalidArgument,
-    MissingGradient,
-    TranslationForbidden,
-)
+from .errors import BadGridSpec, GridMismatch, InvalidArgument, MissingGradient
 from .params import CknParams
 
 __all__ = [
@@ -319,14 +313,12 @@ class Bubble:
     """Point on the extremal manifold.
 
     amplitude multiplies the profile, scale is the dilation parameter
-    lambda > 0 (the profile sees B = lambda^sigma), axial_shift is a
-    translation along the first axis and is only meaningful for the
-    unweighted tuple a = b = 0.
+    lambda > 0 (the profile sees B = lambda^sigma).  Bubbles are centred:
+    translation at a = b = 0 enters only as a degree-1 direction.
     """
 
     amplitude: float
     scale: float
-    axial_shift: float = 0.0
 
     def __post_init__(self):
         if not self.scale > 0:
@@ -365,47 +357,16 @@ def bubble_second_derivative(amplitude: float, b_coeff: float, sigma: float, m: 
     return ev2
 
 
-def _shifted_radius(r: np.ndarray, shift: float, psi: np.ndarray) -> np.ndarray:
-    """R = |x + shift e1| at radius r and polar angle psi (r a column)."""
-    return np.sqrt(r**2 + 2.0 * r * shift * np.cos(psi) + shift**2)
-
-
-def sample_bubble(
-    params: CknParams,
-    bubble: Bubble,
-    grid: RadialGrid,
-    psi_count: int = DEFAULT_PSI_COUNT,
-) -> Field:
+def sample_bubble(params: CknParams, bubble: Bubble, grid: RadialGrid) -> Field:
     """Sample an extremal profile (with analytic derivative) on a grid.
 
     The profile is amplitude * (1 + (scale * r)^sigma)^-m, a radial
-    field in R^n.  A shifted bubble u(x + shift e1) lies on the tensor
-    grid with psi_count angular nodes; only the unweighted class a = 0
-    transports under translation, other tuples raise TranslationForbidden.
+    field in R^n; it broadcasts against any angular grid.
     """
     b_coeff = bubble.scale**params.sigma
     ev = bubble_evaluator(bubble.amplitude, b_coeff, params.sigma, params.bubble_m)
-    shift = bubble.axial_shift
-    if shift == 0.0:
-        v, dv = ev(grid.nodes)
-        return Field.radial(grid, params.n, v, dv)
-    if params.a != 0.0:
-        raise TranslationForbidden(f"translation needs a = 0, got a={params.a}")
-    psi, wpsi = make_psi_grid(params.n, psi_count)
-    r = grid.nodes[:, None]
-    big_r = _shifted_radius(r, shift, psi)
-    v, dv = ev(big_r)
-    # chain rule through R(r, psi); R > 0 away from r = |shift|, psi = pi
-    safe = np.maximum(big_r, 1e-300)
-    return Field(
-        grid=grid,
-        dim=params.n,
-        psi_nodes=psi,
-        psi_weights=wpsi,
-        values=v,
-        grad_r=dv * (r + shift * np.cos(psi)) / safe,
-        grad_psi=dv * (-r * shift * np.sin(psi)) / safe,
-    )
+    v, dv = ev(grid.nodes)
+    return Field.radial(grid, params.n, v, dv)
 
 
 def gaussian_bump_profile(

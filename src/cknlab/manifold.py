@@ -23,11 +23,9 @@ from scipy.optimize import minimize, minimize_scalar
 from scipy.special import betaln, digamma
 
 from .errors import (
-    InvalidArgument,
     MissingGradient,
     OptimizerStall,
     RootFindFailure,
-    TranslationForbidden,
     UnsupportedField,
     ZeroField,
 )
@@ -121,17 +119,6 @@ def canonical_bubble(params: CknParams, lam: float = 1.0) -> Bubble:
 
 def canonical_profile(params: CknParams, grid: RadialGrid, lam: float = 1.0) -> Field:
     return sample_bubble(params, canonical_bubble(params, lam), grid)
-
-
-def _bubble_on(u: Field, params: CknParams, bub: Bubble) -> Field:
-    """The bubble on u's grid.
-
-    Radial samples broadcast against any angular grid; a shifted bubble
-    is laid on u's angular grid and cannot pair with a radial u.
-    """
-    if bub.axial_shift != 0.0 and u.is_radial:
-        raise TranslationForbidden("shifted bubble cannot pair with a radial field")
-    return sample_bubble(params, bub, u.grid, len(u.psi_nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +639,7 @@ def v_inner(f: Field, g: Field, v: Field, params: CknParams) -> float:
 
 def mu_rho_decompose(u: Field, v_bub: Bubble, params: CknParams) -> DecompositionRecord:
     """Split u = mu V + rho with mu the q-pairing coefficient."""
-    v_field = _bubble_on(u, params, v_bub)
+    v_field = sample_bubble(params, v_bub, u.grid)
     denom = _q_pairing(v_field, v_field, params)
     if denom == 0.0:
         raise ZeroField("bubble q-mass vanished")
@@ -661,15 +648,13 @@ def mu_rho_decompose(u: Field, v_bub: Bubble, params: CknParams) -> Decompositio
 
 
 def tangent_basis(v_bub: Bubble, params: CknParams, grid: RadialGrid) -> list[Field]:
-    """Tangent directions of the family at a (centred) bubble.
+    """Tangent directions of the family at a bubble.
 
     The amplitude direction V and the dilation direction
     (n-p-pa)/p V + r V', both radial.  Translation is not among them: at
     a = b = 0 it belongs to the degree-1 sector of the spectral solve,
-    not to this radial basis.  InvalidArgument for a shifted bubble.
+    not to this radial basis.
     """
-    if v_bub.axial_shift != 0.0:
-        raise InvalidArgument("tangent basis is built at a centred bubble")
     b_coeff = v_bub.scale**params.sigma
     amp = v_bub.amplitude
     ev = bubble_evaluator(amp, b_coeff, params.sigma, params.bubble_m)

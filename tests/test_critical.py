@@ -18,7 +18,6 @@ from cknlab.errors import (
     OptimizerStall,
     RegionViolation,
     ScalingGuardFailure,
-    TranslationForbidden,
     ZeroField,
 )
 from cknlab.critical import (
@@ -32,7 +31,6 @@ from cknlab.critical import (
     spectral_gap,
 )
 from cknlab.fields import (
-    Bubble,
     Field,
     gaussian_bump_profile,
     make_radial_grid,
@@ -310,12 +308,6 @@ def test_hessian_needs_p_at_least_two():
     rho = gaussian_bump_profile(_grid(), ps.n, 0.0, 1.0)
     with pytest.raises(RegionViolation):
         hessian_form(canonical_bubble(ps), rho, ps)
-
-
-def test_hessian_rejects_shifted_bubble():
-    rho = gaussian_bump_profile(_grid(), PS53.n, 0.0, 1.0)
-    with pytest.raises(TranslationForbidden):
-        hessian_form(Bubble(amplitude=1.0, scale=1.0, axial_shift=0.5), rho, PS53)
 
 
 def test_dilation_mode_saturates_the_form():

@@ -89,7 +89,7 @@ def test_dim_mismatch():
 def test_k_factor_monotone():
     ps = derive_params(3, 2, 0, 0)
     grid = make_radial_grid(count=256)
-    u = sample_bubble(ps, Bubble(1.0, 1.0, axial_shift=0.5), grid, psi_count=48)
+    u = modulated_axisym(sample_bubble(ps, Bubble(1.0, 1.0), grid), 48)
     vals = [weighted_grad_pnorm(u, ps, k) for k in (1.0, 1.5, 2.0)]
     assert vals[0] < vals[1] < vals[2]
     with pytest.raises(InvalidArgument):

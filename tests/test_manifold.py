@@ -11,7 +11,6 @@ import pytest
 from scipy.optimize import OptimizeResult, minimize
 
 from cknlab import (
-    InvalidArgument,
     MissingGradient,
     OptimizerStall,
     UnsupportedField,
@@ -24,6 +23,7 @@ from cknlab.fields import (
     Bubble,
     Field,
     bubble_evaluator,
+    bubble_second_derivative,
     gaussian_bump_profile,
     make_psi_grid,
     make_radial_grid,
@@ -145,8 +145,7 @@ def test_projection_refuses_non_radial_field_at_zero_weights():
     # and the searches move only the amplitude and the dilation
     ps = derive_params(3, 2, 0, 0)
     grid = make_radial_grid(-20, 20, 256)
-    bub = replace(canonical_bubble(ps, 1.4), axial_shift=0.3)
-    u = 1.2 * sample_bubble(ps, bub, grid, 32)
+    u = modulated_axisym(1.2 * canonical_profile(ps, grid, 1.4), 32)
     with pytest.raises(UnsupportedField):
         manifold_distance(u, ps)
     with pytest.raises(UnsupportedField):
@@ -382,23 +381,41 @@ SLOPE_TUPLES = {
 }
 
 
+def _axial_derivative(ps, bub, grid, psi_count):
+    """V'(r) cos psi, the derivative of the bubble V along the first axis."""
+    args = (bub.amplitude, bub.scale**ps.sigma, ps.sigma, ps.bubble_m)
+    _, dv = bubble_evaluator(*args)(grid.nodes[:, None])
+    d2v = bubble_second_derivative(*args)(grid.nodes[:, None])
+    psi, wpsi = make_psi_grid(ps.n, psi_count)
+    return Field(
+        grid=grid,
+        dim=ps.n,
+        psi_nodes=psi,
+        psi_weights=wpsi,
+        values=dv * np.cos(psi),
+        grad_r=d2v * np.cos(psi),
+        grad_psi=-dv * np.sin(psi),
+    )
+
+
 def _slope_field(p, kind):
     """(params, u): a perturbed bubble, radial, axisymmetric or shifted.
 
-    The shifted one is translated along the axis at a = b = 0: the public
-    searches refuse it, but their objectives over centred bubbles are
-    defined for any field.
+    The shifted one is V + 0.3 V'(r) cos psi plus the bump at a = b = 0,
+    the bubble moved along the axis to first order: the public searches
+    refuse it, but their objectives over centred bubbles are defined for
+    any field.
     """
     weighted, flat = SLOPE_TUPLES[p]
     ps = derive_params(*(flat if kind == "shifted" else weighted))
     grid = make_radial_grid(-25, 25, 512)
-    bump = 0.05 * gaussian_bump_profile(grid, ps.n, 0.5, 1.0)
-    if kind == "shifted":
-        bub = replace(canonical_bubble(ps, 1.3), axial_shift=0.3)
-        return ps, sample_bubble(ps, bub, grid, 8) + bump
-    u = canonical_profile(ps, grid, 1.3) + bump
+    u = canonical_profile(ps, grid, 1.3) + 0.05 * gaussian_bump_profile(
+        grid, ps.n, 0.5, 1.0
+    )
     if kind == "axisym":
         u = modulated_axisym(u, psi_count=8)
+    if kind == "shifted":
+        u = u + 0.3 * _axial_derivative(ps, canonical_bubble(ps, 1.3), grid, 8)
     return ps, u
 
 
@@ -431,7 +448,7 @@ def test_pairing_slopes_match_central_differences(p, kind):
     t = math.log(1.3) + 0.2
     f = _check_slopes(point, t)
     bub = canonical_bubble(ps, math.exp(t))
-    want = manifold._q_pairing(u, manifold._bubble_on(u, ps, bub), ps)
+    want = manifold._q_pairing(u, sample_bubble(ps, bub, u.grid), ps)
     assert f == pytest.approx(-want, rel=1e-12)
     assert scan(np.array([t]))[0] == pytest.approx(-want, rel=1e-12)
 
@@ -516,8 +533,7 @@ def test_distance_axisym_weighted_matches_nelder_mead():
         ).fun
         for da, db in starts
     )
-    got, bub = manifold_distance(u, ps)
-    assert bub.axial_shift == 0.0
+    got, _ = manifold_distance(u, ps)
     assert got == pytest.approx(ref, rel=1e-9)
 
 
@@ -674,20 +690,29 @@ def test_mu_rho_orthogonal_perturbation():
     )
 
 
+@pytest.mark.parametrize("tup", [(4, 2.5, 0.2, 0.5), (5, 3, 0.3, 0.5)])
+def test_mu_rho_radial_bubble_broadcasts_on_axisym_field(tup):
+    # the radial bubble sample pairs with an angular u as it stands; the
+    # cos psi modulation integrates to zero, so mu is the radial u's
+    ps = derive_params(*tup)
+    grid = make_radial_grid(count=1024)
+    bub = canonical_bubble(ps)
+    u = canonical_profile(ps, grid, 1.3) + 0.05 * gaussian_bump_profile(
+        grid, ps.n, 0.5, 1.0
+    )
+    axi = modulated_axisym(u, 16, cos_coeff=0.4)
+    rec = mu_rho_decompose(axi, bub, ps)
+    assert rec.mu == pytest.approx(mu_rho_decompose(u, bub, ps).mu, rel=1e-13)
+    assert rec.rho.values.shape == (grid.count, 16)
+    assert np.array_equal(rec.rho.psi_nodes, axi.psi_nodes)
+
+
 def test_tangent_count_and_labels():
     ps = derive_params(4, 2, 0.5, 0.5)
     grid = make_radial_grid(count=256)
     basis = tangent_basis(canonical_bubble(ps), ps, grid)
     assert len(basis) == 2
     assert all(w.is_radial for w in basis)
-
-
-def test_tangent_basis_rejects_shifted_bubble():
-    # the bubble is not zero; it lies outside the radial tangent space's domain
-    ps = derive_params(3, 2, 0, 0)
-    shifted = replace(canonical_bubble(ps), axial_shift=0.3)
-    with pytest.raises(InvalidArgument):
-        tangent_basis(shifted, ps, make_radial_grid(count=256))
 
 
 def test_dilation_tangent_fd_oracle():

@@ -1,6 +1,5 @@
 """Stability-lab tests: ratios, scans, slope fits, chain, gap scaling, embedding."""
 
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,10 +18,12 @@ from cknlab.errors import (
 )
 from cknlab.fields import (
     Field,
+    bubble_evaluator,
+    bubble_second_derivative,
     gaussian_bump_profile,
+    make_psi_grid,
     make_radial_grid,
     modulated_axisym,
-    sample_bubble,
 )
 from cknlab.functionals import grad_norm, q_norm, weighted_grad_pnorm
 from cknlab.manifold import canonical_bubble, canonical_profile, orthogonalize
@@ -256,18 +257,32 @@ def test_chain_identity_and_orientation():
 
 
 def test_gap_probe_quadratic_scaling():
-    # both LHS and RHS should scale like shift^2 for small shifts
+    # both LHS and RHS should scale like shift^2 for small shifts; the
+    # bubble moves along the axis to first order, V + shift V'(r) cos psi
     ps = derive_params(4, 2, 0.3, 0.3)
     fp = flat_params(ps)
     grid = make_radial_grid(-30, 30, 1536)
     u0 = canonical_profile(fp, grid)
     sharp = sharp_constant(fp)
     gn0 = grad_norm(u0, fp)
+    bub = canonical_bubble(fp)
+    args = (bub.amplitude, bub.scale**fp.sigma, fp.sigma, fp.bubble_m)
+    _, dv = bubble_evaluator(*args)(grid.nodes[:, None])
+    d2v = bubble_second_derivative(*args)(grid.nodes[:, None])
+    psi, wpsi = make_psi_grid(fp.n, 160)
+    axial = Field(
+        grid=grid,
+        dim=fp.n,
+        psi_nodes=psi,
+        psi_weights=wpsi,
+        values=dv * np.cos(psi),
+        grad_r=d2v * np.cos(psi),
+        grad_psi=-dv * np.sin(psi),
+    )
     shifts = np.array([0.05, 0.1, 0.2, 0.4])
     lhs, rhs = [], []
     for s in shifts:
-        bub = replace(canonical_bubble(fp), axial_shift=float(s))
-        moved = sample_bubble(fp, bub, grid, 160)
+        moved = u0 + float(s) * axial
         pk = weighted_grad_pnorm(moved, fp, k_factor=ps.k)
         lhs.append(pk ** (1.0 / fp.p) / q_norm(moved, fp) - sharp)
         rhs.append((grad_norm(u0 - moved, fp) / gn0) ** 2)
