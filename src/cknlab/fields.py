@@ -376,7 +376,7 @@ def gaussian_bump_profile(
     if width <= 0:
         raise BadGridSpec(f"bump width must be positive, got {width}")
     # Gaussian in log radius; smooth and rapidly vanishing at both ends
-    t = np.log(grid.nodes)
+    t = grid.log_nodes
     v = np.exp(-((t - center) ** 2) / (2.0 * width**2))
     dv = v * (-(t - center) / width**2) / grid.nodes
     return Field.radial(grid, dim, v, dv)
