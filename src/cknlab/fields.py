@@ -26,7 +26,12 @@ from typing import Optional
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
-from .errors import BadGridSpec, GridMismatch, InvalidArgument, MissingGradient
+from .errors import (
+    BadGridSpec,
+    GridMismatch,
+    InvalidArgument,
+    MissingGradient,
+)
 from .params import CknParams
 
 __all__ = [
