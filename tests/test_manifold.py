@@ -383,9 +383,10 @@ SLOPE_TUPLES = {
 
 def _axial_derivative(ps, bub, grid, psi_count):
     """V'(r) cos psi, the derivative of the bubble V along the first axis."""
-    args = (bub.amplitude, bub.scale**ps.sigma, ps.sigma, ps.bubble_m)
-    _, dv = bubble_evaluator(*args)(grid.nodes[:, None])
-    d2v = bubble_second_derivative(*args)(grid.nodes[:, None])
+    dv = sample_bubble(ps, bub, grid).grad_r
+    d2v = bubble_second_derivative(
+        bub.amplitude, bub.scale**ps.sigma, ps.sigma, ps.bubble_m
+    )(grid.nodes[:, None])
     psi, wpsi = make_psi_grid(ps.n, psi_count)
     return Field(
         grid=grid,
