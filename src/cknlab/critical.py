@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+# unused here: perfbench's tracer wraps it by name
 from scipy.optimize import minimize_scalar
 
 from .errors import (
@@ -57,11 +58,11 @@ LADDER_WIDTH = 1.0
 # unit-norm basis directions with singular value below this fraction of
 # the largest are dropped from the dual-norm span
 RANK_GUARD_RTOL = 1e-6
-# Newton solve of the least-norm problem: stop when the Newton decrement
-# falls below NEWTON_RTOL of the objective
+# Newton ascent of the dual-norm sup: stop when the Newton decrement
+# falls below NEWTON_RTOL of the norm energy
 NEWTON_RTOL = 1e-13
 NEWTON_MAX_STEPS = 100
-# sufficient-decrease constant for accepting a full Newton step
+# sufficient-increase constant for accepting a (halved) Newton step
 ARMIJO_C = 1e-4
 # Ritz basis of the spectral gap: bump ladder in s = sigma log r
 RITZ_STEP = 0.45
@@ -137,66 +138,43 @@ def _test_basis(u: Field, params: CknParams, size: int) -> list:
     return core
 
 
-def _least_norm_energy(
-    comps: np.ndarray, w: np.ndarray, ell: np.ndarray, p: float
-) -> float:
-    """min sum(w |comps @ y|^p) subject to ell . y = 1, for a unit ell.
+def _dual_sup(comps: np.ndarray, w: np.ndarray, ell: np.ndarray, p: float) -> float:
+    """sup of ell . y / f(y)^(1/p) with f(y) = sum(w |comps @ y|^p).
 
-    Newton on the null space of ell with the analytic gradient and
-    Hessian.  The start is the least-squares solution in the rank
-    guard's metric, min sum |w^(1/p) comps @ y|^2, which is the exact
-    answer at p = 2.  A full Newton step is taken when it passes the
-    sufficient-decrease test f(z + s) <= f + ARMIJO_C * grad . s;
-    otherwise a bounded scalar search on the exact objective picks the
-    step length.  The fallback is what globalises the step for p < 2,
-    where the Hessian weights |g|^(p-2) blow up as g -> 0.
+    Newton ascent on the concave phi(y) = ell . y - f(y) / p: f is
+    p-homogeneous, so at phi's maximiser ell . y = f(y) and the ratio
+    there is the sup.  comps is whitened in the rank guard's metric, so
+    y = ell is the p = 2 maximiser; the start is the best point on its
+    ray.  Each step is halved until phi(y + t s) >= phi + ARMIJO_C t
+    grad . s: at p < 2 the weights |g|^(p-2) blow up as g -> 0 and
+    full steps overshoot.
     """
-    null = np.linalg.svd(ell[None, :])[2][1:].T
-    g0 = comps @ ell
-    if null.shape[1] == 0:
-        return _energy(w, g0, p)
-    cols = comps @ null  # (ncomp, nodes, m - 1)
-    flat = cols.reshape(-1, null.shape[1])
-    sw = (w ** (1.0 / p))[:, None]
-    z = np.linalg.lstsq(
-        (sw * cols).reshape(flat.shape), -(sw[:, 0] * g0).ravel(), rcond=None
-    )[0]
-    grads = g0 + cols @ z
-    f = _energy(w, grads, p)
-    if p == 2.0:
-        return f
+    flat = comps.reshape(-1, comps.shape[-1])
+
+    def phi(y: np.ndarray) -> float:
+        return float(ell @ y) - _energy(w, comps @ y, p) / p
+
+    y = ell * (float(ell @ ell) / _energy(w, comps @ ell, p)) ** (1.0 / (p - 1.0))
     for _ in range(NEWTON_MAX_STEPS):
+        grads = comps @ y
         mag = np.sqrt(np.sum(grads**2, axis=0))
         wa = w * _flux_factor(mag, p - 2.0)
         unit = grads / np.where(mag > 0.0, mag, 1.0)
-        jac = np.sum(unit[:, :, None] * cols, axis=0)  # d|g| / dz per node
-        grad = p * (wa * mag) @ jac
-        hess = p * (
-            flat.T @ (wa[:, None] * cols).reshape(flat.shape)
-            + (p - 2.0) * (jac.T * wa) @ jac
-        )
-        step = -np.linalg.lstsq(hess, grad, rcond=None)[0]
-        slope = float(grad @ step)
-        if -slope <= NEWTON_RTOL * f:
-            return f
-        dgrads = cols @ step
-        f_full = _energy(w, grads + dgrads, p)
-        length = 1.0
-        if f_full > f + ARMIJO_C * slope:
-            res = minimize_scalar(
-                lambda t: _energy(w, grads + t * dgrads, p),
-                bounds=(0.0, 2.0),
-                method="bounded",
-                options={"xatol": 1e-10},
-            )
-            if not res.fun < f:
-                return f  # the objective sits at its rounding floor
-            length = res.x
-        z = z + length * step
-        grads = g0 + cols @ z
+        jac = np.sum(unit[:, :, None] * comps, axis=0)  # d|g| / dy per node
+        ascent = ell - (wa * mag) @ jac
+        hess = flat.T @ (wa[:, None] * comps).reshape(flat.shape)
+        hess += (p - 2.0) * (jac.T * wa) @ jac
+        step = np.linalg.solve(hess, ascent)
+        slope = float(ascent @ step)
         f = _energy(w, grads, p)
+        if slope <= NEWTON_RTOL * f:
+            return float(ell @ y) / f ** (1.0 / p)
+        length, base = 1.0, float(ell @ y) - f / p
+        while phi(y + length * step) < base + ARMIJO_C * length * slope:
+            length /= 2.0
+        y = y + length * step
     raise OptimizerStall(
-        f"dual-norm Newton solve not converged after {NEWTON_MAX_STEPS} steps"
+        f"dual-norm Newton ascent not converged after {NEWTON_MAX_STEPS} steps"
     )
 
 
@@ -210,8 +188,8 @@ def dual_norm_estimate(
 
     The exact sup of |<R(u), phi>| / ||phi|| over the span of a nested
     ladder basis (tangent elements first, then log-radius bumps) plus
-    any caller-supplied extras, computed as 1 / min{ ||phi_c|| :
-    <R(u), phi_c> = 1 }.  Elements are scaled to unit norm and
+    any caller-supplied extras, by Newton ascent on its concave dual
+    (see _dual_sup).  Elements are scaled to unit norm and
     directions whose singular value of w^(1/p) D falls below
     RANK_GUARD_RTOL of the largest are dropped: such combinations
     nearly cancel in norm and only amplify quadrature noise.  The
@@ -224,28 +202,22 @@ def dual_norm_estimate(
         raise BasisTooSmall(f"need at least 4 test elements, got {basis_size}")
     half_value: Optional[float] = None
     if basis_size >= 8:
-        half_value = dual_norm_estimate(
-            u, params, basis_size // 2, extra_elements
-        ).value
+        half_value = dual_norm_estimate(u, params, basis_size // 2, extra_elements).value
     elements = _test_basis(u, params, basis_size) + list(extra_elements)
     ell = np.array([el_residual_pairing(u, e, params) for e in elements])
-    value = 0.0
-    if np.any(ell):
-        p = params.p
-        comps, w = _gradient_stack(elements, params)
-        mags = np.sqrt(np.sum(comps**2, axis=0))
-        scale = (w @ mags**p) ** (1.0 / p)  # element norms
-        scale = np.where(scale > 0.0, scale, 1.0)
-        comps = comps / scale
-        ell = ell / scale
-        weighted = (w[:, None] ** (1.0 / p) * comps).reshape(-1, len(elements))
-        _, sing, vt = np.linalg.svd(weighted, full_matrices=False)
-        keep = vt[sing >= RANK_GUARD_RTOL * sing[0]].T
-        ell = keep.T @ ell
-        ell_norm = float(np.linalg.norm(ell))
-        if ell_norm > 0.0:
-            f_min = _least_norm_energy(comps @ keep, w, ell / ell_norm, p)
-            value = ell_norm / f_min ** (1.0 / p)
+    p = params.p
+    comps, w = _gradient_stack(elements, params)
+    mags = np.sqrt(np.sum(comps**2, axis=0))
+    scale = (w @ mags**p) ** (1.0 / p)  # element norms
+    scale = np.where(scale > 0.0, scale, 1.0)
+    comps = comps / scale
+    ell = ell / scale
+    weighted = (w[:, None] ** (1.0 / p) * comps).reshape(-1, len(elements))
+    _, sing, vt = np.linalg.svd(weighted, full_matrices=False)
+    kept = sing >= RANK_GUARD_RTOL * sing[0]
+    white = vt[kept].T / sing[kept]  # orthonormal in the guard's metric
+    ell = white.T @ ell
+    value = _dual_sup(comps @ white, w, ell, p) if np.any(ell) else 0.0
     return DualNormEstimate(value=value, half_value=half_value, basis_size=basis_size)
 
 

@@ -238,35 +238,45 @@ def test_dual_estimate_p_below_two():
     assert 0.0 < value < math.inf
 
 
-def test_dual_estimate_fallback_search_at_p_below_two(monkeypatch):
+def test_dual_estimate_halving_at_p_below_two(monkeypatch):
     # the p < 2 Newton step overshoots where |g| is small (for |x|^p alone
-    # it is -x / (p - 1)): at p = 1.2 some full steps fail the
-    # sufficient-decrease test and go through the bounded search, which
-    # must still reach the sup (at p = 1.5 every full step passes)
-    calls = []
-    search = critical.minimize_scalar
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return search(*args, **kwargs)
-
-    monkeypatch.setattr(critical, "minimize_scalar", counted)
+    # it is -x / (p - 1)): at p = 1.2 halving the failed steps still
+    # reaches the sup, and taking every full step instead stalls
     ps = derive_params(3, 1.2, 0.1, 0.5)
-    value = _assert_sup_certificate(_perturbed(ps, 1e-2), ps, 8)
-    assert len(calls) >= 1
-    assert value > 0.0
+    u = _perturbed(ps, 1e-2)
+    assert _assert_sup_certificate(u, ps, 8) > 0.0
+    monkeypatch.setattr(critical, "ARMIJO_C", -math.inf)
+    with pytest.raises(OptimizerStall):
+        dual_norm_estimate(u, ps, 8)
 
 
 @pytest.mark.parametrize("tup", [(6, 4.0, 0.1, 0.3), (5, 3.0, 0.3, 0.5)])
 def test_dual_estimate_newton_step_count(monkeypatch, tup):
-    # from the least-squares start in the w^(1/p) metric, full Newton steps
-    # converge on an exact c03 bubble in 6-7 iterations at p = 4
+    # from the p = 2 maximiser in the rank guard's metric, moved along its
+    # ray, Newton steps converge on an exact c03 bubble within 15
     ps = derive_params(*tup)
     v = _bubble_profile(ps, (-30.0, 30.0, 1024))
     reference = dual_norm_estimate(v, ps, 8).value
     monkeypatch.setattr(critical, "NEWTON_MAX_STEPS", 15)
     capped = dual_norm_estimate(v, ps, 8).value
     assert capped == pytest.approx(reference, rel=1e-12)
+
+
+# (value, half_value) at basis 8 from the earlier null-space least-norm
+# solve, on fields at eps = 0.1 off the bubble, one tuple each side of p = 2
+_DUAL_REFERENCE = {
+    (6, 4.0, 0.1, 0.3): (0.040465027938916695, 0.0352987913081021),
+    (3, 1.5, 0.1, 0.5): (0.009433540366261218, 0.009253156854356065),
+}
+
+
+@pytest.mark.parametrize("tup", sorted(_DUAL_REFERENCE))
+def test_dual_estimate_matches_least_norm_reference(tup):
+    ps = derive_params(*tup)
+    est = dual_norm_estimate(_perturbed(ps, 0.1), ps, 8)
+    value, half = _DUAL_REFERENCE[tup]
+    assert est.value == pytest.approx(value, rel=1e-12)
+    assert est.half_value == pytest.approx(half, rel=1e-12)
 
 
 def test_dual_estimate_newton_cap_raises(monkeypatch):
