@@ -511,7 +511,7 @@ def _op_slope_fit(job):
     grid = make_radial_grid(*job.grid)
     bump = gaussian_bump_profile(grid, ps.n, job.center, job.width)
     fit = exponent_slope_fit(ps, _sweep(job), bump)
-    expected = float(alpha_exponent(ps)) if job.expected is None else job.expected
+    expected = float(alpha_exponent(ps))
     outputs = {
         "tuple": list(job.tuples[0]),
         "slope": float(fit.slope),
@@ -666,6 +666,15 @@ def _chainable_base(checked, grid) -> None:
             raise ConfigError(f"{path}: chain runs toward smaller a only, h={h:.4f} < 1")
 
 
+def _sweep_spans(checked, grid) -> None:
+    """expansion-slopes fits log-log slopes, so its sweep needs two distinct eps."""
+    _ordered_grid(checked, grid)
+    if checked.eps_start == checked.eps_stop:
+        raise ConfigError(
+            f"config.options.eps_stop: need eps_stop != eps_start, got {checked.eps_stop}"
+        )
+
+
 def _family_given(checked, grid) -> None:
     _ordered_grid(checked, grid)
     if checked.family is None:
@@ -676,7 +685,7 @@ class Operation(NamedTuple):
     module: str  # home module of the work
     handler: Callable
     tuples: str  # parameter tuples taken: "many", "one" or "none"
-    options: dict  # name -> (reader, default); a None default is resolved by the handler
+    options: dict  # name -> (reader, default)
     tolerances: dict  # name -> default
     check: Callable = _ordered_grid  # of the read sections against each other
 
@@ -703,7 +712,6 @@ OPERATIONS = {
         "center": (_real, 10.0),
         "width": (_real, 1.0),
         "assert_slope": (_flag, True),
-        "expected": (_real, None),
     }, {"slope_rtol": 0.1}),
     "chain-check": Operation("stability", _op_chain_check, "many", {
         "base": (_params, _REQUIRED),
@@ -720,7 +728,7 @@ OPERATIONS = {
         "eps_start": (_positive, 1e-3),
         "eps_stop": (_positive, 1e-1),
         "eps_count": (_count(2), 7),
-    }, {"q_slope_rtol": 0.1, "n_slope_rtol": 0.1, "prod_slope_rtol": 0.15}),
+    }, {"q_slope_rtol": 0.1, "n_slope_rtol": 0.1, "prod_slope_rtol": 0.15}, _sweep_spans),
     "ineq-const": Operation("critical", _op_ineq_const, "none", {
         "cases": (_list_of(_case), _DEFAULT_CASES),
         "samples": (_count(1), 200),

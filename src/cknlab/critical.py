@@ -18,6 +18,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .errors import (
+    BadGridSpec,
     BasisTooSmall,
     CaseRangeViolation,
     FarFromManifold,
@@ -119,23 +120,29 @@ def el_residual_pairing(u: Field, phi: Field, params: CknParams) -> float:
 # dual-norm lower bound
 
 
-def _ladder_centers(count: int, step: float) -> list:
-    # 0, +step, -step, +2 step, -2 step, ...: prefixes nest as count grows
-    out = [0.0]
-    k = 1
-    while len(out) < count:
-        out.append(k * step)
-        if len(out) < count:
-            out.append(-k * step)
-        k += 1
-    return out[:count]
+def _ladder(
+    grid: RadialGrid, dim: int, count: int, step: float, width: float, unit: float = 1.0
+) -> list:
+    """count Gaussian bumps at 0, +step, -step, +2 step, ... in units of log r.
+
+    Prefixes nest as count grows.  8 widths out a bump is exp(-32) ~
+    1e-14 of its peak; a ladder that reaches past the window there
+    would be cut off by it, and raises BadGridSpec.
+    """
+    centers = [(i + 1) // 2 * (step if i % 2 else -step) * unit for i in range(count)]
+    width = width * unit
+    lo, hi = min(centers) - 8.0 * width, max(centers) + 8.0 * width
+    if lo < grid.t_min or hi > grid.t_max:
+        raise BadGridSpec(
+            f"a ladder of {count} bumps spans [{lo:.4g}, {hi:.4g}] in log r, "
+            f"past the window [{grid.t_min:g}, {grid.t_max:g}]: widen it or use fewer"
+        )
+    return [gaussian_bump_profile(grid, dim, c, width) for c in centers]
 
 
 def _test_basis(u: Field, params: CknParams, size: int) -> list:
     core = tangent_basis(Bubble(amplitude=1.0, scale=1.0), params, u.grid)
-    for c in _ladder_centers(size - len(core), LADDER_STEP):
-        core.append(gaussian_bump_profile(u.grid, u.dim, c, LADDER_WIDTH))
-    return core
+    return core + _ladder(u.grid, u.dim, size - len(core), LADDER_STEP, LADDER_WIDTH)
 
 
 def _dual_sup(comps: np.ndarray, w: np.ndarray, ell: np.ndarray, p: float) -> float:
@@ -254,9 +261,7 @@ def _ritz_matrices(params: CknParams, grid: RadialGrid, basis_size: int) -> tupl
     n, p, q = params.n, params.p, params.q
     bub = canonical_bubble(params)
     unit = 1.0 / params.sigma  # log radius per unit of s
-    width = RITZ_WIDTH * unit
-    centers = _ladder_centers(basis_size, RITZ_STEP)
-    bumps = [gaussian_bump_profile(grid, n, c * unit, width) for c in centers]
+    bumps = _ladder(grid, n, basis_size, RITZ_STEP, RITZ_WIDTH, unit)
     vals = np.array([b.values[:, 0] for b in bumps])
     grads = np.array([b.grad_r[:, 0] for b in bumps])
     vals, grads = _tangent_free(vals, grads, bub, params, grid)

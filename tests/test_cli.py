@@ -344,20 +344,6 @@ def test_main_non_finite_output_exit(tmp_path, capsys, monkeypatch):
     assert not os.path.exists(ledger)
 
 
-def test_main_violation_exit(tmp_path, capsys):
-    payload = {
-        "experiment": "t-wrong-slope",
-        "operation": "slope-fit",
-        "params": [[3, 2.0, 0.0, 0.0]],
-        "grid": [-30.0, 30.0, 2048],
-        "options": {"center": 10.0, "eps_count": 5, "expected": 7.0},
-    }
-    path = _write(tmp_path, "w.json", payload)
-    ledger = str(tmp_path / "ledger.jsonl")
-    assert main(["slope-fit", "--config", path, "--ledger", ledger]) == 4
-    assert "violation" in capsys.readouterr().err
-
-
 # a tolerance no value can meet, per gate; each gate fires once per item
 @pytest.mark.parametrize(
     "operation,params,options,tolerances,count",
@@ -640,6 +626,15 @@ def test_main_out_of_range_option_exit(
             {"options": {"bubbles": [[1.0, 1.0]], "dual_basis": 3}},
             "config.options.dual_basis",
         ),
+        # a log-log slope over one repeated eps is not a fit
+        (
+            "expansion-slopes",
+            {
+                "params": [[5, 3.0, 0.3, 0.5]],
+                "options": {"eps_start": 0.01, "eps_stop": 0.01, "eps_count": 3},
+            },
+            "config.options.eps_stop: need eps_stop != eps_start",
+        ),
         # files json cannot read: an int past Python's 4,300-digit limit, and
         # bytes that are not UTF-8
         pytest.param(
@@ -671,6 +666,36 @@ def test_main_malformed_config_exit(tmp_path, capsys, operation, overrides, key)
     ledger = str(tmp_path / "ledger.jsonl")
     assert main([operation, "--config", path, "--ledger", ledger]) == 2
     assert key in capsys.readouterr().err
+    assert not os.path.exists(ledger)
+
+
+@pytest.mark.parametrize(
+    "operation,params,grid,options",
+    [
+        # c06's tuple and window fit 80 Ritz bumps, not 120
+        ("spectral-gap", [[4, 3.0, 0.2, 0.4]], [-70.0, 70.0, 2048], {"count": 120}),
+        (
+            "project",
+            [[5, 3.0, 0.3, 0.5]],
+            [-30.0, 30.0, 1024],
+            {"bubbles": [[1.0, 1.0]], "dual_basis": 44},
+        ),
+    ],
+)
+def test_main_ladder_past_the_window_exit(
+    tmp_path, capsys, operation, params, grid, options
+):
+    payload = {
+        "experiment": "t-ladder",
+        "operation": operation,
+        "params": params,
+        "grid": grid,
+        "options": options,
+    }
+    path = _write(tmp_path, "l.json", payload)
+    ledger = str(tmp_path / "ledger.jsonl")
+    assert main([operation, "--config", path, "--ledger", ledger]) == 2
+    assert f"past the window [{grid[0]:g}, {grid[1]:g}]" in capsys.readouterr().err
     assert not os.path.exists(ledger)
 
 

@@ -10,6 +10,7 @@ from scipy.optimize import minimize
 
 from cknlab import critical, derive_params, manifold
 from cknlab.errors import (
+    BadGridSpec,
     BasisTooSmall,
     CaseRangeViolation,
     FarFromManifold,
@@ -362,21 +363,29 @@ def test_spectral_gap_equal_weights_stretch_to_flat():
     assert stretched == pytest.approx(flat, abs=1e-5)
 
 
+def test_ladder_past_the_window_raises():
+    # every bump must end 8 widths inside the window: c06's tuple and grid
+    # fit 80 Ritz bumps but not 120, and a dual basis of 44 overruns [-30, 30]
+    wide = _grid(WIDE_SPEC)
+    assert spectral_gap(PS43, wide, 80)[0] == pytest.approx(1.969325, rel=1e-6)
+    with pytest.raises(BadGridSpec, match="past the window"):
+        spectral_gap(PS43, wide, 120)
+    with pytest.raises(BadGridSpec, match="past the window"):
+        dual_norm_estimate(_bubble_profile(PS53), PS53, 44)
+
+
 def test_ritz_matrices_match_the_forms():
     # x^T H x is the Hessian form and x^T M x the (q - 1) V-pairing of sum x_i rho_i,
     # each rho_i projected on its own; at p = 2 the form has no (p - 2) term
     wide = _grid(WIDE_SPEC)
     x = np.array([0.3, -1.2, 0.7, 2.0, -0.4, 1.1])
-    centers = critical._ladder_centers(6, critical.RITZ_STEP)
     for ps in (PS43, derive_params(4, 2.0, 0.2, 0.5)):
         h, m = critical._ritz_matrices(ps, wide, 6)
         bub = canonical_bubble(ps)
-        unit = 1.0 / ps.sigma
-        width = critical.RITZ_WIDTH * unit
-        bumps = [
-            orthogonalize(gaussian_bump_profile(wide, ps.n, c * unit, width), bub, ps)
-            for c in centers
-        ]
+        ladder = critical._ladder(
+            wide, ps.n, 6, critical.RITZ_STEP, critical.RITZ_WIDTH, 1.0 / ps.sigma
+        )
+        bumps = [orthogonalize(bump, bub, ps) for bump in ladder]
         rho = x[0] * bumps[0]
         for xi, bump in zip(x[1:], bumps[1:]):
             rho = rho + xi * bump
