@@ -635,6 +635,22 @@ def test_main_out_of_range_option_exit(
             },
             "config.options.eps_stop: need eps_stop != eps_start",
         ),
+        # a bump ladder that runs past the window: c06's tuple and window fit
+        # 80 Ritz bumps, not 120, and [-30, 30] fits no dual basis of 44
+        (
+            "spectral-gap",
+            {"params": [[4, 3.0, 0.2, 0.4]], "grid": [-70, 70, 2048], "options": {"count": 120}},
+            "past the window [-70, 70]",
+        ),
+        (
+            "project",
+            {
+                "params": [[5, 3.0, 0.3, 0.5]],
+                "grid": [-30, 30, 1024],
+                "options": {"bubbles": [[1.0, 1.0]], "dual_basis": 44},
+            },
+            "past the window [-30, 30]",
+        ),
         # files json cannot read: an int past Python's 4,300-digit limit, and
         # bytes that are not UTF-8
         pytest.param(
@@ -666,36 +682,6 @@ def test_main_malformed_config_exit(tmp_path, capsys, operation, overrides, key)
     ledger = str(tmp_path / "ledger.jsonl")
     assert main([operation, "--config", path, "--ledger", ledger]) == 2
     assert key in capsys.readouterr().err
-    assert not os.path.exists(ledger)
-
-
-@pytest.mark.parametrize(
-    "operation,params,grid,options",
-    [
-        # c06's tuple and window fit 80 Ritz bumps, not 120
-        ("spectral-gap", [[4, 3.0, 0.2, 0.4]], [-70.0, 70.0, 2048], {"count": 120}),
-        (
-            "project",
-            [[5, 3.0, 0.3, 0.5]],
-            [-30.0, 30.0, 1024],
-            {"bubbles": [[1.0, 1.0]], "dual_basis": 44},
-        ),
-    ],
-)
-def test_main_ladder_past_the_window_exit(
-    tmp_path, capsys, operation, params, grid, options
-):
-    payload = {
-        "experiment": "t-ladder",
-        "operation": operation,
-        "params": params,
-        "grid": grid,
-        "options": options,
-    }
-    path = _write(tmp_path, "l.json", payload)
-    ledger = str(tmp_path / "ledger.jsonl")
-    assert main([operation, "--config", path, "--ledger", ledger]) == 2
-    assert f"past the window [{grid[0]:g}, {grid[1]:g}]" in capsys.readouterr().err
     assert not os.path.exists(ledger)
 
 
