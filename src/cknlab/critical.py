@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-# unused here: perfbench's tracer wraps it by name
-from scipy.optimize import minimize_scalar
 
 from .errors import (
     BadGridSpec,
@@ -70,6 +68,17 @@ RITZ_STEP = 0.45
 RITZ_WIDTH = 0.3
 # pairing-Gram directions below this fraction of the largest are dropped
 RITZ_GUARD_RTOL = 1e-12
+
+
+def __getattr__(name):
+    # minimize_scalar is unused here and resolved on first use only for
+    # perfbench's tracer, which wraps it by name
+    if name == "minimize_scalar":
+        from scipy import optimize
+
+        value = globals()[name] = optimize.minimize_scalar
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 from .errors import (
     BadGridSpec,
@@ -52,6 +52,9 @@ DEFAULT_T_MIN = -30.0
 DEFAULT_T_MAX = 30.0
 DEFAULT_COUNT = 2048
 DEFAULT_PSI_COUNT = 128
+
+# Gauss-Legendre nodes and weights of one panel on [-1, 1]
+_PANEL_X, _PANEL_W = np.polynomial.legendre.leggauss(PANEL_POINTS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,11 +115,10 @@ def make_radial_grid(
         raise BadGridSpec(f"need at least 16 nodes, got {count}")
     npan = int(math.ceil(count / PANEL_POINTS))
     edges = np.linspace(t_min, t_max, npan + 1)
-    x, w = roots_legendre(PANEL_POINTS)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
-    t = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    wt = (half[:, None] * w[None, :]).ravel()
+    t = (mid[:, None] + half[:, None] * _PANEL_X[None, :]).ravel()
+    wt = (half[:, None] * _PANEL_W[None, :]).ravel()
     r = np.exp(t)
     return RadialGrid(
         t_min=float(t_min),
@@ -154,6 +156,53 @@ def _sphere_area(dim: int) -> float:
     return 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
 
 
+def _orthonormal_recurrence(x: np.ndarray, beta: np.ndarray) -> tuple:
+    """(q_n, q_n', sum_(k<n) q_k^2) at x for the orthonormal polynomials
+    beta[k] q_(k+1) = x q_k - beta[k-1] q_(k-1), q_0 = 1, n = len(beta)."""
+    q_prev, q = np.zeros_like(x), np.ones_like(x)
+    d_prev, d = np.zeros_like(x), np.zeros_like(x)
+    total = np.zeros_like(x)
+    for k in range(len(beta)):
+        total += q * q
+        lower = beta[k - 1] if k else 0.0
+        q_prev, q = q, (x * q - lower * q_prev) / beta[k]
+        d_prev, d = d, (q_prev + x * d - lower * d_prev) / beta[k]
+    return q, d, total
+
+
+@lru_cache(maxsize=32)
+def _gauss_jacobi(count: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss rule for the weight (1 - x^2)^alpha on [-1, 1], nodes ascending.
+
+    Golub-Welsch: the nodes are the eigenvalues of the symmetric Jacobi
+    matrix, whose squared off-diagonal entries are the recurrence
+    coefficients b_k = k (k + 2 alpha) / (4 (k + alpha)^2 - 1); b_1 is
+    written 1 / (2 alpha + 3) because the general form is 0/0 at
+    alpha = -1/2.  One Newton step on the three-term recurrence polishes
+    the nodes.  The weights are the Christoffel numbers 1 / sum_(k<n) q_k^2
+    at the polished nodes, symmetrised and scaled to the weight's total
+    mass B(1/2, alpha + 1).  This is the sum that 1 / (q_(n-1) q_n')
+    equals at exact roots; evaluated in floating point it is about 100
+    times closer to the exact weights at 128 nodes.  The arrays are
+    read-only: every caller shares them.
+    """
+    k = np.arange(2.0, count + 1.0)
+    b = k * (k + 2.0 * alpha) / (4.0 * (k + alpha) ** 2 - 1.0)
+    beta = np.sqrt(np.concatenate(([1.0 / (2.0 * alpha + 3.0)], b)))
+    jacobi = np.diag(beta[:-1], 1)
+    x = np.linalg.eigvalsh(jacobi + jacobi.T)
+    q, d, _ = _orthonormal_recurrence(x, beta)
+    x = x - q / d
+    w = 1.0 / _orthonormal_recurrence(x, beta)[2]
+    x = 0.5 * (x - x[::-1])
+    w = 0.5 * (w + w[::-1])
+    mass = math.sqrt(math.pi) * math.gamma(alpha + 1.0) / math.gamma(alpha + 1.5)
+    w *= mass / math.fsum(w)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def make_psi_grid(dim: int, count: int = DEFAULT_PSI_COUNT) -> tuple[np.ndarray, np.ndarray]:
     """Polar-angle nodes and weights on [0, pi] for dimension dim.
 
@@ -166,7 +215,7 @@ def make_psi_grid(dim: int, count: int = DEFAULT_PSI_COUNT) -> tuple[np.ndarray,
     if count < 4:
         raise BadGridSpec(f"angular grid needs at least 4 nodes, got {count}")
     alpha = (dim - 3) / 2.0
-    x, w = roots_jacobi(count, alpha, alpha)
+    x, w = _gauss_jacobi(count, alpha)
     psi = np.arccos(x[::-1])
     w = w[::-1].copy()
     return psi, w * _sphere_area(dim - 1)
@@ -246,9 +295,14 @@ class Field:
         """|grad u|^2 with the angular part scaled by k_factor^2."""
         if self.grad_r is None:
             raise MissingGradient("field has no gradient data")
-        sq = self.grad_r**2
+        sq = np.square(self.grad_r)
         if self.grad_psi is not None:
-            sq = sq + k_factor**2 * (self.grad_psi / self.grid.nodes[:, None]) ** 2
+            # grad_r^2 + k^2 (grad_psi / r)^2 in place, with one temporary
+            ang = np.divide(self.grad_psi, self.grid.nodes[:, None])
+            np.square(ang, out=ang)
+            if k_factor != 1.0:
+                ang *= k_factor**2
+            sq += ang
         return sq
 
     # -- linear arithmetic --------------------------------------------------

@@ -14,13 +14,11 @@ linearised problem.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-# the second name is unused here: perfbench's tracer wraps it by name
-from scipy.optimize import minimize, minimize_scalar
-from scipy.special import betaln, digamma
 
 from .errors import (
     MissingGradient,
@@ -55,12 +53,56 @@ __all__ = [
 ]
 
 
+# solver names resolved by __getattr__ on first use; minimize_scalar is
+# unused here and only bound for perfbench's tracer, which wraps both
+_SOLVERS = ("minimize", "minimize_scalar")
+# calls look solvers up through the module, so a rebound name is the one called
+_this = sys.modules[__name__]
+
+
+def __getattr__(name):
+    if name in _SOLVERS:
+        from scipy import optimize
+
+        value = globals()[name] = getattr(optimize, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 @dataclass(frozen=True)
 class DecompositionRecord:
     """u split as mu V + rho."""
 
     mu: float
     rho: Field
+
+
+def _betaln(a: float, b: float) -> float:
+    """log B(a, b) for a, b > 0: gamma quotient, lgamma where gamma overflows."""
+    if a + b < 170.0:
+        return math.log(math.gamma(a) * math.gamma(b) / math.gamma(a + b))
+    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+
+
+# B_2k / (2k) for k = 1..7, the asymptotic series of digamma
+_DIGAMMA_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12)
+
+
+def _digamma(x: float) -> float:
+    """digamma(x) for x > 0: recurrence up to x >= 10, then the series
+
+    digamma(x) = log x - 1/(2x) - sum_k B_2k / (2k x^2k), 7 terms, whose
+    first omitted term is 4.4e-17 at x = 10.
+    """
+    shift = 0.0
+    while x < 10.0:
+        shift += 1.0 / x
+        x += 1.0
+    inv_sq = 1.0 / (x * x)
+    tail = 0.0
+    for c in reversed(_DIGAMMA_SERIES):
+        tail = (tail + c) * inv_sq
+    return math.log(x) - 0.5 / x - tail - shift
 
 
 def _unit_integrals(params: CknParams) -> tuple[float, float]:
@@ -75,8 +117,8 @@ def _unit_integrals(params: CknParams) -> tuple[float, float]:
     alpha_g = (n - p * a + p * (sig - 1.0)) / sig
     alpha_q = (n - q * b) / sig
     scale = params.sphere_area / sig
-    grad = scale * (m * sig) ** p * math.exp(betaln(alpha_g, (m + 1.0) * p - alpha_g))
-    qint = scale * math.exp(betaln(alpha_q, m * q - alpha_q))
+    grad = scale * (m * sig) ** p * math.exp(_betaln(alpha_g, (m + 1.0) * p - alpha_g))
+    qint = scale * math.exp(_betaln(alpha_q, m * q - alpha_q))
     return grad, qint
 
 
@@ -145,7 +187,7 @@ def _reference_mean(params: CknParams) -> float:
     """
     alpha = (params.n - params.q * params.b) / params.sigma
     mq = params.bubble_m * params.q
-    return float(digamma(alpha) - digamma(mq - alpha)) / params.sigma
+    return (_digamma(alpha) - _digamma(mq - alpha)) / params.sigma
 
 
 def moment_seed(u: Field, params: CknParams) -> float:
@@ -354,7 +396,9 @@ def _profiled_amplitude(g, h, w, p, start=None) -> float:
 
     x0 = [amp0 / unit]
     opts = {"gtol": 1e-15}
-    res = minimize(fun, x0, method="trust-exact", jac=True, hess=hess, options=opts)
+    res = _this.minimize(
+        fun, x0, method="trust-exact", jac=True, hess=hess, options=opts
+    )
     return unit * float(res.x[0])
 
 

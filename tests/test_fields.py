@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import betaln
+from scipy.special import betaln, roots_jacobi
 
 from cknlab import (
     BadGridSpec,
@@ -18,6 +18,7 @@ from cknlab import (
 from cknlab.fields import (
     Bubble,
     Field,
+    _gauss_jacobi,
     bubble_evaluator,
     bubble_second_derivative,
     gaussian_bump_profile,
@@ -117,6 +118,26 @@ def test_psi_grid_sphere_area():
             want = sphere_area(n - 1) * math.exp(betaln(j + 0.5, (n - 1) / 2.0))
             got = float(np.sum(w * np.cos(psi) ** (2 * j)))
             assert got == pytest.approx(want, rel=1e-13), (n, j)
+
+
+@pytest.mark.parametrize("count", [16, 64, 128])
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_gauss_jacobi_rule(dim, count):
+    # alpha = -1/2 at dim 2, where the general b_1 is 0/0
+    alpha = (dim - 3) / 2.0
+    x, w = _gauss_jacobi(count, alpha)
+    # exact on x^2k (1 - x^2)^alpha up to degree 2 count - 1: B(k + 1/2, alpha + 1)
+    for k in range(count):
+        want = math.gamma(k + 0.5) * math.gamma(alpha + 1.0)
+        want /= math.gamma(k + alpha + 1.5)
+        assert math.fsum(w * x ** (2 * k)) == pytest.approx(want, rel=1e-13), k
+    # the library rule's own tail weights sit 5e-11 off a 40-digit
+    # reference at 128 nodes, so it referees the weights no closer than 1e-10
+    ref_x, ref_w = roots_jacobi(count, alpha, alpha)
+    assert np.max(np.abs(x - ref_x)) <= 1e-14
+    assert np.max(np.abs(w / ref_w - 1.0)) <= 1e-10
+    assert _gauss_jacobi(count, alpha)[0] is x
+    assert not (x.flags.writeable or w.flags.writeable)
 
 
 def test_psi_grid_ordered():
@@ -232,6 +253,14 @@ def _bubble_and_bump(count=128, psi_count=16):
     prof = sample_bubble(ps, Bubble(1.0, 1.0), grid)
     angular = modulated_axisym(gaussian_bump_profile(grid, 4, 0.3, 0.9), psi_count)
     return ps, prof, angular
+
+
+@pytest.mark.parametrize("k_factor", [1.0, 0.7])
+def test_grad_sq_matches_the_written_expression(k_factor):
+    _, _, angular = _bubble_and_bump(count=256, psi_count=32)
+    r = angular.grid.nodes[:, None]
+    want = angular.grad_r**2 + k_factor**2 * (angular.grad_psi / r) ** 2
+    assert np.array_equal(angular.grad_sq(k_factor), want)
 
 
 def test_radial_field_layout():

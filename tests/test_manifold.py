@@ -864,3 +864,32 @@ def test_unit_integrals_meet_sharp_constant(tup):
     rel = max(1e-13, 4e-15 * expo)
     assert amp**ps.p * grad_unit == pytest.approx(target, rel=rel)
     assert amp**ps.q * q_unit == pytest.approx(target, rel=rel)
+
+
+def test_beta_and_digamma_match_reference(monkeypatch):
+    from scipy.special import betaln, digamma
+
+    # every argument the acceptance and small-sigma tuples pass them
+    beta_args, digamma_args = [], []
+    betaln_own, digamma_own = manifold._betaln, manifold._digamma
+    monkeypatch.setattr(
+        manifold, "_betaln", lambda a, b: beta_args.append((a, b)) or betaln_own(a, b)
+    )
+    monkeypatch.setattr(
+        manifold, "_digamma", lambda x: digamma_args.append(x) or digamma_own(x)
+    )
+    for tup in _acceptance_tuples() + SMALL_SIGMA_TUPLES:
+        ps = derive_params(*tup)
+        manifold._unit_integrals(ps)
+        manifold._reference_mean.__wrapped__(ps)
+    assert len(beta_args) == len(digamma_args) > 0
+    sweep = np.geomspace(0.1, 40.0, 41).tolist()
+    beta_args += [(a, b) for a in sweep for b in sweep]
+    # a + b past 170, where gamma overflows and the lgamma difference takes over
+    large = [(100.0, 80.0), (150.5, 30.0), (300.0, 0.5), (1000.0, 2000.0)]
+    for a, b in beta_args + large:
+        want = float(betaln(a, b))
+        assert abs(betaln_own(a, b) - want) <= 1e-14 * max(1.0, abs(want)), (a, b)
+    for x in digamma_args + np.geomspace(0.1, 40.0, 401).tolist():
+        want = float(digamma(x))
+        assert abs(digamma_own(x) - want) <= 1e-14 * max(1.0, abs(want)), x
