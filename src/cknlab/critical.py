@@ -281,7 +281,14 @@ def _ritz_matrices(params: CknParams, grid: RadialGrid, basis_size: int) -> tupl
 
 
 def _smallest_ritz(h: np.ndarray, m: np.ndarray) -> tuple[float, int]:
-    """Smallest eigenvalue of H x = mu M x on M's well-conditioned span, and its rank."""
+    """Smallest eigenvalue of H x = mu M x on M's well-conditioned span, and its rank.
+
+    Rows are first scaled to unit M-norm (D = diag(M)^(-1/2), H -> DHD,
+    M -> DMD): the span is unchanged, and the guard drops dependent
+    directions, not rows whose weights lie decades below the largest.
+    """
+    d = 1.0 / np.sqrt(np.diag(m))
+    h, m = d[:, None] * h * d, d[:, None] * m * d
     lam, vec = np.linalg.eigh(m)
     keep = lam > RITZ_GUARD_RTOL * lam[-1]
     white = vec[:, keep] / np.sqrt(lam[keep])
@@ -298,8 +305,9 @@ def spectral_gap(
     basis_size tangent-free bumps (see _ritz_matrices), the same solve
     on the first basis_size // 2 bumps (at least 1) as its stated
     error, and the number of directions kept.  Directions along which
-    the pairing Gram matrix falls below RITZ_GUARD_RTOL of its largest
-    eigenvalue are dropped as numerically dependent.  The spans nest,
+    the pairing Gram matrix of the unit-norm rows falls below
+    RITZ_GUARD_RTOL of its largest eigenvalue are dropped as numerically
+    dependent.  The spans nest,
     so in exact arithmetic the value never rises with the basis.  Only
     the radial sector (degree 0) is covered.
     """

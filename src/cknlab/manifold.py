@@ -326,25 +326,24 @@ def _dilation_derivs(g, h, y, w, p, amp, sig, m) -> tuple:
     )
 
 
-def _slopes_curvs(g, H, hsq, w, p, amps) -> tuple[np.ndarray, np.ndarray]:
-    """First and second derivative in A of sum w |g - A h|^p, per column h of H.
+def _slope_curv(g, h, hsq, w, p, amp) -> tuple[float, float]:
+    """First and second derivative in A of sum w |g - A h|^p at amp.
 
-    H is (components, columns, nodes), each column at its own amplitude
-    in amps; hsq = sum H^2 per column and node.
+    g and the column h are (components, nodes) and hsq = sum h^2 per node.
     With one gradient component the cosine of r and h is +-1, so the
     curvature weight hsq + (p-2) cos^2 is (p-1) hsq.
     """
-    r = H * -amps[:, None]
-    r += g[:, None, :]
-    if len(H) == 1:
-        r, h = r[0], H[0]
+    r = h * -amp
+    r += g
+    if len(h) == 1:
+        r, h = r[0], h[0]
         flux = _flux_factor(np.abs(r), p - 2.0)
         r *= h
         r *= flux
         flux *= hsq
-        return -p * (r @ w), p * (p - 1.0) * (flux @ w)
-    rh = np.einsum("ckn,ckn->kn", r, H)
-    mag = np.sqrt(np.einsum("ckn,ckn->kn", r, r))
+        return float(-p * (r @ w)), float(p * (p - 1.0) * (flux @ w))
+    rh = np.einsum("cn,cn->n", r, h)
+    mag = np.sqrt(np.einsum("cn,cn->n", r, r))
     del r
     flux = _flux_factor(mag, p - 2.0)
     # mag becomes the cosine rh / mag, zero where the residual vanishes
@@ -354,15 +353,7 @@ def _slopes_curvs(g, H, hsq, w, p, amps) -> tuple[np.ndarray, np.ndarray]:
     cos += hsq
     cos *= flux
     rh *= flux
-    return -p * (rh @ w), p * (cos @ w)
-
-
-def _slope_curv(g, h, w, p, amp) -> tuple[float, float]:
-    """_slopes_curvs of the single column h at amp."""
-    H = h[:, None, :]
-    hsq = np.einsum("ckn,ckn->kn", H, H)
-    slope, curv = _slopes_curvs(g, H, hsq, w, p, np.array([amp]))
-    return float(slope[0]), float(curv[0])
+    return float(-p * (rh @ w)), float(p * (cos @ w))
 
 
 def _profiled_amplitude(g, h, w, p, start=None) -> float:
@@ -380,7 +371,8 @@ def _profiled_amplitude(g, h, w, p, start=None) -> float:
         amp0 = float(np.sum(w * np.sum(g * h, axis=0))) / hh if hh > 0.0 else 0.0
     else:
         amp0 = float(start)
-    derivs = lru_cache(maxsize=1)(lambda amp: _slope_curv(g, h, w, p, amp))
+    hsq = np.einsum("cn,cn->n", h, h)
+    derivs = lru_cache(maxsize=1)(lambda amp: _slope_curv(g, h, hsq, w, p, amp))
     curv0 = derivs(amp0)[1] if p != 2.0 else 0.0
     if not curv0 > 0.0:
         return amp0  # p = 2, or the residual vanishes wherever h does not
@@ -402,95 +394,70 @@ def _profiled_amplitude(g, h, w, p, start=None) -> float:
     return unit * float(res.x[0])
 
 
-# columns per kernel call: bounds the (components, columns, nodes) temporaries
-AMPLITUDE_BLOCK = 8
-# Newton or bisection steps per kernel call; bisection alone needs about 60
+# Newton or bisection steps per amplitude solve; bisection alone needs about 60
 AMPLITUDE_MAX_STEPS = 100
 
 
-def _profiled_amplitudes(g, H, w, p, start=None) -> np.ndarray:
-    """_profiled_amplitude of every column of H, in one array solve.
+def _amplitude_newton(g, h, w, p, start=None) -> float:
+    """argmin over A of sum w |g - A h|^p: safeguarded Newton on the slope.
 
-    g (components, nodes) is u's gradient stack and H (components, K,
-    nodes) the bubble columns, each column's nodes contiguous.  p = 2
-    is the closed-form projection.  Otherwise Newton on the monotone
-    slope, every column at once, from start (one amplitude per column)
-    or from the closed form: each column keeps the bracket its slope
-    signs give and bisects when a Newton step would pass its midpoint,
-    so a bad start still converges.  A column stops when
-    |slope| <= 1e-15 |A| curv at its current iterate, or when its step
-    or its bracket is below 4 ulp of |A| (a slope on its rounding floor
-    never passes the test), and then leaves the active set.
-    OptimizerStall after AMPLITUDE_MAX_STEPS steps, or on a non-finite
-    slope.
+    g and the column h are (components, nodes).  p = 2 is the closed-form
+    projection.  Otherwise Newton on the monotone slope from start or from
+    the closed form; the bracket the slope signs give turns a step past its
+    midpoint into bisection, so a bad start still converges.  Stops when
+    |slope| <= 1e-15 |A| curv at the iterate, on zero curvature (the
+    residual vanishes wherever h does not), or when the step or the bracket
+    is at most 4 ulp of |A| (a slope on its rounding floor never passes the
+    test).  OptimizerStall after AMPLITUDE_MAX_STEPS steps or on a
+    non-finite slope.
     """
-    hsq = np.einsum("ckn,ckn->kn", H, H)
+    hsq = np.einsum("cn,cn->n", h, h)
     if start is None or p == 2.0:
-        hh = hsq @ w
-        gh = np.einsum("cn,ckn->kn", g, H) @ w
-        amps = np.divide(gh, hh, out=np.zeros(hh.shape), where=hh > 0.0)
+        hh = float(hsq @ w)
+        amp = float(np.einsum("cn,cn->n", g, h) @ w) / hh if hh > 0.0 else 0.0
         if p == 2.0:
-            return amps
+            return amp
     else:
-        amps = np.array(start, dtype=float)
-    slope, curv = _slopes_curvs(g, H, hsq, w, p, amps)
-    # curv0 = 0: the residual vanishes wherever h does not
-    act = np.flatnonzero(curv > 0.0)
-    if act.size < amps.size:
-        H, hsq, slope, curv = H[:, act], hsq[act], slope[act], curv[act]
-    # the bookkeeping of at most AMPLITUDE_BLOCK columns, in Python floats:
-    # numpy's call overhead would cost more than the slope evaluation
-    amps, act = amps.tolist(), act.tolist()
-    lo, hi = [-math.inf] * len(act), [math.inf] * len(act)
+        amp = float(start)
+    lo, hi = -math.inf, math.inf
     for _ in range(AMPLITUDE_MAX_STEPS):
-        slope, curv = slope.tolist(), curv.tolist()
-        if not all(map(math.isfinite, slope + curv)):
+        slope, curv = _slope_curv(g, h, hsq, w, p, amp)
+        if not (math.isfinite(slope) and math.isfinite(curv)):
             raise OptimizerStall("non-finite amplitude slope")
-        live = []
-        for j, (s, c) in enumerate(zip(slope, curv)):
-            a = amps[act[j]]
-            # the Newton step is below 1e-15 |A|: tested at the iterate, so the
-            # envelope slope of the dilation search sees the true amplitude
-            if not (abs(s) > 1e-15 * abs(a) * c and c > 0.0):
-                continue
-            if s < 0.0:
-                lo[j] = a
-            else:
-                hi[j] = a
-            new = a - s / c
-            # the current point is one end of the bracket and the step heads
-            # for the other, an earlier point: a step past the midpoint says
-            # that point was the better guess (the overshoot that makes p < 2
-            # oscillate), so bisect; an infinite end is never passed
-            mid = 0.5 * lo[j] + 0.5 * hi[j]
-            if abs(new - a) > abs(mid - a):
-                new = mid
-            ulp4 = 4.0 * math.ulp(abs(a))
-            if abs(new - a) > ulp4 and hi[j] - lo[j] > ulp4:
-                amps[act[j]] = new
-                live.append(j)
-        if len(live) < len(act):
-            act, lo, hi = ([x[j] for j in live] for x in (act, lo, hi))
-            H, hsq = H[:, live], hsq[live]
-        if not act:
-            return np.array(amps)
-        slope, curv = _slopes_curvs(g, H, hsq, w, p, np.array([amps[i] for i in act]))
-    raise OptimizerStall(
-        f"amplitude Newton: {len(act)} columns open after {AMPLITUDE_MAX_STEPS} steps"
-    )
+        # the Newton step is below 1e-15 |A|: tested at the iterate, so the
+        # envelope slope of the dilation search sees the true amplitude
+        if not (abs(slope) > 1e-15 * abs(amp) * curv and curv > 0.0):
+            return amp
+        if slope < 0.0:
+            lo = amp
+        else:
+            hi = amp
+        new = amp - slope / curv
+        # the iterate is one end of the bracket and the step heads for the
+        # other, an earlier point: a step past the midpoint says that point
+        # was the better guess (the overshoot that makes p < 2 oscillate),
+        # so bisect; an infinite end is never passed
+        mid = 0.5 * lo + 0.5 * hi
+        if abs(new - amp) > abs(mid - amp):
+            new = mid
+        ulp4 = 4.0 * math.ulp(abs(amp))
+        if abs(new - amp) <= ulp4 or hi - lo <= ulp4:
+            return amp
+        amp = new
+    raise OptimizerStall(f"amplitude Newton open after {AMPLITUDE_MAX_STEPS} steps")
 
 
 def _distance_search(u: Field, params: CknParams) -> tuple:
-    """(scan, point, amplitudes, w): the projection's objective over the family.
+    """(scan, point, amplitude, w): the projection's objective over the family.
 
     scan(log lams) is the squared distance E^(2/p) at each dilation,
     E = sum w |g - A h|^p at the profiled amplitude A; point(log lam)
     adds its first two derivatives in log lam and the rounding bound of
-    the first (_dilation_derivs).
-    amplitudes(log lams) is u's gradient stack g (components, nodes), the
-    unit-amplitude bubble columns H (components, K, nodes) and their
-    profiled amplitudes; w holds the energy weights.  A log lam solved
-    before returns its amplitude after one slope evaluation.
+    the first (_dilation_derivs).  amplitude(log lam) is u's gradient
+    stack g, the unit-amplitude bubble column h (both (components,
+    nodes)) and A by _amplitude_newton, warm-started from the nearest
+    log lam solved before: a scan point from its predecessor, a repeat
+    from its own answer; w holds the energy weights.
     """
     p = params.p
     comps, w = _gradient_stack([u], params)
@@ -500,51 +467,45 @@ def _distance_search(u: Field, params: CknParams) -> tuple:
     r = u.grid.nodes
     r_sig = r**sig
     d_fac = -m * sig * r ** (sig - 1.0)
-    # r^sigma per node in the columns' layout
+    # r^sigma per node in the column's layout
     r_sig_cols = np.broadcast_to(r_sig[:, None], u.values.shape).ravel()
 
-    def columns(log_lams):
-        # the unit-amplitude bubble gradients, one row each
-        b_coeff = np.array([math.exp(t) ** sig for t in log_lams])[:, None]
+    def column(log_lam):
+        # the unit-amplitude bubble gradient
+        b_coeff = math.exp(log_lam) ** sig
         dv = (1.0 + b_coeff * r_sig) ** (-m - 1.0)
         dv *= d_fac * b_coeff
         if len(g) == 1 and u.is_radial:
             return dv[None]
-        H = np.zeros((len(g), len(log_lams), u.grid.count, len(u.psi_nodes)))
-        H[0] = dv[..., None]
-        return H.reshape(len(g), len(log_lams), -1)
+        h = np.zeros((len(g), u.grid.count, len(u.psi_nodes)))
+        h[0] = dv[:, None]
+        return h.reshape(len(g), -1)
 
-    # {log lam: solved amplitude}, the warm starts of one-column calls
+    # {log lam: solved amplitude}, the warm starts
     solved: dict = {}
 
-    def amplitudes(log_lams):
-        # the profiled amplitudes of one block, warm-started when it is one column
-        start = None
-        if len(log_lams) == 1 and solved:
-            t0 = float(log_lams[0])
-            start = [solved[min(solved, key=lambda t: abs(t - t0))]]
-        H = columns(log_lams)
-        amps = _profiled_amplitudes(g, H, w, p, start)
-        solved.update(zip(np.asarray(log_lams).tolist(), amps.tolist()))
-        return g, H, amps
+    def amplitude(log_lam):
+        start = solved[min(solved, key=lambda t: abs(t - log_lam))] if solved else None
+        h = column(log_lam)
+        amp = solved[log_lam] = _amplitude_newton(g, h, w, p, start)
+        return g, h, amp
 
     def scan(log_lams):
         # squared, the distance is smooth at a zero; it ranks the scan points
         out = np.empty(len(log_lams))
-        for k in range(0, len(log_lams), AMPLITUDE_BLOCK):
-            _, H, amps = amplitudes(log_lams[k : k + AMPLITUDE_BLOCK])
-            H *= -amps[:, None]
-            H += g[:, None, :]
-            mag_sq = np.einsum("ckn,ckn->kn", H, H)
-            out[k : k + AMPLITUDE_BLOCK] = mag_sq ** (p / 2.0) @ w
+        for k, log_lam in enumerate(log_lams.tolist()):
+            _, r, amp = amplitude(log_lam)
+            r *= -amp
+            r += g
+            out[k] = np.einsum("cn,cn->n", r, r) ** (p / 2.0) @ w
         return out ** (2.0 / p)
 
     def point(log_lam):
-        _, H, amps = amplitudes([log_lam])
+        _, h, amp = amplitude(log_lam)
         y = math.exp(log_lam) ** sig * r_sig_cols
-        return _dilation_derivs(g, H[:, 0], y, w, p, amps[0], sig, m)
+        return _dilation_derivs(g, h, y, w, p, amp, sig, m)
 
-    return scan, point, amplitudes, w
+    return scan, point, amplitude, w
 
 
 def _refuse_translation(u: Field, params: CknParams) -> None:
@@ -581,17 +542,16 @@ def manifold_distance(u: Field, params: CknParams) -> tuple[float, Bubble]:
     if unorm == 0.0:
         raise ZeroField("zero gradient norm")
 
-    scan, point, amplitudes, w = _distance_search(u, params)
+    scan, point, amplitude, w = _distance_search(u, params)
     log_lam = _bracketed_min(scan, point, moment_seed(u, params))[1]
     # the certified amplitude: one scalar solve at the chosen dilation, from
     # the kernel's amplitude there (the search's last point, so one slope)
-    g, H, amps = amplitudes([log_lam])
-    h = H[:, 0]
-    amp = _profiled_amplitude(g, h, w, p, start=amps[0])
+    g, h, amp = amplitude(log_lam)
+    amp = _profiled_amplitude(g, h, w, p, start=amp)
     dist = _energy(w, g - amp * h, p) ** (1.0 / p)
     # slope / p over the Hoelder bound ||r||^(p-1) ||h||; h = 0 has slope 0
     den = p * dist ** (p - 1.0) * _energy(w, h, p) ** (1.0 / p)
-    slope = abs(_slope_curv(g, h, w, p, amp)[0])
+    slope = abs(_slope_curv(g, h, np.einsum("cn,cn->n", h, h), w, p, amp)[0])
     if slope > AMPLITUDE_RTOL * den and dist > ROUNDING_FLOOR * unorm:
         raise OptimizerStall(
             f"amplitude first-order residual {slope / den:.3e} > {AMPLITUDE_RTOL:g}"
@@ -607,6 +567,10 @@ def _q_pairing(u: Field, v: Field, params: CknParams) -> float:
     """integral |x|^-qb V^(q-1) u (V positive)."""
     power = params.n - 1.0 - params.q * params.b
     return u.wider(v).integrate(power, v.values ** (params.q - 1.0) * u.values)
+
+
+# dilations per pairing-scan block: bounds the (nodes, 1, block) densities
+PAIRING_BLOCK = 8
 
 
 def _pairing_search(u: Field, params: CknParams) -> tuple:
@@ -635,9 +599,9 @@ def _pairing_search(u: Field, params: CknParams) -> tuple:
 
     def scan(log_lams):
         out = np.empty(len(log_lams))
-        for k in range(0, len(log_lams), AMPLITUDE_BLOCK):
-            dens = terms(log_lams[k : k + AMPLITUDE_BLOCK])[1]
-            out[k : k + AMPLITUDE_BLOCK] = -np.sum(dens, axis=(0, 1))
+        for k in range(0, len(log_lams), PAIRING_BLOCK):
+            dens = terms(log_lams[k : k + PAIRING_BLOCK])[1]
+            out[k : k + PAIRING_BLOCK] = -np.sum(dens, axis=(0, 1))
         return out
 
     def point(log_lam):

@@ -347,6 +347,20 @@ def test_spectral_gap_p2_closed_form(n):
     assert all(later <= earlier for earlier, later in zip(values, values[1:]))
 
 
+@pytest.mark.parametrize("tup", [(4, 2, 0, 0.8), (6, 2, 0.5, 1.2), (5, 2, 0.3, 1.0)])
+def test_spectral_gap_nests_at_small_sigma(tup):
+    # sigma near 0.2: the Ritz weights span many decades across the ladder,
+    # and a guard on the unscaled rows kept 8 of 20 or 40 directions and
+    # read 1.84 or 117.8; at p = 2 the radial gap is 3 - 4/q
+    ps = derive_params(*tup)
+    grid = make_radial_grid(-70, 70, 4096)
+    runs = {k: spectral_gap(ps, grid, k) for k in (10, 20, 40)}
+    assert [kept for _, _, kept in runs.values()] == list(runs)
+    values = [value for value, _, _ in runs.values()]
+    assert all(later <= earlier for earlier, later in zip(values, values[1:]))
+    assert runs[20][0] == pytest.approx(3.0 - 4.0 / ps.q, abs=1e-3)
+
+
 def test_spectral_gap_half_basis_is_its_prefix():
     wide = _grid(WIDE_SPEC)
     value, half, kept = spectral_gap(PS43, wide, 20)

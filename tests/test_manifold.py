@@ -224,8 +224,8 @@ def _kernel_problem(tup, axisym, log_lams=KERNEL_LOG_LAMS):
     """u's stack and the columns: bubbles at log_lams and a bump at t = 45.
 
     u carries a near bump and a far one at t = 45, which the bubbles
-    cannot reach (the c04c setting).  The columns are the kernel's rows,
-    (components, columns, nodes).
+    cannot reach (the c04c setting).  Each column is laid out as the
+    kernel takes it, (components, nodes).
     """
     ps = derive_params(*tup)
     grid = make_radial_grid(-30, 60, 1024)
@@ -239,8 +239,8 @@ def _kernel_problem(tup, axisym, log_lams=KERNEL_LOG_LAMS):
     cols = [sample_bubble(ps, Bubble(1.0, math.exp(t)), grid) for t in log_lams]
     cols.append(gaussian_bump_profile(grid, ps.n, 45.0, 1.0))
     comps, w = _gradient_stack([u, *cols], ps)
-    H = np.ascontiguousarray(comps[..., 1:].transpose(0, 2, 1))
-    return ps, comps[..., 0], H, w
+    cols = [np.ascontiguousarray(comps[..., k]) for k in range(1, comps.shape[-1])]
+    return ps, comps[..., 0], cols, w
 
 
 def _slope_root(g, h, w, p, lo, hi):
@@ -261,40 +261,66 @@ def _slope_root(g, h, w, p, lo, hi):
     return 0.5 * (lo + hi)
 
 
+def _counted_slopes(monkeypatch):
+    """The list that grows by one at each _slope_curv call."""
+    calls = []
+    slope_curv = manifold._slope_curv
+
+    def counted(*args):
+        calls.append(1)
+        return slope_curv(*args)
+
+    monkeypatch.setattr(manifold, "_slope_curv", counted)
+    return calls
+
+
 @pytest.mark.parametrize("axisym", [False, True])
 @pytest.mark.parametrize("tup", KERNEL_TUPLES)
 def test_batched_amplitudes_match_scalar_solve(tup, axisym):
-    # against the slope root itself: the kernel's stopping test is referred
-    # to its current iterate, so it may not stop short on the far bump
-    ps, g, H, w = _kernel_problem(tup, axisym)
-    assert H.shape[0] == (2 if axisym else 1)
-    got = manifold._profiled_amplitudes(g, H, w, ps.p)
-    for k in range(H.shape[1]):
-        want = _slope_root(g, H[:, k], w, ps.p, 0.5 * got[k], 2.0 * got[k])
-        assert got[k] == pytest.approx(want, rel=1e-12), k
+    # every column of the stack against the slope root itself: the kernel's
+    # stopping test is referred to its current iterate, so it may not stop
+    # short on the far bump
+    ps, g, cols, w = _kernel_problem(tup, axisym)
+    assert g.shape[0] == (2 if axisym else 1)
+    for k, h in enumerate(cols):
+        got = manifold._amplitude_newton(g, h, w, ps.p)
+        want = _slope_root(g, h, w, ps.p, 0.5 * got, 2.0 * got)
+        assert got == pytest.approx(want, rel=1e-12), k
 
 
 def test_kernel_restart_moves_no_amplitude():
     # the far-bump problem whose p = 2 start is 3.3e8 against answers of 45-76
-    ps, g, H, w = _kernel_problem((4, 2.5, 0.2, 0.5), False)
-    cold = manifold._profiled_amplitudes(g, H, w, ps.p)
-    warm = manifold._profiled_amplitudes(g, H, w, ps.p, start=cold)
-    assert np.max(np.abs(warm / cold - 1.0)) <= 1e-10
+    ps, g, cols, w = _kernel_problem((4, 2.5, 0.2, 0.5), False)
+    for k, h in enumerate(cols):
+        cold = manifold._amplitude_newton(g, h, w, ps.p)
+        warm = manifold._amplitude_newton(g, h, w, ps.p, start=cold)
+        assert abs(warm / cold - 1.0) <= 1e-10, k
 
 
 def test_batched_amplitude_step_cap_raises(monkeypatch):
-    ps, g, H, w = _kernel_problem((4, 3.0, 0.1, 0.1), False)
+    ps, g, cols, w = _kernel_problem((4, 3.0, 0.1, 0.1), False)
     monkeypatch.setattr(manifold, "AMPLITUDE_MAX_STEPS", 1)
-    with pytest.raises(OptimizerStall, match="columns open"):
-        manifold._profiled_amplitudes(g, H, w, ps.p)
+    for h in cols:
+        with pytest.raises(OptimizerStall, match="open after 1 steps"):
+            manifold._amplitude_newton(g, h, w, ps.p)
 
 
 def test_batched_amplitude_non_finite_slope_raises():
-    ps, g, H, w = _kernel_problem((4, 2.5, 0.2, 0.5), False)
-    start = [1.0, np.inf, 1.0, 1.0, 1.0]
+    ps, g, cols, w = _kernel_problem((4, 2.5, 0.2, 0.5), False)
     with np.errstate(all="ignore"):
         with pytest.raises(OptimizerStall, match="non-finite amplitude slope"):
-            manifold._profiled_amplitudes(g, H, w, ps.p, start=start)
+            manifold._amplitude_newton(g, cols[1], w, ps.p, start=np.inf)
+
+
+@pytest.mark.parametrize("axisym", [False, True])
+def test_amplitude_zero_curvature_returns_the_start(monkeypatch, axisym):
+    # g = 2 h at p = 3: the residual, and with it the curvature, vanishes
+    # wherever h does not, so the closed-form start is the answer
+    ps, _, cols, w = _kernel_problem((4, 3.0, 0.1, 0.1), axisym)
+    calls = _counted_slopes(monkeypatch)
+    with np.errstate(all="raise"):
+        assert manifold._amplitude_newton(2.0 * cols[0], cols[0], w, ps.p) == 2.0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("axisym", [False, True])
@@ -303,50 +329,45 @@ def test_warm_started_amplitudes_match_cold_solve(tup, axisym):
     # the stopping test is taken at the iterate, so no start, however far,
     # stops short; the bump column, which u holds exactly, converges only
     # linearly at p > 2 but still reaches the same test
-    ps, g, H, w = _kernel_problem(tup, axisym)
-    answer = manifold._profiled_amplitudes(g, H, w, ps.p)
-    for factor in (1.001, 10.0, -1.0, 0.0):
-        warm = manifold._profiled_amplitudes(g, H, w, ps.p, start=factor * answer)
-        assert warm == pytest.approx(answer, rel=1e-12), factor
+    ps, g, cols, w = _kernel_problem(tup, axisym)
+    for k, h in enumerate(cols):
+        answer = manifold._amplitude_newton(g, h, w, ps.p)
+        for factor in (1.001, 10.0, -1.0, 0.0):
+            warm = manifold._amplitude_newton(g, h, w, ps.p, start=factor * answer)
+            assert warm == pytest.approx(answer, rel=1e-12), (k, factor)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.5, 4.0])
 def test_one_component_slopes_match_generic_path(p):
     tup = next(t for t in KERNEL_TUPLES if t[1] == p)
-    ps, g, H, w = _kernel_problem(tup, False)
-    amps = 0.9 * manifold._profiled_amplitudes(g, H, w, p)
+    ps, g, cols, w = _kernel_problem(tup, False)
+    amps = [0.9 * manifold._amplitude_newton(g, h, w, p) for h in cols]
     # a column equal to g on the inner half: at amplitude 1 the residual,
     # and with it the flux, vanishes there
     inner = np.arange(g.shape[1]) < g.shape[1] // 2
-    H = np.concatenate([H, np.where(inner, g, 0.5 * g)[:, None, :]], axis=1)
-    amps = np.append(amps, 1.0)
-    hsq = np.einsum("ckn,ckn->kn", H, H)
-    one = manifold._slopes_curvs(g, H, hsq, w, p, amps)
+    cols.append(np.where(inner, g, 0.5 * g))
+    amps.append(1.0)
     # the same stack with an all-zero angular row takes the generic path
     g2 = np.concatenate([g, np.zeros_like(g)])
-    H2 = np.concatenate([H, np.zeros_like(H)])
-    generic = manifold._slopes_curvs(g2, H2, hsq, w, p, amps)
-    for got, want in zip(one, generic):
-        assert got == pytest.approx(want, rel=1e-13)
+    for h, amp in zip(cols, amps):
+        hsq = np.einsum("cn,cn->n", h, h)
+        one = manifold._slope_curv(g, h, hsq, w, p, amp)
+        h2 = np.concatenate([h, np.zeros_like(h)])
+        generic = manifold._slope_curv(g2, h2, hsq, w, p, amp)
+        for got, want in zip(one, generic):
+            assert got == pytest.approx(want, rel=1e-13)
 
 
 def test_warm_start_saves_far_bump_slope_evaluations(monkeypatch):
     # c04c's tuple; the neighbour sits one Brent-sized step away
     t = math.log(1.3)
-    ps, g, H, w = _kernel_problem((4, 2.5, 0.2, 0.5), False, (t, t + 0.01))
-    near = manifold._profiled_amplitudes(g, H[:, :1], w, ps.p)
-    calls = []
-    slopes_curvs = manifold._slopes_curvs
-
-    def counted(*args):
-        calls.append(1)
-        return slopes_curvs(*args)
-
-    monkeypatch.setattr(manifold, "_slopes_curvs", counted)
-    manifold._profiled_amplitudes(g, H[:, 1:2], w, ps.p)
+    ps, g, (h_near, h, _), w = _kernel_problem((4, 2.5, 0.2, 0.5), False, (t, t + 0.01))
+    near = manifold._amplitude_newton(g, h_near, w, ps.p)
+    calls = _counted_slopes(monkeypatch)
+    manifold._amplitude_newton(g, h, w, ps.p)
     cold = len(calls)
     calls.clear()
-    manifold._profiled_amplitudes(g, H[:, 1:2], w, ps.p, start=near)
+    manifold._amplitude_newton(g, h, w, ps.p, start=near)
     assert len(calls) < cold
 
 
@@ -354,21 +375,31 @@ def test_warm_start_saves_far_bump_slope_evaluations(monkeypatch):
     "tup,window",
     [((4, 2.5, 0.2, 0.5), (-30, 30, 2048)), ((4, 3.0, 0.1, 0.1), (-60, 60, 3072))],
 )
-def test_scan_blocks_match_one_column_solves(tup, window):
-    # a 33-point scan of a c04a/c04b sample, solved as the scan solves it
+def test_chained_scan_matches_cold_solves(monkeypatch, tup, window):
+    # a 33-point scan of a c04a/c04b sample: each point starts from its
+    # predecessor's amplitude and must land where a cold solve lands
     from cknlab.stability import perturbed_bubble
 
     ps = derive_params(*tup)
     u = perturbed_bubble(ps, make_radial_grid(*window), 0.05, 1.0, 1.0)
-    _, _, amplitudes, w = manifold._distance_search(u, ps)
+    scan, _, _, w = manifold._distance_search(u, ps)
+    solves = []
+    solve = manifold._amplitude_newton
+
+    def recorded(g, h, w, p, start=None):
+        # the scan turns h into the residual after the solve
+        solves.append((g, h.copy(), start, solve(g, h, w, p, start)))
+        return solves[-1][3]
+
+    monkeypatch.setattr(manifold, "_amplitude_newton", recorded)
     seed = moment_seed(u, ps)
-    x = np.linspace(seed - 8.0, seed + 8.0, 33)
-    block = manifold.AMPLITUDE_BLOCK
-    for k in range(0, len(x), block):
-        g, H, amps = amplitudes(x[k : k + block])
-        for j in range(H.shape[1]):
-            one = manifold._profiled_amplitudes(g, H[:, j : j + 1], w, ps.p)
-            assert amps[j] == pytest.approx(one[0], rel=1e-12), k + j
+    scan(np.linspace(seed - 8.0, seed + 8.0, 33))
+    assert len(solves) == 33
+    previous = None
+    for k, (g, h, start, amp) in enumerate(solves):
+        assert start == previous, k
+        assert amp == pytest.approx(solve(g, h, w, ps.p), rel=1e-12), k
+        previous = amp
 
 
 # one admissible tuple per exponent with a > 0, and one with a = b = 0
@@ -594,10 +625,10 @@ def test_certified_amplitude_starts_from_kernel(monkeypatch):
     ps = derive_params(4, 2.5, 0.2, 0.5)
     u = perturbed_bubble(ps, make_radial_grid(-30, 30, 2048), 0.05, 1.0, 1.0)
     kernel, starts, solves = [], [], []
-    batched, scalar = manifold._profiled_amplitudes, manifold._profiled_amplitude
+    newton, scalar = manifold._amplitude_newton, manifold._profiled_amplitude
 
-    def spied_batched(*args):
-        kernel.append(batched(*args))
+    def spied_newton(*args):
+        kernel.append(newton(*args))
         return kernel[-1]
 
     def spied_scalar(g, h, w, p, start=None):
@@ -608,22 +639,22 @@ def test_certified_amplitude_starts_from_kernel(monkeypatch):
         solves.append((np.array(x0, dtype=float), minimize(fun, x0, **kwargs)))
         return solves[-1][1]
 
-    monkeypatch.setattr(manifold, "_profiled_amplitudes", spied_batched)
+    monkeypatch.setattr(manifold, "_amplitude_newton", spied_newton)
     monkeypatch.setattr(manifold, "_profiled_amplitude", spied_scalar)
     monkeypatch.setattr(manifold, "minimize", spied_minimize)
     _, bub = manifold_distance(u, ps)
     (x0, res), = solves
     # x0 is the start over its own magnitude
-    assert starts == [kernel[-1][0]]
+    assert starts == [kernel[-1]]
     assert x0[0] * abs(starts[0]) == starts[0]
     assert res.nit <= 1
     assert bub.amplitude == pytest.approx(starts[0], rel=1e-12)
 
     # the same solve from the p = 2 projection
-    _, _, amplitudes, w = manifold._distance_search(u, ps)
-    g, H, _ = amplitudes([math.log(bub.scale)])
+    _, _, amplitude, w = manifold._distance_search(u, ps)
+    g, h, _ = amplitude(math.log(bub.scale))
     solves.clear()
-    cold = scalar(g, H[:, 0], w, ps.p)
+    cold = scalar(g, h, w, ps.p)
     assert solves[0][1].nit > 1
     assert cold == pytest.approx(bub.amplitude, rel=1e-12)
 
