@@ -8,14 +8,15 @@ Two sweeps over eps:
            with the bump position and the p-homogeneous part takes over,
            giving eps^(p-1)
 
-Prints both tables and the fitted log-log slopes.
+The residual is the exact radial dual norm.  Prints both tables and
+the fitted log-log slopes.
 """
 
 import argparse
 
 import numpy as np
 
-from cknlab.critical import dual_norm_estimate
+from cknlab.critical import radial_dual_norm
 from cknlab.fields import gaussian_bump_profile, make_radial_grid
 from cknlab.functionals import weighted_grad_pnorm
 from cknlab.manifold import canonical_profile
@@ -26,14 +27,12 @@ def sweep(ps, grid, center, width, eps_list, label):
     v = canonical_profile(ps, grid)
     bump = gaussian_bump_profile(grid, ps.n, center, width)
     z = (1.0 / weighted_grad_pnorm(bump, ps) ** (1.0 / ps.p)) * bump
-    ests = []
+    norms = []
     print(f"\n{label} family, bump at t={center}:")
     for eps in eps_list:
-        u = v + eps * z
-        est = dual_norm_estimate(u, ps, 8, extra_elements=[z]).value
-        ests.append(est)
-        print(f"  eps={eps:.3e}  residual={est:.6e}")
-    slope = float(np.polyfit(np.log(eps_list), np.log(ests), 1)[0])
+        norms.append(radial_dual_norm(v + eps * z, ps))
+        print(f"  eps={eps:.3e}  residual={norms[-1]:.6e}")
+    slope = float(np.polyfit(np.log(eps_list), np.log(norms), 1)[0])
     print(f"  slope: {slope:.4f}")
     return slope
 

@@ -30,6 +30,7 @@ from .critical import (
     dual_norm_estimate,
     elementary_C_estimate,
     expansion_quantities,
+    radial_dual_norm,
     spectral_gap,
 )
 from .errors import (
@@ -584,15 +585,21 @@ def _op_expansion_slopes(job):
     # sweep fields sit at distance ~ eps, so the gate follows the largest eps
     gate = 2.0 * max(job.eps_start, job.eps_stop)
 
+    # the residual's stated error: the same sweep field rebuilt on half the
+    # nodes of the window, since a sampled field does not move between grids
+    half = make_radial_grid(grid.t_min, grid.t_max, grid.count // 2)
+
     rows = []
     for e in eps:
         u = perturbed_bubble(ps, grid, float(e), 0.5, 0.7)
-        rep = expansion_quantities(u, ps, distance_gate=gate, basis_size=8)
+        rep = expansion_quantities(u, ps, distance_gate=gate)
+        coarse = radial_dual_norm(perturbed_bubble(ps, half, float(e), 0.5, 0.7), ps)
         rows.append(
             {
                 "Q": float(rep.Q),
                 "N": float(rep.N),
                 "residual": float(rep.residual_pairing_norm),
+                "residual_error": abs(float(rep.residual_pairing_norm) - coarse),
             }
         )
     cols = _columns(rows)
@@ -667,8 +674,14 @@ def _chainable_base(checked, grid) -> None:
 
 
 def _sweep_spans(checked, grid) -> None:
-    """expansion-slopes fits log-log slopes, so its sweep needs two distinct eps."""
+    """expansion-slopes fits log-log slopes, so its sweep needs two distinct eps,
+    and it repeats the residual on half the grid, which needs 16 nodes."""
     _ordered_grid(checked, grid)
+    if grid[2] < 32:
+        raise ConfigError(
+            f"config.grid[2]: the half grid of the residual error needs count >= 32, "
+            f"got {grid[2]}"
+        )
     if checked.eps_start == checked.eps_stop:
         raise ConfigError(
             f"config.options.eps_stop: need eps_stop != eps_start, got {checked.eps_stop}"

@@ -1,7 +1,8 @@
 """Critical-point machinery around the optimiser bubbles.
 
-Euler-Lagrange residuals in weak form, dual-norm lower-bound
-estimates over explicit test bases, the degenerate Hessian quadratic
+Euler-Lagrange residuals in weak form, the exact dual norm of a
+radial residual, dual-norm lower-bound estimates over explicit test
+bases, the degenerate Hessian quadratic
 form, the radial spectral gap as a Rayleigh-Ritz eigenvalue, the
 two-sided near-manifold quantities, and empirical constants for six
 elementary pointwise inequalities.
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -25,8 +27,10 @@ from .errors import (
     OptimizerStall,
     RegionViolation,
     ScalingGuardFailure,
+    UnsupportedField,
     ZeroField,
 )
+from .fields import _PANEL_W, _PANEL_X, PANEL_POINTS
 from .fields import Bubble, Field, RadialGrid, gaussian_bump_profile, sample_bubble
 from .functionals import _energy, _flux_factor, _gradient_stack
 from .functionals import grad_norm, weighted_grad_pnorm
@@ -43,6 +47,7 @@ __all__ = [
     "ExpansionQuantities",
     "DualNormEstimate",
     "el_residual_pairing",
+    "radial_dual_norm",
     "dual_norm_estimate",
     "hessian_form",
     "spectral_gap",
@@ -123,6 +128,64 @@ def el_residual_pairing(u: Field, phi: Field, params: CknParams) -> float:
         n - 1.0 - q * b, np.abs(u.values) ** (q - 2.0) * u.values * phi.values
     )
     return zero_term - u.integrate(n - 1.0 - p * a, flux * dot)
+
+
+# ---------------------------------------------------------------------------
+# exact dual norm of a radial residual
+
+
+@lru_cache(maxsize=1)
+def _panel_integration_matrix() -> np.ndarray:
+    """S_ij = integral from -1 to x_i of l_j, the panel's Lagrange basis.
+
+    The Gauss rule is exact to degree 2 PANEL_POINTS - 1, so
+    l_j = w_j sum_k (k + 1/2) P_k(x_j) P_k, and legint integrates each
+    P_k from -1.  Built on first use, not at import.
+    """
+    leg = np.polynomial.legendre
+    k = np.arange(PANEL_POINTS)
+    coeffs = (k + 0.5)[:, None] * leg.legvander(_PANEL_X, PANEL_POINTS - 1).T * _PANEL_W
+    return leg.legval(_PANEL_X, leg.legint(coeffs, lbnd=-1.0)).T
+
+
+def _running_integral(grid: RadialGrid, f: np.ndarray) -> np.ndarray:
+    """integral from t_min to each node of f, sampled in log radius.
+
+    Panel by panel: the integration matrix scaled by the half-width,
+    plus the running sum of the earlier panels' totals.
+    """
+    panels = f.reshape(-1, PANEL_POINTS)
+    half = 0.5 * (grid.t_max - grid.t_min) / len(panels)
+    before = np.concatenate(([0.0], np.cumsum(panels[:-1] @ _PANEL_W)))
+    return half * (before[:, None] + panels @ _panel_integration_matrix().T).ravel()
+
+
+def radial_dual_norm(u: Field, params: CknParams) -> float:
+    """Exact dual norm of the equation residual of a radial u.
+
+    With h = r^(n-1-qb) |u|^(q-2) u and W = r^(n-1-pa), integrating the
+    zero-order term of el_residual_pairing by parts turns the pairing
+    into -omega integral phi' G dr, G = W |u'|^(p-2) u' + integral_0^r h.
+    Hoelder's inequality then gives the sup over radial phi exactly:
+    (omega integral W^(1-p') |G|^p' dr)^(1/p'), p' = p / (p-1).  Radial
+    phi suffice: the pairing and the norm are rotation-invariant and the
+    norm is convex, so averaging phi over rotations lowers neither.
+    The running integral starts at r_min; integral_0^r_min h is dropped.
+    G vanishes at a bubble (the first integral of the radial equation),
+    so there the value reads the quadrature floor.  Raises
+    UnsupportedField for a non-radial u.
+    """
+    if not u.is_radial:
+        raise UnsupportedField("the radial dual norm takes a radial field")
+    n, p, q = params.n, params.p, params.q
+    r = u.grid.nodes[:, None]
+    flux = _flux_factor(np.sqrt(u.grad_sq()), p - 2.0) * u.grad_r
+    h_t = r ** (n - q * params.b) * np.abs(u.values) ** (q - 2.0) * u.values
+    big_g = r ** (n - 1.0 - p * params.a) * flux
+    big_g += _running_integral(u.grid, h_t[:, 0])[:, None]
+    dual = p / (p - 1.0)
+    power = (n - 1.0 - p * params.a) * (1.0 - dual)
+    return u.integrate(power, np.abs(big_g) ** dual) ** (1.0 / dual)
 
 
 # ---------------------------------------------------------------------------
@@ -338,11 +401,14 @@ def expansion_quantities(
     u: Field,
     params: CknParams,
     distance_gate: Optional[float] = None,
-    basis_size: int = 12,
 ) -> ExpansionQuantities:
-    """Residual dual norm, Q, N and mu for a near-manifold field, p > 2."""
+    """Residual dual norm, Q, N and mu for a near-manifold radial field, p > 2.
+
+    The residual is radial_dual_norm's exact value.
+    """
     if params.p <= 2.0:
         raise RegionViolation(f"two-sided estimates need p > 2, got p={params.p}")
+    residual = radial_dual_norm(u, params)
     unorm = grad_norm(u, params)
     if unorm <= 0.0:
         raise ZeroField("near-manifold analysis of the zero field")
@@ -355,9 +421,8 @@ def expansion_quantities(
     rho = dec.rho
     big_q = _v_quadratic(v_bub, rho, params)
     big_n = weighted_grad_pnorm(rho, params)
-    est = dual_norm_estimate(u, params, basis_size)
     return ExpansionQuantities(
-        residual_pairing_norm=est.value,
+        residual_pairing_norm=residual,
         Q=big_q,
         N=big_n,
         mu=dec.mu,

@@ -429,6 +429,35 @@ def test_expansion_slopes_reversed_sweep(tmp_path):
         assert reverse[key] == pytest.approx(forward[key], rel=1e-12)
 
 
+def test_expansion_slopes_states_the_residual_error(tmp_path):
+    # |residual - residual on count // 2 nodes| for every eps, well below it
+    payload = {
+        "experiment": "t-residual-error",
+        "operation": "expansion-slopes",
+        "params": [[5, 3.0, 0.3, 0.5]],
+        "grid": [-30.0, 30.0, 512],
+        "options": {"eps_start": 1e-2, "eps_stop": 1e-1, "eps_count": 3},
+    }
+    out = run_experiment(_write(tmp_path, "r.json", payload), str(tmp_path / "l.jsonl")).outputs
+    assert len(out["residual_error"]) == 3
+    for err, value in zip(out["residual_error"], out["residual"]):
+        assert 0.0 < err <= 1e-2 * value
+
+
+def test_expansion_slopes_needs_a_half_grid(tmp_path, capsys):
+    payload = {
+        "experiment": "t-half-grid",
+        "operation": "expansion-slopes",
+        "params": [[5, 3.0, 0.3, 0.5]],
+        "grid": [-30.0, 30.0, 24],
+    }
+    path = _write(tmp_path, "h.json", payload)
+    ledger = tmp_path / "l.jsonl"
+    assert main(["expansion-slopes", "--config", path, "--ledger", str(ledger)]) == 2
+    assert "config.grid[2]" in capsys.readouterr().err
+    assert not ledger.exists()
+
+
 def test_main_report_exit(tmp_path, capsys):
     ledger = _two_record_ledger(tmp_path)
     assert main(["report", "--ledger", ledger]) == 0

@@ -19,6 +19,7 @@ from cknlab.errors import (
     OptimizerStall,
     RegionViolation,
     ScalingGuardFailure,
+    UnsupportedField,
     ZeroField,
 )
 from cknlab.critical import (
@@ -29,6 +30,7 @@ from cknlab.critical import (
     elementary_terms,
     hessian_form,
     expansion_quantities,
+    radial_dual_norm,
     spectral_gap,
 )
 from cknlab.fields import (
@@ -39,6 +41,7 @@ from cknlab.fields import (
     sample_bubble,
 )
 from cknlab.functionals import weighted_grad_pnorm, weighted_lq_norm
+from cknlab.fields import PANEL_POINTS
 from cknlab.manifold import (
     canonical_bubble,
     canonical_profile,
@@ -47,6 +50,7 @@ from cknlab.manifold import (
     tangent_basis,
     v_inner,
 )
+from cknlab.stability import perturbed_bubble
 
 PS53 = derive_params(5, 3.0, 0.3, 0.5)
 PS32 = derive_params(3, 2.0, 0.0, 0.0)
@@ -145,6 +149,96 @@ def test_pairing_embeds_radial_phi_for_axisym_u():
     p_axi = el_residual_pairing(u_axi, phi, PS53)
     p_rad = el_residual_pairing(u_rad, phi, PS53)
     assert abs(p_axi - p_rad) <= 1e-10 * max(abs(p_rad), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# exact radial dual norm
+
+
+def test_panel_integration_matrix_is_exact_on_polynomials():
+    # S interpolates at the panel's nodes: exact to degree PANEL_POINTS - 1
+    x = critical._PANEL_X
+    s = critical._panel_integration_matrix()
+    for k in range(PANEL_POINTS):
+        assert np.allclose(s @ x**k, (x ** (k + 1) - (-1.0) ** (k + 1)) / (k + 1), atol=1e-15)
+
+
+def test_running_integral_of_log_radius_polynomial():
+    # the running integral from t_min in log radius, panel sums included
+    g = make_radial_grid(-3.0, 5.0, 64)
+    t = g.log_nodes
+    got = critical._running_integral(g, t**3 - 2.0 * t)
+    want = (t**4 - 3.0**4) / 4.0 - (t**2 - 3.0**2)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize(
+    "tup", [(3, 2.0, 0.0, 0.0), (4, 2.5, 0.1, 0.4), (5, 3.0, 0.3, 0.5), (6, 4.0, 0.1, 0.3)]
+)
+def test_radial_dual_norm_vanishes_at_c03_bubbles(tup):
+    # G is the first integral of the radial equation: the formula reads the
+    # quadrature floor at a bubble, not a window artefact
+    ps = derive_params(*tup)
+    assert radial_dual_norm(_bubble_profile(ps, (-30.0, 30.0, 4096)), ps) <= 1e-12
+
+
+def test_radial_dual_norm_above_the_basis_estimate():
+    # the estimate is a sup over a subspace, so it cannot exceed the exact value
+    u = _perturbed(PS53, 1e-2)
+    exact = radial_dual_norm(u, PS53)
+    assert dual_norm_estimate(u, PS53, 8).value <= exact
+
+
+def test_radial_dual_norm_scaled_bubble_bound():
+    # the amplitude direction alone already gives pairing / ||V||
+    v = _bubble_profile(PS53)
+    mu = 1.3
+    drop = abs(mu ** (PS53.q - 1.0) - mu ** (PS53.p - 1.0)) * weighted_lq_norm(v, PS53)
+    bound = drop / weighted_grad_pnorm(v, PS53) ** (1.0 / PS53.p)
+    assert radial_dual_norm(mu * v, PS53) >= 0.999 * bound
+
+
+def test_radial_dual_norm_rejects_axisymmetric_field():
+    u = modulated_axisym(_perturbed(PS53, 1e-2), 48)
+    with pytest.raises(UnsupportedField):
+        radial_dual_norm(u, PS53)
+    with pytest.raises(UnsupportedField):
+        expansion_quantities(u, PS53)
+
+
+def _hat_sup(u, ps, knots):
+    """sqrt(l^T M^-1 l) over the hats in log r with the given knots, p = 2."""
+    g = u.grid
+    t = g.log_nodes
+    width = knots[1] - knots[0]
+    ders, ell = [], []
+    for c in knots[1:-1]:
+        inside = np.abs(t - c) < width
+        v = np.maximum(0.0, 1.0 - np.abs(t - c) / width)
+        d = np.where(inside, -np.sign(t - c) / width, 0.0) / g.nodes
+        ell.append(el_residual_pairing(u, Field.radial(g, ps.n, v, d), ps))
+        ders.append(d)
+    ders, ell = np.array(ders).T, np.array(ell)
+    w = ps.sphere_area * g.weights * g.nodes ** (ps.n - 1.0 - ps.p * ps.a)
+    return math.sqrt(float(ell @ np.linalg.solve(ders.T @ (w[:, None] * ders), ell)))
+
+
+def test_radial_dual_norm_against_nested_hat_sups():
+    # at p = 2 the sup over a span is sqrt(l^T M^-1 l).  Piecewise-linear
+    # hats in log r with every knot on a panel edge keep each panel's
+    # quadrature exact; coarser hats lie in the span of finer ones, so the
+    # sup rises toward the exact value, its gap shrinking ~4x per halving
+    ps = derive_params(4, 2.0, 0.2, 0.5)
+    g = make_radial_grid(-40.0, 40.0, 4096)
+    u = perturbed_bubble(ps, g, 0.05, 0.5, 0.7)
+    exact = radial_dual_norm(u, ps)
+    edges = np.linspace(g.t_min, g.t_max, g.count // PANEL_POINTS + 1)
+    lo, hi = np.searchsorted(edges, [-30.0, 30.0])
+    sups = [_hat_sup(u, ps, edges[lo : hi + 1 : step]) for step in (4, 2, 1)]
+    assert sups[0] < sups[1] < sups[2] < exact
+    assert (exact - sups[2]) / exact < 1e-2  # one hat per panel
+    richardson = sups[2] + (sups[2] - sups[1]) / 3.0
+    assert abs(richardson - exact) / exact < 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -454,31 +548,31 @@ def test_spectral_gap_range_and_basis():
 
 def test_expansion_at_exact_bubble():
     v = _bubble_profile(PS53)
-    rep = expansion_quantities(v, PS53, basis_size=4)
+    rep = expansion_quantities(v, PS53)
     assert rep.mu == pytest.approx(1.0, abs=1e-8)
     assert rep.N <= 1e-12
     assert rep.Q <= 1e-10
-    assert rep.residual_pairing_norm <= 1e-5
+    assert rep.residual_pairing_norm <= 1e-11
     unorm = weighted_grad_pnorm(v, PS53) ** (1.0 / PS53.p)
     assert rep.distance_gate == pytest.approx(0.1 * unorm, rel=1e-12)
 
 
 def test_expansion_epsilon_scaling():
-    r1 = expansion_quantities(_perturbed(PS53, 1e-3), PS53, basis_size=4)
-    r2 = expansion_quantities(_perturbed(PS53, 2e-3), PS53, basis_size=4)
+    r1 = expansion_quantities(_perturbed(PS53, 1e-3), PS53)
+    r2 = expansion_quantities(_perturbed(PS53, 2e-3), PS53)
     assert r2.N / r1.N == pytest.approx(2.0**PS53.p, rel=2e-2)
     assert r2.Q / r1.Q == pytest.approx(4.0, rel=2e-2)
 
 
 def test_expansion_needs_p_above_two():
     with pytest.raises(RegionViolation):
-        expansion_quantities(_bubble_profile(PS32), PS32, basis_size=4)
+        expansion_quantities(_bubble_profile(PS32), PS32)
 
 
 def test_expansion_far_from_manifold():
     u = _perturbed(PS53, 1e-2)
     with pytest.raises(FarFromManifold):
-        expansion_quantities(u, PS53, distance_gate=1e-8, basis_size=4)
+        expansion_quantities(u, PS53, distance_gate=1e-8)
 
 
 # ---------------------------------------------------------------------------
