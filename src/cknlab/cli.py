@@ -593,13 +593,14 @@ def _op_expansion_slopes(job):
     for e in eps:
         u = perturbed_bubble(ps, grid, float(e), 0.5, 0.7)
         rep = expansion_quantities(u, ps, distance_gate=gate)
+        residual = float(rep.residual_pairing_norm)
         coarse = radial_dual_norm(perturbed_bubble(ps, half, float(e), 0.5, 0.7), ps)
         rows.append(
             {
                 "Q": float(rep.Q),
                 "N": float(rep.N),
-                "residual": float(rep.residual_pairing_norm),
-                "residual_error": abs(float(rep.residual_pairing_norm) - coarse),
+                "residual": residual,
+                "residual_error": abs(residual - coarse),
             }
         )
     cols = _columns(rows)
@@ -674,8 +675,8 @@ def _chainable_base(checked, grid) -> None:
 
 
 def _sweep_spans(checked, grid) -> None:
-    """expansion-slopes fits log-log slopes, so its sweep needs two distinct eps,
-    and it repeats the residual on half the grid, which needs 16 nodes."""
+    """expansion-slopes fits log-log slopes, so its sweep needs two distinct eps;
+    it repeats the residual on count // 2 nodes, and a grid takes 16 or more."""
     _ordered_grid(checked, grid)
     if grid[2] < 32:
         raise ConfigError(
