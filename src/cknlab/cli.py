@@ -53,12 +53,12 @@ from .params import CknParams, derive_hat_params, derive_params, sharp_constant
 from .stability import (
     GeneratorSpec,
     alpha_exponent,
+    bubble_perturbation,
     embedding_check,
     exponent_slope_fit,
     k_upper_scan,
     mollified_bubble,
     monotonicity_chain_check,
-    perturbed_bubble,
 )
 from .transforms import flat_params, transform_identity_check
 
@@ -588,13 +588,14 @@ def _op_expansion_slopes(job):
     # the residual's stated error: the same sweep field rebuilt on half the
     # nodes of the window, since a sampled field does not move between grids
     half = make_radial_grid(grid.t_min, grid.t_max, grid.count // 2)
+    sweep = bubble_perturbation(ps, grid, 0.5, 0.7)
+    half_sweep = bubble_perturbation(ps, half, 0.5, 0.7)
 
     rows = []
     for e in eps:
-        u = perturbed_bubble(ps, grid, float(e), 0.5, 0.7)
-        rep = expansion_quantities(u, ps, distance_gate=gate)
+        rep = expansion_quantities(sweep(float(e)), ps, distance_gate=gate)
         residual = float(rep.residual_pairing_norm)
-        coarse = radial_dual_norm(perturbed_bubble(ps, half, float(e), 0.5, 0.7), ps)
+        coarse = radial_dual_norm(half_sweep(float(e)), ps)
         rows.append(
             {
                 "Q": float(rep.Q),

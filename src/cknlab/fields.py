@@ -15,6 +15,12 @@ column.  Fields add, subtract and scale node for node; a one-node field
 broadcasts against a multi-node one.  Every weighted integral of the
 package is :meth:`Field.integrate`, and every gradient magnitude is
 :meth:`Field.grad_sq`.
+
+Tensor-grid integrals run over row blocks: views on consecutive radial
+rows holding about BLOCK_POINTS nodes, so no integrand is built on the
+full grid.  Each block is one np.sum and the blocks add up with
+math.fsum, so the summation order is fixed per row block.  A radial
+field is a single block, summed by one np.sum.
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ __all__ = [
 ]
 
 PANEL_POINTS = 8
+BLOCK_POINTS = 16384  # tensor-grid nodes per row block of an integral
 DEFAULT_T_MIN = -30.0
 DEFAULT_T_MAX = 30.0
 DEFAULT_COUNT = 2048
@@ -87,6 +94,26 @@ class RadialGrid:
 
     def meta(self) -> tuple:
         return (self.t_min, self.t_max, self.count)
+
+    def rows(self, rows: slice) -> "RadialGrid":
+        """The nodes in rows as a grid of their own, for a row block.
+
+        It keeps the window and the radial weights cached so far, as
+        views; with fewer nodes than its parent it never compares equal
+        to the full grid.
+        """
+        nodes = self.nodes[rows]
+        sub = RadialGrid(
+            t_min=self.t_min,
+            t_max=self.t_max,
+            count=len(nodes),
+            nodes=nodes,
+            log_nodes=self.log_nodes[rows],
+            weights=self.weights[rows],
+            t_weights=self.t_weights[rows],
+        )
+        sub._powers.update((power, w[rows]) for power, w in self._powers.items())
+        return sub
 
     def same_as(self, other: "RadialGrid") -> bool:
         return other is self or (
@@ -225,6 +252,11 @@ def _or_zero(a):
     return 0.0 if a is None else a
 
 
+def _check_columns(density, u: "Field") -> None:
+    if np.shape(density)[-1] > len(u.psi_nodes):
+        raise GridMismatch("density has more angular nodes than the field")
+
+
 @dataclass(frozen=True, eq=False)
 class Field:
     """Field u(r, psi) in R^dim sampled on a tensor grid.
@@ -281,15 +313,57 @@ class Field:
         """Node weights w_i omega_j r_i^power on the tensor grid."""
         return self.grid.radial_weights(power)[:, None] * self.psi_weights
 
-    def integrate(self, power: float, density) -> float:
-        """sum_ij w_i omega_j r_i^power density_ij, in a fixed summation order.
+    def _block_rows(self) -> int:
+        """Radial rows per row block: the whole grid for a radial field."""
+        cols = len(self.psi_nodes)
+        return self.grid.count if cols == 1 else max(1, BLOCK_POINTS // cols)
 
-        density broadcasts against the field's (radial, angular) shape
-        but may not carry more angular nodes than the field.
+    def row_blocks(self) -> list:
+        """(rows, view) for consecutive blocks of about BLOCK_POINTS nodes.
+
+        Each view is this field on the slice rows of whole radial rows,
+        on the sub-grid RadialGrid.rows.  A radial field, or one with at
+        most BLOCK_POINTS nodes, is its own only block.
         """
-        if np.shape(density)[-1] > len(self.psi_nodes):
-            raise GridMismatch("density has more angular nodes than the field")
+        step, count = self._block_rows(), self.grid.count
+        if step >= count:
+            return [(slice(None), self)]
+        slices = [slice(start, start + step) for start in range(0, count, step)]
+        return [(rows, self._rows(rows)) for rows in slices]
+
+    def _rows(self, rows: slice) -> "Field":
+        return Field(
+            grid=self.grid.rows(rows),
+            dim=self.dim,
+            psi_nodes=self.psi_nodes,
+            psi_weights=self.psi_weights,
+            values=self.values[rows],
+            grad_r=None if self.grad_r is None else self.grad_r[rows],
+            grad_psi=None if self.grad_psi is None else self.grad_psi[rows],
+        )
+
+    def _block_integral(self, power: float, density) -> float:
+        _check_columns(density, self)
         return float(np.sum(self.measure(power) * density))
+
+    def integrate(self, power: float, density) -> float:
+        """sum_ij w_i omega_j r_i^power density_ij, in a fixed order per row block.
+
+        density is an array that broadcasts against the field's (radial,
+        angular) shape, or a function from a row block (a Field) to such
+        an array for that block; it may not carry more angular nodes
+        than the field.  Each block is one np.sum and math.fsum adds the
+        blocks, so a field of one block is a single np.sum.
+        """
+        if self._block_rows() >= self.grid.count:
+            return self._block_integral(power, density(self) if callable(density) else density)
+        self.grid.radial_weights(power)  # cached before the blocks slice it
+        blocks = self.row_blocks()
+        if callable(density):
+            return math.fsum(blk._block_integral(power, density(blk)) for _, blk in blocks)
+        _check_columns(density, self)
+        full = np.broadcast_to(density, (self.grid.count, len(self.psi_nodes)))
+        return math.fsum(blk._block_integral(power, full[rows]) for rows, blk in blocks)
 
     def grad_sq(self, k_factor: float = 1.0) -> np.ndarray:
         """|grad u|^2 with the angular part scaled by k_factor^2."""

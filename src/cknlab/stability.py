@@ -51,6 +51,7 @@ __all__ = [
     "alpha_exponent",
     "stability_ratio",
     "perturbed_bubble",
+    "bubble_perturbation",
     "family_samples",
     "k_upper_scan",
     "exponent_slope_fit",
@@ -165,10 +166,8 @@ def stability_ratio(
 # declarative sample families
 
 
-def perturbed_bubble(
-    params: CknParams, grid: RadialGrid, eps: float, center: float, width: float
-) -> Field:
-    """V + eps z: the canonical bubble plus a tangent-free log-radius bump.
+def bubble_perturbation(params: CknParams, grid: RadialGrid, center: float, width: float):
+    """eps -> V + eps z, with the canonical bubble V and the direction z built once.
 
     z is the Gaussian bump at (center, width) with the tangent
     directions projected out, scaled to unit gradient norm, so eps is
@@ -180,7 +179,18 @@ def perturbed_bubble(
         params,
     )
     zn = grad_norm(z, params)
-    return canonical_profile(params, grid) + (eps / zn) * z
+    v = canonical_profile(params, grid)
+    return lambda eps: v + (eps / zn) * z
+
+
+def perturbed_bubble(
+    params: CknParams, grid: RadialGrid, eps: float, center: float, width: float
+) -> Field:
+    """V + eps z: the canonical bubble plus a tangent-free log-radius bump.
+
+    One value of bubble_perturbation; a sweep over eps builds that once.
+    """
+    return bubble_perturbation(params, grid, center, width)(eps)
 
 
 def family_samples(spec: GeneratorSpec, params: CknParams, count: int):

@@ -16,6 +16,7 @@ from cknlab import (
     derive_params,
 )
 from cknlab.fields import (
+    BLOCK_POINTS,
     Bubble,
     Field,
     _gauss_jacobi,
@@ -335,6 +336,63 @@ def test_integrate_rejects_wider_density():
     ps, prof, angular = _bubble_and_bump()
     with pytest.raises(GridMismatch):
         prof.integrate(1.0, angular.values)
+
+
+# -- row blocks ---------------------------------------------------------------
+
+
+def _plain_integral(u, power, density):
+    return float(np.sum(u.measure(power) * density))
+
+
+def test_radial_integral_is_one_plain_sum():
+    # a radial field is one block at any node count, so its sum is unchanged
+    ps = derive_params(4, 2.5, 0.2, 0.5)
+    for count in (128, 2 * BLOCK_POINTS):
+        u = sample_bubble(ps, Bubble(1.0, 1.0), make_radial_grid(count=count))
+        assert len(u.row_blocks()) == 1
+        dens = np.abs(u.values) ** ps.q
+        want = _plain_integral(u, 1.3, dens)
+        assert u.integrate(1.3, dens) == want
+        assert u.integrate(1.3, lambda blk: np.abs(blk.values) ** ps.q) == want
+
+
+@pytest.mark.parametrize("count", [1000, 64])
+def test_blocked_integral_matches_the_unblocked_sum(count):
+    # 1000 rows are not a whole number of 128-row blocks; 64 rows are fewer
+    # than one block
+    _, _, angular = _bubble_and_bump(count=count, psi_count=128)
+    blocks = angular.row_blocks()
+    assert len(blocks) == math.ceil(count * 128 / BLOCK_POINTS)
+    rows = np.concatenate([blk.values for _, blk in blocks])
+    assert np.array_equal(rows, angular.values)
+    if len(blocks) > 1:
+        assert not any(blk.grid.same_as(angular.grid) for _, blk in blocks)
+    dens = angular.grad_sq(1.5) ** 1.25
+    want = _plain_integral(angular, 2.0, dens)
+    got = angular.integrate(2.0, dens)
+    assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+    assert angular.integrate(2.0, lambda blk: blk.grad_sq(1.5) ** 1.25) == got
+    if len(blocks) == 1:
+        assert got == want
+
+
+def test_one_column_density_broadcasts_over_blocks():
+    _, prof, angular = _bubble_and_bump(count=1000, psi_count=128)
+    col = prof.values**2  # (rows, 1)
+    got = angular.integrate(0.5, col)
+    assert got == angular.integrate(0.5, np.broadcast_to(col, angular.values.shape))
+    assert got == pytest.approx(_plain_integral(angular, 0.5, col), rel=1e-14, abs=0.0)
+
+
+def test_blocked_integrate_rejects_wider_density():
+    _, _, angular = _bubble_and_bump(count=1000, psi_count=64)
+    _, _, finer = _bubble_and_bump(count=1000, psi_count=128)
+    assert len(angular.row_blocks()) > 1
+    with pytest.raises(GridMismatch):
+        angular.integrate(1.0, finer.values)
+    with pytest.raises(GridMismatch):
+        angular.integrate(1.0, lambda blk: finer.values[: blk.grid.count])
 
 
 def test_k_drop_gap_exactly_zero_for_radial():

@@ -1,6 +1,7 @@
 """Weighted energies, deficit behaviour, and the weak Lebesgue norm."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from cknlab.functionals import (
     weighted_lq_norm,
 )
 from cknlab.manifold import canonical_profile
+from cknlab.transforms import transform_identity_check
 
 
 def exp_profile(grid, dim):
@@ -224,6 +226,31 @@ def test_norms_bit_identical_to_plain_power(tup):
             grads_p = u.grad_sq(k_factor) ** (ps.p / 2.0)
             plain = u.integrate(ps.n - 1.0 - ps.p * ps.a, grads_p)
             assert weighted_grad_pnorm(u, ps, k_factor) == plain
+
+
+def test_axisym_integrals_allocate_row_blocks_not_full_grids():
+    # peak traced allocation of each call, in sizes of one full-grid array
+    ps = derive_params(*C02_TUPLES[0])
+    center, width, cos_coeff = C02_AXISYM[0]
+    prof = gaussian_bump_profile(make_radial_grid(-30.0, 30.0, 2048), ps.n, center, width)
+    u = modulated_axisym(prof, cos_coeff=cos_coeff)
+    assert u.values.shape == (2048, 128)
+    calls = {
+        "q": (lambda: weighted_lq_norm(u, ps), 0.5),
+        "grad": (lambda: weighted_grad_pnorm(u, ps), 0.5),
+        "grad k": (lambda: weighted_grad_pnorm(u, ps, ps.k), 0.5),
+        "identity check": (lambda: transform_identity_check(u, ps), 1.0),
+    }
+    tracemalloc.start()
+    try:
+        for name, (call, bound) in calls.items():
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            call()
+            peak = (tracemalloc.get_traced_memory()[1] - before) / u.values.nbytes
+            assert peak < bound, name
+    finally:
+        tracemalloc.stop()
 
 
 # ---------------------------------------------------------------------------
