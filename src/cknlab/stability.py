@@ -50,7 +50,6 @@ __all__ = [
     "GeneratorSpec",
     "alpha_exponent",
     "stability_ratio",
-    "perturbed_bubble",
     "bubble_perturbation",
     "family_samples",
     "k_upper_scan",
@@ -167,11 +166,12 @@ def stability_ratio(
 
 
 def bubble_perturbation(params: CknParams, grid: RadialGrid, center: float, width: float):
-    """eps -> V + eps z, with the canonical bubble V and the direction z built once.
+    """eps -> V + eps z: the canonical bubble plus a tangent-free log-radius bump.
 
     z is the Gaussian bump at (center, width) with the tangent
     directions projected out, scaled to unit gradient norm, so eps is
     the size of the perturbation relative to a unit-norm direction.
+    V and z are built once, so a sweep over eps pays for them once.
     """
     z = orthogonalize(
         gaussian_bump_profile(grid, params.n, center, width),
@@ -181,16 +181,6 @@ def bubble_perturbation(params: CknParams, grid: RadialGrid, center: float, widt
     zn = grad_norm(z, params)
     v = canonical_profile(params, grid)
     return lambda eps: v + (eps / zn) * z
-
-
-def perturbed_bubble(
-    params: CknParams, grid: RadialGrid, eps: float, center: float, width: float
-) -> Field:
-    """V + eps z: the canonical bubble plus a tangent-free log-radius bump.
-
-    One value of bubble_perturbation; a sweep over eps builds that once.
-    """
-    return bubble_perturbation(params, grid, center, width)(eps)
 
 
 def family_samples(spec: GeneratorSpec, params: CknParams, count: int):
@@ -204,7 +194,7 @@ def family_samples(spec: GeneratorSpec, params: CknParams, count: int):
         eps = 10.0 ** rng.uniform(*spec.eps_log10)
         center = rng.uniform(*spec.center)
         width = rng.uniform(*spec.width)
-        yield perturbed_bubble(params, grid, eps, center, width)
+        yield bubble_perturbation(params, grid, center, width)(eps)
 
 
 def k_upper_scan(

@@ -50,7 +50,7 @@ from cknlab.manifold import (
     tangent_basis,
     v_inner,
 )
-from cknlab.stability import perturbed_bubble
+from cknlab.stability import bubble_perturbation
 
 PS53 = derive_params(5, 3.0, 0.3, 0.5)
 PS32 = derive_params(3, 2.0, 0.0, 0.0)
@@ -230,7 +230,7 @@ def test_radial_dual_norm_against_nested_hat_sups():
     # sup rises toward the exact value, its gap shrinking ~4x per halving
     ps = derive_params(4, 2.0, 0.2, 0.5)
     g = make_radial_grid(-40.0, 40.0, 4096)
-    u = perturbed_bubble(ps, g, 0.05, 0.5, 0.7)
+    u = bubble_perturbation(ps, g, 0.5, 0.7)(0.05)
     exact = radial_dual_norm(u, ps)
     edges = np.linspace(g.t_min, g.t_max, g.count // PANEL_POINTS + 1)
     lo, hi = np.searchsorted(edges, [-30.0, 30.0])

@@ -378,10 +378,10 @@ def test_warm_start_saves_far_bump_slope_evaluations(monkeypatch):
 def test_chained_scan_matches_cold_solves(monkeypatch, tup, window):
     # a 33-point scan of a c04a/c04b sample: each point starts from its
     # predecessor's amplitude and must land where a cold solve lands
-    from cknlab.stability import perturbed_bubble
+    from cknlab.stability import bubble_perturbation
 
     ps = derive_params(*tup)
-    u = perturbed_bubble(ps, make_radial_grid(*window), 0.05, 1.0, 1.0)
+    u = bubble_perturbation(ps, make_radial_grid(*window), 1.0, 1.0)(0.05)
     scan, _, _, w = manifold._distance_search(u, ps)
     solves = []
     solve = manifold._amplitude_newton
@@ -520,12 +520,12 @@ def test_distance_dilation_certificate_slow_tail():
 @pytest.mark.parametrize("count", [1024, 2048])
 def test_select_pu_certificate_on_residual_scaling_fields(count):
     # c07's seven fields on its fast and strict grids
-    from cknlab.stability import perturbed_bubble
+    from cknlab.stability import bubble_perturbation
 
     ps = derive_params(5, 3.0, 0.3, 0.5)
     grid = make_radial_grid(-30, 30, count)
     for eps in np.logspace(-3, -1, 7):
-        u = perturbed_bubble(ps, grid, float(eps), 0.5, 0.7)
+        u = bubble_perturbation(ps, grid, 0.5, 0.7)(float(eps))
         bub = select_Pu(u, ps)
         _, d1, _, tol = manifold._pairing_search(u, ps)[1](math.log(bub.scale))
         assert abs(d1) <= tol, eps
@@ -620,10 +620,10 @@ def test_certified_amplitude_starts_from_kernel(monkeypatch):
     # a c04a sample at p = 2.5: the trust-region solve starts at the
     # kernel's amplitude at the chosen dilation and has nothing to polish,
     # where a start at the p = 2 projection needs several iterations
-    from cknlab.stability import perturbed_bubble
+    from cknlab.stability import bubble_perturbation
 
     ps = derive_params(4, 2.5, 0.2, 0.5)
-    u = perturbed_bubble(ps, make_radial_grid(-30, 30, 2048), 0.05, 1.0, 1.0)
+    u = bubble_perturbation(ps, make_radial_grid(-30, 30, 2048), 1.0, 1.0)(0.05)
     kernel, starts, solves = [], [], []
     newton, scalar = manifold._amplitude_newton, manifold._profiled_amplitude
 

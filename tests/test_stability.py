@@ -29,13 +29,13 @@ from cknlab.manifold import canonical_bubble, canonical_profile, orthogonalize
 from cknlab.stability import (
     GeneratorSpec,
     alpha_exponent,
+    bubble_perturbation,
     embedding_check,
     exponent_slope_fit,
     family_samples,
     k_upper_scan,
     mollified_bubble,
     monotonicity_chain_check,
-    perturbed_bubble,
     stability_ratio,
 )
 from cknlab.transforms import flat_params
@@ -63,7 +63,7 @@ def test_alpha_rule_dichotomy():
 
 
 def _perturbed_bubble(ps, eps, center=1.0, width=1.0, window=(-30.0, 30.0, 1024)):
-    return perturbed_bubble(ps, make_radial_grid(*window), eps, center, width)
+    return bubble_perturbation(ps, make_radial_grid(*window), center, width)(eps)
 
 
 def test_ratio_positive_for_perturbed_bubble():
@@ -340,7 +340,7 @@ def test_mollified_bubble_taper():
 
 
 def test_family_sample_is_perturbed_bubble():
-    # the family draws (eps, center, width) and delegates to perturbed_bubble
+    # the family draws (eps, center, width) and delegates to bubble_perturbation
     ps = derive_params(4, 2.5, 0.1, 0.4)
     spec = GeneratorSpec("bubble_bump", seed=4, window=(-25.0, 25.0, 512))
     (sample,) = family_samples(spec, ps, 1)
@@ -348,6 +348,6 @@ def test_family_sample_is_perturbed_bubble():
     eps = 10.0 ** rng.uniform(-3.0, -1.0)
     center, width = rng.uniform(-5.0, 5.0), rng.uniform(0.6, 1.8)
     grid = make_radial_grid(-25.0, 25.0, 512)
-    direct = perturbed_bubble(ps, grid, eps, center, width)
+    direct = bubble_perturbation(ps, grid, center, width)(eps)
     assert np.array_equal(sample.values, direct.values)
     assert np.array_equal(sample.grad_r, direct.grad_r)
