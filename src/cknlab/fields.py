@@ -38,7 +38,7 @@ from .errors import (
     InvalidArgument,
     MissingGradient,
 )
-from .params import CknParams
+from .params import CknParams, _sphere_area
 
 __all__ = [
     "RadialGrid",
@@ -179,10 +179,6 @@ def scaled_grid(grid: RadialGrid, factor: float) -> RadialGrid:
     )
 
 
-def _sphere_area(dim: int) -> float:
-    return 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
-
-
 def _orthonormal_recurrence(x: np.ndarray, beta: np.ndarray) -> tuple:
     """(q_n, q_n', sum_(k<n) q_k^2) at x for the orthonormal polynomials
     beta[k] q_(k+1) = x q_k - beta[k-1] q_(k-1), q_0 = 1, n = len(beta)."""
@@ -252,9 +248,10 @@ def _or_zero(a):
     return 0.0 if a is None else a
 
 
-def _check_columns(density, u: "Field") -> None:
-    if np.shape(density)[-1] > len(u.psi_nodes):
-        raise GridMismatch("density has more angular nodes than the field")
+def _check_density(density, u: "Field") -> None:
+    shape = np.shape(density)
+    if len(shape) != 2 or shape[0] != u.grid.count or shape[1] > len(u.psi_nodes):
+        raise GridMismatch(f"density of shape {shape} on {u.grid.count} rows of the field")
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,27 +340,23 @@ class Field:
         )
 
     def _block_integral(self, power: float, density) -> float:
-        _check_columns(density, self)
+        _check_density(density, self)
         return float(np.sum(self.measure(power) * density))
 
     def integrate(self, power: float, density) -> float:
         """sum_ij w_i omega_j r_i^power density_ij, in a fixed order per row block.
 
-        density is an array that broadcasts against the field's (radial,
-        angular) shape, or a function from a row block (a Field) to such
-        an array for that block; it may not carry more angular nodes
-        than the field.  Each block is one np.sum and math.fsum adds the
-        blocks, so a field of one block is a single np.sum.
+        density is a 2-D array with one row per radial node and one
+        column or the field's angular columns, or a function from a row
+        block (a Field) to such an array for that block; any other shape
+        raises GridMismatch.  Each block is one np.sum and math.fsum adds
+        the blocks, so a field of one block is a single np.sum, bit for bit.
         """
-        if self._block_rows() >= self.grid.count:
-            return self._block_integral(power, density(self) if callable(density) else density)
         self.grid.radial_weights(power)  # cached before the blocks slice it
-        blocks = self.row_blocks()
-        if callable(density):
-            return math.fsum(blk._block_integral(power, density(blk)) for _, blk in blocks)
-        _check_columns(density, self)
-        full = np.broadcast_to(density, (self.grid.count, len(self.psi_nodes)))
-        return math.fsum(blk._block_integral(power, full[rows]) for rows, blk in blocks)
+        return math.fsum(
+            blk._block_integral(power, density(blk) if callable(density) else density[rows])
+            for rows, blk in self.row_blocks()
+        )
 
     def grad_sq(self, k_factor: float = 1.0) -> np.ndarray:
         """|grad u|^2 with the angular part scaled by k_factor^2."""

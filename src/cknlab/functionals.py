@@ -109,16 +109,6 @@ def _power(x: np.ndarray, expo: float) -> np.ndarray:
     return np.power(x, expo, out=out, where=keep)
 
 
-def _grad_density(p: float, k_factor: float):
-    """Row block -> |grad u|^p, with the angular part scaled by k_factor^2."""
-    return lambda blk: _power(blk.grad_sq(k_factor), p / 2.0)
-
-
-def _q_density(q: float):
-    """Row block -> |u|^q."""
-    return lambda blk: _power(np.abs(blk.values), q)
-
-
 def weighted_grad_pnorm(u: Field, params: CknParams, k_factor: float = 1.0) -> float:
     """Integral of |x|^-pa |grad u|^p, with the angular part scaled by k_factor^2.
 
@@ -130,14 +120,16 @@ def weighted_grad_pnorm(u: Field, params: CknParams, k_factor: float = 1.0) -> f
         raise InvalidArgument(f"k_factor must be >= 1, got {k_factor}")
     _check_dim(u, params)
     p = params.p
-    return u.integrate(params.n - 1.0 - p * params.a, _grad_density(p, k_factor))
+    return u.integrate(
+        params.n - 1.0 - p * params.a, lambda blk: _power(blk.grad_sq(k_factor), p / 2.0)
+    )
 
 
 def weighted_lq_norm(u: Field, params: CknParams) -> float:
     """Integral of |x|^-qb |u|^q."""
     _check_dim(u, params)
     q = params.q
-    return u.integrate(params.n - 1.0 - q * params.b, _q_density(q))
+    return u.integrate(params.n - 1.0 - q * params.b, lambda blk: _power(np.abs(blk.values), q))
 
 
 def grad_norm(u: Field, params: CknParams) -> float:

@@ -133,10 +133,16 @@ def bubble_normalization(params: CknParams) -> Bubble:
     Raises
     ------
     RootFindFailure
-        If the normalised energies miss the sharp-constant value by
-        more than 1e-6 relative.
+        If either unit energy is not positive (both underflow to 0 as b
+        nears a + 1), or the normalised energies miss the sharp-constant
+        value by more than 1e-6 relative.
     """
     grad_unit, q_unit = _unit_integrals(params)
+    if not (grad_unit > 0.0 and q_unit > 0.0):
+        tup = (params.n, params.p, params.a, params.b)
+        raise RootFindFailure(
+            f"unit bubble energies {grad_unit!r}, {q_unit!r} not positive at {tup}"
+        )
     amp = (grad_unit / q_unit) ** (1.0 / (params.q - params.p))
     target = sharp_constant(params) ** (
         params.p * params.q / (params.q - params.p)
@@ -569,10 +575,6 @@ def _q_pairing(u: Field, v: Field, params: CknParams) -> float:
     return u.wider(v).integrate(power, v.values ** (params.q - 1.0) * u.values)
 
 
-# dilations per pairing-scan block: bounds the (nodes, 1, block) densities
-PAIRING_BLOCK = 8
-
-
 def _pairing_search(u: Field, params: CknParams) -> tuple:
     """(scan, point): minus the q-pairing P(t) = sum W V_t^(q-1) u, t = log lam.
 
@@ -593,16 +595,17 @@ def _pairing_search(u: Field, params: CknParams) -> tuple:
         # y and the pairing density W u V^(q-1), per node and log lam
         lam = np.exp(np.asarray(log_lams))
         y = r_sig * lam**sig
-        dens = (amp * lam**dw * (1.0 + y) ** (-m)) ** (q - 1.0)
+        # in place: one (nodes, 1, len) array besides y, where the plain
+        # expression makes four; the whole scan is one call
+        dens = 1.0 + y
+        dens **= -m
+        dens *= amp * lam**dw
+        dens **= q - 1.0
         dens *= wu_radial
         return y, dens
 
     def scan(log_lams):
-        out = np.empty(len(log_lams))
-        for k in range(0, len(log_lams), PAIRING_BLOCK):
-            dens = terms(log_lams[k : k + PAIRING_BLOCK])[1]
-            out[k : k + PAIRING_BLOCK] = -np.sum(dens, axis=(0, 1))
-        return out
+        return -np.sum(terms(log_lams)[1], axis=(0, 1))
 
     def point(log_lam):
         y, dens = terms([log_lam])
@@ -686,13 +689,13 @@ def orthogonality_check(rho: Field, v_bub: Bubble, params: CknParams) -> list[fl
     """
     basis = tangent_basis(v_bub, params, rho.grid)
     v_field = sample_bubble(params, v_bub, rho.grid)
-    rho_norm = math.sqrt(max(v_inner(rho, rho, v_field, params), 0.0))
+    rho_norm = math.sqrt(v_inner(rho, rho, v_field, params))
     out = []
     for w_field in basis:
         if rho_norm == 0.0:
             out.append(0.0)
             continue
-        w_norm = math.sqrt(max(v_inner(w_field, w_field, v_field, params), 0.0))
+        w_norm = math.sqrt(v_inner(w_field, w_field, v_field, params))
         pairing = v_inner(w_field, rho, v_field, params)
         out.append(pairing / (w_norm * rho_norm))
     return out

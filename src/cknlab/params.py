@@ -27,6 +27,11 @@ __all__ = [
 ]
 
 
+def _sphere_area(dim: int) -> float:
+    """Surface measure of the unit sphere in R^dim."""
+    return 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
+
+
 @dataclass(frozen=True)
 class CknParams:
     """Validated parameter tuple plus the derived exponents.
@@ -70,7 +75,7 @@ class CknParams:
     @property
     def sphere_area(self) -> float:
         """Surface measure of the unit sphere in R^n."""
-        return 2.0 * math.pi ** (self.n / 2.0) / math.gamma(self.n / 2.0)
+        return _sphere_area(self.n)
 
 
 @dataclass(frozen=True)

@@ -18,12 +18,7 @@ import numpy as np
 
 from .errors import RegionViolation
 from .fields import Field, scaled_grid
-from .functionals import (
-    _grad_density,
-    _q_density,
-    weighted_grad_pnorm,
-    weighted_lq_norm,
-)
+from .functionals import weighted_grad_pnorm, weighted_lq_norm
 from .params import CknParams, HatParams, derive_hat_params, derive_params
 
 __all__ = [
@@ -74,27 +69,21 @@ def _stretch_report(u: Field, hp: HatParams) -> StretchReport:
     """Both norm identities and the chain step of the h-stretch of u.
 
     u lives in the target class and its image in the base class.  The
-    image is stretched and integrated one row block of u at a time, so
-    it is never built on the full grid; math.fsum adds its blocks as
-    Field.integrate does.
+    image is stretched one row block of u at a time, so it is never
+    built on the full grid, and each block goes through the public
+    norms; math.fsum adds the blocks as Field.integrate does.
     """
     tp, base, h = hp.target, hp.base, hp.h
     q_lhs = weighted_lq_norm(u, tp)
     g_lhs = weighted_grad_pnorm(u, tp)
-    q_power = base.n - 1.0 - base.q * base.b
-    g_power = base.n - 1.0 - base.p * base.a
     # the image's q-energy, its gradient energy with the angular part scaled
     # by h^2, and the plain one; without grad_psi the last two are the same
-    integrals = (
-        (q_power, _q_density(base.q)),
-        (g_power, _grad_density(base.p, h)),
-        (g_power, _grad_density(base.p, 1.0)),
-    )
-    parts = [[] for _ in integrals]
+    parts = ([], [], [])
     for _, blk in u.row_blocks():
         moved = radial_stretch(blk, h, base.q)
-        for part, (power, density) in zip(parts, integrals):
-            part.append(moved.integrate(power, density))
+        parts[0].append(weighted_lq_norm(moved, base))
+        parts[1].append(weighted_grad_pnorm(moved, base, h))
+        parts[2].append(weighted_grad_pnorm(moved, base))
     q_rhs, g_scaled, g_plain = (math.fsum(part) for part in parts)
 
     q_res = abs(q_lhs - q_rhs) / max(abs(q_lhs), 1e-300)

@@ -724,6 +724,17 @@ def test_main_unguarded_ineq_const_exit(tmp_path, capsys):
     assert not os.path.exists(ledger)
 
 
+def test_main_unit_energy_underflow_exit(tmp_path, capsys):
+    # at b -> a + 1 both unit bubble energies underflow to 0: a typed
+    # numerical failure naming the tuple, not a ZeroDivisionError
+    payload = {**CONSTANTS_CFG, "params": [[3, 2.0, 0.0, 0.999]]}
+    path = _write(tmp_path, "u.json", payload)
+    ledger = str(tmp_path / "ledger.jsonl")
+    assert main(["constants", "--config", path, "--ledger", ledger]) == 3
+    assert "not positive at (3, 2.0, 0.0, 0.999)" in capsys.readouterr().err
+    assert not os.path.exists(ledger)
+
+
 def test_main_stability_scan_needs_family(tmp_path, capsys):
     payload = {**CONSTANTS_CFG, "operation": "stability-scan"}
     ledger = str(tmp_path / "ledger.jsonl")

@@ -395,6 +395,17 @@ def test_blocked_integrate_rejects_wider_density():
         angular.integrate(1.0, lambda blk: finer.values[: blk.grid.count])
 
 
+def test_integrate_rejects_density_off_the_rows():
+    # a density carries one row per radial node, whole or one block at a time
+    _, prof, _ = _bubble_and_bump()
+    _, _, angular = _bubble_and_bump(count=1000, psi_count=64)
+    assert len(angular.row_blocks()) > 1
+    for u in (prof, angular):
+        for dens in (u.values[:-1], u.values[:, 0], np.vstack([u.values, u.values[:1]])):
+            with pytest.raises(GridMismatch):
+                u.integrate(1.0, dens)
+
+
 def test_k_drop_gap_exactly_zero_for_radial():
     ps, prof, _ = _bubble_and_bump()
     for u in (prof, gaussian_bump_profile(prof.grid, 4, 0.5, 1.1)):

@@ -483,6 +483,10 @@ def test_pairing_slopes_match_central_differences(p, kind):
     want = manifold._q_pairing(u, sample_bubble(ps, bub, u.grid), ps)
     assert f == pytest.approx(-want, rel=1e-12)
     assert scan(np.array([t]))[0] == pytest.approx(-want, rel=1e-12)
+    # the 33-point scan is one array call; each point alone is the reference
+    ts = np.linspace(t - 8.0, t + 8.0, 33)
+    each = [scan(ts[i : i + 1])[0] for i in range(len(ts))]
+    assert scan(ts) == pytest.approx(each, rel=1e-13)
 
 
 EXACT_BUBBLE_CASES = [

@@ -13,7 +13,12 @@ from cknlab.fields import (
 )
 from cknlab.functionals import weighted_grad_pnorm, weighted_lq_norm
 from cknlab.stability import monotonicity_chain_check
-from cknlab.transforms import flat_params, radial_stretch, transform_identity_check
+from cknlab.transforms import (
+    _stretch_report,
+    flat_params,
+    radial_stretch,
+    transform_identity_check,
+)
 
 
 def test_identity_at_a_zero():
@@ -103,6 +108,28 @@ def test_identity_check_is_the_chain_check_to_the_flat_tuple():
             if cos_coeff is not None:
                 u = modulated_axisym(u, cos_coeff=cos_coeff)
             assert monotonicity_chain_check(u, hp) == transform_identity_check(u, ps)
+
+
+def test_stretch_report_blocks_match_the_whole_stretched_field():
+    # c02's axisymmetric fields on strict's 2048 x 128 grid span many row
+    # blocks; the report stretches one block at a time, and its gaps must
+    # match the public norms of the whole field's stretch
+    grid = make_radial_grid(-30.0, 30.0, 2048)
+    for tup in [(4, 2.5, 0.2, 0.5), (5, 3.0, 0.3, 0.5)]:
+        ps = derive_params(*tup)
+        hp = derive_hat_params(flat_params(ps), ps)
+        for center, width, cos_coeff in [(0.5, 1.0, 0.3), (-1.0, 1.2, 0.5), (2.0, 0.8, 0.15)]:
+            u = gaussian_bump_profile(grid, ps.n, center, width)
+            u = modulated_axisym(u, cos_coeff=cos_coeff)
+            assert u.values.shape == (2048, 128) and len(u.row_blocks()) > 1
+            rep = _stretch_report(u, hp)
+            moved = radial_stretch(u, hp.h, hp.base.q)
+            pref = hp.h ** (1.0 - ps.p - ps.p / ps.q)
+            g_scaled = pref * weighted_grad_pnorm(moved, hp.base, hp.h)
+            g_plain = pref * weighted_grad_pnorm(moved, hp.base)
+            tol = 1e-13 * rep.grad_energy
+            assert abs(rep.k_drop_gap - (g_scaled - g_plain)) <= tol, tup
+            assert abs(rep.grad_chain_gap - (rep.grad_energy - g_plain)) <= tol, tup
 
 
 def test_identity_check_rejects_flat():
