@@ -251,7 +251,7 @@ def _or_zero(a):
 def _check_density(density, u: "Field") -> None:
     shape = np.shape(density)
     if len(shape) != 2 or shape[0] != u.grid.count or shape[1] > len(u.psi_nodes):
-        raise GridMismatch(f"density of shape {shape} on {u.grid.count} rows of the field")
+        raise GridMismatch(f"density of shape {shape} on a field of shape {u.values.shape}")
 
 
 @dataclass(frozen=True, eq=False)

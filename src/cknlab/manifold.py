@@ -595,8 +595,7 @@ def _pairing_search(u: Field, params: CknParams) -> tuple:
         # y and the pairing density W u V^(q-1), per node and log lam
         lam = np.exp(np.asarray(log_lams))
         y = r_sig * lam**sig
-        # in place: one (nodes, 1, len) array besides y, where the plain
-        # expression makes four; the whole scan is one call
+        # in place: one (nodes, 1, len) array besides y, not four
         dens = 1.0 + y
         dens **= -m
         dens *= amp * lam**dw

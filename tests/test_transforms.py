@@ -13,12 +13,7 @@ from cknlab.fields import (
 )
 from cknlab.functionals import weighted_grad_pnorm, weighted_lq_norm
 from cknlab.stability import monotonicity_chain_check
-from cknlab.transforms import (
-    _stretch_report,
-    flat_params,
-    radial_stretch,
-    transform_identity_check,
-)
+from cknlab.transforms import flat_params, radial_stretch, transform_identity_check
 
 
 def test_identity_at_a_zero():
@@ -122,7 +117,7 @@ def test_stretch_report_blocks_match_the_whole_stretched_field():
             u = gaussian_bump_profile(grid, ps.n, center, width)
             u = modulated_axisym(u, cos_coeff=cos_coeff)
             assert u.values.shape == (2048, 128) and len(u.row_blocks()) > 1
-            rep = _stretch_report(u, hp)
+            rep = transform_identity_check(u, ps)
             moved = radial_stretch(u, hp.h, hp.base.q)
             pref = hp.h ** (1.0 - ps.p - ps.p / ps.q)
             g_scaled = pref * weighted_grad_pnorm(moved, hp.base, hp.h)
