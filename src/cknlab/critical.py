@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .errors import (
     FarFromManifold,
     GridMismatch,
     InvalidArgument,
+    NonFiniteOutput,
     OptimizerStall,
     RegionViolation,
     ScalingGuardFailure,
@@ -32,7 +33,7 @@ from .errors import (
 )
 from .fields import _PANEL_W, _PANEL_X, PANEL_POINTS
 from .fields import Bubble, Field, RadialGrid, gaussian_bump_profile, sample_bubble
-from .functionals import _energy, _flux_factor, _gradient_stack
+from .functionals import _energy, _flux_factor
 from .functionals import grad_norm, weighted_grad_pnorm
 from .manifold import (
     _tangent_free,
@@ -257,35 +258,34 @@ def _dual_sup(comps: np.ndarray, w: np.ndarray, ell: np.ndarray, p: float) -> fl
     )
 
 
-def dual_norm_estimate(
-    u: Field,
-    params: CknParams,
-    basis_size: int = 12,
-    extra_elements: Sequence[Field] = (),
-) -> DualNormEstimate:
+def dual_norm_estimate(u: Field, params: CknParams, basis_size: int = 12) -> DualNormEstimate:
     """Lower-bound the dual norm of the equation residual of u.
 
     The exact sup of |<R(u), phi>| / ||phi|| over the span of a nested
-    ladder basis (tangent elements first, then log-radius bumps) plus
-    any caller-supplied extras, by Newton ascent on its concave dual
-    (see _dual_sup).  Elements are scaled to unit norm and
-    directions whose singular value of w^(1/p) D falls below
-    RANK_GUARD_RTOL of the largest are dropped: such combinations
-    nearly cancel in norm and only amplify quadrature noise.  The
-    result is the sup over the remaining span, a lower bound of the
-    true dual norm.  Spans nest as the basis grows, so a larger basis
-    never reports a smaller value; half_value is the estimate at half
-    the basis size (None below 8).
+    radial ladder basis (tangent elements first, then log-radius bumps),
+    by Newton ascent on its concave dual (see _dual_sup).  Elements are
+    scaled to unit norm and directions whose singular value of
+    w^(1/p) D falls below RANK_GUARD_RTOL of the largest are dropped:
+    such combinations nearly cancel in norm and only amplify quadrature
+    noise.  The result is the sup over the remaining span, a lower bound
+    of the true dual norm.  Spans nest as the basis grows, so a larger
+    basis never reports a smaller value; half_value is the estimate at
+    half the basis size (None below 8).  NonFiniteOutput names the
+    elements whose gradients overflow (r^sigma near p = 1).
     """
     if basis_size < 4:
         raise BasisTooSmall(f"need at least 4 test elements, got {basis_size}")
     half_value: Optional[float] = None
     if basis_size >= 8:
-        half_value = dual_norm_estimate(u, params, basis_size // 2, extra_elements).value
-    elements = _test_basis(u, params, basis_size) + list(extra_elements)
+        half_value = dual_norm_estimate(u, params, basis_size // 2).value
+    elements = _test_basis(u, params, basis_size)
+    comps = np.hstack([e.grad_r for e in elements])[None]  # radial: grad_r alone
+    bad = np.flatnonzero(~np.isfinite(comps[0]).all(axis=0)).tolist()
+    if bad:
+        raise NonFiniteOutput(f"dual-norm basis elements {bad} have non-finite gradients")
     ell = np.array([el_residual_pairing(u, e, params) for e in elements])
     p = params.p
-    comps, w = _gradient_stack(elements, params)
+    w = elements[0].measure(params.n - 1.0 - p * params.a).ravel()
     mags = np.sqrt(np.sum(comps**2, axis=0))
     scale = (w @ mags**p) ** (1.0 / p)  # element norms
     scale = np.where(scale > 0.0, scale, 1.0)

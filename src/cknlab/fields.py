@@ -12,9 +12,9 @@ One type, :class:`Field`, carries every sampled function: arrays shaped
 case with a single angular node whose weight is the whole sphere area
 and whose angular derivative is absent, so radial integrals cost one
 column.  Fields add, subtract and scale node for node; a one-node field
-broadcasts against a multi-node one.  Every weighted integral of the
-package is :meth:`Field.integrate`, and every gradient magnitude is
-:meth:`Field.grad_sq`.
+broadcasts against a multi-node one.  Weighted integrals go through
+:meth:`Field.integrate` and gradient magnitudes through :meth:`Field.grad_sq`,
+save the array kernels of the projection and of the dual-norm ascent.
 
 Tensor-grid integrals run over row blocks: views on consecutive radial
 rows holding about BLOCK_POINTS nodes, so no integrand is built on the

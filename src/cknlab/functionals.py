@@ -43,31 +43,6 @@ def _energy(w: np.ndarray, grads: np.ndarray, p: float) -> float:
     return float(np.sum(w * np.sqrt(np.sum(grads**2, axis=0)) ** p))
 
 
-def _gradient_stack(elements: list, params: CknParams) -> tuple:
-    """Gradient components (ncomp, nodes, m) and the energy weights w.
-
-    sum(w * |sum_c comps[c] @ coeff|^p) is weighted_grad_pnorm of the
-    combined field, on the widest element's tensor grid flattened: one
-    component (grad_r) when no element has an angular derivative, else
-    (grad_r, grad_psi / r).
-    """
-    wide = elements[0]
-    for e in elements[1:]:
-        wide = wide.wider(e)
-    shape = wide.values.shape
-    parts = [[e.grad_r for e in elements]]
-    if any(e.grad_psi is not None for e in elements):
-        r = wide.grid.nodes[:, None]
-        parts.append(
-            [0.0 * r if e.grad_psi is None else e.grad_psi / r for e in elements]
-        )
-    comps = np.stack(
-        [np.stack([np.broadcast_to(c, shape) for c in part], axis=-1) for part in parts]
-    ).reshape(len(parts), -1, len(elements))
-    power = params.n - 1.0 - params.p * params.a
-    return comps, wide.measure(power).ravel()
-
-
 def _flux_factor(mag: np.ndarray, expo: float) -> np.ndarray:
     """mag^expo where mag > 0, else 0: the flux |g|^(p-2) g vanishes with g."""
     if expo > 0.0:

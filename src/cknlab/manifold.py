@@ -35,7 +35,7 @@ from .fields import (
     bubble_second_derivative,
     sample_bubble,
 )
-from .functionals import _energy, _flux_factor, _gradient_stack, weighted_grad_pnorm
+from .functionals import _flux_factor, weighted_grad_pnorm
 from .params import CknParams, sharp_constant
 
 __all__ = [
@@ -279,49 +279,42 @@ def _ulp4(t: float) -> float:
     return 4.0 * math.ulp(max(abs(t), 1.0))
 
 
-def _dilation_derivs(g, h, y, w, p, amp, sig, m) -> tuple:
+def _dilation_derivs(g, ang, h, y, w, p, amp, sig, m) -> tuple:
     """(D, D', D'', tol) for the squared distance D = phi^(2/p) in t = log lam.
 
-    phi(t) = min over A of E = sum w |g - A h_t|^p; g (components, nodes)
-    and the column h at t, y = B r^sigma per node, amp the profiled
-    amplitude A*.  With h' = f1 h and h'' = f2 h, f1 = sigma (1 - m y)/(1 + y)
-    and f2 = f1^2 - sigma^2 (m+1) y/(1 + y)^2, the envelope theorem gives
-    phi' = E_t and phi'' = E_tt - E_tA^2/E_AA at A*.  tol is
-    D'/phi' times SLOPE_ROUNDING p |A| sum w |r|^(p-2) (|r| + |g|) |h'|,
-    the rounding bound of phi'.  D is the scan's objective: at a zero
-    distance E grows like |t - t*|^p, so Newton on E only converges
-    linearly, while one step on D lands on t*.
+    phi(t) = min over A of E = sum w |g - A h_t|^p; g, ang, w and the
+    column h at t as in _slope_curv, y = B r^sigma per radial node, amp
+    the profiled amplitude A*.  With h' = f1 h and h'' = f2 h, f1 = sigma
+    (1 - m y)/(1 + y) and f2 = f1^2 - sigma^2 (m+1) y/(1 + y)^2, the
+    envelope theorem gives phi' = E_t and phi'' = E_tt - E_tA^2/E_AA at
+    A*.  tol is D'/phi' times SLOPE_ROUNDING p |A| sum w |r|^(p-2)
+    (|r| + |grad u|) |h'|, the rounding bound of phi'.  D is the scan's
+    objective: at a zero distance E grows like |t - t*|^p, so Newton on E
+    only converges linearly, while one step on D lands on t*.
     """
     inv = 1.0 / (1.0 + y)
     f1 = sig * (1.0 - m * y) * inv
     f2 = f1 * f1 - sig * sig * (m + 1.0) * y * inv * inv
-    r = g - amp * h
-    if len(g) == 1:
-        # one component: the cosine of r and h is +-1
-        r, h, gmag = r[0], h[0], np.abs(g[0])
+    hh = h * h
+    # per radial node: E_A = -p sum a, E_AA = p sum c, and the weight t of tol
+    if ang is None:
+        r = g - amp * h
         mag = np.abs(r)
-        rh, hh = r * h, h * h
-        c = (p - 1.0) * hh
+        energy = float(w @ mag**p)
+        wf = w * _flux_factor(mag, p - 2.0)
+        a, c, t = wf * (r * h), wf * ((p - 1.0) * hh), wf * (mag + np.abs(g))
     else:
-        rh = np.einsum("cn,cn->n", r, h)
-        hh = np.einsum("cn,cn->n", h, h)
-        gmag = np.sqrt(np.einsum("cn,cn->n", g, g))
-        mag = np.sqrt(np.einsum("cn,cn->n", r, r))
-        cos = np.divide(rh, mag, out=np.zeros(mag.shape), where=mag > 0.0)
-        c = hh + (p - 2.0) * cos * cos
-    energy = float(w @ mag**p)
+        e_rows, a, c, t = _angular_rows(g, ang, h, w, p, amp)
+        energy, a, c = float(np.sum(e_rows)), a * h, c * hh
     if energy == 0.0:
         return 0.0, 0.0, 0.0, 0.0
-    wf = w * _flux_factor(mag, p - 2.0)
-    # E_A = -p sum a and E_AA = p sum c; h' = f1 h turns the t-derivatives
-    # into f1- and f2-weighted sums of the same two arrays
-    a, c = wf * rh, wf * c
+    # h' = f1 h turns the t-derivatives into f1- and f2-weighted sums of a and c
     sum_f1a = f1 @ a
     e_t = -p * amp * sum_f1a
     e_tt = p * amp * (amp * ((f1 * f1) @ c) - f2 @ a)
     e_ta = p * (amp * (f1 @ c) - sum_f1a)
     d2 = e_tt - e_ta * e_ta / (p * np.sum(c))
-    tol = SLOPE_ROUNDING * p * abs(amp) * (wf * (mag + gmag) @ np.abs(f1 * np.sqrt(hh)))
+    tol = SLOPE_ROUNDING * p * abs(amp) * (t @ np.abs(f1 * np.sqrt(hh)))
     e = 2.0 / p
     k = e * energy ** (e - 1.0)
     return (
@@ -332,53 +325,63 @@ def _dilation_derivs(g, h, y, w, p, amp, sig, m) -> tuple:
     )
 
 
-def _slope_curv(g, h, hsq, w, p, amp) -> tuple[float, float]:
+def _angular_rows(g, ang, h, w, p, amp) -> list:
+    """Sums over the angular nodes of each radial node, for r = g - A h.
+
+    With |r|^2 = r^2 + ang and f = w |r|^(p-2): of w |r|^p, f r,
+    f (1 + (p-2) r^2/|r|^2) and f (|r| + |grad u|).  The slope in A is
+    -p (f r) . h and the curvature p (f (...)) . h^2.
+    """
+    r = g - amp * h[:, None]
+    mag_sq = r * r + ang
+    mag = np.sqrt(mag_sq)
+    f = w * _flux_factor(mag, p - 2.0)
+    # the squared cosine of r and the radial h; zero where r vanishes
+    cos_sq = np.divide(r * r, mag_sq, out=np.zeros(r.shape), where=mag_sq > 0.0)
+    curv = f * (1.0 + (p - 2.0) * cos_sq)
+    terms = w * mag**p, f * r, curv, f * (mag + np.sqrt(g * g + ang))
+    return [np.sum(x, axis=1) for x in terms]
+
+
+def _slope_curv(g, ang, h, hsq, w, p, amp) -> tuple[float, float]:
     """First and second derivative in A of sum w |g - A h|^p at amp.
 
-    g and the column h are (components, nodes) and hsq = sum h^2 per node.
-    With one gradient component the cosine of r and h is +-1, so the
-    curvature weight hsq + (p-2) cos^2 is (p-1) hsq.
+    g is u's radial gradient, ang its fixed angular part (grad_psi / r)^2
+    or None, w the energy weights: per radial node without ang, per
+    tensor node with it.  The column h and hsq = h^2 are per radial node.
+    Without ang the cosine of r and h is +-1, so the curvature weight
+    hsq + (p-2) cos^2 is (p-1) hsq.
     """
-    r = h * -amp
-    r += g
-    if len(h) == 1:
-        r, h = r[0], h[0]
+    if ang is None:
+        r = h * -amp
+        r += g
         flux = _flux_factor(np.abs(r), p - 2.0)
         r *= h
         r *= flux
         flux *= hsq
         return float(-p * (r @ w)), float(p * (p - 1.0) * (flux @ w))
-    rh = np.einsum("cn,cn->n", r, h)
-    mag = np.sqrt(np.einsum("cn,cn->n", r, r))
-    del r
-    flux = _flux_factor(mag, p - 2.0)
-    # mag becomes the cosine rh / mag, zero where the residual vanishes
-    cos = np.divide(rh, mag, out=mag, where=mag > 0.0)
-    cos *= cos
-    cos *= p - 2.0
-    cos += hsq
-    cos *= flux
-    rh *= flux
-    return float(-p * (rh @ w)), float(p * (cos @ w))
+    _, s_r, s_c, _ = _angular_rows(g, ang, h, w, p, amp)
+    return float(-p * (s_r @ h)), float(p * (s_c @ hsq))
 
 
-def _profiled_amplitude(g, h, w, p, start=None) -> float:
+def _profiled_amplitude(g, ang, h, w, p, start=None) -> float:
     """argmin over A of the energy sum w |g - A h|^p, convex in A.
 
-    The p = 2 projection; otherwise trust-region Newton from start (the
-    kernel's amplitude) or from that projection.  Newton minimises half
-    the squared slope with the Gauss-Newton Hessian: its steps are Newton
-    steps for the energy, but it compares slopes, which a residual the
-    amplitude cannot reach (a far bump) does not drown in rounding as it
-    drowns the energy.  The caller certifies the result.
+    g, ang, h and w as in _slope_curv.  The p = 2 projection; otherwise
+    trust-region Newton from start (the kernel's amplitude) or from that
+    projection.  Newton minimises half the squared slope with the
+    Gauss-Newton Hessian: its steps are Newton steps for the energy, but
+    it compares slopes, which a residual the amplitude cannot reach (a far
+    bump) does not drown in rounding as it drowns the energy.
     """
     if start is None or p == 2.0:
-        hh = float(np.sum(w * np.sum(h * h, axis=0)))
-        amp0 = float(np.sum(w * np.sum(g * h, axis=0))) / hh if hh > 0.0 else 0.0
+        hb = h if ang is None else h[:, None]
+        hh = float(np.sum(w * (hb * hb)))
+        amp0 = float(np.sum(w * (g * hb))) / hh if hh > 0.0 else 0.0
     else:
         amp0 = float(start)
-    hsq = np.einsum("cn,cn->n", h, h)
-    derivs = lru_cache(maxsize=1)(lambda amp: _slope_curv(g, h, hsq, w, p, amp))
+    hsq = h * h
+    derivs = lru_cache(maxsize=1)(lambda amp: _slope_curv(g, ang, h, hsq, w, p, amp))
     curv0 = derivs(amp0)[1] if p != 2.0 else 0.0
     if not curv0 > 0.0:
         return amp0  # p = 2, or the residual vanishes wherever h does not
@@ -404,10 +407,10 @@ def _profiled_amplitude(g, h, w, p, start=None) -> float:
 AMPLITUDE_MAX_STEPS = 100
 
 
-def _amplitude_newton(g, h, w, p, start=None) -> float:
+def _amplitude_newton(g, ang, h, w, p, start=None) -> float:
     """argmin over A of sum w |g - A h|^p: safeguarded Newton on the slope.
 
-    g and the column h are (components, nodes).  p = 2 is the closed-form
+    g, ang, h and w as in _slope_curv.  p = 2 is the closed-form
     projection.  Otherwise Newton on the monotone slope from start or from
     the closed form; the bracket the slope signs give turns a step past its
     midpoint into bisection, so a bad start still converges.  Stops when
@@ -417,17 +420,19 @@ def _amplitude_newton(g, h, w, p, start=None) -> float:
     test).  OptimizerStall after AMPLITUDE_MAX_STEPS steps or on a
     non-finite slope.
     """
-    hsq = np.einsum("cn,cn->n", h, h)
+    hsq = h * h
     if start is None or p == 2.0:
-        hh = float(hsq @ w)
-        amp = float(np.einsum("cn,cn->n", g, h) @ w) / hh if hh > 0.0 else 0.0
+        # with ang, sum over the angular nodes first: they share h
+        hh = float(hsq @ w) if ang is None else float(np.sum(w * h[:, None], axis=1) @ h)
+        gh = (g * h) @ w if ang is None else np.sum(w * g, axis=1) @ h
+        amp = float(gh) / hh if hh > 0.0 else 0.0
         if p == 2.0:
             return amp
     else:
         amp = float(start)
     lo, hi = -math.inf, math.inf
     for _ in range(AMPLITUDE_MAX_STEPS):
-        slope, curv = _slope_curv(g, h, hsq, w, p, amp)
+        slope, curv = _slope_curv(g, ang, h, hsq, w, p, amp)
         if not (math.isfinite(slope) and math.isfinite(curv)):
             raise OptimizerStall("non-finite amplitude slope")
         # the Newton step is below 1e-15 |A|: tested at the iterate, so the
@@ -459,57 +464,55 @@ def _distance_search(u: Field, params: CknParams) -> tuple:
     scan(log lams) is the squared distance E^(2/p) at each dilation,
     E = sum w |g - A h|^p at the profiled amplitude A; point(log lam)
     adds its first two derivatives in log lam and the rounding bound of
-    the first (_dilation_derivs).  amplitude(log lam) is u's gradient
-    stack g, the unit-amplitude bubble column h (both (components,
-    nodes)) and A by _amplitude_newton, warm-started from the nearest
-    log lam solved before: a scan point from its predecessor, a repeat
-    from its own answer; w holds the energy weights.
+    the first (_dilation_derivs).  amplitude(log lam) is u's radial
+    gradient g, its angular part ang (both as _slope_curv takes them;
+    ang None for a radial u), the unit-amplitude bubble column h, one
+    value per radial node, and A by _amplitude_newton, warm-started from
+    the nearest log lam solved before: a scan point from its
+    predecessor, a repeat from its own answer.  The bubbles are radial,
+    so neither A nor lam moves ang.
     """
     p = params.p
-    comps, w = _gradient_stack([u], params)
-    g = comps[..., 0]
+    r = u.grid.nodes
+    g, w = u.grad_r, u.measure(params.n - 1.0 - p * params.a)
+    if u.is_radial:
+        g, w, ang = g[:, 0], w[:, 0], None
+    else:
+        ang = 0.0 if u.grad_psi is None else np.square(u.grad_psi / r[:, None])
     sig, m = params.sigma, params.bubble_m
     # the unit bubble's radial derivative is d_fac B (1 + B r^sigma)^(-m-1)
-    r = u.grid.nodes
     r_sig = r**sig
     d_fac = -m * sig * r ** (sig - 1.0)
-    # r^sigma per node in the column's layout
-    r_sig_cols = np.broadcast_to(r_sig[:, None], u.values.shape).ravel()
-
-    def column(log_lam):
-        # the unit-amplitude bubble gradient
-        b_coeff = math.exp(log_lam) ** sig
-        dv = (1.0 + b_coeff * r_sig) ** (-m - 1.0)
-        dv *= d_fac * b_coeff
-        if len(g) == 1 and u.is_radial:
-            return dv[None]
-        h = np.zeros((len(g), u.grid.count, len(u.psi_nodes)))
-        h[0] = dv[:, None]
-        return h.reshape(len(g), -1)
 
     # {log lam: solved amplitude}, the warm starts
     solved: dict = {}
 
     def amplitude(log_lam):
         start = solved[min(solved, key=lambda t: abs(t - log_lam))] if solved else None
-        h = column(log_lam)
-        amp = solved[log_lam] = _amplitude_newton(g, h, w, p, start)
-        return g, h, amp
+        # the unit-amplitude bubble gradient
+        b_coeff = math.exp(log_lam) ** sig
+        h = (1.0 + b_coeff * r_sig) ** (-m - 1.0)
+        h *= d_fac * b_coeff
+        amp = solved[log_lam] = _amplitude_newton(g, ang, h, w, p, start)
+        return g, ang, h, amp
 
     def scan(log_lams):
         # squared, the distance is smooth at a zero; it ranks the scan points
         out = np.empty(len(log_lams))
         for k, log_lam in enumerate(log_lams.tolist()):
-            _, r, amp = amplitude(log_lam)
-            r *= -amp
-            r += g
-            out[k] = np.einsum("cn,cn->n", r, r) ** (p / 2.0) @ w
+            _, _, r, amp = amplitude(log_lam)
+            if ang is None:
+                r *= -amp
+                r += g
+                out[k] = (r * r) ** (p / 2.0) @ w
+            else:
+                out[k] = np.sum(w * ((g - amp * r[:, None]) ** 2 + ang) ** (p / 2.0))
         return out ** (2.0 / p)
 
     def point(log_lam):
-        _, h, amp = amplitude(log_lam)
-        y = math.exp(log_lam) ** sig * r_sig_cols
-        return _dilation_derivs(g, h, y, w, p, amp, sig, m)
+        _, _, h, amp = amplitude(log_lam)
+        y = math.exp(log_lam) ** sig * r_sig
+        return _dilation_derivs(g, ang, h, y, w, p, amp, sig, m)
 
     return scan, point, amplitude, w
 
@@ -552,12 +555,14 @@ def manifold_distance(u: Field, params: CknParams) -> tuple[float, Bubble]:
     log_lam = _bracketed_min(scan, point, moment_seed(u, params))[1]
     # the certified amplitude: one scalar solve at the chosen dilation, from
     # the kernel's amplitude there (the search's last point, so one slope)
-    g, h, amp = amplitude(log_lam)
-    amp = _profiled_amplitude(g, h, w, p, start=amp)
-    dist = _energy(w, g - amp * h, p) ** (1.0 / p)
+    g, ang, h, amp = amplitude(log_lam)
+    amp = _profiled_amplitude(g, ang, h, w, p, start=amp)
+    hb = h if ang is None else h[:, None]
+    res = (g - amp * hb) ** 2
+    dist = float(np.sum(w * np.sqrt(res if ang is None else res + ang) ** p)) ** (1.0 / p)
     # slope / p over the Hoelder bound ||r||^(p-1) ||h||; h = 0 has slope 0
-    den = p * dist ** (p - 1.0) * _energy(w, h, p) ** (1.0 / p)
-    slope = abs(_slope_curv(g, h, np.einsum("cn,cn->n", h, h), w, p, amp)[0])
+    den = p * dist ** (p - 1.0) * float(np.sum(w * np.sqrt(hb**2) ** p)) ** (1.0 / p)
+    slope = abs(_slope_curv(g, ang, h, h * h, w, p, amp)[0])
     if slope > AMPLITUDE_RTOL * den and dist > ROUNDING_FLOOR * unorm:
         raise OptimizerStall(
             f"amplitude first-order residual {slope / den:.3e} > {AMPLITUDE_RTOL:g}"

@@ -5,6 +5,7 @@ import json
 import os
 import re
 
+import numpy as np
 import pytest
 
 from cknlab import cli
@@ -732,6 +733,24 @@ def test_main_unit_energy_underflow_exit(tmp_path, capsys):
     ledger = str(tmp_path / "ledger.jsonl")
     assert main(["constants", "--config", path, "--ledger", ledger]) == 3
     assert "not positive at (3, 2.0, 0.0, 0.999)" in capsys.readouterr().err
+    assert not os.path.exists(ledger)
+
+
+def test_main_project_p_near_one_exit(tmp_path, capsys):
+    # at p = 1.01, sigma = 101: r^sigma overflows and the tangent elements
+    # of the dual-norm basis get NaN gradients, a typed numerical failure,
+    # not numpy's LinAlgError from the SVD
+    payload = {
+        "experiment": "t-p-near-one",
+        "operation": "project",
+        "params": [[3, 1.01, 0.0, 0.0]],
+        "options": {"bubbles": [[1.0, 1.0]]},
+    }
+    path = _write(tmp_path, "p.json", payload)
+    ledger = str(tmp_path / "ledger.jsonl")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["project", "--config", path, "--ledger", ledger]) == 3
+    assert "basis elements [0, 1] have non-finite gradients" in capsys.readouterr().err
     assert not os.path.exists(ledger)
 
 

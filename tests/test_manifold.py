@@ -30,7 +30,7 @@ from cknlab.fields import (
     modulated_axisym,
     sample_bubble,
 )
-from cknlab.functionals import _gradient_stack, weighted_grad_pnorm, weighted_lq_norm
+from cknlab.functionals import weighted_grad_pnorm, weighted_lq_norm
 from cknlab.manifold import (
     bubble_normalization,
     canonical_bubble,
@@ -153,8 +153,8 @@ def test_projection_refuses_non_radial_field_at_zero_weights():
 
 
 def test_distance_axisym_without_angular_gradient():
-    # grad_psi None means a vanishing angular derivative: the one-component
-    # stack and the two-component one with a zero angular row agree
+    # grad_psi None means a vanishing angular derivative: it projects as a
+    # zero angular part does
     ps = derive_params(4, 2.5, 0.2, 0.5)
     grid = make_radial_grid(-20, 20, 256)
     rad = canonical_profile(ps, grid, 1.4) + 0.05 * gaussian_bump_profile(
@@ -221,11 +221,14 @@ KERNEL_LOG_LAMS = (-1.0, 0.0, math.log(1.3), 1.0)
 
 
 def _kernel_problem(tup, axisym, log_lams=KERNEL_LOG_LAMS):
-    """u's stack and the columns: bubbles at log_lams and a bump at t = 45.
+    """(params, g, ang, columns, w): u and the columns as the kernels take them.
 
     u carries a near bump and a far one at t = 45, which the bubbles
-    cannot reach (the c04c setting).  Each column is laid out as the
-    kernel takes it, (components, nodes).
+    cannot reach (the c04c setting); axisym modulates it in angle.  g is
+    u's radial gradient and ang its angular part (grad_psi / r)^2, None
+    for a radial u; g and w are per radial node without ang and per
+    tensor node with it.  The columns, bubbles at log_lams and a bump at
+    t = 45, hold one value per radial node.
     """
     ps = derive_params(*tup)
     grid = make_radial_grid(-30, 60, 1024)
@@ -238,19 +241,23 @@ def _kernel_problem(tup, axisym, log_lams=KERNEL_LOG_LAMS):
         u = modulated_axisym(u, psi_count=8)
     cols = [sample_bubble(ps, Bubble(1.0, math.exp(t)), grid) for t in log_lams]
     cols.append(gaussian_bump_profile(grid, ps.n, 45.0, 1.0))
-    comps, w = _gradient_stack([u, *cols], ps)
-    cols = [np.ascontiguousarray(comps[..., k]) for k in range(1, comps.shape[-1])]
-    return ps, comps[..., 0], cols, w
+    cols = [c.grad_r[:, 0] for c in cols]
+    w = u.measure(ps.n - 1.0 - ps.p * ps.a)
+    if not axisym:
+        return ps, u.grad_r[:, 0], None, cols, w[:, 0]
+    return ps, u.grad_r, (u.grad_psi / grid.nodes[:, None]) ** 2, cols, w
 
 
-def _slope_root(g, h, w, p, lo, hi):
-    """Zero of -p sum w |r|^(p-2) r.h, r = g - A h, by bisection to 4 ulp."""
+def _slope_root(g, ang, h, w, p, lo, hi):
+    """Zero of -p sum w |r|^(p-2) r h, r = g - A h, |r|^2 = r^2 + ang: bisection to 4 ulp."""
+    hb = h if ang is None else h[:, None]
+    ang = 0.0 if ang is None else ang
 
     def slope(amp):
-        r = g - amp * h
-        mag = np.sqrt(np.sum(r * r, axis=0))
+        r = g - amp * hb
+        mag = np.sqrt(r * r + ang)
         flux = np.power(mag, p - 2.0, out=np.zeros_like(mag), where=mag > 0.0)
-        return -p * np.sum(w * flux * np.sum(r * h, axis=0))
+        return -p * np.sum(w * flux * r * hb)
 
     assert slope(lo) < 0.0 < slope(hi)
     while hi - lo > 4.0 * np.spacing(hi):
@@ -280,46 +287,49 @@ def test_batched_amplitudes_match_scalar_solve(tup, axisym):
     # every column of the stack against the slope root itself: the kernel's
     # stopping test is referred to its current iterate, so it may not stop
     # short on the far bump
-    ps, g, cols, w = _kernel_problem(tup, axisym)
-    assert g.shape[0] == (2 if axisym else 1)
+    ps, g, ang, cols, w = _kernel_problem(tup, axisym)
+    assert (ang is not None) == axisym
     for k, h in enumerate(cols):
-        got = manifold._amplitude_newton(g, h, w, ps.p)
-        want = _slope_root(g, h, w, ps.p, 0.5 * got, 2.0 * got)
+        got = manifold._amplitude_newton(g, ang, h, w, ps.p)
+        want = _slope_root(g, ang, h, w, ps.p, 0.5 * got, 2.0 * got)
         assert got == pytest.approx(want, rel=1e-12), k
 
 
 def test_kernel_restart_moves_no_amplitude():
     # the far-bump problem whose p = 2 start is 3.3e8 against answers of 45-76
-    ps, g, cols, w = _kernel_problem((4, 2.5, 0.2, 0.5), False)
+    ps, g, ang, cols, w = _kernel_problem((4, 2.5, 0.2, 0.5), False)
     for k, h in enumerate(cols):
-        cold = manifold._amplitude_newton(g, h, w, ps.p)
-        warm = manifold._amplitude_newton(g, h, w, ps.p, start=cold)
+        cold = manifold._amplitude_newton(g, ang, h, w, ps.p)
+        warm = manifold._amplitude_newton(g, ang, h, w, ps.p, start=cold)
         assert abs(warm / cold - 1.0) <= 1e-10, k
 
 
 def test_batched_amplitude_step_cap_raises(monkeypatch):
-    ps, g, cols, w = _kernel_problem((4, 3.0, 0.1, 0.1), False)
+    ps, g, ang, cols, w = _kernel_problem((4, 3.0, 0.1, 0.1), False)
     monkeypatch.setattr(manifold, "AMPLITUDE_MAX_STEPS", 1)
     for h in cols:
         with pytest.raises(OptimizerStall, match="open after 1 steps"):
-            manifold._amplitude_newton(g, h, w, ps.p)
+            manifold._amplitude_newton(g, ang, h, w, ps.p)
 
 
 def test_batched_amplitude_non_finite_slope_raises():
-    ps, g, cols, w = _kernel_problem((4, 2.5, 0.2, 0.5), False)
+    ps, g, ang, cols, w = _kernel_problem((4, 2.5, 0.2, 0.5), False)
     with np.errstate(all="ignore"):
         with pytest.raises(OptimizerStall, match="non-finite amplitude slope"):
-            manifold._amplitude_newton(g, cols[1], w, ps.p, start=np.inf)
+            manifold._amplitude_newton(g, ang, cols[1], w, ps.p, start=np.inf)
 
 
 @pytest.mark.parametrize("axisym", [False, True])
 def test_amplitude_zero_curvature_returns_the_start(monkeypatch, axisym):
-    # g = 2 h at p = 3: the residual, and with it the curvature, vanishes
-    # wherever h does not, so the closed-form start is the answer
-    ps, _, cols, w = _kernel_problem((4, 3.0, 0.1, 0.1), axisym)
+    # g = 2 h at p = 3 with no angular part: the residual, and with it the
+    # curvature, vanishes wherever h does not, so the closed-form start is
+    # the answer
+    ps, _, ang, cols, w = _kernel_problem((4, 3.0, 0.1, 0.1), axisym)
+    g = 2.0 * cols[0] if ang is None else np.outer(2.0 * cols[0], np.ones(w.shape[1]))
+    ang = None if ang is None else np.zeros_like(ang)
     calls = _counted_slopes(monkeypatch)
     with np.errstate(all="raise"):
-        assert manifold._amplitude_newton(2.0 * cols[0], cols[0], w, ps.p) == 2.0
+        assert manifold._amplitude_newton(g, ang, cols[0], w, ps.p) == 2.0
     assert len(calls) == 1
 
 
@@ -329,45 +339,45 @@ def test_warm_started_amplitudes_match_cold_solve(tup, axisym):
     # the stopping test is taken at the iterate, so no start, however far,
     # stops short; the bump column, which u holds exactly, converges only
     # linearly at p > 2 but still reaches the same test
-    ps, g, cols, w = _kernel_problem(tup, axisym)
+    ps, g, ang, cols, w = _kernel_problem(tup, axisym)
     for k, h in enumerate(cols):
-        answer = manifold._amplitude_newton(g, h, w, ps.p)
+        answer = manifold._amplitude_newton(g, ang, h, w, ps.p)
         for factor in (1.001, 10.0, -1.0, 0.0):
-            warm = manifold._amplitude_newton(g, h, w, ps.p, start=factor * answer)
+            warm = manifold._amplitude_newton(g, ang, h, w, ps.p, start=factor * answer)
             assert warm == pytest.approx(answer, rel=1e-12), (k, factor)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.5, 4.0])
 def test_one_component_slopes_match_generic_path(p):
+    # the radial branch against the angular one with a zero angular part
     tup = next(t for t in KERNEL_TUPLES if t[1] == p)
-    ps, g, cols, w = _kernel_problem(tup, False)
-    amps = [0.9 * manifold._amplitude_newton(g, h, w, p) for h in cols]
+    ps, g, ang, cols, w = _kernel_problem(tup, False)
+    amps = [0.9 * manifold._amplitude_newton(g, ang, h, w, p) for h in cols]
     # a column equal to g on the inner half: at amplitude 1 the residual,
     # and with it the flux, vanishes there
-    inner = np.arange(g.shape[1]) < g.shape[1] // 2
+    inner = np.arange(len(g)) < len(g) // 2
     cols.append(np.where(inner, g, 0.5 * g))
     amps.append(1.0)
-    # the same stack with an all-zero angular row takes the generic path
-    g2 = np.concatenate([g, np.zeros_like(g)])
+    # the same problem on one angular node, ang = 0
+    zero = np.zeros((len(g), 1))
     for h, amp in zip(cols, amps):
-        hsq = np.einsum("cn,cn->n", h, h)
-        one = manifold._slope_curv(g, h, hsq, w, p, amp)
-        h2 = np.concatenate([h, np.zeros_like(h)])
-        generic = manifold._slope_curv(g2, h2, hsq, w, p, amp)
-        for got, want in zip(one, generic):
+        radial = manifold._slope_curv(g, None, h, h * h, w, p, amp)
+        angular = manifold._slope_curv(g[:, None], zero, h, h * h, w[:, None], p, amp)
+        for got, want in zip(radial, angular):
             assert got == pytest.approx(want, rel=1e-13)
 
 
 def test_warm_start_saves_far_bump_slope_evaluations(monkeypatch):
     # c04c's tuple; the neighbour sits one Brent-sized step away
     t = math.log(1.3)
-    ps, g, (h_near, h, _), w = _kernel_problem((4, 2.5, 0.2, 0.5), False, (t, t + 0.01))
-    near = manifold._amplitude_newton(g, h_near, w, ps.p)
+    problem = _kernel_problem((4, 2.5, 0.2, 0.5), False, (t, t + 0.01))
+    ps, g, ang, (h_near, h, _), w = problem
+    near = manifold._amplitude_newton(g, ang, h_near, w, ps.p)
     calls = _counted_slopes(monkeypatch)
-    manifold._amplitude_newton(g, h, w, ps.p)
+    manifold._amplitude_newton(g, ang, h, w, ps.p)
     cold = len(calls)
     calls.clear()
-    manifold._amplitude_newton(g, h, w, ps.p, start=near)
+    manifold._amplitude_newton(g, ang, h, w, ps.p, start=near)
     assert len(calls) < cold
 
 
@@ -386,19 +396,19 @@ def test_chained_scan_matches_cold_solves(monkeypatch, tup, window):
     solves = []
     solve = manifold._amplitude_newton
 
-    def recorded(g, h, w, p, start=None):
+    def recorded(g, ang, h, w, p, start=None):
         # the scan turns h into the residual after the solve
-        solves.append((g, h.copy(), start, solve(g, h, w, p, start)))
-        return solves[-1][3]
+        solves.append((g, ang, h.copy(), start, solve(g, ang, h, w, p, start)))
+        return solves[-1][4]
 
     monkeypatch.setattr(manifold, "_amplitude_newton", recorded)
     seed = moment_seed(u, ps)
     scan(np.linspace(seed - 8.0, seed + 8.0, 33))
     assert len(solves) == 33
     previous = None
-    for k, (g, h, start, amp) in enumerate(solves):
+    for k, (g, ang, h, start, amp) in enumerate(solves):
         assert start == previous, k
-        assert amp == pytest.approx(solve(g, h, w, ps.p), rel=1e-12), k
+        assert amp == pytest.approx(solve(g, ang, h, w, ps.p), rel=1e-12), k
         previous = amp
 
 
@@ -539,9 +549,10 @@ def test_select_pu_certificate_on_residual_scaling_fields(count):
         assert again.scale == pytest.approx(bub.scale, rel=1e-12), eps
 
 
-def test_distance_axisym_weighted_matches_nelder_mead():
+@pytest.mark.parametrize("p", [1.5, 2.5, 3.0, 4.0])
+def test_distance_axisym_weighted_matches_nelder_mead(p):
     # a > 0: no shift, but the angular gradient enters the distance
-    ps = derive_params(4, 2.5, 0.2, 0.5)
+    ps = derive_params(*next(t for t in KERNEL_TUPLES if t[1] == p))
     grid = make_radial_grid(-25, 25, 512)
     u = modulated_axisym(
         canonical_profile(ps, grid, 1.3)
@@ -609,8 +620,8 @@ def test_certificate_first_order_residual_raises(monkeypatch):
         x = np.asarray(x0, dtype=float)
         return OptimizeResult(x=x, fun=fun(x)[0], nfev=1, nit=0, success=False)
 
-    def cold(g, h, w, p, start=None):
-        return solve(g, h, w, p)
+    def cold(g, ang, h, w, p, start=None):
+        return solve(g, ang, h, w, p)
 
     ps, u = _perturbed_p25()
     solve = manifold._profiled_amplitude
@@ -635,9 +646,9 @@ def test_certified_amplitude_starts_from_kernel(monkeypatch):
         kernel.append(newton(*args))
         return kernel[-1]
 
-    def spied_scalar(g, h, w, p, start=None):
+    def spied_scalar(g, ang, h, w, p, start=None):
         starts.append(start)
-        return scalar(g, h, w, p, start)
+        return scalar(g, ang, h, w, p, start)
 
     def spied_minimize(fun, x0, **kwargs):
         solves.append((np.array(x0, dtype=float), minimize(fun, x0, **kwargs)))
@@ -656,9 +667,9 @@ def test_certified_amplitude_starts_from_kernel(monkeypatch):
 
     # the same solve from the p = 2 projection
     _, _, amplitude, w = manifold._distance_search(u, ps)
-    g, h, _ = amplitude(math.log(bub.scale))
+    g, ang, h, _ = amplitude(math.log(bub.scale))
     solves.clear()
-    cold = scalar(g, h, w, ps.p)
+    cold = scalar(g, ang, h, w, ps.p)
     assert solves[0][1].nit > 1
     assert cold == pytest.approx(bub.amplitude, rel=1e-12)
 
