@@ -369,10 +369,10 @@ def _profiled_amplitude(g, ang, h, w, p, start=None) -> float:
 
     g, ang, h and w as in _slope_curv.  The p = 2 projection; otherwise
     trust-region Newton from start (the kernel's amplitude) or from that
-    projection.  Newton minimises half the squared slope with the
-    Gauss-Newton Hessian: its steps are Newton steps for the energy, but
-    it compares slopes, which a residual the amplitude cannot reach (a far
-    bump) does not drown in rounding as it drowns the energy.
+    projection.  Newton minimises half the squared slope with the Gauss-Newton
+    Hessian: its steps are Newton steps for the energy, but it compares slopes,
+    which a residual the amplitude cannot reach (a far bump) does not drown in
+    rounding as it drowns the energy.  The caller certifies the result.
     """
     if start is None or p == 2.0:
         hb = h if ang is None else h[:, None]
