@@ -296,7 +296,11 @@ def dual_norm_estimate(u: Field, params: CknParams, basis_size: int = 12) -> Dua
     kept = sing >= RANK_GUARD_RTOL * sing[0]
     white = vt[kept].T / sing[kept]  # orthonormal in the guard's metric
     ell = white.T @ ell
-    value = _dual_sup(comps @ white, w, ell, p) if np.any(ell) else 0.0
+    try:
+        value = _dual_sup(comps @ white, w, ell, p) if np.any(ell) else 0.0
+    except np.linalg.LinAlgError as exc:  # near p = 1 the Newton Hessian is singular
+        tup = (params.n, params.p, params.a, params.b)
+        raise OptimizerStall(f"dual-norm Newton ascent at {tup}: {exc}") from None
     return DualNormEstimate(value=value, half_value=half_value, basis_size=basis_size)
 
 

@@ -13,6 +13,7 @@ linearised problem.
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 from dataclasses import dataclass
@@ -343,25 +344,27 @@ def _angular_rows(g, ang, h, w, p, amp) -> list:
     return [np.sum(x, axis=1) for x in terms]
 
 
-def _slope_curv(g, ang, h, hsq, w, p, amp) -> tuple[float, float]:
-    """First and second derivative in A of sum w |g - A h|^p at amp.
+def _slope_curv(g, ang, h, hw, w, p, amp) -> tuple:
+    """First and second derivative in A of E = sum w |g - A h|^p at amp, and E.
 
     g is u's radial gradient, ang its fixed angular part (grad_psi / r)^2
     or None, w the energy weights: per radial node without ang, per
-    tensor node with it.  The column h and hsq = h^2 are per radial node.
-    Without ang the cosine of r and h is +-1, so the curvature weight
-    hsq + (p-2) cos^2 is (p-1) hsq.
+    tensor node with it; h is the column per radial node, hw (w h, w h^2),
+    or (h, h^2) with ang.  Without ang the curvature weight is (p-1) h^2:
+    5 array passes, 4 at p = 3, where the flux |r|^(p-2) is |r|.  E is a
+    function, which a solve calls at its last evaluation only.
     """
     if ang is None:
         r = h * -amp
         r += g
-        flux = _flux_factor(np.abs(r), p - 2.0)
-        r *= h
+        mag = np.abs(r)
+        flux = mag if p == 3.0 else _flux_factor(mag, p - 2.0)
         r *= flux
-        flux *= hsq
-        return float(-p * (r @ w)), float(p * (p - 1.0) * (flux @ w))
-    _, s_r, s_c, _ = _angular_rows(g, ang, h, w, p, amp)
-    return float(-p * (s_r @ h)), float(p * (s_c @ hsq))
+        slope, curv = -p * (hw[0] @ r), p * (p - 1.0) * (hw[1] @ flux)
+        return float(slope), float(curv), lambda: float((mag * mag * flux) @ w)
+    e_rows, s_r, s_c, _ = _angular_rows(g, ang, h, w, p, amp)
+    slope, curv = -p * (s_r @ hw[0]), p * (s_c @ hw[1])
+    return float(slope), float(curv), lambda: float(np.sum(e_rows))
 
 
 def _profiled_amplitude(g, ang, h, w, p, start=None) -> float:
@@ -380,8 +383,8 @@ def _profiled_amplitude(g, ang, h, w, p, start=None) -> float:
         amp0 = float(np.sum(w * (g * hb))) / hh if hh > 0.0 else 0.0
     else:
         amp0 = float(start)
-    hsq = h * h
-    derivs = lru_cache(maxsize=1)(lambda amp: _slope_curv(g, ang, h, hsq, w, p, amp))
+    hw = (h, h * h) if ang is not None else (w * h, w * h * h)
+    derivs = lru_cache(maxsize=1)(lambda amp: _slope_curv(g, ang, h, hw, w, p, amp)[:2])
     curv0 = derivs(amp0)[1] if p != 2.0 else 0.0
     if not curv0 > 0.0:
         return amp0  # p = 2, or the residual vanishes wherever h does not
@@ -407,38 +410,39 @@ def _profiled_amplitude(g, ang, h, w, p, start=None) -> float:
 AMPLITUDE_MAX_STEPS = 100
 
 
-def _amplitude_newton(g, ang, h, w, p, start=None) -> float:
-    """argmin over A of sum w |g - A h|^p: safeguarded Newton on the slope.
+def _amplitude_newton(g, ang, h, w, p, start=None) -> tuple[float, float]:
+    """(A, E) at the argmin over A of E = sum w |g - A h|^p: safeguarded Newton.
 
     g, ang, h and w as in _slope_curv.  p = 2 is the closed-form
-    projection.  Otherwise Newton on the monotone slope from start or from
-    the closed form; the bracket the slope signs give turns a step past its
-    midpoint into bisection, so a bad start still converges.  Stops when
-    |slope| <= 1e-15 |A| curv at the iterate, on zero curvature (the
-    residual vanishes wherever h does not), or when the step or the bracket
-    is at most 4 ulp of |A| (a slope on its rounding floor never passes the
-    test).  OptimizerStall after AMPLITUDE_MAX_STEPS steps or on a
-    non-finite slope.
+    projection, E summed.  Otherwise Newton on the monotone slope from
+    start or from the closed form; the bracket the slope signs give turns
+    a step past its midpoint into bisection, so a bad start still
+    converges.  Stops when |slope| <= 1e-15 |A| curv at the iterate, on
+    zero curvature (the residual vanishes wherever h does not), or when
+    the step or the bracket is at most 4 ulp of |A| (a slope on its
+    rounding floor never passes the test), so E is the last evaluation's.
+    OptimizerStall after AMPLITUDE_MAX_STEPS steps or on a non-finite slope.
     """
-    hsq = h * h
     if start is None or p == 2.0:
         # with ang, sum over the angular nodes first: they share h
-        hh = float(hsq @ w) if ang is None else float(np.sum(w * h[:, None], axis=1) @ h)
+        hh = float((h * h) @ w) if ang is None else float(np.sum(w * h[:, None], axis=1) @ h)
         gh = (g * h) @ w if ang is None else np.sum(w * g, axis=1) @ h
         amp = float(gh) / hh if hh > 0.0 else 0.0
         if p == 2.0:
-            return amp
+            r = g - amp * (h if ang is None else h[:, None])
+            return amp, float((r * r) @ w if ang is None else np.sum(w * (r * r + ang)))
     else:
         amp = float(start)
+    hw = (h, h * h) if ang is not None else (w * h, w * h * h)
     lo, hi = -math.inf, math.inf
     for _ in range(AMPLITUDE_MAX_STEPS):
-        slope, curv = _slope_curv(g, ang, h, hsq, w, p, amp)
+        slope, curv, energy = _slope_curv(g, ang, h, hw, w, p, amp)
         if not (math.isfinite(slope) and math.isfinite(curv)):
             raise OptimizerStall("non-finite amplitude slope")
         # the Newton step is below 1e-15 |A|: tested at the iterate, so the
         # envelope slope of the dilation search sees the true amplitude
         if not (abs(slope) > 1e-15 * abs(amp) * curv and curv > 0.0):
-            return amp
+            return amp, energy()
         if slope < 0.0:
             lo = amp
         else:
@@ -453,24 +457,35 @@ def _amplitude_newton(g, ang, h, w, p, start=None) -> float:
             new = mid
         ulp4 = 4.0 * math.ulp(abs(amp))
         if abs(new - amp) <= ulp4 or hi - lo <= ulp4:
-            return amp
+            return amp, energy()
         amp = new
     raise OptimizerStall(f"amplitude Newton open after {AMPLITUDE_MAX_STEPS} steps")
+
+
+def _nearest(keys: list, rank, t: float) -> int:
+    """Index of min(keys, key=lambda k: abs(k - t)) in the sorted keys, ties by rank."""
+    lo = hi = i = bisect.bisect_left(keys, t)
+    best = min(abs(keys[max(i - 1, 0)] - t), abs(keys[min(i, len(keys) - 1)] - t))
+    while lo and abs(keys[lo - 1] - t) == best:  # rounded distances grow away from t
+        lo -= 1
+    while hi < len(keys) and abs(keys[hi] - t) == best:
+        hi += 1
+    return lo if hi - lo == 1 else min(range(lo, hi), key=lambda j: rank[keys[j]])
 
 
 def _distance_search(u: Field, params: CknParams) -> tuple:
     """(scan, point, amplitude, w): the projection's objective over the family.
 
-    scan(log lams) is the squared distance E^(2/p) at each dilation,
-    E = sum w |g - A h|^p at the profiled amplitude A; point(log lam)
-    adds its first two derivatives in log lam and the rounding bound of
-    the first (_dilation_derivs).  amplitude(log lam) is u's radial
-    gradient g, its angular part ang (both as _slope_curv takes them;
-    ang None for a radial u), the unit-amplitude bubble column h, one
-    value per radial node, and A by _amplitude_newton, warm-started from
-    the nearest log lam solved before: a scan point from its
-    predecessor, a repeat from its own answer.  The bubbles are radial,
-    so neither A nor lam moves ang.
+    scan(log lams) is the squared distance E^(2/p) at each dilation, E =
+    sum w |g - A h|^p at the profiled amplitude A; point(log lam) adds its
+    first two derivatives in log lam and the rounding bound of the first
+    (_dilation_derivs).  amplitude(log lam) is u's radial gradient g, its
+    angular part ang (as _slope_curv takes them; None for a radial u), the
+    unit bubble column h per radial node, and _amplitude_newton's A and E,
+    from a1, the A at the nearest solved t1 (_nearest), or, at a new t
+    with two solved, from a1 (a1/a2)^((t - t1)/(t1 - t2)) if a1 a2 > 0, t2
+    t1's neighbour across t (|exponent| <= 1/2), else its other one (a scan
+    point: exponent 1).  The bubbles are radial, so neither A nor lam moves ang.
     """
     p = params.p
     r = u.grid.nodes
@@ -484,33 +499,33 @@ def _distance_search(u: Field, params: CknParams) -> tuple:
     r_sig = r**sig
     d_fac = -m * sig * r ** (sig - 1.0)
 
-    # {log lam: solved amplitude}, the warm starts
-    solved: dict = {}
+    keys, solved = [], {}  # the solved log lams, sorted; {log lam: (order solved, A)}
 
     def amplitude(log_lam):
-        start = solved[min(solved, key=lambda t: abs(t - log_lam))] if solved else None
+        start = None
+        if keys:
+            j = _nearest(keys, solved, log_lam)
+            t1, start = keys[j], solved[keys[j]][1]
+            # t2 = keys[k], t1's neighbour across log lam where there is one
+            k = j + 1 if (log_lam > t1 and j + 1 < len(keys)) or j == 0 else j - 1
+            if t1 != log_lam and k < len(keys) and start * solved[keys[k]][1] > 0.0:
+                start *= (start / solved[keys[k]][1]) ** ((log_lam - t1) / (t1 - keys[k]))
         # the unit-amplitude bubble gradient
         b_coeff = math.exp(log_lam) ** sig
         h = (1.0 + b_coeff * r_sig) ** (-m - 1.0)
         h *= d_fac * b_coeff
-        amp = solved[log_lam] = _amplitude_newton(g, ang, h, w, p, start)
-        return g, ang, h, amp
+        amp, energy = _amplitude_newton(g, ang, h, w, p, start)
+        if log_lam not in solved:
+            bisect.insort(keys, log_lam)
+        solved[log_lam] = (solved.get(log_lam, (len(solved),))[0], amp)
+        return g, ang, h, amp, energy
 
     def scan(log_lams):
         # squared, the distance is smooth at a zero; it ranks the scan points
-        out = np.empty(len(log_lams))
-        for k, log_lam in enumerate(log_lams.tolist()):
-            _, _, r, amp = amplitude(log_lam)
-            if ang is None:
-                r *= -amp
-                r += g
-                out[k] = (r * r) ** (p / 2.0) @ w
-            else:
-                out[k] = np.sum(w * ((g - amp * r[:, None]) ** 2 + ang) ** (p / 2.0))
-        return out ** (2.0 / p)
+        return np.array([amplitude(t)[4] for t in log_lams.tolist()]) ** (2.0 / p)
 
     def point(log_lam):
-        _, _, h, amp = amplitude(log_lam)
+        _, _, h, amp, _ = amplitude(log_lam)
         y = math.exp(log_lam) ** sig * r_sig
         return _dilation_derivs(g, ang, h, y, w, p, amp, sig, m)
 
@@ -555,14 +570,15 @@ def manifold_distance(u: Field, params: CknParams) -> tuple[float, Bubble]:
     log_lam = _bracketed_min(scan, point, moment_seed(u, params))[1]
     # the certified amplitude: one scalar solve at the chosen dilation, from
     # the kernel's amplitude there (the search's last point, so one slope)
-    g, ang, h, amp = amplitude(log_lam)
+    g, ang, h, amp, _ = amplitude(log_lam)
     amp = _profiled_amplitude(g, ang, h, w, p, start=amp)
     hb = h if ang is None else h[:, None]
     res = (g - amp * hb) ** 2
     dist = float(np.sum(w * np.sqrt(res if ang is None else res + ang) ** p)) ** (1.0 / p)
     # slope / p over the Hoelder bound ||r||^(p-1) ||h||; h = 0 has slope 0
     den = p * dist ** (p - 1.0) * float(np.sum(w * np.sqrt(hb**2) ** p)) ** (1.0 / p)
-    slope = abs(_slope_curv(g, ang, h, h * h, w, p, amp)[0])
+    hw = (h, h * h) if ang is not None else (w * h, w * h * h)
+    slope = abs(_slope_curv(g, ang, h, hw, w, p, amp)[0])
     if slope > AMPLITUDE_RTOL * den and dist > ROUNDING_FLOOR * unorm:
         raise OptimizerStall(
             f"amplitude first-order residual {slope / den:.3e} > {AMPLITUDE_RTOL:g}"

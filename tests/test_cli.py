@@ -754,6 +754,25 @@ def test_main_project_p_near_one_exit(tmp_path, capsys):
     assert not os.path.exists(ledger)
 
 
+def test_main_project_singular_dual_hessian_exit(tmp_path, capsys):
+    # at p = 1.05 on [-10, 10] x 4096 the dual-norm Newton Hessian is
+    # singular: a typed numerical failure naming the tuple, not numpy's
+    # LinAlgError
+    payload = {
+        "experiment": "t-p-near-one-fine",
+        "operation": "project",
+        "params": [[3, 1.05, 0.0, 0.0]],
+        "grid": [-10, 10, 4096],
+        "options": {"bubbles": [[1.0, 1.0]]},
+    }
+    path = _write(tmp_path, "p.json", payload)
+    ledger = str(tmp_path / "ledger.jsonl")
+    assert main(["project", "--config", path, "--ledger", ledger]) == 3
+    err = capsys.readouterr().err
+    assert "dual-norm Newton ascent at (3, 1.05, 0.0, 0.0): Singular matrix" in err
+    assert not os.path.exists(ledger)
+
+
 def test_main_stability_scan_needs_family(tmp_path, capsys):
     payload = {**CONSTANTS_CFG, "operation": "stability-scan"}
     ledger = str(tmp_path / "ledger.jsonl")

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scipy.optimize import OptimizeResult, minimize
 
@@ -44,6 +46,7 @@ from cknlab.manifold import (
     tangent_basis,
     v_inner,
 )
+from cknlab.stability import bubble_perturbation
 
 TUPLES = [(3, 2, 0, 0), (4, 2.5, 0.2, 0.5), (4, 2, 0.5, 0.5)]
 
@@ -290,7 +293,7 @@ def test_batched_amplitudes_match_scalar_solve(tup, axisym):
     ps, g, ang, cols, w = _kernel_problem(tup, axisym)
     assert (ang is not None) == axisym
     for k, h in enumerate(cols):
-        got = manifold._amplitude_newton(g, ang, h, w, ps.p)
+        got = manifold._amplitude_newton(g, ang, h, w, ps.p)[0]
         want = _slope_root(g, ang, h, w, ps.p, 0.5 * got, 2.0 * got)
         assert got == pytest.approx(want, rel=1e-12), k
 
@@ -299,8 +302,8 @@ def test_kernel_restart_moves_no_amplitude():
     # the far-bump problem whose p = 2 start is 3.3e8 against answers of 45-76
     ps, g, ang, cols, w = _kernel_problem((4, 2.5, 0.2, 0.5), False)
     for k, h in enumerate(cols):
-        cold = manifold._amplitude_newton(g, ang, h, w, ps.p)
-        warm = manifold._amplitude_newton(g, ang, h, w, ps.p, start=cold)
+        cold = manifold._amplitude_newton(g, ang, h, w, ps.p)[0]
+        warm = manifold._amplitude_newton(g, ang, h, w, ps.p, start=cold)[0]
         assert abs(warm / cold - 1.0) <= 1e-10, k
 
 
@@ -329,7 +332,7 @@ def test_amplitude_zero_curvature_returns_the_start(monkeypatch, axisym):
     ang = None if ang is None else np.zeros_like(ang)
     calls = _counted_slopes(monkeypatch)
     with np.errstate(all="raise"):
-        assert manifold._amplitude_newton(g, ang, cols[0], w, ps.p) == 2.0
+        assert manifold._amplitude_newton(g, ang, cols[0], w, ps.p)[0] == 2.0
     assert len(calls) == 1
 
 
@@ -341,18 +344,18 @@ def test_warm_started_amplitudes_match_cold_solve(tup, axisym):
     # linearly at p > 2 but still reaches the same test
     ps, g, ang, cols, w = _kernel_problem(tup, axisym)
     for k, h in enumerate(cols):
-        answer = manifold._amplitude_newton(g, ang, h, w, ps.p)
+        answer = manifold._amplitude_newton(g, ang, h, w, ps.p)[0]
         for factor in (1.001, 10.0, -1.0, 0.0):
             warm = manifold._amplitude_newton(g, ang, h, w, ps.p, start=factor * answer)
-            assert warm == pytest.approx(answer, rel=1e-12), (k, factor)
+            assert warm[0] == pytest.approx(answer, rel=1e-12), (k, factor)
 
 
-@pytest.mark.parametrize("p", [1.5, 2.5, 4.0])
+@pytest.mark.parametrize("p", [1.5, 2.5, 3.0, 4.0])
 def test_one_component_slopes_match_generic_path(p):
     # the radial branch against the angular one with a zero angular part
     tup = next(t for t in KERNEL_TUPLES if t[1] == p)
     ps, g, ang, cols, w = _kernel_problem(tup, False)
-    amps = [0.9 * manifold._amplitude_newton(g, ang, h, w, p) for h in cols]
+    amps = [0.9 * manifold._amplitude_newton(g, ang, h, w, p)[0] for h in cols]
     # a column equal to g on the inner half: at amplitude 1 the residual,
     # and with it the flux, vanishes there
     inner = np.arange(len(g)) < len(g) // 2
@@ -361,10 +364,11 @@ def test_one_component_slopes_match_generic_path(p):
     # the same problem on one angular node, ang = 0
     zero = np.zeros((len(g), 1))
     for h, amp in zip(cols, amps):
-        radial = manifold._slope_curv(g, None, h, h * h, w, p, amp)
-        angular = manifold._slope_curv(g[:, None], zero, h, h * h, w[:, None], p, amp)
-        for got, want in zip(radial, angular):
+        radial = manifold._slope_curv(g, None, h, (w * h, w * h * h), w, p, amp)
+        angular = manifold._slope_curv(g[:, None], zero, h, (h, h * h), w[:, None], p, amp)
+        for got, want in zip(radial[:2], angular[:2]):
             assert got == pytest.approx(want, rel=1e-13)
+        assert radial[2]() == pytest.approx(angular[2](), rel=1e-13)
 
 
 def test_warm_start_saves_far_bump_slope_evaluations(monkeypatch):
@@ -372,7 +376,7 @@ def test_warm_start_saves_far_bump_slope_evaluations(monkeypatch):
     t = math.log(1.3)
     problem = _kernel_problem((4, 2.5, 0.2, 0.5), False, (t, t + 0.01))
     ps, g, ang, (h_near, h, _), w = problem
-    near = manifold._amplitude_newton(g, ang, h_near, w, ps.p)
+    near = manifold._amplitude_newton(g, ang, h_near, w, ps.p)[0]
     calls = _counted_slopes(monkeypatch)
     manifold._amplitude_newton(g, ang, h, w, ps.p)
     cold = len(calls)
@@ -386,10 +390,10 @@ def test_warm_start_saves_far_bump_slope_evaluations(monkeypatch):
     [((4, 2.5, 0.2, 0.5), (-30, 30, 2048)), ((4, 3.0, 0.1, 0.1), (-60, 60, 3072))],
 )
 def test_chained_scan_matches_cold_solves(monkeypatch, tup, window):
-    # a 33-point scan of a c04a/c04b sample: each point starts from its
-    # predecessor's amplitude and must land where a cold solve lands
-    from cknlab.stability import bubble_perturbation
-
+    # a 33-point scan of a c04a/c04b sample: the first point starts cold, the
+    # second from the first's amplitude, every later one from the geometric
+    # extrapolation through its two predecessors; each must land where a
+    # cold solve lands, and the scan is its energies
     ps = derive_params(*tup)
     u = bubble_perturbation(ps, make_radial_grid(*window), 1.0, 1.0)(0.05)
     scan, _, _, w = manifold._distance_search(u, ps)
@@ -397,19 +401,92 @@ def test_chained_scan_matches_cold_solves(monkeypatch, tup, window):
     solve = manifold._amplitude_newton
 
     def recorded(g, ang, h, w, p, start=None):
-        # the scan turns h into the residual after the solve
-        solves.append((g, ang, h.copy(), start, solve(g, ang, h, w, p, start)))
+        solves.append((g, ang, h, start, solve(g, ang, h, w, p, start)))
         return solves[-1][4]
 
     monkeypatch.setattr(manifold, "_amplitude_newton", recorded)
     seed = moment_seed(u, ps)
-    scan(np.linspace(seed - 8.0, seed + 8.0, 33))
+    ts = np.linspace(seed - 8.0, seed + 8.0, 33)
+    energies = scan(ts) ** (ps.p / 2.0)
     assert len(solves) == 33
-    previous = None
-    for k, (g, ang, h, start, amp) in enumerate(solves):
-        assert start == previous, k
-        assert amp == pytest.approx(solve(g, ang, h, w, ps.p), rel=1e-12), k
-        previous = amp
+    ts = ts.tolist()
+    for k, (g, ang, h, start, (amp, energy)) in enumerate(solves):
+        if k < 2:
+            want = solves[0][4][0] if k else None
+        else:
+            a1, a2 = solves[k - 1][4][0], solves[k - 2][4][0]
+            step = (ts[k] - ts[k - 1]) / (ts[k - 1] - ts[k - 2])
+            want = a1 * (a1 / a2) ** step if a1 * a2 > 0.0 else a1
+        assert start == want, k
+        assert amp == pytest.approx(solve(g, ang, h, w, ps.p)[0], rel=1e-12), k
+        assert energies[k] == pytest.approx(energy, rel=1e-13), k
+
+
+@pytest.mark.parametrize(
+    "tup,window",
+    [((4, 2.5, 0.2, 0.5), (-30, 30, 2048)), ((4, 3.0, 0.1, 0.1), (-60, 60, 3072))],
+)
+def test_predicted_starts_save_scan_slope_evaluations(monkeypatch, tup, window):
+    # the same 33 columns of a c04a/c04b sample, solved from the scan's
+    # predicted starts and then each from its predecessor's amplitude
+    ps = derive_params(*tup)
+    u = bubble_perturbation(ps, make_radial_grid(*window), 1.0, 1.0)(0.05)
+    scan, _, _, w = manifold._distance_search(u, ps)
+    columns = []
+    solve = manifold._amplitude_newton
+
+    def recorded(g, ang, h, w, p, start=None):
+        columns.append(h)
+        return solve(g, ang, h, w, p, start)
+
+    monkeypatch.setattr(manifold, "_amplitude_newton", recorded)
+    calls = _counted_slopes(monkeypatch)
+    seed = moment_seed(u, ps)
+    scan(np.linspace(seed - 8.0, seed + 8.0, 33))
+    predicted = len(calls)
+    calls.clear()
+    amp = None
+    for h in columns:
+        amp = solve(u.grad_r[:, 0], None, h, w, ps.p, amp)[0]
+    assert predicted < len(calls)
+
+
+@pytest.mark.parametrize("axisym", [False, True])
+@pytest.mark.parametrize("tup", KERNEL_TUPLES)
+def test_amplitude_energy_is_the_residual_energy(tup, axisym):
+    # E comes from the last slope evaluation (at p = 2 from the closed
+    # form), which is always at the returned amplitude
+    ps, g, ang, cols, w = _kernel_problem(tup, axisym)
+    for k, h in enumerate(cols):
+        cold = manifold._amplitude_newton(g, ang, h, w, ps.p)[0]
+        for start in (None, 0.9 * cold):
+            amp, energy = manifold._amplitude_newton(g, ang, h, w, ps.p, start)
+            r = g - amp * (h if ang is None else h[:, None])
+            if ang is None:
+                want = (r * r) ** (ps.p / 2.0) @ w
+            else:
+                want = np.sum(w * (r * r + ang) ** (ps.p / 2.0))
+            assert energy == pytest.approx(want, rel=1e-13), (k, start)
+
+
+# scan points a quarter apart, and log lams on and between them: exact ties
+_QUARTERS = st.integers(-64, 64).map(lambda i: i / 4.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.lists(_QUARTERS, min_size=1, max_size=40, unique=True),
+        st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=40, unique=True),
+    ),
+    st.one_of(_QUARTERS.map(lambda t: t + 0.125), _QUARTERS, st.floats(-60.0, 60.0)),
+)
+def test_nearest_solved_matches_the_linear_search(order, t):
+    # keys in the order they were solved: of equidistant keys, the first
+    # solved wins, as in min over the insertion-ordered keys
+    rank = {k: i for i, k in enumerate(order)}
+    keys = sorted(order)
+    assert keys[manifold._nearest(keys, rank, t)] == min(order, key=lambda k: abs(k - t))
 
 
 # one admissible tuple per exponent with a > 0, and one with a = b = 0
@@ -534,8 +611,6 @@ def test_distance_dilation_certificate_slow_tail():
 @pytest.mark.parametrize("count", [1024, 2048])
 def test_select_pu_certificate_on_residual_scaling_fields(count):
     # c07's seven fields on its fast and strict grids
-    from cknlab.stability import bubble_perturbation
-
     ps = derive_params(5, 3.0, 0.3, 0.5)
     grid = make_radial_grid(-30, 30, count)
     for eps in np.logspace(-3, -1, 7):
@@ -635,8 +710,6 @@ def test_certified_amplitude_starts_from_kernel(monkeypatch):
     # a c04a sample at p = 2.5: the trust-region solve starts at the
     # kernel's amplitude at the chosen dilation and has nothing to polish,
     # where a start at the p = 2 projection needs several iterations
-    from cknlab.stability import bubble_perturbation
-
     ps = derive_params(4, 2.5, 0.2, 0.5)
     u = bubble_perturbation(ps, make_radial_grid(-30, 30, 2048), 1.0, 1.0)(0.05)
     kernel, starts, solves = [], [], []
@@ -660,14 +733,14 @@ def test_certified_amplitude_starts_from_kernel(monkeypatch):
     _, bub = manifold_distance(u, ps)
     (x0, res), = solves
     # x0 is the start over its own magnitude
-    assert starts == [kernel[-1]]
+    assert starts == [kernel[-1][0]]
     assert x0[0] * abs(starts[0]) == starts[0]
     assert res.nit <= 1
     assert bub.amplitude == pytest.approx(starts[0], rel=1e-12)
 
     # the same solve from the p = 2 projection
     _, _, amplitude, w = manifold._distance_search(u, ps)
-    g, ang, h, _ = amplitude(math.log(bub.scale))
+    g, ang, h, _, _ = amplitude(math.log(bub.scale))
     solves.clear()
     cold = scalar(g, ang, h, w, ps.p)
     assert solves[0][1].nit > 1
