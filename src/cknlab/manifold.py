@@ -383,7 +383,7 @@ def _profiled_amplitude(g, ang, h, w, p, start=None) -> float:
         amp0 = float(np.sum(w * (g * hb))) / hh if hh > 0.0 else 0.0
     else:
         amp0 = float(start)
-    hw = (h, h * h) if ang is not None else (w * h, w * h * h)
+    hw = (h, h * h) if ang is not None else (wh := w * h, wh * h)
     derivs = lru_cache(maxsize=1)(lambda amp: _slope_curv(g, ang, h, hw, w, p, amp)[:2])
     curv0 = derivs(amp0)[1] if p != 2.0 else 0.0
     if not curv0 > 0.0:
@@ -433,7 +433,7 @@ def _amplitude_newton(g, ang, h, w, p, start=None) -> tuple[float, float]:
             return amp, float((r * r) @ w if ang is None else np.sum(w * (r * r + ang)))
     else:
         amp = float(start)
-    hw = (h, h * h) if ang is not None else (w * h, w * h * h)
+    hw = (h, h * h) if ang is not None else (wh := w * h, wh * h)
     lo, hi = -math.inf, math.inf
     for _ in range(AMPLITUDE_MAX_STEPS):
         slope, curv, energy = _slope_curv(g, ang, h, hw, w, p, amp)
@@ -577,7 +577,7 @@ def manifold_distance(u: Field, params: CknParams) -> tuple[float, Bubble]:
     dist = float(np.sum(w * np.sqrt(res if ang is None else res + ang) ** p)) ** (1.0 / p)
     # slope / p over the Hoelder bound ||r||^(p-1) ||h||; h = 0 has slope 0
     den = p * dist ** (p - 1.0) * float(np.sum(w * np.sqrt(hb**2) ** p)) ** (1.0 / p)
-    hw = (h, h * h) if ang is not None else (w * h, w * h * h)
+    hw = (h, h * h) if ang is not None else (wh := w * h, wh * h)
     slope = abs(_slope_curv(g, ang, h, hw, w, p, amp)[0])
     if slope > AMPLITUDE_RTOL * den and dist > ROUNDING_FLOOR * unorm:
         raise OptimizerStall(
