@@ -691,7 +691,7 @@ def _sweep_spans(checked, grid) -> None:
 
 
 def _family_given(checked, grid) -> None:
-    _ordered_grid(checked, grid)
+    """stability-scan samples on family.options.window; config.grid is not used."""
     if checked.family is None:
         raise ConfigError("missing key config.family")
 

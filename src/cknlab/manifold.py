@@ -284,7 +284,7 @@ def _dilation_derivs(g, ang, h, y, w, p, amp, sig, m) -> tuple:
     """(D, D', D'', tol) for the squared distance D = phi^(2/p) in t = log lam.
 
     phi(t) = min over A of E = sum w |g - A h_t|^p; g, ang, w and the
-    column h at t as in _slope_curv, y = B r^sigma per radial node, amp
+    column h at t as in _residual_rows, y = B r^sigma per radial node, amp
     the profiled amplitude A*.  With h' = f1 h and h'' = f2 h, f1 = sigma
     (1 - m y)/(1 + y) and f2 = f1^2 - sigma^2 (m+1) y/(1 + y)^2, the
     envelope theorem gives phi' = E_t and phi'' = E_tt - E_tA^2/E_AA at
@@ -296,26 +296,20 @@ def _dilation_derivs(g, ang, h, y, w, p, amp, sig, m) -> tuple:
     inv = 1.0 / (1.0 + y)
     f1 = sig * (1.0 - m * y) * inv
     f2 = f1 * f1 - sig * sig * (m + 1.0) * y * inv * inv
-    hh = h * h
-    # per radial node: E_A = -p sum a, E_AA = p sum c, and the weight t of tol
-    if ang is None:
-        r = g - amp * h
-        mag = np.abs(r)
-        energy = float(w @ mag**p)
-        wf = w * _flux_factor(mag, p - 2.0)
-        a, c, t = wf * (r * h), wf * ((p - 1.0) * hh), wf * (mag + np.abs(g))
-    else:
-        e_rows, a, c, t = _angular_rows(g, ang, h, w, p, amp)
-        energy, a, c = float(np.sum(e_rows)), a * h, c * hh
+    hw = _weighted_column(h, ang, w)
+    s, c, energy, t = _residual_rows(g, ang, h, w, p, amp, bound=True)
+    energy = energy()
     if energy == 0.0:
         return 0.0, 0.0, 0.0, 0.0
-    # h' = f1 h turns the t-derivatives into f1- and f2-weighted sums of a and c
+    # per radial node: E_A = -p sum a and E_AA = p sum c; h' = f1 h turns the
+    # t-derivatives into f1- and f2-weighted sums of a and c
+    a, c = s * hw[0], (p - 1.0) * c * hw[1]
     sum_f1a = f1 @ a
     e_t = -p * amp * sum_f1a
     e_tt = p * amp * (amp * ((f1 * f1) @ c) - f2 @ a)
     e_ta = p * (amp * (f1 @ c) - sum_f1a)
     d2 = e_tt - e_ta * e_ta / (p * np.sum(c))
-    tol = SLOPE_ROUNDING * p * abs(amp) * (t @ np.abs(f1 * np.sqrt(hh)))
+    tol = SLOPE_ROUNDING * p * abs(amp) * (t @ np.abs(f1 * hw[0]))
     e = 2.0 / p
     k = e * energy ** (e - 1.0)
     return (
@@ -326,33 +320,27 @@ def _dilation_derivs(g, ang, h, y, w, p, amp, sig, m) -> tuple:
     )
 
 
-def _angular_rows(g, ang, h, w, p, amp) -> list:
-    """Sums over the angular nodes of each radial node, for r = g - A h.
+def _weighted_column(h, ang, w) -> tuple:
+    """The column pair the rows of _residual_rows are dotted against.
 
-    With |r|^2 = r^2 + ang and f = w |r|^(p-2): of w |r|^p, f r,
-    f (1 + (p-2) r^2/|r|^2) and f (|r| + |grad u|).  The slope in A is
-    -p (f r) . h and the curvature p (f (...)) . h^2.
+    (w h, w h^2) for a radial u; (h, h^2) with ang, whose rows carry w.
     """
-    r = g - amp * h[:, None]
-    mag_sq = r * r + ang
-    mag = np.sqrt(mag_sq)
-    f = w * _flux_factor(mag, p - 2.0)
-    # the squared cosine of r and the radial h; zero where r vanishes
-    cos_sq = np.divide(r * r, mag_sq, out=np.zeros(r.shape), where=mag_sq > 0.0)
-    curv = f * (1.0 + (p - 2.0) * cos_sq)
-    terms = w * mag**p, f * r, curv, f * (mag + np.sqrt(g * g + ang))
-    return [np.sum(x, axis=1) for x in terms]
+    return (h, h * h) if ang is not None else (wh := w * h, wh * h)
 
 
-def _slope_curv(g, ang, h, hw, w, p, amp) -> tuple:
-    """First and second derivative in A of E = sum w |g - A h|^p at amp, and E.
+def _residual_rows(g, ang, h, w, p, amp, bound=False) -> tuple:
+    """Per radial node, the rows of r = g - A h: the one radial/angular split.
 
     g is u's radial gradient, ang its fixed angular part (grad_psi / r)^2
-    or None, w the energy weights: per radial node without ang, per
-    tensor node with it; h is the column per radial node, hw (w h, w h^2),
-    or (h, h^2) with ang.  Without ang the curvature weight is (p-1) h^2:
-    5 array passes, 4 at p = 3, where the flux |r|^(p-2) is |r|.  E is a
-    function, which a solve calls at its last evaluation only.
+    or None, w the energy weights: per radial node without ang, per tensor
+    node with it; h is the column per radial node.  With |r|^2 = r^2 + ang
+    and f = |r|^(p-2), the slope row f r and the curvature row f (1 + (p-2)
+    r^2/|r|^2)/(p-1) give E = sum w |r|^p the derivatives -p (f r).hw[0]
+    and p (p-1) (curvature row).hw[1] in A, hw = _weighted_column(h, ang, w).
+    Without ang the rows are f r and f (5 array passes, 4 at p = 3, where
+    f is |r|); with it they sum the angular nodes and carry w.  Then E as
+    a function, called at a solve's last evaluation only, and with bound
+    the row f (|r| + |grad u|), weighted as the slope row (_dilation_derivs).
     """
     if ang is None:
         r = h * -amp
@@ -360,34 +348,47 @@ def _slope_curv(g, ang, h, hw, w, p, amp) -> tuple:
         mag = np.abs(r)
         flux = mag if p == 3.0 else _flux_factor(mag, p - 2.0)
         r *= flux
-        slope, curv = -p * (hw[0] @ r), p * (p - 1.0) * (hw[1] @ flux)
-        return float(slope), float(curv), lambda: float((mag * mag * flux) @ w)
-    e_rows, s_r, s_c, _ = _angular_rows(g, ang, h, w, p, amp)
-    slope, curv = -p * (s_r @ hw[0]), p * (s_c @ hw[1])
-    return float(slope), float(curv), lambda: float(np.sum(e_rows))
+        rows = r, flux, lambda: float((mag * mag * flux) @ w)
+        return rows + (flux * (mag + np.abs(g)),) if bound else rows
+    r = g - amp * h[:, None]
+    mag_sq = r * r + ang
+    mag = np.sqrt(mag_sq)
+    f = w * _flux_factor(mag, p - 2.0)
+    # the squared cosine of r and the radial h; zero where r vanishes
+    cos_sq = np.divide(r * r, mag_sq, out=np.zeros(r.shape), where=mag_sq > 0.0)
+    curv = f * (1.0 + (p - 2.0) * cos_sq)
+    rows = np.sum(f * r, axis=1), np.sum(curv, axis=1) / (p - 1.0)
+    rows += (lambda: float(np.sum(f * mag_sq)),)
+    if bound:
+        rows += (np.sum(f * (mag + np.sqrt(g * g + ang)), axis=1),)
+    return rows
 
 
-def _profiled_amplitude(g, ang, h, w, p, start=None) -> float:
-    """argmin over A of the energy sum w |g - A h|^p, convex in A.
+def _slope_curv(g, ang, h, hw, w, p, amp) -> tuple:
+    """First and second derivative in A of E = sum w |g - A h|^p at amp, and E.
 
-    g, ang, h and w as in _slope_curv.  The p = 2 projection; otherwise
-    trust-region Newton from start (the kernel's amplitude) or from that
-    projection.  Newton minimises half the squared slope with the Gauss-Newton
+    g, ang, h and w as in _residual_rows, hw = _weighted_column(h, ang,
+    w), built once per solve; E is a function, as _residual_rows gives it.
+    """
+    s, c, energy = _residual_rows(g, ang, h, w, p, amp)
+    return float(-p * (hw[0] @ s)), float(p * (p - 1.0) * (hw[1] @ c)), energy
+
+
+def _profiled_amplitude(g, ang, h, w, p, start) -> float:
+    """argmin over A of the energy sum w |g - A h|^p, convex in A, for p != 2.
+
+    g, ang, h and w as in _residual_rows.  Trust-region Newton from start, the
+    kernel's amplitude, minimising half the squared slope with the Gauss-Newton
     Hessian: its steps are Newton steps for the energy, but it compares slopes,
     which a residual the amplitude cannot reach (a far bump) does not drown in
     rounding as it drowns the energy.  The caller certifies the result.
     """
-    if start is None or p == 2.0:
-        hb = h if ang is None else h[:, None]
-        hh = float(np.sum(w * (hb * hb)))
-        amp0 = float(np.sum(w * (g * hb))) / hh if hh > 0.0 else 0.0
-    else:
-        amp0 = float(start)
-    hw = (h, h * h) if ang is not None else (wh := w * h, wh * h)
+    amp0 = float(start)
+    hw = _weighted_column(h, ang, w)
     derivs = lru_cache(maxsize=1)(lambda amp: _slope_curv(g, ang, h, hw, w, p, amp)[:2])
-    curv0 = derivs(amp0)[1] if p != 2.0 else 0.0
+    curv0 = derivs(amp0)[1]
     if not curv0 > 0.0:
-        return amp0  # p = 2, or the residual vanishes wherever h does not
+        return amp0  # the residual vanishes wherever h does not
     unit = abs(amp0) or 1.0
 
     def fun(x):  # x = A / unit; step: relative Newton step at curv0
@@ -413,11 +414,11 @@ AMPLITUDE_MAX_STEPS = 100
 def _amplitude_newton(g, ang, h, w, p, start=None) -> tuple[float, float]:
     """(A, E) at the argmin over A of E = sum w |g - A h|^p: safeguarded Newton.
 
-    g, ang, h and w as in _slope_curv.  p = 2 is the closed-form
-    projection, E summed.  Otherwise Newton on the monotone slope from
-    start or from the closed form; the bracket the slope signs give turns
-    a step past its midpoint into bisection, so a bad start still
-    converges.  Stops when |slope| <= 1e-15 |A| curv at the iterate, on
+    g, ang, h and w as in _residual_rows.  p = 2 is the closed-form
+    projection, E from _residual_rows.  Otherwise Newton on the monotone
+    slope from start or from the closed form; the bracket the slope signs
+    give turns a step past its midpoint into bisection, so a bad start
+    still converges.  Stops when |slope| <= 1e-15 |A| curv at the iterate, on
     zero curvature (the residual vanishes wherever h does not), or when
     the step or the bracket is at most 4 ulp of |A| (a slope on its
     rounding floor never passes the test), so E is the last evaluation's.
@@ -429,11 +430,10 @@ def _amplitude_newton(g, ang, h, w, p, start=None) -> tuple[float, float]:
         gh = (g * h) @ w if ang is None else np.sum(w * g, axis=1) @ h
         amp = float(gh) / hh if hh > 0.0 else 0.0
         if p == 2.0:
-            r = g - amp * (h if ang is None else h[:, None])
-            return amp, float((r * r) @ w if ang is None else np.sum(w * (r * r + ang)))
+            return amp, _residual_rows(g, ang, h, w, p, amp)[2]()
     else:
         amp = float(start)
-    hw = (h, h * h) if ang is not None else (wh := w * h, wh * h)
+    hw = _weighted_column(h, ang, w)
     lo, hi = -math.inf, math.inf
     for _ in range(AMPLITUDE_MAX_STEPS):
         slope, curv, energy = _slope_curv(g, ang, h, hw, w, p, amp)
@@ -462,15 +462,12 @@ def _amplitude_newton(g, ang, h, w, p, start=None) -> tuple[float, float]:
     raise OptimizerStall(f"amplitude Newton open after {AMPLITUDE_MAX_STEPS} steps")
 
 
-def _nearest(keys: list, rank, t: float) -> int:
-    """Index of min(keys, key=lambda k: abs(k - t)) in the sorted keys, ties by rank."""
-    lo = hi = i = bisect.bisect_left(keys, t)
-    best = min(abs(keys[max(i - 1, 0)] - t), abs(keys[min(i, len(keys) - 1)] - t))
-    while lo and abs(keys[lo - 1] - t) == best:  # rounded distances grow away from t
-        lo -= 1
-    while hi < len(keys) and abs(keys[hi] - t) == best:
-        hi += 1
-    return lo if hi - lo == 1 else min(range(lo, hi), key=lambda j: rank[keys[j]])
+def _nearest(keys: list, t: float) -> int:
+    """Index of the sorted key nearest t; of keys equally near, the lowest."""
+    i = bisect.bisect_left(keys, t)
+    near = min(abs(keys[j] - t) for j in (i - 1, i) if 0 <= j < len(keys))
+    # rounded, k - t is monotone in k: the first key within near of t
+    return bisect.bisect_left(keys, -near, key=lambda k: k - t)
 
 
 def _distance_search(u: Field, params: CknParams) -> tuple:
@@ -480,12 +477,13 @@ def _distance_search(u: Field, params: CknParams) -> tuple:
     sum w |g - A h|^p at the profiled amplitude A; point(log lam) adds its
     first two derivatives in log lam and the rounding bound of the first
     (_dilation_derivs).  amplitude(log lam) is u's radial gradient g, its
-    angular part ang (as _slope_curv takes them; None for a radial u), the
-    unit bubble column h per radial node, and _amplitude_newton's A and E,
-    from a1, the A at the nearest solved t1 (_nearest), or, at a new t
-    with two solved, from a1 (a1/a2)^((t - t1)/(t1 - t2)) if a1 a2 > 0, t2
-    t1's neighbour across t (|exponent| <= 1/2), else its other one (a scan
-    point: exponent 1).  The bubbles are radial, so neither A nor lam moves ang.
+    angular part ang (as _residual_rows takes them; None for a radial u),
+    the unit bubble column h per radial node, and _amplitude_newton's A and
+    E, from a1, the A at the nearest solved t1 (_nearest: of two equally
+    near, the lower), or, at a new t with two solved, from a1
+    (a1/a2)^((t - t1)/(t1 - t2)) if a1 a2 > 0, t2 t1's neighbour across t
+    (|exponent| <= 1/2), else its other one (a scan point: exponent 1).
+    The bubbles are radial, so neither A nor lam moves ang.
     """
     p = params.p
     r = u.grid.nodes
@@ -499,17 +497,17 @@ def _distance_search(u: Field, params: CknParams) -> tuple:
     r_sig = r**sig
     d_fac = -m * sig * r ** (sig - 1.0)
 
-    keys, solved = [], {}  # the solved log lams, sorted; {log lam: (order solved, A)}
+    keys, solved = [], {}  # the solved log lams, sorted; {log lam: A}
 
     def amplitude(log_lam):
         start = None
         if keys:
-            j = _nearest(keys, solved, log_lam)
-            t1, start = keys[j], solved[keys[j]][1]
+            j = _nearest(keys, log_lam)
+            t1, start = keys[j], solved[keys[j]]
             # t2 = keys[k], t1's neighbour across log lam where there is one
             k = j + 1 if (log_lam > t1 and j + 1 < len(keys)) or j == 0 else j - 1
-            if t1 != log_lam and k < len(keys) and start * solved[keys[k]][1] > 0.0:
-                start *= (start / solved[keys[k]][1]) ** ((log_lam - t1) / (t1 - keys[k]))
+            if t1 != log_lam and k < len(keys) and start * solved[keys[k]] > 0.0:
+                start *= (start / solved[keys[k]]) ** ((log_lam - t1) / (t1 - keys[k]))
         # the unit-amplitude bubble gradient
         b_coeff = math.exp(log_lam) ** sig
         h = (1.0 + b_coeff * r_sig) ** (-m - 1.0)
@@ -517,7 +515,7 @@ def _distance_search(u: Field, params: CknParams) -> tuple:
         amp, energy = _amplitude_newton(g, ang, h, w, p, start)
         if log_lam not in solved:
             bisect.insort(keys, log_lam)
-        solved[log_lam] = (solved.get(log_lam, (len(solved),))[0], amp)
+        solved[log_lam] = amp
         return g, ang, h, amp, energy
 
     def scan(log_lams):
@@ -568,20 +566,19 @@ def manifold_distance(u: Field, params: CknParams) -> tuple[float, Bubble]:
 
     scan, point, amplitude, w = _distance_search(u, params)
     log_lam = _bracketed_min(scan, point, moment_seed(u, params))[1]
-    # the certified amplitude: one scalar solve at the chosen dilation, from
-    # the kernel's amplitude there (the search's last point, so one slope)
+    # the kernel's amplitude at the chosen dilation (the search's last point,
+    # so one slope); at p = 2 its closed form is the answer, otherwise one
+    # scalar solve from it gives the certified amplitude
     g, ang, h, amp, _ = amplitude(log_lam)
-    amp = _profiled_amplitude(g, ang, h, w, p, start=amp)
-    hb = h if ang is None else h[:, None]
-    res = (g - amp * hb) ** 2
-    dist = float(np.sum(w * np.sqrt(res if ang is None else res + ang) ** p)) ** (1.0 / p)
+    if p != 2.0:
+        amp = _profiled_amplitude(g, ang, h, w, p, amp)
+    slope, _, energy = _slope_curv(g, ang, h, _weighted_column(h, ang, w), w, p, amp)
+    dist = energy() ** (1.0 / p)
     # slope / p over the Hoelder bound ||r||^(p-1) ||h||; h = 0 has slope 0
-    den = p * dist ** (p - 1.0) * float(np.sum(w * np.sqrt(hb**2) ** p)) ** (1.0 / p)
-    hw = (h, h * h) if ang is not None else (wh := w * h, wh * h)
-    slope = abs(_slope_curv(g, ang, h, hw, w, p, amp)[0])
-    if slope > AMPLITUDE_RTOL * den and dist > ROUNDING_FLOOR * unorm:
+    den = p * dist ** (p - 1.0) * float(np.sum(w.T * np.abs(h) ** p)) ** (1.0 / p)
+    if abs(slope) > AMPLITUDE_RTOL * den and dist > ROUNDING_FLOOR * unorm:
         raise OptimizerStall(
-            f"amplitude first-order residual {slope / den:.3e} > {AMPLITUDE_RTOL:g}"
+            f"amplitude first-order residual {abs(slope) / den:.3e} > {AMPLITUDE_RTOL:g}"
         )
     return dist, Bubble(amplitude=amp, scale=math.exp(log_lam))
 

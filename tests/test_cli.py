@@ -808,6 +808,17 @@ def test_config_embedding_grid_ends_at_radius(tmp_path):
     assert load_config(_write(tmp_path, "e.json", payload)).grid == (-40.0, -50.0, 256)
 
 
+def test_config_stability_scan_ignores_grid(tmp_path):
+    # stability-scan samples on family.options.window, so grid is not checked
+    payload = {
+        **CONSTANTS_CFG,
+        "operation": "stability-scan",
+        "grid": [30.0, -30.0, 256],
+        "family": {"name": "bubble_bump"},
+    }
+    assert load_config(_write(tmp_path, "s.json", payload)).grid == (30.0, -30.0, 256)
+
+
 @pytest.mark.parametrize(
     "section,value,allowed",
     [

@@ -371,6 +371,23 @@ def test_one_component_slopes_match_generic_path(p):
         assert radial[2]() == pytest.approx(angular[2](), rel=1e-13)
 
 
+@pytest.mark.parametrize("tup", KERNEL_TUPLES)
+def test_radial_dilation_derivs_match_one_angular_node(tup):
+    # the radial rows against the angular ones with a zero angular part, for
+    # each bubble column at its own dilation (the bump column has none)
+    ps, g, ang, cols, w = _kernel_problem(tup, False)
+    r_sig = make_radial_grid(-30, 60, 1024).nodes ** ps.sigma
+    zero = np.zeros((len(g), 1))
+    for t, h in zip(KERNEL_LOG_LAMS, cols):
+        y = math.exp(t) ** ps.sigma * r_sig
+        amp = manifold._amplitude_newton(g, ang, h, w, ps.p)[0]
+        args = y, ps.p, amp, ps.sigma, ps.bubble_m
+        radial = manifold._dilation_derivs(g, None, h, args[0], w, *args[1:])
+        angular = manifold._dilation_derivs(g[:, None], zero, h, args[0], w[:, None], *args[1:])
+        for got, want in zip(radial, angular):
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), t
+
+
 def test_warm_start_saves_far_bump_slope_evaluations(monkeypatch):
     # c04c's tuple; the neighbour sits one Brent-sized step away
     t = math.log(1.3)
@@ -460,12 +477,13 @@ _QUARTERS = st.integers(-64, 64).map(lambda i: i / 4.0)
     ),
     st.one_of(_QUARTERS.map(lambda t: t + 0.125), _QUARTERS, st.floats(-60.0, 60.0)),
 )
-def test_nearest_solved_matches_the_linear_search(order, t):
-    # keys in the order they were solved: of equidistant keys, the first
-    # solved wins, as in min over the insertion-ordered keys
-    rank = {k: i for i, k in enumerate(order)}
-    keys = sorted(order)
-    assert keys[manifold._nearest(keys, rank, t)] == min(order, key=lambda k: abs(k - t))
+def test_nearest_solved_matches_the_linear_search(keys, t):
+    # the nearest key after rounding; of keys equally near, the lower
+    keys = sorted(keys)
+    got = keys[manifold._nearest(keys, t)]
+    near = min(abs(k - t) for k in keys)
+    assert abs(got - t) == near
+    assert got == min(k for k in keys if abs(k - t) == near)
 
 
 # one admissible tuple per exponent with a > 0, and one with a = b = 0
@@ -667,20 +685,20 @@ def test_dilation_newton_certifies_and_guards_its_bracket():
 
 
 def test_certificate_first_order_residual_raises(monkeypatch):
-    # an amplitude solver that never moves, started without the kernel's
-    # amplitude, leaves the p = 2 projection, which misses the p = 2.5
-    # first-order condition
+    # an amplitude solver that never moves, started at the p = 2 projection
+    # instead of the kernel's amplitude, leaves that projection, which misses
+    # the p = 2.5 first-order condition
     def stuck(fun, x0, **kwargs):
         x = np.asarray(x0, dtype=float)
         return OptimizeResult(x=x, fun=fun(x)[0], nfev=1, nit=0, success=False)
 
-    def cold(g, ang, h, w, p, start=None):
-        return solve(g, ang, h, w, p)
+    def from_p2(g, ang, h, w, p, start):
+        return solve(g, ang, h, w, p, manifold._amplitude_newton(g, ang, h, w, 2.0)[0])
 
     ps, u = _perturbed_p25()
     solve = manifold._profiled_amplitude
     monkeypatch.setattr(manifold, "minimize", stuck)
-    monkeypatch.setattr(manifold, "_profiled_amplitude", cold)
+    monkeypatch.setattr(manifold, "_profiled_amplitude", from_p2)
     with pytest.raises(OptimizerStall, match="first-order residual"):
         manifold_distance(u, ps)
 
@@ -698,7 +716,7 @@ def test_certified_amplitude_starts_from_kernel(monkeypatch):
         kernel.append(newton(*args))
         return kernel[-1]
 
-    def spied_scalar(g, ang, h, w, p, start=None):
+    def spied_scalar(g, ang, h, w, p, start):
         starts.append(start)
         return scalar(g, ang, h, w, p, start)
 
@@ -721,9 +739,27 @@ def test_certified_amplitude_starts_from_kernel(monkeypatch):
     _, _, amplitude, w = manifold._distance_search(u, ps)
     g, ang, h, _, _ = amplitude(math.log(bub.scale))
     solves.clear()
-    cold = scalar(g, ang, h, w, ps.p)
+    cold = scalar(g, ang, h, w, ps.p, manifold._amplitude_newton(g, ang, h, w, 2.0)[0])
     assert solves[0][1].nit > 1
     assert cold == pytest.approx(bub.amplitude, rel=1e-12)
+
+
+@pytest.mark.parametrize("axisym", [False, True])
+def test_p2_distance_is_the_kernel_closed_form(monkeypatch, axisym):
+    # at p = 2 the kernel's closed form is the projection: no polish, and
+    # the distance is the kernel's E^(1/2) at the returned bubble
+    ps = derive_params(4, 2.0, 0.5, 0.5)
+    u = bubble_perturbation(ps, make_radial_grid(-30, 30, 1024), 1.0, 1.0)(0.05)
+    if axisym:
+        u = modulated_axisym(u, psi_count=8)
+    polished = []
+    monkeypatch.setattr(manifold, "_profiled_amplitude", lambda *args: polished.append(args))
+    dist, bub = manifold_distance(u, ps)
+    assert polished == []
+    _, _, amplitude, _ = manifold._distance_search(u, ps)
+    _, _, _, amp, energy = amplitude(math.log(bub.scale))
+    assert bub.amplitude == amp
+    assert dist == energy ** 0.5
 
 
 def test_select_pu_recovers_scale():
