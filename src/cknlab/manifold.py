@@ -547,8 +547,10 @@ def manifold_distance(u: Field, params: CknParams) -> tuple[float, Bubble]:
     """Metric projection distance (D_a^p metric) to the family, and the bubble.
 
     The amplitude is profiled out and the dilation searched by
-    _bracketed_min from the q-mass moment seed.  ZeroField for a zero
-    input, UnsupportedField for a non-radial one at a = b = 0.
+    _bracketed_min from the q-mass moment seed; at the chosen dilation the
+    kernel's amplitude is the answer at p = 2, and _profiled_amplitude
+    polishes it otherwise.  ZeroField for a zero input, UnsupportedField
+    for a non-radial one at a = b = 0.
     OptimizerStall when the certificate fails: a minimum is not
     bracketed, or, at a distance above ROUNDING_FLOOR of the gradient
     norm, the amplitude's relative first-order residual
@@ -566,9 +568,7 @@ def manifold_distance(u: Field, params: CknParams) -> tuple[float, Bubble]:
 
     scan, point, amplitude, w = _distance_search(u, params)
     log_lam = _bracketed_min(scan, point, moment_seed(u, params))[1]
-    # the kernel's amplitude at the chosen dilation (the search's last point,
-    # so one slope); at p = 2 its closed form is the answer, otherwise one
-    # scalar solve from it gives the certified amplitude
+    # the search's last point, so the kernel returns after one slope
     g, ang, h, amp, _ = amplitude(log_lam)
     if p != 2.0:
         amp = _profiled_amplitude(g, ang, h, w, p, amp)

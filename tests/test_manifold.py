@@ -381,9 +381,9 @@ def test_radial_dilation_derivs_match_one_angular_node(tup):
     for t, h in zip(KERNEL_LOG_LAMS, cols):
         y = math.exp(t) ** ps.sigma * r_sig
         amp = manifold._amplitude_newton(g, ang, h, w, ps.p)[0]
-        args = y, ps.p, amp, ps.sigma, ps.bubble_m
-        radial = manifold._dilation_derivs(g, None, h, args[0], w, *args[1:])
-        angular = manifold._dilation_derivs(g[:, None], zero, h, args[0], w[:, None], *args[1:])
+        rest = ps.p, amp, ps.sigma, ps.bubble_m
+        radial = manifold._dilation_derivs(g, None, h, y, w, *rest)
+        angular = manifold._dilation_derivs(g[:, None], zero, h, y, w[:, None], *rest)
         for got, want in zip(radial, angular):
             assert got == pytest.approx(want, rel=1e-12, abs=0.0), t
 
