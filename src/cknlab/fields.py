@@ -80,6 +80,7 @@ class RadialGrid:
     weights: np.ndarray    # quadrature for integral f(r) dr
     t_weights: np.ndarray  # quadrature for integral f(t) dt
     _powers: dict = field(default_factory=dict, init=False, repr=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def radial_weights(self, power: float) -> np.ndarray:
         """weights * nodes^power, kept per exponent.
@@ -91,6 +92,22 @@ class RadialGrid:
         if w is None:
             w = self._powers[power] = self.weights * self.nodes**power
         return w
+
+    def memo(self, key, build) -> tuple:
+        """build(), a tuple, once per key for the life of this grid.
+
+        For arrays derived from the grid and a parameter tuple that many
+        fields on it share: a stability scan's samples live on one grid.
+        The arrays in the tuple are made read-only, since every caller
+        holds the same ones.  A row block (rows) starts without them.
+        """
+        got = self._memo.get(key)
+        if got is None:
+            got = self._memo[key] = build()
+            for a in got:
+                if isinstance(a, np.ndarray):
+                    a.flags.writeable = False
+        return got
 
     def meta(self) -> tuple:
         return (self.t_min, self.t_max, self.count)

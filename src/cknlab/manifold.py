@@ -167,7 +167,18 @@ def canonical_bubble(params: CknParams, lam: float = 1.0) -> Bubble:
 
 
 def canonical_profile(params: CknParams, grid: RadialGrid, lam: float = 1.0) -> Field:
-    return sample_bubble(params, canonical_bubble(params, lam), grid)
+    """The canonical bubble at dilation lam on grid, sampled once per grid.
+
+    The samples are the grid's memo (RadialGrid.memo), so they are
+    read-only; each call returns a new Field on them.
+    """
+
+    def build():
+        v = sample_bubble(params, canonical_bubble(params, lam), grid)
+        return v.values[:, 0], v.grad_r[:, 0]
+
+    vals, grads = grid.memo(("canonical profile", params, lam), build)
+    return Field.radial(grid, params.n, vals, grads)
 
 
 # ---------------------------------------------------------------------------
@@ -214,11 +225,16 @@ def _bracketed_min(scan, point, seed: float) -> tuple[float, float]:
     """(f, log lam) at the minimum of f over log lam, or OptimizerStall.
 
     scan maps an array of log lam to the array of f's values, point one
-    log lam to (f, f', f'', tol).  A 33-point scan over seed +- 8 in one
-    call, then _newton inside the bracket of every strict interior scan
-    minimum; ties (1e-12 relative) go to min |log lam|.
+    log lam to (f, f', f'', tol).  One call scans the 33 half-integers
+    k/2, k = round(2 seed) - 16 .. + 16 (seed +- 8 to within 1/4): a
+    lattice, so scans from nearby seeds share their points.  Then _newton
+    inside the bracket of every strict interior scan minimum; ties (1e-12
+    relative) go to min |log lam|.  OptimizerStall for a seed whose 2 seed
+    is not finite.
     """
-    x = np.linspace(seed - 8.0, seed + 8.0, 33)
+    if not math.isfinite(2.0 * seed):
+        raise OptimizerStall(f"no scan window around the dilation seed {seed!r}")
+    x = (np.arange(-16.0, 17.0) + float(round(2.0 * seed))) / 2.0
     v = scan(x)
     found = [
         _newton(point, float(x[i - 1]), float(x[i]), float(x[i + 1]))
@@ -226,7 +242,10 @@ def _bracketed_min(scan, point, seed: float) -> tuple[float, float]:
         if v[i] < v[i - 1] and v[i] < v[i + 1]
     ]
     if not found:
-        raise OptimizerStall(f"no interior minimum in the scan window {seed:.6g} +- 8")
+        raise OptimizerStall(
+            f"no interior minimum in the scan window [{x[0]:g}, {x[-1]:g}] "
+            f"(seed {seed:.6g})"
+        )
     best = min(r[0] for r in found)
     ties = [r for r in found if r[0] - best <= 1e-12 * abs(best)]
     return min(ties, key=lambda r: abs(r[1]))
@@ -328,6 +347,14 @@ def _weighted_column(h, ang, w) -> tuple:
     return (h, h * h) if ang is not None else (wh := w * h, wh * h)
 
 
+def _column_norm(h, ang, w) -> float:
+    """(h.h)_w = sum w h^2, the p = 2 projection's denominator.
+
+    With ang, sum over the angular nodes first: they share h.
+    """
+    return float((h * h) @ w) if ang is None else float(np.sum(w * h[:, None], axis=1) @ h)
+
+
 def _residual_rows(g, ang, h, w, p, amp, bound=False) -> tuple:
     """Per radial node, the rows of r = g - A h: the one radial/angular split.
 
@@ -411,11 +438,15 @@ def _profiled_amplitude(g, ang, h, w, p, start) -> float:
 AMPLITUDE_MAX_STEPS = 100
 
 
-def _amplitude_newton(g, ang, h, w, p, start=None) -> tuple[float, float]:
+def _amplitude_newton(g, ang, h, w, p, start=None, hw=None, hh=None) -> tuple[float, float]:
     """(A, E) at the argmin over A of E = sum w |g - A h|^p: safeguarded Newton.
 
-    g, ang, h and w as in _residual_rows.  p = 2 is the closed-form
-    projection, E from _residual_rows.  Otherwise Newton on the monotone
+    g, ang, h and w as in _residual_rows; hw = _weighted_column(h, ang, w)
+    and hh = (h.h)_w, the sum w h^2, where the caller holds them (a
+    lattice column), else built here.  p = 2 is the closed-form
+    projection; E is ((g - A h)^2).w without ang (the flux is 1 wherever
+    r is not 0, so this is _residual_rows' sum, bit for bit), else from
+    _residual_rows.  Otherwise Newton on the monotone
     slope from start or from the closed form; the bracket the slope signs
     give turns a step past its midpoint into bisection, so a bad start
     still converges.  Stops when |slope| <= 1e-15 |A| curv at the iterate, on
@@ -425,15 +456,20 @@ def _amplitude_newton(g, ang, h, w, p, start=None) -> tuple[float, float]:
     OptimizerStall after AMPLITUDE_MAX_STEPS steps or on a non-finite slope.
     """
     if start is None or p == 2.0:
+        if hh is None:
+            hh = _column_norm(h, ang, w)
         # with ang, sum over the angular nodes first: they share h
-        hh = float((h * h) @ w) if ang is None else float(np.sum(w * h[:, None], axis=1) @ h)
         gh = (g * h) @ w if ang is None else np.sum(w * g, axis=1) @ h
         amp = float(gh) / hh if hh > 0.0 else 0.0
+        if p == 2.0 and ang is None:
+            r = g - amp * h
+            return amp, float((r * r) @ w)
         if p == 2.0:
             return amp, _residual_rows(g, ang, h, w, p, amp)[2]()
     else:
         amp = float(start)
-    hw = _weighted_column(h, ang, w)
+    if hw is None:
+        hw = _weighted_column(h, ang, w)
     lo, hi = -math.inf, math.inf
     for _ in range(AMPLITUDE_MAX_STEPS):
         slope, curv, energy = _slope_curv(g, ang, h, hw, w, p, amp)
@@ -479,25 +515,45 @@ def _distance_search(u: Field, params: CknParams) -> tuple:
     (_dilation_derivs).  amplitude(log lam) is u's radial gradient g, its
     angular part ang (as _residual_rows takes them; None for a radial u),
     the unit bubble column h per radial node, and _amplitude_newton's A and
-    E, from a1, the A at the nearest solved t1 (_nearest: of two equally
-    near, the lower), or, at a new t with two solved, from a1
-    (a1/a2)^((t - t1)/(t1 - t2)) if a1 a2 > 0, t2 t1's neighbour across t
-    (|exponent| <= 1/2), else its other one (a scan point: exponent 1).
-    The bubbles are radial, so neither A nor lam moves ang.
+    E.  For p != 2 the solve starts from a1, the A at the nearest solved t1
+    (_nearest: of two equally near, the lower), or, at a new t with two
+    solved, from a1 (a1/a2)^((t - t1)/(t1 - t2)) if a1 a2 > 0, t2 t1's
+    neighbour across t (|exponent| <= 1/2), else its other one (a scan
+    point: exponent 1); the p = 2 closed form takes no start.
+    The bubbles are radial, so neither A nor lam moves ang.  At a lattice
+    point k/2 (_bracketed_min's scan) h, its column pair and (h.h)_w come
+    from the grid's memo, keyed by the tuple, u's weight and k, so every
+    field on the grid shares them; other points build h afresh.
     """
     p = params.p
-    r = u.grid.nodes
+    grid = u.grid
     g, w = u.grad_r, u.measure(params.n - 1.0 - p * params.a)
     if u.is_radial:
         g, w, ang = g[:, 0], w[:, 0], None
+        # a radial column pair is weighted: its memo key carries the weight
+        w_key = float(u.psi_weights[0])
     else:
-        ang = 0.0 if u.grad_psi is None else np.square(u.grad_psi / r[:, None])
+        ang = 0.0 if u.grad_psi is None else np.square(u.grad_psi / grid.nodes[:, None])
+        w_key = None
     sig, m = params.sigma, params.bubble_m
     # the unit bubble's radial derivative is d_fac B (1 + B r^sigma)^(-m-1)
-    r_sig = r**sig
-    d_fac = -m * sig * r ** (sig - 1.0)
+    r_sig, d_fac = grid.memo(
+        ("bubble column factors", params),
+        lambda: (grid.nodes**sig, -m * sig * grid.nodes ** (sig - 1.0)),
+    )
 
-    keys, solved = [], {}  # the solved log lams, sorted; {log lam: A}
+    def column(log_lam):
+        # the unit-amplitude bubble gradient
+        b_coeff = math.exp(log_lam) ** sig
+        h = (1.0 + b_coeff * r_sig) ** (-m - 1.0)
+        h *= d_fac * b_coeff
+        return h
+
+    def lattice_column(log_lam):
+        h = column(log_lam)
+        return (h, *_weighted_column(h, ang, w), _column_norm(h, ang, w) if ang is None else None)
+
+    keys, solved = [], {}  # the solved log lams, sorted; {log lam: A}; p != 2
 
     def amplitude(log_lam):
         start = None
@@ -508,14 +564,16 @@ def _distance_search(u: Field, params: CknParams) -> tuple:
             k = j + 1 if (log_lam > t1 and j + 1 < len(keys)) or j == 0 else j - 1
             if t1 != log_lam and k < len(keys) and start * solved[keys[k]] > 0.0:
                 start *= (start / solved[keys[k]]) ** ((log_lam - t1) / (t1 - keys[k]))
-        # the unit-amplitude bubble gradient
-        b_coeff = math.exp(log_lam) ** sig
-        h = (1.0 + b_coeff * r_sig) ** (-m - 1.0)
-        h *= d_fac * b_coeff
-        amp, energy = _amplitude_newton(g, ang, h, w, p, start)
-        if log_lam not in solved:
-            bisect.insort(keys, log_lam)
-        solved[log_lam] = amp
+        if (2.0 * log_lam).is_integer():
+            key = ("lattice column", params, w_key, round(2.0 * log_lam))
+            h, *hw, hh = grid.memo(key, lambda: lattice_column(log_lam))
+        else:
+            h, hw, hh = column(log_lam), None, None
+        amp, energy = _amplitude_newton(g, ang, h, w, p, start, hw, hh)
+        if p != 2.0:
+            if log_lam not in solved:
+                bisect.insort(keys, log_lam)
+            solved[log_lam] = amp
         return g, ang, h, amp, energy
 
     def scan(log_lams):
@@ -726,18 +784,24 @@ def _tangent_free(vals, grads, v_bub: Bubble, params: CknParams, grid: RadialGri
     w r^(n-1-qb) V^(q-2), the coefficients C solve the 2 x 2 Gram system
     (T W T^T) C = T W vals^T, and the rows leave as vals - C^T T (grads
     likewise): the orthogonal projection in <., .>_V, up to the sphere
-    area, which cancels.  ZeroField for a zero-amplitude bubble, whose
-    tangents vanish.
+    area, which cancels.  T, its gradients, T W and the Gram matrix are
+    the grid's memo per (tuple, bubble), so the samples of a scan share
+    them.  ZeroField for a zero-amplitude bubble, whose tangents vanish.
     """
     if v_bub.amplitude == 0.0:
         raise ZeroField("tangents of a zero-amplitude bubble vanish; no projection")
-    tangents = tangent_basis(v_bub, params, grid)
-    t_vals = np.array([t.values[:, 0] for t in tangents])
-    t_grads = np.array([t.grad_r[:, 0] for t in tangents])
-    v = sample_bubble(params, v_bub, grid).values[:, 0]
-    power = params.n - 1.0 - params.q * params.b
-    weighted = t_vals * (grid.radial_weights(power) * v ** (params.q - 2.0))
-    coef = np.linalg.solve(weighted @ t_vals.T, weighted @ vals.T)
+
+    def build():
+        tangents = tangent_basis(v_bub, params, grid)
+        t_vals = np.array([t.values[:, 0] for t in tangents])
+        t_grads = np.array([t.grad_r[:, 0] for t in tangents])
+        v = sample_bubble(params, v_bub, grid).values[:, 0]
+        power = params.n - 1.0 - params.q * params.b
+        weighted = t_vals * (grid.radial_weights(power) * v ** (params.q - 2.0))
+        return t_vals, t_grads, weighted, weighted @ t_vals.T
+
+    t_vals, t_grads, weighted, gram = grid.memo(("tangent projector", params, v_bub), build)
+    coef = np.linalg.solve(gram, weighted @ vals.T)
     return vals - coef.T @ t_vals, grads - coef.T @ t_grads
 
 

@@ -529,8 +529,12 @@ def test_ritz_matrices_build_the_tangents_once(monkeypatch):
         calls.append(args)
         return real(*args)
 
+    # a grid of its own: the tangents are the grid's memo, so a second
+    # basis on it builds none
     monkeypatch.setattr(manifold, "tangent_basis", counted)
-    critical._ritz_matrices(PS43, _grid(WIDE_SPEC), 20)
+    grid = make_radial_grid(*WIDE_SPEC)
+    critical._ritz_matrices(PS43, grid, 20)
+    critical._ritz_matrices(PS43, grid, 8)
     assert len(calls) == 1
 
 

@@ -338,6 +338,40 @@ def test_integrate_rejects_wider_density():
         prof.integrate(1.0, angular.values)
 
 
+# -- the per-grid memo --------------------------------------------------------
+
+
+def test_grid_memo_builds_once_and_is_read_only():
+    grid = make_radial_grid(-20.0, 20.0, 256)
+    built = []
+
+    def build():
+        built.append(1)
+        return grid.nodes**2.5, 3.0
+
+    first = grid.memo(("squares", 2.5), build)
+    again = grid.memo(("squares", 2.5), build)
+    assert again is first and len(built) == 1
+    assert first[1] == 3.0
+    assert not first[0].flags.writeable
+    with pytest.raises(ValueError):
+        first[0][0] = 1.0
+    # a grid of the same window keeps its own memo
+    other = make_radial_grid(-20.0, 20.0, 256)
+    assert other.memo(("squares", 2.5), build)[0] is not first[0]
+    assert len(built) == 2
+
+
+def test_grid_rows_carry_the_weights_only():
+    grid = make_radial_grid(-20.0, 20.0, 256)
+    grid.radial_weights(1.5)
+    grid.memo(("squares",), lambda: (grid.nodes**2,))
+    sub = grid.rows(slice(16, 48))
+    assert list(sub._powers) == [1.5]
+    assert np.array_equal(sub._powers[1.5], grid.radial_weights(1.5)[16:48])
+    assert sub._memo == {}
+
+
 # -- row blocks ---------------------------------------------------------------
 
 

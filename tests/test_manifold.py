@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -407,25 +408,26 @@ def test_warm_start_saves_far_bump_slope_evaluations(monkeypatch):
     [((4, 2.5, 0.2, 0.5), (-30, 30, 2048)), ((4, 3.0, 0.1, 0.1), (-60, 60, 3072))],
 )
 def test_chained_scan_matches_cold_solves(monkeypatch, tup, window):
-    # a 33-point scan of a c04a/c04b sample: the first point starts cold, the
-    # second from the first's amplitude, every later one from the geometric
-    # extrapolation through its two predecessors; each must land where a
-    # cold solve lands, the scan is its energies, and the predicted starts
-    # take fewer slope evaluations than starts from the predecessor alone
+    # the 33 lattice points the scan of a c04a/c04b sample visits: the first
+    # point starts cold, the second from the first's amplitude, every later
+    # one from the geometric extrapolation through its two predecessors;
+    # each must land where a cold solve lands, the scan is its energies, and
+    # the predicted starts take fewer slope evaluations than starts from the
+    # predecessor alone
     ps = derive_params(*tup)
     u = bubble_perturbation(ps, make_radial_grid(*window), 1.0, 1.0)(0.05)
     scan, _, _, w = manifold._distance_search(u, ps)
     solves = []
     solve = manifold._amplitude_newton
 
-    def recorded(g, ang, h, w, p, start=None):
-        solves.append((g, ang, h, start, solve(g, ang, h, w, p, start)))
+    def recorded(g, ang, h, w, p, start=None, *column):
+        solves.append((g, ang, h, start, solve(g, ang, h, w, p, start, *column)))
         return solves[-1][4]
 
     monkeypatch.setattr(manifold, "_amplitude_newton", recorded)
     calls = _counted_slopes(monkeypatch)
     seed = moment_seed(u, ps)
-    ts = np.linspace(seed - 8.0, seed + 8.0, 33)
+    ts = (np.arange(-16, 17) + round(2.0 * seed)) / 2.0
     energies = scan(ts) ** (ps.p / 2.0)
     assert len(solves) == 33
     predicted = len(calls)
@@ -463,6 +465,122 @@ def test_amplitude_energy_is_the_residual_energy(tup, axisym):
             else:
                 want = np.sum(w * (r * r + ang) ** (ps.p / 2.0))
             assert energy == pytest.approx(want, rel=1e-13), (k, start)
+
+
+@pytest.mark.parametrize("tup", [(3, 2, 0, 0), (4, 2.0, 0.5, 0.5)])
+def test_p2_energy_is_the_residual_rows_energy(tup):
+    # the radial p = 2 closed form sums ((g - A h)^2).w: the flux is exactly
+    # 1 wherever r is not 0, so this is _residual_rows' sum, bit for bit
+    ps, g, _, cols, w = _kernel_problem(tup, False)
+    for k, h in enumerate(cols):
+        amp, energy = manifold._amplitude_newton(g, None, h, w, 2.0)
+        assert energy == manifold._residual_rows(g, None, h, w, 2.0, amp)[2](), k
+        # the same with the column's (h.h)_w and pair handed in
+        pair = manifold._weighted_column(h, None, w)
+        held = manifold._amplitude_newton(g, None, h, w, 2.0, None, pair, float((h * h) @ w))
+        assert held == (amp, energy), k
+
+
+def _scanned_points(seed):
+    """The log lams _bracketed_min scans from seed, on a parabola near it.
+
+    The tilt leaves no two scan points equal, so there is a strict minimum.
+    """
+    seen = []
+
+    def scan(x):
+        seen.append(x)
+        return (x - seed) ** 2 + 1e-3 * x
+
+    def point(t):
+        return (t - seed) ** 2 + 1e-3 * t, 2.0 * (t - seed) + 1e-3, 2.0, 1e-12
+
+    manifold._bracketed_min(scan, point, seed)
+    (x,) = seen
+    return x
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.floats(-40.0, 40.0), st.integers(-80, 80).map(lambda k: k / 4.0)))
+def test_scan_points_are_the_lattice_nearest_the_seed(seed):
+    # 33 half-integers k/2 around the one nearest the seed: the window covers
+    # seed +- 7.75 and stays within seed +- 8.25
+    x = _scanned_points(seed)
+    assert len(x) == 33
+    k = 2.0 * x
+    assert np.array_equal(k, np.round(k))
+    assert np.array_equal(np.diff(k), np.ones(32))
+    assert abs(x[16] - seed) <= 0.25
+    assert x[0] <= seed - 7.75 and x[-1] >= seed + 7.75
+    assert x[0] >= seed - 8.25 and x[-1] <= seed + 8.25
+    # a seed in the same lattice cell scans the same points
+    if abs(x[16] - seed) < 0.25:
+        assert np.array_equal(_scanned_points(0.5 * (seed + x[16])), x)
+
+
+@pytest.mark.parametrize("seed", [math.nan, math.inf, -math.inf, 1e308])
+@pytest.mark.parametrize("search", ["manifold_distance", "select_Pu"])
+def test_non_finite_seed_raises_a_typed_stall(monkeypatch, search, seed):
+    # round() would raise an untyped ValueError or OverflowError
+    ps, u = _perturbed_p25()
+    monkeypatch.setattr(manifold, "moment_seed", lambda f, ps: seed)
+    with pytest.raises(OptimizerStall, match=re.escape(f"dilation seed {seed!r}")):
+        getattr(manifold, search)(u, ps)
+
+
+@pytest.mark.parametrize("axisym", [False, True])
+def test_lattice_column_is_the_fresh_build(axisym):
+    # the scan's columns at k/2 come from the grid's memo: bit for bit the
+    # column built at that point, read-only, and a grid of the same window
+    # holds its own; an off-lattice point is built afresh and not kept
+    ps = derive_params(4, 2.5, 0.2, 0.5)
+
+    def search(grid):
+        u = bubble_perturbation(ps, grid, 1.0, 1.0)(0.05)
+        if axisym:
+            u = modulated_axisym(u, psi_count=8)
+        return manifold._distance_search(u, ps)
+
+    grid = make_radial_grid(-30, 30, 1024)
+    scan, _, amplitude, w = search(grid)
+    ts = np.arange(-6, 3) / 2.0
+    scan(ts)
+    other = search(make_radial_grid(-30, 30, 1024))[2]
+    r = grid.nodes
+    for t in ts.tolist():
+        _, _, h, _, _ = amplitude(t)
+        b_coeff = math.exp(t) ** ps.sigma
+        want = (1.0 + b_coeff * r**ps.sigma) ** (-ps.bubble_m - 1.0)
+        want *= -ps.bubble_m * ps.sigma * r ** (ps.sigma - 1.0) * b_coeff
+        assert np.array_equal(h, want), t
+        assert not h.flags.writeable
+        assert amplitude(t)[2] is h
+        h_other = other(t)[2]
+        assert h_other is not h and np.array_equal(h_other, h), t
+    entries = [v for k, v in grid._memo.items() if k[0] == "lattice column"]
+    assert len(entries) == len(ts)
+    for h, *pair, hh in entries:
+        for got, want in zip(pair, manifold._weighted_column(h, w if axisym else None, w)):
+            assert np.array_equal(got, want)
+        assert hh == (None if axisym else float((h * h) @ w))
+    amplitude(0.3)
+    assert len([k for k in grid._memo if k[0] == "lattice column"]) == len(ts)
+
+
+def test_canonical_profile_is_the_grid_memo():
+    ps = derive_params(4, 2.5, 0.2, 0.5)
+    grid = make_radial_grid(-20.0, 20.0, 256)
+    v = canonical_profile(ps, grid, 1.3)
+    fresh = sample_bubble(ps, canonical_bubble(ps, 1.3), make_radial_grid(-20.0, 20.0, 256))
+    assert np.array_equal(v.values, fresh.values)
+    assert np.array_equal(v.grad_r, fresh.grad_r)
+    assert canonical_profile(ps, grid, 1.3).values.base is v.values.base
+    assert not (v.values.flags.writeable or v.grad_r.flags.writeable)
+    # arithmetic makes new arrays; only in-place writes are refused
+    assert np.array_equal((2.0 * v).values, 2.0 * fresh.values)
+    with pytest.raises(ValueError):
+        v.values *= 2.0
+
 
 
 # scan points a quarter apart, and log lams on and between them: exact ties

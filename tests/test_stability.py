@@ -340,14 +340,19 @@ def test_mollified_bubble_taper():
 
 
 def test_family_sample_is_perturbed_bubble():
-    # the family draws (eps, center, width) and delegates to bubble_perturbation
+    # the family draws (eps, center, width) and delegates to
+    # bubble_perturbation; its samples share one grid, and with it the
+    # canonical profile and the tangent projector of the grid's memo, yet
+    # each equals the perturbation built on a grid of its own, bit for bit
     ps = derive_params(4, 2.5, 0.1, 0.4)
     spec = GeneratorSpec("bubble_bump", seed=4, window=(-25.0, 25.0, 512))
-    (sample,) = family_samples(spec, ps, 1)
+    samples = list(family_samples(spec, ps, 4))
+    assert len({id(u.grid) for u in samples}) == 1
     rng = np.random.default_rng(4)
-    eps = 10.0 ** rng.uniform(-3.0, -1.0)
-    center, width = rng.uniform(-5.0, 5.0), rng.uniform(0.6, 1.8)
-    grid = make_radial_grid(-25.0, 25.0, 512)
-    direct = bubble_perturbation(ps, grid, center, width)(eps)
-    assert np.array_equal(sample.values, direct.values)
-    assert np.array_equal(sample.grad_r, direct.grad_r)
+    for sample in samples:
+        eps = 10.0 ** rng.uniform(-3.0, -1.0)
+        center, width = rng.uniform(-5.0, 5.0), rng.uniform(0.6, 1.8)
+        grid = make_radial_grid(-25.0, 25.0, 512)
+        direct = bubble_perturbation(ps, grid, center, width)(eps)
+        assert np.array_equal(sample.values, direct.values)
+        assert np.array_equal(sample.grad_r, direct.grad_r)
