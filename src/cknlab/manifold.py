@@ -242,10 +242,7 @@ def _bracketed_min(scan, point, seed: float) -> tuple[float, float]:
         if v[i] < v[i - 1] and v[i] < v[i + 1]
     ]
     if not found:
-        raise OptimizerStall(
-            f"no interior minimum in the scan window [{x[0]:g}, {x[-1]:g}] "
-            f"(seed {seed:.6g})"
-        )
+        raise OptimizerStall(f"no interior minimum in the scan window [{x[0]:g}, {x[-1]:g}]")
     best = min(r[0] for r in found)
     ties = [r for r in found if r[0] - best <= 1e-12 * abs(best)]
     return min(ties, key=lambda r: abs(r[1]))
@@ -551,7 +548,8 @@ def _distance_search(u: Field, params: CknParams) -> tuple:
 
     def lattice_column(log_lam):
         h = column(log_lam)
-        return (h, *_weighted_column(h, ang, w), _column_norm(h, ang, w) if ang is None else None)
+        hh = _column_norm(h, ang, w) if ang is None else None
+        return (h, *_weighted_column(h, ang, w), hh)
 
     keys, solved = [], {}  # the solved log lams, sorted; {log lam: A}; p != 2
 
