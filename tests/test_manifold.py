@@ -560,7 +560,7 @@ def test_lattice_column_is_the_fresh_build(axisym):
     entries = [v for k, v in grid._memo.items() if k[0] == "lattice column"]
     assert len(entries) == len(ts)
     for h, *pair, hh in entries:
-        for got, want in zip(pair, manifold._weighted_column(h, w if axisym else None, w)):
+        for got, want in zip(pair, manifold._weighted_column(h, 0.0 if axisym else None, w)):
             assert np.array_equal(got, want)
         assert hh == (None if axisym else float((h * h) @ w))
     amplitude(0.3)
@@ -580,7 +580,6 @@ def test_canonical_profile_is_the_grid_memo():
     assert np.array_equal((2.0 * v).values, 2.0 * fresh.values)
     with pytest.raises(ValueError):
         v.values *= 2.0
-
 
 
 # scan points a quarter apart, and log lams on and between them: exact ties
