@@ -98,15 +98,17 @@ class RadialGrid:
 
         For arrays derived from the grid and a parameter tuple that many
         fields on it share: a stability scan's samples live on one grid.
-        The arrays in the tuple are made read-only, since every caller
-        holds the same ones.  A row block (rows) starts without them.
+        The arrays in the tuple, and in tuples it holds, are made
+        read-only, since every caller holds the same ones.  A row block
+        (rows) starts without them.
         """
         got = self._memo.get(key)
         if got is None:
             got = self._memo[key] = build()
             for a in got:
-                if isinstance(a, np.ndarray):
-                    a.flags.writeable = False
+                for b in a if isinstance(a, tuple) else (a,):
+                    if isinstance(b, np.ndarray):
+                        b.flags.writeable = False
         return got
 
     def meta(self) -> tuple:

@@ -13,7 +13,6 @@ linearised problem.
 
 from __future__ import annotations
 
-import bisect
 import math
 import sys
 from dataclasses import dataclass
@@ -296,23 +295,24 @@ def _ulp4(t: float) -> float:
     return 4.0 * math.ulp(max(abs(t), 1.0))
 
 
-def _dilation_derivs(g, ang, h, y, w, p, amp, sig, m) -> tuple:
+def _dilation_derivs(g, ang, col, y, w, p, amp, sig, m) -> tuple:
     """(D, D', D'', tol) for the squared distance D = phi^(2/p) in t = log lam.
 
-    phi(t) = min over A of E = sum w |g - A h_t|^p; g, ang, w and the
-    column h at t as in _residual_rows, y = B r^sigma per radial node, amp
-    the profiled amplitude A*.  With h' = f1 h and h'' = f2 h, f1 = sigma
-    (1 - m y)/(1 + y) and f2 = f1^2 - sigma^2 (m+1) y/(1 + y)^2, the
-    envelope theorem gives phi' = E_t and phi'' = E_tt - E_tA^2/E_AA at
-    A*.  tol is D'/phi' times SLOPE_ROUNDING p |A| sum w |r|^(p-2)
-    (|r| + |grad u|) |h'|, the rounding bound of phi'.  D is the scan's
-    objective: at a zero distance E grows like |t - t*|^p, so Newton on E
-    only converges linearly, while one step on D lands on t*.
+    phi(t) = min over A of E = sum w |g - A h_t|^p; g, ang and w as in
+    _residual_rows, col the _column record of h_t, y = B r^sigma per
+    radial node, amp the profiled amplitude A*.  With h' = f1 h and
+    h'' = f2 h, f1 = sigma (1 - m y)/(1 + y) and
+    f2 = f1^2 - sigma^2 (m+1) y/(1 + y)^2, the envelope theorem gives
+    phi' = E_t and phi'' = E_tt - E_tA^2/E_AA at A*.  tol is D'/phi'
+    times SLOPE_ROUNDING p |A| sum w |r|^(p-2) (|r| + |grad u|) |h'|, the
+    rounding bound of phi'.  D is the scan's objective: at a zero
+    distance E grows like |t - t*|^p, so Newton on E only converges
+    linearly, while one step on D lands on t*.
     """
+    h, hw, _ = col
     inv = 1.0 / (1.0 + y)
     f1 = sig * (1.0 - m * y) * inv
     f2 = f1 * f1 - sig * sig * (m + 1.0) * y * inv * inv
-    hw = _weighted_column(h, ang, w)
     s, c, energy, t = _residual_rows(g, ang, h, w, p, amp, bound=True)
     energy = energy()
     if energy == 0.0:
@@ -336,20 +336,18 @@ def _dilation_derivs(g, ang, h, y, w, p, amp, sig, m) -> tuple:
     )
 
 
-def _weighted_column(h, ang, w) -> tuple:
-    """The column pair the rows of _residual_rows are dotted against.
+def _column(h, ang, w) -> tuple:
+    """The record every kernel takes for the column h: (h, pair, (h.h)_w).
 
-    (w h, w h^2) for a radial u; (h, h^2) with ang, whose rows carry w.
+    pair is what the rows of _residual_rows are dotted against: (w h,
+    w h^2) for a radial u, (h, h^2) with ang, whose rows carry w.
+    (h.h)_w = sum w h^2 is the p = 2 projection's denominator; with ang
+    it sums the angular nodes first, since they share h.
     """
-    return (h, h * h) if ang is not None else (wh := w * h, wh * h)
-
-
-def _column_norm(h, ang, w) -> float:
-    """(h.h)_w = sum w h^2, the p = 2 projection's denominator.
-
-    With ang, sum over the angular nodes first: they share h.
-    """
-    return float((h * h) @ w) if ang is None else float(np.sum(w * h[:, None], axis=1) @ h)
+    if ang is None:
+        wh = w * h
+        return h, (wh, wh * h), float((h * h) @ w)
+    return h, (h, h * h), float(np.sum(w * h[:, None], axis=1) @ h)
 
 
 def _residual_rows(g, ang, h, w, p, amp, bound=False) -> tuple:
@@ -359,8 +357,8 @@ def _residual_rows(g, ang, h, w, p, amp, bound=False) -> tuple:
     or None, w the energy weights: per radial node without ang, per tensor
     node with it; h is the column per radial node.  With |r|^2 = r^2 + ang
     and f = |r|^(p-2), the slope row f r and the curvature row f (1 + (p-2)
-    r^2/|r|^2)/(p-1) give E = sum w |r|^p the derivatives -p (f r).hw[0]
-    and p (p-1) (curvature row).hw[1] in A, hw = _weighted_column(h, ang, w).
+    r^2/|r|^2)/(p-1) give E = sum w |r|^p the derivatives -p (f r).pair[0]
+    and p (p-1) (curvature row).pair[1] in A, pair from _column(h, ang, w).
     Without ang the rows are f r and f (5 array passes, 4 at p = 3, where
     f is |r|); with it they sum the angular nodes and carry w.  Then E as
     a function, called at a solve's last evaluation only, and with bound
@@ -388,28 +386,28 @@ def _residual_rows(g, ang, h, w, p, amp, bound=False) -> tuple:
     return rows
 
 
-def _slope_curv(g, ang, h, hw, w, p, amp) -> tuple:
+def _slope_curv(g, ang, col, w, p, amp) -> tuple:
     """First and second derivative in A of E = sum w |g - A h|^p at amp, and E.
 
-    g, ang, h and w as in _residual_rows, hw = _weighted_column(h, ang,
-    w), built once per solve; E is a function, as _residual_rows gives it.
+    g, ang and w as in _residual_rows, col the _column record of h; E is
+    a function, as _residual_rows gives it.
     """
+    h, hw, _ = col
     s, c, energy = _residual_rows(g, ang, h, w, p, amp)
     return float(-p * (hw[0] @ s)), float(p * (p - 1.0) * (hw[1] @ c)), energy
 
 
-def _profiled_amplitude(g, ang, h, w, p, start) -> float:
+def _profiled_amplitude(g, ang, col, w, p, start) -> float:
     """argmin over A of the energy sum w |g - A h|^p, convex in A, for p != 2.
 
-    g, ang, h and w as in _residual_rows.  Trust-region Newton from start, the
+    g, ang, col and w as in _slope_curv.  Trust-region Newton from start, the
     kernel's amplitude, minimising half the squared slope with the Gauss-Newton
     Hessian: its steps are Newton steps for the energy, but it compares slopes,
     which a residual the amplitude cannot reach (a far bump) does not drown in
     rounding as it drowns the energy.  The caller certifies the result.
     """
     amp0 = float(start)
-    hw = _weighted_column(h, ang, w)
-    derivs = lru_cache(maxsize=1)(lambda amp: _slope_curv(g, ang, h, hw, w, p, amp)[:2])
+    derivs = lru_cache(maxsize=1)(lambda amp: _slope_curv(g, ang, col, w, p, amp)[:2])
     curv0 = derivs(amp0)[1]
     if not curv0 > 0.0:
         return amp0  # the residual vanishes wherever h does not
@@ -435,15 +433,13 @@ def _profiled_amplitude(g, ang, h, w, p, start) -> float:
 AMPLITUDE_MAX_STEPS = 100
 
 
-def _amplitude_newton(g, ang, h, w, p, start=None, hw=None, hh=None) -> tuple[float, float]:
+def _amplitude_newton(g, ang, col, w, p, start=None) -> tuple[float, float]:
     """(A, E) at the argmin over A of E = sum w |g - A h|^p: safeguarded Newton.
 
-    g, ang, h and w as in _residual_rows; hw = _weighted_column(h, ang, w)
-    and hh = (h.h)_w, the sum w h^2, where the caller holds them (a
-    lattice column), else built here.  p = 2 is the closed-form
-    projection; E is ((g - A h)^2).w without ang (the flux is 1 wherever
-    r is not 0, so this is _residual_rows' sum, bit for bit), else from
-    _residual_rows.  Otherwise Newton on the monotone
+    g, ang, col and w as in _slope_curv.  p = 2 is the closed-form
+    projection (g.h)_w / (h.h)_w; E is ((g - A h)^2).w without ang (the
+    flux is 1 wherever r is not 0, so this is _residual_rows' sum, bit
+    for bit), else from _residual_rows.  Otherwise Newton on the monotone
     slope from start or from the closed form; the bracket the slope signs
     give turns a step past its midpoint into bisection, so a bad start
     still converges.  Stops when |slope| <= 1e-15 |A| curv at the iterate, on
@@ -452,9 +448,8 @@ def _amplitude_newton(g, ang, h, w, p, start=None, hw=None, hh=None) -> tuple[fl
     rounding floor never passes the test), so E is the last evaluation's.
     OptimizerStall after AMPLITUDE_MAX_STEPS steps or on a non-finite slope.
     """
+    h, _, hh = col
     if start is None or p == 2.0:
-        if hh is None:
-            hh = _column_norm(h, ang, w)
         # with ang, sum over the angular nodes first: they share h
         gh = (g * h) @ w if ang is None else np.sum(w * g, axis=1) @ h
         amp = float(gh) / hh if hh > 0.0 else 0.0
@@ -465,11 +460,9 @@ def _amplitude_newton(g, ang, h, w, p, start=None, hw=None, hh=None) -> tuple[fl
             return amp, _residual_rows(g, ang, h, w, p, amp)[2]()
     else:
         amp = float(start)
-    if hw is None:
-        hw = _weighted_column(h, ang, w)
     lo, hi = -math.inf, math.inf
     for _ in range(AMPLITUDE_MAX_STEPS):
-        slope, curv, energy = _slope_curv(g, ang, h, hw, w, p, amp)
+        slope, curv, energy = _slope_curv(g, ang, col, w, p, amp)
         if not (math.isfinite(slope) and math.isfinite(curv)):
             raise OptimizerStall("non-finite amplitude slope")
         # the Newton step is below 1e-15 |A|: tested at the iterate, so the
@@ -495,14 +488,6 @@ def _amplitude_newton(g, ang, h, w, p, start=None, hw=None, hh=None) -> tuple[fl
     raise OptimizerStall(f"amplitude Newton open after {AMPLITUDE_MAX_STEPS} steps")
 
 
-def _nearest(keys: list, t: float) -> int:
-    """Index of the sorted key nearest t; of keys equally near, the lowest."""
-    i = bisect.bisect_left(keys, t)
-    near = min(abs(keys[j] - t) for j in (i - 1, i) if 0 <= j < len(keys))
-    # rounded, k - t is monotone in k: the first key within near of t
-    return bisect.bisect_left(keys, -near, key=lambda k: k - t)
-
-
 def _distance_search(u: Field, params: CknParams) -> tuple:
     """(scan, point, amplitude, w): the projection's objective over the family.
 
@@ -511,27 +496,27 @@ def _distance_search(u: Field, params: CknParams) -> tuple:
     first two derivatives in log lam and the rounding bound of the first
     (_dilation_derivs).  amplitude(log lam) is u's radial gradient g, its
     angular part ang (as _residual_rows takes them; None for a radial u),
-    the unit bubble column h per radial node, and _amplitude_newton's A and
-    E.  For p != 2 the solve starts from a1, the A at the nearest solved t1
-    (_nearest: of two equally near, the lower), or, at a new t with two
-    solved, from a1 (a1/a2)^((t - t1)/(t1 - t2)) if a1 a2 > 0, t2 t1's
-    neighbour across t (|exponent| <= 1/2), else its other one (a scan
-    point: exponent 1); the p = 2 closed form takes no start.
-    The bubbles are radial, so neither A nor lam moves ang.  At a lattice
-    point k/2 (_bracketed_min's scan) h, its column pair and (h.h)_w come
-    from the grid's memo, keyed by the tuple, u's weight and k, so every
-    field on the grid shares them; other points build h afresh.
+    the _column record of the unit bubble column h, and _amplitude_newton's
+    A and E: one solve per log lam, held for the search and returned
+    unchanged when asked again.  A solve at t starts from a1, the solve at
+    t1, or from a1 (a1/a2)^((t - t1)/(t1 - t2)) where a2 at t2 is solved
+    too and a1 a2 > 0; with no a1, from the closed form (p = 2 takes no
+    start).  At a lattice point t = k/2, t1 = (k-1)/2 and t2 = (k-2)/2: the
+    ascending scan steps through its two predecessors.  Off the lattice
+    t1 < t < t2 are the lattice points around t, both solved, since Newton
+    stays inside a scan bracket.  The bubbles are radial, so neither A nor
+    lam moves ang.  A lattice record is the grid's memo, keyed by the
+    tuple, u's angular weights and k; other points build it afresh.
     """
     p = params.p
     grid = u.grid
     g, w = u.grad_r, u.measure(params.n - 1.0 - p * params.a)
     if u.is_radial:
         g, w, ang = g[:, 0], w[:, 0], None
-        # a radial column pair is weighted: its memo key carries the weight
-        w_key = float(u.psi_weights[0])
     else:
         ang = 0.0 if u.grad_psi is None else np.square(u.grad_psi / grid.nodes[:, None])
-        w_key = None
+    # the record's weighted pair and (h.h)_w carry the angular weights
+    w_key = u.psi_weights.tobytes()
     sig, m = params.sigma, params.bubble_m
     # the unit bubble's radial derivative is d_fac B (1 + B r^sigma)^(-m-1)
     r_sig, d_fac = grid.memo(
@@ -540,48 +525,47 @@ def _distance_search(u: Field, params: CknParams) -> tuple:
     )
 
     def column(log_lam):
-        # the unit-amplitude bubble gradient
+        # the unit-amplitude bubble gradient's record
         b_coeff = math.exp(log_lam) ** sig
         h = (1.0 + b_coeff * r_sig) ** (-m - 1.0)
         h *= d_fac * b_coeff
-        return h
+        return _column(h, ang, w)
 
-    def lattice_column(log_lam):
-        h = column(log_lam)
-        hh = _column_norm(h, ang, w) if ang is None else None
-        return (h, *_weighted_column(h, ang, w), hh)
+    solved = {}  # {log lam: amplitude(log lam)}
 
-    keys, solved = [], {}  # the solved log lams, sorted; {log lam: A}; p != 2
+    def start(log_lam):
+        k = 2.0 * log_lam
+        if k.is_integer():
+            t1, t2 = (k - 1.0) / 2.0, (k - 2.0) / 2.0
+        else:
+            t1, t2 = math.floor(k) / 2.0, math.ceil(k) / 2.0
+        if t1 not in solved:
+            return None
+        a1 = solved[t1][3]
+        a2 = solved[t2][3] if t2 in solved else 0.0
+        if a1 * a2 > 0.0:
+            return a1 * (a1 / a2) ** ((log_lam - t1) / (t1 - t2))
+        return a1
 
     def amplitude(log_lam):
-        start = None
-        if keys:
-            j = _nearest(keys, log_lam)
-            t1, start = keys[j], solved[keys[j]]
-            # t2 = keys[k], t1's neighbour across log lam where there is one
-            k = j + 1 if (log_lam > t1 and j + 1 < len(keys)) or j == 0 else j - 1
-            if t1 != log_lam and k < len(keys) and start * solved[keys[k]] > 0.0:
-                start *= (start / solved[keys[k]]) ** ((log_lam - t1) / (t1 - keys[k]))
-        if (2.0 * log_lam).is_integer():
-            key = ("lattice column", params, w_key, round(2.0 * log_lam))
-            h, *hw, hh = grid.memo(key, lambda: lattice_column(log_lam))
-        else:
-            h, hw, hh = column(log_lam), None, None
-        amp, energy = _amplitude_newton(g, ang, h, w, p, start, hw, hh)
-        if p != 2.0:
-            if log_lam not in solved:
-                bisect.insort(keys, log_lam)
-            solved[log_lam] = amp
-        return g, ang, h, amp, energy
+        if log_lam not in solved:
+            if (2.0 * log_lam).is_integer():
+                key = ("lattice column", params, w_key, round(2.0 * log_lam))
+                col = grid.memo(key, lambda: column(log_lam))
+            else:
+                col = column(log_lam)
+            amp, energy = _amplitude_newton(g, ang, col, w, p, start(log_lam))
+            solved[log_lam] = g, ang, col, amp, energy
+        return solved[log_lam]
 
     def scan(log_lams):
         # squared, the distance is smooth at a zero; it ranks the scan points
         return np.array([amplitude(t)[4] for t in log_lams.tolist()]) ** (2.0 / p)
 
     def point(log_lam):
-        _, _, h, amp, _ = amplitude(log_lam)
+        _, _, col, amp, _ = amplitude(log_lam)
         y = math.exp(log_lam) ** sig * r_sig
-        return _dilation_derivs(g, ang, h, y, w, p, amp, sig, m)
+        return _dilation_derivs(g, ang, col, y, w, p, amp, sig, m)
 
     return scan, point, amplitude, w
 
@@ -624,14 +608,14 @@ def manifold_distance(u: Field, params: CknParams) -> tuple[float, Bubble]:
 
     scan, point, amplitude, w = _distance_search(u, params)
     log_lam = _bracketed_min(scan, point, moment_seed(u, params))[1]
-    # the search's last point, so the kernel returns after one slope
-    g, ang, h, amp, _ = amplitude(log_lam)
+    # a point the search solved: its held solve
+    g, ang, col, amp, _ = amplitude(log_lam)
     if p != 2.0:
-        amp = _profiled_amplitude(g, ang, h, w, p, amp)
-    slope, _, energy = _slope_curv(g, ang, h, _weighted_column(h, ang, w), w, p, amp)
+        amp = _profiled_amplitude(g, ang, col, w, p, amp)
+    slope, _, energy = _slope_curv(g, ang, col, w, p, amp)
     dist = energy() ** (1.0 / p)
     # slope / p over the Hoelder bound ||r||^(p-1) ||h||; h = 0 has slope 0
-    den = p * dist ** (p - 1.0) * float(np.sum(w.T * np.abs(h) ** p)) ** (1.0 / p)
+    den = p * dist ** (p - 1.0) * float(np.sum(w.T * np.abs(col[0]) ** p)) ** (1.0 / p)
     if abs(slope) > AMPLITUDE_RTOL * den and dist > ROUNDING_FLOOR * unorm:
         raise OptimizerStall(
             f"amplitude first-order residual {abs(slope) / den:.3e} > {AMPLITUDE_RTOL:g}"

@@ -225,14 +225,15 @@ KERNEL_LOG_LAMS = (-1.0, 0.0, math.log(1.3), 1.0)
 
 
 def _kernel_problem(tup, axisym, log_lams=KERNEL_LOG_LAMS):
-    """(params, g, ang, columns, w): u and the columns as the kernels take them.
+    """(params, g, ang, records, w): u and the columns as the kernels take them.
 
     u carries a near bump and a far one at t = 45, which the bubbles
     cannot reach (the c04c setting); axisym modulates it in angle.  g is
     u's radial gradient and ang its angular part (grad_psi / r)^2, None
     for a radial u; g and w are per radial node without ang and per
     tensor node with it.  The columns, bubbles at log_lams and a bump at
-    t = 45, hold one value per radial node.
+    t = 45, hold one value per radial node; each comes as its _column
+    record (h, pair, (h.h)_w).
     """
     ps = derive_params(*tup)
     grid = make_radial_grid(-30, 60, 1024)
@@ -245,11 +246,12 @@ def _kernel_problem(tup, axisym, log_lams=KERNEL_LOG_LAMS):
         u = modulated_axisym(u, psi_count=8)
     cols = [sample_bubble(ps, Bubble(1.0, math.exp(t)), grid) for t in log_lams]
     cols.append(gaussian_bump_profile(grid, ps.n, 45.0, 1.0))
-    cols = [c.grad_r[:, 0] for c in cols]
     w = u.measure(ps.n - 1.0 - ps.p * ps.a)
-    if not axisym:
-        return ps, u.grad_r[:, 0], None, cols, w[:, 0]
-    return ps, u.grad_r, (u.grad_psi / grid.nodes[:, None]) ** 2, cols, w
+    if axisym:
+        g, ang = u.grad_r, (u.grad_psi / grid.nodes[:, None]) ** 2
+    else:
+        g, ang, w = u.grad_r[:, 0], None, w[:, 0]
+    return ps, g, ang, [manifold._column(c.grad_r[:, 0], ang, w) for c in cols], w
 
 
 def _slope_root(g, ang, h, w, p, lo, hi):
@@ -293,27 +295,27 @@ def test_batched_amplitudes_match_scalar_solve(tup, axisym):
     # short on the far bump
     ps, g, ang, cols, w = _kernel_problem(tup, axisym)
     assert (ang is not None) == axisym
-    for k, h in enumerate(cols):
-        got = manifold._amplitude_newton(g, ang, h, w, ps.p)[0]
-        want = _slope_root(g, ang, h, w, ps.p, 0.5 * got, 2.0 * got)
+    for k, col in enumerate(cols):
+        got = manifold._amplitude_newton(g, ang, col, w, ps.p)[0]
+        want = _slope_root(g, ang, col[0], w, ps.p, 0.5 * got, 2.0 * got)
         assert got == pytest.approx(want, rel=1e-12), k
 
 
 def test_kernel_restart_moves_no_amplitude():
     # the far-bump problem whose p = 2 start is 3.3e8 against answers of 45-76
     ps, g, ang, cols, w = _kernel_problem((4, 2.5, 0.2, 0.5), False)
-    for k, h in enumerate(cols):
-        cold = manifold._amplitude_newton(g, ang, h, w, ps.p)[0]
-        warm = manifold._amplitude_newton(g, ang, h, w, ps.p, start=cold)[0]
+    for k, col in enumerate(cols):
+        cold = manifold._amplitude_newton(g, ang, col, w, ps.p)[0]
+        warm = manifold._amplitude_newton(g, ang, col, w, ps.p, start=cold)[0]
         assert abs(warm / cold - 1.0) <= 1e-10, k
 
 
 def test_batched_amplitude_step_cap_raises(monkeypatch):
     ps, g, ang, cols, w = _kernel_problem((4, 3.0, 0.1, 0.1), False)
     monkeypatch.setattr(manifold, "AMPLITUDE_MAX_STEPS", 1)
-    for h in cols:
+    for col in cols:
         with pytest.raises(OptimizerStall, match="open after 1 steps"):
-            manifold._amplitude_newton(g, ang, h, w, ps.p)
+            manifold._amplitude_newton(g, ang, col, w, ps.p)
 
 
 def test_batched_amplitude_non_finite_slope_raises():
@@ -329,7 +331,8 @@ def test_amplitude_zero_curvature_returns_the_start(monkeypatch, axisym):
     # curvature, vanishes wherever h does not, so the closed-form start is
     # the answer
     ps, _, ang, cols, w = _kernel_problem((4, 3.0, 0.1, 0.1), axisym)
-    g = 2.0 * cols[0] if ang is None else np.outer(2.0 * cols[0], np.ones(w.shape[1]))
+    h = cols[0][0]
+    g = 2.0 * h if ang is None else np.outer(2.0 * h, np.ones(w.shape[1]))
     ang = None if ang is None else np.zeros_like(ang)
     calls = _counted_slopes(monkeypatch)
     with np.errstate(all="raise"):
@@ -344,10 +347,10 @@ def test_warm_started_amplitudes_match_cold_solve(tup, axisym):
     # stops short; the bump column, which u holds exactly, converges only
     # linearly at p > 2 but still reaches the same test
     ps, g, ang, cols, w = _kernel_problem(tup, axisym)
-    for k, h in enumerate(cols):
-        answer = manifold._amplitude_newton(g, ang, h, w, ps.p)[0]
+    for k, col in enumerate(cols):
+        answer = manifold._amplitude_newton(g, ang, col, w, ps.p)[0]
         for factor in (1.001, 10.0, -1.0, 0.0):
-            warm = manifold._amplitude_newton(g, ang, h, w, ps.p, start=factor * answer)
+            warm = manifold._amplitude_newton(g, ang, col, w, ps.p, start=factor * answer)
             assert warm[0] == pytest.approx(answer, rel=1e-12), (k, factor)
 
 
@@ -356,17 +359,18 @@ def test_one_component_slopes_match_generic_path(p):
     # the radial branch against the angular one with a zero angular part
     tup = next(t for t in KERNEL_TUPLES if t[1] == p)
     ps, g, ang, cols, w = _kernel_problem(tup, False)
-    amps = [0.9 * manifold._amplitude_newton(g, ang, h, w, p)[0] for h in cols]
+    amps = [0.9 * manifold._amplitude_newton(g, ang, col, w, p)[0] for col in cols]
     # a column equal to g on the inner half: at amplitude 1 the residual,
     # and with it the flux, vanishes there
     inner = np.arange(len(g)) < len(g) // 2
-    cols.append(np.where(inner, g, 0.5 * g))
+    cols.append(manifold._column(np.where(inner, g, 0.5 * g), None, w))
     amps.append(1.0)
     # the same problem on one angular node, ang = 0
     zero = np.zeros((len(g), 1))
-    for h, amp in zip(cols, amps):
-        radial = manifold._slope_curv(g, None, h, (w * h, w * h * h), w, p, amp)
-        angular = manifold._slope_curv(g[:, None], zero, h, (h, h * h), w[:, None], p, amp)
+    for col, amp in zip(cols, amps):
+        one_node = manifold._column(col[0], zero, w[:, None])
+        radial = manifold._slope_curv(g, None, col, w, p, amp)
+        angular = manifold._slope_curv(g[:, None], zero, one_node, w[:, None], p, amp)
         for got, want in zip(radial[:2], angular[:2]):
             assert got == pytest.approx(want, rel=1e-13)
         assert radial[2]() == pytest.approx(angular[2](), rel=1e-13)
@@ -379,12 +383,13 @@ def test_radial_dilation_derivs_match_one_angular_node(tup):
     ps, g, ang, cols, w = _kernel_problem(tup, False)
     r_sig = make_radial_grid(-30, 60, 1024).nodes ** ps.sigma
     zero = np.zeros((len(g), 1))
-    for t, h in zip(KERNEL_LOG_LAMS, cols):
+    for t, col in zip(KERNEL_LOG_LAMS, cols):
         y = math.exp(t) ** ps.sigma * r_sig
-        amp = manifold._amplitude_newton(g, ang, h, w, ps.p)[0]
+        amp = manifold._amplitude_newton(g, ang, col, w, ps.p)[0]
         rest = ps.p, amp, ps.sigma, ps.bubble_m
-        radial = manifold._dilation_derivs(g, None, h, y, w, *rest)
-        angular = manifold._dilation_derivs(g[:, None], zero, h, y, w[:, None], *rest)
+        one_node = manifold._column(col[0], zero, w[:, None])
+        radial = manifold._dilation_derivs(g, None, col, y, w, *rest)
+        angular = manifold._dilation_derivs(g[:, None], zero, one_node, y, w[:, None], *rest)
         for got, want in zip(radial, angular):
             assert got == pytest.approx(want, rel=1e-12, abs=0.0), t
 
@@ -393,13 +398,13 @@ def test_warm_start_saves_far_bump_slope_evaluations(monkeypatch):
     # c04c's tuple; the neighbour sits one Brent-sized step away
     t = math.log(1.3)
     problem = _kernel_problem((4, 2.5, 0.2, 0.5), False, (t, t + 0.01))
-    ps, g, ang, (h_near, h, _), w = problem
-    near = manifold._amplitude_newton(g, ang, h_near, w, ps.p)[0]
+    ps, g, ang, (col_near, col, _), w = problem
+    near = manifold._amplitude_newton(g, ang, col_near, w, ps.p)[0]
     calls = _counted_slopes(monkeypatch)
-    manifold._amplitude_newton(g, ang, h, w, ps.p)
+    manifold._amplitude_newton(g, ang, col, w, ps.p)
     cold = len(calls)
     calls.clear()
-    manifold._amplitude_newton(g, ang, h, w, ps.p, start=near)
+    manifold._amplitude_newton(g, ang, col, w, ps.p, start=near)
     assert len(calls) < cold
 
 
@@ -420,8 +425,8 @@ def test_chained_scan_matches_cold_solves(monkeypatch, tup, window):
     solves = []
     solve = manifold._amplitude_newton
 
-    def recorded(g, ang, h, w, p, start=None, *column):
-        solves.append((g, ang, h, start, solve(g, ang, h, w, p, start, *column)))
+    def recorded(g, ang, col, w, p, start=None):
+        solves.append((g, ang, col, start, solve(g, ang, col, w, p, start)))
         return solves[-1][4]
 
     monkeypatch.setattr(manifold, "_amplitude_newton", recorded)
@@ -433,11 +438,11 @@ def test_chained_scan_matches_cold_solves(monkeypatch, tup, window):
     predicted = len(calls)
     calls.clear()
     amp = None
-    for g, ang, h, _, _ in solves:
-        amp = solve(g, ang, h, w, ps.p, amp)[0]
+    for g, ang, col, _, _ in solves:
+        amp = solve(g, ang, col, w, ps.p, amp)[0]
     assert predicted < len(calls)
     ts = ts.tolist()
-    for k, (g, ang, h, start, (amp, energy)) in enumerate(solves):
+    for k, (g, ang, col, start, (amp, energy)) in enumerate(solves):
         if k < 2:
             want = solves[0][4][0] if k else None
         else:
@@ -445,8 +450,87 @@ def test_chained_scan_matches_cold_solves(monkeypatch, tup, window):
             step = (ts[k] - ts[k - 1]) / (ts[k - 1] - ts[k - 2])
             want = a1 * (a1 / a2) ** step if a1 * a2 > 0.0 else a1
         assert start == want, k
-        assert amp == pytest.approx(solve(g, ang, h, w, ps.p)[0], rel=1e-12), k
+        assert amp == pytest.approx(solve(g, ang, col, w, ps.p)[0], rel=1e-12), k
         assert energies[k] == pytest.approx(energy, rel=1e-13), k
+
+
+def _c04a_sample():
+    ps = derive_params(4, 2.5, 0.2, 0.5)
+    return ps, bubble_perturbation(ps, make_radial_grid(-30, 30, 2048), 1.0, 1.0)(0.05)
+
+
+def _recorded_starts(monkeypatch):
+    """The list of the starts _amplitude_newton is called with."""
+    starts = []
+    solve = manifold._amplitude_newton
+
+    def recorded(g, ang, col, w, p, start=None):
+        starts.append(start)
+        return solve(g, ang, col, w, p, start)
+
+    monkeypatch.setattr(manifold, "_amplitude_newton", recorded)
+    return starts
+
+
+@pytest.mark.parametrize("t", [0.3, -1.85, 0.125])
+def test_off_lattice_start_interpolates_its_lattice_neighbours(monkeypatch, t):
+    # a Newton point t between the lattice points t1 < t < t2 starts from
+    # a1 (a1/a2)^((t - t1)/(t1 - t2)) = a1^(1-s) a2^s, s = 2 (t - t1);
+    # without them, from the closed form
+    ps, u = _c04a_sample()
+    t1 = math.floor(2.0 * t) / 2.0
+    t2 = t1 + 0.5
+    scan, _, amplitude, _ = manifold._distance_search(u, ps)
+    scan(np.array([t1, t2]))
+    starts = _recorded_starts(monkeypatch)
+    amplitude(t)
+    a1, a2 = amplitude(t1)[3], amplitude(t2)[3]
+    assert starts == [a1 * (a1 / a2) ** ((t - t1) / (t1 - t2))]
+    s = 2.0 * (t - t1)
+    assert starts[0] == pytest.approx(a1 ** (1.0 - s) * a2**s, rel=1e-14)
+    manifold._distance_search(u, ps)[2](t)
+    assert starts[1:] == [None]
+
+
+def test_held_solves_are_returned_unchanged(monkeypatch):
+    # after the scan, a scan point's slope and a repeated amplitude make no
+    # solve and return the held tuple itself; so does an off-lattice point
+    ps, u = _c04a_sample()
+    scan, point, amplitude, _ = manifold._distance_search(u, ps)
+    x = ((np.arange(-16, 17) + round(2.0 * moment_seed(u, ps))) / 2.0).tolist()
+    scan(np.array(x))
+    ts = x + [x[16] + 0.1]
+    held = [amplitude(t) for t in ts]
+    starts = _recorded_starts(monkeypatch)
+    for t, want in zip(ts, held):
+        point(t)
+        assert amplitude(t) is want, t
+    assert starts == []
+
+
+def test_projection_solves_each_dilation_once(monkeypatch):
+    # a c04a sample: Newton's first point is a scan point and the certificate
+    # reads the last one, yet each log lam the search visits is solved once
+    ps, u = _c04a_sample()
+    visited = []
+    bracketed = manifold._bracketed_min
+
+    def spied(scan, point, seed):
+        def scan_spy(x):
+            visited.extend(x.tolist())
+            return scan(x)
+
+        def point_spy(t):
+            visited.append(t)
+            return point(t)
+
+        return bracketed(scan_spy, point_spy, seed)
+
+    monkeypatch.setattr(manifold, "_bracketed_min", spied)
+    starts = _recorded_starts(monkeypatch)
+    manifold_distance(u, ps)
+    assert len(visited) > len(set(visited)) > 33
+    assert len(starts) == len(set(visited))
 
 
 @pytest.mark.parametrize("axisym", [False, True])
@@ -455,10 +539,11 @@ def test_amplitude_energy_is_the_residual_energy(tup, axisym):
     # E comes from the last slope evaluation (at p = 2 from the closed
     # form), which is always at the returned amplitude
     ps, g, ang, cols, w = _kernel_problem(tup, axisym)
-    for k, h in enumerate(cols):
-        cold = manifold._amplitude_newton(g, ang, h, w, ps.p)[0]
+    for k, col in enumerate(cols):
+        cold = manifold._amplitude_newton(g, ang, col, w, ps.p)[0]
         for start in (None, 0.9 * cold):
-            amp, energy = manifold._amplitude_newton(g, ang, h, w, ps.p, start)
+            amp, energy = manifold._amplitude_newton(g, ang, col, w, ps.p, start)
+            h = col[0]
             r = g - amp * (h if ang is None else h[:, None])
             if ang is None:
                 want = (r * r) ** (ps.p / 2.0) @ w
@@ -472,13 +557,9 @@ def test_p2_energy_is_the_residual_rows_energy(tup):
     # the radial p = 2 closed form sums ((g - A h)^2).w: the flux is exactly
     # 1 wherever r is not 0, so this is _residual_rows' sum, bit for bit
     ps, g, _, cols, w = _kernel_problem(tup, False)
-    for k, h in enumerate(cols):
-        amp, energy = manifold._amplitude_newton(g, None, h, w, 2.0)
-        assert energy == manifold._residual_rows(g, None, h, w, 2.0, amp)[2](), k
-        # the same with the column's (h.h)_w and pair handed in
-        pair = manifold._weighted_column(h, None, w)
-        held = manifold._amplitude_newton(g, None, h, w, 2.0, None, pair, float((h * h) @ w))
-        assert held == (amp, energy), k
+    for k, col in enumerate(cols):
+        amp, energy = manifold._amplitude_newton(g, None, col, w, 2.0)
+        assert energy == manifold._residual_rows(g, None, col[0], w, 2.0, amp)[2](), k
 
 
 def _scanned_points(seed):
@@ -530,7 +611,7 @@ def test_non_finite_seed_raises_a_typed_stall(monkeypatch, search, seed):
 
 @pytest.mark.parametrize("axisym", [False, True])
 def test_lattice_column_is_the_fresh_build(axisym):
-    # the scan's columns at k/2 come from the grid's memo: bit for bit the
+    # the scan's records at k/2 come from the grid's memo: bit for bit the
     # column built at that point, read-only, and a grid of the same window
     # holds its own; an off-lattice point is built afresh and not kept
     ps = derive_params(4, 2.5, 0.2, 0.5)
@@ -548,23 +629,47 @@ def test_lattice_column_is_the_fresh_build(axisym):
     other = search(make_radial_grid(-30, 30, 1024))[2]
     r = grid.nodes
     for t in ts.tolist():
-        _, _, h, _, _ = amplitude(t)
+        col = amplitude(t)[2]
+        h = col[0]
         b_coeff = math.exp(t) ** ps.sigma
         want = (1.0 + b_coeff * r**ps.sigma) ** (-ps.bubble_m - 1.0)
         want *= -ps.bubble_m * ps.sigma * r ** (ps.sigma - 1.0) * b_coeff
         assert np.array_equal(h, want), t
-        assert not h.flags.writeable
-        assert amplitude(t)[2] is h
-        h_other = other(t)[2]
+        assert not any(a.flags.writeable for a in (h, *col[1]))
+        h_other = other(t)[2][0]
         assert h_other is not h and np.array_equal(h_other, h), t
     entries = [v for k, v in grid._memo.items() if k[0] == "lattice column"]
     assert len(entries) == len(ts)
-    for h, *pair, hh in entries:
-        for got, want in zip(pair, manifold._weighted_column(h, 0.0 if axisym else None, w)):
+    for h, pair, hh in entries:
+        _, want_pair, want_hh = manifold._column(h, 0.0 if axisym else None, w)
+        for got, want in zip(pair, want_pair):
             assert np.array_equal(got, want)
-        assert hh == (None if axisym else float((h * h) @ w))
+        assert hh == want_hh
     amplitude(0.3)
     assert len([k for k in grid._memo if k[0] == "lattice column"]) == len(ts)
+
+
+def test_lattice_record_is_keyed_by_the_angular_weights():
+    # (h.h)_w sums u's angular weights: two axisymmetric fields on one grid
+    # whose weights differ in their sum each get their own record, and with
+    # it their own exact p = 2 amplitude (g.h)_w / (h.h)_w
+    ps = derive_params(4, 2.0, 0.5, 0.5)
+    grid = make_radial_grid(-30, 30, 1024)
+    u = modulated_axisym(bubble_perturbation(ps, grid, 1.0, 1.0)(0.05), psi_count=8)
+    v = replace(u, psi_weights=u.psi_weights * np.linspace(0.5, 2.0, 8))
+    assert np.sum(v.psi_weights) != np.sum(u.psi_weights)
+    ts = np.arange(-4, 3) / 2.0
+    amps = []
+    for f in (u, v):
+        scan, _, amplitude, w = manifold._distance_search(f, ps)
+        scan(ts)
+        for t in ts.tolist():
+            g, _, (h, _, hh), amp, _ = amplitude(t)
+            assert hh == float(np.sum(w * h[:, None], axis=1) @ h), t
+            assert amp == float(np.sum(w * g, axis=1) @ h) / hh, t
+            amps.append(amp)
+    assert len([k for k in grid._memo if k[0] == "lattice column"]) == 2 * len(ts)
+    assert amps[: len(ts)] != amps[len(ts) :]
 
 
 def test_canonical_profile_is_the_grid_memo():
@@ -580,27 +685,6 @@ def test_canonical_profile_is_the_grid_memo():
     assert np.array_equal((2.0 * v).values, 2.0 * fresh.values)
     with pytest.raises(ValueError):
         v.values *= 2.0
-
-
-# scan points a quarter apart, and log lams on and between them: exact ties
-_QUARTERS = st.integers(-64, 64).map(lambda i: i / 4.0)
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    st.one_of(
-        st.lists(_QUARTERS, min_size=1, max_size=40, unique=True),
-        st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=40, unique=True),
-    ),
-    st.one_of(_QUARTERS.map(lambda t: t + 0.125), _QUARTERS, st.floats(-60.0, 60.0)),
-)
-def test_nearest_solved_matches_the_linear_search(keys, t):
-    # the nearest key after rounding; of keys equally near, the lower
-    keys = sorted(keys)
-    got = keys[manifold._nearest(keys, t)]
-    near = min(abs(k - t) for k in keys)
-    assert abs(got - t) == near
-    assert got == min(k for k in keys if abs(k - t) == near)
 
 
 # one admissible tuple per exponent with a > 0, and one with a = b = 0
@@ -809,8 +893,8 @@ def test_certificate_first_order_residual_raises(monkeypatch):
         x = np.asarray(x0, dtype=float)
         return OptimizeResult(x=x, fun=fun(x)[0], nfev=1, nit=0, success=False)
 
-    def from_p2(g, ang, h, w, p, start):
-        return solve(g, ang, h, w, p, manifold._amplitude_newton(g, ang, h, w, 2.0)[0])
+    def from_p2(g, ang, col, w, p, start):
+        return solve(g, ang, col, w, p, manifold._amplitude_newton(g, ang, col, w, 2.0)[0])
 
     ps, u = _perturbed_p25()
     solve = manifold._profiled_amplitude
@@ -822,20 +906,21 @@ def test_certificate_first_order_residual_raises(monkeypatch):
 
 def test_certified_amplitude_starts_from_kernel(monkeypatch):
     # a c04a sample at p = 2.5: the trust-region solve starts at the
-    # kernel's amplitude at the chosen dilation and has nothing to polish,
-    # where a start at the p = 2 projection needs several iterations
+    # kernel's amplitude at the chosen dilation, the search's held solve
+    # there, and has nothing to polish, where a start at the p = 2
+    # projection needs several iterations
     ps = derive_params(4, 2.5, 0.2, 0.5)
     u = bubble_perturbation(ps, make_radial_grid(-30, 30, 2048), 1.0, 1.0)(0.05)
     kernel, starts, solves = [], [], []
     newton, scalar = manifold._amplitude_newton, manifold._profiled_amplitude
 
-    def spied_newton(*args):
-        kernel.append(newton(*args))
-        return kernel[-1]
+    def spied_newton(g, ang, col, w, p, start=None):
+        kernel.append((col, newton(g, ang, col, w, p, start)))
+        return kernel[-1][1]
 
-    def spied_scalar(g, ang, h, w, p, start):
-        starts.append(start)
-        return scalar(g, ang, h, w, p, start)
+    def spied_scalar(g, ang, col, w, p, start):
+        starts.append((col, start))
+        return scalar(g, ang, col, w, p, start)
 
     def spied_minimize(fun, x0, **kwargs):
         solves.append((np.array(x0, dtype=float), minimize(fun, x0, **kwargs)))
@@ -846,17 +931,19 @@ def test_certified_amplitude_starts_from_kernel(monkeypatch):
     monkeypatch.setattr(manifold, "minimize", spied_minimize)
     _, bub = manifold_distance(u, ps)
     (x0, res), = solves
+    (col, start), = starts
+    # the one solve made with that record
+    assert [amp for c, (amp, _) in kernel if c is col] == [start]
     # x0 is the start over its own magnitude
-    assert starts == [kernel[-1][0]]
-    assert x0[0] * abs(starts[0]) == starts[0]
+    assert x0[0] * abs(start) == start
     assert res.nit <= 1
-    assert bub.amplitude == pytest.approx(starts[0], rel=1e-12)
+    assert bub.amplitude == pytest.approx(start, rel=1e-12)
 
     # the same solve from the p = 2 projection
     _, _, amplitude, w = manifold._distance_search(u, ps)
-    g, ang, h, _, _ = amplitude(math.log(bub.scale))
+    g, ang, col, _, _ = amplitude(math.log(bub.scale))
     solves.clear()
-    cold = scalar(g, ang, h, w, ps.p, manifold._amplitude_newton(g, ang, h, w, 2.0)[0])
+    cold = scalar(g, ang, col, w, ps.p, manifold._amplitude_newton(g, ang, col, w, 2.0)[0])
     assert solves[0][1].nit > 1
     assert cold == pytest.approx(bub.amplitude, rel=1e-12)
 
