@@ -909,8 +909,7 @@ def test_certified_amplitude_starts_from_kernel(monkeypatch):
     # kernel's amplitude at the chosen dilation, the search's held solve
     # there, and has nothing to polish, where a start at the p = 2
     # projection needs several iterations
-    ps = derive_params(4, 2.5, 0.2, 0.5)
-    u = bubble_perturbation(ps, make_radial_grid(-30, 30, 2048), 1.0, 1.0)(0.05)
+    ps, u = _c04a_sample()
     kernel, starts, solves = [], [], []
     newton, scalar = manifold._amplitude_newton, manifold._profiled_amplitude
 
