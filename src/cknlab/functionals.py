@@ -124,10 +124,16 @@ def deficit(u: Field, params: CknParams) -> float:
     window truncation, and returned as computed; values below -1e-8 log
     a warning.
     """
+    return _deficit(u, params, None)
+
+
+def _deficit(u: Field, params: CknParams, grad_int: float | None) -> float:
+    """deficit(u, params), with u's weighted gradient energy grad_int when it is not None."""
     q_int = weighted_lq_norm(u, params)
     if q_int == 0.0:
         raise ZeroField("deficit undefined for the zero field")
-    grad_int = weighted_grad_pnorm(u, params)
+    if grad_int is None:
+        grad_int = weighted_grad_pnorm(u, params)
     d = grad_int ** (1.0 / params.p) / q_int ** (1.0 / params.q) - sharp_constant(
         params
     )

@@ -220,20 +220,34 @@ AMPLITUDE_RTOL = 1e-6
 ROUNDING_FLOOR = 1e-12
 
 
+# two values within this relative gap of the least tie: ties go to min |log lam|
+TIE_RTOL = 1e-12
+
+
+def _scan_window(seed: float) -> np.ndarray:
+    """The 33 half-integers k/2, k = round(2 seed) - 16 .. + 16: seed +- 8 to within 1/4.
+
+    A lattice, so searches from nearby seeds share their points.
+    OptimizerStall for a seed whose 2 seed is not finite.
+    """
+    if not math.isfinite(2.0 * seed):
+        raise OptimizerStall(f"no scan window around the dilation seed {seed!r}")
+    return (np.arange(-16.0, 17.0) + float(round(2.0 * seed))) / 2.0
+
+
+def _no_interior_minimum(x) -> OptimizerStall:
+    return OptimizerStall(f"no interior minimum in the scan window [{x[0]:g}, {x[-1]:g}]")
+
+
 def _bracketed_min(scan, point, seed: float) -> tuple[float, float]:
     """(f, log lam) at the minimum of f over log lam, or OptimizerStall.
 
     scan maps an array of log lam to the array of f's values, point one
-    log lam to (f, f', f'', tol).  One call scans the 33 half-integers
-    k/2, k = round(2 seed) - 16 .. + 16 (seed +- 8 to within 1/4): a
-    lattice, so scans from nearby seeds share their points.  Then _newton
-    inside the bracket of every strict interior scan minimum; ties (1e-12
-    relative) go to min |log lam|.  OptimizerStall for a seed whose 2 seed
-    is not finite.
+    log lam to (f, f', f'', tol).  One call scans the window of the seed
+    (_scan_window).  Then _newton inside the bracket of every strict
+    interior scan minimum; ties (TIE_RTOL) go to min |log lam|.
     """
-    if not math.isfinite(2.0 * seed):
-        raise OptimizerStall(f"no scan window around the dilation seed {seed!r}")
-    x = (np.arange(-16.0, 17.0) + float(round(2.0 * seed))) / 2.0
+    x = _scan_window(seed)
     v = scan(x)
     found = [
         _newton(point, float(x[i - 1]), float(x[i]), float(x[i + 1]))
@@ -241,10 +255,41 @@ def _bracketed_min(scan, point, seed: float) -> tuple[float, float]:
         if v[i] < v[i - 1] and v[i] < v[i + 1]
     ]
     if not found:
-        raise OptimizerStall(f"no interior minimum in the scan window [{x[0]:g}, {x[-1]:g}]")
+        raise _no_interior_minimum(x)
     best = min(r[0] for r in found)
-    ties = [r for r in found if r[0] - best <= 1e-12 * abs(best)]
+    ties = [r for r in found if r[0] - best <= TIE_RTOL * abs(best)]
     return min(ties, key=lambda r: abs(r[1]))
+
+
+def _best_first_min(lattice, point, seed: float) -> tuple[float, float]:
+    """(f, log lam) at the minimum of f over log lam, or OptimizerStall.
+
+    The window of the seed (_scan_window) is searched best-first, with a
+    certificate: lattice(k0) is solve(i), the point (k0 + i)/2 of the
+    window whose first point is k0/2, and solve(i) is f there with an
+    array of lower bounds of f at every window point.  The seed's point
+    is solved first, then always the open point with the lowest bound; a
+    point is open until a bound exceeds the least value by more than a
+    tie (TIE_RTOL), so every point that may tie is solved, and no point
+    is left that could beat the least.  Ties go to min |log lam|; the
+    point so chosen is the window's lattice minimum.  OptimizerStall
+    when it is an end of the window, else _newton inside its bracket.
+    """
+    x = _scan_window(seed)
+    solve = lattice(int(2.0 * x[0]))
+    values, lower = {}, np.full(len(x), -np.inf)
+    i = len(x) // 2
+    while i is not None:
+        values[i], bound = solve(i)
+        np.fmax(lower, bound, out=lower)  # a NaN bound is no bound
+        best = min(values.values())
+        slack = TIE_RTOL * abs(best)
+        unsure = [j for j in range(len(x)) if j not in values and not lower[j] - best > slack]
+        i = min(unsure, key=lower.__getitem__, default=None)
+    i = min((j for j, v in values.items() if v - best <= slack), key=lambda j: abs(x[j]))
+    if not 0 < i < len(x) - 1:
+        raise _no_interior_minimum(x)
+    return _newton(point, float(x[i - 1]), float(x[i]), float(x[i + 1]))
 
 
 # Newton or bisection steps per dilation search; bisection alone needs about 55
@@ -387,14 +432,14 @@ def _residual_rows(g, ang, h, w, p, amp, bound=False) -> tuple:
 
 
 def _slope_curv(g, ang, col, w, p, amp) -> tuple:
-    """First and second derivative in A of E = sum w |g - A h|^p at amp, and E.
+    """First and second derivative in A of E = sum w |g - A h|^p at amp, E, and the slope row.
 
     g, ang and w as in _residual_rows, col the _column record of h; E is
-    a function, as _residual_rows gives it.
+    a function and the slope row an array, as _residual_rows gives them.
     """
     h, hw, _ = col
     s, c, energy = _residual_rows(g, ang, h, w, p, amp)
-    return float(-p * (hw[0] @ s)), float(p * (p - 1.0) * (hw[1] @ c)), energy
+    return float(-p * (hw[0] @ s)), float(p * (p - 1.0) * (hw[1] @ c)), energy, s
 
 
 def _profiled_amplitude(g, ang, col, w, p, start) -> float:
@@ -433,19 +478,20 @@ def _profiled_amplitude(g, ang, col, w, p, start) -> float:
 AMPLITUDE_MAX_STEPS = 100
 
 
-def _amplitude_newton(g, ang, col, w, p, start=None) -> tuple[float, float]:
-    """(A, E) at the argmin over A of E = sum w |g - A h|^p: safeguarded Newton.
+def _amplitude_newton(g, ang, col, w, p, start=None) -> tuple:
+    """(A, E, s) at the argmin over A of E = sum w |g - A h|^p: safeguarded Newton.
 
-    g, ang, col and w as in _slope_curv.  p = 2 is the closed-form
-    projection (g.h)_w / (h.h)_w; E is ((g - A h)^2).w without ang (the
-    flux is 1 wherever r is not 0, so this is _residual_rows' sum, bit
-    for bit), else from _residual_rows.  Otherwise Newton on the monotone
+    g, ang, col and w as in _slope_curv, s the slope row of _residual_rows
+    at A.  p = 2 is the closed-form projection (g.h)_w / (h.h)_w; E is
+    ((g - A h)^2).w without ang, and s is r = g - A h (the flux is 1
+    wherever r is not 0, so these are _residual_rows' sum and row, bit
+    for bit), else both from _residual_rows.  Otherwise Newton on the monotone
     slope from start or from the closed form; the bracket the slope signs
     give turns a step past its midpoint into bisection, so a bad start
     still converges.  Stops when |slope| <= 1e-15 |A| curv at the iterate, on
     zero curvature (the residual vanishes wherever h does not), or when
     the step or the bracket is at most 4 ulp of |A| (a slope on its
-    rounding floor never passes the test), so E is the last evaluation's.
+    rounding floor never passes the test), so E and s are the last evaluation's.
     OptimizerStall after AMPLITUDE_MAX_STEPS steps or on a non-finite slope.
     """
     h, _, hh = col
@@ -455,20 +501,21 @@ def _amplitude_newton(g, ang, col, w, p, start=None) -> tuple[float, float]:
         amp = float(gh) / hh if hh > 0.0 else 0.0
         if p == 2.0 and ang is None:
             r = g - amp * h
-            return amp, float((r * r) @ w)
+            return amp, float((r * r) @ w), r
         if p == 2.0:
-            return amp, _residual_rows(g, ang, h, w, p, amp)[2]()
+            s, _, energy = _residual_rows(g, ang, h, w, p, amp)
+            return amp, energy(), s
     else:
         amp = float(start)
     lo, hi = -math.inf, math.inf
     for _ in range(AMPLITUDE_MAX_STEPS):
-        slope, curv, energy = _slope_curv(g, ang, col, w, p, amp)
+        slope, curv, energy, s = _slope_curv(g, ang, col, w, p, amp)
         if not (math.isfinite(slope) and math.isfinite(curv)):
             raise OptimizerStall("non-finite amplitude slope")
         # the Newton step is below 1e-15 |A|: tested at the iterate, so the
         # envelope slope of the dilation search sees the true amplitude
         if not (abs(slope) > 1e-15 * abs(amp) * curv and curv > 0.0):
-            return amp, energy()
+            return amp, energy(), s
         if slope < 0.0:
             lo = amp
         else:
@@ -483,39 +530,61 @@ def _amplitude_newton(g, ang, col, w, p, start=None) -> tuple[float, float]:
             new = mid
         ulp4 = 4.0 * math.ulp(abs(amp))
         if abs(new - amp) <= ulp4 or hi - lo <= ulp4:
-            return amp, energy()
+            return amp, energy(), s
         amp = new
     raise OptimizerStall(f"amplitude Newton open after {AMPLITUDE_MAX_STEPS} steps")
 
 
-def _distance_search(u: Field, params: CknParams) -> tuple:
-    """(scan, point, amplitude, w): the projection's objective over the family.
+def _dual_bounds(dual_u, c, dual_psi) -> np.ndarray:
+    """Squared lower bounds on D(t) = d(t)^2 from one functional J, by L^p duality.
 
-    scan(log lams) is the squared distance E^(2/p) at each dilation, E =
-    sum w |g - A h|^p at the profiled amplitude A; point(log lam) adds its
-    first two derivatives in log lam and the rounding bound of the first
-    (_dilation_derivs).  amplitude(log lam) is u's radial gradient g, its
-    angular part ang (as _residual_rows takes them; None for a radial u),
-    the _column record of the unit bubble column h, and _amplitude_newton's
-    A and E: one solve per log lam, held for the search and returned
-    unchanged when asked again.  A solve at t starts from a1, the solve at
-    t1, or from a1 (a1/a2)^((t - t1)/(t1 - t2)) where a2 at t2 is solved
-    too and a1 a2 > 0; with no a1, from the closed form (p = 2 takes no
-    start).  At a lattice point t = k/2, t1 = (k-1)/2 and t2 = (k-2)/2: the
-    ascending scan steps through its two predecessors.  Off the lattice
-    t1 < t < t2 are the lattice points around t, both solved, since Newton
-    stays inside a scan bracket.  The bubbles are radial, so neither A nor
-    lam moves ang.  A lattice record is the grid's memo, keyed by the
-    tuple, u's angular weights and k; other points build it afresh.
+    d(t) = min over A of ||grad u - A h_t||_p (the energy weights w), J
+    any field with ||J||_p' = 1, dual_u = <grad u, J>, c_t = <h_t, J> /
+    ||h_t||_p and dual_psi_t = <grad u, psi_t>, psi_t = |h_t|^(p-2) h_t /
+    ||h_t||_p^(p-1), the dual of the unit column (||psi_t||_p' = 1 and
+    <h_t, psi_t> = ||h_t||_p).  J - c_t psi_t annihilates h_t and has
+    dual norm at most 1 + |c_t|, so weak duality gives d(t) >= |dual_u -
+    c_t dual_psi_t| / (1 + |c_t|), for any J: only rounding enters.
+    """
+    bound = np.abs(dual_u - c * dual_psi) / (1.0 + np.abs(c))
+    return bound * bound
+
+
+def _distance_search(u: Field, params: CknParams) -> tuple:
+    """(lattice, point, amplitude, w): the projection's objective over the family.
+
+    The objective is the squared distance D = E^(2/p) at each dilation, E =
+    sum w |g - A h|^p at the profiled amplitude A.  lattice(k0) opens the
+    window of the 33 half-integers from k0/2 and returns solve(i) for
+    _best_first_min: D at (k0 + i)/2, and _dual_bounds on D at every
+    window point from J = |R|^(p-2) R / ||R||^(p-1), R = grad u - A h the
+    solve's residual.  Its pairings are one product of the window's
+    columns with the solve's slope row; <grad u, J> = ||R|| + A <h, J>.
+    point(log lam) is D with its first two derivatives in log lam and the
+    rounding bound of the first (_dilation_derivs).  amplitude(log lam) is
+    u's radial gradient g, its angular part ang (as _residual_rows takes
+    them; None for a radial u), the _column record of the unit bubble
+    column h, and _amplitude_newton's A, E and slope row: one solve per
+    log lam, held for the search and returned unchanged when asked again.
+    A solve at t starts from the nearest held solves on either side, at
+    t1 < t < t2: a1 (a1/a2)^((t - t1)/(t1 - t2)), geometric interpolation,
+    where a1 a2 > 0, else a1; from the one there is on one side only; and
+    from the closed form with none held (p = 2 takes no start).  The
+    bubbles are radial, so neither A nor lam moves ang.  The window's
+    columns are the grid's memo, one block keyed by the tuple, u's angular
+    weights and k0: the rows h, ||h||_p and the rows psi (_dual_bounds).
+    A window point's record is built on its row of h, any other afresh.
     """
     p = params.p
     grid = u.grid
     g, w = u.grad_r, u.measure(params.n - 1.0 - p * params.a)
     if u.is_radial:
         g, w, ang = g[:, 0], w[:, 0], None
+        w_radial, w_g = w, w * g
     else:
         ang = 0.0 if u.grad_psi is None else np.square(u.grad_psi / grid.nodes[:, None])
-    # the record's weighted pair and (h.h)_w carry the angular weights
+        w_radial, w_g = np.sum(w, axis=1), np.sum(w * g, axis=1)
+    # the block's norms carry the angular weights
     w_key = u.psi_weights.tobytes()
     sig, m = params.sigma, params.bubble_m
     # the unit bubble's radial derivative is d_fac B (1 + B r^sigma)^(-m-1)
@@ -524,50 +593,70 @@ def _distance_search(u: Field, params: CknParams) -> tuple:
         lambda: (grid.nodes**sig, -m * sig * grid.nodes ** (sig - 1.0)),
     )
 
-    def column(log_lam):
-        # the unit-amplitude bubble gradient's record
-        b_coeff = math.exp(log_lam) ** sig
+    def columns(log_lams):
+        # the unit-amplitude bubble gradients, one row per log lam
+        b_coeff = np.array([math.exp(t) ** sig for t in log_lams])[:, None]
         h = (1.0 + b_coeff * r_sig) ** (-m - 1.0)
         h *= d_fac * b_coeff
-        return _column(h, ang, w)
+        return h
+
+    def block(k0):
+        h = columns([k / 2.0 for k in range(k0, k0 + 33)])
+        mag = np.abs(h)
+        psi = mag ** (p - 1.0)
+        mag *= psi
+        norm = (mag @ w_radial) ** (1.0 / p)
+        del mag
+        norm[norm == 0.0] = np.nan  # a vanishing column has no dual: no bound
+        psi /= norm[:, None] ** (p - 1.0)
+        return h, norm, np.copysign(psi, h, out=psi)
+
+    rows = {}  # {log lam: its row of h} in the window lattice opened
+
+    def record(log_lam):
+        h = rows.get(log_lam)
+        return _column(columns([log_lam])[0] if h is None else h, ang, w)
 
     solved = {}  # {log lam: amplitude(log lam)}
 
     def start(log_lam):
-        k = 2.0 * log_lam
-        if k.is_integer():
-            t1, t2 = (k - 1.0) / 2.0, (k - 2.0) / 2.0
-        else:
-            t1, t2 = math.floor(k) / 2.0, math.ceil(k) / 2.0
-        if t1 not in solved:
-            return None
-        a1 = solved[t1][3]
-        a2 = solved[t2][3] if t2 in solved else 0.0
-        if a1 * a2 > 0.0:
-            return a1 * (a1 / a2) ** ((log_lam - t1) / (t1 - t2))
-        return a1
+        below = max((t for t in solved if t < log_lam), default=None)
+        above = min((t for t in solved if t > log_lam), default=None)
+        ends = [solved[t][3] for t in (below, above) if t is not None]
+        if len(ends) == 2 and ends[0] * ends[1] > 0.0:
+            a1, a2 = ends
+            return a1 * (a1 / a2) ** ((log_lam - below) / (below - above))
+        return ends[0] if ends else None
 
     def amplitude(log_lam):
         if log_lam not in solved:
-            if (2.0 * log_lam).is_integer():
-                key = ("lattice column", params, w_key, round(2.0 * log_lam))
-                col = grid.memo(key, lambda: column(log_lam))
-            else:
-                col = column(log_lam)
-            amp, energy = _amplitude_newton(g, ang, col, w, p, start(log_lam))
-            solved[log_lam] = g, ang, col, amp, energy
+            col = record(log_lam)
+            solved[log_lam] = g, ang, col, *_amplitude_newton(g, ang, col, w, p, start(log_lam))
         return solved[log_lam]
 
-    def scan(log_lams):
-        # squared, the distance is smooth at a zero; it ranks the scan points
-        return np.array([amplitude(t)[4] for t in log_lams.tolist()]) ** (2.0 / p)
+    def lattice(k0):
+        h, norm, psi = grid.memo(("lattice block", params, w_key, k0), lambda: block(k0))
+        rows.clear()
+        rows.update(((k0 + i) / 2.0, row) for i, row in enumerate(h))
+        dual_psi = psi @ w_g
+
+        def solve(i):
+            _, _, _, amp, energy, s = amplitude((k0 + i) / 2.0)
+            if energy == 0.0:
+                return 0.0, np.zeros(len(norm))  # R = 0 has no dual
+            dist = energy ** (1.0 / p)
+            # with ang the slope row carries w already
+            c = (h @ (w * s if ang is None else s)) / (norm * dist ** (p - 1.0))
+            return dist * dist, _dual_bounds(dist + amp * norm[i] * c[i], c, dual_psi)
+
+        return solve
 
     def point(log_lam):
-        _, _, col, amp, _ = amplitude(log_lam)
+        _, _, col, amp, _, _ = amplitude(log_lam)
         y = math.exp(log_lam) ** sig * r_sig
         return _dilation_derivs(g, ang, col, y, w, p, amp, sig, m)
 
-    return scan, point, amplitude, w
+    return lattice, point, amplitude, w
 
 
 def _refuse_translation(u: Field, params: CknParams) -> None:
@@ -587,39 +676,45 @@ def manifold_distance(u: Field, params: CknParams) -> tuple[float, Bubble]:
     """Metric projection distance (D_a^p metric) to the family, and the bubble.
 
     The amplitude is profiled out and the dilation searched by
-    _bracketed_min from the q-mass moment seed; at the chosen dilation the
-    kernel's amplitude is the answer at p = 2, and _profiled_amplitude
-    polishes it otherwise.  ZeroField for a zero input, UnsupportedField
-    for a non-radial one at a = b = 0.
-    OptimizerStall when the certificate fails: a minimum is not
-    bracketed, or, at a distance above ROUNDING_FLOOR of the gradient
-    norm, the amplitude's relative first-order residual
-    |sum w |r|^(p-2) r.h| / (||r||^(p-1) ||h||) exceeds AMPLITUDE_RTOL.
-    By convexity in A, the distance exceeds its minimum over A by at
-    most twice that residual, relatively.
+    _best_first_min from the q-mass moment seed; at the chosen dilation
+    the kernel's amplitude is the answer at p = 2, and _profiled_amplitude
+    polishes it otherwise.  ZeroField for a zero input or gradient,
+    UnsupportedField for a non-radial one at a = b = 0.
+    OptimizerStall when the certificate fails: the window's lattice
+    minimum is an end of the window, or, at a distance above
+    ROUNDING_FLOOR of the gradient norm, the amplitude's relative
+    first-order residual |sum w |r|^(p-2) r.h| / (||r||^(p-1) ||h||)
+    exceeds AMPLITUDE_RTOL.  By convexity in A, the distance exceeds its
+    minimum over A by at most twice that residual, relatively.  The
+    gradient norm is computed only when that residual or the distance
+    asks for it.
     """
     if u.grad_r is None or not np.any(u.values):
         raise ZeroField("projection needs a nonzero field with gradient data")
     _refuse_translation(u, params)
-    p = params.p
-    unorm = weighted_grad_pnorm(u, params) ** (1.0 / p)
-    if unorm == 0.0:
+    if not (np.any(u.grad_r) or (u.grad_psi is not None and np.any(u.grad_psi))):
         raise ZeroField("zero gradient norm")
+    p = params.p
 
-    scan, point, amplitude, w = _distance_search(u, params)
-    log_lam = _bracketed_min(scan, point, moment_seed(u, params))[1]
+    lattice, point, amplitude, w = _distance_search(u, params)
+    log_lam = _best_first_min(lattice, point, moment_seed(u, params))[1]
     # a point the search solved: its held solve
-    g, ang, col, amp, _ = amplitude(log_lam)
+    g, ang, col, amp, _, _ = amplitude(log_lam)
     if p != 2.0:
         amp = _profiled_amplitude(g, ang, col, w, p, amp)
-    slope, _, energy = _slope_curv(g, ang, col, w, p, amp)
+    slope, _, energy, _ = _slope_curv(g, ang, col, w, p, amp)
     dist = energy() ** (1.0 / p)
     # slope / p over the Hoelder bound ||r||^(p-1) ||h||; h = 0 has slope 0
     den = p * dist ** (p - 1.0) * float(np.sum(w.T * np.abs(col[0]) ** p)) ** (1.0 / p)
-    if abs(slope) > AMPLITUDE_RTOL * den and dist > ROUNDING_FLOOR * unorm:
-        raise OptimizerStall(
-            f"amplitude first-order residual {abs(slope) / den:.3e} > {AMPLITUDE_RTOL:g}"
-        )
+    residual = abs(slope) > AMPLITUDE_RTOL * den
+    if residual or dist == 0.0:
+        unorm = weighted_grad_pnorm(u, params) ** (1.0 / p)
+        if unorm == 0.0:
+            raise ZeroField("zero gradient norm")
+        if residual and dist > ROUNDING_FLOOR * unorm:
+            raise OptimizerStall(
+                f"amplitude first-order residual {abs(slope) / den:.3e} > {AMPLITUDE_RTOL:g}"
+            )
     return dist, Bubble(amplitude=amp, scale=math.exp(log_lam))
 
 

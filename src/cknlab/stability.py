@@ -32,6 +32,7 @@ from .fields import (
     sample_bubble,
 )
 from .functionals import (
+    _deficit,
     deficit,
     grad_norm,
     q_norm,
@@ -150,7 +151,7 @@ def stability_ratio(
     if rel <= ON_MANIFOLD_REL:
         raise OnManifold(f"relative distance {rel:.3e} below {ON_MANIFOLD_REL:.0e}")
     alpha = alpha_exponent(params)
-    d = deficit(u, params)
+    d = _deficit(u, params, unorm_p)
     return StabilityRecord(
         params=params,
         alpha=alpha,

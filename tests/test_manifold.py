@@ -4,6 +4,7 @@ import json
 import math
 import re
 from dataclasses import replace
+from unittest import mock
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +48,7 @@ from cknlab.manifold import (
     tangent_basis,
     v_inner,
 )
-from cknlab.stability import bubble_perturbation
+from cknlab.stability import GeneratorSpec, bubble_perturbation, family_samples
 
 TUPLES = [(3, 2, 0, 0), (4, 2.5, 0.2, 0.5), (4, 2, 0.5, 0.5)]
 
@@ -408,50 +409,80 @@ def test_warm_start_saves_far_bump_slope_evaluations(monkeypatch):
     assert len(calls) < cold
 
 
+def _visited(monkeypatch):
+    """The list of the log lams the dilation search asks for, in order."""
+    visited = []
+    search = manifold._best_first_min
+
+    def spied(lattice, point, seed):
+        def lattice_spy(k0):
+            solve = lattice(k0)
+
+            def solve_spy(i):
+                visited.append((k0 + i) / 2.0)
+                return solve(i)
+
+            return solve_spy
+
+        def point_spy(t):
+            visited.append(t)
+            return point(t)
+
+        return search(lattice_spy, point_spy, seed)
+
+    monkeypatch.setattr(manifold, "_best_first_min", spied)
+    return visited
+
+
+def _held_start(held, t):
+    """The start of a solve at t: the nearest held solves on either side."""
+    below = max((s for s in held if s < t), default=None)
+    above = min((s for s in held if s > t), default=None)
+    if below is None or above is None:
+        near = above if below is None else below
+        return None if near is None else held[near]
+    a1, a2 = held[below], held[above]
+    return a1 * (a1 / a2) ** ((t - below) / (below - above)) if a1 * a2 > 0.0 else a1
+
+
 @pytest.mark.parametrize(
     "tup,window",
     [((4, 2.5, 0.2, 0.5), (-30, 30, 2048)), ((4, 3.0, 0.1, 0.1), (-60, 60, 3072))],
 )
 def test_chained_scan_matches_cold_solves(monkeypatch, tup, window):
-    # the 33 lattice points the scan of a c04a/c04b sample visits: the first
-    # point starts cold, the second from the first's amplitude, every later
-    # one from the geometric extrapolation through its two predecessors;
-    # each must land where a cold solve lands, the scan is its energies, and
-    # the predicted starts take fewer slope evaluations than starts from the
-    # predecessor alone
+    # the solves of the projection of a c04a/c04b sample, lattice points in
+    # best-first order, then Newton points: the first starts cold, every
+    # later one from the geometric interpolation between the nearest held
+    # solves on either side, or from the one there is on one side only;
+    # each must land where a cold solve lands, with the residual energy, and
+    # the chained starts take fewer slope evaluations than cold starts
     ps = derive_params(*tup)
     u = bubble_perturbation(ps, make_radial_grid(*window), 1.0, 1.0)(0.05)
-    scan, _, _, w = manifold._distance_search(u, ps)
+    visited = _visited(monkeypatch)
+    calls = _counted_slopes(monkeypatch)
     solves = []
     solve = manifold._amplitude_newton
 
     def recorded(g, ang, col, w, p, start=None):
-        solves.append((g, ang, col, start, solve(g, ang, col, w, p, start)))
-        return solves[-1][4]
+        before = len(calls)
+        result = solve(g, ang, col, w, p, start)
+        solves.append((g, ang, col, w, start, result, len(calls) - before))
+        return result
 
     monkeypatch.setattr(manifold, "_amplitude_newton", recorded)
-    calls = _counted_slopes(monkeypatch)
-    seed = moment_seed(u, ps)
-    ts = (np.arange(-16, 17) + round(2.0 * seed)) / 2.0
-    energies = scan(ts) ** (ps.p / 2.0)
-    assert len(solves) == 33
-    predicted = len(calls)
+    manifold_distance(u, ps)
+    order = list(dict.fromkeys(visited))
+    assert len(solves) == len(order) > 2
+    chained = sum(n for *_, n in solves)
     calls.clear()
-    amp = None
-    for g, ang, col, _, _ in solves:
-        amp = solve(g, ang, col, w, ps.p, amp)[0]
-    assert predicted < len(calls)
-    ts = ts.tolist()
-    for k, (g, ang, col, start, (amp, energy)) in enumerate(solves):
-        if k < 2:
-            want = solves[0][4][0] if k else None
-        else:
-            a1, a2 = solves[k - 1][4][0], solves[k - 2][4][0]
-            step = (ts[k] - ts[k - 1]) / (ts[k - 1] - ts[k - 2])
-            want = a1 * (a1 / a2) ** step if a1 * a2 > 0.0 else a1
-        assert start == want, k
-        assert amp == pytest.approx(solve(g, ang, col, w, ps.p)[0], rel=1e-12), k
-        assert energies[k] == pytest.approx(energy, rel=1e-13), k
+    held = {}
+    for t, (g, ang, col, w, start, (amp, energy, _), _) in zip(order, solves):
+        assert start == _held_start(held, t), t
+        held[t] = amp
+        assert amp == pytest.approx(solve(g, ang, col, w, ps.p)[0], rel=1e-12), t
+        r = g - amp * col[0]
+        assert energy == pytest.approx((r * r) ** (ps.p / 2.0) @ w, rel=1e-13), t
+    assert chained < len(calls)
 
 
 def _c04a_sample():
@@ -480,8 +511,9 @@ def test_off_lattice_start_interpolates_its_lattice_neighbours(monkeypatch, t):
     ps, u = _c04a_sample()
     t1 = math.floor(2.0 * t) / 2.0
     t2 = t1 + 0.5
-    scan, _, amplitude, _ = manifold._distance_search(u, ps)
-    scan(np.array([t1, t2]))
+    _, _, amplitude, _ = manifold._distance_search(u, ps)
+    amplitude(t1)
+    amplitude(t2)
     starts = _recorded_starts(monkeypatch)
     amplitude(t)
     a1, a2 = amplitude(t1)[3], amplitude(t2)[3]
@@ -493,12 +525,16 @@ def test_off_lattice_start_interpolates_its_lattice_neighbours(monkeypatch, t):
 
 
 def test_held_solves_are_returned_unchanged(monkeypatch):
-    # after the scan, a scan point's slope and a repeated amplitude make no
-    # solve and return the held tuple itself; so does an off-lattice point
+    # after the window's solves, a window point's slope and a repeated
+    # amplitude make no solve and return the held tuple itself; so does an
+    # off-lattice point
     ps, u = _c04a_sample()
-    scan, point, amplitude, _ = manifold._distance_search(u, ps)
-    x = ((np.arange(-16, 17) + round(2.0 * moment_seed(u, ps))) / 2.0).tolist()
-    scan(np.array(x))
+    lattice, point, amplitude, _ = manifold._distance_search(u, ps)
+    k0 = round(2.0 * moment_seed(u, ps)) - 16
+    solve = lattice(k0)
+    for i in range(33):
+        solve(i)
+    x = [(k0 + i) / 2.0 for i in range(33)]
     ts = x + [x[16] + 0.1]
     held = [amplitude(t) for t in ts]
     starts = _recorded_starts(monkeypatch)
@@ -509,41 +545,179 @@ def test_held_solves_are_returned_unchanged(monkeypatch):
 
 
 def test_projection_solves_each_dilation_once(monkeypatch):
-    # a c04a sample: Newton's first point is a scan point and the certificate
-    # reads the last one, yet each log lam the search visits is solved once
+    # a c04a sample: Newton's first point is a lattice point and the
+    # certificate reads the last one, yet each log lam the search visits is
+    # solved once
     ps, u = _c04a_sample()
-    visited = []
-    bracketed = manifold._bracketed_min
-
-    def spied(scan, point, seed):
-        def scan_spy(x):
-            visited.extend(x.tolist())
-            return scan(x)
-
-        def point_spy(t):
-            visited.append(t)
-            return point(t)
-
-        return bracketed(scan_spy, point_spy, seed)
-
-    monkeypatch.setattr(manifold, "_bracketed_min", spied)
+    visited = _visited(monkeypatch)
     starts = _recorded_starts(monkeypatch)
     manifold_distance(u, ps)
-    assert len(visited) > len(set(visited)) > 33
+    assert len(visited) > len(set(visited))
     assert len(starts) == len(set(visited))
+
+
+def test_best_first_solves_only_what_its_bounds_leave_open():
+    # exact bounds leave the seed's point and the two tied minima at +-2.5,
+    # no bounds every point; either way Newton runs once, in the bracket of
+    # a tied minimum, and lands on the minimum of f
+    def f(t):
+        return (t - 2.3) ** 2 * (t + 2.3) ** 2
+
+    def point(t):
+        return f(t), 4.0 * t * (t * t - 2.3**2), 12.0 * t * t - 4.0 * 2.3**2, 1e-12
+
+    search = manifold._newton
+    for exact, want in ((True, 3), (False, 33)):
+        solved, brackets = [], []
+
+        def lattice(k0):
+            x = np.arange(k0, k0 + 33) / 2.0
+
+            def solve(i):
+                solved.append(i)
+                return f(x[i]), f(x) if exact else np.full(33, np.nan)
+
+            return solve
+
+        def newton(point, lo, t, hi):
+            brackets.append((lo, t, hi))
+            return search(point, lo, t, hi)
+
+        with mock.patch.object(manifold, "_newton", newton):
+            val, t = manifold._best_first_min(lattice, point, 0.1)
+        assert len(solved) == len(set(solved)) == want
+        assert solved[0] == 16 and {11, 21} <= set(solved)
+        assert brackets == [(-3.0, -2.5, -2.0)] or brackets == [(2.0, 2.5, 3.0)]
+        assert abs(abs(t) - 2.3) <= 1e-12 and val <= 1e-20
+
+
+@pytest.mark.parametrize("axisym", [False, True])
+@pytest.mark.parametrize("p", [1.5, 2.5, 3.0])
+def test_dual_bounds_never_exceed_the_lattice_distances(p, axisym):
+    # weak duality: for any unit J in L^p', |<grad u, J> - c_t <grad u, psi_t>|
+    # / (1 + |c_t|) is at most d(t) at every lattice point, up to rounding;
+    # J from a solve's residual gives that solve's own d(s) back, to 1e-12
+    ps, u = _slope_field(p, "axisym" if axisym else "radial")
+    lattice, _, amplitude, w = manifold._distance_search(u, ps)
+    k0 = round(2.0 * moment_seed(u, ps)) - 16
+    solve = lattice(k0)
+    ts = [(k0 + i) / 2.0 for i in range(33)]
+    dist_sq = np.array([amplitude(t)[4] ** (2.0 / p) for t in ts])
+    (h, norm, _), = _blocks(u.grid)
+    # per tensor node (one angular node for a radial u): weights, the
+    # gradient's radial and angular parts, and the unit columns' duals
+    w = u.measure(ps.n - 1.0 - p * ps.a)
+    g = u.grad_r
+    side = np.zeros_like(g) if u.grad_psi is None else u.grad_psi / u.grid.nodes[:, None]
+    unit = (h / norm[:, None])[:, :, None]
+    dual_psi = np.sum(w * g * np.sign(unit) * np.abs(unit) ** (p - 1.0), axis=(1, 2))
+    rng = np.random.default_rng(5)
+    q = p / (p - 1.0)
+    for i in (16, 10, 24):
+        _, bounds = solve(i)
+        assert np.all(bounds <= dist_sq * (1.0 + 1e-12)), i
+        assert bounds[i] == pytest.approx(dist_sq[i], rel=1e-12), i
+        # the dual of the solve's residual, then random fields near it and far
+        r = g - amplitude(ts[i])[3] * h[i][:, None]
+        mag = np.sqrt(r * r + side * side)
+        for scale in (0.0, 0.1, 1.0, 1e3):
+            jr = mag ** (p - 2.0) * r + scale * rng.standard_normal(r.shape)
+            ja = mag ** (p - 2.0) * side + scale * rng.standard_normal(r.shape) * axisym
+            size = np.sum(w * (jr * jr + ja * ja) ** (q / 2.0)) ** (1.0 / q)
+            jr, ja = jr / size, ja / size
+            dual_u = np.sum(w * (g * jr + side * ja))
+            c = np.sum(w * unit * jr, axis=(1, 2))
+            got = manifold._dual_bounds(dual_u, c, dual_psi)
+            assert np.all(got <= dist_sq * (1.0 + 1e-12)), (i, scale)
+            if scale == 0.0:
+                assert got[i] == pytest.approx(dist_sq[i], rel=1e-12), i
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([1.5, 2.0, 2.5, 3.0]),
+    st.floats(-2.0, 2.0),
+    st.floats(0.01, 1.0),
+    st.floats(-6.0, 6.0),
+    st.floats(0.5, 2.0),
+)
+def test_best_first_minimum_is_the_dense_scan_minimum(p, log_lam, eps, center, width):
+    # bubble-plus-bump fields: the search's lattice minimum is the dense
+    # 33-point scan's, point and value, and an end of the window stalls
+    ps = derive_params(*SLOPE_TUPLES[p][0])
+    grid = make_radial_grid(-25, 25, 512)
+    u = canonical_profile(ps, grid, math.exp(log_lam)) + eps * gaussian_bump_profile(
+        grid, ps.n, center, width
+    )
+    x = ((np.arange(-16, 17) + round(2.0 * moment_seed(u, ps))) / 2.0).tolist()
+    _, _, amplitude, _ = manifold._distance_search(u, ps)
+    dense = [amplitude(t)[4] ** (2.0 / p) for t in x]
+    best = min(dense)
+    want = min(
+        (i for i, v in enumerate(dense) if v - best <= manifold.TIE_RTOL * best),
+        key=lambda i: abs(x[i]),
+    )
+    lattice, point, _, _ = manifold._distance_search(u, ps)
+
+    def at_lattice(point, lo, t, hi):
+        return point(t)[0], t
+
+    with mock.patch.object(manifold, "_newton", at_lattice):
+        if want in (0, 32):
+            with pytest.raises(OptimizerStall, match="no interior minimum"):
+                manifold._best_first_min(lattice, point, moment_seed(u, ps))
+            return
+        val, t = manifold._best_first_min(lattice, point, moment_seed(u, ps))
+    assert t == x[want]
+    assert val == pytest.approx(dense[want], rel=1e-12)
+
+
+def test_c04_samples_solve_few_lattice_points(monkeypatch):
+    # the c04a and c04b samples: at most 3 lattice solves per sample on
+    # average, against the window's 33
+    solves = []
+    search = manifold._best_first_min
+
+    def spied(lattice, point, seed):
+        def lattice_spy(k0):
+            solve = lattice(k0)
+            solves.append(0)
+
+            def solve_spy(i):
+                solves[-1] += 1
+                return solve(i)
+
+            return solve_spy
+
+        return search(lattice_spy, point, seed)
+
+    monkeypatch.setattr(manifold, "_best_first_min", spied)
+    for name in ("c04a_scan", "c04b_scan_equal_weights"):
+        cfg = json.loads((ACCEPTANCE_DIR / f"{name}.json").read_text())
+        spec = GeneratorSpec(
+            cfg["family"]["name"], cfg["family"]["seed"], tuple(cfg["family"]["options"]["window"])
+        )
+        for tup in cfg["params"]:
+            ps = derive_params(*tup)
+            for u in family_samples(spec, ps, cfg["options"]["samples"]):
+                manifold_distance(u, ps)
+    assert len(solves) == 90
+    assert np.mean(solves) <= 3.0
 
 
 @pytest.mark.parametrize("axisym", [False, True])
 @pytest.mark.parametrize("tup", KERNEL_TUPLES)
 def test_amplitude_energy_is_the_residual_energy(tup, axisym):
-    # E comes from the last slope evaluation (at p = 2 from the closed
-    # form), which is always at the returned amplitude
+    # E and the slope row come from the last slope evaluation (at p = 2
+    # from the closed form), which is always at the returned amplitude
     ps, g, ang, cols, w = _kernel_problem(tup, axisym)
     for k, col in enumerate(cols):
         cold = manifold._amplitude_newton(g, ang, col, w, ps.p)[0]
         for start in (None, 0.9 * cold):
-            amp, energy = manifold._amplitude_newton(g, ang, col, w, ps.p, start)
+            amp, energy, s = manifold._amplitude_newton(g, ang, col, w, ps.p, start)
             h = col[0]
+            row = manifold._residual_rows(g, ang, h, w, ps.p, amp)[0]
+            assert np.array_equal(s, row), (k, start)
             r = g - amp * (h if ang is None else h[:, None])
             if ang is None:
                 want = (r * r) ** (ps.p / 2.0) @ w
@@ -554,12 +728,15 @@ def test_amplitude_energy_is_the_residual_energy(tup, axisym):
 
 @pytest.mark.parametrize("tup", [(3, 2, 0, 0), (4, 2.0, 0.5, 0.5)])
 def test_p2_energy_is_the_residual_rows_energy(tup):
-    # the radial p = 2 closed form sums ((g - A h)^2).w: the flux is exactly
-    # 1 wherever r is not 0, so this is _residual_rows' sum, bit for bit
+    # the radial p = 2 closed form sums ((g - A h)^2).w and returns r as
+    # its slope row: the flux is exactly 1 wherever r is not 0, so these are
+    # _residual_rows' sum and row, bit for bit
     ps, g, _, cols, w = _kernel_problem(tup, False)
     for k, col in enumerate(cols):
-        amp, energy = manifold._amplitude_newton(g, None, col, w, 2.0)
-        assert energy == manifold._residual_rows(g, None, col[0], w, 2.0, amp)[2](), k
+        amp, energy, s = manifold._amplitude_newton(g, None, col, w, 2.0)
+        row, _, want = manifold._residual_rows(g, None, col[0], w, 2.0, amp)
+        assert energy == want(), k
+        assert np.array_equal(s, row), k
 
 
 def _scanned_points(seed):
@@ -609,11 +786,16 @@ def test_non_finite_seed_raises_a_typed_stall(monkeypatch, search, seed):
         getattr(manifold, search)(u, ps)
 
 
+def _blocks(grid):
+    return [v for k, v in grid._memo.items() if k[0] == "lattice block"]
+
+
 @pytest.mark.parametrize("axisym", [False, True])
 def test_lattice_column_is_the_fresh_build(axisym):
-    # the scan's records at k/2 come from the grid's memo: bit for bit the
-    # column built at that point, read-only, and a grid of the same window
-    # holds its own; an off-lattice point is built afresh and not kept
+    # the window's columns come from the grid's memo, one read-only block:
+    # bit for bit the column built at each point, with its p-norm and dual
+    # row; a window point's record is built on its row, a grid of the same
+    # window holds its own block, and an off-lattice point is built afresh
     ps = derive_params(4, 2.5, 0.2, 0.5)
 
     def search(grid):
@@ -623,53 +805,57 @@ def test_lattice_column_is_the_fresh_build(axisym):
         return manifold._distance_search(u, ps)
 
     grid = make_radial_grid(-30, 30, 1024)
-    scan, _, amplitude, w = search(grid)
-    ts = np.arange(-6, 3) / 2.0
-    scan(ts)
-    other = search(make_radial_grid(-30, 30, 1024))[2]
+    lattice, _, amplitude, w = search(grid)
+    lattice(-6)
+    other_lattice, _, other, _ = search(make_radial_grid(-30, 30, 1024))
+    other_lattice(-6)
+    (block,) = _blocks(grid)
+    h_block, norm, psi = block
+    assert not any(a.flags.writeable for a in block)
     r = grid.nodes
-    for t in ts.tolist():
-        col = amplitude(t)[2]
-        h = col[0]
+    w_radial = w if w.ndim == 1 else np.sum(w, axis=1)
+    for i in range(33):
+        t = (i - 6) / 2.0
         b_coeff = math.exp(t) ** ps.sigma
         want = (1.0 + b_coeff * r**ps.sigma) ** (-ps.bubble_m - 1.0)
         want *= -ps.bubble_m * ps.sigma * r ** (ps.sigma - 1.0) * b_coeff
-        assert np.array_equal(h, want), t
-        assert not any(a.flags.writeable for a in (h, *col[1]))
+        assert np.array_equal(h_block[i], want), t
+        want_norm = float(np.abs(want) ** ps.p @ w_radial) ** (1.0 / ps.p)
+        assert norm[i] == pytest.approx(want_norm, rel=1e-13), t
+        want_psi = np.sign(want) * (np.abs(want) / want_norm) ** (ps.p - 1.0)
+        assert np.allclose(psi[i], want_psi, rtol=1e-13, atol=0.0), t
+        col = amplitude(t)[2]
+        assert col[0].base is h_block
+        for got, want_part in zip(col, manifold._column(want, 0.0 if axisym else None, w)):
+            assert np.array_equal(got, want_part), t
         h_other = other(t)[2][0]
-        assert h_other is not h and np.array_equal(h_other, h), t
-    entries = [v for k, v in grid._memo.items() if k[0] == "lattice column"]
-    assert len(entries) == len(ts)
-    for h, pair, hh in entries:
-        _, want_pair, want_hh = manifold._column(h, 0.0 if axisym else None, w)
-        for got, want in zip(pair, want_pair):
-            assert np.array_equal(got, want)
-        assert hh == want_hh
+        assert h_other.base is not h_block and np.array_equal(h_other, col[0]), t
     amplitude(0.3)
-    assert len([k for k in grid._memo if k[0] == "lattice column"]) == len(ts)
+    assert len(_blocks(grid)) == 1
 
 
-def test_lattice_record_is_keyed_by_the_angular_weights():
-    # (h.h)_w sums u's angular weights: two axisymmetric fields on one grid
-    # whose weights differ in their sum each get their own record, and with
-    # it their own exact p = 2 amplitude (g.h)_w / (h.h)_w
+def test_lattice_block_is_keyed_by_the_angular_weights():
+    # ||h||_p sums u's angular weights: two axisymmetric fields on one grid
+    # whose weights differ in their sum each get their own block, and their
+    # own exact p = 2 amplitude (g.h)_w / (h.h)_w
     ps = derive_params(4, 2.0, 0.5, 0.5)
     grid = make_radial_grid(-30, 30, 1024)
     u = modulated_axisym(bubble_perturbation(ps, grid, 1.0, 1.0)(0.05), psi_count=8)
     v = replace(u, psi_weights=u.psi_weights * np.linspace(0.5, 2.0, 8))
     assert np.sum(v.psi_weights) != np.sum(u.psi_weights)
-    ts = np.arange(-4, 3) / 2.0
     amps = []
     for f in (u, v):
-        scan, _, amplitude, w = manifold._distance_search(f, ps)
-        scan(ts)
-        for t in ts.tolist():
-            g, _, (h, _, hh), amp, _ = amplitude(t)
-            assert hh == float(np.sum(w * h[:, None], axis=1) @ h), t
-            assert amp == float(np.sum(w * g, axis=1) @ h) / hh, t
+        lattice, _, amplitude, w = manifold._distance_search(f, ps)
+        lattice(-20)
+        norm = _blocks(grid)[-1][1]
+        for i in range(33):
+            g, _, (h, _, hh), amp, _, _ = amplitude((i - 20) / 2.0)
+            assert hh == float(np.sum(w * h[:, None], axis=1) @ h), i
+            assert amp == float(np.sum(w * g, axis=1) @ h) / hh, i
+            assert norm[i] == pytest.approx(hh**0.5, rel=1e-13), i
             amps.append(amp)
-    assert len([k for k in grid._memo if k[0] == "lattice column"]) == 2 * len(ts)
-    assert amps[: len(ts)] != amps[len(ts) :]
+    assert len(_blocks(grid)) == 2
+    assert amps[:33] != amps[33:]
 
 
 def test_canonical_profile_is_the_grid_memo():
@@ -751,10 +937,10 @@ def _check_slopes(point, t, step=1e-4):
 def test_dilation_slopes_match_central_differences(p, kind):
     # off the minimum, where the slope is far from its rounding bound
     ps, u = _slope_field(p, kind)
-    scan, point, _, _ = manifold._distance_search(u, ps)
+    _, point, amplitude, _ = manifold._distance_search(u, ps)
     t = math.log(1.3) + 0.2
     f = _check_slopes(point, t)
-    assert f == pytest.approx(scan(np.array([t]))[0], rel=1e-12)
+    assert f == pytest.approx(amplitude(t)[4] ** (2.0 / ps.p), rel=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["radial", "axisym", "shifted"])
@@ -932,7 +1118,7 @@ def test_certified_amplitude_starts_from_kernel(monkeypatch):
     (x0, res), = solves
     (col, start), = starts
     # the one solve made with that record
-    assert [amp for c, (amp, _) in kernel if c is col] == [start]
+    assert [amp for c, (amp, *_) in kernel if c is col] == [start]
     # x0 is the start over its own magnitude
     assert x0[0] * abs(start) == start
     assert res.nit <= 1
@@ -940,7 +1126,7 @@ def test_certified_amplitude_starts_from_kernel(monkeypatch):
 
     # the same solve from the p = 2 projection
     _, _, amplitude, w = manifold._distance_search(u, ps)
-    g, ang, col, _, _ = amplitude(math.log(bub.scale))
+    g, ang, col, *_ = amplitude(math.log(bub.scale))
     solves.clear()
     cold = scalar(g, ang, col, w, ps.p, manifold._amplitude_newton(g, ang, col, w, 2.0)[0])
     assert solves[0][1].nit > 1
@@ -960,7 +1146,7 @@ def test_p2_distance_is_the_kernel_closed_form(monkeypatch, axisym):
     dist, bub = manifold_distance(u, ps)
     assert polished == []
     _, _, amplitude, _ = manifold._distance_search(u, ps)
-    _, _, _, amp, energy = amplitude(math.log(bub.scale))
+    _, _, _, amp, energy, _ = amplitude(math.log(bub.scale))
     assert bub.amplitude == amp
     assert dist == energy ** 0.5
 

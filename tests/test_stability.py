@@ -5,7 +5,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cknlab import derive_hat_params, derive_params, sharp_constant
+from cknlab import (
+    derive_hat_params,
+    derive_params,
+    functionals,
+    manifold,
+    sharp_constant,
+    stability,
+)
 from cknlab.cli import _op_chain_check
 from cknlab.errors import (
     DegenerateFit,
@@ -90,6 +97,29 @@ def test_ratio_rejects_zero_and_on_manifold():
         stability_ratio(zero, ps)
     with pytest.raises(OnManifold):
         stability_ratio(canonical_profile(ps, grid, lam=1.4), ps)
+
+
+@pytest.mark.parametrize("tup", [(4, 2.5, 0.2, 0.5), (3, 2, 0, 0)])
+def test_ratio_computes_the_gradient_energy_once(monkeypatch, tup):
+    # the ratio's norm, the projection and the deficit share one gradient
+    # energy per sample, and the record is the one from separate calls
+    ps = derive_params(*tup)
+    u = _perturbed_bubble(ps, 1e-2)
+    calls = []
+    energy = functionals.weighted_grad_pnorm
+
+    def counted(f, params, *args):
+        calls.append(f)
+        return energy(f, params, *args)
+
+    for mod in (functionals, manifold, stability):
+        monkeypatch.setattr(mod, "weighted_grad_pnorm", counted)
+    rec = stability_ratio(u, ps)
+    assert len(calls) == 1 and calls[0] is u
+    monkeypatch.undo()
+    dist, _ = manifold.manifold_distance(u, ps)
+    assert rec.distance == dist / grad_norm(u, ps)
+    assert rec.deficit == functionals.deficit(u, ps)
 
 
 # ---------------------------------------------------------------------------
