@@ -235,45 +235,21 @@ def _scan_window(seed: float) -> np.ndarray:
     return (np.arange(-16.0, 17.0) + float(round(2.0 * seed))) / 2.0
 
 
-def _no_interior_minimum(x) -> OptimizerStall:
-    return OptimizerStall(f"no interior minimum in the scan window [{x[0]:g}, {x[-1]:g}]")
-
-
-def _bracketed_min(scan, point, seed: float) -> tuple[float, float]:
-    """(f, log lam) at the minimum of f over log lam, or OptimizerStall.
-
-    scan maps an array of log lam to the array of f's values, point one
-    log lam to (f, f', f'', tol).  One call scans the window of the seed
-    (_scan_window).  Then _newton inside the bracket of every strict
-    interior scan minimum; ties (TIE_RTOL) go to min |log lam|.
-    """
-    x = _scan_window(seed)
-    v = scan(x)
-    found = [
-        _newton(point, float(x[i - 1]), float(x[i]), float(x[i + 1]))
-        for i in range(1, len(x) - 1)
-        if v[i] < v[i - 1] and v[i] < v[i + 1]
-    ]
-    if not found:
-        raise _no_interior_minimum(x)
-    best = min(r[0] for r in found)
-    ties = [r for r in found if r[0] - best <= TIE_RTOL * abs(best)]
-    return min(ties, key=lambda r: abs(r[1]))
-
-
 def _best_first_min(lattice, point, seed: float) -> tuple[float, float]:
     """(f, log lam) at the minimum of f over log lam, or OptimizerStall.
 
     The window of the seed (_scan_window) is searched best-first, with a
     certificate: lattice(k0) is solve(i), the point (k0 + i)/2 of the
     window whose first point is k0/2, and solve(i) is f there with an
-    array of lower bounds of f at every window point.  The seed's point
-    is solved first, then always the open point with the lowest bound; a
-    point is open until a bound exceeds the least value by more than a
-    tie (TIE_RTOL), so every point that may tie is solved, and no point
-    is left that could beat the least.  Ties go to min |log lam|; the
-    point so chosen is the window's lattice minimum.  OptimizerStall
-    when it is an end of the window, else _newton inside its bracket.
+    array of lower bounds of f at every window point (f itself, where
+    the whole window costs one call).  The seed's point is solved first,
+    then always the open point with the lowest bound; a point is open
+    until a bound exceeds the least value by more than a tie (TIE_RTOL),
+    so every point that may tie is solved, and no point is left that
+    could beat the least.  Ties go to min |log lam|; the point so chosen
+    is the window's lattice minimum.  OptimizerStall on a non-finite
+    value, or when that point is an end of the window, else _newton
+    inside its bracket.
     """
     x = _scan_window(seed)
     solve = lattice(int(2.0 * x[0]))
@@ -281,6 +257,8 @@ def _best_first_min(lattice, point, seed: float) -> tuple[float, float]:
     i = len(x) // 2
     while i is not None:
         values[i], bound = solve(i)
+        if not math.isfinite(values[i]):
+            raise OptimizerStall(f"non-finite search value at log lam {x[i]:.6g}")
         np.fmax(lower, bound, out=lower)  # a NaN bound is no bound
         best = min(values.values())
         slack = TIE_RTOL * abs(best)
@@ -288,7 +266,7 @@ def _best_first_min(lattice, point, seed: float) -> tuple[float, float]:
         i = min(unsure, key=lower.__getitem__, default=None)
     i = min((j for j, v in values.items() if v - best <= slack), key=lambda j: abs(x[j]))
     if not 0 < i < len(x) - 1:
-        raise _no_interior_minimum(x)
+        raise OptimizerStall(f"no interior minimum in the scan window [{x[0]:g}, {x[-1]:g}]")
     return _newton(point, float(x[i - 1]), float(x[i]), float(x[i + 1]))
 
 
@@ -729,11 +707,13 @@ def _q_pairing(u: Field, v: Field, params: CknParams) -> float:
 
 
 def _pairing_search(u: Field, params: CknParams) -> tuple:
-    """(scan, point): minus the q-pairing P(t) = sum W V_t^(q-1) u, t = log lam.
+    """(lattice, point): minus the q-pairing P(t) = sum W V_t^(q-1) u, t = log lam.
 
     V_t is the canonical bubble at lam = e^t and W the q-pairing's
-    quadrature weights.  scan(log lams) is -P at each dilation;
-    point(log lam) is (-P, -P', -P'', tol) with the closed forms
+    quadrature weights.  lattice(k0) is one array call over the window
+    of the 33 half-integers from k0/2, and returns solve(i) for
+    _best_first_min: -P at (k0 + i)/2 with the window's 33 values, exact
+    bounds.  point(log lam) is (-P, -P', -P'', tol) with the closed forms
     V_t' = k1 V_t, k1 = (n-p-pa)/p - m sigma y/(1 + y), y = B r^sigma,
     and tol the rounding bound SLOPE_ROUNDING (q-1) sum |W V^(q-1) k1 u|.
     """
@@ -756,8 +736,9 @@ def _pairing_search(u: Field, params: CknParams) -> tuple:
         dens *= wu_radial
         return y, dens
 
-    def scan(log_lams):
-        return -np.sum(terms(log_lams)[1], axis=(0, 1))
+    def lattice(k0):
+        values = -np.sum(terms([k / 2.0 for k in range(k0, k0 + 33)])[1], axis=(0, 1))
+        return lambda i: (values[i], values)
 
     def point(log_lam):
         y, dens = terms([log_lam])
@@ -769,22 +750,25 @@ def _pairing_search(u: Field, params: CknParams) -> tuple:
         tol = SLOPE_ROUNDING * (q - 1.0) * np.sum(np.abs(dens * k1))
         return -float(np.sum(dens)), float(d1), float(d2), float(tol)
 
-    return scan, point
+    return lattice, point
 
 
 def select_Pu(u: Field, params: CknParams) -> Bubble:
     """Dilation-picked representative: maximise the q-pairing over lam.
 
-    Minus the pairing (_pairing_search) goes through _bracketed_min from
-    the moment seed (OptimizerStall when the maximum is not bracketed).
-    The caller is responsible for the closeness gate; this only needs a
-    nonzero field, radial unless a or b is nonzero (UnsupportedField).
+    Minus the pairing (_pairing_search) goes through _best_first_min from
+    the moment seed, the search manifold_distance makes: its bounds are
+    the window's values, so it keeps the window's lattice maximum, and
+    Newton runs once, in that point's bracket (OptimizerStall when the
+    point is an end of the window).  The caller is responsible for the
+    closeness gate; this only needs a nonzero field, radial unless a or
+    b is nonzero (UnsupportedField).
     """
     if not np.any(u.values):
         raise ZeroField("representative undefined for the zero field")
     _refuse_translation(u, params)
-    scan, point = _pairing_search(u, params)
-    log_lam = _bracketed_min(scan, point, moment_seed(u, params))[1]
+    lattice, point = _pairing_search(u, params)
+    log_lam = _best_first_min(lattice, point, moment_seed(u, params))[1]
     return canonical_bubble(params, math.exp(log_lam))
 
 

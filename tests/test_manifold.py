@@ -739,31 +739,12 @@ def test_p2_energy_is_the_residual_rows_energy(tup):
         assert np.array_equal(s, row), k
 
 
-def _scanned_points(seed):
-    """The log lams _bracketed_min scans from seed, on a parabola near it.
-
-    The tilt leaves no two scan points equal, so there is a strict minimum.
-    """
-    seen = []
-
-    def scan(x):
-        seen.append(x)
-        return (x - seed) ** 2 + 1e-3 * x
-
-    def point(t):
-        return (t - seed) ** 2 + 1e-3 * t, 2.0 * (t - seed) + 1e-3, 2.0, 1e-12
-
-    manifold._bracketed_min(scan, point, seed)
-    (x,) = seen
-    return x
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(st.floats(-40.0, 40.0), st.integers(-80, 80).map(lambda k: k / 4.0)))
 def test_scan_points_are_the_lattice_nearest_the_seed(seed):
     # 33 half-integers k/2 around the one nearest the seed: the window covers
     # seed +- 7.75 and stays within seed +- 8.25
-    x = _scanned_points(seed)
+    x = manifold._scan_window(seed)
     assert len(x) == 33
     k = 2.0 * x
     assert np.array_equal(k, np.round(k))
@@ -773,7 +754,7 @@ def test_scan_points_are_the_lattice_nearest_the_seed(seed):
     assert x[0] >= seed - 8.25 and x[-1] <= seed + 8.25
     # a seed in the same lattice cell scans the same points
     if abs(x[16] - seed) < 0.25:
-        assert np.array_equal(_scanned_points(0.5 * (seed + x[16])), x)
+        assert np.array_equal(manifold._scan_window(0.5 * (seed + x[16])), x)
 
 
 @pytest.mark.parametrize("seed", [math.nan, math.inf, -math.inf, 1e308])
@@ -947,17 +928,22 @@ def test_dilation_slopes_match_central_differences(p, kind):
 @pytest.mark.parametrize("p", sorted(SLOPE_TUPLES))
 def test_pairing_slopes_match_central_differences(p, kind):
     ps, u = _slope_field(p, kind)
-    scan, point = manifold._pairing_search(u, ps)
+    lattice, point = manifold._pairing_search(u, ps)
     t = math.log(1.3) + 0.2
     f = _check_slopes(point, t)
     bub = canonical_bubble(ps, math.exp(t))
     want = manifold._q_pairing(u, sample_bubble(ps, bub, u.grid), ps)
     assert f == pytest.approx(-want, rel=1e-12)
-    assert scan(np.array([t]))[0] == pytest.approx(-want, rel=1e-12)
-    # the 33-point scan is one array call; each point alone is the reference
-    ts = np.linspace(t - 8.0, t + 8.0, 33)
-    each = [scan(ts[i : i + 1])[0] for i in range(len(ts))]
-    assert scan(ts) == pytest.approx(each, rel=1e-13)
+    # the window's 33 values are one array call; each point alone, and the
+    # field's own q-pairing there, are the references
+    k0 = round(2.0 * t) - 16
+    solve = lattice(k0)
+    for i in range(33):
+        s = (k0 + i) / 2.0
+        value = solve(i)[0]
+        assert value == pytest.approx(point(s)[0], rel=1e-13), s
+        v = sample_bubble(ps, canonical_bubble(ps, math.exp(s)), u.grid)
+        assert value == pytest.approx(-manifold._q_pairing(u, v, ps), rel=1e-12), s
 
 
 EXACT_BUBBLE_CASES = [
@@ -1008,6 +994,27 @@ def test_select_pu_certificate_on_residual_scaling_fields(count):
         assert again.scale == pytest.approx(bub.scale, rel=1e-12), eps
 
 
+@pytest.mark.parametrize("near,weight,far", [(-3.0, 0.8, 3.0), (-4.0, 1.1, 1.5)])
+def test_select_pu_keeps_the_global_pairing_maximum(near, weight, far):
+    # V_near + weight V_far: the pairing has an interior maximum near each
+    # bubble's dilation; the representative is in the bracket of the dense
+    # scan's global maximum, and its slope is on its rounding bound
+    ps = derive_params(3, 2, 0, 0)
+    grid = make_radial_grid(-30, 30, 2048)
+    u = canonical_profile(ps, grid, math.exp(near))
+    u = u + weight * canonical_profile(ps, grid, math.exp(far))
+    point = manifold._pairing_search(u, ps)[1]
+    ts = np.linspace(-12.0, 12.0, 24 * 64 + 1)
+    f = np.array([point(t)[0] for t in ts])
+    interior = [i for i in range(1, len(f) - 1) if f[i] < f[i - 1] and f[i] < f[i + 1]]
+    assert len(interior) == 2
+    i = int(np.argmin(f))
+    t = math.log(select_Pu(u, ps).scale)
+    assert ts[i - 1] < t < ts[i + 1]
+    _, d1, _, tol = point(t)
+    assert abs(d1) <= tol
+
+
 @pytest.mark.parametrize("p", [1.5, 2.5, 3.0, 4.0])
 def test_distance_axisym_weighted_matches_nelder_mead(p):
     # a > 0: no shift, but the angular gradient enters the distance
@@ -1050,13 +1057,30 @@ def _perturbed_p25():
     return ps, u
 
 
-def test_certificate_unbracketed_scan_raises(monkeypatch):
-    # seeded 20 away, the scan window ends before the minimum
+@pytest.mark.parametrize("search", [manifold_distance, select_Pu])
+def test_certificate_unbracketed_scan_raises(monkeypatch, search):
+    # seeded 20 away, the scan window [12, 28] ends before the minimum
     ps, u = _perturbed_p25()
     seed = manifold.moment_seed
     monkeypatch.setattr(manifold, "moment_seed", lambda f, ps: seed(f, ps) + 20.0)
-    with pytest.raises(OptimizerStall, match="no interior minimum"):
-        manifold_distance(u, ps)
+    window = re.escape("no interior minimum in the scan window [12, 28]")
+    with pytest.raises(OptimizerStall, match=window):
+        search(u, ps)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 1e300])
+@pytest.mark.parametrize("tup", [(3, 2, 0, 0), (4, 2, 0.2, 0.4)])
+def test_non_finite_gradient_raises_a_typed_stall(tup, bad):
+    # one bad gradient node makes the p = 2 energy non-finite at every
+    # dilation, which no lattice minimum can be taken over
+    ps = derive_params(*tup)
+    v = canonical_profile(ps, make_radial_grid(-30, 30, 1024))
+    grads = v.grad_r[:, 0].copy()
+    grads[500] = bad
+    u = Field.radial(v.grid, ps.n, v.values[:, 0], grads)
+    with np.errstate(all="ignore"):
+        with pytest.raises(OptimizerStall, match="non-finite search value at log lam"):
+            manifold_distance(u, ps)
 
 
 def test_dilation_newton_certifies_and_guards_its_bracket():
