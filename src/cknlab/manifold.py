@@ -280,7 +280,7 @@ def _newton(point, lo: float, t: float, hi: float) -> tuple[float, float]:
     """(f, t) at a zero of f' in (lo, hi), from t: safeguarded Newton.
 
     point(t) is (f, f', f'', tol), with f' taken negative at lo and
-    positive at hi (a scan bracket).  The bracket shrinks to t by the
+    positive at hi (a lattice bracket).  The bracket shrinks to t by the
     sign of f'; a step that leaves it, or f'' <= 0, bisects.  Stops when
     |f'| <= tol, the rounding bound of f' (a certificate), or when the
     step or the bracket is at most 4 ulp of max(|t|, 1).  OptimizerStall
@@ -307,7 +307,7 @@ def _newton(point, lo: float, t: float, hi: float) -> tuple[float, float]:
     else:
         raise OptimizerStall(f"dilation Newton open after {DILATION_MAX_STEPS} steps")
     # uncertified within a final bisection bracket of an end: f' had the
-    # other sign there, and the scan minimum lies elsewhere
+    # other sign there, and the lattice minimum lies elsewhere
     if min(t - ends[0], ends[1] - t) <= 2.0 * _ulp4(t):
         lo, hi = ends
         raise OptimizerStall(f"dilation Newton closed on an end of ({lo:.6g}, {hi:.6g})")
@@ -328,7 +328,7 @@ def _dilation_derivs(g, ang, col, y, w, p, amp, sig, m) -> tuple:
     f2 = f1^2 - sigma^2 (m+1) y/(1 + y)^2, the envelope theorem gives
     phi' = E_t and phi'' = E_tt - E_tA^2/E_AA at A*.  tol is D'/phi'
     times SLOPE_ROUNDING p |A| sum w |r|^(p-2) (|r| + |grad u|) |h'|, the
-    rounding bound of phi'.  D is the scan's objective: at a zero
+    rounding bound of phi'.  D is the search's objective: at a zero
     distance E grows like |t - t*|^p, so Newton on E only converges
     linearly, while one step on D lands on t*.
     """
