@@ -33,7 +33,7 @@ from .errors import (
 )
 from .fields import _PANEL_W, _PANEL_X, PANEL_POINTS
 from .fields import Bubble, Field, RadialGrid, gaussian_bump_profile, sample_bubble
-from .functionals import _energy, _flux_factor
+from .functionals import _flux_factor
 from .functionals import grad_norm, weighted_grad_pnorm
 from .manifold import (
     _tangent_free,
@@ -213,95 +213,94 @@ def _ladder(
     return [gaussian_bump_profile(grid, dim, c, width) for c in centers]
 
 
-def _test_basis(u: Field, params: CknParams, size: int) -> list:
-    core = tangent_basis(Bubble(amplitude=1.0, scale=1.0), params, u.grid)
-    return core + _ladder(u.grid, u.dim, size - len(core), LADDER_STEP, LADDER_WIDTH)
+def _dual_basis(grid: RadialGrid, dim: int, params: CknParams, size: int) -> tuple:
+    """(V, G, w, scale, white) of the test basis, once per grid (RadialGrid.memo).
+
+    V and G (nodes x size) hold the values and radial gradients of the
+    tangent elements and _ladder's bumps, w the weights, scale their
+    norms and white the rank guard's whitening of w^(1/p) G / scale.
+    BadGridSpec and NonFiniteOutput raise from the build, which stores nothing.
+    """
+
+    def build():
+        core = tangent_basis(Bubble(amplitude=1.0, scale=1.0), params, grid)
+        basis = core + _ladder(grid, dim, size - len(core), LADDER_STEP, LADDER_WIDTH)
+        grads = np.hstack([e.grad_r for e in basis])
+        bad = np.flatnonzero(~np.isfinite(grads).all(axis=0)).tolist()
+        if bad:
+            raise NonFiniteOutput(f"dual-norm basis elements {bad} have non-finite gradients")
+        p = params.p
+        w = basis[0].measure(params.n - 1.0 - p * params.a).ravel()
+        scale = (w @ np.abs(grads) ** p) ** (1.0 / p)
+        scale[scale == 0.0] = 1.0
+        _, sing, vt = np.linalg.svd(w[:, None] ** (1.0 / p) * (grads / scale), full_matrices=False)
+        kept = sing >= RANK_GUARD_RTOL * sing[0]
+        white = vt[kept].T / sing[kept]
+        return np.hstack([e.values for e in basis]), grads, w, scale, white
+
+    return grid.memo(("dual basis", params, dim, size), build)
+
+
+def _basis_pairings(u: Field, params: CknParams, values, grads) -> np.ndarray:
+    """el_residual_pairing against radial elements: Z . V - F . G, Z and F summed over psi."""
+    n, p, q, a, b = params.n, params.p, params.q, params.a, params.b
+    zero = u.measure(n - 1.0 - q * b) * np.abs(u.values) ** (q - 2.0) * u.values
+    flux = _flux_factor(np.sqrt(u.grad_sq()), p - 2.0) * u.grad_r * u.measure(n - 1.0 - p * a)
+    return np.sum(zero, axis=1) @ values - np.sum(flux, axis=1) @ grads
 
 
 def _dual_sup(comps: np.ndarray, w: np.ndarray, ell: np.ndarray, p: float) -> float:
-    """sup of ell . y / f(y)^(1/p) with f(y) = sum(w |comps @ y|^p).
+    """sup of ell . y / f(y)^(1/p) with f(y) = sum(w |comps @ y|^p), comps nodes x k.
 
-    Newton ascent on the concave phi(y) = ell . y - f(y) / p: f is
-    p-homogeneous, so at phi's maximiser ell . y = f(y) and the ratio
-    there is the sup.  comps is whitened in the rank guard's metric, so
-    y = ell is the p = 2 maximiser; the start is the best point on its
-    ray.  Each step is halved until phi(y + t s) >= phi + ARMIJO_C t
-    grad . s: at p < 2 the weights |g|^(p-2) blow up as g -> 0 and
-    full steps overshoot.
+    Newton ascent on the concave phi(y) = ell . y - f(y) / p (f is
+    p-homogeneous, so at its maximiser ell . y = f(y)).  With g = comps @ y
+    and the flux row w |g|^(p-2) g: f = flux . g, ascent ell - comps^T flux,
+    Hessian (p-1) comps^T diag(w |g|^(p-2)) comps.  It starts on the ray of
+    the p = 2 maximiser ell (comps is whitened) and halves a step until
+    phi rises by ARMIJO_C t grad . s: at p < 2 full steps overshoot near g = 0.
     """
-    flat = comps.reshape(-1, comps.shape[-1])
 
-    def phi(y: np.ndarray) -> float:
-        return float(ell @ y) - _energy(w, comps @ y, p) / p
+    def rows(y):  # w |g|^(p-2), the flux row, f and phi
+        g = comps @ y
+        wa = w * _flux_factor(np.abs(g), p - 2.0)
+        f = float((wa * g) @ g)
+        return wa, wa * g, f, float(ell @ y) - f / p
 
-    y = ell * (float(ell @ ell) / _energy(w, comps @ ell, p)) ** (1.0 / (p - 1.0))
+    y = ell * (float(ell @ ell) / rows(ell)[2]) ** (1.0 / (p - 1.0))
     for _ in range(NEWTON_MAX_STEPS):
-        grads = comps @ y
-        mag = np.sqrt(np.sum(grads**2, axis=0))
-        wa = w * _flux_factor(mag, p - 2.0)
-        unit = grads / np.where(mag > 0.0, mag, 1.0)
-        jac = np.sum(unit[:, :, None] * comps, axis=0)  # d|g| / dy per node
-        ascent = ell - (wa * mag) @ jac
-        hess = flat.T @ (wa[:, None] * comps).reshape(flat.shape)
-        hess += (p - 2.0) * (jac.T * wa) @ jac
-        step = np.linalg.solve(hess, ascent)
+        wa, flux, f, base = rows(y)
+        ascent = ell - flux @ comps
+        step = np.linalg.solve((p - 1.0) * (comps.T * wa) @ comps, ascent)
         slope = float(ascent @ step)
-        f = _energy(w, grads, p)
         if slope <= NEWTON_RTOL * f:
             return float(ell @ y) / f ** (1.0 / p)
-        length, base = 1.0, float(ell @ y) - f / p
-        while phi(y + length * step) < base + ARMIJO_C * length * slope:
+        length = 1.0
+        while rows(y + length * step)[3] < base + ARMIJO_C * length * slope:
             length /= 2.0
         y = y + length * step
-    raise OptimizerStall(
-        f"dual-norm Newton ascent not converged after {NEWTON_MAX_STEPS} steps"
-    )
+    raise OptimizerStall(f"not converged after {NEWTON_MAX_STEPS} steps")
 
 
 def dual_norm_estimate(u: Field, params: CknParams, basis_size: int = 12) -> DualNormEstimate:
     """Lower-bound the dual norm of the equation residual of u.
 
-    The exact sup of |<R(u), phi>| / ||phi|| over the span of a nested
-    radial ladder basis (tangent elements first, then log-radius bumps),
-    by Newton ascent on its concave dual (see _dual_sup).  Elements are
-    scaled to unit norm and directions whose singular value of
-    w^(1/p) D falls below RANK_GUARD_RTOL of the largest are dropped:
-    such combinations nearly cancel in norm and only amplify quadrature
-    noise.  The result is the sup over the remaining span, a lower bound
-    of the true dual norm.  Spans nest as the basis grows, so a larger
-    basis never reports a smaller value; half_value is the estimate at
-    half the basis size (None below 8).  NonFiniteOutput names the
-    elements whose gradients overflow (r^sigma near p = 1).
+    The sup of |<R(u), phi>| / ||phi|| over the nested radial span of
+    _dual_basis less its rank guard's noise directions: one product of u
+    with the basis (_basis_pairings), then _dual_sup.  A larger basis
+    never reports less; half_value is the estimate at half the size (None
+    below 8).  OptimizerStall names the tuple when _dual_sup fails.
     """
     if basis_size < 4:
         raise BasisTooSmall(f"need at least 4 test elements, got {basis_size}")
-    half_value: Optional[float] = None
-    if basis_size >= 8:
-        half_value = dual_norm_estimate(u, params, basis_size // 2).value
-    elements = _test_basis(u, params, basis_size)
-    comps = np.hstack([e.grad_r for e in elements])[None]  # radial: grad_r alone
-    bad = np.flatnonzero(~np.isfinite(comps[0]).all(axis=0)).tolist()
-    if bad:
-        raise NonFiniteOutput(f"dual-norm basis elements {bad} have non-finite gradients")
-    ell = np.array([el_residual_pairing(u, e, params) for e in elements])
-    p = params.p
-    w = elements[0].measure(params.n - 1.0 - p * params.a).ravel()
-    mags = np.sqrt(np.sum(comps**2, axis=0))
-    scale = (w @ mags**p) ** (1.0 / p)  # element norms
-    scale = np.where(scale > 0.0, scale, 1.0)
-    comps = comps / scale
-    ell = ell / scale
-    weighted = (w[:, None] ** (1.0 / p) * comps).reshape(-1, len(elements))
-    _, sing, vt = np.linalg.svd(weighted, full_matrices=False)
-    kept = sing >= RANK_GUARD_RTOL * sing[0]
-    white = vt[kept].T / sing[kept]  # orthonormal in the guard's metric
-    ell = white.T @ ell
+    half = dual_norm_estimate(u, params, basis_size // 2).value if basis_size >= 8 else None
+    values, grads, w, scale, white = _dual_basis(u.grid, u.dim, params, basis_size)
+    ell = white.T @ (_basis_pairings(u, params, values, grads) / scale)
     try:
-        value = _dual_sup(comps @ white, w, ell, p) if np.any(ell) else 0.0
-    except np.linalg.LinAlgError as exc:  # near p = 1 the Newton Hessian is singular
+        value = _dual_sup(grads / scale @ white, w, ell, params.p) if np.any(ell) else 0.0
+    except (np.linalg.LinAlgError, OptimizerStall) as exc:
         tup = (params.n, params.p, params.a, params.b)
         raise OptimizerStall(f"dual-norm Newton ascent at {tup}: {exc}") from None
-    return DualNormEstimate(value=value, half_value=half_value, basis_size=basis_size)
+    return DualNormEstimate(value=value, half_value=half, basis_size=basis_size)
 
 
 # ---------------------------------------------------------------------------

@@ -38,11 +38,6 @@ def _check_dim(u: Field, params: CknParams) -> None:
         raise GridMismatch(f"field dim {u.dim} vs params n {params.n}")
 
 
-def _energy(w: np.ndarray, grads: np.ndarray, p: float) -> float:
-    """sum w |grads|^p, the magnitude taken over the leading (component) axis."""
-    return float(np.sum(w * np.sqrt(np.sum(grads**2, axis=0)) ** p))
-
-
 def _flux_factor(mag: np.ndarray, expo: float) -> np.ndarray:
     """mag^expo where mag > 0, else 0: the flux |g|^(p-2) g vanishes with g."""
     if expo > 0.0:

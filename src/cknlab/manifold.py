@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import (
     MissingGradient,
+    NonFiniteOutput,
     OptimizerStall,
     RootFindFailure,
     UnsupportedField,
@@ -637,12 +638,17 @@ def _distance_search(u: Field, params: CknParams) -> tuple:
     return lattice, point, amplitude, w
 
 
-def _refuse_translation(u: Field, params: CknParams) -> None:
-    """UnsupportedField where the family would need translations.
-
-    At a = b = 0 a non-radial u is closest to a translated bubble, and
-    the searches here move only the amplitude and the dilation.
+def _check_searchable(u: Field, params: CknParams) -> None:
+    """NonFiniteOutput unless u's values, |u|^q, its gradient and its square are finite;
+    UnsupportedField for a non-radial u at a = b = 0 (translated bubbles would be closest).
     """
+    for name, power, expo, parts in (
+        ("values", "q-th power", params.q, [u.values]),
+        ("gradient", "square", 2.0, [u.grad_r, u.grad_psi]),
+    ):
+        top = np.finfo(float).max ** (1.0 / expo)
+        if any(a is not None and not -top <= a.min() <= a.max() <= top for a in parts):
+            raise NonFiniteOutput(f"field {name}: an entry is not finite or its {power} overflows")
     if not u.is_radial and params.a == 0.0 and params.b == 0.0:
         raise UnsupportedField(
             "a non-radial field at a = b = 0 needs translated bubbles; "
@@ -669,7 +675,7 @@ def manifold_distance(u: Field, params: CknParams) -> tuple[float, Bubble]:
     """
     if u.grad_r is None or not np.any(u.values):
         raise ZeroField("projection needs a nonzero field with gradient data")
-    _refuse_translation(u, params)
+    _check_searchable(u, params)
     if not (np.any(u.grad_r) or (u.grad_psi is not None and np.any(u.grad_psi))):
         raise ZeroField("zero gradient norm")
     p = params.p
@@ -766,7 +772,7 @@ def select_Pu(u: Field, params: CknParams) -> Bubble:
     """
     if not np.any(u.values):
         raise ZeroField("representative undefined for the zero field")
-    _refuse_translation(u, params)
+    _check_searchable(u, params)
     lattice, point = _pairing_search(u, params)
     log_lam = _best_first_min(lattice, point, moment_seed(u, params))[1]
     return canonical_bubble(params, math.exp(log_lam))

@@ -1,6 +1,7 @@
 """Critical-point tests: residual pairing, dual norm, Hessian, expansion."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from cknlab.errors import (
     ZeroField,
 )
 from cknlab.critical import (
-    _test_basis,
     dual_norm_estimate,
     el_residual_pairing,
     elementary_C_estimate,
@@ -277,10 +277,16 @@ def test_dual_estimate_needs_four_elements():
         dual_norm_estimate(_bubble_profile(PS53), PS53, 3)
 
 
+def _elements(u, ps, size):
+    # the estimate's own test basis, one radial field per element
+    vals, ders = critical._dual_basis(u.grid, u.dim, ps, size)[:2]
+    return [Field.radial(u.grid, ps.n, v, d) for v, d in zip(vals.T, ders.T)]
+
+
 def _pairings_and_norm(u, ps, size):
     # derivatives and pairings of the estimate's own test basis, and
     # ||sum c_i phi_i|| through an explicitly combined field
-    elements = _test_basis(u, ps, size)
+    elements = _elements(u, ps, size)
     ell = np.array([el_residual_pairing(u, e, ps) for e in elements])
     ders = np.concatenate([e.grad_r for e in elements], axis=1)
 
@@ -376,8 +382,78 @@ def test_dual_estimate_matches_least_norm_reference(tup):
 
 def test_dual_estimate_newton_cap_raises(monkeypatch):
     monkeypatch.setattr(critical, "NEWTON_MAX_STEPS", 1)
-    with pytest.raises(OptimizerStall):
+    cap = re.escape("dual-norm Newton ascent at (5, 3.0, 0.3, 0.5): not converged after 1 steps")
+    with pytest.raises(OptimizerStall, match=cap):
         dual_norm_estimate(_perturbed(PS53, 1e-2), PS53, 4)
+
+
+def test_dual_estimate_singular_hessian_names_the_tuple(monkeypatch):
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(critical, "_dual_sup", singular)
+    tup = re.escape("dual-norm Newton ascent at (5, 3.0, 0.3, 0.5): Singular matrix")
+    with pytest.raises(OptimizerStall, match=tup):
+        dual_norm_estimate(_perturbed(PS53, 1e-2), PS53, 4)
+
+
+def test_basis_estimate_recurses_once_through_the_module(monkeypatch):
+    # the half estimate goes through the module name, which a tracer rebinds
+    calls = []
+    real = critical.dual_norm_estimate
+
+    def spied(u, ps, size):
+        calls.append(size)
+        return real(u, ps, size)
+
+    monkeypatch.setattr(critical, "dual_norm_estimate", spied)
+    critical.dual_norm_estimate(_perturbed(PS53, 1e-2), PS53, 8)
+    assert calls == [8, 4]
+
+
+def test_dual_basis_is_built_once_per_grid(monkeypatch):
+    grids = [make_radial_grid(*GRID_SPEC) for _ in range(2)]
+    fields = [
+        canonical_profile(PS53, g) + 1e-2 * gaussian_bump_profile(g, PS53.n, 0.5, 0.7)
+        for g in grids
+    ]
+    dual_norm_estimate(fields[0], PS53, 8)
+    entries = {k: v for k, v in grids[0]._memo.items() if k[0] == "dual basis"}
+    assert sorted(entries) == [("dual basis", PS53, PS53.n, 4), ("dual basis", PS53, PS53.n, 8)]
+    for arrays in entries.values():
+        assert all(not a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError):
+            arrays[0][0, 0] = 1.0
+
+    def unexpected(*args):
+        raise AssertionError("the basis was rebuilt")
+
+    monkeypatch.setattr(critical, "tangent_basis", unexpected)
+    monkeypatch.setattr(critical, "gaussian_bump_profile", unexpected)
+    again = dual_norm_estimate(1.5 * fields[0], PS53, 8)
+    monkeypatch.undo()
+    # a new grid builds its own entries, and they give the same estimate
+    assert not any(k[0] == "dual basis" for k in grids[1]._memo)
+    assert dual_norm_estimate(1.5 * fields[1], PS53, 8) == again
+    assert sum(k[0] == "dual basis" for k in grids[1]._memo) == 2
+
+
+@pytest.mark.parametrize("axisym", [False, True], ids=["radial", "axisym"])
+@pytest.mark.parametrize("tup", [(3, 1.5, 0.1, 0.5), (5, 3.0, 0.3, 0.5)])
+def test_basis_pairings_match_the_one_element_pairing(tup, axisym):
+    ps = derive_params(*tup)
+    u = _perturbed(ps, 1e-2)
+    if axisym:
+        u = modulated_axisym(u, 24, cos_coeff=0.3)
+    vals, ders = critical._dual_basis(u.grid, u.dim, ps, 8)[:2]
+    ell = critical._basis_pairings(u, ps, vals, ders)
+    flux = critical._flux_factor(np.sqrt(u.grad_sq()), ps.p - 2.0) * u.grad_r
+    zero = np.abs(u.values) ** (ps.q - 2.0) * u.values
+    for i, e in enumerate(_elements(u, ps, 8)):
+        # the two terms' magnitudes, integrand by integrand: the rounding scale
+        terms = u.integrate(ps.n - 1.0 - ps.q * ps.b, np.abs(zero * e.values))
+        terms += u.integrate(ps.n - 1.0 - ps.p * ps.a, np.abs(flux * e.grad_r))
+        assert abs(ell[i] - el_residual_pairing(u, e, ps)) <= 1e-13 * terms, i
 
 
 def test_dual_estimate_axisym_embedding_matches_radial():
@@ -480,6 +556,8 @@ def test_ladder_past_the_window_raises():
         spectral_gap(PS43, wide, 120)
     with pytest.raises(BadGridSpec, match="past the window"):
         dual_norm_estimate(_bubble_profile(PS53), PS53, 44)
+    # the basis build that raised stored nothing in the grid's memo
+    assert not any(k[0] == "dual basis" and k[3] == 44 for k in _grid()._memo)
 
 
 def test_ritz_matrices_match_the_forms():

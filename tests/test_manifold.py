@@ -16,6 +16,7 @@ from scipy.optimize import OptimizeResult, minimize
 
 from cknlab import (
     MissingGradient,
+    NonFiniteOutput,
     OptimizerStall,
     UnsupportedField,
     ZeroField,
@@ -1071,16 +1072,37 @@ def test_certificate_unbracketed_scan_raises(monkeypatch, search):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e300])
 @pytest.mark.parametrize("tup", [(3, 2, 0, 0), (4, 2, 0.2, 0.4)])
 def test_non_finite_gradient_raises_a_typed_stall(tup, bad):
-    # one bad gradient node makes the p = 2 energy non-finite at every
-    # dilation, which no lattice minimum can be taken over
+    # one bad gradient node (1e300 squares past the float range) is refused
+    # at the search's entry with a typed error, before any RuntimeWarning
     ps = derive_params(*tup)
     v = canonical_profile(ps, make_radial_grid(-30, 30, 1024))
     grads = v.grad_r[:, 0].copy()
     grads[500] = bad
     u = Field.radial(v.grid, ps.n, v.values[:, 0], grads)
-    with np.errstate(all="ignore"):
-        with pytest.raises(OptimizerStall, match="non-finite search value at log lam"):
-            manifold_distance(u, ps)
+    with pytest.raises(NonFiniteOutput, match="field gradient: .* or its square overflows"):
+        manifold_distance(u, ps)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 1e300])
+@pytest.mark.parametrize("search", [manifold_distance, select_Pu])
+def test_non_finite_values_raise_a_typed_error(search, bad):
+    # 1e300 overflows |u|^q; the message names the values, not the seed
+    ps = derive_params(3, 2, 0, 0)
+    v = canonical_profile(ps, make_radial_grid(-30, 30, 1024))
+    vals = v.values[:, 0].copy()
+    vals[500] = bad
+    u = Field.radial(v.grid, ps.n, vals, v.grad_r[:, 0])
+    with pytest.raises(NonFiniteOutput, match="field values: .* or its q-th power overflows"):
+        search(u, ps)
+
+
+def test_best_first_non_finite_value_raises():
+    # the search's own guard, on a stub lattice whose seed point is NaN
+    def lattice(k0):
+        return lambda i: (math.nan, np.full(33, -np.inf))
+
+    with pytest.raises(OptimizerStall, match="non-finite search value at log lam 0.5"):
+        manifold._best_first_min(lattice, None, 0.4)
 
 
 def test_dilation_newton_certifies_and_guards_its_bracket():
