@@ -46,7 +46,7 @@ from .errors import (
     RootFindFailure,
     ScalingGuardFailure,
 )
-from .fields import gaussian_bump_profile, make_radial_grid, modulated_axisym
+from .fields import axisym_row_blocks, gaussian_bump_profile, make_radial_grid
 from .functionals import deficit, grad_norm, q_norm
 from .manifold import canonical_profile
 from .params import CknParams, derive_hat_params, derive_params, sharp_constant
@@ -376,7 +376,7 @@ def _build_field(spec: SimpleNamespace, ps, grid):
     prof = gaussian_bump_profile(grid, ps.n, spec.center, spec.width)
     if spec.kind == "radial":
         return prof
-    return modulated_axisym(prof, cos_coeff=spec.cos_coeff)
+    return axisym_row_blocks(prof, cos_coeff=spec.cos_coeff)
 
 
 def _columns(rows: list) -> dict:

@@ -31,7 +31,7 @@ from .errors import (
     UnsupportedField,
     ZeroField,
 )
-from .fields import _PANEL_W, _PANEL_X, PANEL_POINTS
+from .fields import _PANEL_W, _PANEL_X, BLOCK_POINTS, PANEL_POINTS
 from .fields import Bubble, Field, RadialGrid, gaussian_bump_profile, sample_bubble
 from .functionals import _flux_factor
 from .functionals import grad_norm, weighted_grad_pnorm
@@ -126,7 +126,7 @@ def el_residual_pairing(u: Field, phi: Field, params: CknParams) -> float:
         dot = dot + u.grad_psi * phi.grad_psi / u.grid.nodes[:, None] ** 2
     flux = _flux_factor(np.sqrt(u.grad_sq()), p - 2.0)
     zero_term = u.integrate(
-        n - 1.0 - q * b, np.abs(u.values) ** (q - 2.0) * u.values * phi.values
+        n - 1.0 - q * b, _flux_factor(np.abs(u.values), q - 2.0) * u.values * phi.values
     )
     return zero_term - u.integrate(n - 1.0 - p * a, flux * dot)
 
@@ -181,7 +181,7 @@ def radial_dual_norm(u: Field, params: CknParams) -> float:
     n, p, q = params.n, params.p, params.q
     r = u.grid.nodes[:, None]
     flux = _flux_factor(np.sqrt(u.grad_sq()), p - 2.0) * u.grad_r
-    h_t = r ** (n - q * params.b) * np.abs(u.values) ** (q - 2.0) * u.values
+    h_t = r ** (n - q * params.b) * _flux_factor(np.abs(u.values), q - 2.0) * u.values
     big_g = r ** (n - 1.0 - p * params.a) * flux
     big_g += _running_integral(u.grid, h_t[:, 0])[:, None]
     dual = p / (p - 1.0)
@@ -244,7 +244,7 @@ def _dual_basis(grid: RadialGrid, dim: int, params: CknParams, size: int) -> tup
 def _basis_pairings(u: Field, params: CknParams, values, grads) -> np.ndarray:
     """el_residual_pairing against radial elements: Z . V - F . G, Z and F summed over psi."""
     n, p, q, a, b = params.n, params.p, params.q, params.a, params.b
-    zero = u.measure(n - 1.0 - q * b) * np.abs(u.values) ** (q - 2.0) * u.values
+    zero = u.measure(n - 1.0 - q * b) * _flux_factor(np.abs(u.values), q - 2.0) * u.values
     flux = _flux_factor(np.sqrt(u.grad_sq()), p - 2.0) * u.grad_r * u.measure(n - 1.0 - p * a)
     return np.sum(zero, axis=1) @ values - np.sum(flux, axis=1) @ grads
 
@@ -517,7 +517,8 @@ def elementary_C_estimate(case: int, exponent: float, samples: int = 200) -> flo
     Joint homogeneity pins |x| = 1; a spot re-evaluation at |x| = 7
     guards the reduction, restricted to points where the left side is
     not cancellation noise.  A grid with no such point cannot be
-    guarded and raises ScalingGuardFailure.
+    guarded and raises ScalingGuardFailure.  The grid is evaluated in
+    row blocks of at most BLOCK_POINTS points, never whole.
     """
     _check_case(case, exponent)
     y = np.logspace(-6.0, 6.0, samples)
@@ -525,25 +526,29 @@ def elementary_C_estimate(case: int, exponent: float, samples: int = 200) -> flo
         ang = np.cos(np.linspace(0.0, math.pi, max(17, samples // 3)))
     else:
         ang = np.array([-1.0, 1.0])
-    ym, cm = np.meshgrid(y, ang, indexing="ij")
-    lhs, rhs, scale = _raw_terms(case, exponent, 1.0, ym, cm)
-    best = float(np.max(lhs / rhs))
-
-    # scaling guard: the ratio must not see the overall magnitude; only
-    # well-conditioned points can verify this to 1e-10
-    solid = lhs > 1e-4 * scale
-    idx = np.flatnonzero(solid.ravel())[::17]
-    if idx.size == 0:
+    step = max(1, BLOCK_POINTS // len(ang))
+    best, seen, guard = -np.inf, 0, []
+    for start in range(0, samples, step):
+        ym = y[start : start + step, None]
+        lhs, rhs, scale = _raw_terms(case, exponent, 1.0, ym, ang)
+        ratio = lhs / rhs
+        best = np.maximum(best, np.max(ratio))
+        # scaling guard: the ratio must not see the overall magnitude; only
+        # well-conditioned points can verify this to 1e-10 (every 17th, row-major)
+        rows, cols = np.nonzero(lhs > 1e-4 * scale)
+        pick = slice(-seen % 17, None, 17)
+        seen += rows.size
+        rows, cols = rows[pick], cols[pick]
+        guard.append((7.0 * ym[rows, 0], ang[cols], ratio[rows, cols]))
+    y7, c7, ref = (np.concatenate(g) for g in zip(*guard))
+    if ref.size == 0:
         raise ScalingGuardFailure(
             f"case {case}: scaling guard has no well-conditioned point at {samples} samples"
         )
-    ref = (lhs / rhs).ravel()[idx]
-    lhs7, rhs7, _ = _raw_terms(
-        case, exponent, 7.0, 7.0 * ym.ravel()[idx], cm.ravel()[idx]
-    )
+    lhs7, rhs7, _ = _raw_terms(case, exponent, 7.0, y7, c7)
     drift = float(np.max(np.abs(lhs7 / rhs7 - ref) / ref))
     if drift > 1e-10:
         raise ScalingGuardFailure(
             f"case {case}: ratio moved by {drift:.3e} under joint scaling by 7"
         )
-    return best
+    return float(best)

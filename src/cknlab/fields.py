@@ -18,9 +18,9 @@ save the array kernels of the projection and of the dual-norm ascent.
 
 Tensor-grid integrals run over row blocks: views on consecutive radial
 rows holding about BLOCK_POINTS nodes, so no integrand is built on the
-full grid.  Each block is one np.sum and the blocks add up with
-math.fsum, so the summation order is fixed per row block.  A radial
-field is a single block, summed by one np.sum.
+full grid.  Each block is one pass, w @ (density @ omega), and the
+blocks add up with math.fsum, so the summation order is fixed per row
+block.  A radial field is a single block, summed by one np.sum.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ __all__ = [
     "bubble_evaluator",
     "bubble_second_derivative",
     "modulated_axisym",
+    "axisym_row_blocks",
     "gaussian_bump_profile",
 ]
 
@@ -267,6 +268,11 @@ def _or_zero(a):
     return 0.0 if a is None else a
 
 
+def _block_rows(count: int, cols: int) -> int:
+    """Radial rows per row block of a count x cols grid: all of them for one column."""
+    return count if cols == 1 else max(1, BLOCK_POINTS // cols)
+
+
 def _check_density(density, u: "Field") -> None:
     shape = np.shape(density)
     if len(shape) != 2 or shape[0] != u.grid.count or shape[1] > len(u.psi_nodes):
@@ -329,11 +335,6 @@ class Field:
         """Node weights w_i omega_j r_i^power on the tensor grid."""
         return self.grid.radial_weights(power)[:, None] * self.psi_weights
 
-    def _block_rows(self) -> int:
-        """Radial rows per row block: the whole grid for a radial field."""
-        cols = len(self.psi_nodes)
-        return self.grid.count if cols == 1 else max(1, BLOCK_POINTS // cols)
-
     def row_blocks(self) -> list:
         """(rows, view) for consecutive blocks of about BLOCK_POINTS nodes.
 
@@ -341,7 +342,7 @@ class Field:
         on the sub-grid RadialGrid.rows.  A radial field, or one with at
         most BLOCK_POINTS nodes, is its own only block.
         """
-        step, count = self._block_rows(), self.grid.count
+        step, count = _block_rows(self.grid.count, len(self.psi_nodes)), self.grid.count
         if step >= count:
             return [(slice(None), self)]
         slices = [slice(start, start + step) for start in range(0, count, step)]
@@ -360,7 +361,12 @@ class Field:
 
     def _block_integral(self, power: float, density) -> float:
         _check_density(density, self)
-        return float(np.sum(self.measure(power) * density))
+        if self.is_radial:
+            return float(np.sum(self.measure(power) * density))
+        if np.shape(density)[1] == 1:  # weighs every angular column alike
+            density = np.broadcast_to(density, self.values.shape)
+        # one pass: each row's angular sum, then the radial weights
+        return float(self.grid.radial_weights(power) @ (density @ self.psi_weights))
 
     def integrate(self, power: float, density) -> float:
         """sum_ij w_i omega_j r_i^power density_ij, in a fixed order per row block.
@@ -368,8 +374,9 @@ class Field:
         density is a 2-D array with one row per radial node and one
         column or the field's angular columns, or a function from a row
         block (a Field) to such an array for that block; any other shape
-        raises GridMismatch.  Each block is one np.sum and math.fsum adds
-        the blocks, so a field of one block is a single np.sum, bit for bit.
+        raises GridMismatch.  A block is summed as w @ (density @ omega),
+        a radial field as one np.sum, and math.fsum adds the blocks, so a
+        field of one block is that single sum, bit for bit.
         """
         self.grid.radial_weights(power)  # cached before the blocks slice it
         return math.fsum(
@@ -531,14 +538,23 @@ def gaussian_bump_profile(
 # axisymmetric construction
 
 
+@lru_cache(maxsize=32)
+def _axisym_factors(dim: int, psi_count: int, cos_coeff: float) -> tuple:
+    """(psi, weights, 1 + c cos psi, -c sin psi), read-only: the blocks share them."""
+    psi, wpsi = make_psi_grid(dim, psi_count)
+    factors = (psi, wpsi, 1.0 + cos_coeff * np.cos(psi), -cos_coeff * np.sin(psi))
+    for a in factors:
+        a.flags.writeable = False
+    return factors
+
+
 def modulated_axisym(
     u: Field, psi_count: int = DEFAULT_PSI_COUNT, cos_coeff: float = 0.3
 ) -> Field:
     """Radial field times (1 + c cos psi): cheap nontrivial angular test field."""
     if u.grad_r is None:
         raise BadGridSpec("modulated field needs the radial derivative")
-    psi, wpsi = make_psi_grid(u.dim, psi_count)
-    ang = 1.0 + cos_coeff * np.cos(psi)
+    psi, wpsi, ang, dang = _axisym_factors(u.dim, psi_count, float(cos_coeff))
     return Field(
         grid=u.grid,
         dim=u.dim,
@@ -546,5 +562,17 @@ def modulated_axisym(
         psi_weights=wpsi,
         values=u.values * ang,
         grad_r=u.grad_r * ang,
-        grad_psi=u.values * (-cos_coeff * np.sin(psi)),
+        grad_psi=u.values * dang,
     )
+
+
+def axisym_row_blocks(
+    u: Field, psi_count: int = DEFAULT_PSI_COUNT, cos_coeff: float = 0.3
+):
+    """modulated_axisym(u, psi_count, cos_coeff)'s row blocks, built one at a time.
+
+    The map is node-local, so each equals that field's view bit for bit.
+    """
+    step = _block_rows(u.grid.count, psi_count)
+    for start in range(0, u.grid.count, step):
+        yield modulated_axisym(u._rows(slice(start, start + step)), psi_count, cos_coeff)

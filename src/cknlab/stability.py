@@ -289,12 +289,13 @@ def exponent_slope_fit(
 # parameter monotonicity
 
 
-def monotonicity_chain_check(u: Field, hp: HatParams) -> StretchReport:
+def monotonicity_chain_check(u, hp: HatParams) -> StretchReport:
     """Verify the two computable steps tying the two weight classes.
 
     (i) the q-norms match exactly under the h-stretch; (ii) the target
     gradient energy dominates h^(1-p-p/q) times the plain base energy
-    of the mapped field.  Radial fields make (ii) an equality.
+    of the mapped field.  Radial fields make (ii) an equality.  u is a
+    Field or its row blocks (see transforms._stretch_report).
     """
     if hp.h < 1.0:
         raise RegionViolation(f"chain runs toward smaller a only, h={hp.h:.4f} < 1")

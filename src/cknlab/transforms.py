@@ -65,26 +65,27 @@ def radial_stretch(u: Field, c: float, q: float) -> Field:
     )
 
 
-def _stretch_report(u: Field, hp: HatParams) -> StretchReport:
+def _stretch_report(u, hp: HatParams) -> StretchReport:
     """Both norm identities and the chain step of the h-stretch of u.
 
-    u lives in the target class and its image in the base class.  The
-    image is stretched one row block of u at a time, so it is never
-    built on the full grid, and each block goes through the public
-    norms; math.fsum adds the blocks as Field.integrate does.
+    u lives in the target class and its image in the base class.  u is
+    a Field or its consecutive row blocks, as fields.axisym_row_blocks
+    yields them.  One pass adds five public norms of each block: its
+    q- and gradient energy, and its stretch's q-energy and gradient
+    energy with the angular part scaled by h^2 and without.  math.fsum
+    sums each in block order; no full-grid array is built.
     """
     tp, base, h = hp.target, hp.base, hp.h
-    q_lhs = weighted_lq_norm(u, tp)
-    g_lhs = weighted_grad_pnorm(u, tp)
-    # the image's q-energy, its gradient energy with the angular part scaled
-    # by h^2, and the plain one; without grad_psi the last two are the same
-    parts = ([], [], [])
-    for _, blk in u.row_blocks():
-        moved = radial_stretch(blk, h, base.q)
-        parts[0].append(weighted_lq_norm(moved, base))
-        parts[1].append(weighted_grad_pnorm(moved, base, h))
-        parts[2].append(weighted_grad_pnorm(moved, base))
-    q_rhs, g_scaled, g_plain = (math.fsum(part) for part in parts)
+    sums = []
+    for blk in [b for _, b in u.row_blocks()] if isinstance(u, Field) else u:
+        own = weighted_lq_norm(blk, tp), weighted_grad_pnorm(blk, tp)
+        # the image replaces the block and goes before the next one is
+        # built, so a built block is never held beside its successor
+        blk = radial_stretch(blk, h, base.q)
+        images = [weighted_grad_pnorm(blk, base, k) for k in (h, 1.0)]
+        sums.append((*own, weighted_lq_norm(blk, base), *images))
+        del blk
+    q_lhs, g_lhs, q_rhs, g_scaled, g_plain = (math.fsum(col) for col in zip(*sums))
 
     q_res = abs(q_lhs - q_rhs) / max(abs(q_lhs), 1e-300)
     pref = h ** (1.0 - tp.p - tp.p / tp.q)
@@ -100,10 +101,11 @@ def _stretch_report(u: Field, hp: HatParams) -> StretchReport:
     )
 
 
-def transform_identity_check(u: Field, params: CknParams) -> StretchReport:
+def transform_identity_check(u, params: CknParams) -> StretchReport:
     """Verify both norm identities of the weight-removing map on one field.
 
-    The map is the k-stretch to the weightless tuple; a = 0 makes it trivial.
+    u is a Field or its row blocks (see _stretch_report).  The map is the
+    k-stretch to the weightless tuple; a = 0 makes it trivial.
     """
     if params.a <= 0.0:
         raise RegionViolation("identity check needs a > 0; the map is trivial at a = 0")

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -204,6 +205,23 @@ def test_radial_dual_norm_rejects_axisymmetric_field():
         radial_dual_norm(u, PS53)
     with pytest.raises(UnsupportedField):
         expansion_quantities(u, PS53)
+
+
+def test_residual_zero_term_finite_where_u_vanishes_below_q_two():
+    # q = 1.58 < 2: |u|^(q-2) u is 0 where u is, not inf * 0; a narrow bump
+    # vanishes at 630 of the 1024 nodes
+    ps = derive_params(3, 1.2, 0.1, 0.5)
+    assert ps.q < 2.0
+    u = gaussian_bump_profile(make_radial_grid(-30.0, 30.0, 1024), 3, 0.0, 0.3)
+    assert np.count_nonzero(u.values == 0.0) > 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = [
+            el_residual_pairing(u, u, ps),
+            radial_dual_norm(u, ps),
+            dual_norm_estimate(u, ps, 8).value,  # through the basis pairings
+        ]
+    assert all(math.isfinite(v) for v in values)
 
 
 def _hat_sup(u, ps, knots):
@@ -716,6 +734,50 @@ def test_elementary_doubling_stable():
     c200 = elementary_C_estimate(3, 2.5, 200)
     c400 = elementary_C_estimate(3, 2.5, 400)
     assert abs(c400 - c200) <= 1e-2 * c200
+
+
+def _meshgrid_C_estimate(case, exponent, samples):
+    """(C, guard |y|, guard cos) of elementary_C_estimate on the whole meshgrid."""
+    y = np.logspace(-6.0, 6.0, samples)
+    if case in (1, 2, 3, 4):
+        ang = np.cos(np.linspace(0.0, math.pi, max(17, samples // 3)))
+    else:
+        ang = np.array([-1.0, 1.0])
+    ym, cm = np.meshgrid(y, ang, indexing="ij")
+    lhs, rhs, scale = critical._raw_terms(case, exponent, 1.0, ym, cm)
+    idx = np.flatnonzero((lhs > 1e-4 * scale).ravel())[::17]
+    return float(np.max(lhs / rhs)), 7.0 * ym.ravel()[idx], cm.ravel()[idx]
+
+
+C08_CASES = [
+    [1, 2.5], [1, 3.0], [2, 3.5], [2, 4.0], [3, 2.5], [3, 3.0],
+    [4, 3.5], [4, 4.0], [5, 2.5], [5, 2.9], [6, 3.5], [6, 4.0],
+]
+
+
+@pytest.mark.parametrize("samples", [200, 400])
+def test_blocked_C_estimate_equals_the_meshgrid(samples, monkeypatch):
+    # c08's cases and the CLI defaults: the row blocks keep the maximum and
+    # pick the same guard points, so C and the guard's drift are bit for bit
+    from cknlab.cli import _DEFAULT_CASES
+
+    raw = critical._raw_terms
+    guard = []
+
+    def recording(case, e, x_mag, y_mag, cos_angle):
+        if x_mag == 7.0:
+            guard.append((y_mag, cos_angle))
+        return raw(case, e, x_mag, y_mag, cos_angle)
+
+    monkeypatch.setattr(critical, "_raw_terms", recording)
+    for case, e in C08_CASES + _DEFAULT_CASES:
+        best, y7, c7 = _meshgrid_C_estimate(case, e, samples)
+        guard.clear()
+        assert elementary_C_estimate(case, e, samples) == best, (case, e)
+        (got_y, got_c), = guard
+        assert got_y.tobytes() == y7.tobytes() and got_c.tobytes() == c7.tobytes()
+    with pytest.raises(ScalingGuardFailure, match="scaling guard has no"):
+        elementary_C_estimate(1, 2.5, 1)
 
 
 @given(

@@ -20,6 +20,7 @@ from cknlab.fields import (
     Bubble,
     Field,
     _gauss_jacobi,
+    axisym_row_blocks,
     bubble_evaluator,
     bubble_second_derivative,
     gaussian_bump_profile,
@@ -417,6 +418,37 @@ def test_one_column_density_broadcasts_over_blocks():
     got = angular.integrate(0.5, col)
     assert got == angular.integrate(0.5, np.broadcast_to(col, angular.values.shape))
     assert got == pytest.approx(_plain_integral(angular, 0.5, col), rel=1e-14, abs=0.0)
+
+
+def test_one_block_axisym_integral_is_w_density_omega():
+    # a block with several angular columns is summed in one pass: each row's
+    # angular sum, then the radial weights
+    _, _, angular = _bubble_and_bump(count=64, psi_count=128)
+    assert len(angular.row_blocks()) == 1
+    dens = angular.grad_sq(1.5) ** 1.25
+    w = angular.grid.weights * angular.grid.nodes**2.0
+    assert angular.integrate(2.0, dens) == float(w @ (dens @ angular.psi_weights))
+
+
+def _bits(field):
+    arrays = ("values", "grad_r", "grad_psi", "psi_nodes", "psi_weights")
+    grid = ("nodes", "log_nodes", "weights", "t_weights")
+    return [getattr(field, a).tobytes() for a in arrays] + [
+        getattr(field.grid, a).tobytes() for a in grid
+    ]
+
+
+@pytest.mark.parametrize("count,psi_count", [(2048, 128), (1000, 128), (1024, 48), (64, 128)])
+def test_axisym_row_blocks_are_the_views_of_the_whole_field(count, psi_count):
+    # node-local, so each block built alone is the whole field's view bit
+    # for bit; 1000 rows are not a whole number of blocks, 64 are one block
+    prof = gaussian_bump_profile(make_radial_grid(count=count), 4, 0.5, 1.0)
+    whole = modulated_axisym(prof, psi_count, 0.3)
+    views = [blk for _, blk in whole.row_blocks()]
+    built = list(axisym_row_blocks(prof, psi_count, 0.3))
+    assert len(built) == len(views) == math.ceil(count / (BLOCK_POINTS // psi_count))
+    for blk, view in zip(built, views):
+        assert blk.grid.count == view.grid.count and _bits(blk) == _bits(view)
 
 
 def test_blocked_integrate_rejects_wider_density():

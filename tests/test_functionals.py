@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from cknlab import (
     derive_params,
     sharp_constant,
 )
+from cknlab.cli import run_experiment
+from cknlab.critical import elementary_C_estimate
 from cknlab.fields import (
     Bubble,
     Field,
@@ -35,6 +38,8 @@ from cknlab.functionals import (
 )
 from cknlab.manifold import canonical_profile
 from cknlab.transforms import transform_identity_check
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs" / "acceptance"
 
 
 def exp_profile(grid, dim):
@@ -228,27 +233,44 @@ def test_norms_bit_identical_to_plain_power(tup):
             assert weighted_grad_pnorm(u, ps, k_factor) == plain
 
 
-def test_axisym_integrals_allocate_row_blocks_not_full_grids():
+def test_axisym_integrals_allocate_row_blocks_not_full_grids(tmp_path):
     # peak traced allocation of each call, in sizes of one full-grid array
     ps = derive_params(*C02_TUPLES[0])
     center, width, cos_coeff = C02_AXISYM[0]
     prof = gaussian_bump_profile(make_radial_grid(-30.0, 30.0, 2048), ps.n, center, width)
     u = modulated_axisym(prof, cos_coeff=cos_coeff)
     assert u.values.shape == (2048, 128)
+    full = u.values.nbytes
+
+    def strict(name):
+        config = CONFIG_DIR / f"{name}.json"
+        ledger = str(tmp_path / "ledger.jsonl")
+        return lambda: run_experiment(str(config), ledger, threads=1, tol_profile="strict")
+
+    # the strict c02 and c05 runs build their 2048 x 128 axisymmetric fields
+    # one row block at a time.  c08's magnitude-angle grid goes in row blocks
+    # too; at 1,600 samples (1600 x 533) it is 52 blocks, so one block's
+    # temporaries and the guard's points stay below one grid array (at 400
+    # samples the grid is 3.25 blocks, less than one block's temporaries)
     calls = {
-        "q": (lambda: weighted_lq_norm(u, ps), 0.5),
-        "grad": (lambda: weighted_grad_pnorm(u, ps), 0.5),
-        "grad k": (lambda: weighted_grad_pnorm(u, ps, ps.k), 0.5),
-        "identity check": (lambda: transform_identity_check(u, ps), 1.0),
+        "q": (lambda: weighted_lq_norm(u, ps), 0.5 * full),
+        "grad": (lambda: weighted_grad_pnorm(u, ps), 0.5 * full),
+        "grad k": (lambda: weighted_grad_pnorm(u, ps, ps.k), 0.5 * full),
+        "identity check": (lambda: transform_identity_check(u, ps), 1.0 * full),
+        "c02 strict": (strict("c02_transforms"), 0.5 * full),
+        "c05 strict": (strict("c05_chain"), 0.5 * full),
+        "c08 grid": (lambda: elementary_C_estimate(1, 2.5, 1600), 1600 * 533 * 8.0),
     }
+    for call, _ in calls.values():  # first-use caches are not the calls' own
+        call()
     tracemalloc.start()
     try:
         for name, (call, bound) in calls.items():
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
             call()
-            peak = (tracemalloc.get_traced_memory()[1] - before) / u.values.nbytes
-            assert peak < bound, name
+            peak = tracemalloc.get_traced_memory()[1] - before
+            assert peak < bound, (name, peak / bound)
     finally:
         tracemalloc.stop()
 

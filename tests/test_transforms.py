@@ -5,6 +5,7 @@ import pytest
 
 from cknlab import RegionViolation, derive_hat_params, derive_params
 from cknlab.fields import (
+    axisym_row_blocks,
     Bubble,
     gaussian_bump_profile,
     make_radial_grid,
@@ -125,6 +126,28 @@ def test_stretch_report_blocks_match_the_whole_stretched_field():
             tol = 1e-13 * rep.grad_energy
             assert abs(rep.k_drop_gap - (g_scaled - g_plain)) <= tol, tup
             assert abs(rep.grad_chain_gap - (rep.grad_energy - g_plain)) <= tol, tup
+
+
+@pytest.mark.parametrize("count", [1024, 2048])
+def test_stretch_reports_over_built_blocks_equal_the_materialised_field(count):
+    # c02's six axisymmetric fields and c05's four on the fast and strict
+    # grids: the blocks built one at a time give the same report bit for bit
+    grid = make_radial_grid(-30.0, 30.0, count)
+    c02 = [(0.5, 1.0, 0.3), (-1.0, 1.2, 0.5), (2.0, 0.8, 0.15)]
+    for tup in [(4, 2.5, 0.2, 0.5), (5, 3.0, 0.3, 0.5)]:
+        ps = derive_params(*tup)
+        for center, width, cos_coeff in c02:
+            prof = gaussian_bump_profile(grid, ps.n, center, width)
+            whole = transform_identity_check(modulated_axisym(prof, cos_coeff=cos_coeff), ps)
+            blocks = axisym_row_blocks(prof, cos_coeff=cos_coeff)
+            assert transform_identity_check(blocks, ps) == whole
+    target = derive_params(4, 2.5, 0.3, 0.6)
+    hp = derive_hat_params(derive_params(4, 2.5, 0.1, 0.4), target)
+    for center, width, cos_coeff in c02 + [(0.0, 1.5, 0.4)]:
+        prof = gaussian_bump_profile(grid, target.n, center, width)
+        whole = monotonicity_chain_check(modulated_axisym(prof, cos_coeff=cos_coeff), hp)
+        blocks = axisym_row_blocks(prof, cos_coeff=cos_coeff)
+        assert monotonicity_chain_check(blocks, hp) == whole
 
 
 def test_identity_check_rejects_flat():
